@@ -17,14 +17,10 @@ from .weyl import (
     GroupDatum,
     Permutation,
     ReducedWord,
-    apply_affine,
     bruhat_leq,
     bruhat_lower_set,
     bruhat_lt,
-    compose,
     format_element,
-    invert,
-    length,
     omega_element,
     parse_element,
     reduced_word,
@@ -76,7 +72,6 @@ from .reduction import (
     SolveResult,
     adjoint_project,
     factor_witness,
-    lift_witness,
     omega_conjugate,
     parabolic_reduce,
     product_split,

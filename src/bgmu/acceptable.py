@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import CriterionFailed, GuardExceeded, InternalCheckFailed
+from .errors import CriterionFailed, GuardExceeded, InternalCheckFailed, ParseError
 from .newton import (
     Frobenius,
     NewtonPoint,
@@ -53,12 +53,12 @@ DEFAULT_ADM_GUARD_SPREAD = 2
 def guard_limit(default: int) -> int:
     """Enumeration guards, overridable through BGMU_GUARD."""
     env = os.environ.get("BGMU_GUARD")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ParseError(f"BGMU_GUARD must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)

@@ -368,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle sweep over small problems")
     p.add_argument("--max-n", type=int, default=3)
     p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--max-length", type=int, default=8,
-                   help="reserved for the coset-ball cross check")
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

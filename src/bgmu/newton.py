@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, InternalCheckFailed, KappaMismatch
+from .errors import DimensionMismatch, InternalCheckFailed, KappaMismatch, ParseError
 from .weyl import AffineElement, GroupDatum, Permutation
 
 RatVec = tuple[Fraction, ...]
@@ -112,11 +112,11 @@ class Sigma0:
     def __post_init__(self) -> None:
         r = self.datum.num_blocks
         if sorted(self.block_to) != list(range(r)) or len(self.flip) != r:
-            raise ValueError("block_to must permute blocks, one flip flag each")
+            raise ParseError("block_to must permute blocks, one flip flag each")
         sizes = self.datum.blocks
         for b, tb in enumerate(self.block_to):
             if sizes[b] != sizes[tb]:
-                raise ValueError("sigma0 maps blocks of different sizes")
+                raise ParseError("sigma0 maps blocks of different sizes")
 
     @staticmethod
     def identity(datum: GroupDatum) -> "Sigma0":
@@ -259,7 +259,7 @@ class Frobenius:
 
     def __post_init__(self) -> None:
         if self.tau.length() != 0:
-            raise ValueError("tau must have length zero")
+            raise ParseError("tau must have length zero")
         if self.sigma0.datum != self.tau.datum:
             raise DimensionMismatch("sigma0 and tau live in different data")
         if not self.shift:
@@ -434,11 +434,6 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     shifted = tuple(a - b for a, b in zip(bar, frob.shift))
     point = NewtonPoint(w.datum, shifted, kappa(w))
     return NewtonData(k, acc.shift, nu, point)
-
-
-def newton_vector(w: AffineElement, frob: Frobenius) -> RatVec:
-    """Unsorted, unshifted Newton vector of w."""
-    return newton_point(w, frob).nu
 
 
 def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:

@@ -6,7 +6,9 @@ the last factor of each block orbit, splitting a transitive orbit to
 its last factor, then parabolic descent along the stabilizer of a
 generic fixed direction until the residual twist is superbasic on a
 single GL factor. Every step records enough data to lift a witness
-back; every lift re-verifies with the Newton map and the Bruhat order.
+back. Lifts are pure: ``solve`` verifies the final witness once, with
+the Newton map, the Kottwitz value and the Bruhat order, against
+t^{x(mu)} for the reported x, which is the definition of Adm(mu).
 
 The brute-force strategy takes the maximum over the Newton points of
 the admissible set; the auto strategy cross-checks the constructive
@@ -26,11 +28,13 @@ from .acceptable import (
     adm_member,
     adjoint_leq,
     guard_limit,
+    maximal_newton_state,
 )
 from .errors import (
     DimensionMismatch,
     GuardExceeded,
     InternalCheckFailed,
+    ParseError,
     UnsupportedTwist,
 )
 from .newton import (
@@ -66,7 +70,7 @@ class Problem:
         if len(self.mu) != self.datum.n:
             raise DimensionMismatch("mu has wrong length")
         if not self.datum.is_dominant(self.mu):
-            raise ValueError(f"mu {self.mu} is not dominant per block")
+            raise ParseError(f"mu {self.mu} is not dominant per block")
 
     @property
     def datum(self) -> GroupDatum:
@@ -86,6 +90,9 @@ class Solution:
 
 
 def _verify_solution(problem: Problem, sol: Solution) -> None:
+    """The one check of a final answer: w <= t^{x(mu)} (membership of w
+    in Adm(mu), with the reported x), w in the coset of t^mu, and the
+    Newton point of w equal to the claimed nu_raw."""
     datum = problem.datum
     bound = AffineElement.translation(datum, sol.x.act(problem.mu))
     if not bruhat_leq(sol.w, bound):
@@ -110,12 +117,10 @@ class AdjointStep:
     original: Frobenius
     kappas: tuple[int, ...]
 
-    def lift(self, problem: Problem, sub: Solution) -> Solution:
+    def lift(self, sub: Solution) -> Solution:
         datum = self.original.datum
         w = AffineElement(datum, sub.w.trans, sub.w.perm)
-        sol = Solution(sub.nu_raw, w, sub.x, (self,) + sub.trace, sub.certificate)
-        _verify_solution(Problem(problem.mu, self.original), sol)
-        return sol
+        return Solution(sub.nu_raw, w, sub.x, (self,) + sub.trace, sub.certificate)
 
 
 def adjoint_project(problem: Problem) -> tuple[Problem, AdjointStep]:
@@ -136,15 +141,13 @@ class OmegaStep:
     kind: str
     tau0: AffineElement
 
-    def lift(self, problem: Problem, sub: Solution) -> Solution:
+    def lift(self, sub: Solution) -> Solution:
         """B(mu, tau0 sigma tau0^-1) = B(mu, sigma) with witness
         w -> tau0^-1 w tau0."""
         inv = self.tau0.inverse()
         w = inv * sub.w * self.tau0
         x = inv.perm * sub.x
-        sol = Solution(sub.nu_raw, w, x, (self,) + sub.trace, sub.certificate)
-        _verify_solution(problem, sol)
-        return sol
+        return Solution(sub.nu_raw, w, x, (self,) + sub.trace, sub.certificate)
 
 
 def omega_conjugate(problem: Problem, tau0: AffineElement) -> tuple[Problem, OmegaStep]:
@@ -199,7 +202,7 @@ class ProductSplitStep:
     sub_datum: GroupDatum
     embed: tuple[int, ...]  # global positions of the last block
 
-    def lift(self, problem: Problem, sub: Solution) -> Solution:
+    def lift(self, sub: Solution) -> Solution:
         datum = self.parent_frob.datum
         sigma0 = self.parent_frob.sigma0
         m = len(self.orbit)
@@ -242,9 +245,7 @@ class ProductSplitStep:
             raise InternalCheckFailed(
                 f"assembled Newton point {bar} does not spread the factor point"
             )
-        sol = Solution(bar, y, x, (self,) + sub.trace, sub.certificate)
-        _verify_solution(problem, sol)
-        return sol
+        return Solution(bar, y, x, (self,) + sub.trace, sub.certificate)
 
 
 def _restrict(vec: Sequence, positions: Sequence[int]) -> tuple:
@@ -383,16 +384,14 @@ class ParabolicStep:
     J_nodes: frozenset
     sub_datum: GroupDatum
 
-    def lift(self, problem: Problem, sub: Solution) -> Solution:
+    def lift(self, sub: Solution) -> Solution:
         datum = self.parent_frob.datum
         z_elt = AffineElement.from_permutation(datum, self.z)
         w = z_elt.inverse() * sub.w.with_datum(datum) * z_elt
         x = self.z.inverse() * sub.x
         nd = newton_point(w, self.parent_frob.with_shift((Fraction(0),) * datum.n))
         bar, _ = dominant_rep(datum, nd.nu)
-        sol = Solution(bar, w, x, (self,) + sub.trace, sub.certificate)
-        _verify_solution(problem, sol)
-        return sol
+        return Solution(bar, w, x, (self,) + sub.trace, sub.certificate)
 
 
 def _centered(datum: GroupDatum, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -603,7 +602,7 @@ class OrbitSplitStep:
     orbits: tuple[tuple[int, ...], ...]
     positions: tuple[tuple[int, ...], ...]  # global positions per orbit
 
-    def lift(self, problem: Problem, subs: Sequence[Solution]) -> Solution:
+    def lift(self, subs: Sequence[Solution]) -> Solution:
         datum = self.parent_frob.datum
         trans = [0] * datum.n
         images = list(range(1, datum.n + 1))
@@ -620,9 +619,7 @@ class OrbitSplitStep:
             trace = trace + sub.trace
             cert = cert or sub.certificate
         w = AffineElement(datum, trans, Permutation(images))
-        sol = Solution(tuple(nu), w, Permutation(x_images), trace, cert)
-        _verify_solution(problem, sol)
-        return sol
+        return Solution(tuple(nu), w, Permutation(x_images), trace, cert)
 
 
 @dataclass(frozen=True)
@@ -648,7 +645,7 @@ def _solve_block(problem: Problem) -> Solution:
     if reduced is not None:
         sub_problem, step = reduced
         sub_sol = _solve_orbits(sub_problem)
-        return step.lift(problem, sub_sol)
+        return step.lift(sub_sol)
     # superbasic base case
     if not frob.sigma0.is_identity():
         raise UnsupportedTwist(
@@ -666,12 +663,10 @@ def _solve_block(problem: Problem) -> Solution:
     # a central part of tau shifts every Newton point by central * d
     nu = tuple(a + central for a in sw.nu.nu)
     w = sw.w.with_datum(datum)
-    sol = Solution(
+    return Solution(
         nu, w, sw.x,
         (BaseStep("base-superbasic", m0, nb, central),), sw.certificate,
     )
-    _verify_solution(problem, sol)
-    return sol
 
 
 def _solve_orbit(problem: Problem) -> Solution:
@@ -685,8 +680,7 @@ def _solve_orbit(problem: Problem) -> Solution:
     conj_problem, om_step = omega_conjugate(problem, tau0)
     sub_problem, ps_step = product_split(conj_problem)
     sub_sol = _solve_orbits(sub_problem)
-    lifted = ps_step.lift(conj_problem, sub_sol)
-    return om_step.lift(problem, lifted)
+    return om_step.lift(ps_step.lift(sub_sol))
 
 
 def _solve_orbits(problem: Problem) -> Solution:
@@ -722,39 +716,12 @@ def _solve_orbits(problem: Problem) -> Solution:
         sub_mu = _restrict(problem.mu, pos)
         subs.append(_solve_orbits(Problem(sub_mu, sub_frob)))
     step = OrbitSplitStep("orbit-split", frob, orbits, tuple(positions))
-    return step.lift(problem, subs)
+    return step.lift(subs)
 
 
 def _restrict_perm(perm: Permutation, positions: Sequence[int]) -> Permutation:
     index = {p: i + 1 for i, p in enumerate(positions)}
     return Permutation(tuple(index[perm(p)] for p in positions))
-
-
-def lift_witness(trace_or_step, problem: Problem, sub) -> Solution:
-    """Replay one recorded step (or a whole trace, outermost first) on
-    a verified sub-solution."""
-    if isinstance(trace_or_step, (list, tuple)):
-        if not trace_or_step:
-            return sub
-        head, rest = trace_or_step[0], trace_or_step[1:]
-        inner = lift_witness(rest, _step_subproblem(head, problem), sub) if rest else sub
-        return head.lift(problem, inner)
-    return trace_or_step.lift(problem, sub)
-
-
-def _step_subproblem(step, problem: Problem) -> Problem:
-    if isinstance(step, AdjointStep):
-        return adjoint_project(problem)[0]
-    if isinstance(step, OmegaStep):
-        return omega_conjugate(problem, step.tau0)[0]
-    if isinstance(step, ProductSplitStep):
-        return product_split(problem)[0]
-    if isinstance(step, ParabolicStep):
-        reduced = parabolic_reduce(problem)
-        if reduced is None:
-            raise InternalCheckFailed("trace step does not match the problem")
-        return reduced[0]
-    raise ValueError(f"cannot replay step {step!r}")
 
 
 def step_json(step) -> dict:
@@ -811,8 +778,8 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     else:
         ad_problem, ad_step = adjoint_project(problem)
         inner = _solve_orbits(ad_problem)
-        sol = ad_step.lift(problem, inner)
-        target = maximal_newton_raw(problem)
+        sol = ad_step.lift(inner)
+        target = maximal_newton_state(problem.mu, problem.frob).nu_raw
         if sol.nu_raw != target:
             raise InternalCheckFailed(
                 f"constructive Newton point {sol.nu_raw} differs from the"
@@ -826,9 +793,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
                     f"constructive {sol.nu_raw} and brute force {brute.nu_raw} disagree"
                 )
             checks["matches_bruteforce"] = True
-    ok, x_adm = adm_member(sol.w, problem.mu)
-    if not ok:
-        raise InternalCheckFailed("witness is not admissible")
+    _verify_solution(problem, sol)
     checks["admissible"] = True
     kap = kappa(AffineElement.translation(problem.datum, problem.mu))
     shifted = tuple(a - b for a, b in zip(sol.nu_raw, frob.shift))
@@ -837,12 +802,6 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         problem, point, sol.nu_raw, sol.w, sol.x, sol.trace,
         sol.certificate, strategy, checks,
     )
-
-
-def maximal_newton_raw(problem: Problem) -> tuple[Fraction, ...]:
-    from .acceptable import maximal_newton_state
-
-    return maximal_newton_state(problem.mu, problem.frob).nu_raw
 
 
 def _brute_feasible(problem: Problem) -> bool:

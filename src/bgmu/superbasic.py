@@ -13,8 +13,12 @@ The ingredients, all for coprime 0 < m < n:
   every subsegment of chi by a level;
 * the peeling of theta = mu + chi into a sharp decomposition, emitting
   a strictly decreasing Bruhat chain from t^{eps(mu)} sigma_{m,n} down
-  to eps t^theta x_c eps^{-1}, each step multiplication by one
-  transposition and each verified by the Bruhat recursion.
+  to eps t^theta x_c eps^{-1}, each step right multiplication by one
+  transposition and each certified by a strict drop in length.
+
+No Bruhat query is made here: the checked chain start and the length
+drops prove w < t^{eps(mu)}, and ``solve`` checks its final witness
+once against t^{x(mu)}.
 
 The final witness is w = eps (t^theta x_c) eps^{-1} sigma_{m,n}^{-1};
 its Newton point under Ad(sigma_{m,n}) is the slope sequence of the
@@ -36,7 +40,6 @@ from .weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
-    bruhat_lt,
     format_element,
     superbasic_element,
 )
@@ -88,9 +91,6 @@ class Segment:
         if not (self.head <= i and j <= self.tail and i <= j):
             raise ValueError(f"[{i},{j}] is not inside [{self.head},{self.tail}]")
         return Segment(i, self.values[i - self.head : j - self.head + 1])
-
-    def same_type(self, other: "Segment") -> bool:
-        return self.values == other.values
 
     def __repr__(self) -> str:
         return "(%s)@[%d,%d]" % (",".join(map(str, self.values)), self.head, self.tail)
@@ -152,7 +152,7 @@ def chi(m: int, n: int) -> tuple[int, ...]:
     (0, 1, 0, 1, 1, 0, 1, 1)
     """
     if not (0 < m < n) or gcd(m, n) != 1:
-        raise ValueError(f"need coprime 0 < m < n, got ({m}, {n})")
+        raise ParseError(f"need coprime 0 < m < n, got ({m}, {n})")
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
 
 
@@ -419,8 +419,8 @@ class PeelCertificate:
 
 def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     """Peel theta = mu + chi_{m,n} block by block into a sharp
-    decomposition, certifying each emitted transposition as a strict
-    Bruhat descent after conjugation by epsilon."""
+    decomposition, certifying each emitted transposition (conjugated by
+    epsilon) as a strict Bruhat descent by its drop in length."""
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError(f"mu must have length {n}")
@@ -474,7 +474,8 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
         nxt = current * AffineElement.from_permutation(
             datum, Permutation.from_cycles(n, [cyc_conj])
         )
-        if not bruhat_lt(nxt, current):
+        # nxt = current * r for a reflection r, and wr < w iff l(wr) < l(w)
+        if nxt.length() >= current.length():
             raise InternalCheckFailed(
                 f"chain step {kind} cyc{(a, b)} is not a strict Bruhat descent"
                 f" at {format_element(current)}"
@@ -599,18 +600,18 @@ class SuperbasicWitness:
 def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     """Admissible witness for the twist Ad(sigma_{m,n}): an element
     w < t^{eps(mu)} (equality only for central mu) whose Newton point
-    is the hull slope sequence of mu + chi_{m,n}."""
+    is the hull slope sequence of mu + chi_{m,n}.
+
+    The strict chain from the checked start t^{eps(mu)} sigma, followed
+    by right multiplication with the length-zero sigma^{-1}, proves
+    w < t^{eps(mu)} whenever the chain is not empty."""
     cert = sharp_peel(mu, m, n)
     datum = GroupDatum.gl(n)
     sigma = superbasic_element(m, n)
     w = cert.end * sigma.inverse()
     frob = Frobenius.superbasic(m, n)
     eps = cert.epsilon
-    bound = AffineElement.translation(datum, eps.act(cert.mu))
-    if cert.chain:
-        if not bruhat_lt(w, bound):
-            raise InternalCheckFailed("witness is not strictly below t^{eps(mu)}")
-    elif w != bound:
+    if not cert.chain and w != AffineElement.translation(datum, eps.act(cert.mu)):
         raise InternalCheckFailed("empty chain must end at t^{eps(mu)} itself")
     nd = newton_point(w, frob.with_shift((Fraction(0),) * n))
     bar, _ = dominant_rep(datum, nd.nu)

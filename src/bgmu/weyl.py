@@ -45,11 +45,11 @@ class GroupDatum:
 
     def __post_init__(self) -> None:
         if not self.blocks or any(n < 1 for n in self.blocks):
-            raise ValueError(f"invalid block sizes {self.blocks}")
+            raise ParseError(f"invalid block sizes {self.blocks}")
         if not self.adjoint:
             object.__setattr__(self, "adjoint", (False,) * len(self.blocks))
         if len(self.adjoint) != len(self.blocks):
-            raise ValueError("adjoint flags do not match blocks")
+            raise ParseError("adjoint flags do not match blocks")
 
     @staticmethod
     def gl(n: int) -> "GroupDatum":
@@ -260,9 +260,6 @@ class AffineElement:
             self.datum, tuple(-x for x in uinv.act(self.trans)), uinv
         )
 
-    def conjugate_by(self, g: "AffineElement") -> "AffineElement":
-        return g * self * g.inverse()
-
     def apply(self, vec: Sequence) -> tuple:
         """Affine action on the ambient vector space: u(v) + trans."""
         if len(vec) != self.datum.n:
@@ -323,24 +320,6 @@ class AffineElement:
 
     def __repr__(self) -> str:
         return format_element(self)
-
-
-# --- spec-level function aliases -------------------------------------------
-
-def compose(w1: AffineElement, w2: AffineElement) -> AffineElement:
-    return w1 * w2
-
-
-def invert(w: AffineElement) -> AffineElement:
-    return w.inverse()
-
-
-def apply_affine(w: AffineElement, vec: Sequence) -> tuple:
-    return w.apply(vec)
-
-
-def length(w: AffineElement) -> int:
-    return w.length()
 
 
 # --- simple reflections, reduced words, Bruhat order -----------------------

@@ -96,6 +96,23 @@ def test_usage_error_exit_code(capsys):
                  "--sigma", "superbasic:1/2"]) == 1
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["max", "--group", "gl:0", "--mu", "0", "--sigma", "superbasic:1/2"], None),
+    (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "tau=t[1,0]"], None),
+    (["max", "--group", "gl:2", "--mu", "0,1", "--sigma", "superbasic:1/2"], None),
+    (["max", "--group", "gl:2*2", "--mu", "1,0,1,0", "--sigma", "sigma0=2,2"], None),
+    (["polygon", "--mu", "1,0", "--m", "2", "--n", "2"], None),
+    (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "abc"),
+])
+def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("BGMU_GUARD", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("bgmu: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_tau_sigma0_twist(capsys):
     code, out, _ = run(
         capsys, "max", "--group", "pgl:3", "--mu", "1,0,0",

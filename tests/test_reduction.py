@@ -7,13 +7,12 @@ from math import gcd
 import pytest
 
 from bgmu.acceptable import adjoint_leq, enumerate_acceptable
-from bgmu.errors import GuardExceeded, UnsupportedTwist
+from bgmu.errors import GuardExceeded, InternalCheckFailed, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     Problem,
     adjoint_project,
     factor_witness,
-    lift_witness,
     omega_conjugate,
     parabolic_reduce,
     product_split,
@@ -297,21 +296,24 @@ def test_solve_deterministic():
     assert c1 == c2
 
 
-def test_lift_witness_replays_trace():
-    d4 = GroupDatum.pgl(4)
-    fr = Frobenius.inner(omega_element(d4, (2,)))
-    problem = Problem((2, 1, 1, 0), fr)
-    r = solve(problem.mu, fr)
-    # replay the recorded parabolic step on the sub-solution by hand
-    ad_problem, ad_step = adjoint_project(problem)
-    reduced = parabolic_reduce(ad_problem)
-    assert reduced is not None
-    sub_problem, pstep = reduced
-    from bgmu.reduction import _solve_orbits
+def test_solve_rejects_witness_above_bound(monkeypatch):
+    # the lifts check nothing, so the one final verification in solve
+    # must catch a witness that is not below t^{x(mu)}
+    import dataclasses
 
-    sub_sol = _solve_orbits(sub_problem)
-    lifted = lift_witness([ad_step, pstep], problem, sub_sol)
-    assert lifted.nu_raw == r.nu_raw
+    import bgmu.reduction as reduction
+
+    real = reduction.superbasic_witness
+
+    def broken(mu, m, n):
+        sw = real(mu, m, n)
+        bad = AffineElement.translation(GroupDatum.gl(n), (2, 0, -1))
+        return dataclasses.replace(sw, w=bad)
+
+    monkeypatch.setattr(reduction, "superbasic_witness", broken)
+    fr = Frobenius.superbasic(1, 3)
+    with pytest.raises(InternalCheckFailed, match="not below"):
+        solve((1, 0, 0), fr, strategy="constructive")
 
 
 def test_solve_negative_dominant_entries():
