@@ -42,6 +42,7 @@ from .acceptable import (
     AcceptableSet,
     MaximalSolverState,
     ParabolicDatum,
+    PolygonData,
     adm_enumerate,
     adm_member,
     enumerate_acceptable,
@@ -50,11 +51,11 @@ from .acceptable import (
     mu_diamond_acceptable,
     newton_criterion,
     newton_witness,
+    polygon,
 )
 from .superbasic import (
     EuclideanChain,
     PeelCertificate,
-    PolygonData,
     Segment,
     SuperbasicWitness,
     a_sequence_less,
@@ -62,7 +63,6 @@ from .superbasic import (
     epsilon,
     euclid_chain,
     level_decompose,
-    polygon,
     sharp_peel,
     superbasic_witness,
 )

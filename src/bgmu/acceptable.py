@@ -3,10 +3,10 @@
 Membership of a dominant sigma0-invariant vector v is an integrality
 condition: for every sigma0-orbit c of simple roots moved by v,
 <omega_c, mu_diamond + lam_diamond - v> must be an integer. The unique
-maximal point is built from per-orbit bounds through a fixed-point
-active-set loop that, in type A, amounts to an upper convex hull of
-tent functions; both directions are cross-checked against brute-force
-enumeration in the test suite.
+maximal point is built from per-orbit bounds as the upper convex hull
+of tent functions, one ``polygon`` per block (the same hull that
+certifies the superbasic peel); both directions are cross-checked
+against brute-force enumeration in the test suite.
 
 All comparisons against mu_diamond go through fundamental-weight
 pairings, which kill block centers; the central coordinates of genuine
@@ -218,15 +218,54 @@ def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineEle
 # --- the maximal point -------------------------------------------------------
 
 @dataclass(frozen=True)
+class PolygonData:
+    """Upper convex hull of the running sums of a sequence."""
+
+    vertices: tuple[tuple[int, Fraction], ...]
+    slopes: tuple[Fraction, ...]
+
+    def hull_value(self, k: int) -> Fraction:
+        """Hull height after the first k steps."""
+        if not (0 <= k <= len(self.slopes)):
+            raise ValueError(f"abscissa {k} outside 0..{len(self.slopes)}")
+        return sum(self.slopes[:k], Fraction(0))
+
+
+def polygon(eta: Sequence) -> PolygonData:
+    """Greedy sharp decomposition: repeatedly take the longest prefix
+    of maximal average. The block averages, repeated blockwise, form
+    the weakly decreasing slope sequence of the hull."""
+    rest = list(eta)
+    x = 0
+    y = Fraction(0)
+    vertices: list[tuple[int, Fraction]] = [(x, y)]
+    slopes: list[Fraction] = []
+    while rest:
+        best_k, best_av, acc = 1, Fraction(rest[0]), 0
+        for k in range(1, len(rest) + 1):
+            acc += rest[k - 1]
+            av = Fraction(acc, k)
+            if av >= best_av:
+                best_av, best_k = av, k
+        slopes.extend([best_av] * best_k)
+        x += best_k
+        y += best_av * best_k
+        vertices.append((x, y))
+        rest = rest[best_k:]
+    if slopes != sorted(slopes, reverse=True):
+        raise InternalCheckFailed(f"hull slopes of {tuple(eta)} are not decreasing")
+    return PolygonData(tuple(vertices), tuple(slopes))
+
+
+@dataclass(frozen=True)
 class MaximalSolverState:
-    """Active-set solve for the maximal point: per-node tent heights
-    e, the reduced sigma0-stable active support, and the solution."""
+    """Hull solve for the maximal point: per-node tent heights e, the
+    sigma0-stable support of the solution, and the solution."""
 
     datum: GroupDatum
     targets: dict
     active: frozenset
     nu_raw: RatVec
-    iterations: int
 
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
@@ -243,36 +282,15 @@ def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverSta
         for nd in orbit:
             targets[nd] = q / len(orbit)
 
-    ref = nu_reference(mu, frob)
-    sums = _central_profile(datum, ref)
-    orbit_of = {nd: orbit for orbit in frob.sigma0.node_orbits() for nd in orbit}
-    active = frozenset(nd for nd, t in targets.items() if t > 0)
-    iterations = 0
-    cap = 4 * datum.n * datum.n + 8
-    while True:
-        iterations += 1
-        if iterations > cap:
-            raise InternalCheckFailed("active-set loop failed to converge")
-        nu = _vector_through_heights(
-            datum, {nd: targets[nd] for nd in active}, sums
-        )
-        drops = {nd for nd in active if alpha_pairing(datum, nd, nu) < 0}
-        if drops:
-            active = active - frozenset().union(*(frozenset(orbit_of[nd]) for nd in drops))
-            continue
-        adds = {
-            nd
-            for nd in targets
-            if nd not in active and omega_pairing(datum, nd, nu) < targets[nd]
-        }
-        if adds:
-            active = active | frozenset().union(*(frozenset(orbit_of[nd]) for nd in adds))
-            continue
-        break
-    # discard knots the hull passes through without a vertex, so the
-    # active set is a reduced set with the same majorant
-    active = frozenset(nd for nd in active if alpha_pairing(datum, nd, nu) > 0)
-    nu = _vector_through_heights(datum, {nd: targets[nd] for nd in active}, sums)
+    # per block, the least concave majorant of the tents: the hull of
+    # the knots (i, e_i + (i/n_b) * sum) between (0, 0) and (n_b, sum)
+    sums = _central_profile(datum, nu_reference(mu, frob))
+    nu: RatVec = ()
+    for b, nb in enumerate(datum.blocks):
+        inner = [targets[(b, i)] + Fraction(i, nb) * sums[b] for i in range(1, nb)]
+        knots = [Fraction(0)] + inner + [sums[b]]
+        nu += polygon([c - a for a, c in zip(knots, knots[1:])]).slopes
+    active = support_nodes(datum, nu)
 
     if not datum.is_dominant(nu):
         raise InternalCheckFailed("maximal point is not dominant")
@@ -283,11 +301,9 @@ def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverSta
     for nd, t in targets.items():
         if omega_pairing(datum, nd, nu) < t:
             raise InternalCheckFailed("maximal point drops below a tent")
-    if support_nodes(datum, nu) != active:
-        raise InternalCheckFailed("support of the maximal point disagrees")
     if not newton_criterion(nu, mu, frob):
         raise InternalCheckFailed("maximal point fails the integrality criterion")
-    return MaximalSolverState(datum, targets, active, nu, iterations)
+    return MaximalSolverState(datum, targets, active, nu)
 
 
 def maximal_newton(mu: Sequence[int], frob: Frobenius) -> NewtonPoint:
@@ -430,18 +446,35 @@ def enumerate_acceptable(
 
 # --- admissible set ----------------------------------------------------------
 
+def _distinct_permutations(part: Sequence[int]) -> list[tuple[int, ...]]:
+    """Distinct permutations of a multiset, descending lexicographically:
+    repeated predecessor steps from the largest arrangement."""
+    a = sorted(part, reverse=True)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+        out.append(tuple(a))
+
+
 def _orbit_points(datum: GroupDatum, mu: Sequence[int]) -> list[tuple[int, ...]]:
-    """Distinct W_0-orbit points of mu, descending lexicographically."""
-    per_block = []
-    for lo, hi in datum.block_ranges():
-        part = tuple(mu[lo - 1 : hi])
-        per_block.append(sorted(set(itertools.permutations(part)), reverse=True))
-    out = [
+    """Distinct W_0-orbit points of mu, descending lexicographically
+    (the product of per-block descending lists, blocks of fixed width)."""
+    per_block = [
+        _distinct_permutations(mu[lo - 1 : hi]) for lo, hi in datum.block_ranges()
+    ]
+    return [
         tuple(x for block in combo for x in block)
         for combo in itertools.product(*per_block)
     ]
-    out.sort(reverse=True)
-    return out
 
 
 def _stable_perm_to(datum: GroupDatum, mu: Sequence[int], target: Sequence[int]) -> Permutation:

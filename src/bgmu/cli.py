@@ -32,11 +32,11 @@ from .acceptable import (
     enumerate_acceptable,
     mu_diamond_acceptable,
 )
+from .acceptable import polygon as make_polygon
 from .errors import BgmuError, GuardExceeded, ParseError
 from .newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from .reduction import solve, step_json
 from .superbasic import chi as chi_vec
-from .superbasic import polygon as make_polygon
 from .weyl import (
     AffineElement,
     GroupDatum,

@@ -54,6 +54,7 @@ from .weyl import (
     GroupDatum,
     Permutation,
     bruhat_leq,
+    left_descent,
 )
 
 BRUTE_GUARD_N = 6
@@ -342,26 +343,23 @@ def factor_witness(
     if not bruhat_leq(w, total):
         raise ValueError("element is not below the product of the bounds")
 
-    def split2(u: AffineElement, v1: AffineElement, v2: AffineElement) -> tuple[AffineElement, AffineElement]:
-        """u <= v1 v2 length-additively: u = u1 u2, u_i <= v_i."""
-        from .weyl import left_descent
-
-        if v1.length() == 0:
-            return v1, v1.inverse() * u
-        _, s = left_descent(v1)
-        sv1 = s * v1
-        if (s * u).length() < u.length():
-            u1, u2 = split2(s * u, sv1, v2)
-            return s * u1, u2
-        return split2(u, sv1, v2)
+    def split2(u: AffineElement, v: AffineElement) -> tuple[AffineElement, AffineElement]:
+        """u <= v v' length-additively: u = u1 u2 with u1 <= v. Walk v
+        down its left descents to length zero, lifting u by each
+        descent it shares; the lifted letters rebuild u1."""
+        prefix = AffineElement.identity(v.datum)
+        while (step := left_descent(v)) is not None:
+            _, s = step
+            v = s * v
+            su = s * u
+            if su.length() < u.length():
+                u, prefix = su, prefix * s
+        return prefix * v, v.inverse() * u
 
     pieces: list[AffineElement] = []
     rest_w = w
-    for i in range(len(bounds) - 1):
-        tail = bounds[i + 1]
-        for b in bounds[i + 2:]:
-            tail = tail * b
-        w_i, rest_w = split2(rest_w, bounds[i], tail)
+    for bound in bounds[:-1]:
+        w_i, rest_w = split2(rest_w, bound)
         pieces.append(w_i)
     pieces.append(rest_w)
     prod = pieces[0]

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Union
 
-from .acceptable import maximal_newton
+from .acceptable import maximal_newton, polygon
 from .errors import InternalCheckFailed, ParseError
 from .newton import Frobenius, NewtonPoint, dominant_rep, kappa, newton_point
 from .weyl import (
@@ -45,7 +45,7 @@ from .weyl import (
 )
 
 
-# --- segments and polygons ---------------------------------------------------
+# --- segments ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Segment:
@@ -94,53 +94,6 @@ class Segment:
 
     def __repr__(self) -> str:
         return "(%s)@[%d,%d]" % (",".join(map(str, self.values)), self.head, self.tail)
-
-
-def as_segment(eta: Union[Segment, Sequence[int]], head: int = 1) -> Segment:
-    if isinstance(eta, Segment):
-        return eta
-    return Segment(head, tuple(eta))
-
-
-@dataclass(frozen=True)
-class PolygonData:
-    """Upper convex hull of the running sums of a segment."""
-
-    vertices: tuple[tuple[int, Fraction], ...]
-    slopes: tuple[Fraction, ...]
-
-    def hull_value(self, k: int) -> Fraction:
-        """Hull height after the first k steps."""
-        if not (0 <= k <= len(self.slopes)):
-            raise ValueError(f"abscissa {k} outside 0..{len(self.slopes)}")
-        return sum(self.slopes[:k], Fraction(0))
-
-
-def polygon(eta: Union[Segment, Sequence[int]]) -> PolygonData:
-    """Greedy sharp decomposition: repeatedly take the longest prefix
-    of maximal average. The block averages, repeated blockwise, form
-    the weakly decreasing slope sequence of the hull."""
-    seg = as_segment(eta)
-    rest = list(seg.values)
-    x = seg.head - 1
-    y = Fraction(0)
-    vertices: list[tuple[int, Fraction]] = [(x, y)]
-    slopes: list[Fraction] = []
-    while rest:
-        best_k, best_av, acc = 1, Fraction(rest[0]), 0
-        for k in range(1, len(rest) + 1):
-            acc += rest[k - 1]
-            av = Fraction(acc, k)
-            if av >= best_av:
-                best_av, best_k = av, k
-        slopes.extend([best_av] * best_k)
-        x += best_k
-        y += best_av * best_k
-        vertices.append((x, y))
-        rest = rest[best_k:]
-    if slopes != sorted(slopes, reverse=True):
-        raise InternalCheckFailed(f"hull slopes of {seg!r} are not decreasing")
-    return PolygonData(tuple(vertices), tuple(slopes))
 
 
 # --- chi, reading sequences, epsilon ----------------------------------------
@@ -362,10 +315,6 @@ class ChainStep:
     before: AffineElement
     after: AffineElement
 
-    @property
-    def verified(self) -> bool:
-        return True  # construction raises before building unverified steps
-
 
 @dataclass(frozen=True)
 class PeelCertificate:
@@ -408,7 +357,7 @@ class PeelCertificate:
                     "after": format_element(c.after),
                     "length_before": c.before.length(),
                     "length_after": c.after.length(),
-                    "verified": c.verified,
+                    "verified": True,  # emit raises before building an unverified step
                 }
                 for c in self.chain
             ],
@@ -578,7 +527,7 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     slopes = tuple(
         itertools.chain.from_iterable([s.average] * s.size for s in decomposition)
     )
-    hull = polygon(Segment(1, theta))
+    hull = polygon(theta)
     if slopes != hull.slopes:
         raise InternalCheckFailed(
             f"peeled decomposition slopes {slopes} differ from hull {hull.slopes}"

@@ -350,11 +350,28 @@ def simple_reflections(datum: GroupDatum) -> tuple[tuple[Letter, AffineElement],
     return tuple(out)
 
 
+def _descends(w: AffineElement, inv: Sequence[int], lo: int, hi: int, node: int) -> bool:
+    """Whether len(s w) < len(w) for the simple reflection s at ``node``
+    of the block [lo, hi], given inv = u^-1 for w = t^lam u.
+
+    s swaps one pair of positions and permutes the other Iwahori-Matsumoto
+    terms among themselves, so only the term of that pair decides."""
+    lam = w.trans
+    if node == 0:
+        d = lam[lo - 1] - lam[hi - 1]
+        return d >= (1 if inv[lo - 1] < inv[hi - 1] else 2)
+    p = lo + node - 1
+    d = lam[p - 1] - lam[p]
+    return d < 0 if inv[p - 1] < inv[p] else d <= 0
+
+
 def left_descent(w: AffineElement) -> Optional[tuple[Letter, AffineElement]]:
     """Smallest-index s with len(s w) < len(w), or None."""
-    lw = w.length()
+    inv = w.perm.inverse().images
+    ranges = w.datum.block_ranges()
     for label, s in simple_reflections(w.datum):
-        if (s * w).length() < lw:
+        b, node = label
+        if _descends(w, inv, *ranges[b], node):
             return label, s
     return None
 
@@ -414,30 +431,24 @@ def _same_wa_coset(w1: AffineElement, w2: AffineElement) -> Optional[AffineEleme
     return AffineElement(datum, tuple(a + s for a, s in zip(w1.trans, shift)), w1.perm)
 
 
-@lru_cache(maxsize=1 << 20)
-def _bruhat_core(w1: AffineElement, w2: AffineElement) -> bool:
-    # Same W_a coset guaranteed by the caller.
-    if w1 == w2:
-        return True
-    if w1.length() >= w2.length():
-        return False
-    label, s = left_descent(w2)  # exists: len(w2) > len(w1) >= 0
-    sw2 = s * w2
-    sw1 = s * w1
-    if sw1.length() < w1.length():
-        return _bruhat_core(sw1, sw2)
-    return _bruhat_core(w1, sw2)
-
-
 def bruhat_leq(w1: AffineElement, w2: AffineElement) -> bool:
     """Bruhat order on the extended group: comparable only inside a
-    W_a coset, then the usual left-descent recursion."""
+    W_a coset, then the lifting walk. While len(w1) < len(w2), take the
+    first left descent s of w2 and replace w2 by s w2, and w1 by s w1
+    when s is also a descent of w1; then w1 <= w2 iff the two meet."""
     if w1.datum != w2.datum:
         raise DimensionMismatch("different group data")
-    adjusted = _same_wa_coset(w1, w2)
-    if adjusted is None:
+    w1 = _same_wa_coset(w1, w2)
+    if w1 is None:
         return False
-    return _bruhat_core(adjusted, w2)
+    ranges = w1.datum.block_ranges()
+    l1, l2 = w1.length(), w2.length()
+    while l1 < l2:
+        (b, node), s = left_descent(w2)  # exists: len(w2) > len(w1) >= 0
+        w2, l2 = s * w2, l2 - 1
+        if _descends(w1, w1.perm.inverse().images, *ranges[b], node):
+            w1, l1 = s * w1, l1 - 1
+    return w1 == w2
 
 
 def bruhat_lt(w1: AffineElement, w2: AffineElement) -> bool:

@@ -7,8 +7,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgmu.acceptable import (
+    _orbit_points,
     adjoint_eq,
     adjoint_leq,
     adm_enumerate,
@@ -23,7 +26,7 @@ from bgmu.acceptable import (
     support_nodes,
 )
 from bgmu.errors import CriterionFailed, GuardExceeded
-from bgmu.newton import Frobenius, diamond, dominant_rep, newton_point, omega_pairing
+from bgmu.newton import Frobenius, Sigma0, diamond, dominant_rep, newton_point, omega_pairing
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -153,6 +156,37 @@ def test_maximal_pgl2_examples():
     assert omega_pairing(PGL2, (0, 1), st.nu_raw) == Fraction(1, 2)
 
 
+@st.composite
+def twisted_problems(draw):
+    """A rotation of r equal blocks plus one fixed block, with random
+    flips, adjoint flags, twist kappas and dominant mu."""
+    nb, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    blocks = (nb,) * r + (draw(st.integers(1, 4)),)
+    k = draw(st.integers(0, r - 1))
+    block_to = tuple((b + k) % r for b in range(r)) + (r,)
+    flip = tuple(draw(st.lists(st.booleans(), min_size=r + 1, max_size=r + 1)))
+    adjoint = tuple(draw(st.lists(st.booleans(), min_size=r + 1, max_size=r + 1)))
+    datum = GroupDatum(blocks, adjoint)
+    kappas = draw(st.lists(st.integers(-3, 5), min_size=r + 1, max_size=r + 1))
+    frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flip))
+    mu = []
+    for size in blocks:
+        part = draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+        mu += sorted(part, reverse=True)
+    return tuple(mu), frob
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_problems())
+def test_maximal_point_meets_its_tents_at_the_support(problem):
+    # the least concave majorant of the tents touches them at its vertices
+    mu, frob = problem
+    state = maximal_newton_state(mu, frob)
+    assert state.active == support_nodes(frob.datum, state.nu_raw)
+    for nd in state.active:
+        assert omega_pairing(frob.datum, nd, state.nu_raw) == state.targets[nd]
+
+
 def test_maximal_quasi_split_is_mu():
     fr = Frobenius.trivial(GroupDatum.gl(3))
     assert maximal_newton((2, 1, 0), fr).nu == (2, 1, 0)
@@ -207,6 +241,30 @@ def test_parabolic_datum_support_split():
 
 
 # --- admissible set ---------------------------------------------------------------
+
+@pytest.mark.parametrize("part", [(0,), (1, 0), (0, 1, 2), (2, 1, 1, 0), (1, 1, 0, 0, 0), (3, 2, 2, 0, -1, -1)])
+def test_orbit_points_are_distinct_permutations_descending(part):
+    want = sorted(set(itertools.permutations(part)), reverse=True)
+    assert _orbit_points(GroupDatum.gl(len(part)), part) == want
+
+
+def test_orbit_points_of_a_block_product():
+    datum = GroupDatum((2, 3))
+    mu = (1, 0, 2, 1, 1)
+    want = sorted(
+        (
+            a + b
+            for a in set(itertools.permutations(mu[:2]))
+            for b in set(itertools.permutations(mu[2:]))
+        ),
+        reverse=True,
+    )
+    assert _orbit_points(datum, mu) == want
+
+
+def test_orbit_points_count_without_factorial_scan():
+    assert len(_orbit_points(GroupDatum.gl(12), (1,) * 6 + (0,) * 6)) == 924
+
 
 def test_adm_translations_are_members():
     mu = (1, 1, 0)

@@ -113,6 +113,16 @@ def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     assert "Traceback" not in err
 
 
+def test_max_gl36_long_witness(capsys):
+    mu = ",".join(["4"] * 9 + ["2"] * 9 + ["1"] * 9 + ["0"] * 9)
+    code, out, err = run(
+        capsys, "max", "--group", "gl:36", "--mu", mu,
+        "--sigma", "superbasic:17/36", "--strategy", "constructive",
+    )
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["checks"]["admissible"]
+
+
 def test_tau_sigma0_twist(capsys):
     code, out, _ = run(
         capsys, "max", "--group", "pgl:3", "--mu", "1,0,0",

@@ -161,6 +161,19 @@ def test_factor_witness_splits_below_bounds():
             assert bruhat_leq(piece, bound)
 
 
+def test_factor_witness_three_bounds_on_gl3():
+    # bounds of length 2 each: the lifted prefix of a piece can hold two
+    # non-commuting letters, so their order is checked too
+    d3 = GroupDatum.gl(3)
+    bounds = [parse_element(t, d3) for t in ("t[1,0,0]", "t[1,1,0]", "t[1,0,0]")]
+    total = bounds[0] * bounds[1] * bounds[2]
+    for w in bruhat_lower_set(total):
+        pieces = factor_witness(w, bounds)
+        assert pieces[0] * pieces[1] * pieces[2] == w
+        for piece, bound in zip(pieces, bounds):
+            assert bruhat_leq(piece, bound)
+
+
 def test_factor_witness_rejects_non_additive_bounds():
     d2 = GroupDatum.gl(2)
     s = parse_element("t[0,0]*cyc(1,2)", d2)
@@ -284,6 +297,12 @@ def test_solve_bruteforce_guard():
     fr = Frobenius.superbasic(5, 8)
     with pytest.raises(GuardExceeded):
         solve((1, 1, 1, 0, 0, 0, 0, 0), fr, strategy="bruteforce")
+
+
+def test_solve_gl40_has_no_recursion_limit():
+    mu = (4,) * 10 + (2,) * 10 + (1,) * 10 + (0,) * 10
+    r = solve(mu, Frobenius.superbasic(17, 40), strategy="constructive")
+    assert r.checks["admissible"] and r.checks["matches_maximal_newton"]
 
 
 def test_solve_deterministic():

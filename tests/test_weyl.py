@@ -16,6 +16,7 @@ from bgmu.weyl import (
     bruhat_lower_set,
     bruhat_lt,
     format_element,
+    left_descent,
     omega_element,
     parse_element,
     reduced_word,
@@ -157,6 +158,27 @@ def test_length_subadditive(a, b):
 
 
 # --- reduced words -------------------------------------------------------------
+
+@pytest.mark.parametrize("blocks, spread", [((2,), 2), ((4,), 1), ((2, 3), 1)])
+def test_left_descent_matches_definition(blocks, spread):
+    datum = GroupDatum(blocks)
+    reflections = simple_reflections(datum)
+    block_perms = [
+        itertools.permutations(range(lo, hi + 1)) for lo, hi in datum.block_ranges()
+    ]
+    perms = [
+        Permutation(x for block in combo for x in block)
+        for combo in itertools.product(*block_perms)
+    ]
+    for trans in itertools.product(range(-spread, spread + 1), repeat=datum.n):
+        for perm in perms:
+            w = AffineElement(datum, trans, perm)
+            want = next(
+                ((label, s) for label, s in reflections if (s * w).length() < w.length()),
+                None,
+            )
+            assert left_descent(w) == want
+
 
 def test_reduced_word_examples():
     rw = reduced_word(AffineElement.identity(GL2))
