@@ -41,7 +41,6 @@ from .newton import (
 from .acceptable import (
     AcceptableSet,
     MaximalSolverState,
-    ParabolicDatum,
     PolygonData,
     adm_enumerate,
     adm_member,

@@ -8,9 +8,13 @@ of tent functions, one ``polygon`` per block (the same hull that
 certifies the superbasic peel); both directions are cross-checked
 against brute-force enumeration in the test suite.
 
-All comparisons against mu_diamond go through fundamental-weight
-pairings, which kill block centers; the central coordinates of genuine
-Newton points are pinned separately by the reference point nu_{t^mu}.
+Every pairing <omega_i, v> is read off one running sum per block
+(``heights``), and an orbit pairing is the sum of the heights over the
+orbit. Heights kill block centers; the central coordinates are pinned
+separately by the block sums of mu_diamond + lam_diamond. Those are the
+block sums of every Newton vector in t^mu W_a: the twist's linear part
+permutes the blocks up to sign exactly as sigma0 does, so its average
+over a period and the sigma0-average of mu + lam have equal block sums.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from .newton import (
     coroot_vector,
     diamond,
     dominant_rep,
+    heights,
+    heights_leq,
     kappa,
     newton_point,
-    omega_pairing,
     simple_nodes,
 )
 from .weyl import (
@@ -61,58 +66,32 @@ def guard_limit(default: int) -> int:
         raise ParseError(f"BGMU_GUARD must be an integer, got {env!r}") from None
 
 
-@dataclass(frozen=True)
-class ParabolicDatum:
-    """Support split of a dominant vector: J holds the simple roots
-    fixing it, I the rest; both are sigma0-stable for invariant v."""
-
-    datum: GroupDatum
-    I_set: frozenset
-    J_set: frozenset
-
-    @staticmethod
-    def from_vector(datum: GroupDatum, vec: Sequence) -> "ParabolicDatum":
-        nodes = simple_nodes(datum)
-        J = frozenset(nd for nd in nodes if alpha_pairing(datum, nd, vec) == 0)
-        return ParabolicDatum(datum, frozenset(nodes) - J, J)
-
-
 def support_nodes(datum: GroupDatum, vec: Sequence) -> frozenset:
-    """I(v): simple roots with <alpha_i, v> != 0."""
-    return ParabolicDatum.from_vector(datum, vec).I_set
-
-
-def omega_orbit_pairing(datum: GroupDatum, orbit: Sequence[Node], vec: Sequence) -> Fraction:
-    return sum((omega_pairing(datum, nd, vec) for nd in orbit), Fraction(0))
+    """I(v): simple roots with <alpha_i, v> != 0; the rest, J(v), fix
+    v, and both are sigma0-stable for invariant v."""
+    return frozenset(
+        nd for nd in simple_nodes(datum) if alpha_pairing(datum, nd, vec) != 0
+    )
 
 
 def adjoint_leq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     """v <= w modulo block centers: all fundamental pairings compare."""
-    return all(
-        omega_pairing(datum, nd, v) <= omega_pairing(datum, nd, w)
-        for nd in simple_nodes(datum)
-    )
+    return heights_leq(heights(datum, v), heights(datum, w))
 
 
 def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
-    return all(
-        omega_pairing(datum, nd, v) == omega_pairing(datum, nd, w)
-        for nd in simple_nodes(datum)
-    )
+    return heights(datum, v) == heights(datum, w)
 
 
 def nu_reference(mu: Sequence[int], frob: Frobenius) -> RatVec:
     """Newton vector of t^mu itself; every w in t^mu W_a has a Newton
-    vector with the same per-block coordinate sums."""
+    vector with the same per-block coordinate sums, namely those of
+    mu_diamond + lam_diamond."""
     return newton_point(AffineElement.translation(frob.datum, mu), frob).nu
 
 
-def _central_profile(datum: GroupDatum, vec: Sequence) -> tuple:
-    return tuple(Fraction(s) for s in datum.block_sums(vec))
-
-
 def _vector_through_heights(
-    datum: GroupDatum, heights: dict[Node, Fraction], sums: Sequence[Fraction]
+    datum: GroupDatum, prescribed: dict[Node, Fraction], sums: Sequence[Fraction]
 ) -> RatVec:
     """Rebuild a vector from centered heights <omega_j, v> prescribed at
     the given nodes (linear interpolation elsewhere) and block sums."""
@@ -123,8 +102,8 @@ def _vector_through_heights(
         knots = [(0, Fraction(0))]
         for i in range(1, nb):
             nd = (b, i)
-            if nd in heights:
-                knots.append((i, heights[nd] + Fraction(i, nb) * total))
+            if nd in prescribed:
+                knots.append((i, prescribed[nd] + Fraction(i, nb) * total))
         knots.append((nb, total))
         partial = [Fraction(0)] * (nb + 1)
         for (i0, p0), (i1, p1) in zip(knots, knots[1:]):
@@ -134,34 +113,46 @@ def _vector_through_heights(
     return tuple(out)
 
 
+def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[RatVec, RatVec]:
+    """mu_diamond and mu_diamond + lam_diamond."""
+    mu_dia = diamond(mu, frob)
+    both = tuple(a + b for a, b in zip(mu_dia, diamond(frob.lam, frob)))
+    return mu_dia, both
+
+
+def _integral_on(frob: Frobenius, support: frozenset, h: dict[Node, Fraction]) -> bool:
+    """Whether every orbit pairing sum_{i in c} h_i is an integer on the
+    sigma0-orbits c of simple roots inside the support."""
+    return all(
+        sum(h[nd] for nd in orbit).denominator == 1
+        for orbit in frob.sigma0.node_orbits()
+        if orbit[0] in support
+    )
+
+
 # --- the integrality criterion and its witness ------------------------------
 
-def newton_criterion(v: Sequence, mu: Sequence[int], frob: Frobenius) -> bool:
-    """Whether v occurs as the Newton vector of some w in t^mu W_a."""
+def _defect_heights(v: RatVec, mu: Sequence[int], frob: Frobenius) -> dict[Node, Fraction]:
+    """Heights <omega_i, mu_diamond + lam_diamond - v> of a dominant,
+    sigma0-invariant v with the central coordinates of the coset."""
     datum = frob.datum
-    v = tuple(Fraction(x) for x in v)
     if not datum.is_dominant(v):
         raise ValueError("v must be dominant per block")
     if not frob.sigma0.is_invariant(v):
         raise ValueError("v must be sigma0-invariant")
-    ref = nu_reference(mu, frob)
-    if _central_profile(datum, v) != _central_profile(datum, ref):
+    _, both = _mu_lam_diamond(mu, frob)
+    if datum.block_sums(v) != datum.block_sums(both):
         raise ValueError(
             f"central coordinates {datum.block_sums(v)} do not match the"
-            f" coset profile {datum.block_sums(ref)}"
+            f" coset profile {datum.block_sums(both)}"
         )
-    mu_dia = diamond(mu, frob)
-    lam_dia = diamond(frob.lam, frob)
-    I = support_nodes(datum, v)
-    for orbit in frob.sigma0.node_orbits():
-        if orbit[0] not in I:
-            continue
-        val = omega_orbit_pairing(
-            datum, orbit, tuple(a + b - c for a, b, c in zip(mu_dia, lam_dia, v))
-        )
-        if val.denominator != 1:
-            return False
-    return True
+    return heights(datum, tuple(a - c for a, c in zip(both, v)))
+
+
+def newton_criterion(v: Sequence, mu: Sequence[int], frob: Frobenius) -> bool:
+    """Whether v occurs as the Newton vector of some w in t^mu W_a."""
+    v = tuple(Fraction(x) for x in v)
+    return _integral_on(frob, support_nodes(frob.datum, v), _defect_heights(v, mu, frob))
 
 
 def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineElement:
@@ -174,22 +165,17 @@ def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineEle
     """
     datum = frob.datum
     v = tuple(Fraction(x) for x in v)
-    if not newton_criterion(v, mu, frob):
-        raise CriterionFailed(f"{v} fails the integrality criterion")
-    mu_dia = diamond(mu, frob)
-    lam_dia = diamond(frob.lam, frob)
+    defect = _defect_heights(v, mu, frob)
     I = support_nodes(datum, v)
+    if not _integral_on(frob, I, defect):
+        raise CriterionFailed(f"{v} fails the integrality criterion")
     beta = [a + b for a, b in zip(mu, frob.lam)]
     for orbit in frob.sigma0.node_orbits():
         if orbit[0] not in I:
             continue
-        a_c = omega_orbit_pairing(
-            datum, orbit, tuple(a + b - c for a, b, c in zip(mu_dia, lam_dia, v))
-        )
-        if a_c.denominator != 1:
-            raise InternalCheckFailed("criterion passed but defect non-integral")
+        a_c = int(sum(defect[nd] for nd in orbit))
         cor = coroot_vector(datum, min(orbit))
-        beta = [x - int(a_c) * y for x, y in zip(beta, cor)]
+        beta = [x - a_c * y for x, y in zip(beta, cor)]
     x = Permutation.identity(datum.n)
     for orbit in frob.sigma0.node_orbits():
         if orbit[0] in I:
@@ -270,21 +256,19 @@ class MaximalSolverState:
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
     datum = frob.datum
-    mu_dia = diamond(mu, frob)
-    lam_dia = diamond(frob.lam, frob)
-    both = tuple(a + b for a, b in zip(mu_dia, lam_dia))
+    mu_dia, both = _mu_lam_diamond(mu, frob)
+    h_mu, h_both = heights(datum, mu_dia), heights(datum, both)
     targets: dict[Node, Fraction] = {}
     for orbit in frob.sigma0.node_orbits():
-        coset_rep = omega_orbit_pairing(datum, orbit, both)
-        upper = omega_orbit_pairing(datum, orbit, mu_dia)
-        best = coset_rep + math.floor(upper - coset_rep)
-        q = max(best, Fraction(0))
+        coset_rep = sum(h_both[nd] for nd in orbit)
+        upper = sum(h_mu[nd] for nd in orbit)
+        q = max(coset_rep + math.floor(upper - coset_rep), Fraction(0))
         for nd in orbit:
             targets[nd] = q / len(orbit)
 
     # per block, the least concave majorant of the tents: the hull of
     # the knots (i, e_i + (i/n_b) * sum) between (0, 0) and (n_b, sum)
-    sums = _central_profile(datum, nu_reference(mu, frob))
+    sums = datum.block_sums(both)
     nu: RatVec = ()
     for b, nb in enumerate(datum.blocks):
         inner = [targets[(b, i)] + Fraction(i, nb) * sums[b] for i in range(1, nb)]
@@ -296,12 +280,12 @@ def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverSta
         raise InternalCheckFailed("maximal point is not dominant")
     if not frob.sigma0.is_invariant(nu):
         raise InternalCheckFailed("maximal point is not sigma0-invariant")
-    if not adjoint_leq(datum, nu, mu_dia):
+    h_nu = heights(datum, nu)
+    if not heights_leq(h_nu, h_mu):
         raise InternalCheckFailed("maximal point exceeds mu_diamond")
-    for nd, t in targets.items():
-        if omega_pairing(datum, nd, nu) < t:
-            raise InternalCheckFailed("maximal point drops below a tent")
-    if not newton_criterion(nu, mu, frob):
+    if any(h_nu[nd] < t for nd, t in targets.items()):
+        raise InternalCheckFailed("maximal point drops below a tent")
+    if not _integral_on(frob, active, {nd: h_both[nd] - h for nd, h in h_nu.items()}):
         raise InternalCheckFailed("maximal point fails the integrality criterion")
     return MaximalSolverState(datum, targets, active, nu)
 
@@ -322,13 +306,7 @@ def mu_diamond_acceptable(mu: Sequence[int], frob: Frobenius) -> bool:
     datum = frob.datum
     mu_dia = diamond(mu, frob)
     lam_dia = diamond(frob.lam, frob)
-    I = support_nodes(datum, mu_dia)
-    for orbit in frob.sigma0.node_orbits():
-        if orbit[0] not in I:
-            continue
-        if omega_orbit_pairing(datum, orbit, lam_dia).denominator != 1:
-            return False
-    return True
+    return _integral_on(frob, support_nodes(datum, mu_dia), heights(datum, lam_dia))
 
 
 # --- enumeration -------------------------------------------------------------
@@ -368,11 +346,9 @@ def enumerate_acceptable(
     limit = guard_limit(DEFAULT_ENUM_GUARD if guard is None else guard)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
-    mu_dia = diamond(mu, frob)
-    lam_dia = diamond(frob.lam, frob)
-    both = tuple(a + b for a, b in zip(mu_dia, lam_dia))
-    ref = nu_reference(mu, frob)
-    sums = _central_profile(datum, ref)
+    mu_dia, both = _mu_lam_diamond(mu, frob)
+    h_mu, h_both = heights(datum, mu_dia), heights(datum, both)
+    sums = datum.block_sums(both)
     orbits = frob.sigma0.node_orbits()
 
     found: set[RatVec] = set()
@@ -382,8 +358,8 @@ def enumerate_acceptable(
         ranges = []
         feasible = True
         for orbit in chosen:
-            coset_rep = omega_orbit_pairing(datum, orbit, both)
-            upper = omega_orbit_pairing(datum, orbit, mu_dia)
+            coset_rep = sum(h_both[nd] for nd in orbit)
+            upper = sum(h_mu[nd] for nd in orbit)
             lo_k = math.ceil(Fraction(0) - coset_rep)
             hi_k = math.floor(upper - coset_rep)
             if lo_k > hi_k:
@@ -393,18 +369,18 @@ def enumerate_acceptable(
         if not feasible:
             continue
         for combo in itertools.product(*ranges):
-            heights = {}
+            prescribed = {}
             for orbit, q in zip(chosen, combo):
                 for nd in orbit:
-                    heights[nd] = q / len(orbit)
-            v = _vector_through_heights(datum, heights, sums)
+                    prescribed[nd] = q / len(orbit)
+            v = _vector_through_heights(datum, prescribed, sums)
             if not datum.is_dominant(v):
                 continue
             if support_nodes(datum, v) != support:
                 continue
             if not frob.sigma0.is_invariant(v):
                 continue
-            if not adjoint_leq(datum, v, mu_dia):
+            if not heights_leq(heights(datum, v), h_mu):
                 continue
             found.add(v)
 
@@ -414,10 +390,8 @@ def enumerate_acceptable(
         NewtonPoint(datum, tuple(a - b for a, b in zip(v, frob.shift)), kap)
         for v in raw
     )
-    leq = [
-        [adjoint_leq(datum, raw[i], raw[j]) for j in range(len(raw))]
-        for i in range(len(raw))
-    ]
+    hs = [heights(datum, v) for v in raw]
+    leq = [[heights_leq(hi, hj) for hj in hs] for hi in hs]
     maxima = [
         i
         for i in range(len(raw))

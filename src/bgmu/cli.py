@@ -27,6 +27,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .acceptable import (
+    adjoint_eq,
     adm_enumerate,
     adm_member,
     enumerate_acceptable,
@@ -34,7 +35,7 @@ from .acceptable import (
 )
 from .acceptable import polygon as make_polygon
 from .errors import BgmuError, GuardExceeded, ParseError
-from .newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
+from .newton import Frobenius, Sigma0, diamond, dominant_rep, kappa, newton_point
 from .reduction import solve, step_json
 from .superbasic import chi as chi_vec
 from .weyl import (
@@ -283,8 +284,6 @@ def cmd_verify(args) -> int:
                             f" != constructive {result.nu_raw}"
                         )
                     want_diamond = mu_diamond_acceptable(mu, frob)
-                    from .acceptable import adjoint_eq, diamond
-
                     is_diamond = adjoint_eq(
                         datum, result.nu_raw, diamond(mu, frob)
                     )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InternalCheckFailed, KappaMismatch, ParseError
@@ -62,25 +63,28 @@ class SignedMap(NamedTuple):
             sign[p - 1] = s
         return SignedMap(tuple(pos), tuple(sign))
 
+    def cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The cycles of the position permutation, each as its 0-based
+        coordinates in visiting order (from its least one) and the
+        product of the signs met along it."""
+        seen = [False] * len(self.pos)
+        out = []
+        for start in range(len(self.pos)):
+            if seen[start]:
+                continue
+            cycle, sign, cur = [], 1, start
+            while not seen[cur]:
+                seen[cur] = True
+                cycle.append(cur)
+                sign *= self.sign[cur]
+                cur = self.pos[cur] - 1
+            out.append((tuple(cycle), sign))
+        return tuple(out)
+
     def order(self) -> int:
         """Exact order from the cycle structure: a cycle of length L
         contributes L when its sign product is +1, else 2L."""
-        from math import lcm
-
-        n = len(self.pos)
-        seen = [False] * n
-        order = 1
-        for start in range(n):
-            if seen[start]:
-                continue
-            length, sign, cur = 0, 1, start
-            while not seen[cur]:
-                seen[cur] = True
-                sign *= self.sign[cur]
-                cur = self.pos[cur] - 1
-                length += 1
-            order = lcm(order, length if sign == 1 else 2 * length)
-        return order
+        return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in self.cycles()))
 
     def position_perm(self) -> Permutation:
         return Permutation(self.pos)
@@ -221,15 +225,29 @@ def simple_nodes(datum: GroupDatum) -> tuple[Node, ...]:
     )
 
 
-def omega_pairing(datum: GroupDatum, node: Node, vec: Sequence) -> Fraction:
-    """<omega_i, v> for the fundamental weight at the node, computed
-    block-locally; kills the center of the block."""
-    b, i = node
-    lo, hi = datum.block_ranges()[b]
-    nb = datum.blocks[b]
-    head = sum(vec[lo - 1 : lo - 1 + i])
-    total = sum(vec[lo - 1 : hi])
-    return Fraction(head) - Fraction(i, nb) * Fraction(total)
+def heights(datum: GroupDatum, vec: Sequence) -> dict[Node, Fraction]:
+    """<omega_i, v> at every simple node: per block, the running sum of
+    the first i entries minus (i/n_b) times the block total, which kills
+    the block's center.
+
+    >>> heights(GroupDatum.gl(3), (1, 0, 0))
+    {(0, 1): Fraction(2, 3), (0, 2): Fraction(1, 3)}
+    """
+    out: dict[Node, Fraction] = {}
+    for b, s in enumerate(datum.block_slices()):
+        part = vec[s]
+        nb = len(part)
+        total = Fraction(sum(part))
+        head = Fraction(0)
+        for i in range(1, nb):
+            head += part[i - 1]
+            out[(b, i)] = head - Fraction(i, nb) * total
+    return out
+
+
+def heights_leq(h1: dict[Node, Fraction], h2: dict[Node, Fraction]) -> bool:
+    """Whether every height of h1 is at most the same node's in h2."""
+    return all(h <= h2[nd] for nd, h in h1.items())
 
 
 def alpha_pairing(datum: GroupDatum, node: Node, vec: Sequence):
@@ -467,33 +485,15 @@ def diamond(mu: Sequence, frob_or_sigma0) -> RatVec:
 
 
 def dominance_leq(p1: NewtonPoint, p2: NewtonPoint) -> bool:
-    """Dominance order at equal Kottwitz invariant: per GL block all
-    partial sums compare with equality at the block end; per PGL block
-    the centered comparison through fundamental weights."""
+    """Dominance order at equal Kottwitz invariant: every centered
+    partial sum compares, and each GL block has equal totals (a PGL
+    block's center is free)."""
     if p1.datum != p2.datum:
         raise DimensionMismatch("different group data")
     if p1.kappa != p2.kappa:
         raise KappaMismatch(f"kappa {p1.kappa.values} vs {p2.kappa.values}")
     datum = p1.datum
-    for b, (lo, hi) in enumerate(datum.block_ranges()):
-        a = p1.nu[lo - 1 : hi]
-        c = p2.nu[lo - 1 : hi]
-        if datum.adjoint[b]:
-            nb = datum.blocks[b]
-            sa, sc = sum(a), sum(c)
-            pa = pc = Fraction(0)
-            for i in range(1, nb):
-                pa += a[i - 1]
-                pc += c[i - 1]
-                if pa - Fraction(i, nb) * sa > pc - Fraction(i, nb) * sc:
-                    return False
-        else:
-            pa = pc = Fraction(0)
-            for i in range(len(a)):
-                pa += a[i]
-                pc += c[i]
-                if pa > pc:
-                    return False
-            if pa != pc:
-                return False
-    return True
+    sums1, sums2 = datum.block_sums(p1.nu), datum.block_sums(p2.nu)
+    if any(a != c for a, c, adj in zip(sums1, sums2, datum.adjoint) if not adj):
+        return False
+    return heights_leq(heights(datum, p1.nu), heights(datum, p2.nu))

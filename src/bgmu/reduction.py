@@ -5,8 +5,10 @@ bookkeeping, conjugation by a length-zero element to put the twist in
 the last factor of each block orbit, splitting a transitive orbit to
 its last factor, then parabolic descent along the stabilizer of a
 generic fixed direction until the residual twist is superbasic on a
-single GL factor. Every step records enough data to lift a witness
-back. Lifts are pure: ``solve`` verifies the final witness once, with
+single GL factor. The twist's linear part is a signed permutation, so
+its fixed directions are read off its cycles, one per cycle of sign
+product +1, with no linear algebra. Every step records enough data to
+lift a witness back. Lifts are pure: ``solve`` verifies the final witness once, with
 the Newton map, the Kottwitz value and the Bruhat order, against
 t^{x(mu)} for the reported x, which is the definition of Adm(mu).
 
@@ -26,7 +28,6 @@ from .acceptable import (
     DEFAULT_ADM_GUARD_SPREAD,
     adm_enumerate,
     adm_member,
-    adjoint_leq,
     guard_limit,
     maximal_newton_state,
 )
@@ -43,9 +44,10 @@ from .newton import (
     Sigma0,
     diamond,
     dominant_rep,
+    heights,
+    heights_leq,
     kappa,
     newton_point,
-    omega_pairing,
     simple_nodes,
 )
 from .superbasic import PeelCertificate, superbasic_witness
@@ -208,17 +210,20 @@ class ProductSplitStep:
         sigma0 = self.parent_frob.sigma0
         m = len(self.orbit)
         # factor the sub-witness along the translation parts (already
-        # written in last-block coordinates)
-        part_bounds = [
-            AffineElement.translation(self.sub_datum, sub.x.act(p))
-            for p in self.parts
-        ]
-        pieces = factor_witness(sub.w, part_bounds)
+        # written in last-block coordinates). The norm of y over the
+        # orbit, piece_{m-1} tau piece_{m-2} ... piece_0, is a twisted
+        # conjugate of (piece_{m-2} ... piece_0 piece_{m-1}) tau, so the
+        # parts are factored in the order m-2, ..., 0, m-1.
+        order = [*range(m - 2, -1, -1), m - 1]
+        pieces = dict(zip(order, factor_witness(sub.w, [
+            AffineElement.translation(self.sub_datum, sub.x.act(self.parts[i]))
+            for i in order
+        ])))
         y = AffineElement.identity(datum)
         x_images = list(range(1, datum.n + 1))
-        for i, piece in enumerate(pieces):
+        for i in range(m):
             power = -(m - 1 - i)  # sigma0^{i-m} with 1-based i
-            emb = _embed_element(datum, piece, self.embed)
+            emb = _embed_element(datum, pieces[i], self.embed)
             y = y * sigma0.apply_element(emb, power=power)
             x_emb = _embed_perm(datum, sub.x, self.embed)
             x_block = sigma0.apply_perm(x_emb, power=power)
@@ -392,64 +397,42 @@ class ParabolicStep:
         return Solution(bar, w, x, (self,) + sub.trace, sub.certificate)
 
 
-def _centered(datum: GroupDatum, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = list(Fraction(x) for x in vec)
-    for lo, hi in datum.block_ranges():
-        nb = hi - lo + 1
-        avg = sum(out[lo - 1 : hi]) / nb
-        for p in range(lo - 1, hi):
-            out[p] -= avg
-    return tuple(out)
-
-
 def _fixed_direction_space(frob: Frobenius) -> list[tuple[Fraction, ...]]:
-    """Basis of the directions fixed by the affine action of the twist
-    on the central quotient of the ambient space."""
-    datum = frob.datum
-    n = datum.n
+    """Basis of the centered directions fixed by the twist on a single
+    block, read off the cycles of its linear part.
+
+    The linear part is a signed permutation that maps the block to
+    itself up to sign, so it keeps centered vectors centered and the
+    fixed directions are its fixed vectors of sum zero. Along a cycle a
+    fixed vector is carried from each coordinate to the next with that
+    coordinate's sign: it vanishes on a cycle of sign product -1, and a
+    cycle of sign product +1 carries one fixed vector, +-1 along the
+    cycle and +1 at its last coordinate. Taken in the order of their
+    last coordinates, the first of these with a nonzero sum absorbs the
+    sums of all later ones and drops out. This is the row-reduced basis:
+    each vector is 1 at its last nonzero coordinate, the other vectors
+    are 0 there, and those coordinates ascend."""
     lin = frob.affine_map().linear
-    cols = []
-    for j in range(n):
-        e = [Fraction(0)] * n
-        e[j] = Fraction(1)
-        cols.append(_centered(datum, lin.apply(e)))
-    # solve (L - 1)v = 0 restricted to centered vectors; build rows of
-    # L - 1 and add the per-block sum-zero constraints
-    rows = [
-        [cols[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    for lo, hi in datum.block_ranges():
-        rows.append([Fraction(1) if lo - 1 <= j <= hi - 1 else Fraction(0) for j in range(n)])
-    return _nullspace(rows, n)
-
-
-def _nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[Fraction, ...]]:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
+    units = []
+    for cycle, sign in lin.cycles():
+        if sign != 1:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(tuple(v))
+        u, s = [Fraction(0)] * len(lin.pos), 1
+        for p in cycle:
+            u[p] = Fraction(s)
+            s *= lin.sign[p]
+        last = max(cycle)
+        units.append((last, [x * u[last] for x in u]))
+    basis: list[tuple[Fraction, ...]] = []
+    pivot = None
+    for _, u in sorted(units):
+        if pivot is None and sum(u) != 0:
+            pivot = u
+        elif pivot is None:
+            basis.append(tuple(u))
+        else:
+            f = sum(u) / sum(pivot)
+            basis.append(tuple(a - f * b for a, b in zip(u, pivot)))
     return basis
 
 
@@ -490,8 +473,7 @@ def _prefer_dominant(frob: Frobenius, v0: tuple[Fraction, ...]) -> tuple[Fractio
     vbar, _ = dominant_rep(datum, v0)
     if vbar == v0:
         return v0
-    lin = frob.affine_map().linear
-    if _centered(datum, lin.apply(vbar)) != _centered(datum, vbar):
+    if frob.affine_map().linear.apply(vbar) != vbar:
         return v0
     # genericity must be re-verified for the reordered point
     for lo, hi in datum.block_ranges():
@@ -578,14 +560,13 @@ def _check_integrality_split(problem: Problem, z: Permutation, J: frozenset,
     integral exactly away from the stabilizer."""
     datum = problem.datum
     frob = problem.frob
-    zlam_dia = diamond(z.act(frob.lam), frob)
+    zlam_h = heights(datum, diamond(z.act(frob.lam), frob))
     I = frozenset(simple_nodes(datum)) - J
-    for nd in I:
-        if omega_pairing(datum, nd, zlam_dia) != 0:
-            raise InternalCheckFailed("z(lambda) average escapes the coroot span")
-    lam_dia = diamond(frob.lam, frob)
+    if any(zlam_h[nd] != 0 for nd in I):
+        raise InternalCheckFailed("z(lambda) average escapes the coroot span")
+    lam_h = heights(datum, diamond(frob.lam, frob))
     for orbit in frob.sigma0.node_orbits():
-        val = sum((omega_pairing(datum, nd, lam_dia) for nd in orbit), Fraction(0))
+        val = sum(lam_h[nd] for nd in orbit)
         inside_I = orbit[0] in I
         if (val.denominator == 1) != inside_I:
             raise InternalCheckFailed("defect integrality does not match the support")
@@ -826,10 +807,8 @@ def _brute_force(problem: Problem) -> Solution:
         nd = newton_point(w, zero_shift)
         bar, _ = dominant_rep(datum, nd.nu)
         attained.setdefault(bar, w)
-    maxima = [
-        p for p in attained
-        if all(adjoint_leq(datum, q, p) for q in attained)
-    ]
+    hs = {p: heights(datum, p) for p in attained}
+    maxima = [p for p in attained if all(heights_leq(hs[q], hs[p]) for q in attained)]
     if len(maxima) != 1:
         raise InternalCheckFailed(
             f"admissible Newton points have {len(maxima)} maxima: {sorted(attained)}"

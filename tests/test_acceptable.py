@@ -26,7 +26,7 @@ from bgmu.acceptable import (
     support_nodes,
 )
 from bgmu.errors import CriterionFailed, GuardExceeded
-from bgmu.newton import Frobenius, Sigma0, diamond, dominant_rep, newton_point, omega_pairing
+from bgmu.newton import Frobenius, Sigma0, diamond, dominant_rep, heights, newton_point
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -153,7 +153,7 @@ def test_maximal_pgl2_examples():
     assert set(st.targets.values()) == {Fraction(0)}
     assert st.nu_raw == (1, 1)
     st = maximal_newton_state((2, 0), F12_raw)
-    assert omega_pairing(PGL2, (0, 1), st.nu_raw) == Fraction(1, 2)
+    assert heights(PGL2, st.nu_raw)[(0, 1)] == Fraction(1, 2)
 
 
 @st.composite
@@ -183,8 +183,19 @@ def test_maximal_point_meets_its_tents_at_the_support(problem):
     mu, frob = problem
     state = maximal_newton_state(mu, frob)
     assert state.active == support_nodes(frob.datum, state.nu_raw)
+    h = heights(frob.datum, state.nu_raw)
     for nd in state.active:
-        assert omega_pairing(frob.datum, nd, state.nu_raw) == state.targets[nd]
+        assert h[nd] == state.targets[nd]
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_problems())
+def test_central_sums_are_those_of_mu_lam_diamond(problem):
+    # the twist's linear part permutes blocks up to sign, so the Newton
+    # vector of t^mu has the block sums of mu_diamond + lam_diamond
+    mu, frob = problem
+    both = tuple(a + b for a, b in zip(diamond(mu, frob), diamond(frob.lam, frob)))
+    assert frob.datum.block_sums(nu_reference(mu, frob)) == frob.datum.block_sums(both)
 
 
 def test_maximal_quasi_split_is_mu():
@@ -232,12 +243,10 @@ def test_monotone_in_mu():
 
 
 def test_parabolic_datum_support_split():
-    from bgmu.acceptable import ParabolicDatum
-
     d4 = GroupDatum.gl(4)
-    pd = ParabolicDatum.from_vector(d4, (2, 1, 1, 0))
-    assert pd.J_set == frozenset({(0, 2)})
-    assert pd.I_set == frozenset({(0, 1), (0, 3)})
+    assert support_nodes(d4, (2, 1, 1, 0)) == frozenset({(0, 1), (0, 3)})
+    assert support_nodes(d4, (1, 1, 1, 1)) == frozenset()
+    assert support_nodes(d4, (3, 2, 1, 0)) == frozenset({(0, 1), (0, 2), (0, 3)})
 
 
 # --- admissible set ---------------------------------------------------------------

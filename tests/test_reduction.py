@@ -6,11 +6,12 @@ from math import gcd
 
 import pytest
 
-from bgmu.acceptable import adjoint_leq, enumerate_acceptable
+from bgmu.acceptable import adjoint_leq, enumerate_acceptable, maximal_newton_state
 from bgmu.errors import GuardExceeded, InternalCheckFailed, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     Problem,
+    _fixed_direction_space,
     adjoint_project,
     factor_witness,
     omega_conjugate,
@@ -43,12 +44,12 @@ def test_adjoint_round_trip():
     assert step.kappas == (1,)
     # Newton points correspond through the centered pairing
     from bgmu.acceptable import maximal_newton_state
-    from bgmu.newton import omega_pairing
+    from bgmu.newton import heights
 
     raw_gl = maximal_newton_state((2, 0), fr).nu_raw
     raw_ad = maximal_newton_state((2, 0), ad.frob).nu_raw
     assert raw_gl == raw_ad
-    assert omega_pairing(ad.datum, (0, 1), raw_ad) == Fraction(1, 2)
+    assert heights(ad.datum, raw_ad)[(0, 1)] == Fraction(1, 2)
 
 
 # --- omega conjugation ------------------------------------------------------------
@@ -300,9 +301,11 @@ def test_solve_bruteforce_guard():
 
 
 def test_solve_gl40_has_no_recursion_limit():
-    mu = (4,) * 10 + (2,) * 10 + (1,) * 10 + (0,) * 10
-    r = solve(mu, Frobenius.superbasic(17, 40), strategy="constructive")
-    assert r.checks["admissible"] and r.checks["matches_maximal_newton"]
+    for n, m in ((40, 17), (64, 31)):
+        q = n // 4
+        mu = (4,) * q + (2,) * q + (1,) * q + (0,) * q
+        r = solve(mu, Frobenius.superbasic(m, n), strategy="constructive")
+        assert r.checks["admissible"] and r.checks["matches_maximal_newton"]
 
 
 def test_solve_deterministic():
@@ -371,6 +374,55 @@ def test_solve_three_block_cycle_with_twist():
     third = Fraction(1, 3)
     assert r.nu_raw == (2 * third, third, 2 * third, third, 2 * third, third)
     assert r.checks.get("matches_bruteforce")
+
+
+def test_product_split_three_block_rotation():
+    # the norm over a 3-orbit is a twisted conjugate of the parts taken
+    # in the order 1, 0, 2; factoring in the order 0, 1, 2 assembles a
+    # point that does not spread the factor point
+    d = GroupDatum((3, 3, 3))
+    s0 = Sigma0(d, (1, 2, 0), (False, False, False))
+    for mu, tau in (
+        ((3, 0, 0, 3, 0, 0, 3, 3, 0), "t[0,0,0,1,1,0,0,0,0]*cyc(4,6,5)"),
+        ((2, 1, 0, 2, 0, 0, 1, 1, 0), "t[1,0,0,0,0,0,1,0,0]*cyc(1,2,3)*cyc(7,8,9)"),
+        ((2, 1, 0, 3, 0, 0, 2, 2, 0),
+         "t[1,0,0,1,1,0,1,1,0]*cyc(1,2,3)*cyc(4,6,5)*cyc(7,9,8)"),
+    ):
+        fr = Frobenius(parse_element(tau, d), s0)
+        r = solve(mu, fr, strategy="constructive")
+        assert r.checks["admissible"] and r.checks["matches_maximal_newton"]
+        assert r.nu_raw == maximal_newton_state(mu, fr).nu_raw
+
+
+def _cycle_vector_sum(lin, cycle) -> int:
+    total, sign = 0, 1
+    for p in cycle:
+        total += sign
+        sign *= lin.sign[p]
+    return total
+
+
+def test_fixed_direction_basis_is_row_reduced_from_cycles():
+    for n in range(1, 13):
+        for kind in (GroupDatum.gl, GroupDatum.pgl):
+            d = kind(n)
+            for k in range(-1, 2 * n):
+                for flip in (False, True):
+                    fr = Frobenius(omega_element(d, (k,)), Sigma0(d, (0,), (flip,)))
+                    lin = fr.affine_map().linear
+                    basis = _fixed_direction_space(fr)
+                    positive = [c for c, sign in lin.cycles() if sign == 1]
+                    drop = any(_cycle_vector_sum(lin, c) != 0 for c in positive)
+                    assert len(basis) == len(positive) - drop
+                    lasts = []
+                    for v in basis:
+                        assert lin.apply(v) == v and sum(v) == 0
+                        last = max(p for p in range(n) if v[p] != 0)
+                        assert v[last] == 1
+                        lasts.append(last)
+                    assert lasts == sorted(set(lasts))
+                    for v, last in zip(basis, lasts):
+                        assert all(v[p] == 0 for p in lasts if p != last)
 
 
 def test_descent_integrality_checks_run():
