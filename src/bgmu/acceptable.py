@@ -35,7 +35,6 @@ from .newton import (
     alpha_pairing,
     coroot_vector,
     diamond,
-    dominant_rep,
     heights,
     heights_leq,
     kappa,
@@ -190,9 +189,8 @@ def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineEle
         * frob.tau.inverse()
     )
     got = newton_point(w, frob)
-    bar, _ = dominant_rep(datum, v)
-    got_bar, _ = dominant_rep(datum, got.nu)
-    if got_bar != bar:
+    got_bar = tuple(a + b for a, b in zip(got.nu_bar.nu, frob.shift))
+    if got_bar != v:  # v is dominant, so it is its own representative
         raise InternalCheckFailed(
             f"witness Newton vector {got.nu} does not match target {v}"
         )
@@ -481,7 +479,9 @@ def adm_enumerate(
     guard_n: Optional[int] = None,
     guard_spread: int = DEFAULT_ADM_GUARD_SPREAD,
 ) -> tuple[AffineElement, ...]:
-    """The union of the lower Bruhat intervals of all t^{x(mu)}."""
+    """The union of the lower Bruhat intervals of all t^{x(mu)}, taken
+    in one ``bruhat_lower_set`` call so each distinct element is built
+    and validated once."""
     if datum is None:
         datum = GroupDatum((len(mu),))
     limit = guard_limit(DEFAULT_ADM_GUARD_N if guard_n is None else guard_n)
@@ -493,9 +493,6 @@ def adm_enumerate(
             raise GuardExceeded(
                 f"admissible-set guard: entry spread exceeds {guard_spread}"
             )
-    out: set[AffineElement] = set()
-    for point in _orbit_points(datum, mu):
-        out |= bruhat_lower_set(AffineElement.translation(datum, point))
-    return tuple(
-        sorted(out, key=lambda e: (e.length(), e.trans, e.perm.images))
-    )
+    tops = [AffineElement.translation(datum, p) for p in _orbit_points(datum, mu)]
+    elements = bruhat_lower_set(*tops)
+    return tuple(sorted(elements, key=lambda e: (e.length(), e.trans, e.perm.images)))

@@ -35,7 +35,7 @@ from .acceptable import (
 )
 from .acceptable import polygon as make_polygon
 from .errors import BgmuError, GuardExceeded, ParseError
-from .newton import Frobenius, Sigma0, diamond, dominant_rep, kappa, newton_point
+from .newton import Frobenius, Sigma0, diamond, kappa, newton_point
 from .reduction import solve, step_json
 from .superbasic import chi as chi_vec
 from .weyl import (
@@ -164,8 +164,8 @@ def cmd_newton(args) -> int:
     spec = _problem_from_args(args, need_mu=False)
     w = parse_element(args.w, spec.datum)
     nd = newton_point(w, spec.frob)
-    bar, _ = dominant_rep(spec.datum, nd.nu)
-    normalized = tuple(a - b for a, b in zip(bar, spec.frob.shift))
+    normalized = nd.nu_bar.nu
+    bar = tuple(a + b for a, b in zip(normalized, spec.frob.shift))
     _emit(
         {
             "schema": SCHEMA,
@@ -372,10 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_mu(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--mu -1,0`` as ``--mu=-1,0``: argparse reads a separate
+    value that starts with '-' as an option unless it is one number."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--mu" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = "--mu=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_mu(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

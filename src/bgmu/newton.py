@@ -4,9 +4,14 @@ The twist is a pair sigma = Ad(tau) o sigma0 with tau a length-zero
 element and sigma0 a diagram automorphism: a permutation of equal-size
 blocks, optionally composed with the flip of a GL factor, which acts
 on coweights as lam -> -reverse(lam). The Newton point of w is read
-off the affine action: iterate w o sigma until the linear part is the
-identity, say after k steps with total translation lam; then
-nu = lam / k, and the Newton point is its block-dominant representative.
+off the cycles of the affine map v -> A v + b of w o sigma, where A is
+a signed coordinate permutation. With k the order of A, the k-th power
+is the translation by lam = b + A b + ... + A^{k-1} b, and nu = lam / k;
+the Newton point is its block-dominant representative. Cycle by cycle:
+a cycle whose sign product is -1 adds nothing to lam (each lap flips
+the sign of the last), and on a cycle of length L with sign product +1
+coordinate q receives (k / L) sum_c sign(c -> q) b_c, the signs met on
+the way from c to q.
 
 Everything is exact: translations stay integral until the single final
 division, so Newton points are tuples of fractions.
@@ -20,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, InternalCheckFailed, KappaMismatch, ParseError
+from .errors import DimensionMismatch, KappaMismatch, ParseError
 from .weyl import AffineElement, GroupDatum, Permutation
 
 RatVec = tuple[Fraction, ...]
@@ -37,11 +42,6 @@ class SignedMap(NamedTuple):
     @staticmethod
     def identity(n: int) -> "SignedMap":
         return SignedMap(tuple(range(1, n + 1)), (1,) * n)
-
-    def is_identity(self) -> bool:
-        return all(s == 1 for s in self.sign) and all(
-            p == i + 1 for i, p in enumerate(self.pos)
-        )
 
     def after(self, inner: "SignedMap") -> "SignedMap":
         """self o inner."""
@@ -95,13 +95,6 @@ class AffineMap(NamedTuple):
 
     linear: SignedMap
     shift: tuple[int, ...]
-
-    def after(self, inner: "AffineMap") -> "AffineMap":
-        lin = self.linear.after(inner.linear)
-        sh = tuple(
-            a + b for a, b in zip(self.linear.apply(inner.shift), self.shift)
-        )
-        return AffineMap(lin, sh)
 
 
 @dataclass(frozen=True)
@@ -423,7 +416,9 @@ class NewtonPoint:
 
 
 class NewtonData(NamedTuple):
-    """Raw output of the Newton map iteration."""
+    """The Newton map of one element: the order k of the linear part of
+    w o sigma, the translation lam of its k-th power, nu = lam / k, and
+    the dominant representative of nu minus the reporting shift."""
 
     order: int
     translation: tuple[int, ...]
@@ -432,26 +427,45 @@ class NewtonData(NamedTuple):
 
 
 def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
-    """Iterate the affine action of w o sigma to the first pure
-    translation t^lam; nu = lam/order, nu_bar its dominant
-    representative minus the descriptor's reporting shift."""
-    if w.datum != frob.datum:
+    """Read the Newton point off the cycles of the linear part of
+    w o sigma (see the module docstring); nu_bar sorts lam blockwise
+    before the one division by the order.
+
+    >>> nd = newton_point(AffineElement.identity(GroupDatum.gl(2)),
+    ...                   Frobenius.superbasic(1, 2, normalized=False))
+    >>> nd.order, nd.translation, nd.nu_bar
+    (2, (1, 1), (1/2, 1/2))
+    """
+    datum = w.datum
+    if datum != frob.datum:
         raise DimensionMismatch("element and twist live in different data")
-    step = AffineMap(SignedMap(w.perm.images, (1,) * w.datum.n), w.trans).after(
-        frob.affine_map()
+    twist = frob.affine_map()
+    outer = SignedMap(w.perm.images, (1,) * datum.n)
+    lin = outer.after(twist.linear)
+    shift = tuple(a + b for a, b in zip(outer.apply(twist.shift), w.trans))
+    k = lin.order()
+    lam = [0] * datum.n
+    for cycle, s in lin.cycles():
+        if s != 1:
+            continue
+        # sum_c sign(c -> q) b_c at the first coordinate q of the cycle;
+        # the fixed vector lam carries it along the cycle with the signs
+        total, sign = 0, 1
+        for c in reversed(cycle):
+            sign *= lin.sign[c]
+            total += sign * shift[c]
+        value = k // len(cycle) * total
+        for c in cycle:
+            lam[c] = value
+            value *= lin.sign[c]
+    bar = [x for part in datum.block_slices() for x in sorted(lam[part], reverse=True)]
+    nu_bar = tuple(Fraction(x, k) - sh for x, sh in zip(bar, frob.shift))
+    return NewtonData(
+        k,
+        tuple(lam),
+        tuple(Fraction(x, k) for x in lam),
+        NewtonPoint(datum, nu_bar, kappa(w)),
     )
-    acc, k = step, 1
-    cap = 8 * step.linear.order()
-    while not acc.linear.is_identity():
-        acc = acc.after(step)
-        k += 1
-        if k > cap:
-            raise InternalCheckFailed("Newton iteration failed to close up")
-    nu = tuple(Fraction(c, k) for c in acc.shift)
-    bar, _ = dominant_rep(w.datum, nu)
-    shifted = tuple(a - b for a, b in zip(bar, frob.shift))
-    point = NewtonPoint(w.datum, shifted, kappa(w))
-    return NewtonData(k, acc.shift, nu, point)
 
 
 def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:

@@ -104,8 +104,7 @@ def _verify_solution(problem: Problem, sol: Solution) -> None:
         )
     if kappa(sol.w) != kappa(AffineElement.translation(datum, problem.mu)):
         raise InternalCheckFailed("witness leaves the translation coset")
-    nd = newton_point(sol.w, problem.frob.with_shift((Fraction(0),) * datum.n))
-    bar, _ = dominant_rep(datum, nd.nu)
+    bar = newton_point(sol.w, problem.frob.with_shift((Fraction(0),) * datum.n)).nu_bar.nu
     if bar != sol.nu_raw:
         raise InternalCheckFailed(
             f"witness Newton point {bar} differs from claimed {sol.nu_raw}"
@@ -231,8 +230,8 @@ class ProductSplitStep:
                 if x_block(p) != p:
                     x_images[p - 1] = x_block(p)
         x = Permutation(x_images)
-        nd = newton_point(y, self.parent_frob.with_shift((Fraction(0),) * datum.n))
-        bar, _ = dominant_rep(datum, nd.nu)
+        zero = self.parent_frob.with_shift((Fraction(0),) * datum.n)
+        bar = newton_point(y, zero).nu_bar.nu
         # the parent Newton vector spreads the factor vector over the
         # orbit, scaled by 1/m: each pass through the orbit is one
         # application of the factor twist
@@ -392,8 +391,8 @@ class ParabolicStep:
         z_elt = AffineElement.from_permutation(datum, self.z)
         w = z_elt.inverse() * sub.w.with_datum(datum) * z_elt
         x = self.z.inverse() * sub.x
-        nd = newton_point(w, self.parent_frob.with_shift((Fraction(0),) * datum.n))
-        bar, _ = dominant_rep(datum, nd.nu)
+        zero = self.parent_frob.with_shift((Fraction(0),) * datum.n)
+        bar = newton_point(w, zero).nu_bar.nu
         return Solution(bar, w, x, (self,) + sub.trace, sub.certificate)
 
 
@@ -804,9 +803,7 @@ def _brute_force(problem: Problem) -> Solution:
     zero_shift = problem.frob.with_shift((Fraction(0),) * datum.n)
     attained: dict[tuple[Fraction, ...], AffineElement] = {}
     for w in elements:
-        nd = newton_point(w, zero_shift)
-        bar, _ = dominant_rep(datum, nd.nu)
-        attained.setdefault(bar, w)
+        attained.setdefault(newton_point(w, zero_shift).nu_bar.nu, w)
     hs = {p: heights(datum, p) for p in attained}
     maxima = [p for p in attained if all(heights_leq(hs[q], hs[p]) for q in attained)]
     if len(maxima) != 1:

@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 from .acceptable import maximal_newton, polygon
 from .errors import InternalCheckFailed, ParseError
-from .newton import Frobenius, NewtonPoint, dominant_rep, kappa, newton_point
+from .newton import Frobenius, NewtonPoint, kappa, newton_point
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -562,8 +562,7 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     eps = cert.epsilon
     if not cert.chain and w != AffineElement.translation(datum, eps.act(cert.mu)):
         raise InternalCheckFailed("empty chain must end at t^{eps(mu)} itself")
-    nd = newton_point(w, frob.with_shift((Fraction(0),) * n))
-    bar, _ = dominant_rep(datum, nd.nu)
+    bar = newton_point(w, frob.with_shift((Fraction(0),) * n)).nu_bar.nu
     if bar != cert.slopes:
         raise InternalCheckFailed(
             f"witness Newton point {bar} is not the hull slope sequence {cert.slopes}"

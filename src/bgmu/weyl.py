@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
@@ -209,6 +210,16 @@ class Permutation:
         return "".join("cyc(%s)" % ",".join(map(str, c)) for c in cycs)
 
 
+def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec]:
+    """(t^a u)(t^b v) = t^{a + u(b)} uv on plain tuples: translations
+    and one-line images, unvalidated. The one product rule; callers
+    that hand out elements validate them through ``AffineElement``."""
+    acted = [0] * len(u)
+    for j, x in zip(u, b):
+        acted[j - 1] = x
+    return tuple(map(add, a, acted)), tuple(u[j - 1] for j in v)
+
+
 class AffineElement:
     """t^trans * perm in the extended affine Weyl group of a datum."""
 
@@ -246,13 +257,10 @@ class AffineElement:
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.datum != other.datum:
             raise DimensionMismatch("different group data")
-        u, a, b = self.perm, self.trans, other.trans
-        acted = u.act(b)
-        return AffineElement(
-            self.datum,
-            tuple(x + y for x, y in zip(a, acted)),
-            u * other.perm,
+        trans, images = _product(
+            self.trans, self.perm.images, other.trans, other.perm.images
         )
+        return AffineElement(self.datum, trans, Permutation(images))
 
     def inverse(self) -> "AffineElement":
         uinv = self.perm.inverse()
@@ -455,15 +463,27 @@ def bruhat_lt(w1: AffineElement, w2: AffineElement) -> bool:
     return w1 != w2 and bruhat_leq(w1, w2)
 
 
-def bruhat_lower_set(w: AffineElement) -> frozenset:
-    """All elements u <= w, via subword products of one reduced word."""
-    rw = reduced_word(w)
-    table = dict(simple_reflections(w.datum))
-    elems = {AffineElement.identity(w.datum)}
-    for letter in rw.letters:
-        s = table[letter]
-        elems |= {e * s for e in elems}
-    return frozenset(e * rw.omega for e in elems)
+def bruhat_lower_set(*tops: AffineElement) -> frozenset:
+    """All elements u <= w for some w in tops: the subword products of
+    one reduced word per top. The products run on plain (trans, images)
+    tuples, and each distinct element of the union is validated once,
+    as it is built."""
+    datum = tops[0].datum
+    if any(w.datum != datum for w in tops):
+        raise DimensionMismatch("different group data")
+    table = dict(simple_reflections(datum))
+    identity = ((0,) * datum.n, tuple(range(1, datum.n + 1)))
+    raw: set[tuple[IntVec, IntVec]] = set()
+    for w in tops:
+        rw = reduced_word(w)
+        elems = {identity}
+        for letter in rw.letters:
+            s = table[letter]
+            st, sp = s.trans, s.perm.images
+            elems |= {_product(t, p, st, sp) for t, p in elems}
+        ot, op = rw.omega.trans, rw.omega.perm.images
+        raw |= {_product(t, p, ot, op) for t, p in elems}
+    return frozenset(AffineElement(datum, t, Permutation(p)) for t, p in raw)
 
 
 # --- distinguished length-zero elements -------------------------------------

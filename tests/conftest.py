@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's fast paths: lengths
 come from Cayley-graph breadth-first search, Bruhat order from subword
 products, Newton points from alternating affine applications with the
-linear part tracked on a basis.
+linear part tracked on a basis, or from the k-fold iteration of the
+affine map of w o sigma.
 """
 
 import itertools
@@ -82,6 +83,40 @@ def oracle_newton(w: AffineElement, frob: Frobenius):
         ):
             return k, tuple(Fraction(x) / k for x in vz)
     raise AssertionError("oracle Newton iteration failed to close up")
+
+
+def _compose(outer, inner):
+    """outer o inner for affine maps (pos, sign, shift): position p goes
+    to pos[p-1] with sign sign[p-1], then the shift is added."""
+    pos1, sign1, b1 = outer
+    pos2, sign2, b2 = inner
+    pos = tuple(pos1[p - 1] for p in pos2)
+    sign = tuple(s * sign1[p - 1] for p, s in zip(pos2, sign2))
+    shift = list(b1)
+    for i, (p, s) in enumerate(zip(pos1, sign1)):
+        shift[p - 1] += s * b2[i]
+    return pos, sign, tuple(shift)
+
+
+def iterated_newton(w: AffineElement, frob: Frobenius):
+    """The Newton map by k-fold iteration: compose the affine map of
+    w o tau o sigma0 with itself until the linear part is the identity.
+    Returns (order, translation, nu, nu_bar) with nu_bar the dominant
+    representative of nu minus the reporting shift."""
+    n = w.datum.n
+    ones, zero = (1,) * n, (0,) * n
+    s0 = frob.sigma0.map()
+    step = _compose(
+        _compose((w.perm.images, ones, w.trans), (frob.tau.perm.images, ones, frob.tau.trans)),
+        (s0.pos, s0.sign, zero),
+    )
+    identity = (tuple(range(1, n + 1)), ones)
+    acc, k = step, 1
+    while acc[:2] != identity:
+        acc, k = _compose(acc, step), k + 1
+    nu = tuple(Fraction(x, k) for x in acc[2])
+    bar, _ = dominant_rep(w.datum, nu)
+    return k, acc[2], nu, tuple(a - b for a, b in zip(bar, frob.shift))
 
 
 def oracle_newton_bar(w, frob):

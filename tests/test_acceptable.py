@@ -320,12 +320,22 @@ def test_adm_enumerate_small():
 def test_adm_enumerate_is_union_of_intervals():
     from bgmu.weyl import bruhat_lower_set
 
-    mu = (1, 1, 0)
-    d3 = GroupDatum.gl(3)
-    union = set()
-    for point in set(itertools.permutations(mu)):
-        union |= bruhat_lower_set(AffineElement.translation(d3, point))
-    assert set(adm_enumerate(mu, d3)) == union
+    cases = [
+        (GroupDatum.gl(3), (1, 1, 0)),
+        (GroupDatum.gl(3), (2, 1, 0)),
+        (GroupDatum((2, 3)), (1, 0, 1, 1, 0)),
+        (GroupDatum((2, 2), (True, True)), (1, 0, 1, 0)),
+    ]
+    for datum, mu in cases:
+        per_block = [set(itertools.permutations(mu[s])) for s in datum.block_slices()]
+        union = set()
+        for combo in itertools.product(*per_block):
+            point = tuple(x for part in combo for x in part)
+            union |= bruhat_lower_set(AffineElement.translation(datum, point))
+        elements = adm_enumerate(mu, datum)
+        assert len(elements) == len(union) and set(elements) == union
+        # membership again through the independent Bruhat lifting walk
+        assert all(adm_member(w, mu)[0] for w in elements)
 
 
 def test_adm_guard():

@@ -25,6 +25,25 @@ def test_newton_subcommand(capsys):
     assert doc["normalized"] == ["1/2", "1/2"]
 
 
+def test_newton_flip_twist(capsys):
+    # w o sigma is a 3-cycle of sign -1: order 2 * 3, no translation
+    code, out, _ = run(
+        capsys, "newton", "--group", "gl:3", "--w", "t[2,1,0]*cyc(1,2)",
+        "--sigma", "tau=t[1,0,0]*cyc(1,2,3);sigma0=-1", "--normalize",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "schema": "bgmu/1",
+        "element": "t[2,1,0]*cyc(1,2)",
+        "order": 6,
+        "translation": [0, 0, 0],
+        "nu": ["0", "0", "0"],
+        "nu_bar": ["0", "0", "0"],
+        "normalized": ["-1/3", "-1/3", "-1/3"],
+        "kappa": [3],
+    }
+
+
 def test_max_subcommand_worked_example(capsys):
     code, out, _ = run(
         capsys, "max", "--group", "gl:8", "--mu", "1,1,1,0,0,0,0,0",
@@ -111,6 +130,22 @@ def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     assert code == 1 and out == ""
     assert err.startswith("bgmu: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["max", "--group", "gl:2", "--mu", "-1,-1", "--sigma", "superbasic:1/2"],
+    ["enumerate", "--group", "gl:2", "--mu", "-1,-1", "--sigma", "superbasic:1/2"],
+    ["adm", "--group", "gl:2", "--mu", "-1,-2"],
+    ["polygon", "--mu", "-1,-2", "--m", "1", "--n", "2"],
+])
+def test_mu_with_negative_first_entry(capsys, argv):
+    # "--mu -1,-1" reads like an option to argparse; it must mean what
+    # "--mu=-1,-1" means
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    i = argv.index("--mu")
+    glued = argv[:i] + ["--mu=" + argv[i + 1]] + argv[i + 2:]
+    assert run(capsys, *glued) == (0, out, "")
 
 
 def test_max_gl36_long_witness(capsys):

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgmu.errors import KappaMismatch
 from bgmu.newton import (
@@ -11,6 +13,7 @@ from bgmu.newton import (
     KappaValue,
     NewtonPoint,
     Sigma0,
+    SignedMap,
     diamond,
     dominance_leq,
     dominant_rep,
@@ -25,7 +28,7 @@ from bgmu.weyl import (
     parse_element,
     superbasic_element,
 )
-from conftest import oracle_newton, wa_ball
+from conftest import iterated_newton, oracle_newton, wa_ball
 
 GL2 = GroupDatum.gl(2)
 GL8 = GroupDatum.gl(8)
@@ -90,6 +93,71 @@ def test_newton_matches_oracle_on_ball():
         nd = newton_point(w, fr)
         k, nu = oracle_newton(w, fr)
         assert nu == nd.nu
+
+
+@st.composite
+def twisted_elements(draw):
+    """An element and a twist on GL/PGL with 1-3 blocks: r equal blocks
+    rotated by sigma0, optionally one more block fixed by it, random
+    flips, adjoint flags, twist kappas, block permutations and
+    translations."""
+    nb, r = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    blocks = (nb,) * r + tuple(draw(st.lists(st.integers(1, 4), max_size=1)))
+    k = draw(st.integers(0, r - 1))
+    block_to = tuple((b + k) % r for b in range(r)) + tuple(range(r, len(blocks)))
+    count = len(blocks)
+    flip = tuple(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    adjoint = tuple(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+    datum = GroupDatum(blocks, adjoint)
+    kappas = draw(st.lists(st.integers(-3, 5), min_size=count, max_size=count))
+    frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flip))
+    if draw(st.booleans()):
+        frob = frob.with_shift(frob.canonical_shift())
+    images = []
+    for lo, hi in datum.block_ranges():
+        images += draw(st.permutations(range(lo, hi + 1)))
+    trans = draw(st.lists(st.integers(-3, 3), min_size=datum.n, max_size=datum.n))
+    return AffineElement(datum, trans, Permutation(images)), frob
+
+
+def _check_against_iteration(w, frob):
+    nd = newton_point(w, frob)
+    k, lam, nu, bar = iterated_newton(w, frob)
+    assert (nd.order, nd.translation, nd.nu, nd.nu_bar.nu) == (k, lam, nu, bar)
+    return nd
+
+
+@settings(max_examples=300, deadline=None)
+@given(twisted_elements())
+def test_newton_point_matches_iteration(problem):
+    _check_against_iteration(*problem)
+
+
+def test_newton_point_on_cycles_of_sign_minus_one():
+    # a flip of GL_3 fixes the middle coordinate with sign -1 and swaps
+    # the outer two with signs -1, -1: the order is lcm(2, 2 * 1) and
+    # the middle coordinate gets no translation, whatever w adds there
+    d3 = GroupDatum.gl(3)
+    flip = Frobenius(AffineElement.identity(d3), Sigma0(d3, (0,), (True,)))
+    seen = 0
+    for a in wa_ball(d3, 3):
+        nd = _check_against_iteration(a, flip)
+        lin = SignedMap(a.perm.images, (1,) * 3).after(flip.sigma0.map())
+        for cycle, sign in lin.cycles():
+            if sign == -1:
+                seen += 1
+                assert nd.order % (2 * len(cycle)) == 0
+                assert all(nd.translation[c] == 0 for c in cycle)
+    assert seen > 0
+    nd = newton_point(parse_element("t[1,1,0]", d3), flip)
+    assert (nd.order, nd.translation) == (2, (1, 0, -1))
+    # two blocks swapped, one way with a flip: w o sigma has the cycles
+    # (1 4) and (2 3), each of sign -1, so the order is 4 and nothing
+    # of the translation survives
+    d22 = GroupDatum((2, 2))
+    swap = Frobenius(AffineElement.identity(d22), Sigma0(d22, (1, 0), (True, False)))
+    nd = _check_against_iteration(parse_element("t[2,1,0,3]*cyc(1,2)", d22), swap)
+    assert nd.order == 4 and nd.translation == (0, 0, 0, 0)
 
 
 def test_twist_change_identity():
