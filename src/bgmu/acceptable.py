@@ -44,9 +44,11 @@ from .newton import (
 from .weyl import (
     AffineElement,
     GroupDatum,
+    IntVec,
     Permutation,
+    _block_length,
+    _same_wa_coset,
     bruhat_leq,
-    bruhat_lower_set,
 )
 
 DEFAULT_ENUM_GUARD = 8
@@ -418,6 +420,78 @@ def enumerate_acceptable(
 
 # --- admissible set ----------------------------------------------------------
 
+def _hull_sums(part: Sequence[int]) -> list[int]:
+    """Running sums of the decreasing rearrangement of one block of mu."""
+    return list(itertools.accumulate(sorted(part, reverse=True)))
+
+
+def _in_hull(vec: Sequence[int], mu_sums: Sequence[int]) -> bool:
+    """Whether vec, with the same total as one block of mu, lies in
+    Conv(W_0 mu): the running sums of its decreasing rearrangement stay
+    at or below those of mu (``mu_sums``, from ``_hull_sums``)."""
+    acc = 0
+    for x, bound in zip(sorted(vec, reverse=True), mu_sums):
+        acc += x
+        if acc > bound:
+            return False
+    return True
+
+
+def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
+    """The vertexwise test of ``adm_enumerate`` on every block of w,
+    whose block sums are those of mu."""
+    images = w.perm.images
+    for lo, hi in w.datum.block_ranges():
+        sums = _hull_sums(mu[lo - 1 : hi])
+        vec = list(w.trans[lo - 1 : hi])
+        for k in range(hi - lo + 1):
+            if k:  # from omega_{k-1} to omega_k: add e_{u(k)}, drop e_k
+                vec[images[lo + k - 2] - lo] += 1
+                vec[k - 1] -= 1
+            if not _in_hull(vec, sums):
+                return False
+    return True
+
+
+def _block_adm(mu: Sequence[int]) -> list[tuple[int, IntVec, IntVec]]:
+    """Adm(mu) of GL_n, n = len(mu), as (length, trans, images) in local
+    coordinates: for each lattice point lam of Conv(W_0 mu) (the distinct
+    rearrangements of every dominant vector dominated by mu), u is built
+    one position at a time, and a branch is kept while the vertex it
+    has just reached passes the test of ``adm_enumerate``."""
+    n = len(mu)
+    sums = _hull_sums(mu)
+    out: list[tuple[int, IntVec, IntVec]] = []
+    images = [0] * n
+    used = [False] * n
+
+    def grow(lam: IntVec, vec: list[int], k: int) -> None:
+        if k == n:
+            inv = [0] * n
+            for i, j in enumerate(images, start=1):
+                inv[j - 1] = i
+            out.append((_block_length(lam, inv, 1, n), lam, tuple(images)))
+            return
+        vec[k] -= 1
+        for j in range(n):
+            if used[j]:
+                continue
+            vec[j] += 1
+            # at k + 1 == n the vertex is omega_n, i.e. lam itself
+            if k + 1 == n or _in_hull(vec, sums):
+                used[j], images[k] = True, j + 1
+                grow(lam, vec, k + 1)
+                used[j] = False
+            vec[j] -= 1
+        vec[k] += 1
+
+    for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n):
+        if sum(dom) == sums[-1] and _in_hull(dom, sums):
+            for lam in _distinct_permutations(dom):
+                grow(lam, list(lam), 0)
+    return out
+
+
 def _distinct_permutations(part: Sequence[int]) -> list[tuple[int, ...]]:
     """Distinct permutations of a multiset, descending lexicographically:
     repeated predecessor steps from the largest arrangement."""
@@ -464,9 +538,16 @@ def _stable_perm_to(datum: GroupDatum, mu: Sequence[int], target: Sequence[int])
 def adm_member(
     w: AffineElement, mu: Sequence[int]
 ) -> tuple[bool, Optional[Permutation]]:
-    """Test w <= t^{x(mu)} over orbit representatives; returns a
-    witness x on success."""
+    """Whether w lies in Adm(mu), with a witness x on success: the first
+    orbit point of mu, descending lexicographically, with
+    w <= t^{x(mu)}. The vertexwise test of ``adm_enumerate``, after the
+    same central shift on adjoint blocks that the Bruhat order applies,
+    rejects a non-member without a Bruhat walk; the walks only pick x
+    for a member."""
     datum = w.datum
+    shifted = _same_wa_coset(w, AffineElement.translation(datum, mu))
+    if shifted is None or not _permissible(shifted, mu):
+        return False, None
     for point in _orbit_points(datum, mu):
         if bruhat_leq(w, AffineElement.translation(datum, point)):
             return True, _stable_perm_to(datum, mu, point)
@@ -479,9 +560,22 @@ def adm_enumerate(
     guard_n: Optional[int] = None,
     guard_spread: int = DEFAULT_ADM_GUARD_SPREAD,
 ) -> tuple[AffineElement, ...]:
-    """The union of the lower Bruhat intervals of all t^{x(mu)}, taken
-    in one ``bruhat_lower_set`` call so each distinct element is built
-    and validated once."""
+    """Adm(mu), the union of the lower Bruhat intervals of all
+    t^{x(mu)}, built vertexwise. By Adm(mu) = Perm(mu) (Kottwitz-Rapoport,
+    Manuscripta Math. 2000, for minuscule mu; Haines-Ngo, Amer. J. Math.
+    2002, for GL_n), w = t^lam u lies in Adm(mu) exactly when it lies in
+    the W_a coset of t^mu and, in every block,
+
+        w(omega_k) - omega_k = lam + e_{u(1)} + ... + e_{u(k)} - (e_1 + ... + e_k)
+
+    lies in Conv(W_0 mu) for each base-alcove vertex
+    omega_k = (1^k, 0^{n_b-k}), k = 0, ..., n_b - 1. The order of the
+    vertices matters: (0^{n_b-k}, 1^k) gives a different set already on
+    GL_2. ``_block_adm`` builds each block's set, the result is their
+    product, so the work is about the size of the output; it is sorted
+    by (length, trans, images), and every element is validated once,
+    through ``AffineElement``. ``bruhat_lower_set`` over the orbit of mu
+    is the independent reference the tests compare against."""
     if datum is None:
         datum = GroupDatum((len(mu),))
     limit = guard_limit(DEFAULT_ADM_GUARD_N if guard_n is None else guard_n)
@@ -493,6 +587,12 @@ def adm_enumerate(
             raise GuardExceeded(
                 f"admissible-set guard: entry spread exceeds {guard_spread}"
             )
-    tops = [AffineElement.translation(datum, p) for p in _orbit_points(datum, mu)]
-    elements = bruhat_lower_set(*tops)
-    return tuple(sorted(elements, key=lambda e: (e.length(), e.trans, e.perm.images)))
+    per_block = [
+        [(ln, t, tuple(j + lo - 1 for j in im)) for ln, t, im in _block_adm(mu[lo - 1 : hi])]
+        for lo, hi in datum.block_ranges()
+    ]
+    raw = sorted(
+        (sum(e[0] for e in combo), sum((e[1] for e in combo), ()), sum((e[2] for e in combo), ()))
+        for combo in itertools.product(*per_block)
+    )
+    return tuple(AffineElement(datum, t, Permutation(im)) for _, t, im in raw)

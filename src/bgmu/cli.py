@@ -218,6 +218,8 @@ def cmd_adm(args) -> int:
         mu = tuple(int(x) for x in args.mu.split(","))
     except ValueError as exc:
         raise ParseError(f"bad mu {args.mu!r}") from exc
+    if len(mu) != datum.n:
+        raise ParseError(f"mu must have {datum.n} entries")
     if args.w is not None:
         w = parse_element(args.w, datum)
         ok, x = adm_member(w, mu)

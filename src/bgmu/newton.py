@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, KappaMismatch, ParseError
@@ -82,12 +82,16 @@ class SignedMap(NamedTuple):
         return tuple(out)
 
     def order(self) -> int:
-        """Exact order from the cycle structure: a cycle of length L
-        contributes L when its sign product is +1, else 2L."""
-        return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in self.cycles()))
+        return _cycles_order(self.cycles())
 
     def position_perm(self) -> Permutation:
         return Permutation(self.pos)
+
+
+def _cycles_order(cycles) -> int:
+    """Exact order from the cycle structure: a cycle of length L
+    contributes L when its sign product is +1, else 2L."""
+    return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in cycles))
 
 
 class AffineMap(NamedTuple):
@@ -317,8 +321,10 @@ class Frobenius:
         shift = (Fraction(m, n),) * n if normalized else ()
         return Frobenius(tau, Sigma0.identity(datum), shift)
 
+    @cached_property
     def affine_map(self) -> AffineMap:
-        """Action of tau o sigma0 on the ambient space."""
+        """Action of tau o sigma0 on the ambient space, built once per
+        twist (the instance is frozen, so the value cannot go stale)."""
         u = SignedMap(self.tau.perm.images, (1,) * self.datum.n)
         return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
 
@@ -426,6 +432,52 @@ class NewtonData(NamedTuple):
     nu_bar: NewtonPoint
 
 
+def _newton_kernel(
+    trans: Sequence[int], images: Sequence[int], twist: AffineMap, slices: Sequence[slice]
+) -> tuple[int, list[int], list[int]]:
+    """The integer part of the Newton map of w = t^trans u (u in one-line
+    form ``images``) under the twist's affine map: the order k of the
+    linear part of w o sigma, the translation lam of its k-th power, and
+    lam sorted decreasingly inside each block slice. Runs on plain
+    tuples, so the brute force can key whole admissible sets by it."""
+    # w o sigma = (t^trans u) o (v -> A v + b): linear part u o A, and
+    # translation trans + u(b)
+    tpos, tsign = twist.linear
+    lin = SignedMap(tuple([images[p - 1] for p in tpos]), tsign)
+    shift = list(trans)
+    for j, b in zip(images, twist.shift):
+        shift[j - 1] += b
+    cycles = lin.cycles()
+    k = _cycles_order(cycles)
+    lam = [0] * len(shift)
+    for cycle, s in cycles:
+        if s != 1:
+            continue
+        # sum_c sign(c -> q) b_c at the first coordinate q of the cycle;
+        # the fixed vector lam carries it along the cycle with the signs
+        total, sign = 0, 1
+        for c in reversed(cycle):
+            sign *= lin.sign[c]
+            total += sign * shift[c]
+        value = k // len(cycle) * total
+        for c in cycle:
+            lam[c] = value
+            value *= lin.sign[c]
+    bar = [x for part in slices for x in sorted(lam[part], reverse=True)]
+    return k, lam, bar
+
+
+def _newton_key(
+    trans: Sequence[int], images: Sequence[int], twist: AffineMap, slices: Sequence[slice]
+) -> tuple[int, tuple[int, ...]]:
+    """(k, blockwise sorted lam) divided by their gcd: two elements get
+    the same key exactly when their Newton points have the same
+    dominant representative, which is lam_bar / k for the key's k."""
+    k, _, bar = _newton_kernel(trans, images, twist, slices)
+    g = gcd(k, *bar)
+    return k // g, tuple(x // g for x in bar)
+
+
 def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     """Read the Newton point off the cycles of the linear part of
     w o sigma (see the module docstring); nu_bar sorts lam blockwise
@@ -439,26 +491,9 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     datum = w.datum
     if datum != frob.datum:
         raise DimensionMismatch("element and twist live in different data")
-    twist = frob.affine_map()
-    outer = SignedMap(w.perm.images, (1,) * datum.n)
-    lin = outer.after(twist.linear)
-    shift = tuple(a + b for a, b in zip(outer.apply(twist.shift), w.trans))
-    k = lin.order()
-    lam = [0] * datum.n
-    for cycle, s in lin.cycles():
-        if s != 1:
-            continue
-        # sum_c sign(c -> q) b_c at the first coordinate q of the cycle;
-        # the fixed vector lam carries it along the cycle with the signs
-        total, sign = 0, 1
-        for c in reversed(cycle):
-            sign *= lin.sign[c]
-            total += sign * shift[c]
-        value = k // len(cycle) * total
-        for c in cycle:
-            lam[c] = value
-            value *= lin.sign[c]
-    bar = [x for part in datum.block_slices() for x in sorted(lam[part], reverse=True)]
+    k, lam, bar = _newton_kernel(
+        w.trans, w.perm.images, frob.affine_map, datum.block_slices()
+    )
     nu_bar = tuple(Fraction(x, k) - sh for x, sh in zip(bar, frob.shift))
     return NewtonData(
         k,

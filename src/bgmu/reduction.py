@@ -42,6 +42,7 @@ from .newton import (
     Frobenius,
     NewtonPoint,
     Sigma0,
+    _newton_key,
     diamond,
     dominant_rep,
     heights,
@@ -411,7 +412,7 @@ def _fixed_direction_space(frob: Frobenius) -> list[tuple[Fraction, ...]]:
     sums of all later ones and drops out. This is the row-reduced basis:
     each vector is 1 at its last nonzero coordinate, the other vectors
     are 0 there, and those coordinates ascend."""
-    lin = frob.affine_map().linear
+    lin = frob.affine_map.linear
     units = []
     for cycle, sign in lin.cycles():
         if sign != 1:
@@ -472,7 +473,7 @@ def _prefer_dominant(frob: Frobenius, v0: tuple[Fraction, ...]) -> tuple[Fractio
     vbar, _ = dominant_rep(datum, v0)
     if vbar == v0:
         return v0
-    if frob.affine_map().linear.apply(vbar) != vbar:
+    if frob.affine_map.linear.apply(vbar) != vbar:
         return v0
     # genericity must be re-verified for the reordered point
     for lo, hi in datum.block_ranges():
@@ -794,16 +795,31 @@ def _brute_feasible(problem: Problem) -> bool:
 
 
 def _brute_force(problem: Problem) -> Solution:
+    """The maximum of the Newton points over Adm(mu), the set that the
+    paper's theorem says attains the maximal acceptable point.
+
+    ``adm_enumerate`` builds Adm(mu) by the vertexwise criterion
+    (w(omega_k) - omega_k in Conv(W_0 mu) for omega_k = (1^k, 0^{n-k});
+    Kottwitz-Rapoport 2000 for minuscule mu, Haines-Ngo 2002 for GL_n),
+    sorted by (length, trans, images); ``bruhat_lower_set`` over the
+    orbit of mu is the independent reference the tests hold it to.
+    Each element is keyed by the integer pair (order, blockwise sorted
+    translation) of its Newton map reduced by their gcd, so the first
+    element per Newton point in that order is the witness, and
+    fractions are built only for the distinct keys."""
     datum = problem.datum
     if datum.n > guard_limit(BRUTE_GUARD_N):
         raise GuardExceeded(f"brute force guard: n={datum.n}")
     elements = adm_enumerate(problem.mu, datum, guard_n=guard_limit(BRUTE_GUARD_N))
     if len(elements) > BRUTE_GUARD_SIZE:
         raise GuardExceeded(f"admissible set too large: {len(elements)}")
-    zero_shift = problem.frob.with_shift((Fraction(0),) * datum.n)
-    attained: dict[tuple[Fraction, ...], AffineElement] = {}
+    twist, slices = problem.frob.affine_map, datum.block_slices()
+    keyed: dict[tuple[int, tuple[int, ...]], AffineElement] = {}
     for w in elements:
-        attained.setdefault(newton_point(w, zero_shift).nu_bar.nu, w)
+        keyed.setdefault(_newton_key(w.trans, w.perm.images, twist, slices), w)
+    attained = {
+        tuple(Fraction(x, k) for x in lam): w for (k, lam), w in keyed.items()
+    }
     hs = {p: heights(datum, p) for p in attained}
     maxima = [p for p in attained if all(heights_leq(hs[q], hs[p]) for q in attained)]
     if len(maxima) != 1:

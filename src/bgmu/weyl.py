@@ -186,8 +186,9 @@ class Permutation:
         return all(j == i + 1 for i, j in enumerate(self.images))
 
     def preserves_blocks(self, datum: GroupDatum) -> bool:
+        im = self.images
         return all(
-            all(lo <= self(i) <= hi for i in range(lo, hi + 1))
+            lo <= min(im[lo - 1 : hi]) and max(im[lo - 1 : hi]) <= hi
             for lo, hi in datum.block_ranges()
         )
 
@@ -218,6 +219,17 @@ def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec
     for j, x in zip(u, b):
         acted[j - 1] = x
     return tuple(map(add, a, acted)), tuple(u[j - 1] for j in v)
+
+
+def _block_length(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> int:
+    """The Iwahori-Matsumoto count of the block [lo, hi] (1-based) of
+    t^lam u, given inv = u^-1 in one-line form."""
+    total = 0
+    for i in range(lo, hi + 1):
+        for j in range(i + 1, hi + 1):
+            d = lam[i - 1] - lam[j - 1]
+            total += abs(d) if inv[i - 1] < inv[j - 1] else abs(d - 1)
+    return total
 
 
 class AffineElement:
@@ -277,17 +289,11 @@ class AffineElement:
 
     def length(self) -> int:
         if self._len < 0:
-            total = 0
             inv = self.perm.inverse().images
-            lam = self.trans
-            for lo, hi in self.datum.block_ranges():
-                for i in range(lo, hi + 1):
-                    for j in range(i + 1, hi + 1):
-                        d = lam[i - 1] - lam[j - 1]
-                        if inv[i - 1] < inv[j - 1]:
-                            total += abs(d)
-                        else:
-                            total += abs(d - 1)
+            total = sum(
+                _block_length(self.trans, inv, lo, hi)
+                for lo, hi in self.datum.block_ranges()
+            )
             object.__setattr__(self, "_len", total)
         return self._len
 
@@ -467,7 +473,8 @@ def bruhat_lower_set(*tops: AffineElement) -> frozenset:
     """All elements u <= w for some w in tops: the subword products of
     one reduced word per top. The products run on plain (trans, images)
     tuples, and each distinct element of the union is validated once,
-    as it is built."""
+    as it is built. Over the orbit of mu this is Adm(mu) by definition:
+    the reference the vertexwise ``adm_enumerate`` is tested against."""
     datum = tops[0].datum
     if any(w.datum != datum for w in tops):
         raise DimensionMismatch("different group data")

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's fast paths: lengths
 come from Cayley-graph breadth-first search, Bruhat order from subword
 products, Newton points from alternating affine applications with the
 linear part tracked on a basis, or from the k-fold iteration of the
-affine map of w o sigma.
+affine map of w o sigma, and the admissible set from the lower Bruhat
+intervals of the t^{x(mu)} rather than the vertexwise criterion.
 """
 
 import itertools
@@ -12,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from bgmu.acceptable import adjoint_leq
 from bgmu.newton import Frobenius, dominant_rep
-from bgmu.weyl import AffineElement, GroupDatum, simple_reflections
+from bgmu.weyl import AffineElement, GroupDatum, bruhat_lower_set, simple_reflections
 
 
 def wa_ball(datum: GroupDatum, max_len: int):
@@ -123,6 +125,46 @@ def oracle_newton_bar(w, frob):
     _, nu = oracle_newton(w, frob)
     bar, _ = dominant_rep(w.datum, nu)
     return bar
+
+
+def orbit_points(datum: GroupDatum, mu):
+    """The distinct W_0-orbit points of mu, descending lexicographically."""
+    per_block = [set(itertools.permutations(mu[s])) for s in datum.block_slices()]
+    return sorted(
+        (tuple(x for part in combo for x in part) for combo in itertools.product(*per_block)),
+        reverse=True,
+    )
+
+
+def _by_length(elements):
+    return sorted(elements, key=lambda e: (e.length(), e.trans, e.perm.images))
+
+
+def adm_reference(datum: GroupDatum, mu):
+    """Adm(mu) as the union of the lower Bruhat intervals (subword
+    products) of every t^{x(mu)}, sorted by (length, trans, images)."""
+    tops = [AffineElement.translation(datum, p) for p in orbit_points(datum, mu)]
+    return _by_length(bruhat_lower_set(*tops))
+
+
+def reference_brute_force(mu, frob: Frobenius):
+    """(nu_raw, w, x) of the brute force by the slow paths: the
+    admissible set from per-point subword intervals, Newton points by
+    k-fold iteration, the first element per point (in (length, trans,
+    images) order) as its witness, and x from the first orbit point,
+    descending lexicographically, whose interval holds the witness."""
+    datum = frob.datum
+    points = orbit_points(datum, mu)
+    lower = [bruhat_lower_set(AffineElement.translation(datum, p)) for p in points]
+    zero = frob.with_shift((Fraction(0),) * datum.n)
+    attained = {}
+    for w in _by_length(set().union(*lower)):
+        attained.setdefault(iterated_newton(w, zero)[3], w)
+    maxima = [p for p in attained if all(adjoint_leq(datum, q, p) for q in attained)]
+    assert len(maxima) == 1, maxima
+    w = attained[maxima[0]]
+    point = next(p for p, low in zip(points, lower) if w in low)
+    return maxima[0], w, dominant_rep(datum, point)[1].inverse()
 
 
 def dominant_coweights(n: int, max_entry: int):

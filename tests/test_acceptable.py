@@ -35,7 +35,13 @@ from bgmu.weyl import (
     parse_element,
     superbasic_element,
 )
-from conftest import coset_ball, dominant_coweights, record_acceptance
+from conftest import (
+    adm_reference,
+    coset_ball,
+    dominant_coweights,
+    orbit_points,
+    record_acceptance,
+)
 
 GL2 = GroupDatum.gl(2)
 PGL2 = GroupDatum.pgl(2)
@@ -317,25 +323,88 @@ def test_adm_enumerate_small():
     assert set(elements) == want
 
 
-def test_adm_enumerate_is_union_of_intervals():
-    from bgmu.weyl import bruhat_lower_set
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
 
-    cases = [
-        (GroupDatum.gl(3), (1, 1, 0)),
+
+def test_adm_enumerate_is_union_of_intervals():
+    # the gate for the vertexwise criterion: elements and order on every
+    # GL, PGL and product datum with n <= 5 and entries 0..2 (4,322 pairs
+    # of datum and mu); the subword intervals do not read the adjoint
+    # flags, so one reference serves the GL and the PGL datum of a shape
+    count = 0
+    for n in range(1, 6):
+        for blocks in _compositions(n):
+            per_block = [dominant_coweights(nb, 2) for nb in blocks]
+            for combo in itertools.product(*per_block):
+                mu = tuple(x for part in combo for x in part)
+                want = [(e.trans, e.perm.images) for e in adm_reference(GroupDatum(blocks), mu)]
+                for adj in (False, True):
+                    datum = GroupDatum(blocks, (adj,) * len(blocks))
+                    got = adm_enumerate(mu, datum)
+                    assert all(e.datum == datum for e in got)
+                    assert [(e.trans, e.perm.images) for e in got] == want, (datum, mu)
+                    count += 1
+    assert count == 4322
+    # membership again through the independent Bruhat lifting walk
+    for datum, mu in [
         (GroupDatum.gl(3), (2, 1, 0)),
         (GroupDatum((2, 3)), (1, 0, 1, 1, 0)),
         (GroupDatum((2, 2), (True, True)), (1, 0, 1, 0)),
-    ]
-    for datum, mu in cases:
-        per_block = [set(itertools.permutations(mu[s])) for s in datum.block_slices()]
-        union = set()
-        for combo in itertools.product(*per_block):
-            point = tuple(x for part in combo for x in part)
-            union |= bruhat_lower_set(AffineElement.translation(datum, point))
-        elements = adm_enumerate(mu, datum)
-        assert len(elements) == len(union) and set(elements) == union
-        # membership again through the independent Bruhat lifting walk
-        assert all(adm_member(w, mu)[0] for w in elements)
+    ]:
+        assert all(adm_member(w, mu)[0] for w in adm_enumerate(mu, datum))
+
+
+@pytest.mark.parametrize("datum, mu", [
+    (GroupDatum.gl(3), (1, 1, 0)),
+    (GroupDatum.gl(3), (2, 1, 0)),
+    (GroupDatum.pgl(3), (2, 0, 0)),
+    (GroupDatum((2, 2), (True, False)), (1, 0, 2, 0)),
+], ids=["gl3-110", "gl3-210", "pgl3-200", "pgl2xgl2"])
+def test_adm_member_rejects_without_a_bruhat_walk(monkeypatch, datum, mu):
+    import bgmu.acceptable as acceptable
+
+    walks = []
+    real = acceptable.bruhat_leq
+    monkeypatch.setattr(
+        acceptable, "bruhat_leq", lambda a, b: walks.append(1) or real(a, b)
+    )
+    adm = set(adm_reference(datum, mu))
+    points = orbit_points(datum, mu)
+    # a central translation on the adjoint blocks moves nothing in the
+    # Bruhat order, so the shifted element must get the same answer
+    center = tuple(
+        1 if adj else 0 for nb, adj in zip(datum.blocks, datum.adjoint) for _ in range(nb)
+    )
+    members = rejected = 0
+    for base in coset_ball(datum, AffineElement.translation(datum, mu), 4):
+        for w in (base, AffineElement.translation(datum, center) * base):
+            walks.clear()
+            ok, x = adm_member(w, mu)
+            assert ok == (base in adm), w
+            if ok:
+                members += 1
+                first = next(p for p in points if bruhat_leq(base, AffineElement.translation(datum, p)))
+                assert x.act(mu) == first
+            else:
+                rejected += 1
+                assert walks == [] and x is None
+    assert members and rejected
+    # another W_a coset is rejected without a walk as well
+    walks.clear()
+    off = AffineElement.translation(datum, (1,) + (0,) * (datum.n - 1))
+    assert adm_member(off, mu) == (False, None) and walks == []
+
+
+def test_adm_member_shifts_adjoint_blocks():
+    assert adm_member(parse_element("t[1,1]", PGL2), (0, 0))[0]
+    assert adm_member(parse_element("t[2,0]", PGL2), (0, 0)) == (False, None)
+    assert adm_member(parse_element("t[1,1]", GL2), (0, 0)) == (False, None)
 
 
 def test_adm_guard():

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,19 @@ def test_adm_membership(capsys):
         capsys, "adm", "--group", "gl:2", "--mu", "1,0", "--w", "t[2,-1]",
     )
     assert json.loads(out)["member"] is False
+    # a central translation on a PGL block is still a member
+    code, out, _ = run(capsys, "adm", "--group", "pgl:2", "--mu", "0,0", "--w", "t[1,1]")
+    assert json.loads(out)["member"] is True
+
+
+@pytest.mark.parametrize("group, mu, digest", [
+    ("gl:5", "2,2,1,0,0", "cb00076a09e6301d73e931e9064009d65a4987a2ebb581ee177d828e2f5cfe37"),
+    ("pgl:2*3", "2,0,2,1,0", "7494e71a5effb826f97019cdf78f6931bfe68babc38dc3f79cdea172ed1cdfc5"),
+], ids=["gl5", "pgl2x3"])
+def test_adm_listing_bytes(capsys, group, mu, digest):
+    code, out, _ = run(capsys, "adm", "--group", group, "--mu", mu)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_adm_listing(capsys):
@@ -122,6 +136,8 @@ def test_usage_error_exit_code(capsys):
     (["max", "--group", "gl:2*2", "--mu", "1,0,1,0", "--sigma", "sigma0=2,2"], None),
     (["polygon", "--mu", "1,0", "--m", "2", "--n", "2"], None),
     (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "abc"),
+    (["adm", "--group", "gl:2", "--mu", "1,0,5"], None),
+    (["adm", "--group", "gl:2", "--mu", "1,0,5", "--w", "t[1,0]"], None),
 ])
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     if env is not None:

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from bgmu.newton import (
     NewtonPoint,
     Sigma0,
     SignedMap,
+    _newton_key,
     diamond,
     dominance_leq,
     dominant_rep,
@@ -130,7 +132,14 @@ def _check_against_iteration(w, frob):
 @settings(max_examples=300, deadline=None)
 @given(twisted_elements())
 def test_newton_point_matches_iteration(problem):
-    _check_against_iteration(*problem)
+    w, frob = problem
+    _check_against_iteration(w, frob)
+    # the brute force's integer key, on plain tuples, names the same
+    # unshifted dominant Newton vector, in lowest terms
+    k, lam = _newton_key(w.trans, w.perm.images, frob.affine_map, w.datum.block_slices())
+    zero = frob.with_shift((Fraction(0),) * w.datum.n)
+    assert tuple(Fraction(x, k) for x in lam) == newton_point(w, zero).nu_bar.nu
+    assert gcd(k, *lam) == 1
 
 
 def test_newton_point_on_cycles_of_sign_minus_one():

@@ -31,7 +31,7 @@ from bgmu.weyl import (
     reduced_word,
     superbasic_element,
 )
-from conftest import dominant_coweights
+from conftest import dominant_coweights, reference_brute_force
 
 
 # --- adjoint -------------------------------------------------------------------
@@ -294,6 +294,30 @@ def test_solve_bruteforce_strategy():
     assert a.nu_raw == b.nu_raw
 
 
+def _pgl4_inner():
+    d = GroupDatum.pgl(4)
+    return Frobenius.inner(omega_element(d, (2,)))
+
+
+def _pgl22_flip():
+    d = GroupDatum((2, 2), (True, True))
+    return Frobenius(omega_element(d, (1, 0)), Sigma0(d, (1, 0), (True, False)))
+
+
+def _gl23_rotation():
+    return Frobenius.inner(omega_element(GroupDatum((2, 3)), (1, 2)))
+
+
+@pytest.mark.parametrize("make", [_pgl4_inner, _pgl22_flip, _gl23_rotation])
+def test_solve_bruteforce_matches_reference_maximum(make):
+    frob = make()
+    per_block = [dominant_coweights(nb, 2) for nb in frob.datum.blocks]
+    for combo in itertools.product(*per_block):
+        mu = tuple(x for part in combo for x in part)
+        r = solve(mu, frob, strategy="bruteforce")
+        assert (r.nu_raw, r.w, r.x) == reference_brute_force(mu, frob), mu
+
+
 def test_solve_bruteforce_guard():
     fr = Frobenius.superbasic(5, 8)
     with pytest.raises(GuardExceeded):
@@ -409,7 +433,7 @@ def test_fixed_direction_basis_is_row_reduced_from_cycles():
             for k in range(-1, 2 * n):
                 for flip in (False, True):
                     fr = Frobenius(omega_element(d, (k,)), Sigma0(d, (0,), (flip,)))
-                    lin = fr.affine_map().linear
+                    lin = fr.affine_map.linear
                     basis = _fixed_direction_space(fr)
                     positive = [c for c, sign in lin.cycles() if sign == 1]
                     drop = any(_cycle_vector_sum(lin, c) != 0 for c in positive)
