@@ -554,6 +554,33 @@ def adm_member(
     return False, None
 
 
+def _adm_raw(
+    mu: Sequence[int],
+    datum: GroupDatum,
+    guard_n: Optional[int] = None,
+    guard_spread: int = DEFAULT_ADM_GUARD_SPREAD,
+) -> list[tuple[int, IntVec, IntVec]]:
+    """The elements of ``adm_enumerate`` as (length, trans, images),
+    sorted, before they are validated as elements."""
+    limit = guard_limit(DEFAULT_ADM_GUARD_N if guard_n is None else guard_n)
+    if datum.n > limit:
+        raise GuardExceeded(f"admissible-set guard: n={datum.n} > {limit}")
+    for lo, hi in datum.block_ranges():
+        part = mu[lo - 1 : hi]
+        if part and max(part) - min(part) > guard_spread:
+            raise GuardExceeded(
+                f"admissible-set guard: entry spread exceeds {guard_spread}"
+            )
+    per_block = [
+        [(ln, t, tuple(j + lo - 1 for j in im)) for ln, t, im in _block_adm(mu[lo - 1 : hi])]
+        for lo, hi in datum.block_ranges()
+    ]
+    return sorted(
+        (sum(e[0] for e in combo), sum((e[1] for e in combo), ()), sum((e[2] for e in combo), ()))
+        for combo in itertools.product(*per_block)
+    )
+
+
 def adm_enumerate(
     mu: Sequence[int],
     datum: Optional[GroupDatum] = None,
@@ -578,21 +605,5 @@ def adm_enumerate(
     is the independent reference the tests compare against."""
     if datum is None:
         datum = GroupDatum((len(mu),))
-    limit = guard_limit(DEFAULT_ADM_GUARD_N if guard_n is None else guard_n)
-    if datum.n > limit:
-        raise GuardExceeded(f"admissible-set guard: n={datum.n} > {limit}")
-    for lo, hi in datum.block_ranges():
-        part = mu[lo - 1 : hi]
-        if part and max(part) - min(part) > guard_spread:
-            raise GuardExceeded(
-                f"admissible-set guard: entry spread exceeds {guard_spread}"
-            )
-    per_block = [
-        [(ln, t, tuple(j + lo - 1 for j in im)) for ln, t, im in _block_adm(mu[lo - 1 : hi])]
-        for lo, hi in datum.block_ranges()
-    ]
-    raw = sorted(
-        (sum(e[0] for e in combo), sum((e[1] for e in combo), ()), sum((e[2] for e in combo), ()))
-        for combo in itertools.product(*per_block)
-    )
+    raw = _adm_raw(mu, datum, guard_n, guard_spread)
     return tuple(AffineElement(datum, t, Permutation(im)) for _, t, im in raw)

@@ -18,6 +18,7 @@ example ``sigma0=2,-1``). All fractions are printed exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -278,13 +279,10 @@ def cmd_verify(args) -> int:
                 checked += 1
                 spec = ProblemSpec(datum, mu, frob)
                 try:
+                    # solve and enumerate_acceptable each compare their
+                    # maximum with maximal_newton_state and raise
                     result = solve(mu, frob, strategy="auto")
-                    acc = enumerate_acceptable(mu, frob)
-                    if acc.raw[acc.maximum] != result.nu_raw:
-                        raise BgmuError(
-                            f"enumerated maximum {acc.raw[acc.maximum]}"
-                            f" != constructive {result.nu_raw}"
-                        )
+                    enumerate_acceptable(mu, frob)
                     want_diamond = mu_diamond_acceptable(mu, frob)
                     is_diamond = adjoint_eq(
                         datum, result.nu_raw, diamond(mu, frob)
@@ -386,8 +384,11 @@ def _glue_mu(argv: Sequence[str]) -> list[str]:
     return out
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(_glue_mu(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:

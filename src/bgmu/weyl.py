@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -51,6 +52,17 @@ class GroupDatum:
             object.__setattr__(self, "adjoint", (False,) * len(self.blocks))
         if len(self.adjoint) != len(self.blocks):
             raise ParseError("adjoint flags do not match blocks")
+        # the layout is read for every element built, so it is computed
+        # once here; these attributes are not fields, so eq and hash
+        # still compare blocks and adjoint only
+        offsets = tuple(accumulate(self.blocks[:-1], initial=0))
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_ranges", tuple(
+            (o + 1, o + n) for o, n in zip(offsets, self.blocks)
+        ))
+        object.__setattr__(self, "_slices", tuple(
+            slice(o, o + n) for o, n in zip(offsets, self.blocks)
+        ))
 
     @staticmethod
     def gl(n: int) -> "GroupDatum":
@@ -69,20 +81,14 @@ class GroupDatum:
         return len(self.blocks)
 
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for n in self.blocks:
-            out.append(acc)
-            acc += n
-        return tuple(out)
+        return self._offsets
 
     def block_ranges(self) -> tuple[tuple[int, int], ...]:
         """1-based inclusive (start, end) per block."""
-        return tuple(
-            (o + 1, o + n) for o, n in zip(self.offsets(), self.blocks)
-        )
+        return self._ranges
 
     def block_slices(self) -> tuple[slice, ...]:
-        return tuple(slice(o, o + n) for o, n in zip(self.offsets(), self.blocks))
+        return self._slices
 
     def with_adjoint(self, flag: bool) -> "GroupDatum":
         return GroupDatum(self.blocks, (flag,) * len(self.blocks))

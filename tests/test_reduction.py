@@ -11,6 +11,7 @@ from bgmu.errors import GuardExceeded, InternalCheckFailed, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     Problem,
+    Solution,
     _fixed_direction_space,
     adjoint_project,
     factor_witness,
@@ -239,6 +240,34 @@ def test_bruhat_transfer_through_z():
                     assert bruhat_leq(gu, gw)
 
 
+def test_parabolic_lift_newton_vector_is_the_dominant_rearrangement():
+    # the lift derives the parent Newton vector by sorting the
+    # sub-problem's; check that against the Newton map on sub-witnesses
+    # whose vector is not already dominant, with z not the identity
+    d4 = GroupDatum.gl(4)
+    unsorted = 0
+    for k, flip in ((2, False), (1, True)):
+        fr = Frobenius(omega_element(d4, (k,)), Sigma0(d4, (0,), (flip,)))
+        sub, step = parabolic_reduce(Problem((1, 0, 0, 0), fr))
+        assert not step.z.is_identity() and sub.datum.num_blocks > 1
+        zeros = (Fraction(0),) * 4
+        perms = [
+            Permutation(tuple(itertools.chain.from_iterable(parts)))
+            for parts in itertools.product(*(
+                itertools.permutations(range(lo, hi + 1))
+                for lo, hi in sub.datum.block_ranges()
+            ))
+        ]
+        for lam in itertools.product(range(2), repeat=4):
+            for u in perms:
+                w = AffineElement(sub.datum, lam, u)
+                nu = newton_point(w, sub.frob.with_shift(zeros)).nu_bar.nu
+                lifted = step.lift(Solution(nu, w, Permutation.identity(4)))
+                assert lifted.nu_raw == newton_point(lifted.w, fr.with_shift(zeros)).nu_bar.nu
+                unsorted += list(nu) != sorted(nu, reverse=True)
+    assert unsorted
+
+
 # --- the solver --------------------------------------------------------------------------
 
 def test_solve_quasi_split():
@@ -416,6 +445,54 @@ def test_product_split_three_block_rotation():
         r = solve(mu, fr, strategy="constructive")
         assert r.checks["admissible"] and r.checks["matches_maximal_newton"]
         assert r.nu_raw == maximal_newton_state(mu, fr).nu_raw
+
+
+@pytest.mark.parametrize("strategy", ["constructive", "auto"])
+def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
+    # gl:2*2*2 with blocks 1, 2 swapped runs a product split down to a
+    # superbasic GL_2 and a parabolic descent on block 3; the lifts derive
+    # their Newton vectors, and only solve compares with the maximal point
+    import bgmu.acceptable as acceptable
+    import bgmu.reduction as reduction
+
+    calls = {"maximal_newton_state": 0, "newton_point in a lift": 0, "adm_member": 0}
+    lifting = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def traced_lift(real):
+        def lift(self, sub):
+            lifting.append(self.kind)
+            try:
+                return real(self, sub)
+            finally:
+                lifting.pop()
+        return lift
+
+    def counted_newton_point(*args, **kwargs):
+        if lifting:
+            calls["newton_point in a lift"] += 1
+        return newton_point(*args, **kwargs)
+
+    state = counted("maximal_newton_state", acceptable.maximal_newton_state)
+    monkeypatch.setattr(acceptable, "maximal_newton_state", state)
+    monkeypatch.setattr(reduction, "maximal_newton_state", state)
+    monkeypatch.setattr(reduction, "adm_member", counted("adm_member", reduction.adm_member))
+    monkeypatch.setattr(reduction, "newton_point", counted_newton_point)
+    for cls in (reduction.ParabolicStep, reduction.ProductSplitStep):
+        monkeypatch.setattr(cls, "lift", traced_lift(cls.lift))
+
+    d = GroupDatum((2, 2, 2))
+    fr = Frobenius(omega_element(d, (0, 1, 0)), Sigma0(d, (1, 0, 2), (False,) * 3))
+    r = solve((1, 0, 1, 0, 1, 0), fr, strategy=strategy)
+    kinds = [s.kind for s in r.trace]
+    assert {"parabolic", "product-split", "base-superbasic"} <= set(kinds)
+    assert ("matches_bruteforce" in r.checks) == (strategy == "auto")
+    assert calls == {"maximal_newton_state": 1, "newton_point in a lift": 0, "adm_member": 0}
 
 
 def _cycle_vector_sum(lin, cycle) -> int:

@@ -2,11 +2,13 @@
 construction."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from bgmu.acceptable import maximal_newton
 from bgmu.errors import InternalCheckFailed, ParseError
 from bgmu.newton import Frobenius, dominant_rep, newton_point
 from bgmu.superbasic import (
@@ -342,6 +344,32 @@ def test_witness_newton_point_from_cycle_element():
     nd = newton_point(wc, Frobenius.trivial(datum))
     bar, _ = dominant_rep(datum, nd.nu)
     assert bar == cert.slopes
+
+
+def _three_coweights(n):
+    """Three fixed dominant coweights of length n: minuscule, a
+    staircase in {0, 1, 2}, and a seeded draw from {0, ..., 4}."""
+    rng = random.Random(n)
+    return (
+        (1,) + (0,) * (n - 1),
+        tuple(sorted(((i + 1) % 3 for i in range(n)), reverse=True)),
+        tuple(sorted((rng.randrange(5) for _ in range(n)), reverse=True)),
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_witness_point_is_maximal(n):
+    # superbasic_witness checks only that w realizes the hull slopes;
+    # that those slopes, shifted by m/n, are the maximal point is checked
+    # here for the base case (and by solve for every problem)
+    for m in range(1, n):
+        if gcd(m, n) != 1:
+            continue
+        frob = Frobenius.superbasic(m, n)
+        for mu in _three_coweights(n):
+            sw = superbasic_witness(mu, m, n)
+            normalized = tuple(a - Fraction(m, n) for a in sw.nu.nu)
+            assert normalized == maximal_newton(mu, frob).nu, (mu, m, n)
 
 
 @pytest.mark.parametrize("m,n", coprime_pairs(5))
