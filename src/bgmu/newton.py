@@ -130,12 +130,8 @@ class Sigma0:
     def map(self) -> SignedMap:
         return _sigma0_map(self)
 
-    @property
-    def order(self) -> int:
-        return self.map().order()
-
-    def apply_vector(self, vec: Sequence) -> tuple:
-        return self.map().apply(vec)
+    def apply_vector(self, vec: Sequence, power: int = 1) -> tuple:
+        return _map_power(self.map(), power).apply(vec)
 
     def is_invariant(self, vec: Sequence) -> bool:
         return self.apply_vector(vec) == tuple(vec)
@@ -327,24 +323,6 @@ class Frobenius:
         twist (the instance is frozen, so the value cannot go stale)."""
         u = SignedMap(self.tau.perm.images, (1,) * self.datum.n)
         return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
-
-    def apply(self, w: AffineElement, power: int = 1) -> AffineElement:
-        """The automorphism sigma^power applied to w."""
-        if power < 0:
-            out = w
-            for _ in range(-power):
-                out = self.sigma0.apply_element(
-                    self.tau.inverse() * out * self.tau, power=-1
-                )
-            return out
-        out = w
-        for _ in range(power):
-            out = self.tau * self.sigma0.apply_element(out) * self.tau.inverse()
-        return out
-
-    def twist_conjugate(self, w: AffineElement, g: AffineElement) -> AffineElement:
-        """g w sigma(g)^{-1}, the twisted conjugation on the group."""
-        return g * w * self.apply(g).inverse()
 
     def with_shift(self, shift: Sequence) -> "Frobenius":
         return Frobenius(self.tau, self.sigma0, tuple(Fraction(x) for x in shift))

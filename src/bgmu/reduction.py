@@ -10,6 +10,11 @@ its fixed directions are read off its cycles, one per cycle of sign
 product +1, with no linear algebra. Every step records enough data to
 lift a witness back.
 
+A sub-problem lives on some of the parent's positions, renumbered in
+their order. ``_restrict`` (parent to sub-problem) and ``_embed`` with
+``_embed_perm`` for x (sub-problems back to the parent, identity
+elsewhere) are the one place where these coordinates are mapped.
+
 The lifts check nothing: each derives its Newton vector from the
 sub-solution's (a dominant rearrangement, or a spread over the orbit)
 instead of recomputing it from the witness. Each fact about the answer
@@ -67,6 +72,8 @@ from .weyl import (
     IntVec,
     Permutation,
     RatVec,
+    _descends,
+    _length_zero_element,
     bruhat_leq,
     left_descent,
 )
@@ -132,8 +139,7 @@ class AdjointStep:
     kappas: tuple[int, ...]
 
     def lift(self, sub: Solution) -> Solution:
-        datum = self.original.datum
-        w = AffineElement(datum, sub.w.trans, sub.w.perm)
+        w = sub.w.with_datum(self.original.datum)
         return Solution(sub.nu_raw, w, sub.x, (self,) + sub.trace, sub.certificate)
 
 
@@ -144,7 +150,7 @@ def adjoint_project(problem: Problem) -> tuple[Problem, AdjointStep]:
     step = AdjointStep("adjoint", problem.frob,
                        datum.block_sums(problem.mu))
     new_datum = datum.with_adjoint(True)
-    tau = AffineElement(new_datum, problem.frob.tau.trans, problem.frob.tau.perm)
+    tau = problem.frob.tau.with_datum(new_datum)
     sigma0 = Sigma0(new_datum, problem.frob.sigma0.block_to, problem.frob.sigma0.flip)
     frob = Frobenius(tau, sigma0, problem.frob.shift)
     return Problem(problem.mu, frob), step
@@ -169,8 +175,6 @@ def omega_conjugate(problem: Problem, tau0: AffineElement) -> tuple[Problem, Ome
         raise ValueError("conjugator must have length zero")
     frob = problem.frob
     new_tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
-    if new_tau.length() != 0:
-        raise InternalCheckFailed("conjugated twist is not length zero")
     return (
         Problem(problem.mu, Frobenius(new_tau, frob.sigma0, frob.shift)),
         OmegaStep("omega-conjugate", tau0),
@@ -183,23 +187,13 @@ def _conjugator_into_last(problem: Problem, orbit: Sequence[int]) -> AffineEleme
     frob = problem.frob
     datum = problem.datum
     kappas = datum.block_sums(frob.tau.trans)
-    # per-block factors of tau (tau is a product of per-block length-zero
-    # elements since its permutation preserves blocks)
-    factors = {}
-    for b in range(datum.num_blocks):
-        kap = [0] * datum.num_blocks
-        kap[b] = kappas[b]
-        lo, hi = datum.block_ranges()[b]
-        trans = [0] * datum.n
-        images = list(range(1, datum.n + 1))
-        for p in range(lo, hi + 1):
-            trans[p - 1] = frob.tau.trans[p - 1]
-            images[p - 1] = frob.tau.perm(p)
-        factors[b] = AffineElement(datum, trans, Permutation(images))
+    # tau has length zero, so its factor on block b is the unique
+    # length-zero element of that block with coordinate sum kappa_b(tau)
     g = {orbit[-1]: AffineElement.identity(datum)}
     prev = orbit[-1]
     for b in orbit[:-1]:
-        g[b] = frob.sigma0.apply_element(g[prev]) * factors[b].inverse()
+        factor = _length_zero_element(datum, b, kappas[b])
+        g[b] = frob.sigma0.apply_element(g[prev]) * factor.inverse()
         prev = b
     tau0 = AffineElement.identity(datum)
     for b in orbit:
@@ -230,62 +224,63 @@ class ProductSplitStep:
             AffineElement.translation(self.sub_datum, sub.x.act(self.parts[i]))
             for i in order
         ])))
+        # sigma0^{i-m} (1-based i) carries the last block to the i-th
+        # block of the orbit, so these copies have disjoint supports and
+        # the product of the moved copies of x is their overlay
+        powers = [-(m - 1 - i) for i in range(m)]
         y = AffineElement.identity(datum)
-        x_images = list(range(1, datum.n + 1))
-        for i in range(m):
-            power = -(m - 1 - i)  # sigma0^{i-m} with 1-based i
-            emb = _embed_element(datum, pieces[i], self.embed)
+        x = Permutation.identity(datum.n)
+        x_emb = _embed_perm(datum.n, [(sub.x, self.embed)])
+        for i, power in enumerate(powers):
+            emb = _embed(datum, [(pieces[i], self.embed)])
             y = y * sigma0.apply_element(emb, power=power)
-            x_emb = _embed_perm(datum, sub.x, self.embed)
-            x_block = sigma0.apply_perm(x_emb, power=power)
-            for p in range(1, datum.n + 1):
-                if x_block(p) != p:
-                    x_images[p - 1] = x_block(p)
-        x = Permutation(x_images)
+            x = x * sigma0.apply_perm(x_emb, power=power)
         # the parent Newton vector spreads the factor vector over the
         # orbit, scaled by 1/m: each pass through the orbit is one
         # application of the factor twist. Where y does not realize it
         # (an orbit of odd flip parity), _verify_solution raises.
         spread = [Fraction(0)] * datum.n
-        sub_bar = tuple(Fraction(v, 1) / m for v in sub.nu_raw)
-        for i, b in enumerate(self.orbit):
-            power = -(m - 1 - i)
-            vec = [Fraction(0)] * datum.n
-            for local, p in enumerate(self.embed):
-                vec[p - 1] = sub_bar[local]
-            moved = _map_vec(sigma0, vec, power)
-            lo, hi = datum.block_ranges()[b]
-            block_vals = sorted(moved[lo - 1 : hi], reverse=True)
-            spread[lo - 1 : hi] = block_vals
+        vec = [Fraction(0)] * datum.n
+        for p, v in zip(self.embed, sub.nu_raw):
+            vec[p - 1] = Fraction(v) / m
+        for b, power in zip(self.orbit, powers):
+            s = datum.block_slices()[b]
+            spread[s] = sorted(sigma0.apply_vector(vec, power)[s], reverse=True)
         return Solution(tuple(spread), y, x, (self,) + sub.trace, sub.certificate)
 
 
-def _restrict(vec: Sequence, positions: Sequence[int]) -> tuple:
-    return tuple(vec[p - 1] for p in positions)
+def _restrict(w: AffineElement, positions: Sequence[int], sub_datum: GroupDatum) -> AffineElement:
+    """The element w on positions it maps to themselves, renumbered
+    1..len(positions) in their order, as an element of sub_datum."""
+    local = {p: i for i, p in enumerate(positions, start=1)}
+    return AffineElement(
+        sub_datum,
+        (w.trans[p - 1] for p in positions),
+        Permutation(local[w.perm(p)] for p in positions),
+    )
 
 
-def _embed_element(datum: GroupDatum, w: AffineElement, positions: Sequence[int]) -> AffineElement:
-    trans = [0] * datum.n
-    images = list(range(1, datum.n + 1))
-    for local, p in enumerate(positions):
-        trans[p - 1] = w.trans[local]
-        images[p - 1] = positions[w.perm(local + 1) - 1]
-    return AffineElement(datum, trans, Permutation(images))
-
-
-def _embed_perm(datum: GroupDatum, x: Permutation, positions: Sequence[int]) -> Permutation:
-    images = list(range(1, datum.n + 1))
-    for local, p in enumerate(positions):
-        images[p - 1] = positions[x(local + 1) - 1]
+def _embed_perm(n: int, pieces: Sequence[tuple[Permutation, Sequence[int]]]) -> Permutation:
+    """Each permutation x of a (x, positions) pair acting on its
+    positions, which are disjoint; the identity elsewhere."""
+    images = list(range(1, n + 1))
+    for x, positions in pieces:
+        for p, j in zip(positions, x.images):
+            images[p - 1] = positions[j - 1]
     return Permutation(images)
 
 
-def _map_vec(sigma0: Sigma0, vec: Sequence, power: int) -> tuple:
-    out = tuple(vec)
-    m = sigma0.map() if power >= 0 else sigma0.map().inverse()
-    for _ in range(abs(power)):
-        out = m.apply(out)
-    return out
+def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int]]]) -> AffineElement:
+    """Each element w of a (w, positions) pair placed on its positions,
+    which are disjoint; the identity elsewhere. The inverse of
+    ``_restrict`` on every piece."""
+    trans = [0] * datum.n
+    for w, positions in pieces:
+        for p, t in zip(positions, w.trans):
+            trans[p - 1] = t
+    return AffineElement(
+        datum, trans, _embed_perm(datum.n, [(w.perm, positions) for w, positions in pieces])
+    )
 
 
 def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
@@ -298,47 +293,30 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
         raise ValueError("sigma0 must act transitively on blocks; split orbits first")
     orbit = orbits[0]
     m = len(orbit)
-    for b in orbit[:-1]:
-        if datum.block_sums(frob.tau.trans)[b] != 0 or any(
-            frob.tau.perm(p) != p for p in range(*_range1(datum, b))
-        ):
-            raise ValueError("tau must be supported on the last orbit block; conjugate first")
     last = orbit[-1]
     lo, hi = datum.block_ranges()[last]
     embed = tuple(range(lo, hi + 1))
     nb = datum.blocks[last]
     sub_datum = GroupDatum((nb,), (datum.adjoint[last],))
+    sub_tau = _restrict(frob.tau, embed, sub_datum)
+    if _embed(datum, [(sub_tau, embed)]) != frob.tau:
+        raise ValueError("tau must be supported on the last orbit block; conjugate first")
     # parts sigma0^{m-i}(mu_i) land in the last block
     parts = []
     gamma = [0] * nb
     for i, b in enumerate(orbit):
-        power = m - 1 - i
+        s = datum.block_slices()[b]
         vec = [0] * datum.n
-        blo, bhi = datum.block_ranges()[b]
-        for p in range(blo, bhi + 1):
-            vec[p - 1] = problem.mu[p - 1]
-        moved = _map_vec(frob.sigma0, vec, power)
-        part = _restrict(moved, embed)
+        vec[s] = problem.mu[s]
+        part = frob.sigma0.apply_vector(vec, m - 1 - i)[lo - 1 : hi]
         parts.append(part)
         gamma = [a + c for a, c in zip(gamma, part)]
     # residual diagram automorphism on the last block: flip parity
     flips = sum(frob.sigma0.flip[b] for b in orbit) % 2 == 1
     sub_sigma0 = Sigma0(sub_datum, (0,), (flips,))
-    sub_tau = AffineElement(
-        sub_datum,
-        _restrict(frob.tau.trans, embed),
-        Permutation(tuple(frob.tau.perm(p) - lo + 1 for p in embed)),
-    )
     sub_frob = Frobenius(sub_tau, sub_sigma0)
-    step = ProductSplitStep(
-        "product-split", orbit, frob, tuple(tuple(p) for p in parts), sub_datum, embed
-    )
+    step = ProductSplitStep("product-split", orbit, frob, tuple(parts), sub_datum, embed)
     return Problem(tuple(gamma), sub_frob), step
-
-
-def _range1(datum: GroupDatum, b: int) -> tuple[int, int]:
-    lo, hi = datum.block_ranges()[b]
-    return lo, hi + 1
 
 
 def factor_witness(
@@ -361,12 +339,12 @@ def factor_witness(
         down its left descents to length zero, lifting u by each
         descent it shares; the lifted letters rebuild u1."""
         prefix = AffineElement.identity(v.datum)
+        ranges = v.datum.block_ranges()
         while (step := left_descent(v)) is not None:
-            _, s = step
+            (b, node), s = step
             v = s * v
-            su = s * u
-            if su.length() < u.length():
-                u, prefix = su, prefix * s
+            if _descends(u, u.perm.inverse().images, *ranges[b], node):
+                u, prefix = s * u, prefix * s
         return prefix * v, v.inverse() * u
 
     pieces: list[AffineElement] = []
@@ -509,15 +487,8 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
     )
     if len(J) == len(simple_nodes(datum)):
         return None
-    # sigma0 stability of J
-    for nd in J:
-        if frob.sigma0.node_image(nd) not in J:
-            raise InternalCheckFailed("stabilizer support is not sigma0-stable")
     z_elt = AffineElement.from_permutation(datum, z)
     new_tau = z_elt * frob.tau * frob.sigma0.apply_element(z_elt).inverse()
-    zlam = z.act(frob.lam)
-    if new_tau.trans != zlam:
-        raise InternalCheckFailed("conjugated twist translation is not z(lambda)")
     # sub datum: J-intervals of [1..n]
     n = datum.n
     cut = sorted(i for (_, i) in (frozenset(simple_nodes(datum)) - J))
@@ -527,7 +498,7 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
         sizes.append(c - prev)
         prev = c
     sub_datum = GroupDatum(tuple(sizes))
-    tau_J = AffineElement(sub_datum, new_tau.trans, new_tau.perm)
+    tau_J = new_tau.with_datum(sub_datum)
     if tau_J.length() != 0:
         raise InternalCheckFailed("residual twist is not length zero in the stabilizer")
     # induced diagram automorphism on the interval blocks
@@ -590,22 +561,17 @@ class OrbitSplitStep:
 
     def lift(self, subs: Sequence[Solution]) -> Solution:
         datum = self.parent_frob.datum
-        trans = [0] * datum.n
-        images = list(range(1, datum.n + 1))
-        x_images = list(range(1, datum.n + 1))
+        w = _embed(datum, [(sub.w, pos) for pos, sub in zip(self.positions, subs)])
+        x = _embed_perm(datum.n, [(sub.x, pos) for pos, sub in zip(self.positions, subs)])
         nu = [Fraction(0)] * datum.n
         trace: tuple = (self,)
         cert = None
         for positions, sub in zip(self.positions, subs):
-            for local, p in enumerate(positions):
-                trans[p - 1] = sub.w.trans[local]
-                images[p - 1] = positions[sub.w.perm(local + 1) - 1]
-                x_images[p - 1] = positions[sub.x(local + 1) - 1]
-                nu[p - 1] = sub.nu_raw[local]
+            for p, v in zip(positions, sub.nu_raw):
+                nu[p - 1] = v
             trace = trace + sub.trace
             cert = cert or sub.certificate
-        w = AffineElement(datum, trans, Permutation(images))
-        return Solution(tuple(nu), w, Permutation(x_images), trace, cert)
+        return Solution(tuple(nu), w, x, trace, cert)
 
 
 @dataclass(frozen=True)
@@ -693,21 +659,11 @@ def _solve_orbits(problem: Problem) -> Solution:
             tuple(renum[frob.sigma0.block_to[b]] for b in sorted(orbit)),
             tuple(frob.sigma0.flip[b] for b in sorted(orbit)),
         )
-        sub_tau = AffineElement(
-            sub_datum,
-            _restrict(frob.tau.trans, pos),
-            _restrict_perm(frob.tau.perm, pos),
-        )
-        sub_frob = Frobenius(sub_tau, sub_sigma0)
-        sub_mu = _restrict(problem.mu, pos)
+        sub_frob = Frobenius(_restrict(frob.tau, pos, sub_datum), sub_sigma0)
+        sub_mu = tuple(problem.mu[p - 1] for p in pos)
         subs.append(_solve_orbits(Problem(sub_mu, sub_frob)))
     step = OrbitSplitStep("orbit-split", frob, orbits, tuple(positions))
     return step.lift(subs)
-
-
-def _restrict_perm(perm: Permutation, positions: Sequence[int]) -> Permutation:
-    index = {p: i + 1 for i, p in enumerate(positions)}
-    return Permutation(tuple(index[perm(p)] for p in positions))
 
 
 def step_json(step) -> dict:

@@ -513,9 +513,3 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
         )
     point = NewtonPoint(w.datum, cert.slopes, kappa(w))
     return SuperbasicWitness(point, w, cert.epsilon, cert)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -606,10 +606,3 @@ def parse_element(text: str, datum: GroupDatum) -> AffineElement:
         return AffineElement(datum, coords, perm)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -97,6 +97,28 @@ def test_adm_listing_bytes(capsys, group, mu, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# twisted problems through the orbit split, the omega-conjugation and the
+# 2- and 3-block product splits, flips included; the digests pin stdout
+@pytest.mark.parametrize("group, mu, sigma, digest", [
+    ("gl:2*2", "1,0,1,0", "tau=t[1,0,0,0]*cyc(1,2);sigma0=2,1",
+     "486915bf4ef1b936200e97d28d66c27389aa33a5dfed4f32b8e7b059b22f6e99"),
+    ("gl:3*3*3", "2,1,0,1,0,0,2,2,0",
+     "tau=t[1,0,0,0,0,0,1,1,0]*cyc(1,2,3)*cyc(7,9,8);sigma0=2,3,1",
+     "e8fcdf2636f1e0b9d0fa17bcefda2405cd9ad00edd231dce87dec634f66ab8a8"),
+    ("pgl:2*2", "2,0,1,0", "sigma0=-2,-1",
+     "3c32fa28522fade5b988aee024372dadd22f6e383dca448ad74b0302677af0ae"),
+    ("gl:2*1*2", "1,0,3,1,0", "tau=t[0,0,1,1,0]*cyc(4,5);sigma0=3,2,1",
+     "eef3c240f3166b34cd0bcc1b62011fc732a75acee61c303bebdbcd09a047dacb"),
+    ("pgl:3*3", "2,1,0,1,1,0", "tau=t[0,0,0,1,1,0]*cyc(4,6,5);sigma0=-2,-1",
+     "2b432ea65a31c8a96ac6da54f524703b3c9a2ac0dac8f3e2f6a46dd81adc1f78"),
+], ids=["gl2x2-swap", "gl3x3x3-rotation", "pgl2x2-flips", "gl2x1x2-orbits",
+        "pgl3x3-flips"])
+def test_max_twisted_bytes(capsys, group, mu, sigma, digest):
+    code, out, _ = run(capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_adm_listing(capsys):
     code, out, _ = run(capsys, "adm", "--group", "gl:2", "--mu", "1,0")
     doc = json.loads(out)

@@ -195,7 +195,9 @@ def test_twisted_conjugation_invariance():
     w = parse_element("t[1,1,0]*cyc(1,3)", d3)
     bar0, _ = dominant_rep(d3, newton_point(w, fr).nu)
     for g in ball[:25]:
-        w2 = fr.twist_conjugate(w, g)
+        # twisted conjugation g w sigma(g)^{-1}, sigma(g) = tau sigma0(g) tau^{-1}
+        sigma_g = fr.tau * fr.sigma0.apply_element(g) * fr.tau.inverse()
+        w2 = g * w * sigma_g.inverse()
         bar, _ = dominant_rep(d3, newton_point(w2, fr).nu)
         assert bar == bar0
         assert kappa(w2) == kappa(w)
