@@ -32,9 +32,11 @@ from .newton import (
     NewtonPoint,
     Node,
     RatVec,
+    _vec_str,
     alpha_pairing,
     coroot_vector,
     diamond,
+    dominant_rep,
     heights,
     heights_leq,
     kappa,
@@ -144,8 +146,8 @@ def _defect_heights(v: RatVec, mu: Sequence[int], frob: Frobenius) -> dict[Node,
     _, both = _mu_lam_diamond(mu, frob)
     if datum.block_sums(v) != datum.block_sums(both):
         raise ValueError(
-            f"central coordinates {datum.block_sums(v)} do not match the"
-            f" coset profile {datum.block_sums(both)}"
+            f"central coordinates {_vec_str(datum.block_sums(v))} do not match"
+            f" the coset profile {_vec_str(datum.block_sums(both))}"
         )
     return heights(datum, tuple(a - c for a, c in zip(both, v)))
 
@@ -169,7 +171,7 @@ def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineEle
     defect = _defect_heights(v, mu, frob)
     I = support_nodes(datum, v)
     if not _integral_on(frob, I, defect):
-        raise CriterionFailed(f"{v} fails the integrality criterion")
+        raise CriterionFailed(f"{_vec_str(v)} fails the integrality criterion")
     beta = [a + b for a, b in zip(mu, frob.lam)]
     for orbit in frob.sigma0.node_orbits():
         if orbit[0] not in I:
@@ -194,7 +196,7 @@ def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineEle
     got_bar = tuple(a + b for a, b in zip(got.nu_bar.nu, frob.shift))
     if got_bar != v:  # v is dominant, so it is its own representative
         raise InternalCheckFailed(
-            f"witness Newton vector {got.nu} does not match target {v}"
+            f"witness Newton vector {_vec_str(got.nu)} does not match target {_vec_str(v)}"
         )
     if kappa(w) != kappa(AffineElement.translation(datum, mu)):
         raise InternalCheckFailed("witness leaves the translation coset")
@@ -239,7 +241,7 @@ def polygon(eta: Sequence) -> PolygonData:
         vertices.append((x, y))
         rest = rest[best_k:]
     if slopes != sorted(slopes, reverse=True):
-        raise InternalCheckFailed(f"hull slopes of {tuple(eta)} are not decreasing")
+        raise InternalCheckFailed(f"hull slopes of {_vec_str(eta)} are not decreasing")
     return PolygonData(tuple(vertices), tuple(slopes))
 
 
@@ -334,16 +336,14 @@ class AcceptableSet:
         }
 
 
-def enumerate_acceptable(
-    mu: Sequence[int], frob: Frobenius, guard: Optional[int] = None
-) -> AcceptableSet:
+def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     """Every acceptable point, built support by support: on a stable
     support I, the orbit pairings range over a coset of Z intersected
     with [0, <omega_c, mu_diamond>]; each choice determines one
     candidate vector, kept when it is dominant with support exactly I
     and below mu_diamond."""
     datum = frob.datum
-    limit = guard_limit(DEFAULT_ENUM_GUARD if guard is None else guard)
+    limit = guard_limit(DEFAULT_ENUM_GUARD)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
     mu_dia, both = _mu_lam_diamond(mu, frob)
@@ -413,7 +413,8 @@ def enumerate_acceptable(
     state_nu = maximal_newton_state(mu, frob).nu_raw
     if raw and raw[result.maximum] != state_nu:
         raise InternalCheckFailed(
-            f"enumerated maximum {raw[result.maximum]} differs from solver {state_nu}"
+            f"enumerated maximum {_vec_str(raw[result.maximum])} differs from"
+            f" solver {_vec_str(state_nu)}"
         )
     return result
 
@@ -523,18 +524,6 @@ def _orbit_points(datum: GroupDatum, mu: Sequence[int]) -> list[tuple[int, ...]]
     ]
 
 
-def _stable_perm_to(datum: GroupDatum, mu: Sequence[int], target: Sequence[int]) -> Permutation:
-    """Minimal-length x with x(mu) = target (stable matching per value)."""
-    images = [0] * datum.n
-    for lo, hi in datum.block_ranges():
-        slots: dict[int, list[int]] = {}
-        for p in range(lo, hi + 1):
-            slots.setdefault(target[p - 1], []).append(p)
-        for p in range(lo, hi + 1):
-            images[p - 1] = slots[mu[p - 1]].pop(0)
-    return Permutation(images)
-
-
 def adm_member(
     w: AffineElement, mu: Sequence[int]
 ) -> tuple[bool, Optional[Permutation]]:
@@ -550,26 +539,24 @@ def adm_member(
         return False, None
     for point in _orbit_points(datum, mu):
         if bruhat_leq(w, AffineElement.translation(datum, point)):
-            return True, _stable_perm_to(datum, mu, point)
+            # x(mu) = point, matching equal entries in order
+            return True, dominant_rep(datum, point)[1].inverse() * dominant_rep(datum, mu)[1]
     return False, None
 
 
 def _adm_raw(
-    mu: Sequence[int],
-    datum: GroupDatum,
-    guard_n: Optional[int] = None,
-    guard_spread: int = DEFAULT_ADM_GUARD_SPREAD,
+    mu: Sequence[int], datum: GroupDatum, guard_n: int
 ) -> list[tuple[int, IntVec, IntVec]]:
     """The elements of ``adm_enumerate`` as (length, trans, images),
     sorted, before they are validated as elements."""
-    limit = guard_limit(DEFAULT_ADM_GUARD_N if guard_n is None else guard_n)
+    limit = guard_limit(guard_n)
     if datum.n > limit:
         raise GuardExceeded(f"admissible-set guard: n={datum.n} > {limit}")
     for lo, hi in datum.block_ranges():
         part = mu[lo - 1 : hi]
-        if part and max(part) - min(part) > guard_spread:
+        if part and max(part) - min(part) > DEFAULT_ADM_GUARD_SPREAD:
             raise GuardExceeded(
-                f"admissible-set guard: entry spread exceeds {guard_spread}"
+                f"admissible-set guard: entry spread exceeds {DEFAULT_ADM_GUARD_SPREAD}"
             )
     per_block = [
         [(ln, t, tuple(j + lo - 1 for j in im)) for ln, t, im in _block_adm(mu[lo - 1 : hi])]
@@ -582,10 +569,7 @@ def _adm_raw(
 
 
 def adm_enumerate(
-    mu: Sequence[int],
-    datum: Optional[GroupDatum] = None,
-    guard_n: Optional[int] = None,
-    guard_spread: int = DEFAULT_ADM_GUARD_SPREAD,
+    mu: Sequence[int], datum: Optional[GroupDatum] = None
 ) -> tuple[AffineElement, ...]:
     """Adm(mu), the union of the lower Bruhat intervals of all
     t^{x(mu)}, built vertexwise. By Adm(mu) = Perm(mu) (Kottwitz-Rapoport,
@@ -605,5 +589,5 @@ def adm_enumerate(
     is the independent reference the tests compare against."""
     if datum is None:
         datum = GroupDatum((len(mu),))
-    raw = _adm_raw(mu, datum, guard_n, guard_spread)
+    raw = _adm_raw(mu, datum, DEFAULT_ADM_GUARD_N)
     return tuple(AffineElement(datum, t, Permutation(im)) for _, t, im in raw)

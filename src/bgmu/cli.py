@@ -143,16 +143,19 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
     return frob
 
 
+def _parse_mu(text: str, n: int) -> tuple[int, ...]:
+    try:
+        mu = tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"bad mu {text!r}") from exc
+    if len(mu) != n:
+        raise ParseError(f"mu must have {n} entries")
+    return mu
+
+
 def _problem_from_args(args, need_mu: bool = True) -> ProblemSpec:
     datum = _parse_group(args.group)
-    mu = None
-    if need_mu:
-        try:
-            mu = tuple(int(x) for x in args.mu.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad mu {args.mu!r}") from exc
-        if len(mu) != datum.n:
-            raise ParseError(f"mu must have {datum.n} entries")
+    mu = _parse_mu(args.mu, datum.n) if need_mu else None
     frob = _parse_sigma(args.sigma, datum, getattr(args, "normalize", False))
     return ProblemSpec(datum, mu, frob)
 
@@ -215,12 +218,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_adm(args) -> int:
     datum = _parse_group(args.group)
-    try:
-        mu = tuple(int(x) for x in args.mu.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad mu {args.mu!r}") from exc
-    if len(mu) != datum.n:
-        raise ParseError(f"mu must have {datum.n} entries")
+    mu = _parse_mu(args.mu, datum.n)
     if args.w is not None:
         w = parse_element(args.w, datum)
         ok, x = adm_member(w, mu)
@@ -245,13 +243,8 @@ def cmd_adm(args) -> int:
 
 
 def cmd_polygon(args) -> int:
-    try:
-        mu = tuple(int(x) for x in args.mu.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad mu {args.mu!r}") from exc
     n = args.n
-    if len(mu) != n:
-        raise ParseError(f"mu must have {n} entries")
+    mu = _parse_mu(args.mu, n)
     theta = tuple(a + b for a, b in zip(mu, chi_vec(args.m, n)))
     hull = make_polygon(theta)
     out = ["k\tpartial_sum\thull"]

@@ -11,7 +11,9 @@ the Newton point is its block-dominant representative. Cycle by cycle:
 a cycle whose sign product is -1 adds nothing to lam (each lap flips
 the sign of the last), and on a cycle of length L with sign product +1
 coordinate q receives (k / L) sum_c sign(c -> q) b_c, the signs met on
-the way from c to q.
+the way from c to q. The sigma0-average mu_diamond is the Newton
+vector of t^mu under sigma0 alone, so it is read off the same cycles,
+as are the sigma0-orbits of blocks and of simple roots.
 
 Everything is exact: translations stay integral until the single final
 division, so Newton points are tuples of fractions.
@@ -26,66 +28,10 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, KappaMismatch, ParseError
-from .weyl import AffineElement, GroupDatum, Permutation
+from .weyl import AffineElement, GroupDatum, Permutation, SignedMap
 
 RatVec = tuple[Fraction, ...]
 Node = tuple[int, int]  # (block, i) finite simple root, 1 <= i <= n_b - 1
-
-
-class SignedMap(NamedTuple):
-    """Signed coordinate permutation: position p carries vec[p-1] to
-    position pos[p-1] with sign sign[p-1]."""
-
-    pos: tuple[int, ...]
-    sign: tuple[int, ...]
-
-    @staticmethod
-    def identity(n: int) -> "SignedMap":
-        return SignedMap(tuple(range(1, n + 1)), (1,) * n)
-
-    def after(self, inner: "SignedMap") -> "SignedMap":
-        """self o inner."""
-        pos = tuple(self.pos[p - 1] for p in inner.pos)
-        sign = tuple(s * self.sign[p - 1] for p, s in zip(inner.pos, inner.sign))
-        return SignedMap(pos, sign)
-
-    def apply(self, vec: Sequence) -> tuple:
-        out = [0] * len(self.pos)
-        for i, (p, s) in enumerate(zip(self.pos, self.sign)):
-            out[p - 1] = s * vec[i]
-        return tuple(out)
-
-    def inverse(self) -> "SignedMap":
-        pos = [0] * len(self.pos)
-        sign = [1] * len(self.pos)
-        for i, (p, s) in enumerate(zip(self.pos, self.sign)):
-            pos[p - 1] = i + 1
-            sign[p - 1] = s
-        return SignedMap(tuple(pos), tuple(sign))
-
-    def cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The cycles of the position permutation, each as its 0-based
-        coordinates in visiting order (from its least one) and the
-        product of the signs met along it."""
-        seen = [False] * len(self.pos)
-        out = []
-        for start in range(len(self.pos)):
-            if seen[start]:
-                continue
-            cycle, sign, cur = [], 1, start
-            while not seen[cur]:
-                seen[cur] = True
-                cycle.append(cur)
-                sign *= self.sign[cur]
-                cur = self.pos[cur] - 1
-            out.append((tuple(cycle), sign))
-        return tuple(out)
-
-    def order(self) -> int:
-        return _cycles_order(self.cycles())
-
-    def position_perm(self) -> Permutation:
-        return Permutation(self.pos)
 
 
 def _cycles_order(cycles) -> int:
@@ -149,39 +95,21 @@ class Sigma0:
     def block_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the block permutation, each listed in cyclic order
         starting from its smallest block index."""
-        seen, orbits = set(), []
-        for b in range(self.datum.num_blocks):
-            if b in seen:
-                continue
-            orb, cur = [b], self.block_to[b]
-            seen.add(b)
-            while cur != b:
-                orb.append(cur)
-                seen.add(cur)
-                cur = self.block_to[cur]
-            orbits.append(tuple(orb))
-        return tuple(orbits)
-
-    def node_image(self, node: Node) -> Node:
-        b, i = node
-        nb = self.datum.blocks[b]
-        return (self.block_to[b], nb - i if self.flip[b] else i)
+        to = SignedMap(tuple(b + 1 for b in self.block_to), (1,) * len(self.block_to))
+        return tuple(c for c, _ in to.cycles())
 
     def node_orbits(self) -> tuple[tuple[Node, ...], ...]:
-        """Orbits on the finite simple roots, sorted by least node."""
+        """Orbits on the finite simple roots, sorted by least node:
+        (b, i) goes to (block_to[b], n_b - i) on a flip, else to
+        (block_to[b], i)."""
         nodes = simple_nodes(self.datum)
-        seen, orbits = set(), []
-        for node in nodes:
-            if node in seen:
-                continue
-            orb, cur = [node], self.node_image(node)
-            seen.add(node)
-            while cur != node:
-                orb.append(cur)
-                seen.add(cur)
-                cur = self.node_image(cur)
-            orbits.append(tuple(sorted(orb)))
-        return tuple(sorted(orbits))
+        index = {nd: k for k, nd in enumerate(nodes, start=1)}
+        sizes = self.datum.blocks
+        images = tuple(
+            index[self.block_to[b], sizes[b] - i if self.flip[b] else i] for b, i in nodes
+        )
+        to = SignedMap(images, (1,) * len(nodes))
+        return tuple(tuple(nodes[k] for k in sorted(c)) for c, _ in to.cycles())
 
 
 @lru_cache(maxsize=None)
@@ -364,6 +292,11 @@ def kappa(w: AffineElement) -> KappaValue:
     return KappaValue(w.datum, w.kappa_raw())
 
 
+def _vec_str(vec: Sequence) -> str:
+    """A vector for messages, each entry by ``str``: "(3/4, 0, -3/4)"."""
+    return "(" + ", ".join(map(str, vec)) + ")"
+
+
 @dataclass(frozen=True)
 class NewtonPoint:
     """Dominant rational vector with its Kottwitz coordinate."""
@@ -377,7 +310,7 @@ class NewtonPoint:
         if len(self.nu) != self.datum.n:
             raise DimensionMismatch("vector has wrong length")
         if not self.datum.is_dominant(self.nu):
-            raise ValueError(f"Newton point {self.nu} is not dominant per block")
+            raise ValueError(f"Newton point {_vec_str(self.nu)} is not dominant per block")
         if self.kappa.datum != self.datum:
             raise DimensionMismatch("kappa from a different datum")
 
@@ -396,7 +329,7 @@ class NewtonPoint:
         return tuple(str(x) for x in self.nu)
 
     def __repr__(self) -> str:
-        return "(" + ", ".join(self.strings()) + ")"
+        return _vec_str(self.nu)
 
 
 class NewtonData(NamedTuple):
@@ -495,20 +428,15 @@ def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:
     return tuple(rep), Permutation(images)
 
 
-def diamond(mu: Sequence, frob_or_sigma0) -> RatVec:
-    """sigma0-orbit average (1/N) sum sigma0^i(mu)."""
-    sigma0 = frob_or_sigma0.sigma0 if isinstance(frob_or_sigma0, Frobenius) else frob_or_sigma0
-    m = sigma0.map()
-    n = len(m.pos)
-    if len(mu) != n:
+def diamond(mu: Sequence, frob: Frobenius) -> RatVec:
+    """sigma0-orbit average (1/N) sum sigma0^i(mu): the Newton vector
+    of t^mu under sigma0 alone, read off the same cycles."""
+    datum = frob.datum
+    if len(mu) != datum.n:
         raise DimensionMismatch("vector has wrong length")
-    order = m.order()
-    total = [Fraction(0)] * n
-    cur = tuple(Fraction(x) for x in mu)
-    for _ in range(order):
-        total = [a + b for a, b in zip(total, cur)]
-        cur = m.apply(cur)
-    return tuple(x / order for x in total)
+    twist = AffineMap(frob.sigma0.map(), (0,) * datum.n)
+    k, lam, _ = _newton_kernel(mu, range(1, datum.n + 1), twist, datum.block_slices())
+    return tuple(Fraction(x, k) for x in lam)
 
 
 def dominance_leq(p1: NewtonPoint, p2: NewtonPoint) -> bool:

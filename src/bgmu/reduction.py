@@ -57,6 +57,7 @@ from .newton import (
     NewtonPoint,
     Sigma0,
     _newton_key,
+    _vec_str,
     diamond,
     dominant_rep,
     heights,
@@ -126,7 +127,7 @@ def _verify_solution(problem: Problem, sol: Solution) -> None:
     bar = newton_point(sol.w, problem.frob.with_shift((Fraction(0),) * datum.n)).nu_bar.nu
     if bar != sol.nu_raw:
         raise InternalCheckFailed(
-            f"witness Newton point {bar} differs from claimed {sol.nu_raw}"
+            f"witness Newton point {_vec_str(bar)} differs from claimed {_vec_str(sol.nu_raw)}"
         )
 
 
@@ -729,15 +730,16 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         target = maximal_newton_state(problem.mu, problem.frob).nu_raw
         if sol.nu_raw != target:
             raise InternalCheckFailed(
-                f"constructive Newton point {sol.nu_raw} differs from the"
-                f" maximal point {target}"
+                f"constructive Newton point {_vec_str(sol.nu_raw)} differs from the"
+                f" maximal point {_vec_str(target)}"
             )
         checks["matches_maximal_newton"] = True
         if strategy == "auto" and _brute_feasible(problem):
             brute, _ = _brute_force(problem)
             if brute != sol.nu_raw:
                 raise InternalCheckFailed(
-                    f"constructive {sol.nu_raw} and brute force {brute} disagree"
+                    f"constructive {_vec_str(sol.nu_raw)} and brute force"
+                    f" {_vec_str(brute)} disagree"
                 )
             checks["matches_bruteforce"] = True
     _verify_solution(problem, sol)
@@ -780,7 +782,7 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
     datum = problem.datum
     if datum.n > guard_limit(BRUTE_GUARD_N):
         raise GuardExceeded(f"brute force guard: n={datum.n}")
-    raw = _adm_raw(problem.mu, datum, guard_n=guard_limit(BRUTE_GUARD_N))
+    raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N)
     if len(raw) > BRUTE_GUARD_SIZE:
         raise GuardExceeded(f"admissible set too large: {len(raw)}")
     twist, slices = problem.frob.affine_map, datum.block_slices()
@@ -794,7 +796,8 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
     maxima = [p for p in attained if all(heights_leq(hs[q], hs[p]) for q in attained)]
     if len(maxima) != 1:
         raise InternalCheckFailed(
-            f"admissible Newton points have {len(maxima)} maxima: {sorted(attained)}"
+            f"admissible Newton points have {len(maxima)} maxima:"
+            f" {', '.join(map(_vec_str, sorted(attained)))}"
         )
     trans, images = attained[maxima[0]]
     return maxima[0], AffineElement(datum, trans, Permutation(images))

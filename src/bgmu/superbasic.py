@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Union
 
 from .acceptable import polygon
 from .errors import InternalCheckFailed, ParseError
-from .newton import Frobenius, NewtonPoint, kappa, newton_point
+from .newton import Frobenius, NewtonPoint, _vec_str, kappa, newton_point
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -478,7 +478,8 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     hull = polygon(theta)
     if slopes != hull.slopes:
         raise InternalCheckFailed(
-            f"peeled decomposition slopes {slopes} differ from hull {hull.slopes}"
+            f"peeled decomposition slopes {_vec_str(slopes)} differ from hull"
+            f" {_vec_str(hull.slopes)}"
         )
     return PeelCertificate(
         m, n, mu, chi0, theta, eps, tuple(breaks), tuple(peel_steps),
@@ -509,7 +510,8 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     bar = newton_point(w, frob).nu_bar.nu
     if bar != cert.slopes:
         raise InternalCheckFailed(
-            f"witness Newton point {bar} is not the hull slope sequence {cert.slopes}"
+            f"witness Newton point {_vec_str(bar)} is not the hull slope sequence"
+            f" {_vec_str(cert.slopes)}"
         )
     point = NewtonPoint(w.datum, cert.slopes, kappa(w))
     return SuperbasicWitness(point, w, cert.epsilon, cert)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 
@@ -174,19 +174,8 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least element,
         sorted by least element."""
-        seen, out = set(), []
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            cyc, i = [start], self(start)
-            seen.add(start)
-            while i != start:
-                cyc.append(i)
-                seen.add(i)
-                i = self(i)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return tuple(out)
+        walk = SignedMap(self.images, (1,) * len(self.images)).cycles()
+        return tuple(tuple(p + 1 for p in c) for c, _ in walk if len(c) > 1)
 
     def is_identity(self) -> bool:
         return all(j == i + 1 for i, j in enumerate(self.images))
@@ -215,6 +204,59 @@ class Permutation:
         if not cycs:
             return "id"
         return "".join("cyc(%s)" % ",".join(map(str, c)) for c in cycs)
+
+
+class SignedMap(NamedTuple):
+    """Signed coordinate permutation: position p carries vec[p-1] to
+    position pos[p-1] with sign sign[p-1]."""
+
+    pos: tuple[int, ...]
+    sign: tuple[int, ...]
+
+    @staticmethod
+    def identity(n: int) -> "SignedMap":
+        return SignedMap(tuple(range(1, n + 1)), (1,) * n)
+
+    def after(self, inner: "SignedMap") -> "SignedMap":
+        """self o inner."""
+        pos = tuple(self.pos[p - 1] for p in inner.pos)
+        sign = tuple(s * self.sign[p - 1] for p, s in zip(inner.pos, inner.sign))
+        return SignedMap(pos, sign)
+
+    def apply(self, vec: Sequence) -> tuple:
+        out = [0] * len(self.pos)
+        for i, (p, s) in enumerate(zip(self.pos, self.sign)):
+            out[p - 1] = s * vec[i]
+        return tuple(out)
+
+    def inverse(self) -> "SignedMap":
+        pos = [0] * len(self.pos)
+        sign = [1] * len(self.pos)
+        for i, (p, s) in enumerate(zip(self.pos, self.sign)):
+            pos[p - 1] = i + 1
+            sign[p - 1] = s
+        return SignedMap(tuple(pos), tuple(sign))
+
+    def cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The cycles of the position permutation, each as its 0-based
+        coordinates in visiting order (from its least one) and the
+        product of the signs met along it."""
+        seen = [False] * len(self.pos)
+        out = []
+        for start in range(len(self.pos)):
+            if seen[start]:
+                continue
+            cycle, sign, cur = [], 1, start
+            while not seen[cur]:
+                seen[cur] = True
+                cycle.append(cur)
+                sign *= self.sign[cur]
+                cur = self.pos[cur] - 1
+            out.append((tuple(cycle), sign))
+        return tuple(out)
+
+    def position_perm(self) -> Permutation:
+        return Permutation(self.pos)
 
 
 def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec]:

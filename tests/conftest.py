@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from bgmu.acceptable import adjoint_leq
-from bgmu.newton import Frobenius, dominant_rep
+from bgmu.newton import Frobenius, SignedMap, dominant_rep
 from bgmu.weyl import AffineElement, GroupDatum, bruhat_lower_set, simple_reflections
 
 
@@ -119,6 +119,20 @@ def iterated_newton(w: AffineElement, frob: Frobenius):
     nu = tuple(Fraction(x, k) for x in acc[2])
     bar, _ = dominant_rep(w.datum, nu)
     return k, acc[2], nu, tuple(a - b for a, b in zip(bar, frob.shift))
+
+
+def orbit_average(mu, sigma0):
+    """The sigma0-average (1/N) sum_{i<N} sigma0^i(mu), with N the order
+    of the signed map of sigma0, by N applications of that map."""
+    m = sigma0.map()
+    identity, power, order = SignedMap.identity(len(m.pos)), m, 1
+    while power != identity:
+        power, order = m.after(power), order + 1
+    total, cur = [Fraction(0)] * len(mu), tuple(Fraction(x) for x in mu)
+    for _ in range(order):
+        total = [a + b for a, b in zip(total, cur)]
+        cur = m.apply(cur)
+    return tuple(x / order for x in total)
 
 
 def oracle_newton_bar(w, frob):

@@ -125,7 +125,7 @@ def test_witness_for_every_enumerated_point():
 
 
 def test_witness_requires_criterion():
-    with pytest.raises(CriterionFailed):
+    with pytest.raises(CriterionFailed, match=r"^\(3/2, 1/2\)"):
         newton_witness((Fraction(3, 2), Fraction(1, 2)), (1, 0), F12_raw)
 
 

@@ -160,6 +160,10 @@ def test_usage_error_exit_code(capsys):
     (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "abc"),
     (["adm", "--group", "gl:2", "--mu", "1,0,5"], None),
     (["adm", "--group", "gl:2", "--mu", "1,0,5", "--w", "t[1,0]"], None),
+    (["max", "--group", "gl:2", "--mu", "1,x", "--sigma", "superbasic:1/2"], None),
+    (["adm", "--group", "gl:2", "--mu", "1.5,0"], None),
+    (["polygon", "--mu", "1,a", "--m", "1", "--n", "2"], None),
+    (["polygon", "--mu", "1,0,0", "--m", "1", "--n", "2"], None),
 ])
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     if env is not None:

@@ -30,7 +30,7 @@ from bgmu.weyl import (
     parse_element,
     superbasic_element,
 )
-from conftest import iterated_newton, oracle_newton, wa_ball
+from conftest import iterated_newton, oracle_newton, orbit_average, wa_ball
 
 GL2 = GroupDatum.gl(2)
 GL8 = GroupDatum.gl(8)
@@ -212,15 +212,71 @@ def test_diamond_trivial():
 def test_diamond_flip_gl3():
     d3 = GroupDatum.gl(3)
     s0 = Sigma0(d3, (0,), (True,))
-    assert diamond((2, 1, 0), s0) == (1, 0, -1)
+    assert diamond((2, 1, 0), Frobenius(AffineElement.identity(d3), s0)) == (1, 0, -1)
 
 
 def test_diamond_swapped_blocks():
     d22 = GroupDatum((2, 2))
     s0 = Sigma0(d22, (1, 0), (False, False))
-    assert diamond((1, 0, 0, 0), s0) == (
+    assert diamond((1, 0, 0, 0), Frobenius(AffineElement.identity(d22), s0)) == (
         Fraction(1, 2), 0, Fraction(1, 2), 0,
     )
+
+
+@st.composite
+def orbit_data(draw):
+    """A sigma0 on GL/PGL with 1-3 blocks of size at most 4 (any
+    permutation of equal-size blocks, random flips), an integer or
+    fractional vector, and a permutation of the same rank."""
+    nb = draw(st.integers(1, 4))
+    blocks = tuple(draw(st.lists(st.integers(1, 4) | st.just(nb), min_size=1, max_size=3)))
+    block_to = list(range(len(blocks)))
+    for size in sorted(set(blocks)):
+        same = [b for b, m in enumerate(blocks) if m == size]
+        for b, t in zip(same, draw(st.permutations(same))):
+            block_to[b] = t
+    count = len(blocks)
+    flip = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    adjoint = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    datum = GroupDatum(blocks, tuple(adjoint))
+    s0 = Sigma0(datum, tuple(block_to), tuple(flip))
+    entries = (
+        st.integers(-3, 3) if draw(st.booleans())
+        else st.fractions(-3, 3, max_denominator=6)
+    )
+    vec = tuple(draw(st.lists(entries, min_size=datum.n, max_size=datum.n)))
+    perm = Permutation(draw(st.permutations(range(1, datum.n + 1))))
+    return s0, vec, perm
+
+
+def _closure(start, step):
+    orbit = [start]
+    while step(orbit[-1]) != start:
+        orbit.append(step(orbit[-1]))
+    return orbit
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_data())
+def test_orbit_data_matches_definitions(data):
+    s0, vec, perm = data
+    datum = s0.datum
+    assert diamond(vec, Frobenius(AffineElement.identity(datum), s0)) == orbit_average(vec, s0)
+
+    blocks = [_closure(b, s0.block_to.__getitem__) for b in range(datum.num_blocks)]
+    assert s0.block_orbits() == tuple(tuple(o) for o in blocks if o[0] == min(o))
+
+    def node_step(node):
+        b, i = node
+        return s0.block_to[b], datum.blocks[b] - i if s0.flip[b] else i
+
+    nodes = [(b, i) for b, nb in enumerate(datum.blocks) for i in range(1, nb)]
+    orbits = [sorted(_closure(nd, node_step)) for nd in nodes]
+    assert s0.node_orbits() == tuple(tuple(o) for nd, o in zip(nodes, orbits) if o[0] == nd)
+
+    cycles = perm.cycles()
+    assert all(len(c) > 1 and c[0] == min(c) for c in cycles)
+    assert Permutation.from_cycles(datum.n, cycles) == perm
 
 
 # --- kappa -------------------------------------------------------------------
