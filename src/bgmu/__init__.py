@@ -69,7 +69,6 @@ from .reduction import (
     Problem,
     Solution,
     SolveResult,
-    adjoint_project,
     factor_witness,
     omega_conjugate,
     parabolic_reduce,

@@ -258,6 +258,8 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 2 or args.max_entry < 0:
+        raise ParseError("verify needs --max-n >= 2 and --max-entry >= 0")
     failures = []
     checked = 0
     for n in range(2, args.max_n + 1):

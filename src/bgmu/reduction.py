@@ -1,14 +1,13 @@
 """Reductions composing the full solver.
 
-A problem (datum, mu, twist) is reduced in a fixed order: adjoint
-bookkeeping, conjugation by a length-zero element to put the twist in
-the last factor of each block orbit, splitting a transitive orbit to
-its last factor, then parabolic descent along the stabilizer of a
-generic fixed direction until the residual twist is superbasic on a
-single GL factor. The twist's linear part is a signed permutation, so
-its fixed directions are read off its cycles, one per cycle of sign
-product +1, with no linear algebra. Every step records enough data to
-lift a witness back.
+A problem (datum, mu, twist) is reduced in a fixed order: conjugation
+by a length-zero element to put the twist in the last factor of each
+block orbit, splitting a transitive orbit to its last factor, then
+parabolic descent along the stabilizer of a generic fixed direction
+until the residual twist is superbasic on a single GL factor. The
+twist's linear part is a signed permutation, so its fixed directions
+are read off its cycles, one per cycle of sign product +1, with no
+linear algebra. Every step records enough data to lift a witness back.
 
 A sub-problem lives on some of the parent's positions, renumbered in
 their order. ``_restrict`` (parent to sub-problem) and ``_embed`` with
@@ -33,9 +32,9 @@ compares the constructive point with that maximum on desk-scale inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .acceptable import (
@@ -73,10 +72,11 @@ from .weyl import (
     IntVec,
     Permutation,
     RatVec,
-    _descends,
     _length_zero_element,
+    _raw,
+    _reflect,
+    _walk,
     bruhat_leq,
-    left_descent,
 )
 
 BRUTE_GUARD_N = 6
@@ -135,26 +135,10 @@ def _verify_solution(problem: Problem, sol: Solution) -> None:
 
 @dataclass(frozen=True)
 class AdjointStep:
+    """The trace's first record: the per-block coordinate sums of mu."""
+
     kind: str
-    original: Frobenius
     kappas: tuple[int, ...]
-
-    def lift(self, sub: Solution) -> Solution:
-        w = sub.w.with_datum(self.original.datum)
-        return Solution(sub.nu_raw, w, sub.x, (self,) + sub.trace, sub.certificate)
-
-
-def adjoint_project(problem: Problem) -> tuple[Problem, AdjointStep]:
-    """Mark every block adjoint; arithmetic stays in the GL lattice and
-    the lift restores the flags and the recorded central coordinates."""
-    datum = problem.datum
-    step = AdjointStep("adjoint", problem.frob,
-                       datum.block_sums(problem.mu))
-    new_datum = datum.with_adjoint(True)
-    tau = problem.frob.tau.with_datum(new_datum)
-    sigma0 = Sigma0(new_datum, problem.frob.sigma0.block_to, problem.frob.sigma0.flip)
-    frob = Frobenius(tau, sigma0, problem.frob.shift)
-    return Problem(problem.mu, frob), step
 
 
 @dataclass(frozen=True)
@@ -325,11 +309,10 @@ def factor_witness(
 ) -> tuple[AffineElement, ...]:
     """Split w <= bounds[0] * ... * bounds[-1] (lengths adding) into
     w = w_1 ... w_k with w_i <= bounds[i], by the subword property.
-    Only the input and the product of the pieces are checked; the
-    subword property is what puts each piece below its bound."""
-    total = bounds[0]
-    for b in bounds[1:]:
-        total = total * b
+    Only the input is checked: each split of u is u1 (u1^-1 u), so the
+    pieces multiply back to w by construction, and the subword property
+    is what puts each piece below its bound."""
+    total = prod(bounds[1:], start=bounds[0])
     if sum(b.length() for b in bounds) != total.length():
         raise ValueError("bound lengths do not add; invalid factorization request")
     if not bruhat_leq(w, total):
@@ -338,28 +321,21 @@ def factor_witness(
     def split2(u: AffineElement, v: AffineElement) -> tuple[AffineElement, AffineElement]:
         """u <= v v' length-additively: u = u1 u2 with u1 <= v. Walk v
         down its left descents to length zero, lifting u by each
-        descent it shares; the lifted letters rebuild u1."""
-        prefix = AffineElement.identity(v.datum)
+        descent it shares; those letters, in reverse, applied to the
+        bottom of v rebuild u1."""
+        bottom = _raw(v)
+        moved = [s for s, hit in _walk(v.datum, bottom, _raw(u)) if hit]
         ranges = v.datum.block_ranges()
-        while (step := left_descent(v)) is not None:
-            (b, node), s = step
-            v = s * v
-            if _descends(u, u.perm.inverse().images, *ranges[b], node):
-                u, prefix = s * u, prefix * s
-        return prefix * v, v.inverse() * u
+        for b, node in reversed(moved):
+            _reflect(*bottom, *ranges[b], node)
+        u1 = AffineElement(v.datum, bottom[0], Permutation(bottom[1]).inverse())
+        return u1, u1.inverse() * u
 
-    pieces: list[AffineElement] = []
-    rest_w = w
+    pieces = []
     for bound in bounds[:-1]:
-        w_i, rest_w = split2(rest_w, bound)
-        pieces.append(w_i)
-    pieces.append(rest_w)
-    prod = pieces[0]
-    for p in pieces[1:]:
-        prod = prod * p
-    if prod != w:
-        raise InternalCheckFailed("factor product does not rebuild the element")
-    return tuple(pieces)
+        piece, w = split2(w, bound)
+        pieces.append(piece)
+    return (*pieces, w)
 
 
 @dataclass(frozen=True)
@@ -724,9 +700,9 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         sol = Solution(nu_raw, w, x, trace, None)
         checks["bruteforce"] = True
     else:
-        ad_problem, ad_step = adjoint_project(problem)
-        inner = _solve_orbits(ad_problem)
-        sol = ad_step.lift(inner)
+        sol = _solve_orbits(problem)
+        ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
+        sol = replace(sol, trace=(ad_step,) + sol.trace)
         target = maximal_newton_state(problem.mu, problem.frob).nu_raw
         if sol.nu_raw != target:
             raise InternalCheckFailed(

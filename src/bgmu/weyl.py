@@ -90,9 +90,6 @@ class GroupDatum:
     def block_slices(self) -> tuple[slice, ...]:
         return self._slices
 
-    def with_adjoint(self, flag: bool) -> "GroupDatum":
-        return GroupDatum(self.blocks, (flag,) * len(self.blocks))
-
     def block_sums(self, vec: Sequence) -> tuple:
         return tuple(sum(vec[s]) for s in self.block_slices())
 
@@ -412,13 +409,12 @@ def simple_reflections(datum: GroupDatum) -> tuple[tuple[Letter, AffineElement],
     return tuple(out)
 
 
-def _descends(w: AffineElement, inv: Sequence[int], lo: int, hi: int, node: int) -> bool:
+def _descends(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int, node: int) -> bool:
     """Whether len(s w) < len(w) for the simple reflection s at ``node``
-    of the block [lo, hi], given inv = u^-1 for w = t^lam u.
+    of the block [lo, hi], for w = t^lam u given inv = u^-1.
 
     s swaps one pair of positions and permutes the other Iwahori-Matsumoto
     terms among themselves, so only the term of that pair decides."""
-    lam = w.trans
     if node == 0:
         d = lam[lo - 1] - lam[hi - 1]
         return d >= (1 if inv[lo - 1] < inv[hi - 1] else 2)
@@ -427,15 +423,40 @@ def _descends(w: AffineElement, inv: Sequence[int], lo: int, hi: int, node: int)
     return d < 0 if inv[p - 1] < inv[p] else d <= 0
 
 
-def left_descent(w: AffineElement) -> Optional[tuple[Letter, AffineElement]]:
-    """Smallest-index s with len(s w) < len(w), or None."""
-    inv = w.perm.inverse().images
-    ranges = w.datum.block_ranges()
-    for label, s in simple_reflections(w.datum):
-        b, node = label
-        if _descends(w, inv, *ranges[b], node):
-            return label, s
-    return None
+def _reflect(trans: list[int], inv: list[int], lo: int, hi: int, node: int) -> None:
+    """w -> s w in place, for w = t^trans u and inv = u^-1: s swaps two
+    positions of both lists, and node 0, t^{e_lo - e_hi} (lo hi), also
+    moves a unit of translation from hi to lo."""
+    a, b = (lo - 1, hi - 1) if node == 0 else (lo + node - 2, lo + node - 1)
+    d = 1 if node == 0 else 0
+    trans[a], trans[b] = trans[b] + d, trans[a] - d
+    inv[a], inv[b] = inv[b], inv[a]
+
+
+def _raw(w: AffineElement) -> tuple[list[int], list[int]]:
+    return list(w.trans), list(w.perm.inverse().images)
+
+
+def _walk(datum: GroupDatum, w: tuple[list[int], list[int]],
+          u: Optional[tuple[list[int], list[int]]] = None):
+    """The descent walk (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    8.3) on raw (trans, inv) pairs, in place: while w has a left descent,
+    take the first s in (block, node) order, replace w by s w, and u by
+    s u when s is also a descent of u. Yields (s, whether u moved). The
+    callers validate only the elements they build from the pairs."""
+    ranges = enumerate(datum.block_ranges())
+    nodes = [(b, i, lo, hi) for b, (lo, hi) in ranges if hi > lo for i in range(hi - lo + 1)]
+    while True:
+        for b, node, lo, hi in nodes:
+            if _descends(*w, lo, hi, node):
+                break
+        else:
+            return
+        _reflect(*w, lo, hi, node)
+        moved = u is not None and _descends(*u, lo, hi, node)
+        if moved:
+            _reflect(*u, lo, hi, node)
+        yield (b, node), moved
 
 
 @dataclass(frozen=True)
@@ -458,18 +479,12 @@ class ReducedWord:
 
 
 def reduced_word(w: AffineElement) -> ReducedWord:
-    letters: list[Letter] = []
-    cur = w
-    while True:
-        d = left_descent(cur)
-        if d is None:
-            break
-        label, s = d
-        letters.append(label)
-        cur = s * cur
-    if cur.length() != 0:
-        raise InternalCheckFailed(f"descent search stalled at {cur!r}")
-    return ReducedWord(w.datum, tuple(letters), cur)
+    trans, inv = _raw(w)
+    letters = tuple(s for s, _ in _walk(w.datum, (trans, inv)))
+    omega = AffineElement(w.datum, trans, Permutation(inv).inverse())
+    if omega.length() != 0:
+        raise InternalCheckFailed(f"descent search stalled at {omega!r}")
+    return ReducedWord(w.datum, letters, omega)
 
 
 def _same_wa_coset(w1: AffineElement, w2: AffineElement) -> Optional[AffineElement]:
@@ -503,14 +518,12 @@ def bruhat_leq(w1: AffineElement, w2: AffineElement) -> bool:
     w1 = _same_wa_coset(w1, w2)
     if w1 is None:
         return False
-    ranges = w1.datum.block_ranges()
-    l1, l2 = w1.length(), w2.length()
-    while l1 < l2:
-        (b, node), s = left_descent(w2)  # exists: len(w2) > len(w1) >= 0
-        w2, l2 = s * w2, l2 - 1
-        if _descends(w1, w1.perm.inverse().images, *ranges[b], node):
-            w1, l1 = s * w1, l1 - 1
-    return w1 == w2
+    gap = w2.length() - w1.length()
+    top, low = _raw(w2), _raw(w1)
+    steps = _walk(w1.datum, top, low)
+    while gap > 0:  # w2 has a descent; a step that leaves w1 closes the gap
+        gap -= not next(steps)[1]
+    return gap == 0 and top == low
 
 
 def bruhat_lt(w1: AffineElement, w2: AffineElement) -> bool:

@@ -164,6 +164,8 @@ def test_usage_error_exit_code(capsys):
     (["adm", "--group", "gl:2", "--mu", "1.5,0"], None),
     (["polygon", "--mu", "1,a", "--m", "1", "--n", "2"], None),
     (["polygon", "--mu", "1,0,0", "--m", "1", "--n", "2"], None),
+    (["verify", "--max-n", "1"], None),
+    (["verify", "--max-entry", "-2"], None),
 ])
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     if env is not None:

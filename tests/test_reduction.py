@@ -13,12 +13,12 @@ from bgmu.reduction import (
     Problem,
     Solution,
     _fixed_direction_space,
-    adjoint_project,
     factor_witness,
     omega_conjugate,
     parabolic_reduce,
     product_split,
     solve,
+    step_json,
 )
 from bgmu.weyl import (
     AffineElement,
@@ -39,16 +39,15 @@ from conftest import dominant_coweights, reference_brute_force
 
 def test_adjoint_round_trip():
     fr = Frobenius.superbasic(1, 2, normalized=False)
-    problem = Problem((1, 0), fr)
-    ad, step = adjoint_project(problem)
-    assert all(ad.datum.adjoint)
-    assert step.kappas == (1,)
+    ad = Frobenius.superbasic(1, 2, normalized=False, adjoint=True)
+    assert ad.datum.adjoint == (True,)
+    first = solve((1, 0), fr, strategy="constructive").trace[0]
+    assert step_json(first) == {"kind": "adjoint", "kappa": [1]}
     # Newton points correspond through the centered pairing
-    from bgmu.acceptable import maximal_newton_state
     from bgmu.newton import heights
 
     raw_gl = maximal_newton_state((2, 0), fr).nu_raw
-    raw_ad = maximal_newton_state((2, 0), ad.frob).nu_raw
+    raw_ad = maximal_newton_state((2, 0), ad).nu_raw
     assert raw_gl == raw_ad
     assert heights(ad.datum, raw_ad)[(0, 1)] == Fraction(1, 2)
 

@@ -16,7 +16,6 @@ from bgmu.weyl import (
     bruhat_lower_set,
     bruhat_lt,
     format_element,
-    left_descent,
     omega_element,
     parse_element,
     reduced_word,
@@ -173,11 +172,8 @@ def test_left_descent_matches_definition(blocks, spread):
     for trans in itertools.product(range(-spread, spread + 1), repeat=datum.n):
         for perm in perms:
             w = AffineElement(datum, trans, perm)
-            want = next(
-                ((label, s) for label, s in reflections if (s * w).length() < w.length()),
-                None,
-            )
-            assert left_descent(w) == want
+            want = [label for label, s in reflections if (s * w).length() < w.length()]
+            assert reduced_word(w).letters[:1] == tuple(want[:1])
 
 
 def test_reduced_word_examples():
@@ -218,18 +214,43 @@ def test_bruhat_needs_same_coset():
     assert not bruhat_leq(elt("t[1,0]"), elt("t[1,1]"))
 
 
-@pytest.mark.parametrize("datum,max_len", [(GL2, 8), (GL3, 6)])
+@pytest.mark.parametrize("datum,max_len", [
+    (GL2, 8), (GL3, 6), (GroupDatum((2, 1, 2)), 4), (GroupDatum((1, 3)), 5),
+])
 def test_bruhat_matches_subword_enumeration(datum, max_len):
     for k in range(min(3, datum.n)):
-        omega = omega_element(datum, (k,))
+        omega = omega_element(datum, (k,) * datum.num_blocks)
         ball = sorted(
             (a * omega for a in wa_ball(datum, max_len)),
             key=lambda v: (v.length(), v.trans, v.perm.images),
         )
         lower = {w: bruhat_lower_set(w) for w in ball}
         for u in ball:
+            assert reduced_word(u).product() == u
             for w in ball:
                 assert bruhat_leq(u, w) == (u in lower[w])
+
+
+def test_walks_build_only_the_elements_they_return(monkeypatch):
+    from bgmu.superbasic import superbasic_witness
+
+    mu = (4,) * 8 + (2,) * 8 + (1,) * 8 + (0,) * 8
+    sw = superbasic_witness(mu, 17, 32)
+    top = AffineElement.translation(sw.w.datum, sw.x.act(mu))
+    assert top.length() == 832 and sw.w.length() < 832
+    built = []
+    init = AffineElement.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(AffineElement, "__init__", counting)
+    assert bruhat_leq(sw.w, top)
+    assert len(built) <= 2
+    built.clear()
+    assert len(reduced_word(top)) == 832
+    assert len(built) <= 2
 
 
 def test_bruhat_antisymmetry_on_interval():
