@@ -4,11 +4,9 @@ Bruhat-chain certificates."""
 
 from .errors import (
     BgmuError,
-    CriterionFailed,
     DimensionMismatch,
     GuardExceeded,
     InternalCheckFailed,
-    KappaMismatch,
     ParseError,
     UnsupportedTwist,
 )
@@ -16,14 +14,10 @@ from .weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
-    ReducedWord,
     bruhat_leq,
-    bruhat_lower_set,
-    bruhat_lt,
     format_element,
     omega_element,
     parse_element,
-    reduced_word,
     superbasic_element,
 )
 from .newton import (
@@ -33,7 +27,6 @@ from .newton import (
     NewtonPoint,
     Sigma0,
     diamond,
-    dominance_leq,
     dominant_rep,
     kappa,
     newton_point,
@@ -48,8 +41,6 @@ from .acceptable import (
     maximal_newton,
     maximal_newton_state,
     mu_diamond_acceptable,
-    newton_criterion,
-    newton_witness,
     polygon,
 )
 from .superbasic import (
@@ -57,7 +48,6 @@ from .superbasic import (
     PeelCertificate,
     Segment,
     SuperbasicWitness,
-    a_sequence_less,
     chi,
     epsilon,
     euclid_chain,

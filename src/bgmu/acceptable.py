@@ -24,9 +24,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import CriterionFailed, GuardExceeded, InternalCheckFailed, ParseError
+from .errors import GuardExceeded, InternalCheckFailed, ParseError
 from .newton import (
     Frobenius,
     NewtonPoint,
@@ -34,13 +34,11 @@ from .newton import (
     RatVec,
     _vec_str,
     alpha_pairing,
-    coroot_vector,
     diamond,
     dominant_rep,
     heights,
     heights_leq,
     kappa,
-    newton_point,
     simple_nodes,
 )
 from .weyl import (
@@ -77,20 +75,8 @@ def support_nodes(datum: GroupDatum, vec: Sequence) -> frozenset:
     )
 
 
-def adjoint_leq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
-    """v <= w modulo block centers: all fundamental pairings compare."""
-    return heights_leq(heights(datum, v), heights(datum, w))
-
-
 def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     return heights(datum, v) == heights(datum, w)
-
-
-def nu_reference(mu: Sequence[int], frob: Frobenius) -> RatVec:
-    """Newton vector of t^mu itself; every w in t^mu W_a has a Newton
-    vector with the same per-block coordinate sums, namely those of
-    mu_diamond + lam_diamond."""
-    return newton_point(AffineElement.translation(frob.datum, mu), frob).nu
 
 
 def _vector_through_heights(
@@ -131,76 +117,6 @@ def _integral_on(frob: Frobenius, support: frozenset, h: dict[Node, Fraction]) -
         for orbit in frob.sigma0.node_orbits()
         if orbit[0] in support
     )
-
-
-# --- the integrality criterion and its witness ------------------------------
-
-def _defect_heights(v: RatVec, mu: Sequence[int], frob: Frobenius) -> dict[Node, Fraction]:
-    """Heights <omega_i, mu_diamond + lam_diamond - v> of a dominant,
-    sigma0-invariant v with the central coordinates of the coset."""
-    datum = frob.datum
-    if not datum.is_dominant(v):
-        raise ValueError("v must be dominant per block")
-    if not frob.sigma0.is_invariant(v):
-        raise ValueError("v must be sigma0-invariant")
-    _, both = _mu_lam_diamond(mu, frob)
-    if datum.block_sums(v) != datum.block_sums(both):
-        raise ValueError(
-            f"central coordinates {_vec_str(datum.block_sums(v))} do not match"
-            f" the coset profile {_vec_str(datum.block_sums(both))}"
-        )
-    return heights(datum, tuple(a - c for a, c in zip(both, v)))
-
-
-def newton_criterion(v: Sequence, mu: Sequence[int], frob: Frobenius) -> bool:
-    """Whether v occurs as the Newton vector of some w in t^mu W_a."""
-    v = tuple(Fraction(x) for x in v)
-    return _integral_on(frob, support_nodes(frob.datum, v), _defect_heights(v, mu, frob))
-
-
-def newton_witness(v: Sequence, mu: Sequence[int], frob: Frobenius) -> AffineElement:
-    """Construct w = t^beta x tau^{-1} in t^mu W_a with Newton vector v.
-
-    x is the twisted Coxeter element of the stabilizer of v (one
-    representative per sigma0-orbit of J(v), ascending), and beta
-    subtracts the integrality defects along one coroot per orbit of
-    I(v). The result is checked against the Newton map before return.
-    """
-    datum = frob.datum
-    v = tuple(Fraction(x) for x in v)
-    defect = _defect_heights(v, mu, frob)
-    I = support_nodes(datum, v)
-    if not _integral_on(frob, I, defect):
-        raise CriterionFailed(f"{_vec_str(v)} fails the integrality criterion")
-    beta = [a + b for a, b in zip(mu, frob.lam)]
-    for orbit in frob.sigma0.node_orbits():
-        if orbit[0] not in I:
-            continue
-        a_c = int(sum(defect[nd] for nd in orbit))
-        cor = coroot_vector(datum, min(orbit))
-        beta = [x - a_c * y for x, y in zip(beta, cor)]
-    x = Permutation.identity(datum.n)
-    for orbit in frob.sigma0.node_orbits():
-        if orbit[0] in I:
-            continue
-        b, i = min(orbit)
-        lo, _ = datum.block_ranges()[b]
-        p = lo - 1 + i
-        x = x * Permutation.from_cycles(datum.n, [(p, p + 1)])
-    w = (
-        AffineElement.translation(datum, beta)
-        * AffineElement.from_permutation(datum, x)
-        * frob.tau.inverse()
-    )
-    got = newton_point(w, frob)
-    got_bar = tuple(a + b for a, b in zip(got.nu_bar.nu, frob.shift))
-    if got_bar != v:  # v is dominant, so it is its own representative
-        raise InternalCheckFailed(
-            f"witness Newton vector {_vec_str(got.nu)} does not match target {_vec_str(v)}"
-        )
-    if kappa(w) != kappa(AffineElement.translation(datum, mu)):
-        raise InternalCheckFailed("witness leaves the translation coset")
-    return w
 
 
 # --- the maximal point -------------------------------------------------------
@@ -585,8 +501,9 @@ def adm_enumerate(
     GL_2. ``_block_adm`` builds each block's set, the result is their
     product, so the work is about the size of the output; it is sorted
     by (length, trans, images), and every element is validated once,
-    through ``AffineElement``. ``bruhat_lower_set`` over the orbit of mu
-    is the independent reference the tests compare against."""
+    through ``AffineElement``. The test suite holds it to an independent
+    reference: the subword products of reduced words of every t^{x(mu)}
+    (``bruhat_lower_set`` in ``tests/conftest.py``)."""
     if datum is None:
         datum = GroupDatum((len(mu),))
     raw = _adm_raw(mu, datum, DEFAULT_ADM_GUARD_N)

@@ -13,21 +13,12 @@ class ParseError(BgmuError, ValueError):
     """Malformed element or problem literal."""
 
 
-class KappaMismatch(BgmuError, ValueError):
-    """Newton points with different Kottwitz invariants are incomparable."""
-
-
 class GuardExceeded(BgmuError, RuntimeError):
     """A desk-scale enumeration guard was hit.
 
-    Raise the limit explicitly (or via the BGMU_GUARD environment
-    variable) if the larger computation is really wanted.
+    The BGMU_GUARD environment variable raises the rank limits if the
+    larger computation is really wanted.
     """
-
-
-class CriterionFailed(BgmuError, ValueError):
-    """A witness was requested for a Newton point that fails the
-    integrality criterion, so no witness exists."""
 
 
 class UnsupportedTwist(BgmuError, ValueError):

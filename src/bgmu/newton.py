@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import DimensionMismatch, KappaMismatch, ParseError
+from .errors import DimensionMismatch, ParseError
 from .weyl import AffineElement, GroupDatum, Permutation, SignedMap
 
 RatVec = tuple[Fraction, ...]
@@ -178,15 +178,6 @@ def alpha_pairing(datum: GroupDatum, node: Node, vec: Sequence):
     return vec[p - 1] - vec[p]
 
 
-def coroot_vector(datum: GroupDatum, node: Node) -> tuple[int, ...]:
-    b, i = node
-    lo, _ = datum.block_ranges()[b]
-    out = [0] * datum.n
-    out[lo - 1 + i - 1] = 1
-    out[lo - 1 + i] = -1
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Frobenius:
     """Twist descriptor sigma = Ad(tau) o sigma0 with an optional
@@ -280,13 +271,6 @@ class KappaValue:
         )
         object.__setattr__(self, "values", reduced)
 
-    def __add__(self, other: "KappaValue") -> "KappaValue":
-        if self.datum != other.datum:
-            raise DimensionMismatch("different group data")
-        return KappaValue(
-            self.datum, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
 
 def kappa(w: AffineElement) -> KappaValue:
     return KappaValue(w.datum, w.kappa_raw())
@@ -313,17 +297,6 @@ class NewtonPoint:
             raise ValueError(f"Newton point {_vec_str(self.nu)} is not dominant per block")
         if self.kappa.datum != self.datum:
             raise DimensionMismatch("kappa from a different datum")
-
-    @staticmethod
-    def from_vector(datum: GroupDatum, vec: Sequence,
-                    kappa_values: Optional[Sequence[int]] = None) -> "NewtonPoint":
-        v = tuple(Fraction(x) for x in vec)
-        if kappa_values is None:
-            sums = datum.block_sums(v)
-            if any(s.denominator != 1 for s in sums):
-                raise ValueError("block sums not integral; pass kappa explicitly")
-            kappa_values = tuple(int(s) for s in sums)
-        return NewtonPoint(datum, v, KappaValue(datum, tuple(kappa_values)))
 
     def strings(self) -> tuple[str, ...]:
         return tuple(str(x) for x in self.nu)
@@ -437,18 +410,3 @@ def diamond(mu: Sequence, frob: Frobenius) -> RatVec:
     twist = AffineMap(frob.sigma0.map(), (0,) * datum.n)
     k, lam, _ = _newton_kernel(mu, range(1, datum.n + 1), twist, datum.block_slices())
     return tuple(Fraction(x, k) for x in lam)
-
-
-def dominance_leq(p1: NewtonPoint, p2: NewtonPoint) -> bool:
-    """Dominance order at equal Kottwitz invariant: every centered
-    partial sum compares, and each GL block has equal totals (a PGL
-    block's center is free)."""
-    if p1.datum != p2.datum:
-        raise DimensionMismatch("different group data")
-    if p1.kappa != p2.kappa:
-        raise KappaMismatch(f"kappa {p1.kappa.values} vs {p2.kappa.values}")
-    datum = p1.datum
-    sums1, sums2 = datum.block_sums(p1.nu), datum.block_sums(p2.nu)
-    if any(a != c for a, c, adj in zip(sums1, sums2, datum.adjoint) if not adj):
-        return False
-    return heights_leq(heights(datum, p1.nu), heights(datum, p2.nu))

@@ -191,28 +191,39 @@ class ProductSplitStep:
     kind: str
     orbit: tuple[int, ...]
     parent_frob: Frobenius
-    parts: tuple[tuple[int, ...], ...]  # sigma0^{m-i}(mu_i), in block-m coords
+    parts: tuple[tuple[int, ...], ...]  # each mu_i carried to the last block
     sub_datum: GroupDatum
     embed: tuple[int, ...]  # global positions of the last block
 
     def lift(self, sub: Solution) -> Solution:
+        """Spread the sub-witness over the orbit.
+
+        Let L be the last block, F = sigma0^m on L (a flip when the orbit
+        carries an odd number of flips, else 1), and A = piece_{m-2} ...
+        piece_0, where ``factor_witness`` splits the sub-witness as
+        A piece_{m-1} with each piece below its part. Piece i < m-1 goes
+        on orbit block i as sigma0^{i+1}(piece_i), forwards round the
+        orbit, and piece_{m-1} stays on L. The norm of y on L is then
+        piece_{m-1} tau F(A) F, a twisted conjugate of
+        (A piece_{m-1}) tau F: the sub-witness under the sub-twist tau F.
+        Going backwards, sigma0^{i-m+1}(piece_i), would give the norm
+        piece_{m-1} tau A F instead, a twisted conjugate of
+        (F(A) piece_{m-1}) tau F, which is the sub-witness only when
+        F = 1; for an even flip parity the two powers are the same map."""
         datum = self.parent_frob.datum
         sigma0 = self.parent_frob.sigma0
         m = len(self.orbit)
-        # factor the sub-witness along the translation parts (already
-        # written in last-block coordinates). The norm of y over the
-        # orbit, piece_{m-1} tau piece_{m-2} ... piece_0, is a twisted
-        # conjugate of (piece_{m-2} ... piece_0 piece_{m-1}) tau, so the
-        # parts are factored in the order m-2, ..., 0, m-1.
+        # factor the sub-witness along the parts (already written in
+        # last-block coordinates) in the order m-2, ..., 0, m-1
         order = [*range(m - 2, -1, -1), m - 1]
         pieces = dict(zip(order, factor_witness(sub.w, [
             AffineElement.translation(self.sub_datum, sub.x.act(self.parts[i]))
             for i in order
         ])))
-        # sigma0^{i-m} (1-based i) carries the last block to the i-th
-        # block of the orbit, so these copies have disjoint supports and
-        # the product of the moved copies of x is their overlay
-        powers = [-(m - 1 - i) for i in range(m)]
+        # sigma0^{i+1} carries the last block to the i-th block of the
+        # orbit, so these copies have disjoint supports and the product
+        # of the moved copies of x is their overlay
+        powers = [i + 1 for i in range(m - 1)] + [0]
         y = AffineElement.identity(datum)
         x = Permutation.identity(datum.n)
         x_emb = _embed_perm(datum.n, [(sub.x, self.embed)])
@@ -222,8 +233,7 @@ class ProductSplitStep:
             x = x * sigma0.apply_perm(x_emb, power=power)
         # the parent Newton vector spreads the factor vector over the
         # orbit, scaled by 1/m: each pass through the orbit is one
-        # application of the factor twist. Where y does not realize it
-        # (an orbit of odd flip parity), _verify_solution raises.
+        # application of the factor twist, and F fixes the factor vector
         spread = [Fraction(0)] * datum.n
         vec = [Fraction(0)] * datum.n
         for p, v in zip(self.embed, sub.nu_raw):
@@ -270,7 +280,8 @@ def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int
 
 def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     """A transitive orbit of blocks reduces to its last factor with
-    coweight gamma = sum sigma0^{m-i}(mu_i) and twist sigma^m."""
+    coweight gamma = mu_{m-1} + sum_{i < m-1} sigma0^{-(i+1)}(mu_i) and
+    twist sigma^m (see ``ProductSplitStep.lift`` for the powers)."""
     frob = problem.frob
     datum = problem.datum
     orbits = frob.sigma0.block_orbits()
@@ -286,14 +297,14 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     sub_tau = _restrict(frob.tau, embed, sub_datum)
     if _embed(datum, [(sub_tau, embed)]) != frob.tau:
         raise ValueError("tau must be supported on the last orbit block; conjugate first")
-    # parts sigma0^{m-i}(mu_i) land in the last block
+    # parts sigma0^{-(i+1)}(mu_i), and mu_{m-1} itself, land in the last block
     parts = []
     gamma = [0] * nb
     for i, b in enumerate(orbit):
         s = datum.block_slices()[b]
         vec = [0] * datum.n
         vec[s] = problem.mu[s]
-        part = frob.sigma0.apply_vector(vec, m - 1 - i)[lo - 1 : hi]
+        part = frob.sigma0.apply_vector(vec, -(i + 1) if i < m - 1 else 0)[lo - 1 : hi]
         parts.append(part)
         gamma = [a + c for a, c in zip(gamma, part)]
     # residual diagram automorphism on the last block: flip parity
@@ -749,15 +760,14 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
     vertexwise criterion (w(omega_k) - omega_k in Conv(W_0 mu) for
     omega_k = (1^k, 0^{n-k}); Kottwitz-Rapoport 2000 for minuscule mu,
     Haines-Ngo 2002 for GL_n), sorted by (length, trans, images), but as
-    raw tuples; ``bruhat_lower_set`` over the orbit of mu is the
-    independent reference the tests hold it to. Each tuple is keyed by
+    raw tuples; the subword products over the orbit of mu
+    (``bruhat_lower_set`` in ``tests/conftest.py``) are the independent
+    reference the tests hold it to. Each tuple is keyed by
     the integer pair (order, blockwise sorted translation) of its Newton
     map reduced by their gcd, so the first tuple per Newton point in
     that order is the witness, fractions are built only for the
     distinct keys, and only the witness is built as an element."""
     datum = problem.datum
-    if datum.n > guard_limit(BRUTE_GUARD_N):
-        raise GuardExceeded(f"brute force guard: n={datum.n}")
     raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N)
     if len(raw) > BRUTE_GUARD_SIZE:
         raise GuardExceeded(f"admissible set too large: {len(raw)}")

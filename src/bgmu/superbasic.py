@@ -40,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .acceptable import polygon
 from .errors import InternalCheckFailed, ParseError
@@ -84,23 +84,6 @@ class Segment:
             raise ValueError("empty segment has no average")
         return Fraction(self.total, self.size)
 
-    def shifted(self, k: int) -> "Segment":
-        """The k-shift: new(i) = old(i + k)."""
-        return Segment(self.head - k, self.values)
-
-    def join(self, other: "Segment") -> "Segment":
-        if other.head != self.tail + 1:
-            raise ValueError(
-                f"segments [{self.head},{self.tail}] and"
-                f" [{other.head},{other.tail}] are not adjacent"
-            )
-        return Segment(self.head, self.values + other.values)
-
-    def restrict(self, i: int, j: int) -> "Segment":
-        if not (self.head <= i and j <= self.tail and i <= j):
-            raise ValueError(f"[{i},{j}] is not inside [{self.head},{self.tail}]")
-        return Segment(i, self.values[i - self.head : j - self.head + 1])
-
     def __repr__(self) -> str:
         return "(%s)@[%d,%d]" % (",".join(map(str, self.values)), self.head, self.tail)
 
@@ -122,11 +105,6 @@ def reading_sequence(chi_vals: Sequence[int], j: int) -> tuple[int, ...]:
     """a^j(k) = chi(j - k) over one full period, indices mod n."""
     r = len(chi_vals)
     return tuple(chi_vals[(j - k - 1) % r] for k in range(r))
-
-
-def a_sequence_less(chi_vals: Sequence[int], i: int, j: int) -> bool:
-    """Strict lexicographic comparison a^i < a^j."""
-    return reading_sequence(chi_vals, i) < reading_sequence(chi_vals, j)
 
 
 def epsilon(chi_vals: Sequence[int]) -> Permutation:
@@ -191,17 +169,6 @@ class EuclideanChain:
     def depth(self) -> int:
         return len(self.pairs) - 1
 
-    def expand(self, level: int, values: Sequence[int]) -> tuple[int, ...]:
-        """Apply the maps from the given level all the way down to
-        level 0 (phi applied deepest-first)."""
-        out = tuple(values)
-        for h in range(level - 1, -1, -1):
-            one, zero = self.templates[h]
-            out = tuple(
-                x for v in out for x in (one if v == 1 else zero)
-            )
-        return out
-
 
 def euclid_chain(m: int, n: int) -> EuclideanChain:
     if n == 1:
@@ -257,13 +224,11 @@ class LevelSplit:
     elementary_ends: tuple[int, ...]
 
 
-def level_decompose(chain: EuclideanChain, gamma: Union[Segment, tuple[int, int]]) -> LevelSplit:
-    """Maximal level h with gamma the image of a subsegment iota of
-    chi at level h, and whether iota sits inside one elementary block."""
-    if isinstance(gamma, Segment):
-        a, b = gamma.head, gamma.tail
-    else:
-        a, b = gamma
+def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit:
+    """Maximal level h with the positions gamma = (a, b) the image of a
+    subsegment iota of chi at level h, and whether iota sits inside one
+    elementary block."""
+    a, b = gamma
     if not (1 <= a <= b <= chain.n):
         raise ParseError(f"segment [{a},{b}] is not aligned with positions 1..{chain.n}")
     level = 0

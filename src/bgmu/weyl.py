@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -30,7 +29,6 @@ from .errors import DimensionMismatch, InternalCheckFailed, ParseError
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
-Letter = tuple[int, int]  # (block index, affine node 0..n_b-1)
 
 
 @dataclass(frozen=True)
@@ -184,12 +182,6 @@ class Permutation:
             for lo, hi in datum.block_ranges()
         )
 
-    def num_inversions(self) -> int:
-        im = self.images
-        return sum(
-            1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j]
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -325,13 +317,6 @@ class AffineElement:
             self.datum, tuple(-x for x in uinv.act(self.trans)), uinv
         )
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Affine action on the ambient vector space: u(v) + trans."""
-        if len(vec) != self.datum.n:
-            raise DimensionMismatch("vector has wrong length")
-        acted = self.perm.act(vec)
-        return tuple(x + t for x, t in zip(acted, self.trans))
-
     def length(self) -> int:
         if self._len < 0:
             inv = self.perm.inverse().images
@@ -354,18 +339,6 @@ class AffineElement:
         block structure of the same rank."""
         return AffineElement(datum, self.trans, self.perm)
 
-    def __pow__(self, k: int) -> "AffineElement":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = AffineElement.identity(self.datum)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AffineElement)
@@ -381,33 +354,7 @@ class AffineElement:
         return format_element(self)
 
 
-# --- simple reflections, reduced words, Bruhat order -----------------------
-
-@lru_cache(maxsize=None)
-def simple_reflections(datum: GroupDatum) -> tuple[tuple[Letter, AffineElement], ...]:
-    """Affine simple reflections per block, in (block, node) order.
-
-    Node 0 of a block of size n is t^{e_lo - e_hi} (lo hi); nodes
-    1..n-1 are the adjacent transpositions. Size-1 blocks contribute
-    nothing.
-    """
-    out: list[tuple[Letter, AffineElement]] = []
-    for b, (lo, hi) in enumerate(datum.block_ranges()):
-        nb = hi - lo + 1
-        if nb < 2:
-            continue
-        trans = [0] * datum.n
-        trans[lo - 1], trans[hi - 1] = 1, -1
-        out.append(
-            ((b, 0), AffineElement(datum, trans, Permutation.from_cycles(datum.n, [(lo, hi)])))
-        )
-        for i in range(1, nb):
-            p = lo + i - 1
-            out.append(
-                ((b, i), AffineElement.from_permutation(datum, Permutation.from_cycles(datum.n, [(p, p + 1)])))
-            )
-    return tuple(out)
-
+# --- the descent walk and the Bruhat order ----------------------------------
 
 def _descends(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int, node: int) -> bool:
     """Whether len(s w) < len(w) for the simple reflection s at ``node``
@@ -442,8 +389,10 @@ def _walk(datum: GroupDatum, w: tuple[list[int], list[int]],
     """The descent walk (Bjorner-Brenti, Combinatorics of Coxeter Groups,
     8.3) on raw (trans, inv) pairs, in place: while w has a left descent,
     take the first s in (block, node) order, replace w by s w, and u by
-    s u when s is also a descent of u. Yields (s, whether u moved). The
-    callers validate only the elements they build from the pairs."""
+    s u when s is also a descent of u. Yields (s, whether u moved), s as
+    its (block, node) pair. The callers, ``bruhat_leq`` and
+    ``reduction.factor_witness`` (and the test suite's ``reduced_word``),
+    validate only the elements they build from the pairs."""
     ranges = enumerate(datum.block_ranges())
     nodes = [(b, i, lo, hi) for b, (lo, hi) in ranges if hi > lo for i in range(hi - lo + 1)]
     while True:
@@ -457,34 +406,6 @@ def _walk(datum: GroupDatum, w: tuple[list[int], list[int]],
         if moved:
             _reflect(*u, lo, hi, node)
         yield (b, node), moved
-
-
-@dataclass(frozen=True)
-class ReducedWord:
-    """Greedy left-descent factorization: w = letters * omega."""
-
-    datum: GroupDatum
-    letters: tuple[Letter, ...]
-    omega: AffineElement
-
-    def product(self) -> AffineElement:
-        table = dict(simple_reflections(self.datum))
-        acc = AffineElement.identity(self.datum)
-        for letter in self.letters:
-            acc = acc * table[letter]
-        return acc * self.omega
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-
-def reduced_word(w: AffineElement) -> ReducedWord:
-    trans, inv = _raw(w)
-    letters = tuple(s for s, _ in _walk(w.datum, (trans, inv)))
-    omega = AffineElement(w.datum, trans, Permutation(inv).inverse())
-    if omega.length() != 0:
-        raise InternalCheckFailed(f"descent search stalled at {omega!r}")
-    return ReducedWord(w.datum, letters, omega)
 
 
 def _same_wa_coset(w1: AffineElement, w2: AffineElement) -> Optional[AffineElement]:
@@ -524,34 +445,6 @@ def bruhat_leq(w1: AffineElement, w2: AffineElement) -> bool:
     while gap > 0:  # w2 has a descent; a step that leaves w1 closes the gap
         gap -= not next(steps)[1]
     return gap == 0 and top == low
-
-
-def bruhat_lt(w1: AffineElement, w2: AffineElement) -> bool:
-    return w1 != w2 and bruhat_leq(w1, w2)
-
-
-def bruhat_lower_set(*tops: AffineElement) -> frozenset:
-    """All elements u <= w for some w in tops: the subword products of
-    one reduced word per top. The products run on plain (trans, images)
-    tuples, and each distinct element of the union is validated once,
-    as it is built. Over the orbit of mu this is Adm(mu) by definition:
-    the reference the vertexwise ``adm_enumerate`` is tested against."""
-    datum = tops[0].datum
-    if any(w.datum != datum for w in tops):
-        raise DimensionMismatch("different group data")
-    table = dict(simple_reflections(datum))
-    identity = ((0,) * datum.n, tuple(range(1, datum.n + 1)))
-    raw: set[tuple[IntVec, IntVec]] = set()
-    for w in tops:
-        rw = reduced_word(w)
-        elems = {identity}
-        for letter in rw.letters:
-            s = table[letter]
-            st, sp = s.trans, s.perm.images
-            elems |= {_product(t, p, st, sp) for t, p in elems}
-        ot, op = rw.omega.trans, rw.omega.perm.images
-        raw |= {_product(t, p, ot, op) for t, p in elems}
-    return frozenset(AffineElement(datum, t, Permutation(p)) for t, p in raw)
 
 
 # --- distinguished length-zero elements -------------------------------------

@@ -1,4 +1,5 @@
-"""Shared brute-force oracles and the acceptance report hook.
+"""Shared brute-force oracles, reference implementations that only the
+tests use, and the acceptance report hook.
 
 The oracles here deliberately avoid the library's fast paths: lengths
 come from Cayley-graph breadth-first search, Bruhat order from subword
@@ -6,17 +7,278 @@ products, Newton points from alternating affine applications with the
 linear part tracked on a basis, or from the k-fold iteration of the
 affine map of w o sigma, and the admissible set from the lower Bruhat
 intervals of the t^{x(mu)} rather than the vertexwise criterion.
+
+The references below are what the tests compare the solver against;
+nothing in the package calls them:
+
+* group arithmetic: ``num_inversions``, ``apply_affine`` (the affine
+  action on the ambient space) and ``element_power``;
+* reduced words and the Bruhat order: ``simple_reflections``,
+  ``ReducedWord``, ``reduced_word`` (the greedy left-descent word, one
+  letter per step of ``weyl._walk``), ``bruhat_lt`` and
+  ``bruhat_lower_set``, the subword products that define Adm(mu);
+* acceptable points: ``adjoint_leq``, ``nu_reference``, and the
+  integrality criterion ``newton_criterion`` with its witness
+  ``newton_witness`` (``_defect_heights``, ``coroot_vector``);
+* the Euclidean recursion: ``a_sequence_less`` and ``expand``.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from bgmu.acceptable import adjoint_leq
-from bgmu.newton import Frobenius, SignedMap, dominant_rep
-from bgmu.weyl import AffineElement, GroupDatum, bruhat_lower_set, simple_reflections
+from bgmu.acceptable import _integral_on, _mu_lam_diamond, support_nodes
+from bgmu.errors import DimensionMismatch, InternalCheckFailed
+from bgmu.newton import (
+    Frobenius,
+    SignedMap,
+    _vec_str,
+    dominant_rep,
+    heights,
+    heights_leq,
+    kappa,
+    newton_point,
+)
+from bgmu.superbasic import reading_sequence
+from bgmu.weyl import (
+    AffineElement,
+    GroupDatum,
+    Permutation,
+    _product,
+    _raw,
+    _walk,
+    bruhat_leq,
+)
 
+
+# --- group arithmetic ---------------------------------------------------------
+
+def num_inversions(perm: Permutation) -> int:
+    im = perm.images
+    return sum(
+        1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j]
+    )
+
+
+def apply_affine(w: AffineElement, vec) -> tuple:
+    """Affine action on the ambient vector space: u(v) + trans."""
+    if len(vec) != w.datum.n:
+        raise DimensionMismatch("vector has wrong length")
+    acted = w.perm.act(vec)
+    return tuple(x + t for x, t in zip(acted, w.trans))
+
+
+def element_power(w: AffineElement, k: int) -> AffineElement:
+    if k < 0:
+        return element_power(w.inverse(), -k)
+    result = AffineElement.identity(w.datum)
+    base = w
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+# --- simple reflections, reduced words, Bruhat order ---------------------------
+
+@lru_cache(maxsize=None)
+def simple_reflections(datum: GroupDatum):
+    """Affine simple reflections per block, in (block, node) order.
+
+    Node 0 of a block of size n is t^{e_lo - e_hi} (lo hi); nodes
+    1..n-1 are the adjacent transpositions. Size-1 blocks contribute
+    nothing.
+    """
+    out = []
+    for b, (lo, hi) in enumerate(datum.block_ranges()):
+        nb = hi - lo + 1
+        if nb < 2:
+            continue
+        trans = [0] * datum.n
+        trans[lo - 1], trans[hi - 1] = 1, -1
+        out.append(
+            ((b, 0), AffineElement(datum, trans, Permutation.from_cycles(datum.n, [(lo, hi)])))
+        )
+        for i in range(1, nb):
+            p = lo + i - 1
+            out.append(
+                ((b, i), AffineElement.from_permutation(datum, Permutation.from_cycles(datum.n, [(p, p + 1)])))
+            )
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class ReducedWord:
+    """Greedy left-descent factorization: w = letters * omega."""
+
+    datum: GroupDatum
+    letters: tuple
+    omega: AffineElement
+
+    def product(self) -> AffineElement:
+        table = dict(simple_reflections(self.datum))
+        acc = AffineElement.identity(self.datum)
+        for letter in self.letters:
+            acc = acc * table[letter]
+        return acc * self.omega
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+
+def reduced_word(w: AffineElement) -> ReducedWord:
+    trans, inv = _raw(w)
+    letters = tuple(s for s, _ in _walk(w.datum, (trans, inv)))
+    omega = AffineElement(w.datum, trans, Permutation(inv).inverse())
+    if omega.length() != 0:
+        raise InternalCheckFailed(f"descent search stalled at {omega!r}")
+    return ReducedWord(w.datum, letters, omega)
+
+
+def bruhat_lt(w1: AffineElement, w2: AffineElement) -> bool:
+    return w1 != w2 and bruhat_leq(w1, w2)
+
+
+def bruhat_lower_set(*tops: AffineElement) -> frozenset:
+    """All elements u <= w for some w in tops: the subword products of
+    one reduced word per top. The products run on plain (trans, images)
+    tuples, and each distinct element of the union is validated once,
+    as it is built. Over the orbit of mu this is Adm(mu) by definition:
+    the reference the vertexwise ``adm_enumerate`` is tested against."""
+    datum = tops[0].datum
+    if any(w.datum != datum for w in tops):
+        raise DimensionMismatch("different group data")
+    table = dict(simple_reflections(datum))
+    identity = ((0,) * datum.n, tuple(range(1, datum.n + 1)))
+    raw = set()
+    for w in tops:
+        rw = reduced_word(w)
+        elems = {identity}
+        for letter in rw.letters:
+            s = table[letter]
+            st, sp = s.trans, s.perm.images
+            elems |= {_product(t, p, st, sp) for t, p in elems}
+        ot, op = rw.omega.trans, rw.omega.perm.images
+        raw |= {_product(t, p, ot, op) for t, p in elems}
+    return frozenset(AffineElement(datum, t, Permutation(p)) for t, p in raw)
+
+
+# --- acceptable points: the integrality criterion and its witness --------------
+
+def adjoint_leq(datum: GroupDatum, v, w) -> bool:
+    """v <= w modulo block centers: all fundamental pairings compare."""
+    return heights_leq(heights(datum, v), heights(datum, w))
+
+
+def nu_reference(mu, frob: Frobenius):
+    """Newton vector of t^mu itself; every w in t^mu W_a has a Newton
+    vector with the same per-block coordinate sums, namely those of
+    mu_diamond + lam_diamond."""
+    return newton_point(AffineElement.translation(frob.datum, mu), frob).nu
+
+
+def coroot_vector(datum: GroupDatum, node) -> tuple:
+    b, i = node
+    lo, _ = datum.block_ranges()[b]
+    out = [0] * datum.n
+    out[lo - 1 + i - 1] = 1
+    out[lo - 1 + i] = -1
+    return tuple(out)
+
+
+def _defect_heights(v, mu, frob: Frobenius) -> dict:
+    """Heights <omega_i, mu_diamond + lam_diamond - v> of a dominant,
+    sigma0-invariant v with the central coordinates of the coset."""
+    datum = frob.datum
+    if not datum.is_dominant(v):
+        raise ValueError("v must be dominant per block")
+    if not frob.sigma0.is_invariant(v):
+        raise ValueError("v must be sigma0-invariant")
+    _, both = _mu_lam_diamond(mu, frob)
+    if datum.block_sums(v) != datum.block_sums(both):
+        raise ValueError(
+            f"central coordinates {_vec_str(datum.block_sums(v))} do not match"
+            f" the coset profile {_vec_str(datum.block_sums(both))}"
+        )
+    return heights(datum, tuple(a - c for a, c in zip(both, v)))
+
+
+def newton_criterion(v, mu, frob: Frobenius) -> bool:
+    """Whether v occurs as the Newton vector of some w in t^mu W_a."""
+    v = tuple(Fraction(x) for x in v)
+    return _integral_on(frob, support_nodes(frob.datum, v), _defect_heights(v, mu, frob))
+
+
+def newton_witness(v, mu, frob: Frobenius) -> AffineElement:
+    """Construct w = t^beta x tau^{-1} in t^mu W_a with Newton vector v.
+
+    x is the twisted Coxeter element of the stabilizer of v (one
+    representative per sigma0-orbit of J(v), ascending), and beta
+    subtracts the integrality defects along one coroot per orbit of
+    I(v). The result is checked against the Newton map before return.
+    """
+    datum = frob.datum
+    v = tuple(Fraction(x) for x in v)
+    defect = _defect_heights(v, mu, frob)
+    I = support_nodes(datum, v)
+    if not _integral_on(frob, I, defect):
+        raise ValueError(f"{_vec_str(v)} fails the integrality criterion")
+    beta = [a + b for a, b in zip(mu, frob.lam)]
+    for orbit in frob.sigma0.node_orbits():
+        if orbit[0] not in I:
+            continue
+        a_c = int(sum(defect[nd] for nd in orbit))
+        cor = coroot_vector(datum, min(orbit))
+        beta = [x - a_c * y for x, y in zip(beta, cor)]
+    x = Permutation.identity(datum.n)
+    for orbit in frob.sigma0.node_orbits():
+        if orbit[0] in I:
+            continue
+        b, i = min(orbit)
+        lo, _ = datum.block_ranges()[b]
+        p = lo - 1 + i
+        x = x * Permutation.from_cycles(datum.n, [(p, p + 1)])
+    w = (
+        AffineElement.translation(datum, beta)
+        * AffineElement.from_permutation(datum, x)
+        * frob.tau.inverse()
+    )
+    got = newton_point(w, frob)
+    got_bar = tuple(a + b for a, b in zip(got.nu_bar.nu, frob.shift))
+    if got_bar != v:  # v is dominant, so it is its own representative
+        raise InternalCheckFailed(
+            f"witness Newton vector {_vec_str(got.nu)} does not match target {_vec_str(v)}"
+        )
+    if kappa(w) != kappa(AffineElement.translation(datum, mu)):
+        raise InternalCheckFailed("witness leaves the translation coset")
+    return w
+
+
+# --- the Euclidean recursion --------------------------------------------------
+
+def a_sequence_less(chi_vals, i: int, j: int) -> bool:
+    """Strict lexicographic comparison a^i < a^j."""
+    return reading_sequence(chi_vals, i) < reading_sequence(chi_vals, j)
+
+
+def expand(chain, level: int, values) -> tuple:
+    """Apply the template maps of an ``EuclideanChain`` from the given
+    level all the way down to level 0 (phi applied deepest-first)."""
+    out = tuple(values)
+    for h in range(level - 1, -1, -1):
+        one, zero = chain.templates[h]
+        out = tuple(
+            x for v in out for x in (one if v == 1 else zero)
+        )
+    return out
+
+
+# --- brute-force oracles ---------------------------------------------------------
 
 def wa_ball(datum: GroupDatum, max_len: int):
     """All affine-Weyl-group elements of length at most max_len."""
@@ -68,7 +330,7 @@ def oracle_newton(w: AffineElement, frob: Frobenius):
     tau, sigma0 = frob.tau, frob.sigma0
 
     def step(v):
-        return w.apply(tau.apply(sigma0.apply_vector(v)))
+        return apply_affine(w, apply_affine(tau, sigma0.apply_vector(v)))
 
     zero = (Fraction(0),) * n
     basis = [

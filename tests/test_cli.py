@@ -111,8 +111,10 @@ def test_adm_listing_bytes(capsys, group, mu, digest):
      "eef3c240f3166b34cd0bcc1b62011fc732a75acee61c303bebdbcd09a047dacb"),
     ("pgl:3*3", "2,1,0,1,1,0", "tau=t[0,0,0,1,1,0]*cyc(4,6,5);sigma0=-2,-1",
      "2b432ea65a31c8a96ac6da54f524703b3c9a2ac0dac8f3e2f6a46dd81adc1f78"),
+    ("pgl:3*3", "2,1,0,1,1,0", "tau=t[0,0,0,1,1,0]*cyc(4,6,5);sigma0=-2,1",
+     "c4dd3dc8a4f029a9e36664a1ec4574ee5f9dfea88949dad7c17f0a0321aea75b"),
 ], ids=["gl2x2-swap", "gl3x3x3-rotation", "pgl2x2-flips", "gl2x1x2-orbits",
-        "pgl3x3-flips"])
+        "pgl3x3-flips", "pgl3x3-odd-flip-parity"])
 def test_max_twisted_bytes(capsys, group, mu, sigma, digest):
     code, out, _ = run(capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma)
     assert code == 0

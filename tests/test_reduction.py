@@ -1,12 +1,13 @@
 """Reduction steps and the composed solver."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from bgmu.acceptable import adjoint_leq, enumerate_acceptable, maximal_newton_state
+from bgmu.acceptable import enumerate_acceptable, maximal_newton_state
 from bgmu.errors import GuardExceeded, InternalCheckFailed, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
@@ -25,14 +26,12 @@ from bgmu.weyl import (
     GroupDatum,
     Permutation,
     bruhat_leq,
-    bruhat_lower_set,
     format_element,
     omega_element,
     parse_element,
-    reduced_word,
     superbasic_element,
 )
-from conftest import dominant_coweights, reference_brute_force
+from conftest import bruhat_lower_set, dominant_coweights, reference_brute_force
 
 
 # --- adjoint -------------------------------------------------------------------
@@ -444,6 +443,41 @@ def test_product_split_three_block_rotation():
         r = solve(mu, fr, strategy="constructive")
         assert r.checks["admissible"] and r.checks["matches_maximal_newton"]
         assert r.nu_raw == maximal_newton_state(mu, fr).nu_raw
+
+
+def _twisted_draw(rng):
+    """One problem of the fixed-seed twisted draw: 1-3 equal blocks of
+    size 1-3, each GL or PGL, a random block permutation with random
+    flips, omega kappas in -2..3 and mu entries in 0..2, sorted per
+    block."""
+    r, nb = rng.randint(1, 3), rng.randint(1, 3)
+    datum = GroupDatum((nb,) * r, tuple(rng.random() < 0.5 for _ in range(r)))
+    block_to = list(range(r))
+    rng.shuffle(block_to)
+    flips = tuple(rng.random() < 0.5 for _ in range(r))
+    kappas = [rng.randint(-2, 3) for _ in range(r)]
+    frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, tuple(block_to), flips))
+    mu = tuple(
+        x for _ in range(r)
+        for x in sorted((rng.randint(0, 2) for _ in range(nb)), reverse=True)
+    )
+    return mu, frob
+
+
+def test_twisted_draw_passes_every_internal_check():
+    # orbits of odd flip parity included: a flip surviving to the base
+    # is the only refusal
+    rng = random.Random(0)
+    failed = []
+    for _ in range(200):
+        mu, frob = _twisted_draw(rng)
+        try:
+            solve(mu, frob, strategy="auto")
+        except UnsupportedTwist:
+            pass
+        except InternalCheckFailed as exc:
+            failed.append((mu, frob.sigma0, str(exc)))
+    assert not failed, failed[:3]
 
 
 @pytest.mark.parametrize("strategy", ["constructive", "auto"])
