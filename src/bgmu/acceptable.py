@@ -103,8 +103,10 @@ def _vector_through_heights(
 
 
 def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[RatVec, RatVec]:
-    """mu_diamond and mu_diamond + lam_diamond."""
+    """mu_diamond and mu_diamond + lam_diamond, for a dominant mu."""
     mu_dia = diamond(mu, frob)
+    if not frob.datum.is_dominant(mu):
+        raise ParseError(f"mu {tuple(mu)} is not dominant per block")
     both = tuple(a + b for a, b in zip(mu_dia, diamond(frob.lam, frob)))
     return mu_dia, both
 
@@ -460,20 +462,27 @@ def adm_member(
     return False, None
 
 
+def _adm_refusal(mu: Sequence[int], datum: GroupDatum, guard_n: int) -> Optional[str]:
+    """Why Adm(mu) is too large to list under the rank guard guard_n
+    (see ``guard_limit``) and the entry-spread guard, or None."""
+    limit = guard_limit(guard_n)
+    if datum.n > limit:
+        return f"admissible-set guard: n={datum.n} > {limit}"
+    for lo, hi in datum.block_ranges():
+        part = mu[lo - 1 : hi]
+        if part and max(part) - min(part) > DEFAULT_ADM_GUARD_SPREAD:
+            return f"admissible-set guard: entry spread exceeds {DEFAULT_ADM_GUARD_SPREAD}"
+    return None
+
+
 def _adm_raw(
     mu: Sequence[int], datum: GroupDatum, guard_n: int
 ) -> list[tuple[int, IntVec, IntVec]]:
     """The elements of ``adm_enumerate`` as (length, trans, images),
     sorted, before they are validated as elements."""
-    limit = guard_limit(guard_n)
-    if datum.n > limit:
-        raise GuardExceeded(f"admissible-set guard: n={datum.n} > {limit}")
-    for lo, hi in datum.block_ranges():
-        part = mu[lo - 1 : hi]
-        if part and max(part) - min(part) > DEFAULT_ADM_GUARD_SPREAD:
-            raise GuardExceeded(
-                f"admissible-set guard: entry spread exceeds {DEFAULT_ADM_GUARD_SPREAD}"
-            )
+    refusal = _adm_refusal(mu, datum, guard_n)
+    if refusal:
+        raise GuardExceeded(refusal)
     per_block = [
         [(ln, t, tuple(j + lo - 1 for j in im)) for ln, t, im in _block_adm(mu[lo - 1 : hi])]
         for lo, hi in datum.block_ranges()

@@ -23,7 +23,6 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
@@ -43,7 +42,6 @@ from .weyl import (
     AffineElement,
     GroupDatum,
     format_element,
-    omega_element,
     parse_element,
 )
 
@@ -126,8 +124,7 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
             )
         if not (0 < m < n) or gcd(m, n) != 1:
             raise ParseError(f"superbasic twist needs coprime 0 < m < n, got {m}/{n}")
-        tau = omega_element(datum, (m,))
-        return Frobenius(tau, Sigma0.identity(datum), (Fraction(m, n),) * n)
+        return Frobenius.superbasic(m, n, adjoint=datum.adjoint[0])
     tau = AffineElement.identity(datum)
     sigma0 = Sigma0.identity(datum)
     for part in filter(None, (p.strip() for p in text.split(";"))):

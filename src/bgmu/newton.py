@@ -64,6 +64,10 @@ class Sigma0:
         for b, tb in enumerate(self.block_to):
             if sizes[b] != sizes[tb]:
                 raise ParseError("sigma0 maps blocks of different sizes")
+        # the map is read by every twist built on this automorphism, so it
+        # is computed once here; it is not a field, so eq and hash still
+        # compare datum, block_to and flip only
+        object.__setattr__(self, "_map", _block_map(self.datum, self.block_to, self.flip))
 
     @staticmethod
     def identity(datum: GroupDatum) -> "Sigma0":
@@ -74,7 +78,7 @@ class Sigma0:
         return all(tb == b for b, tb in enumerate(self.block_to)) and not any(self.flip)
 
     def map(self) -> SignedMap:
-        return _sigma0_map(self)
+        return self._map
 
     def apply_vector(self, vec: Sequence, power: int = 1) -> tuple:
         return _map_power(self.map(), power).apply(vec)
@@ -112,21 +116,20 @@ class Sigma0:
         return tuple(tuple(nodes[k] for k in sorted(c)) for c, _ in to.cycles())
 
 
-@lru_cache(maxsize=None)
-def _sigma0_map(s: Sigma0) -> SignedMap:
-    datum = s.datum
+def _block_map(datum: GroupDatum, block_to: Sequence[int], flip: Sequence[bool]) -> SignedMap:
+    """The signed map of the diagram automorphism (block_to, flip):
+    block b goes to block block_to[b] in order, or reversed with sign -1
+    on a flip."""
     offsets = datum.offsets()
-    pos = [0] * datum.n
-    sign = [1] * datum.n
+    pos: list[int] = []
+    sign: list[int] = []
     for b, nb in enumerate(datum.blocks):
-        tb = s.block_to[b]
-        for local in range(1, nb + 1):
-            src = offsets[b] + local
-            if s.flip[b]:
-                pos[src - 1] = offsets[tb] + (nb + 1 - local)
-                sign[src - 1] = -1
-            else:
-                pos[src - 1] = offsets[tb] + local
+        start = offsets[block_to[b]]
+        if flip[b]:
+            pos.extend(range(start + nb, start, -1))
+        else:
+            pos.extend(range(start + 1, start + nb + 1))
+        sign.extend([-1 if flip[b] else 1] * nb)
     return SignedMap(tuple(pos), tuple(sign))
 
 

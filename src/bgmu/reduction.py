@@ -12,7 +12,9 @@ linear algebra. Every step records enough data to lift a witness back.
 A sub-problem lives on some of the parent's positions, renumbered in
 their order. ``_restrict`` (parent to sub-problem) and ``_embed`` with
 ``_embed_perm`` for x (sub-problems back to the parent, identity
-elsewhere) are the one place where these coordinates are mapped.
+elsewhere) are the one place where these coordinates are mapped, and
+``_sub_twist``, which restricts tau and a signed map of the parent, is
+the one place where a sub-problem's twist is built.
 
 The lifts check nothing: each derives its Newton vector from the
 sub-solution's (a dominant rearrangement, or a spread over the orbit)
@@ -38,10 +40,9 @@ from math import gcd, prod
 from typing import Optional, Sequence
 
 from .acceptable import (
-    DEFAULT_ADM_GUARD_SPREAD,
     _adm_raw,
+    _adm_refusal,
     adm_member,
-    guard_limit,
     maximal_newton_state,
 )
 from .errors import (
@@ -55,6 +56,8 @@ from .newton import (
     Frobenius,
     NewtonPoint,
     Sigma0,
+    _block_map,
+    _map_power,
     _newton_key,
     _vec_str,
     diamond,
@@ -72,11 +75,12 @@ from .weyl import (
     IntVec,
     Permutation,
     RatVec,
-    _length_zero_element,
+    SignedMap,
     _raw,
     _reflect,
     _walk,
     bruhat_leq,
+    omega_element,
 )
 
 BRUTE_GUARD_N = 6
@@ -177,7 +181,7 @@ def _conjugator_into_last(problem: Problem, orbit: Sequence[int]) -> AffineEleme
     g = {orbit[-1]: AffineElement.identity(datum)}
     prev = orbit[-1]
     for b in orbit[:-1]:
-        factor = _length_zero_element(datum, b, kappas[b])
+        factor = omega_element(datum, [kappas[b] if c == b else 0 for c in range(len(kappas))])
         g[b] = frob.sigma0.apply_element(g[prev]) * factor.inverse()
         prev = b
     tau0 = AffineElement.identity(datum)
@@ -278,6 +282,27 @@ def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int
     )
 
 
+def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
+               sub_datum: GroupDatum) -> Frobenius:
+    """The twist of the sub-problem on ``positions``: tau restricted by
+    ``_restrict``, and the diagram automorphism of sub_datum whose map is
+    smap on those positions. Each sub-block's target block and flip are
+    read off smap at the block's first position; the whole restricted
+    map must then be that automorphism's."""
+    local = {p: i for i, p in enumerate(positions, start=1)}
+    ranges = sub_datum.block_ranges()
+    block_of = {p: b for b, (lo, hi) in enumerate(ranges) for p in range(lo, hi + 1)}
+    sub_map = SignedMap(
+        tuple(local.get(smap.pos[p - 1]) for p in positions),
+        tuple(smap.sign[p - 1] for p in positions),
+    )
+    block_to = tuple(block_of.get(sub_map.pos[lo - 1]) for lo, _ in ranges)
+    flip = tuple(sub_map.sign[lo - 1] < 0 for lo, _ in ranges)
+    if None in block_to or _block_map(sub_datum, block_to, flip) != sub_map:
+        raise InternalCheckFailed("twist does not permute the sub-blocks")
+    return Frobenius(_restrict(tau, positions, sub_datum), Sigma0(sub_datum, block_to, flip))
+
+
 def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     """A transitive orbit of blocks reduces to its last factor with
     coweight gamma = mu_{m-1} + sum_{i < m-1} sigma0^{-(i+1)}(mu_i) and
@@ -294,8 +319,10 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     embed = tuple(range(lo, hi + 1))
     nb = datum.blocks[last]
     sub_datum = GroupDatum((nb,), (datum.adjoint[last],))
-    sub_tau = _restrict(frob.tau, embed, sub_datum)
-    if _embed(datum, [(sub_tau, embed)]) != frob.tau:
+    # sigma0^m maps the last block to itself, flipped when the orbit
+    # carries an odd number of flips
+    sub_frob = _sub_twist(frob.tau, _map_power(frob.sigma0.map(), m), embed, sub_datum)
+    if _embed(datum, [(sub_frob.tau, embed)]) != frob.tau:
         raise ValueError("tau must be supported on the last orbit block; conjugate first")
     # parts sigma0^{-(i+1)}(mu_i), and mu_{m-1} itself, land in the last block
     parts = []
@@ -307,10 +334,6 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
         part = frob.sigma0.apply_vector(vec, -(i + 1) if i < m - 1 else 0)[lo - 1 : hi]
         parts.append(part)
         gamma = [a + c for a, c in zip(gamma, part)]
-    # residual diagram automorphism on the last block: flip parity
-    flips = sum(frob.sigma0.flip[b] for b in orbit) % 2 == 1
-    sub_sigma0 = Sigma0(sub_datum, (0,), (flips,))
-    sub_frob = Frobenius(sub_tau, sub_sigma0)
     step = ProductSplitStep("product-split", orbit, frob, tuple(parts), sub_datum, embed)
     return Problem(tuple(gamma), sub_frob), step
 
@@ -410,32 +433,24 @@ def _fixed_direction_space(frob: Frobenius) -> list[tuple[Fraction, ...]]:
 
 
 def _generic_point(frob: Frobenius, basis: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    """sum_k t^k basis[k] with t = n^2 + 1, which lies on no root
+    hyperplane that the basis does not: times the pivot's sum (see
+    ``_fixed_direction_space``), a coordinate difference of each basis
+    vector is an integer D_k of size at most 2n, since the cycles are
+    disjoint, and sum_k t^k D_k vanishes only when every D_k does."""
     datum = frob.datum
     n = datum.n
-    if not basis:
-        return tuple(Fraction(0) for _ in range(n))
-    roots = [
-        (i, j)
-        for lo, hi in datum.block_ranges()
-        for i in range(lo, hi + 1)
-        for j in range(i + 1, hi + 1)
-    ]
-    t = n * n + 1
-    for _ in range(n ** 3 + n + 8):
-        v0 = [Fraction(0)] * n
-        scale = 1
-        for b in basis:
-            v0 = [a + scale * c for a, c in zip(v0, b)]
-            scale *= t
-        ok = True
-        for i, j in roots:
-            if v0[i - 1] == v0[j - 1] and any(b[i - 1] != b[j - 1] for b in basis):
-                ok = False
-                break
-        if ok:
-            return tuple(v0)
-        t += 1
-    raise InternalCheckFailed("no generic point found; retry bound exceeded")
+    v0 = [Fraction(0)] * n
+    scale = 1
+    for b in basis:
+        v0 = [a + scale * c for a, c in zip(v0, b)]
+        scale *= n * n + 1
+    for lo, hi in datum.block_ranges():
+        for i in range(lo, hi + 1):
+            for j in range(i + 1, hi + 1):
+                if v0[i - 1] == v0[j - 1] and any(b[i - 1] != b[j - 1] for b in basis):
+                    raise InternalCheckFailed(f"direction {_vec_str(v0)} is not generic")
+    return tuple(v0)
 
 
 def _prefer_dominant(frob: Frobenius, v0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -486,37 +501,12 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
         sizes.append(c - prev)
         prev = c
     sub_datum = GroupDatum(tuple(sizes))
-    tau_J = new_tau.with_datum(sub_datum)
-    if tau_J.length() != 0:
+    if new_tau.with_datum(sub_datum).length() != 0:
         raise InternalCheckFailed("residual twist is not length zero in the stabilizer")
-    # induced diagram automorphism on the interval blocks
-    if frob.sigma0.is_identity():
-        sub_sigma0 = Sigma0.identity(sub_datum)
-    else:
-        sub_sigma0 = _induced_sigma0(datum, frob.sigma0, sub_datum)
-    sub_frob = Frobenius(tau_J, sub_sigma0)
+    sub_frob = _sub_twist(new_tau, frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
     _check_integrality_split(problem, z, J, sub_datum)
     step = ParabolicStep("parabolic", frob, tuple(v0), z, J, sub_datum)
     return Problem(problem.mu, sub_frob), step
-
-
-def _induced_sigma0(datum: GroupDatum, sigma0: Sigma0, sub_datum: GroupDatum) -> Sigma0:
-    """Restriction of a single-block flip to the interval blocks."""
-    ranges = sub_datum.block_ranges()
-    smap = sigma0.map()
-    block_to = []
-    flips = []
-    for lo, hi in ranges:
-        tgt_positions = sorted(smap.pos[p - 1] for p in range(lo, hi + 1))
-        tgt = next(
-            (k for k, (l2, h2) in enumerate(ranges) if (l2, h2) == (tgt_positions[0], tgt_positions[-1])),
-            None,
-        )
-        if tgt is None:
-            raise InternalCheckFailed("twist does not permute the stabilizer intervals")
-        block_to.append(tgt)
-        flips.append(smap.sign[lo - 1] < 0)
-    return Sigma0(sub_datum, tuple(block_to), tuple(flips))
 
 
 def _check_integrality_split(problem: Problem, z: Permutation, J: frozenset,
@@ -641,13 +631,7 @@ def _solve_orbits(problem: Problem) -> Solution:
         sub_blocks = tuple(datum.blocks[b] for b in sorted(orbit))
         sub_adj = tuple(datum.adjoint[b] for b in sorted(orbit))
         sub_datum = GroupDatum(sub_blocks, sub_adj)
-        renum = {b: i for i, b in enumerate(sorted(orbit))}
-        sub_sigma0 = Sigma0(
-            sub_datum,
-            tuple(renum[frob.sigma0.block_to[b]] for b in sorted(orbit)),
-            tuple(frob.sigma0.flip[b] for b in sorted(orbit)),
-        )
-        sub_frob = Frobenius(_restrict(frob.tau, pos, sub_datum), sub_sigma0)
+        sub_frob = _sub_twist(frob.tau, frob.sigma0.map(), pos, sub_datum)
         sub_mu = tuple(problem.mu[p - 1] for p in pos)
         subs.append(_solve_orbits(Problem(sub_mu, sub_frob)))
     step = OrbitSplitStep("orbit-split", frob, orbits, tuple(positions))
@@ -721,7 +705,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
                 f" maximal point {_vec_str(target)}"
             )
         checks["matches_maximal_newton"] = True
-        if strategy == "auto" and _brute_feasible(problem):
+        if strategy == "auto" and _adm_refusal(problem.mu, problem.datum, BRUTE_GUARD_N) is None:
             brute, _ = _brute_force(problem)
             if brute != sol.nu_raw:
                 raise InternalCheckFailed(
@@ -738,17 +722,6 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         problem, point, sol.nu_raw, sol.w, sol.x, sol.trace,
         sol.certificate, strategy, checks,
     )
-
-
-def _brute_feasible(problem: Problem) -> bool:
-    datum = problem.datum
-    if datum.n > guard_limit(BRUTE_GUARD_N):
-        return False
-    for lo, hi in datum.block_ranges():
-        part = problem.mu[lo - 1 : hi]
-        if part and max(part) - min(part) > DEFAULT_ADM_GUARD_SPREAD:
-            return False
-    return True
 
 
 def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:

@@ -467,39 +467,30 @@ def superbasic_element(m: int, n: int, datum: Optional[GroupDatum] = None) -> Af
         datum = GroupDatum.gl(n)
     if datum.blocks != (n,):
         raise DimensionMismatch("superbasic element lives in a single GL_n block")
-    w = _length_zero_element(datum, 0, m)
-    if w.length() != 0:
-        raise InternalCheckFailed("superbasic element is not length zero")
-    return w
-
-
-def _length_zero_element(datum: GroupDatum, block: int, kappa: int) -> AffineElement:
-    """The unique length-zero element of the given block's factor with
-    coordinate sum kappa (any integer), extended by identity."""
-    lo, hi = datum.block_ranges()[block]
-    nb = hi - lo + 1
-    m = kappa % nb
-    q = (kappa - m) // nb
-    trans = [0] * datum.n
-    for p in range(lo, hi + 1):
-        trans[p - 1] = q + (1 if p - lo + 1 <= m else 0)
-    images = list(range(1, datum.n + 1))
-    for p in range(lo, hi + 1):
-        local = p - lo + 1
-        images[p - 1] = lo + ((local - 1 + m) % nb)
-    return AffineElement(datum, trans, Permutation(images))
+    return omega_element(datum, (m,))
 
 
 def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
-    """Length-zero element with the given per-block coordinate sums."""
+    """The length-zero element with the given per-block coordinate sums.
+    Write kappa = q n_b + m with 0 <= m < n_b for a block of size n_b:
+    the block gets the translation ((q+1)^m, q^(n_b-m)) and the rotation
+    k -> k + m mod n_b.
+
+    >>> omega_element(GroupDatum((2, 3)), (1, -1))
+    t[1,0,0,0,-1]*cyc(1,2)*cyc(3,5,4)
+    """
     if len(kappas) != datum.num_blocks:
         raise DimensionMismatch("one kappa per block required")
-    acc = AffineElement.identity(datum)
-    for b, k in enumerate(kappas):
-        acc = acc * _length_zero_element(datum, b, k)
-    if acc.length() != 0:
+    trans: list[int] = []
+    images: list[int] = []
+    for (lo, _), nb, kap in zip(datum.block_ranges(), datum.blocks, kappas):
+        q, m = divmod(kap, nb)
+        trans += [q + 1] * m + [q] * (nb - m)
+        images += [lo + (k + m) % nb for k in range(nb)]
+    w = AffineElement(datum, trans, Permutation(images))
+    if w.length() != 0:
         raise InternalCheckFailed("omega element is not length zero")
-    return acc
+    return w
 
 
 # --- text form ---------------------------------------------------------------

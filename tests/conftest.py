@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import pytest
-
 from bgmu.acceptable import _integral_on, _mu_lam_diamond, support_nodes
 from bgmu.errors import DimensionMismatch, InternalCheckFailed
 from bgmu.newton import (

@@ -21,7 +21,7 @@ from bgmu.acceptable import (
     mu_diamond_acceptable,
     support_nodes,
 )
-from bgmu.errors import GuardExceeded
+from bgmu.errors import GuardExceeded, ParseError
 from bgmu.newton import Frobenius, Sigma0, diamond, dominant_rep, heights, newton_point
 from bgmu.weyl import (
     AffineElement,
@@ -40,7 +40,6 @@ from conftest import (
     newton_witness,
     nu_reference,
     orbit_points,
-    record_acceptance,
 )
 
 GL2 = GroupDatum.gl(2)
@@ -152,6 +151,12 @@ def test_enumerate_gl2_mu10_basic_only():
 def test_enumerate_guard():
     with pytest.raises(GuardExceeded):
         enumerate_acceptable((0,) * 9, Frobenius.trivial(GroupDatum.gl(9)))
+
+
+@pytest.mark.parametrize("solver", [maximal_newton_state, enumerate_acceptable])
+def test_non_dominant_mu_is_refused(solver):
+    with pytest.raises(ParseError, match=r"mu \(0, 1\) is not dominant per block"):
+        solver((0, 1), Frobenius.superbasic(1, 2))
 
 
 def test_maximal_pgl2_examples():

@@ -4,12 +4,9 @@ Each test appends a PASS line (with its runtime) to the terminal
 summary; a failure surfaces as an ordinary pytest failure.
 """
 
-import itertools
 import time
 from fractions import Fraction
 from math import gcd
-
-import pytest
 
 from bgmu.acceptable import (
     adjoint_eq,
@@ -19,9 +16,9 @@ from bgmu.acceptable import (
     maximal_newton_state,
     mu_diamond_acceptable,
 )
-from bgmu.newton import Frobenius, diamond, dominant_rep, kappa, newton_point
+from bgmu.newton import Frobenius, diamond, dominant_rep, newton_point
 from bgmu.reduction import Problem, parabolic_reduce, solve
-from bgmu.superbasic import chi, epsilon, euclid_chain, polygon, sharp_peel, superbasic_witness
+from bgmu.superbasic import chi, epsilon, euclid_chain, superbasic_witness
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -34,7 +31,6 @@ from conftest import (
     adjoint_leq,
     bruhat_lower_set,
     bruhat_lt,
-    coset_ball,
     dominant_coweights,
     expand,
     record_acceptance,

@@ -179,6 +179,17 @@ def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
 
 
 @pytest.mark.parametrize("argv", [
+    ["enumerate", "--group", "gl:2", "--mu", "0,1", "--sigma", "superbasic:1/2"],
+    ["enumerate", "--group", "gl:2*2", "--mu", "1,0,0,1", "--sigma", "sigma0=2,1"],
+])
+def test_enumerate_refuses_non_dominant_mu(capsys, argv):
+    # refused as a ParseError, as max refuses it
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "not dominant" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["max", "--group", "gl:2", "--mu", "-1,-1", "--sigma", "superbasic:1/2"],
     ["enumerate", "--group", "gl:2", "--mu", "-1,-1", "--sigma", "superbasic:1/2"],
     ["adm", "--group", "gl:2", "--mu", "-1,-2"],

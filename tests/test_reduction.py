@@ -3,17 +3,17 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
 from bgmu.acceptable import enumerate_acceptable, maximal_newton_state
 from bgmu.errors import GuardExceeded, InternalCheckFailed, UnsupportedTwist
-from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
+from bgmu.newton import Frobenius, Sigma0, _map_power, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     Problem,
     Solution,
     _fixed_direction_space,
+    _sub_twist,
     factor_witness,
     omega_conjugate,
     parabolic_reduce,
@@ -29,7 +29,6 @@ from bgmu.weyl import (
     format_element,
     omega_element,
     parse_element,
-    superbasic_element,
 )
 from conftest import bruhat_lower_set, dominant_coweights, reference_brute_force
 
@@ -564,3 +563,47 @@ def test_descent_integrality_checks_run():
     fr = Frobenius.inner(omega_element(d4, (2,)))
     reduced = parabolic_reduce(Problem((1, 0, 0, 0), fr))
     assert reduced is not None  # the internal integrality asserts passed
+
+
+def test_sub_twists_of_the_orbit_and_product_splits():
+    # every Sigma0 on GL_k^r, r, k <= 3, against the formulas the splits
+    # used before they shared _sub_twist: the orbit split renumbers
+    # block_to into the orbit's sorted blocks and keeps each flip, the
+    # product split puts the orbit's flip parity on its last block
+    for r, k in itertools.product((1, 2, 3), repeat=2):
+        d = GroupDatum((k,) * r)
+        ranges = d.block_ranges()
+        tau = omega_element(d, (1,) * r)
+        for block_to in itertools.permutations(range(r)):
+            for flip in itertools.product((False, True), repeat=r):
+                s0 = Sigma0(d, block_to, flip)
+                for orbit in s0.block_orbits():
+                    blocks = sorted(orbit)
+                    pos = tuple(p for b in blocks for p in range(ranges[b][0], ranges[b][1] + 1))
+                    sub = GroupDatum((k,) * len(blocks))
+                    renum = {b: i for i, b in enumerate(blocks)}
+                    want = Sigma0(sub, tuple(renum[block_to[b]] for b in blocks),
+                                  tuple(flip[b] for b in blocks))
+                    got = _sub_twist(tau, s0.map(), pos, sub)
+                    assert got.sigma0 == want
+                    assert got.tau == omega_element(sub, (1,) * len(blocks))
+                    lo, hi = ranges[orbit[-1]]
+                    last = GroupDatum((k,))
+                    parity = sum(flip[b] for b in orbit) % 2 == 1
+                    got = _sub_twist(tau, _map_power(s0.map(), len(orbit)),
+                                     tuple(range(lo, hi + 1)), last)
+                    assert got.sigma0 == Sigma0(last, (0,), (parity,))
+                    assert got.tau == omega_element(last, (1,))
+
+
+def test_sub_twist_refuses_a_map_that_does_not_permute_the_sub_blocks():
+    # a flip of GL_4 carries the block {1} of GL_1 x GL_3 onto {4}
+    d4 = GroupDatum.gl(4)
+    flip = Sigma0(d4, (0,), (True,)).map()
+    with pytest.raises(InternalCheckFailed, match="does not permute the sub-blocks"):
+        _sub_twist(AffineElement.identity(d4), flip, (1, 2, 3, 4), GroupDatum((1, 3)))
+    # a block swap carries the positions of block 1 outside them
+    d22 = GroupDatum((2, 2))
+    swap = Sigma0(d22, (1, 0), (False, False)).map()
+    with pytest.raises(InternalCheckFailed, match="does not permute the sub-blocks"):
+        _sub_twist(AffineElement.identity(d22), swap, (1, 2), GroupDatum((2,)))

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from bgmu.acceptable import maximal_newton
-from bgmu.errors import InternalCheckFailed, ParseError
+from bgmu.errors import ParseError
 from bgmu.newton import Frobenius, dominant_rep, newton_point
 from bgmu.superbasic import (
     Segment,
@@ -19,7 +19,6 @@ from bgmu.superbasic import (
     euclid_chain,
     level_decompose,
     polygon,
-    reading_sequence,
     sharp_peel,
     superbasic_witness,
 )
@@ -304,7 +303,7 @@ def test_witness_worked_example():
 
 
 def test_witness_small_cases():
-    from bgmu.weyl import format_element, parse_element
+    from bgmu.weyl import format_element
 
     sw = superbasic_witness((1, 0), 1, 2)
     assert format_element(sw.w) == "t[1,0]*cyc(1,2)"
