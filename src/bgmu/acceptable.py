@@ -2,10 +2,12 @@
 
 Membership of a dominant sigma0-invariant vector v is an integrality
 condition: for every sigma0-orbit c of simple roots moved by v,
-<omega_c, mu_diamond + lam_diamond - v> must be an integer. The unique
-maximal point is built from per-orbit bounds as the upper convex hull
-of tent functions, one ``polygon`` per block (the same hull that
-certifies the superbasic peel); both directions are cross-checked
+<omega_c, mu_diamond + lam_diamond - v> must be an integer, so each
+orbit pairing ranges over a coset of Z in [0, <omega_c, mu_diamond>]
+(``_orbit_bounds``). The unique maximal point takes the top of every
+range and is the upper convex hull of the tents, one ``polygon`` per
+block (the same hull that certifies the superbasic peel); the
+enumeration makes every choice per orbit. Both are cross-checked
 against brute-force enumeration in the test suite.
 
 Every pairing <omega_i, v> is read off one running sum per block
@@ -79,29 +81,6 @@ def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     return heights(datum, v) == heights(datum, w)
 
 
-def _vector_through_heights(
-    datum: GroupDatum, prescribed: dict[Node, Fraction], sums: Sequence[Fraction]
-) -> RatVec:
-    """Rebuild a vector from centered heights <omega_j, v> prescribed at
-    the given nodes (linear interpolation elsewhere) and block sums."""
-    out: list[Fraction] = []
-    for b, (lo, hi) in enumerate(datum.block_ranges()):
-        nb = datum.blocks[b]
-        total = Fraction(sums[b])
-        knots = [(0, Fraction(0))]
-        for i in range(1, nb):
-            nd = (b, i)
-            if nd in prescribed:
-                knots.append((i, prescribed[nd] + Fraction(i, nb) * total))
-        knots.append((nb, total))
-        partial = [Fraction(0)] * (nb + 1)
-        for (i0, p0), (i1, p1) in zip(knots, knots[1:]):
-            for i in range(i0, i1 + 1):
-                partial[i] = p0 + (p1 - p0) * Fraction(i - i0, i1 - i0)
-        out.extend(partial[i] - partial[i - 1] for i in range(1, nb + 1))
-    return tuple(out)
-
-
 def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[RatVec, RatVec]:
     """mu_diamond and mu_diamond + lam_diamond, for a dominant mu."""
     mu_dia = diamond(mu, frob)
@@ -119,6 +98,47 @@ def _integral_on(frob: Frobenius, support: frozenset, h: dict[Node, Fraction]) -
         for orbit in frob.sigma0.node_orbits()
         if orbit[0] in support
     )
+
+
+def _orbit_bounds(
+    mu: Sequence[int], frob: Frobenius
+) -> tuple[dict[Node, Fraction], list[Fraction], list[tuple[tuple[Node, ...], Fraction, range]]]:
+    """The bound table of the acceptable set: the heights of mu_diamond,
+    the block sums of mu_diamond + lam_diamond, and per sigma0-orbit c
+    of simple roots (c, rep, offsets) with rep = <omega_c, mu_diamond +
+    lam_diamond>: the values rep + k, k in offsets, are those of the
+    coset rep + Z in [0, <omega_c, mu_diamond>]."""
+    datum = frob.datum
+    mu_dia, both = _mu_lam_diamond(mu, frob)
+    h_mu, h_both = heights(datum, mu_dia), heights(datum, both)
+    table = []
+    for orbit in frob.sigma0.node_orbits():
+        rep = sum(h_both[nd] for nd in orbit)
+        upper = sum(h_mu[nd] for nd in orbit)
+        table.append((orbit, rep, range(math.ceil(-rep), math.floor(upper - rep) + 1)))
+    return h_mu, datum.block_sums(both), table
+
+
+def _knot_slopes(
+    datum: GroupDatum, prescribed: dict[Node, Fraction], sums: Sequence[Fraction]
+) -> list[list[tuple[int, Fraction]]]:
+    """Per block, (width, slope) between consecutive knots of the running
+    sums: (0, 0), then (i, h_i + (i/n_b) s_b) at each node with a
+    prescribed centered height h_i, then (n_b, s_b) with s_b the block
+    sum. A vector through the knots is constant between them."""
+    out = []
+    for b, nb in enumerate(datum.blocks):
+        total = Fraction(sums[b])
+        knots = [(0, Fraction(0))]
+        knots += [
+            (i, prescribed[b, i] + Fraction(i, nb) * total)
+            for i in range(1, nb) if (b, i) in prescribed
+        ]
+        knots.append((nb, total))
+        out.append([
+            (i1 - i0, (p1 - p0) / (i1 - i0)) for (i0, p0), (i1, p1) in zip(knots, knots[1:])
+        ])
+    return out
 
 
 # --- the maximal point -------------------------------------------------------
@@ -176,24 +196,18 @@ class MaximalSolverState:
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
     datum = frob.datum
-    mu_dia, both = _mu_lam_diamond(mu, frob)
-    h_mu, h_both = heights(datum, mu_dia), heights(datum, both)
+    h_mu, sums, table = _orbit_bounds(mu, frob)
     targets: dict[Node, Fraction] = {}
-    for orbit in frob.sigma0.node_orbits():
-        coset_rep = sum(h_both[nd] for nd in orbit)
-        upper = sum(h_mu[nd] for nd in orbit)
-        q = max(coset_rep + math.floor(upper - coset_rep), Fraction(0))
+    for orbit, rep, offsets in table:
+        q = rep + offsets[-1] if offsets else Fraction(0)
         for nd in orbit:
             targets[nd] = q / len(orbit)
 
     # per block, the least concave majorant of the tents: the hull of
-    # the knots (i, e_i + (i/n_b) * sum) between (0, 0) and (n_b, sum)
-    sums = datum.block_sums(both)
+    # the knots at every node, which are a unit apart
     nu: RatVec = ()
-    for b, nb in enumerate(datum.blocks):
-        inner = [targets[(b, i)] + Fraction(i, nb) * sums[b] for i in range(1, nb)]
-        knots = [Fraction(0)] + inner + [sums[b]]
-        nu += polygon([c - a for a, c in zip(knots, knots[1:])]).slopes
+    for runs in _knot_slopes(datum, targets, sums):
+        nu += polygon([s for _, s in runs]).slopes
     active = support_nodes(datum, nu)
 
     if not datum.is_dominant(nu):
@@ -205,7 +219,10 @@ def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverSta
         raise InternalCheckFailed("maximal point exceeds mu_diamond")
     if any(h_nu[nd] < t for nd, t in targets.items()):
         raise InternalCheckFailed("maximal point drops below a tent")
-    if not _integral_on(frob, active, {nd: h_both[nd] - h for nd, h in h_nu.items()}):
+    if any(
+        orbit[0] in active and (rep - sum(h_nu[nd] for nd in orbit)).denominator != 1
+        for orbit, rep, _ in table
+    ):
         raise InternalCheckFailed("maximal point fails the integrality criterion")
     return MaximalSolverState(datum, targets, active, nu)
 
@@ -255,52 +272,28 @@ class AcceptableSet:
 
 
 def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
-    """Every acceptable point, built support by support: on a stable
-    support I, the orbit pairings range over a coset of Z intersected
-    with [0, <omega_c, mu_diamond>]; each choice determines one
-    candidate vector, kept when it is dominant with support exactly I
-    and below mu_diamond."""
+    """Every acceptable point: per orbit c of ``_orbit_bounds``, c is
+    outside the support or its pairing takes one value of its range,
+    spread evenly over c. A candidate is constant between these knots,
+    so it is dominant with support the chosen orbits exactly when its
+    knot slopes strictly decrease in every block. No test is needed for
+    sigma0-invariance or for lying below mu_diamond: its heights are equal
+    on each orbit and linear between knots, where mu_diamond's are concave.
+    Covers come from bitmasks: up[i] holds the points at or above i,
+    down[j] those at or below j, and a cover has up[i] & down[j] = {i, j}."""
     datum = frob.datum
     limit = guard_limit(DEFAULT_ENUM_GUARD)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
-    mu_dia, both = _mu_lam_diamond(mu, frob)
-    h_mu, h_both = heights(datum, mu_dia), heights(datum, both)
-    sums = datum.block_sums(both)
-    orbits = frob.sigma0.node_orbits()
-
-    found: set[RatVec] = set()
-    for mask in range(1 << len(orbits)):
-        chosen = [orbits[k] for k in range(len(orbits)) if mask >> k & 1]
-        support = frozenset(nd for orbit in chosen for nd in orbit)
-        ranges = []
-        feasible = True
-        for orbit in chosen:
-            coset_rep = sum(h_both[nd] for nd in orbit)
-            upper = sum(h_mu[nd] for nd in orbit)
-            lo_k = math.ceil(Fraction(0) - coset_rep)
-            hi_k = math.floor(upper - coset_rep)
-            if lo_k > hi_k:
-                feasible = False
-                break
-            ranges.append([coset_rep + k for k in range(lo_k, hi_k + 1)])
-        if not feasible:
-            continue
-        for combo in itertools.product(*ranges):
-            prescribed = {}
-            for orbit, q in zip(chosen, combo):
-                for nd in orbit:
-                    prescribed[nd] = q / len(orbit)
-            v = _vector_through_heights(datum, prescribed, sums)
-            if not datum.is_dominant(v):
-                continue
-            if support_nodes(datum, v) != support:
-                continue
-            if not frob.sigma0.is_invariant(v):
-                continue
-            if not heights_leq(heights(datum, v), h_mu):
-                continue
-            found.add(v)
+    _, sums, table = _orbit_bounds(mu, frob)
+    options = [[None, *(rep + k for k in offsets)] for _, rep, offsets in table]
+    found: list[RatVec] = []
+    for combo in itertools.product(*options):
+        prescribed = {nd: q / len(orbit) for (orbit, _, _), q in zip(table, combo)
+                      if q is not None for nd in orbit}
+        blocks = _knot_slopes(datum, prescribed, sums)
+        if all(s0 > s1 for runs in blocks for (_, s0), (_, s1) in zip(runs, runs[1:])):
+            found.append(tuple(s for runs in blocks for width, s in runs for _ in range(width)))
 
     raw = tuple(sorted(found, reverse=True))
     kap = kappa(AffineElement.translation(datum, mu))
@@ -309,27 +302,20 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
         for v in raw
     )
     hs = [heights(datum, v) for v in raw]
-    leq = [[heights_leq(hi, hj) for hj in hs] for hi in hs]
-    maxima = [
-        i
-        for i in range(len(raw))
-        if all(leq[j][i] for j in range(len(raw)))
-    ]
+    size = len(raw)
+    up, down = [0] * size, [0] * size
+    for i, j in itertools.product(range(size), repeat=2):
+        if heights_leq(hs[i], hs[j]):
+            up[i] |= 1 << j
+            down[j] |= 1 << i
+    maxima = [j for j in range(size) if down[j] == (1 << size) - 1]
     if len(maxima) != 1:
         raise InternalCheckFailed(f"acceptable set has {len(maxima)} maxima")
-    hasse = []
-    for i in range(len(raw)):
-        for j in range(len(raw)):
-            if i == j or not leq[i][j]:
-                continue
-            if any(
-                k not in (i, j) and leq[i][k] and leq[k][j] for k in range(len(raw))
-            ):
-                continue
-            hasse.append((i, j))
-    result = AcceptableSet(datum, points, raw, tuple(sorted(hasse)), maxima[0])
+    hasse = tuple((i, j) for i, j in itertools.product(range(size), repeat=2)
+                  if i != j and up[i] & down[j] == (1 << i | 1 << j))
+    result = AcceptableSet(datum, points, raw, hasse, maxima[0])
     state_nu = maximal_newton_state(mu, frob).nu_raw
-    if raw and raw[result.maximum] != state_nu:
+    if raw[result.maximum] != state_nu:
         raise InternalCheckFailed(
             f"enumerated maximum {_vec_str(raw[result.maximum])} differs from"
             f" solver {_vec_str(state_nu)}"

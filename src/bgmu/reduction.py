@@ -455,20 +455,15 @@ def _generic_point(frob: Frobenius, basis: list[tuple[Fraction, ...]]) -> tuple[
 
 def _prefer_dominant(frob: Frobenius, v0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Swap the generic point for its dominant representative when that
-    stays inside the fixed-direction space and generic; the descent
-    data z then comes out as the identity."""
-    datum = frob.datum
-    vbar, _ = dominant_rep(datum, v0)
-    if vbar == v0:
+    stays inside the fixed-direction space; the descent data z then
+    comes out as the identity."""
+    vbar, _ = dominant_rep(frob.datum, v0)
+    if vbar == v0 or frob.affine_map.linear.apply(vbar) != vbar:
         return v0
-    if frob.affine_map.linear.apply(vbar) != vbar:
-        return v0
-    # genericity must be re-verified for the reordered point
-    for lo, hi in datum.block_ranges():
-        for i in range(lo, hi + 1):
-            for j in range(i + 1, hi + 1):
-                if vbar[i - 1] == vbar[j - 1] and v0[i - 1] != v0[j - 1]:
-                    return v0
+    # vbar stays generic: a fixed vector of sum zero lies in the span of
+    # the basis, so it is equal wherever every basis vector is, which is
+    # where v0 is; as a rearrangement of v0 within blocks it has exactly
+    # as many equal pairs as v0
     return tuple(vbar)
 
 

@@ -7,7 +7,8 @@ The ingredients, all for coprime 0 < m < n:
 * chi_{m,n}(i) = floor(im/n) - floor((i-1)m/n), a 0/1 vector of sum m;
 * backward reading sequences a^j(k) = chi(j-k), whose strict
   lexicographic order is total and defines the ranking permutation
-  epsilon with epsilon(chi) = varpi_{m,n} = e_1 + ... + e_m;
+  epsilon with epsilon(chi) = varpi_{m,n} = e_1 + ... + e_m, which is
+  epsilon(j) = (jm mod n) + 1 in closed form;
 * the division step f(m,n) together with two segment templates per
   step, which rebuild chi_{m,n} from a single 0 or 1 seed and grade
   every subsegment of chi by a level;
@@ -40,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .acceptable import polygon
 from .errors import InternalCheckFailed, ParseError
@@ -101,28 +102,19 @@ def chi(m: int, n: int) -> tuple[int, ...]:
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
 
 
-def reading_sequence(chi_vals: Sequence[int], j: int) -> tuple[int, ...]:
-    """a^j(k) = chi(j - k) over one full period, indices mod n."""
-    r = len(chi_vals)
-    return tuple(chi_vals[(j - k - 1) % r] for k in range(r))
-
-
 def epsilon(chi_vals: Sequence[int]) -> Permutation:
-    """The ranking permutation: eps(i) < eps(j) iff a^i > a^j.
+    """The ranking permutation: eps(i) < eps(j) iff a^i > a^j, for
+    chi_vals = chi_{m,n}. In closed form eps(j) = (j m mod n) + 1: the
+    reading sequences are the rotations of one Christoffel word, and
+    they descend lexicographically as their intercepts j m mod n ascend.
 
     >>> epsilon(chi(5, 8)).images
     (6, 3, 8, 5, 2, 7, 4, 1)
     """
-    n = len(chi_vals)
-    keyed = sorted(range(1, n + 1), key=lambda j: reading_sequence(chi_vals, j),
-                   reverse=True)
-    for a, b in zip(keyed, keyed[1:]):
-        if reading_sequence(chi_vals, a) == reading_sequence(chi_vals, b):
-            raise ValueError("reading sequences tie; entries not coprime")
-    images = [0] * n
-    for rank, j in enumerate(keyed, start=1):
-        images[j - 1] = rank
-    return Permutation(images)
+    n, m = len(chi_vals), sum(chi_vals)
+    if not (0 < m < n and gcd(m, n) == 1 and tuple(chi_vals) == chi(m, n)):
+        raise ValueError(f"{tuple(chi_vals)} is not chi_{{m,n}} of a coprime pair")
+    return Permutation(tuple(j * m % n + 1 for j in range(1, n + 1)))
 
 
 # --- the Euclidean recursion -------------------------------------------------
@@ -254,18 +246,6 @@ def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit
 # --- the peeling construction ------------------------------------------------
 
 @dataclass(frozen=True)
-class PeelStep:
-    block: int
-    j: int
-    level: int
-    iota: Segment
-    case: str  # "I" or "II"
-    zeta: Optional[Segment]
-    gamma: Optional[Segment]
-    xi: Optional[Segment]
-
-
-@dataclass(frozen=True)
 class ChainStep:
     block: int
     kind: str  # "zeta" | "xi" | "final"
@@ -284,7 +264,6 @@ class PeelCertificate:
     theta: tuple[int, ...]
     epsilon: Permutation
     breakpoints: tuple[int, ...]
-    steps: tuple[PeelStep, ...]
     decomposition: tuple[Segment, ...]
     slopes: tuple[Fraction, ...]
     chain: tuple[ChainStep, ...]
@@ -344,7 +323,6 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     start = AffineElement.translation(datum, eps.act(mu)) * superbasic_element(m, n)
 
     chain_steps: list[ChainStep] = []
-    peel_steps: list[PeelStep] = []
     decomposition: list[Segment] = []
     current = start
 
@@ -363,25 +341,20 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
         chain_steps.append(ChainStep(block_i, kind, (a, b), cyc_conj, current, nxt))
         current = nxt
 
+    def theta_seg(rng0: tuple[int, int]) -> Segment:
+        return Segment(rng0[0], theta[rng0[0] - 1 : rng0[1]])
+
     for i in range(1, len(bounds)):
         lo, hi = bounds[i - 1] + 1, bounds[i]
         zetas: list[Segment] = []
         xis: list[Segment] = []
-        cur: Optional[tuple[int, int]] = (lo, hi)
-        gamma_final: Optional[Segment] = None
-        j = 0
+        cur = (lo, hi)
         while True:
-            if cur is None:
-                break
             split = level_decompose(chain_data, cur)
-            h, iota = split.level, split.iota
-            if split.inside_elementary:
-                gamma_final = Segment(cur[0], theta[cur[0] - 1 : cur[1]])
-                peel_steps.append(
-                    PeelStep(i, j, h, iota, "II", None, gamma_final, None)
-                )
+            if split.inside_elementary:  # case II: cur is the last piece
                 break
             # case I: split iota along the level-one blocks of level h
+            h, iota = split.level, split.iota
             elem_ends = split.elementary_ends
             ends0 = chain_data.ends0[h]
 
@@ -407,27 +380,19 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
                 xi_rng = None
                 middle_rng = (s2, j1)
 
-            def theta_seg(rng0: tuple[int, int]) -> Segment:
-                return Segment(rng0[0], theta[rng0[0] - 1 : rng0[1]])
-
             zeta = theta_seg(to_level0(*zeta_rng)) if zeta_rng else None
-            gamma_new_rng = to_level0(*middle_rng)
-            gamma_new = theta_seg(gamma_new_rng)
             xi = theta_seg(to_level0(*xi_rng)) if xi_rng else None
-            peel_steps.append(PeelStep(i, j, h, iota, "I", zeta, gamma_new, xi))
             if zeta is not None:
                 emit(i, "zeta", n, zeta.tail)
                 zetas.append(zeta)
             if xi is not None:
                 emit(i, "xi", xi.head - 1, xi.tail)
                 xis.append(xi)
-            cur = gamma_new_rng
-            j += 1
-        if gamma_final is not None and gamma_final.tail != n:
+            cur = to_level0(*middle_rng)
+        gamma_final = theta_seg(cur)
+        if gamma_final.tail != n:
             emit(i, "final", gamma_final.tail, n)
-        block_pieces = (
-            zetas + ([gamma_final] if gamma_final is not None else []) + list(reversed(xis))
-        )
+        block_pieces = zetas + [gamma_final] + list(reversed(xis))
         pos = lo
         for s in block_pieces:
             if s.head != pos:
@@ -447,7 +412,7 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
             f" {_vec_str(hull.slopes)}"
         )
     return PeelCertificate(
-        m, n, mu, chi0, theta, eps, tuple(breaks), tuple(peel_steps),
+        m, n, mu, chi0, theta, eps, tuple(breaks),
         tuple(decomposition), slopes, tuple(chain_steps), start, current,
     )
 

@@ -20,7 +20,8 @@ nothing in the package calls them:
 * acceptable points: ``adjoint_leq``, ``nu_reference``, and the
   integrality criterion ``newton_criterion`` with its witness
   ``newton_witness`` (``_defect_heights``, ``coroot_vector``);
-* the Euclidean recursion: ``a_sequence_less`` and ``expand``.
+* the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
+  and ``expand``.
 """
 
 import itertools
@@ -40,7 +41,6 @@ from bgmu.newton import (
     kappa,
     newton_point,
 )
-from bgmu.superbasic import reading_sequence
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -258,6 +258,12 @@ def newton_witness(v, mu, frob: Frobenius) -> AffineElement:
 
 
 # --- the Euclidean recursion --------------------------------------------------
+
+def reading_sequence(chi_vals, j: int) -> tuple:
+    """a^j(k) = chi(j - k) over one full period, indices mod n."""
+    r = len(chi_vals)
+    return tuple(chi_vals[(j - k - 1) % r] for k in range(r))
+
 
 def a_sequence_less(chi_vals, i: int, j: int) -> bool:
     """Strict lexicographic comparison a^i < a^j."""

@@ -2,7 +2,9 @@
 witness construction, enumeration, the maximal point, and the
 admissible set."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -223,6 +225,48 @@ def test_maximal_equals_enumerated_max():
             for mu in dominant_coweights(n, 2):
                 acc = enumerate_acceptable(mu, fr)
                 assert acc.raw[acc.maximum] == maximal_newton_state(mu, fr).nu_raw
+
+
+def _pinned_twisted_problems():
+    """Block rotations and fixed blocks, every flip pattern, GL and PGL
+    blocks, three twist kappas, two dominant mu each, and the canonical
+    shift on every other problem."""
+    cases = [
+        ((2, 2), (False, True), (1, 0), ((1, 0, 2, 0), (3, 1, 1, 0))),
+        ((3, 3), (False, False), (1, 0), ((2, 1, 0, 1, 0, 0), (3, 3, 0, 2, 1, 1))),
+        ((2, 2, 1), (True, False, False), (1, 0, 2), ((2, 0, 1, 1, 3), (3, 0, 2, -1, 0))),
+        ((2, 2, 2), (False, False, True), (1, 2, 0), ((1, 0, 1, 0, 2, 1), (3, 0, 0, 0, 1, -1))),
+        ((4,), (True,), (0,), ((3, 2, 0, 0), (2, 2, 1, -1))),
+        ((3, 1), (False, False), (0, 1), ((3, 1, 0, 2), (1, 1, -1, 0))),
+    ]
+    count = 0
+    for blocks, adjoint, block_to, mus in cases:
+        datum = GroupDatum(blocks, adjoint)
+        for flips in itertools.product((False, True), repeat=len(blocks)):
+            for k in (-1, 1, 2):
+                kappas = (k,) + (1,) * (len(blocks) - 1)
+                frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flips))
+                for mu in mus:
+                    count += 1
+                    yield mu, frob.with_shift(frob.canonical_shift()) if count % 2 else frob
+
+
+def test_twisted_enumeration_bytes():
+    # every point, cover and maximum of 180 twisted enumerations, pinned
+    h = hashlib.sha256()
+    for mu, frob in _pinned_twisted_problems():
+        acc = enumerate_acceptable(mu, frob)
+        h.update(json.dumps(acc.to_json_dict(), sort_keys=True).encode())
+        h.update(repr([tuple(map(str, v)) for v in acc.raw]).encode())
+    assert h.hexdigest() == "9bcd728409ecc869b60796916be23646ff559a4bfb3ea7af69a4e1014dc44395"
+
+
+def test_enumerate_gl2_long_chain():
+    # 151 points in one chain: each point covers only the next one down
+    acc = enumerate_acceptable((300, 0), Frobenius.superbasic(1, 2))
+    assert len(acc.points) == 151
+    assert acc.maximum == 0
+    assert acc.hasse == tuple((i + 1, i) for i in range(150))
 
 
 def test_mu_diamond_acceptable_examples():

@@ -3,6 +3,11 @@
 Each module of the package (except ``__init__.py``, which imports to
 re-export) and of the test suite is parsed with ``ast``; a name bound by
 an import must appear as a loaded ``Name`` somewhere in the module.
+
+A second check covers the package's private definitions: a module-level
+function, class or constant of ``src/bgmu`` named with one leading
+underscore must be read somewhere in the package outside the statement
+that defines it.
 """
 
 import ast
@@ -47,3 +52,55 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((ROOT / module).read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "bgmu").glob("*.py"))
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Module-level functions, classes and constants named with one
+    leading underscore, each with the statement that defines it."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(name, stmt) for name in names if name[:1] == "_" and name[:2] != "__"]
+    return out
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Private module-level names (``_private_definitions``) that no
+    module reads outside the statement defining them, as module.name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads: dict[str, list[ast.stmt]] = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.setdefault(node.id, []).append(stmt)
+                elif isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, []).append(stmt)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, stmt in _private_definitions(tree)
+        if all(s is stmt for s in reads.get(name, []))
+    )
+
+
+def test_dead_definitions_are_found():
+    sources = {
+        "a": "def _f():\n    return _f()\n_K = 1\ndef _g():\n    return _K\nclass _C:\n    pass\n",
+        "b": "from a import _g\nprint(_g())\n",
+    }
+    assert dead_definitions(sources) == ["a._C", "a._f"]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert dead_definitions(sources) == []

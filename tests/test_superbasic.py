@@ -23,7 +23,7 @@ from bgmu.superbasic import (
     superbasic_witness,
 )
 from bgmu.weyl import AffineElement, GroupDatum, Permutation, superbasic_element
-from conftest import a_sequence_less, bruhat_lt, dominant_coweights, expand
+from conftest import a_sequence_less, bruhat_lt, dominant_coweights, expand, reading_sequence
 
 
 def coprime_pairs(max_n):
@@ -71,6 +71,13 @@ def test_epsilon_small():
     assert epsilon(chi(1, 2)) == Permutation.from_cycles(2, [(1, 2)])
 
 
+def test_epsilon_refuses_a_word_that_is_not_chi():
+    with pytest.raises(ValueError):
+        epsilon((1, 0, 1, 0))  # its reading sequences tie
+    with pytest.raises(ValueError):
+        epsilon((1, 1, 0))  # a rotation of chi(2, 3)
+
+
 def test_epsilon_order_matches_comparisons():
     c = chi(5, 8)
     eps = epsilon(c)
@@ -87,6 +94,9 @@ def test_epsilon_identities(m, n):
     varpi = tuple(1 if i <= m else 0 for i in range(1, n + 1))
     assert eps.act(c) == varpi
     assert eps(n) == 1
+    # the closed form ranks 1..n by descending reading sequence
+    ranked = sorted(range(1, n + 1), key=lambda j: reading_sequence(c, j), reverse=True)
+    assert [eps(j) for j in ranked] == list(range(1, n + 1))
 
 
 def test_epsilon_conjugates_full_cycle_to_rotation():
@@ -269,7 +279,6 @@ def test_sharp_peel_worked_example():
 
 def test_sharp_peel_small_cases():
     cert = sharp_peel((1, 0), 1, 2)
-    assert [s.case for s in cert.steps] == ["II", "II"]
     assert len(cert.chain) == 1 and cert.chain[0].kind == "final"
     cert = sharp_peel((2, 0), 1, 2)
     assert [tuple(s.values) for s in cert.decomposition] == [(2,), (1,)]
