@@ -195,8 +195,14 @@ class MaximalSolverState:
 
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
+    return _maximal_state(frob, *_orbit_bounds(mu, frob))
+
+
+def _maximal_state(frob: Frobenius, h_mu: dict[Node, Fraction], sums: list[Fraction],
+                   table: list[tuple[tuple[Node, ...], Fraction, range]]) -> MaximalSolverState:
+    """The maximal point and its checks, on the bound table of
+    ``_orbit_bounds``: the top of every orbit's range, then the hull."""
     datum = frob.datum
-    h_mu, sums, table = _orbit_bounds(mu, frob)
     targets: dict[Node, Fraction] = {}
     for orbit, rep, offsets in table:
         q = rep + offsets[-1] if offsets else Fraction(0)
@@ -204,14 +210,13 @@ def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverSta
             targets[nd] = q / len(orbit)
 
     # per block, the least concave majorant of the tents: the hull of
-    # the knots at every node, which are a unit apart
+    # the knots at every node, which are a unit apart; polygon checks
+    # that its slopes decrease, so nu is dominant
     nu: RatVec = ()
     for runs in _knot_slopes(datum, targets, sums):
         nu += polygon([s for _, s in runs]).slopes
     active = support_nodes(datum, nu)
 
-    if not datum.is_dominant(nu):
-        raise InternalCheckFailed("maximal point is not dominant")
     if not frob.sigma0.is_invariant(nu):
         raise InternalCheckFailed("maximal point is not sigma0-invariant")
     h_nu = heights(datum, nu)
@@ -285,7 +290,7 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     limit = guard_limit(DEFAULT_ENUM_GUARD)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
-    _, sums, table = _orbit_bounds(mu, frob)
+    h_mu, sums, table = _orbit_bounds(mu, frob)
     options = [[None, *(rep + k for k in offsets)] for _, rep, offsets in table]
     found: list[RatVec] = []
     for combo in itertools.product(*options):
@@ -314,7 +319,7 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     hasse = tuple((i, j) for i, j in itertools.product(range(size), repeat=2)
                   if i != j and up[i] & down[j] == (1 << i | 1 << j))
     result = AcceptableSet(datum, points, raw, hasse, maxima[0])
-    state_nu = maximal_newton_state(mu, frob).nu_raw
+    state_nu = _maximal_state(frob, h_mu, sums, table).nu_raw
     if raw[result.maximum] != state_nu:
         raise InternalCheckFailed(
             f"enumerated maximum {_vec_str(raw[result.maximum])} differs from"

@@ -259,36 +259,28 @@ def cmd_verify(args) -> int:
         raise ParseError("verify needs --max-n >= 2 and --max-entry >= 0")
     failures = []
     checked = 0
-    for n in range(2, args.max_n + 1):
-        for m in range(1, n):
-            if gcd(m, n) != 1:
-                continue
-            datum = GroupDatum.gl(n)
-            frob = Frobenius.superbasic(m, n)
-            for mu in itertools.combinations_with_replacement(
-                range(args.max_entry, -1, -1), n
-            ):
-                checked += 1
-                spec = ProblemSpec(datum, mu, frob)
-                try:
-                    # solve and enumerate_acceptable each compare their
-                    # maximum with maximal_newton_state and raise
-                    result = solve(mu, frob, strategy="auto")
-                    enumerate_acceptable(mu, frob)
-                    want_diamond = mu_diamond_acceptable(mu, frob)
-                    is_diamond = adjoint_eq(
-                        datum, result.nu_raw, diamond(mu, frob)
-                    )
-                    if want_diamond != is_diamond:
-                        raise BgmuError("mu_diamond criterion mismatch")
-                except BgmuError as exc:
-                    failures.append((spec, str(exc)))
-                    if not args.keep_going:
-                        break
-            if failures and not args.keep_going:
+    # one superbasic twist per coprime pair m < n, built as it is reached
+    twists = (Frobenius.superbasic(m, n) for n in range(2, args.max_n + 1)
+              for m in range(1, n) if gcd(m, n) == 1)
+    problems = ((frob, mu) for frob in twists for mu in
+                itertools.combinations_with_replacement(range(args.max_entry, -1, -1), frob.datum.n))
+    for frob, mu in problems:
+        checked += 1
+        spec = ProblemSpec(frob.datum, mu, frob)
+        try:
+            # solve checks its witness's Newton point, and
+            # enumerate_acceptable its maximum, against the maximal
+            # point, and each raises on a mismatch
+            result = solve(mu, frob, strategy="auto")
+            enumerate_acceptable(mu, frob)
+            want_diamond = mu_diamond_acceptable(mu, frob)
+            is_diamond = adjoint_eq(frob.datum, result.nu_raw, diamond(mu, frob))
+            if want_diamond != is_diamond:
+                raise BgmuError("mu_diamond criterion mismatch")
+        except BgmuError as exc:
+            failures.append((spec, str(exc)))
+            if not args.keep_going:
                 break
-        if failures and not args.keep_going:
-            break
     if failures:
         spec, message = failures[0]
         _emit(

@@ -16,20 +16,17 @@ elsewhere) are the one place where these coordinates are mapped, and
 ``_sub_twist``, which restricts tau and a signed map of the parent, is
 the one place where a sub-problem's twist is built.
 
-The lifts check nothing: each derives its Newton vector from the
-sub-solution's (a dominant rearrangement, or a spread over the orbit)
-instead of recomputing it from the witness. Each fact about the answer
-is checked once, in ``solve``:
-
-* the point is ``maximal_newton_state``, the unique maximal acceptable
-  point (constructive and auto strategies);
-* ``_verify_solution``, for every strategy: w <= t^{x(mu)} for the
-  reported x, which is the definition of Adm(mu); w lies in the coset
-  of t^mu; and the Newton point of w is the claimed one.
-
-The brute-force strategy takes the maximum over the Newton points of
-the admissible set and looks up x for its witness; the auto strategy
-compares the constructive point with that maximum on desk-scale inputs.
+The lifts carry only the witness w and x (with the trace and the
+certificate), and check nothing. The point is claimed, not derived:
+``maximal_newton_state``, the unique maximal acceptable point, for the
+constructive and auto strategies; the maximum over the Newton points of
+the admissible set for the brute force, which looks up x for its
+witness. Each fact about the answer is then checked once, in
+``_verify_solution``, for every strategy: w <= t^{x(mu)} for the
+reported x, which is the definition of Adm(mu); w lies in the coset of
+t^mu; and the Newton point of w, computed there and nowhere else, is
+the claimed one. The auto strategy also compares the claimed point with
+the brute-force maximum on desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -106,20 +103,20 @@ class Problem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Witness w with x such that w <= t^{x(mu)}, plus the raw Newton
-    vector (unshifted, globally dominant) realized by w."""
+    """Witness w with x such that w <= t^{x(mu)}, the reduction trace
+    and the superbasic certificate, if any. Its Newton point is read off
+    w once, by ``_verify_solution``."""
 
-    nu_raw: tuple[Fraction, ...]
     w: AffineElement
     x: Permutation
     trace: tuple = ()
     certificate: Optional[PeelCertificate] = None
 
 
-def _verify_solution(problem: Problem, sol: Solution) -> None:
+def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> None:
     """The one check of a final answer: w <= t^{x(mu)} (membership of w
     in Adm(mu), with the reported x), w in the coset of t^mu, and the
-    Newton point of w equal to the claimed nu_raw."""
+    Newton point of w equal to the claimed raw point nu_raw."""
     datum = problem.datum
     bound = AffineElement.translation(datum, sol.x.act(problem.mu))
     if not bruhat_leq(sol.w, bound):
@@ -129,9 +126,9 @@ def _verify_solution(problem: Problem, sol: Solution) -> None:
     if kappa(sol.w) != kappa(AffineElement.translation(datum, problem.mu)):
         raise InternalCheckFailed("witness leaves the translation coset")
     bar = newton_point(sol.w, problem.frob.with_shift((Fraction(0),) * datum.n)).nu_bar.nu
-    if bar != sol.nu_raw:
+    if bar != nu_raw:
         raise InternalCheckFailed(
-            f"witness Newton point {_vec_str(bar)} differs from claimed {_vec_str(sol.nu_raw)}"
+            f"witness Newton point {_vec_str(bar)} differs from claimed {_vec_str(nu_raw)}"
         )
 
 
@@ -156,7 +153,7 @@ class OmegaStep:
         inv = self.tau0.inverse()
         w = inv * sub.w * self.tau0
         x = inv.perm * sub.x
-        return Solution(sub.nu_raw, w, x, (self,) + sub.trace, sub.certificate)
+        return Solution(w, x, (self,) + sub.trace, sub.certificate)
 
 
 def omega_conjugate(problem: Problem, tau0: AffineElement) -> tuple[Problem, OmegaStep]:
@@ -235,17 +232,7 @@ class ProductSplitStep:
             emb = _embed(datum, [(pieces[i], self.embed)])
             y = y * sigma0.apply_element(emb, power=power)
             x = x * sigma0.apply_perm(x_emb, power=power)
-        # the parent Newton vector spreads the factor vector over the
-        # orbit, scaled by 1/m: each pass through the orbit is one
-        # application of the factor twist, and F fixes the factor vector
-        spread = [Fraction(0)] * datum.n
-        vec = [Fraction(0)] * datum.n
-        for p, v in zip(self.embed, sub.nu_raw):
-            vec[p - 1] = Fraction(v) / m
-        for b, power in zip(self.orbit, powers):
-            s = datum.block_slices()[b]
-            spread[s] = sorted(sigma0.apply_vector(vec, power)[s], reverse=True)
-        return Solution(tuple(spread), y, x, (self,) + sub.trace, sub.certificate)
+        return Solution(y, x, (self,) + sub.trace, sub.certificate)
 
 
 def _restrict(w: AffineElement, positions: Sequence[int], sub_datum: GroupDatum) -> AffineElement:
@@ -378,7 +365,6 @@ class ParabolicStep:
     parent_frob: Frobenius
     v0: tuple[Fraction, ...]
     z: Permutation
-    J_nodes: frozenset
     sub_datum: GroupDatum
 
     def lift(self, sub: Solution) -> Solution:
@@ -386,11 +372,7 @@ class ParabolicStep:
         z_elt = AffineElement.from_permutation(datum, self.z)
         w = z_elt.inverse() * sub.w.with_datum(datum) * z_elt
         x = self.z.inverse() * sub.x
-        # w is a z-conjugate of the sub-witness, so its Newton vector is
-        # the dominant rearrangement of the sub-problem's on the one
-        # parent block
-        nu = tuple(sorted(sub.nu_raw, reverse=True))
-        return Solution(nu, w, x, (self,) + sub.trace, sub.certificate)
+        return Solution(w, x, (self,) + sub.trace, sub.certificate)
 
 
 def _fixed_direction_space(frob: Frobenius) -> list[tuple[Fraction, ...]]:
@@ -500,7 +482,7 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
         raise InternalCheckFailed("residual twist is not length zero in the stabilizer")
     sub_frob = _sub_twist(new_tau, frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
     _check_integrality_split(problem, z, J, sub_datum)
-    step = ParabolicStep("parabolic", frob, tuple(v0), z, J, sub_datum)
+    step = ParabolicStep("parabolic", frob, tuple(v0), z, sub_datum)
     return Problem(problem.mu, sub_frob), step
 
 
@@ -536,15 +518,12 @@ class OrbitSplitStep:
         datum = self.parent_frob.datum
         w = _embed(datum, [(sub.w, pos) for pos, sub in zip(self.positions, subs)])
         x = _embed_perm(datum.n, [(sub.x, pos) for pos, sub in zip(self.positions, subs)])
-        nu = [Fraction(0)] * datum.n
         trace: tuple = (self,)
         cert = None
-        for positions, sub in zip(self.positions, subs):
-            for p, v in zip(positions, sub.nu_raw):
-                nu[p - 1] = v
+        for sub in subs:
             trace = trace + sub.trace
             cert = cert or sub.certificate
-        return Solution(tuple(nu), w, x, trace, cert)
+        return Solution(w, x, trace, cert)
 
 
 @dataclass(frozen=True)
@@ -563,8 +542,7 @@ def _solve_block(problem: Problem) -> Solution:
     nb = datum.blocks[0]
     if nb == 1:
         w = AffineElement.translation(datum, problem.mu)
-        nd = newton_point(w, frob.with_shift((Fraction(0),)))
-        return Solution(nd.nu, w, Permutation.identity(1),
+        return Solution(w, Permutation.identity(1),
                         (BaseStep("base-rank-one", 0, 1, problem.mu[0]),), None)
     reduced = parabolic_reduce(problem)
     if reduced is not None:
@@ -585,11 +563,8 @@ def _solve_block(problem: Problem) -> Solution:
             f"residual twist kappa={kap} is not superbasic on GL_{nb}"
         )
     sw = superbasic_witness(problem.mu, m0, nb)
-    # a central part of tau shifts every Newton point by central * d
-    nu = tuple(a + central for a in sw.nu.nu)
-    w = sw.w.with_datum(datum)
     return Solution(
-        nu, w, sw.x,
+        sw.w.with_datum(datum), sw.x,
         (BaseStep("base-superbasic", m0, nb, central),), sw.certificate,
     )
 
@@ -674,8 +649,8 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
 
     ``constructive`` runs the reduction pipeline; ``bruteforce``
     maximizes over the Newton points of the admissible set (guarded);
-    ``auto`` runs the constructive path and cross-checks it against
-    the brute force and the enumerated acceptable set when small.
+    ``auto`` runs the constructive path and, when small, compares the
+    maximal point with the brute-force maximum.
     """
     if strategy not in ("auto", "constructive", "bruteforce"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -687,34 +662,30 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         if not ok:
             raise InternalCheckFailed("brute-force witness is not admissible")
         trace = (BaseStep("bruteforce", 0, problem.datum.n, 0),)
-        sol = Solution(nu_raw, w, x, trace, None)
+        sol = Solution(w, x, trace, None)
         checks["bruteforce"] = True
     else:
         sol = _solve_orbits(problem)
         ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
         sol = replace(sol, trace=(ad_step,) + sol.trace)
-        target = maximal_newton_state(problem.mu, problem.frob).nu_raw
-        if sol.nu_raw != target:
-            raise InternalCheckFailed(
-                f"constructive Newton point {_vec_str(sol.nu_raw)} differs from the"
-                f" maximal point {_vec_str(target)}"
-            )
+        # the claimed point; _verify_solution checks that w realizes it
+        nu_raw = maximal_newton_state(problem.mu, problem.frob).nu_raw
         checks["matches_maximal_newton"] = True
         if strategy == "auto" and _adm_refusal(problem.mu, problem.datum, BRUTE_GUARD_N) is None:
             brute, _ = _brute_force(problem)
-            if brute != sol.nu_raw:
+            if brute != nu_raw:
                 raise InternalCheckFailed(
-                    f"constructive {_vec_str(sol.nu_raw)} and brute force"
+                    f"constructive {_vec_str(nu_raw)} and brute force"
                     f" {_vec_str(brute)} disagree"
                 )
             checks["matches_bruteforce"] = True
-    _verify_solution(problem, sol)
+    _verify_solution(problem, sol, nu_raw)
     checks["admissible"] = True
     kap = kappa(AffineElement.translation(problem.datum, problem.mu))
-    shifted = tuple(a - b for a, b in zip(sol.nu_raw, frob.shift))
+    shifted = tuple(a - b for a, b in zip(nu_raw, frob.shift))
     point = NewtonPoint(problem.datum, shifted, kap)
     return SolveResult(
-        problem, point, sol.nu_raw, sol.w, sol.x, sol.trace,
+        problem, point, nu_raw, sol.w, sol.x, sol.trace,
         sol.certificate, strategy, checks,
     )
 

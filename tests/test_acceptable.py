@@ -227,6 +227,20 @@ def test_maximal_equals_enumerated_max():
                 assert acc.raw[acc.maximum] == maximal_newton_state(mu, fr).nu_raw
 
 
+def test_enumeration_builds_one_bound_table(monkeypatch):
+    # the cross-check against the maximal point runs on the table the
+    # enumeration already holds
+    import bgmu.acceptable as acceptable
+
+    calls = []
+    real = acceptable._orbit_bounds
+    monkeypatch.setattr(acceptable, "_orbit_bounds", lambda *a: calls.append(a) or real(*a))
+    for mu, frob in itertools.islice(_pinned_twisted_problems(), 0, 180, 15):
+        calls.clear()
+        enumerate_acceptable(mu, frob)
+        assert len(calls) == 1, (mu, frob)
+
+
 def _pinned_twisted_problems():
     """Block rotations and fixed blocks, every flip pattern, GL and PGL
     blocks, three twist kappas, two dominant mu each, and the canonical

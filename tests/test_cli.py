@@ -251,6 +251,31 @@ def test_verify_reports_replayable_failure(capsys, monkeypatch):
     assert failure["problem"]["mu"] is not None
 
 
+@pytest.mark.parametrize("keep_going, verified, failures", [(False, 4, 1), (True, 21, 8)])
+def test_verify_stops_at_the_first_failure_unless_kept_going(capsys, monkeypatch,
+                                                           keep_going, verified, failures):
+    # n = 2, 3, 4 have 1, 2, 2 coprime twists and 3, 4, 5 mu with entries
+    # at most 1; only the 8 problems at n = 3 fail
+    import bgmu.cli as cli
+    from bgmu.errors import BgmuError
+
+    real_solve = cli.solve
+
+    def broken_at_3(mu, frob, strategy="auto"):
+        if len(mu) == 3:
+            raise BgmuError("forced mismatch")
+        return real_solve(mu, frob, strategy)
+
+    monkeypatch.setattr(cli, "solve", broken_at_3)
+    argv = ["verify", "--max-n", "4", "--max-entry", "1"] + ["--keep-going"] * keep_going
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 2
+    assert (doc["verified"], doc["failures"]) == (verified, failures)
+    assert doc["first_failure"]["problem"]["group"] == "gl:3"
+    assert doc["first_failure"]["problem"]["mu"] == [1, 1, 1]
+
+
 def test_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BGMU_GUARD", "2")
     code, _, err = run(capsys, "adm", "--group", "gl:3", "--mu", "1,0,0")

@@ -8,6 +8,10 @@ A second check covers the package's private definitions: a module-level
 function, class or constant of ``src/bgmu`` named with one leading
 underscore must be read somewhere in the package outside the statement
 that defines it.
+
+A third check covers the package's records: every annotated field of a
+``@dataclass`` in ``src/bgmu`` must be read as an attribute somewhere in
+the package, in ``bench/`` or in the test suite.
 """
 
 import ast
@@ -104,3 +108,48 @@ def test_dead_definitions_are_found():
 def test_every_private_definition_is_read():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert dead_definitions(sources) == []
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "dataclass"
+
+
+def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Annotated fields of the package's ``@dataclass`` classes, as
+    module.Class.field, that no attribute load in the package or in the
+    reader sources reads."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    loads = {
+        node.attr
+        for tree in [*trees.values(), *map(ast.parse, readers)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{cls.name}.{stmt.target.id}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in loads
+    )
+
+
+def test_unread_fields_are_found():
+    sources = {
+        "a": "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n    z: int = 0\n"
+             "class Q:\n    y: int\n",
+        "b": "@dataclasses.dataclass\nclass R:\n    w: int\n    def f(self):\n        return self.x\n",
+    }
+    readers = ["print(P(1, 2).z)\n", "r.w = 1\n"]
+    assert unread_fields(sources, readers) == ["a.P.y", "b.R.w"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    readers = [
+        path.read_text() for folder in ("bench", "tests") for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unread_fields(sources, readers) == []
