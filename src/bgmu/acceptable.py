@@ -48,7 +48,6 @@ from .weyl import (
     GroupDatum,
     IntVec,
     Permutation,
-    _block_length,
     _same_wa_coset,
     bruhat_leq,
 )
@@ -363,24 +362,21 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
     return True
 
 
-def _block_adm(mu: Sequence[int]) -> list[tuple[int, IntVec, IntVec]]:
-    """Adm(mu) of GL_n, n = len(mu), as (length, trans, images) in local
-    coordinates: for each lattice point lam of Conv(W_0 mu) (the distinct
-    rearrangements of every dominant vector dominated by mu), u is built
-    one position at a time, and a branch is kept while the vertex it
-    has just reached passes the test of ``adm_enumerate``."""
+def _block_adm(mu: Sequence[int]) -> list[tuple[IntVec, IntVec]]:
+    """Adm(mu) of GL_n, n = len(mu), as (trans, images) in local
+    coordinates, unsorted: for each lattice point lam of Conv(W_0 mu)
+    (the distinct rearrangements of every dominant vector dominated by
+    mu), u is built one position at a time, and a branch is kept while
+    the vertex it has just reached passes the test of ``adm_enumerate``."""
     n = len(mu)
     sums = _hull_sums(mu)
-    out: list[tuple[int, IntVec, IntVec]] = []
+    out: list[tuple[IntVec, IntVec]] = []
     images = [0] * n
     used = [False] * n
 
     def grow(lam: IntVec, vec: list[int], k: int) -> None:
         if k == n:
-            inv = [0] * n
-            for i, j in enumerate(images, start=1):
-                inv[j - 1] = i
-            out.append((_block_length(lam, inv, 1, n), lam, tuple(images)))
+            out.append((lam, tuple(images)))
             return
         vec[k] -= 1
         for j in range(n):
@@ -468,20 +464,29 @@ def _adm_refusal(mu: Sequence[int], datum: GroupDatum, guard_n: int) -> Optional
 
 def _adm_raw(
     mu: Sequence[int], datum: GroupDatum, guard_n: int
-) -> list[tuple[int, IntVec, IntVec]]:
-    """The elements of ``adm_enumerate`` as (length, trans, images),
-    sorted, before they are validated as elements."""
+) -> list[tuple[IntVec, IntVec]]:
+    """The elements of ``adm_enumerate`` as (trans, images), unsorted,
+    before they are validated as elements: one block's set as it is,
+    else the product of the blocks' sets, each moved to its offset."""
     refusal = _adm_refusal(mu, datum, guard_n)
     if refusal:
         raise GuardExceeded(refusal)
+    if datum.num_blocks == 1:
+        return _block_adm(mu)
     per_block = [
-        [(ln, t, tuple(j + lo - 1 for j in im)) for ln, t, im in _block_adm(mu[lo - 1 : hi])]
+        [(t, tuple(j + lo - 1 for j in im)) for t, im in _block_adm(mu[lo - 1 : hi])]
         for lo, hi in datum.block_ranges()
     ]
-    return sorted(
-        (sum(e[0] for e in combo), sum((e[1] for e in combo), ()), sum((e[2] for e in combo), ()))
+    return [
+        (sum((e[0] for e in combo), ()), sum((e[1] for e in combo), ()))
         for combo in itertools.product(*per_block)
-    )
+    ]
+
+
+def _adm_order(w: AffineElement) -> tuple:
+    """The order in which ``adm_enumerate`` lists Adm(mu):
+    (length, trans, images)."""
+    return w.length(), w.trans, w.perm.images
 
 
 def adm_enumerate(
@@ -507,4 +512,5 @@ def adm_enumerate(
     if datum is None:
         datum = GroupDatum((len(mu),))
     raw = _adm_raw(mu, datum, DEFAULT_ADM_GUARD_N)
-    return tuple(AffineElement(datum, t, Permutation(im)) for _, t, im in raw)
+    elements = (AffineElement(datum, t, Permutation(im)) for t, im in raw)
+    return tuple(sorted(elements, key=_adm_order))

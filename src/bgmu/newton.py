@@ -15,6 +15,16 @@ the way from c to q. The sigma0-average mu_diamond is the Newton
 vector of t^mu under sigma0 alone, so it is read off the same cycles,
 as are the sigma0-orbits of blocks and of simple roots.
 
+For w = t^trans u and the twist v -> A_s v + b_s, the linear part of
+w o sigma is u o A_s and its translation is trans + u(b_s). So the map
+is read in two steps: ``_linear_part`` takes what depends on u alone
+(the cycles of u o A_s, the order k, the weights (k / L) sign(c -> q),
+the signs that carry a cycle's value along it, and the share of
+u(b_s)), and ``_newton_kernel`` applies that part to trans.
+``newton_point``, ``diamond`` and the brute force's ``_newton_key`` all
+go through both, and the brute force walks the cycles once per
+distinct permutation of Adm(mu) rather than once per element.
+
 Everything is exact: translations stay integral until the single final
 division, so Newton points are tuples of fractions.
 """
@@ -319,50 +329,85 @@ class NewtonData(NamedTuple):
     nu_bar: NewtonPoint
 
 
-def _newton_kernel(
-    trans: Sequence[int], images: Sequence[int], twist: AffineMap, slices: Sequence[slice]
-) -> tuple[int, list[int], list[int]]:
-    """The integer part of the Newton map of w = t^trans u (u in one-line
-    form ``images``) under the twist's affine map: the order k of the
-    linear part of w o sigma, the translation lam of its k-th power, and
-    lam sorted decreasingly inside each block slice. Runs on plain
-    tuples, so the brute force can key whole admissible sets by it."""
+class LinearPart(NamedTuple):
+    """What the Newton map of w = t^trans u under a twist reads off u
+    alone. ``order`` is the order k of the linear part u o A of
+    w o sigma, A the twist's. ``rows`` holds one row per cycle of sign
+    product +1: the terms (c, (k / L) sign(c -> q)) that give the value
+    of lam at the cycle's first coordinate q from trans, and the
+    constant that u(b) adds to it. ``spread`` holds, per coordinate,
+    its row and the sign that carries the row's value to it;
+    coordinates on cycles of sign product -1 read a last row with no
+    terms, so they get 0."""
+
+    order: int
+    rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
+    spread: tuple[tuple[int, int], ...]
+
+
+def _linear_part(images: Sequence[int], twist: AffineMap) -> LinearPart:
+    """The part of the Newton map of t^trans u (u in one-line form
+    ``images``) under the twist's affine map that does not depend on
+    trans: one walk over the cycles of u o A."""
     # w o sigma = (t^trans u) o (v -> A v + b): linear part u o A, and
     # translation trans + u(b)
     tpos, tsign = twist.linear
     lin = SignedMap(tuple([images[p - 1] for p in tpos]), tsign)
-    shift = list(trans)
+    moved = [0] * len(tpos)
     for j, b in zip(images, twist.shift):
-        shift[j - 1] += b
+        moved[j - 1] += b
     cycles = lin.cycles()
     k = _cycles_order(cycles)
-    lam = [0] * len(shift)
+    rows: list = []
+    spread: list = [None] * len(tpos)
     for cycle, s in cycles:
         if s != 1:
             continue
-        # sum_c sign(c -> q) b_c at the first coordinate q of the cycle;
-        # the fixed vector lam carries it along the cycle with the signs
-        total, sign = 0, 1
+        # sign(c -> q) is the product of the signs from c to the end of
+        # the cycle; the fixed vector lam carries the value at q along
+        # the cycle with the signs met on the way
+        terms, sign = [], k // len(cycle)
         for c in reversed(cycle):
             sign *= lin.sign[c]
-            total += sign * shift[c]
-        value = k // len(cycle) * total
+            terms.append((c, sign))
+        sign = 1
         for c in cycle:
-            lam[c] = value
-            value *= lin.sign[c]
-    bar = [x for part in slices for x in sorted(lam[part], reverse=True)]
-    return k, lam, bar
+            spread[c] = (len(rows), sign)
+            sign *= lin.sign[c]
+        rows.append((tuple(terms), sum(w * moved[c] for c, w in terms)))
+    if None in spread:
+        spread = [(len(rows), 1) if e is None else e for e in spread]
+        rows.append(((), 0))
+    return LinearPart(k, tuple(rows), tuple(spread))
+
+
+def _newton_kernel(
+    part: LinearPart, trans: Sequence[int], slices: Sequence[slice]
+) -> tuple[list[int], list[int]]:
+    """The integer part of the Newton map of t^trans u from u's linear
+    part: the translation lam of the k-th power of w o sigma, and lam
+    sorted decreasingly inside each block slice. One linear part serves
+    every translation over the same u, which is how the brute force
+    keys Adm(mu) with one cycle walk per permutation."""
+    values = [const + sum([w * trans[c] for c, w in terms]) for terms, const in part.rows]
+    lam = [s * values[row] for row, s in part.spread]
+    if len(slices) == 1:
+        return lam, sorted(lam, reverse=True)
+    return lam, [x for block in slices for x in sorted(lam[block], reverse=True)]
 
 
 def _newton_key(
-    trans: Sequence[int], images: Sequence[int], twist: AffineMap, slices: Sequence[slice]
+    part: LinearPart, trans: Sequence[int], slices: Sequence[slice]
 ) -> tuple[int, tuple[int, ...]]:
     """(k, blockwise sorted lam) divided by their gcd: two elements get
     the same key exactly when their Newton points have the same
     dominant representative, which is lam_bar / k for the key's k."""
-    k, _, bar = _newton_kernel(trans, images, twist, slices)
+    _, bar = _newton_kernel(part, trans, slices)
+    k = part.order
     g = gcd(k, *bar)
-    return k // g, tuple(x // g for x in bar)
+    if g == 1:
+        return k, tuple(bar)
+    return k // g, tuple([x // g for x in bar])
 
 
 def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
@@ -378,9 +423,9 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     datum = w.datum
     if datum != frob.datum:
         raise DimensionMismatch("element and twist live in different data")
-    k, lam, bar = _newton_kernel(
-        w.trans, w.perm.images, frob.affine_map, datum.block_slices()
-    )
+    part = _linear_part(w.perm.images, frob.affine_map)
+    lam, bar = _newton_kernel(part, w.trans, datum.block_slices())
+    k = part.order
     nu_bar = tuple(Fraction(x, k) - sh for x, sh in zip(bar, frob.shift))
     return NewtonData(
         k,
@@ -411,5 +456,6 @@ def diamond(mu: Sequence, frob: Frobenius) -> RatVec:
     if len(mu) != datum.n:
         raise DimensionMismatch("vector has wrong length")
     twist = AffineMap(frob.sigma0.map(), (0,) * datum.n)
-    k, lam, _ = _newton_kernel(mu, range(1, datum.n + 1), twist, datum.block_slices())
-    return tuple(Fraction(x, k) for x in lam)
+    part = _linear_part(range(1, datum.n + 1), twist)
+    lam, _ = _newton_kernel(part, mu, datum.block_slices())
+    return tuple(Fraction(x, part.order) for x in lam)

@@ -37,6 +37,7 @@ from math import gcd, prod
 from typing import Optional, Sequence
 
 from .acceptable import (
+    _adm_order,
     _adm_raw,
     _adm_refusal,
     adm_member,
@@ -51,9 +52,11 @@ from .errors import (
 )
 from .newton import (
     Frobenius,
+    LinearPart,
     NewtonPoint,
     Sigma0,
     _block_map,
+    _linear_part,
     _map_power,
     _newton_key,
     _vec_str,
@@ -693,30 +696,34 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
 def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
     """The maximum of the Newton points over Adm(mu), the set that the
     paper's theorem says attains the maximal acceptable point, and the
-    first element of Adm(mu) that attains it.
+    first element of Adm(mu) in (length, trans, images) order that
+    attains it.
 
     ``_adm_raw`` lists Adm(mu) as ``adm_enumerate`` does, by the
     vertexwise criterion (w(omega_k) - omega_k in Conv(W_0 mu) for
     omega_k = (1^k, 0^{n-k}); Kottwitz-Rapoport 2000 for minuscule mu,
-    Haines-Ngo 2002 for GL_n), sorted by (length, trans, images), but as
-    raw tuples; the subword products over the orbit of mu
-    (``bruhat_lower_set`` in ``tests/conftest.py``) are the independent
-    reference the tests hold it to. Each tuple is keyed by
-    the integer pair (order, blockwise sorted translation) of its Newton
-    map reduced by their gcd, so the first tuple per Newton point in
-    that order is the witness, fractions are built only for the
-    distinct keys, and only the witness is built as an element."""
+    Haines-Ngo 2002 for GL_n), but unsorted and as raw tuples; the
+    subword products over the orbit of mu (``bruhat_lower_set`` in
+    ``tests/conftest.py``) are the independent reference the tests hold
+    it to. Each tuple is keyed by the integer pair (order, blockwise
+    sorted translation) of its Newton map reduced by their gcd; the
+    cycles of u o A are walked once per distinct permutation u, whose
+    linear part serves every translation over it. Fractions are built
+    only for the distinct keys, and lengths and elements only for the
+    class of the maximal key, whose least element is the witness."""
     datum = problem.datum
     raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N)
     if len(raw) > BRUTE_GUARD_SIZE:
         raise GuardExceeded(f"admissible set too large: {len(raw)}")
     twist, slices = problem.frob.affine_map, datum.block_slices()
-    keyed: dict[tuple[int, tuple[int, ...]], tuple[IntVec, IntVec]] = {}
-    for _, trans, images in raw:
-        keyed.setdefault(_newton_key(trans, images, twist, slices), (trans, images))
-    attained = {
-        tuple(Fraction(x, k) for x in lam): w for (k, lam), w in keyed.items()
-    }
+    parts: dict[IntVec, LinearPart] = {}
+    keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
+    for trans, images in raw:
+        part = parts.get(images)
+        if part is None:
+            part = parts[images] = _linear_part(images, twist)
+        keyed.setdefault(_newton_key(part, trans, slices), []).append((trans, images))
+    attained = {tuple(Fraction(x, k) for x in lam): (k, lam) for k, lam in keyed}
     hs = {p: heights(datum, p) for p in attained}
     maxima = [p for p in attained if all(heights_leq(hs[q], hs[p]) for q in attained)]
     if len(maxima) != 1:
@@ -724,5 +731,9 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
             f"admissible Newton points have {len(maxima)} maxima:"
             f" {', '.join(map(_vec_str, sorted(attained)))}"
         )
-    trans, images = attained[maxima[0]]
-    return maxima[0], AffineElement(datum, trans, Permutation(images))
+    witness = min(
+        (AffineElement(datum, trans, Permutation(images))
+         for trans, images in keyed[attained[maxima[0]]]),
+        key=_adm_order,
+    )
+    return maxima[0], witness

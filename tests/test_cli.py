@@ -90,7 +90,8 @@ def test_adm_membership(capsys):
 @pytest.mark.parametrize("group, mu, digest", [
     ("gl:5", "2,2,1,0,0", "cb00076a09e6301d73e931e9064009d65a4987a2ebb581ee177d828e2f5cfe37"),
     ("pgl:2*3", "2,0,2,1,0", "7494e71a5effb826f97019cdf78f6931bfe68babc38dc3f79cdea172ed1cdfc5"),
-], ids=["gl5", "pgl2x3"])
+    ("gl:4", "2,1,1,0", "fca25bd0c6837b4892fcd52baaf83d16ac78ddac1023290341551c3503f16977"),
+], ids=["gl5", "pgl2x3", "gl4"])
 def test_adm_listing_bytes(capsys, group, mu, digest):
     code, out, _ = run(capsys, "adm", "--group", group, "--mu", mu)
     assert code == 0
@@ -117,6 +118,22 @@ def test_adm_listing_bytes(capsys, group, mu, digest):
         "pgl3x3-flips", "pgl3x3-odd-flip-parity"])
 def test_max_twisted_bytes(capsys, group, mu, sigma, digest):
     code, out, _ = run(capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the brute force's witness is the first element of Adm(mu), in
+# (length, trans, images) order, that attains the maximal point
+@pytest.mark.parametrize("group, mu, sigma, digest", [
+    ("gl:5", "2,2,1,0,0", "superbasic:2/5",
+     "893a8355c7e06269b9e7eeeedbc1a53f0010984bb1647eea6c4e34a8c1d89e4a"),
+    ("pgl:2*2", "2,0,1,0", "tau=t[1,0,0,0]*cyc(1,2);sigma0=-2,1",
+     "d7a4bf6739f422f0e52d8d7150c7248b57602afc424d9a9a355d93e85035bea8"),
+], ids=["gl5-superbasic", "pgl2x2-flip"])
+def test_max_bruteforce_bytes(capsys, group, mu, sigma, digest):
+    code, out, _ = run(
+        capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma, "--strategy", "bruteforce"
+    )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -13,6 +13,8 @@ from bgmu.newton import (
     KappaValue,
     Sigma0,
     SignedMap,
+    _linear_part,
+    _newton_kernel,
     _newton_key,
     diamond,
     dominant_rep,
@@ -140,10 +142,29 @@ def test_newton_point_matches_iteration(problem):
     _check_against_iteration(w, frob)
     # the brute force's integer key, on plain tuples, names the same
     # unshifted dominant Newton vector, in lowest terms
-    k, lam = _newton_key(w.trans, w.perm.images, frob.affine_map, w.datum.block_slices())
+    part = _linear_part(w.perm.images, frob.affine_map)
+    k, lam = _newton_key(part, w.trans, w.datum.block_slices())
     zero = frob.with_shift((Fraction(0),) * w.datum.n)
     assert tuple(Fraction(x, k) for x in lam) == newton_point(w, zero).nu_bar.nu
     assert gcd(k, *lam) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(twisted_elements(), st.data())
+def test_linear_part_serves_every_translation(problem, data):
+    # the brute force walks the cycles of u o A once per permutation and
+    # reuses that part for every translation over it: applied to another
+    # translation lam', it must give the Newton map of t^lam' u by
+    # iteration, on cycles of sign -1 too
+    w, frob = problem
+    datum, slices = w.datum, w.datum.block_slices()
+    part = _linear_part(w.perm.images, frob.affine_map)
+    other = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=datum.n, max_size=datum.n)))
+    zero = frob.with_shift((Fraction(0),) * datum.n)
+    k, lam, _, bar = iterated_newton(AffineElement(datum, other, w.perm), zero)
+    assert (part.order, tuple(_newton_kernel(part, other, slices)[0])) == (k, lam)
+    key_k, key_bar = _newton_key(part, other, slices)
+    assert tuple(Fraction(x, key_k) for x in key_bar) == bar
 
 
 def test_newton_point_on_cycles_of_sign_minus_one():

@@ -337,7 +337,17 @@ def _gl23_rotation():
     return Frobenius.inner(omega_element(GroupDatum((2, 3)), (1, 2)))
 
 
-@pytest.mark.parametrize("make", [_pgl4_inner, _pgl22_flip, _gl23_rotation])
+def _superbasic_1_4():
+    return Frobenius.superbasic(1, 4)
+
+
+def _pgl4_superbasic_3_4():
+    return Frobenius.superbasic(3, 4, adjoint=True)
+
+
+@pytest.mark.parametrize(
+    "make", [_pgl4_inner, _pgl22_flip, _gl23_rotation, _superbasic_1_4, _pgl4_superbasic_3_4]
+)
 def test_solve_bruteforce_matches_reference_maximum(make):
     frob = make()
     per_block = [dominant_coweights(nb, 2) for nb in frob.datum.blocks]
@@ -351,6 +361,40 @@ def test_solve_bruteforce_guard():
     fr = Frobenius.superbasic(5, 8)
     with pytest.raises(GuardExceeded):
         solve((1, 1, 1, 0, 0, 0, 0, 0), fr, strategy="bruteforce")
+
+
+def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
+    # Adm((2,2,1,0,0)) has 1,701 elements over 120 distinct permutations,
+    # and 35 of them attain the maximal Newton point under superbasic
+    # 2/5: the brute force walks the cycles of u o A once per
+    # permutation and takes lengths only inside the maximal class
+    import bgmu.reduction as reduction
+    import bgmu.weyl as weyl
+
+    calls = {"cycles": 0, "length": 0}
+    inside = [False]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += inside[0]
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def brute_force(problem):
+        inside[0] = True
+        try:
+            return real(problem)
+        finally:
+            inside[0] = False
+
+    real = reduction._brute_force
+    monkeypatch.setattr(reduction, "_brute_force", brute_force)
+    monkeypatch.setattr(weyl.SignedMap, "cycles", counted("cycles", weyl.SignedMap.cycles))
+    monkeypatch.setattr(weyl, "_block_length", counted("length", weyl._block_length))
+    r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="auto")
+    assert r.checks["matches_bruteforce"]
+    assert 0 < calls["cycles"] <= 120
+    assert 0 < calls["length"] <= 35
 
 
 def test_solve_gl40_has_no_recursion_limit():
