@@ -18,8 +18,8 @@ as are the sigma0-orbits of blocks and of simple roots.
 For w = t^trans u and the twist v -> A_s v + b_s, the linear part of
 w o sigma is u o A_s and its translation is trans + u(b_s). So the map
 is read in two steps: ``_linear_part`` takes what depends on u alone
-(the cycles of u o A_s, the order k, the weights (k / L) sign(c -> q),
-the signs that carry a cycle's value along it, and the share of
+(the cycles of u o A_s, the order k, the sign carrying each
+coordinate's value from its cycle's first coordinate, and the share of
 u(b_s)), and ``_newton_kernel`` applies that part to trans.
 ``newton_point``, ``diamond`` and the brute force's ``_newton_key`` all
 go through both, and the brute force walks the cycles once per
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ParseError
@@ -332,17 +333,20 @@ class NewtonData(NamedTuple):
 class LinearPart(NamedTuple):
     """What the Newton map of w = t^trans u under a twist reads off u
     alone. ``order`` is the order k of the linear part u o A of
-    w o sigma, A the twist's. ``rows`` holds one row per cycle of sign
-    product +1: the terms (c, (k / L) sign(c -> q)) that give the value
-    of lam at the cycle's first coordinate q from trans, and the
-    constant that u(b) adds to it. ``spread`` holds, per coordinate,
-    its row and the sign that carries the row's value to it;
-    coordinates on cycles of sign product -1 read a last row with no
-    terms, so they get 0."""
+    w o sigma, A the twist's. On a cycle of sign product +1, let
+    carry(c) be the product of the signs met from the cycle's first
+    coordinate to c; then sign(c -> q) = carry(c) carry(q), so lam at q
+    is carry(q) (k / L) sum_c carry(c) b_c. ``carry`` holds carry(c)
+    per coordinate, 0 on cycles of sign product -1, which add nothing.
+    ``rows`` holds an empty row 0, then one row per cycle of sign
+    product +1: its coordinates, k / L, and the share
+    (k / L) sum_c carry(c) u(b)_c of u(b). ``row`` holds each
+    coordinate's row, 0 where carry is 0."""
 
     order: int
-    rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...]
-    spread: tuple[tuple[int, int], ...]
+    carry: tuple[int, ...]
+    row: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, ...], int, int], ...]
 
 
 def _linear_part(images: Sequence[int], twist: AffineMap) -> LinearPart:
@@ -358,27 +362,20 @@ def _linear_part(images: Sequence[int], twist: AffineMap) -> LinearPart:
         moved[j - 1] += b
     cycles = lin.cycles()
     k = _cycles_order(cycles)
-    rows: list = []
-    spread: list = [None] * len(tpos)
+    # row 0 is empty: coordinates on cycles of sign product -1 read it
+    carry, row = [0] * len(tpos), [0] * len(tpos)
+    rows: list = [((), 0, 0)]
     for cycle, s in cycles:
         if s != 1:
             continue
-        # sign(c -> q) is the product of the signs from c to the end of
-        # the cycle; the fixed vector lam carries the value at q along
-        # the cycle with the signs met on the way
-        terms, sign = [], k // len(cycle)
-        for c in reversed(cycle):
-            sign *= lin.sign[c]
-            terms.append((c, sign))
-        sign = 1
+        r, f = len(rows), k // len(cycle)
+        sign, total = 1, 0
         for c in cycle:
-            spread[c] = (len(rows), sign)
+            carry[c], row[c] = sign, r
+            total += sign * moved[c]
             sign *= lin.sign[c]
-        rows.append((tuple(terms), sum(w * moved[c] for c, w in terms)))
-    if None in spread:
-        spread = [(len(rows), 1) if e is None else e for e in spread]
-        rows.append(((), 0))
-    return LinearPart(k, tuple(rows), tuple(spread))
+        rows.append((cycle, f, f * total))
+    return LinearPart(k, tuple(carry), tuple(row), tuple(rows))
 
 
 def _newton_kernel(
@@ -389,10 +386,9 @@ def _newton_kernel(
     sorted decreasingly inside each block slice. One linear part serves
     every translation over the same u, which is how the brute force
     keys Adm(mu) with one cycle walk per permutation."""
-    values = [const + sum([w * trans[c] for c, w in terms]) for terms, const in part.rows]
-    lam = [s * values[row] for row, s in part.spread]
-    if len(slices) == 1:
-        return lam, sorted(lam, reverse=True)
+    signed = list(map(mul, part.carry, trans))
+    values = [share + f * sum(map(signed.__getitem__, cycle)) for cycle, f, share in part.rows]
+    lam = list(map(mul, part.carry, map(values.__getitem__, part.row)))
     return lam, [x for block in slices for x in sorted(lam[block], reverse=True)]
 
 
@@ -405,8 +401,6 @@ def _newton_key(
     _, bar = _newton_kernel(part, trans, slices)
     k = part.order
     g = gcd(k, *bar)
-    if g == 1:
-        return k, tuple(bar)
     return k // g, tuple([x // g for x in bar])
 
 
