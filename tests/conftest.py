@@ -21,18 +21,22 @@ nothing in the package calls them:
   integrality criterion ``newton_criterion`` with its witness
   ``newton_witness`` (``_defect_heights``, ``coroot_vector``);
 * the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
-  and ``expand``.
+  and ``expand``;
+* the byte-identity gate: ``twisted_draw``, the fixed-seed problem
+  draw, and ``outcome_line``, the canonical line of one outcome.
 """
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from bgmu.acceptable import _integral_on, _mu_lam_diamond, support_nodes
-from bgmu.errors import DimensionMismatch, InternalCheckFailed
+from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed
 from bgmu.newton import (
     Frobenius,
+    Sigma0,
     SignedMap,
     _vec_str,
     dominant_rep,
@@ -41,6 +45,8 @@ from bgmu.newton import (
     kappa,
     newton_point,
 )
+from bgmu.reduction import SolveResult, step_json
+from bgmu.superbasic import SuperbasicWitness
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -49,6 +55,8 @@ from bgmu.weyl import (
     _raw,
     _walk,
     bruhat_leq,
+    format_element,
+    omega_element,
 )
 
 
@@ -452,6 +460,60 @@ def dominant_coweights(n: int, max_entry: int):
     return list(
         itertools.combinations_with_replacement(range(max_entry, -1, -1), n)
     )
+
+
+# --- the byte-identity gate -----------------------------------------------------
+
+def twisted_draw(rng):
+    """One problem of the fixed-seed twisted draw: 1-3 equal blocks of
+    size 1-3, each GL or PGL, a random block permutation with random
+    flips, omega kappas in -2..3 and mu entries in 0..2, sorted per
+    block."""
+    r, nb = rng.randint(1, 3), rng.randint(1, 3)
+    datum = GroupDatum((nb,) * r, tuple(rng.random() < 0.5 for _ in range(r)))
+    block_to = list(range(r))
+    rng.shuffle(block_to)
+    flips = tuple(rng.random() < 0.5 for _ in range(r))
+    kappas = [rng.randint(-2, 3) for _ in range(r)]
+    frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, tuple(block_to), flips))
+    mu = tuple(
+        x for _ in range(r)
+        for x in sorted((rng.randint(0, 2) for _ in range(nb)), reverse=True)
+    )
+    return mu, frob
+
+
+def outcome_line(run, *args) -> str:
+    """The canonical line of one problem's outcome, run(*args) with run
+    ``solve``, ``superbasic_witness`` or ``enumerate_acceptable``: the
+    answer as sorted compact JSON, or for a refusal the error type and
+    message. A solve gives nu_raw, nu, kappa, the witness, x, the
+    checks, the trace (``step_json``) and the certificate."""
+    try:
+        out = run(*args)
+    except BgmuError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, SolveResult):
+        doc = {
+            "nu_raw": [str(x) for x in out.nu_raw],
+            "nu": list(out.nu.strings()),
+            "kappa": list(out.nu.kappa.values),
+            "witness": format_element(out.w),
+            "x": repr(out.x),
+            "checks": out.checks,
+            "trace": [step_json(step) for step in out.trace],
+            "certificate": out.certificate and out.certificate.to_json_dict(),
+        }
+    elif isinstance(out, SuperbasicWitness):
+        doc = {
+            "nu": list(out.nu.strings()),
+            "witness": format_element(out.w),
+            "x": repr(out.x),
+            "certificate": out.certificate.to_json_dict(),
+        }
+    else:
+        doc = out.to_json_dict()
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 _acceptance_lines: list[str] = []

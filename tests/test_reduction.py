@@ -30,7 +30,7 @@ from bgmu.weyl import (
     omega_element,
     parse_element,
 )
-from conftest import bruhat_lower_set, dominant_coweights, reference_brute_force
+from conftest import bruhat_lower_set, dominant_coweights, reference_brute_force, twisted_draw
 
 
 # --- adjoint -------------------------------------------------------------------
@@ -491,32 +491,13 @@ def test_product_split_three_block_rotation():
         assert r.nu_raw == maximal_newton_state(mu, fr).nu_raw
 
 
-def _twisted_draw(rng):
-    """One problem of the fixed-seed twisted draw: 1-3 equal blocks of
-    size 1-3, each GL or PGL, a random block permutation with random
-    flips, omega kappas in -2..3 and mu entries in 0..2, sorted per
-    block."""
-    r, nb = rng.randint(1, 3), rng.randint(1, 3)
-    datum = GroupDatum((nb,) * r, tuple(rng.random() < 0.5 for _ in range(r)))
-    block_to = list(range(r))
-    rng.shuffle(block_to)
-    flips = tuple(rng.random() < 0.5 for _ in range(r))
-    kappas = [rng.randint(-2, 3) for _ in range(r)]
-    frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, tuple(block_to), flips))
-    mu = tuple(
-        x for _ in range(r)
-        for x in sorted((rng.randint(0, 2) for _ in range(nb)), reverse=True)
-    )
-    return mu, frob
-
-
 def test_twisted_draw_passes_every_internal_check():
     # orbits of odd flip parity included: a flip surviving to the base
     # is the only refusal
     rng = random.Random(0)
     failed = []
     for _ in range(200):
-        mu, frob = _twisted_draw(rng)
+        mu, frob = twisted_draw(rng)
         try:
             solve(mu, frob, strategy="auto")
         except UnsupportedTwist:
