@@ -5,27 +5,38 @@ condition: for every sigma0-orbit c of simple roots moved by v,
 <omega_c, mu_diamond + lam_diamond - v> must be an integer, so each
 orbit pairing ranges over a coset of Z in [0, <omega_c, mu_diamond>]
 (``_orbit_bounds``). The unique maximal point takes the top of every
-range and is the upper convex hull of the tents, one ``polygon`` per
-block (the same hull that certifies the superbasic peel); the
+range and is the upper convex hull of the tents, one ``_hull`` per
+block (the hull behind ``polygon``, which certifies the superbasic
+peel); the
 enumeration makes every choice per orbit. Both are cross-checked
 against brute-force enumeration in the test suite.
 
 Every pairing <omega_i, v> is read off one running sum per block
-(``heights``), and an orbit pairing is the sum of the heights over the
+(``_scaled_heights``), and an orbit pairing is the sum of the heights over the
 orbit. Heights kill block centers; the central coordinates are pinned
 separately by the block sums of mu_diamond + lam_diamond. Those are the
 block sums of every Newton vector in t^mu W_a: the twist's linear part
 permutes the blocks up to sign exactly as sigma0 does, so its average
 over a period and the sigma0-average of mu + lam have equal block sums.
+
+All of it runs on integers: the bound table, the tents and the
+candidates are numerators over one denominator built from the order
+of sigma0, the block sizes, the orbit lengths and the hull widths, so
+ceilings and floors are integer divisions and every comparison of two
+points cross-multiplies. ``_hull`` finds the upper convex hull with a
+monotone stack in O(n). ``Fraction`` is built only for the results:
+``PolygonData``, ``MaximalSolverState`` and ``AcceptableSet``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import GuardExceeded, InternalCheckFailed, ParseError
@@ -34,12 +45,13 @@ from .newton import (
     NewtonPoint,
     Node,
     RatVec,
+    _diamond,
+    _scaled,
+    _scaled_heights,
     _vec_str,
     alpha_pairing,
-    diamond,
     dominant_rep,
     heights,
-    heights_leq,
     kappa,
     simple_nodes,
 )
@@ -80,63 +92,61 @@ def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     return heights(datum, v) == heights(datum, w)
 
 
-def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[RatVec, RatVec]:
-    """mu_diamond and mu_diamond + lam_diamond, for a dominant mu."""
-    mu_dia = diamond(mu, frob)
+def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[int, list[int], list[int]]:
+    """mu_diamond and mu_diamond + lam_diamond, for a dominant mu, as
+    numerators over k, the order of sigma0's signed map."""
+    k, mu_dia = _diamond(mu, frob)
     if not frob.datum.is_dominant(mu):
         raise ParseError(f"mu {tuple(mu)} is not dominant per block")
-    both = tuple(a + b for a, b in zip(mu_dia, diamond(frob.lam, frob)))
-    return mu_dia, both
-
-
-def _integral_on(frob: Frobenius, support: frozenset, h: dict[Node, Fraction]) -> bool:
-    """Whether every orbit pairing sum_{i in c} h_i is an integer on the
-    sigma0-orbits c of simple roots inside the support."""
-    return all(
-        sum(h[nd] for nd in orbit).denominator == 1
-        for orbit in frob.sigma0.node_orbits()
-        if orbit[0] in support
-    )
+    _, lam_dia = _diamond(frob.lam, frob)
+    return k, mu_dia, [a + b for a, b in zip(mu_dia, lam_dia)]
 
 
 def _orbit_bounds(
     mu: Sequence[int], frob: Frobenius
-) -> tuple[dict[Node, Fraction], list[Fraction], list[tuple[tuple[Node, ...], Fraction, range]]]:
+) -> tuple[int, dict[Node, int], list[int], list[tuple[tuple[Node, ...], int, range]]]:
     """The bound table of the acceptable set: the heights of mu_diamond,
-    the block sums of mu_diamond + lam_diamond, and per sigma0-orbit c
-    of simple roots (c, rep, offsets) with rep = <omega_c, mu_diamond +
-    lam_diamond>: the values rep + k, k in offsets, are those of the
-    coset rep + Z in [0, <omega_c, mu_diamond>]."""
+    the block sums s_b of mu_diamond + lam_diamond, and per sigma0-orbit
+    c of simple roots (c, rep, offsets) with rep / den = <omega_c,
+    mu_diamond + lam_diamond>: the values rep / den + j, j in offsets,
+    are those of the coset in [0, <omega_c, mu_diamond>]. All are
+    numerators over den = k s o (k the order of sigma0's map, s and o
+    the lcms of the block sizes and orbit lengths), in which n_b
+    divides i s_b and an orbit's length divides its pairings."""
     datum = frob.datum
-    mu_dia, both = _mu_lam_diamond(mu, frob)
-    h_mu, h_both = heights(datum, mu_dia), heights(datum, both)
+    k, mu_dia, both = _mu_lam_diamond(mu, frob)
+    orbits = frob.sigma0.node_orbits()
+    o = lcm(*map(len, orbits))
+    s, h_mu = _scaled_heights(datum, [x * o for x in mu_dia])
+    _, h_both = _scaled_heights(datum, [x * o for x in both])
+    den = k * s * o
     table = []
-    for orbit in frob.sigma0.node_orbits():
+    for orbit in orbits:
         rep = sum(h_both[nd] for nd in orbit)
         upper = sum(h_mu[nd] for nd in orbit)
-        table.append((orbit, rep, range(math.ceil(-rep), math.floor(upper - rep) + 1)))
-    return h_mu, datum.block_sums(both), table
+        table.append((orbit, rep, range(-(rep // den), (upper - rep) // den + 1)))
+    return den, h_mu, [t * s * o for t in datum.block_sums(both)], table
 
 
-def _knot_slopes(
-    datum: GroupDatum, prescribed: dict[Node, Fraction], sums: Sequence[Fraction]
-) -> list[list[tuple[int, Fraction]]]:
-    """Per block, (width, slope) between consecutive knots of the running
+def _knot_rises(
+    datum: GroupDatum, prescribed: dict[Node, int], sums: Sequence[int]
+) -> list[list[tuple[int, int]]]:
+    """Per block, (width, rise) between consecutive knots of the running
     sums: (0, 0), then (i, h_i + (i/n_b) s_b) at each node with a
     prescribed centered height h_i, then (n_b, s_b) with s_b the block
-    sum. A vector through the knots is constant between them."""
+    sum; all numerators over one denominator in which n_b divides i s_b.
+    A vector through the knots is constant between them, with slope
+    rise / width."""
     out = []
     for b, nb in enumerate(datum.blocks):
-        total = Fraction(sums[b])
-        knots = [(0, Fraction(0))]
+        total = sums[b]
+        knots = [(0, 0)]
         knots += [
-            (i, prescribed[b, i] + Fraction(i, nb) * total)
+            (i, prescribed[b, i] + i * total // nb)
             for i in range(1, nb) if (b, i) in prescribed
         ]
         knots.append((nb, total))
-        out.append([
-            (i1 - i0, (p1 - p0) / (i1 - i0)) for (i0, p0), (i1, p1) in zip(knots, knots[1:])
-        ])
+        out.append([(i1 - i0, p1 - p0) for (i0, p0), (i1, p1) in zip(knots, knots[1:])])
     return out
 
 
@@ -150,35 +160,43 @@ class PolygonData:
     slopes: tuple[Fraction, ...]
 
     def hull_value(self, k: int) -> Fraction:
-        """Hull height after the first k steps."""
+        """Hull height after the first k steps, off the last vertex at or before k."""
         if not (0 <= k <= len(self.slopes)):
             raise ValueError(f"abscissa {k} outside 0..{len(self.slopes)}")
-        return sum(self.slopes[:k], Fraction(0))
+        x, y = self.vertices[bisect_right(self.vertices, k, key=itemgetter(0)) - 1]
+        return y + (k - x) * self.slopes[k - 1] if k > x else y
+
+
+def _hull(den: int, nums: Sequence[int]) -> list[tuple[int, int]]:
+    """The upper convex hull of the running sums of nums / den as
+    (width, rise) per segment, by a monotone stack: a step enters as a
+    segment of width 1 and merges with the one before while that one's
+    slope is at most its own, so no vertex is collinear with others."""
+    runs: list[tuple[int, int]] = []
+    for rise in nums:
+        width = 1
+        while runs and runs[-1][1] * width <= rise * runs[-1][0]:
+            w0, r0 = runs.pop()
+            width, rise = width + w0, rise + r0
+        runs.append((width, rise))
+    if any(r0 * w1 < r1 * w0 for (w0, r0), (w1, r1) in zip(runs, runs[1:])):
+        raise InternalCheckFailed(
+            f"hull slopes of {_vec_str(Fraction(x, den) for x in nums)} are not decreasing"
+        )
+    return runs
 
 
 def polygon(eta: Sequence) -> PolygonData:
-    """Greedy sharp decomposition: repeatedly take the longest prefix
-    of maximal average. The block averages, repeated blockwise, form
-    the weakly decreasing slope sequence of the hull."""
-    rest = list(eta)
-    x = 0
-    y = Fraction(0)
-    vertices: list[tuple[int, Fraction]] = [(x, y)]
+    """Upper convex hull of the running sums of eta: its vertices, and
+    the segment slopes repeated per step, a weakly decreasing sequence."""
+    den, nums = _scaled(eta)
+    x, y = 0, 0
+    vertices: list[tuple[int, Fraction]] = [(x, Fraction(y))]
     slopes: list[Fraction] = []
-    while rest:
-        best_k, best_av, acc = 1, Fraction(rest[0]), 0
-        for k in range(1, len(rest) + 1):
-            acc += rest[k - 1]
-            av = Fraction(acc, k)
-            if av >= best_av:
-                best_av, best_k = av, k
-        slopes.extend([best_av] * best_k)
-        x += best_k
-        y += best_av * best_k
-        vertices.append((x, y))
-        rest = rest[best_k:]
-    if slopes != sorted(slopes, reverse=True):
-        raise InternalCheckFailed(f"hull slopes of {_vec_str(eta)} are not decreasing")
+    for width, rise in _hull(den, nums):
+        x, y = x + width, y + rise
+        vertices.append((x, Fraction(y, den)))
+        slopes += [Fraction(rise, width * den)] * width
     return PolygonData(tuple(vertices), tuple(slopes))
 
 
@@ -194,41 +212,46 @@ class MaximalSolverState:
 
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
-    return _maximal_state(frob, *_orbit_bounds(mu, frob))
+    return _maximal_state(frob, _orbit_bounds(mu, frob))
 
 
-def _maximal_state(frob: Frobenius, h_mu: dict[Node, Fraction], sums: list[Fraction],
-                   table: list[tuple[tuple[Node, ...], Fraction, range]]) -> MaximalSolverState:
+def _maximal_state(frob: Frobenius, bounds: tuple) -> MaximalSolverState:
     """The maximal point and its checks, on the bound table of
-    ``_orbit_bounds``: the top of every orbit's range, then the hull."""
+    ``_orbit_bounds``: the top of every orbit's range, then the hull.
+    The tents are numerators over den, the point over den w, w the lcm
+    of the hull's widths."""
     datum = frob.datum
-    targets: dict[Node, Fraction] = {}
+    den, h_mu, sums, table = bounds
+    targets: dict[Node, int] = {}
     for orbit, rep, offsets in table:
-        q = rep + offsets[-1] if offsets else Fraction(0)
+        q = rep + offsets[-1] * den if offsets else 0
         for nd in orbit:
-            targets[nd] = q / len(orbit)
+            targets[nd] = q // len(orbit)
 
     # per block, the least concave majorant of the tents: the hull of
-    # the knots at every node, which are a unit apart; polygon checks
+    # the knots at every node, which are a unit apart; _hull checks
     # that its slopes decrease, so nu is dominant
-    nu: RatVec = ()
-    for runs in _knot_slopes(datum, targets, sums):
-        nu += polygon([s for _, s in runs]).slopes
+    hulls = [_hull(den, [rise for _, rise in runs]) for runs in _knot_rises(datum, targets, sums)]
+    w = lcm(*(width for runs in hulls for width, _ in runs))
+    nu = tuple(rise * (w // width) for runs in hulls for width, rise in runs for _ in range(width))
     active = support_nodes(datum, nu)
 
     if not frob.sigma0.is_invariant(nu):
         raise InternalCheckFailed("maximal point is not sigma0-invariant")
-    h_nu = heights(datum, nu)
-    if not heights_leq(h_nu, h_mu):
+    # heights of nu are numerators over den f
+    s, h_nu = _scaled_heights(datum, nu)
+    f = w * s
+    if any(h > h_mu[nd] * f for nd, h in h_nu.items()):
         raise InternalCheckFailed("maximal point exceeds mu_diamond")
-    if any(h_nu[nd] < t for nd, t in targets.items()):
+    if any(h_nu[nd] < t * f for nd, t in targets.items()):
         raise InternalCheckFailed("maximal point drops below a tent")
     if any(
-        orbit[0] in active and (rep - sum(h_nu[nd] for nd in orbit)).denominator != 1
+        orbit[0] in active and (rep * f - sum(h_nu[nd] for nd in orbit)) % (den * f)
         for orbit, rep, _ in table
     ):
         raise InternalCheckFailed("maximal point fails the integrality criterion")
-    return MaximalSolverState(datum, targets, active, nu)
+    return MaximalSolverState(datum, {nd: Fraction(t, den) for nd, t in targets.items()},
+                              active, tuple(Fraction(x, den * w) for x in nu))
 
 
 def maximal_newton(mu: Sequence[int], frob: Frobenius) -> NewtonPoint:
@@ -243,11 +266,12 @@ def maximal_newton(mu: Sequence[int], frob: Frobenius) -> NewtonPoint:
 
 def mu_diamond_acceptable(mu: Sequence[int], frob: Frobenius) -> bool:
     """Whether mu_diamond itself is an acceptable point: the defect
-    pairings <omega_c, lam_diamond> are integers on the support."""
-    datum = frob.datum
-    mu_dia = diamond(mu, frob)
-    lam_dia = diamond(frob.lam, frob)
-    return _integral_on(frob, support_nodes(datum, mu_dia), heights(datum, lam_dia))
+    pairings <omega_c, lam_diamond> = rep - <omega_c, mu_diamond> of
+    ``_orbit_bounds`` are integers on the support of mu_diamond."""
+    den, h_mu, _, table = _orbit_bounds(mu, frob)
+    support = support_nodes(frob.datum, _diamond(mu, frob)[1])
+    return all((rep - sum(h_mu[nd] for nd in orbit)) % den == 0
+               for orbit, rep, _ in table if orbit[0] in support)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -283,33 +307,39 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     knot slopes strictly decrease in every block. No test is needed for
     sigma0-invariance or for lying below mu_diamond: its heights are equal
     on each orbit and linear between knots, where mu_diamond's are concave.
+    Candidates are numerators over den m, m the lcm of 1..max n_b,
+    which every width divides.
     Covers come from bitmasks: up[i] holds the points at or above i,
     down[j] those at or below j, and a cover has up[i] & down[j] = {i, j}."""
     datum = frob.datum
     limit = guard_limit(DEFAULT_ENUM_GUARD)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
-    h_mu, sums, table = _orbit_bounds(mu, frob)
-    options = [[None, *(rep + k for k in offsets)] for _, rep, offsets in table]
-    found: list[RatVec] = []
+    bounds = _orbit_bounds(mu, frob)
+    den, _, sums, table = bounds
+    m = lcm(*range(1, max(datum.blocks) + 1))
+    options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
+               for orbit, rep, offsets in table]
+    found: list[tuple[int, ...]] = []
     for combo in itertools.product(*options):
-        prescribed = {nd: q / len(orbit) for (orbit, _, _), q in zip(table, combo)
+        prescribed = {nd: q for (orbit, _, _), q in zip(table, combo)
                       if q is not None for nd in orbit}
-        blocks = _knot_slopes(datum, prescribed, sums)
-        if all(s0 > s1 for runs in blocks for (_, s0), (_, s1) in zip(runs, runs[1:])):
-            found.append(tuple(s for runs in blocks for width, s in runs for _ in range(width)))
+        blocks = _knot_rises(datum, prescribed, sums)
+        if all(r0 * w1 > r1 * w0 for runs in blocks for (w0, r0), (w1, r1) in zip(runs, runs[1:])):
+            found.append(tuple(r * (m // w) for runs in blocks for w, r in runs for _ in range(w)))
 
-    raw = tuple(sorted(found, reverse=True))
+    found.sort(reverse=True)
+    raw = tuple(tuple(Fraction(x, den * m) for x in v) for v in found)
     kap = kappa(AffineElement.translation(datum, mu))
     points = tuple(
         NewtonPoint(datum, tuple(a - b for a, b in zip(v, frob.shift)), kap)
         for v in raw
     )
-    hs = [heights(datum, v) for v in raw]
+    hs = [_scaled_heights(datum, v)[1] for v in found]
     size = len(raw)
     up, down = [0] * size, [0] * size
     for i, j in itertools.product(range(size), repeat=2):
-        if heights_leq(hs[i], hs[j]):
+        if all(h <= hs[j][nd] for nd, h in hs[i].items()):
             up[i] |= 1 << j
             down[j] |= 1 << i
     maxima = [j for j in range(size) if down[j] == (1 << size) - 1]
@@ -318,7 +348,7 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     hasse = tuple((i, j) for i, j in itertools.product(range(size), repeat=2)
                   if i != j and up[i] & down[j] == (1 << i | 1 << j))
     result = AcceptableSet(datum, points, raw, hasse, maxima[0])
-    state_nu = _maximal_state(frob, h_mu, sums, table).nu_raw
+    state_nu = _maximal_state(frob, bounds).nu_raw
     if raw[result.maximum] != state_nu:
         raise InternalCheckFailed(
             f"enumerated maximum {_vec_str(raw[result.maximum])} differs from"

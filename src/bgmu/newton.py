@@ -18,15 +18,20 @@ as are the sigma0-orbits of blocks and of simple roots.
 For w = t^trans u and the twist v -> A_s v + b_s, the linear part of
 w o sigma is u o A_s and its translation is trans + u(b_s). So the map
 is read in two steps: ``_linear_part`` takes what depends on u alone
-(the cycles of u o A_s, the order k, the sign carrying each
-coordinate's value from its cycle's first coordinate, and the share of
-u(b_s)), and ``_newton_kernel`` applies that part to trans.
+(the order k, the signs, the cycles of u o A_s of sign product +1, and
+u(b_s)), and ``_newton_kernel`` walks those cycles over trans.
 ``newton_point``, ``diamond`` and the brute force's ``_newton_key`` all
 go through both, and the brute force walks the cycles once per
 distinct permutation of Adm(mu) rather than once per element.
 
-Everything is exact: translations stay integral until the single final
-division, so Newton points are tuples of fractions.
+Everything is exact and, below the output boundary, integral: the
+kernel returns (k, lam), and a rational vector is carried as one
+common denominator with integer numerators (``_scaled``), heights
+included (``_scaled_heights``). ``Fraction`` is built only where a
+value leaves for a caller: in the records the package returns
+(``NewtonPoint``, ``NewtonData`` and the results of ``acceptable`` and
+``reduction``), in the public ``heights`` and ``diamond``, in JSON
+strings and in check messages.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ParseError
@@ -160,6 +165,31 @@ def simple_nodes(datum: GroupDatum) -> tuple[Node, ...]:
     )
 
 
+def _scaled(vec: Sequence) -> tuple[int, list[int]]:
+    """A vector of integers and fractions as (d, nums), entry i being
+    nums[i] / d with d the least common denominator: the form in which
+    rational vectors are carried below the output boundary.
+
+    >>> _scaled((Fraction(1, 2), 2, Fraction(-1, 3)))
+    (6, [3, 12, -2])
+    """
+    d = lcm(*(x.denominator for x in vec))
+    return d, [x.numerator * (d // x.denominator) for x in vec]
+
+
+def _scaled_heights(datum: GroupDatum, nums: Sequence[int]) -> tuple[int, dict[Node, int]]:
+    """(s, h) with the heights of the integer vector nums equal to
+    h / s at every node, s the lcm of the block sizes."""
+    s = lcm(*datum.blocks)
+    out: dict[Node, int] = {}
+    for b, sl in enumerate(datum.block_slices()):
+        part = nums[sl]
+        nb, total = len(part), sum(part)
+        for i, head in enumerate(accumulate(part[:-1]), start=1):
+            out[(b, i)] = (nb * head - i * total) * (s // nb)
+    return s, out
+
+
 def heights(datum: GroupDatum, vec: Sequence) -> dict[Node, Fraction]:
     """<omega_i, v> at every simple node: per block, the running sum of
     the first i entries minus (i/n_b) times the block total, which kills
@@ -168,21 +198,9 @@ def heights(datum: GroupDatum, vec: Sequence) -> dict[Node, Fraction]:
     >>> heights(GroupDatum.gl(3), (1, 0, 0))
     {(0, 1): Fraction(2, 3), (0, 2): Fraction(1, 3)}
     """
-    out: dict[Node, Fraction] = {}
-    for b, s in enumerate(datum.block_slices()):
-        part = vec[s]
-        nb = len(part)
-        total = Fraction(sum(part))
-        head = Fraction(0)
-        for i in range(1, nb):
-            head += part[i - 1]
-            out[(b, i)] = head - Fraction(i, nb) * total
-    return out
-
-
-def heights_leq(h1: dict[Node, Fraction], h2: dict[Node, Fraction]) -> bool:
-    """Whether every height of h1 is at most the same node's in h2."""
-    return all(h <= h2[nd] for nd, h in h1.items())
+    d, nums = _scaled(vec)
+    s, h = _scaled_heights(datum, nums)
+    return {nd: Fraction(x, d * s) for nd, x in h.items()}
 
 
 def alpha_pairing(datum: GroupDatum, node: Node, vec: Sequence):
@@ -211,8 +229,8 @@ class Frobenius:
         if len(self.shift) != self.datum.n:
             raise DimensionMismatch("shift has wrong length")
         for lo, hi in self.datum.block_ranges():
-            blockvals = set(self.shift[lo - 1 : hi])
-            if len(blockvals) != 1:
+            part = self.shift[lo - 1 : hi]
+            if part.count(part[0]) != len(part):
                 raise ValueError("shift must be central (constant per block)")
         if not self.datum.is_dominant(self.tau.trans):
             # every length-zero element of a GL-type product has a
@@ -304,7 +322,9 @@ class NewtonPoint:
     kappa: KappaValue
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
+        object.__setattr__(
+            self, "nu", tuple(x if type(x) is Fraction else Fraction(x) for x in self.nu)
+        )
         if len(self.nu) != self.datum.n:
             raise DimensionMismatch("vector has wrong length")
         if not self.datum.is_dominant(self.nu):
@@ -332,21 +352,14 @@ class NewtonData(NamedTuple):
 
 class LinearPart(NamedTuple):
     """What the Newton map of w = t^trans u under a twist reads off u
-    alone. ``order`` is the order k of the linear part u o A of
-    w o sigma, A the twist's. On a cycle of sign product +1, let
-    carry(c) be the product of the signs met from the cycle's first
-    coordinate to c; then sign(c -> q) = carry(c) carry(q), so lam at q
-    is carry(q) (k / L) sum_c carry(c) b_c. ``carry`` holds carry(c)
-    per coordinate, 0 on cycles of sign product -1, which add nothing.
-    ``rows`` holds an empty row 0, then one row per cycle of sign
-    product +1: its coordinates, k / L, and the share
-    (k / L) sum_c carry(c) u(b)_c of u(b). ``row`` holds each
-    coordinate's row, 0 where carry is 0."""
+    alone: the order k of the linear part u o A of w o sigma (A the
+    twist's), its signs, its cycles of sign product +1 (the others add
+    nothing to lam), and u(b), the share of the twist's translation b."""
 
     order: int
-    carry: tuple[int, ...]
-    row: tuple[int, ...]
-    rows: tuple[tuple[tuple[int, ...], int, int], ...]
+    sign: tuple[int, ...]
+    cycles: tuple[tuple[int, ...], ...]
+    moved: list[int]
 
 
 def _linear_part(images: Sequence[int], twist: AffineMap) -> LinearPart:
@@ -361,21 +374,9 @@ def _linear_part(images: Sequence[int], twist: AffineMap) -> LinearPart:
     for j, b in zip(images, twist.shift):
         moved[j - 1] += b
     cycles = lin.cycles()
-    k = _cycles_order(cycles)
-    # row 0 is empty: coordinates on cycles of sign product -1 read it
-    carry, row = [0] * len(tpos), [0] * len(tpos)
-    rows: list = [((), 0, 0)]
-    for cycle, s in cycles:
-        if s != 1:
-            continue
-        r, f = len(rows), k // len(cycle)
-        sign, total = 1, 0
-        for c in cycle:
-            carry[c], row[c] = sign, r
-            total += sign * moved[c]
-            sign *= lin.sign[c]
-        rows.append((cycle, f, f * total))
-    return LinearPart(k, tuple(carry), tuple(row), tuple(rows))
+    return LinearPart(
+        _cycles_order(cycles), lin.sign, tuple(c for c, s in cycles if s == 1), moved
+    )
 
 
 def _newton_kernel(
@@ -386,9 +387,19 @@ def _newton_kernel(
     sorted decreasingly inside each block slice. One linear part serves
     every translation over the same u, which is how the brute force
     keys Adm(mu) with one cycle walk per permutation."""
-    signed = list(map(mul, part.carry, trans))
-    values = [share + f * sum(map(signed.__getitem__, cycle)) for cycle, f, share in part.rows]
-    lam = list(map(mul, part.carry, map(values.__getitem__, part.row)))
+    k, sign, moved = part.order, part.sign, part.moved
+    lam = [0] * len(sign)
+    for cycle in part.cycles:
+        # sum_c sign(c -> q) b_c at the first coordinate q of the cycle;
+        # the fixed vector lam carries it along the cycle with the signs
+        total, carry = 0, 1
+        for c in reversed(cycle):
+            carry *= sign[c]
+            total += carry * (trans[c] + moved[c])
+        value = k // len(cycle) * total
+        for c in cycle:
+            lam[c] = value
+            value *= sign[c]
     return lam, [x for block in slices for x in sorted(lam[block], reverse=True)]
 
 
@@ -420,7 +431,8 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     part = _linear_part(w.perm.images, frob.affine_map)
     lam, bar = _newton_kernel(part, w.trans, datum.block_slices())
     k = part.order
-    nu_bar = tuple(Fraction(x, k) - sh for x, sh in zip(bar, frob.shift))
+    d, shift = _scaled(frob.shift)
+    nu_bar = tuple(Fraction(x * d - k * sh, k * d) for x, sh in zip(bar, shift))
     return NewtonData(
         k,
         tuple(lam),
@@ -443,13 +455,19 @@ def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:
     return tuple(rep), Permutation(images)
 
 
-def diamond(mu: Sequence, frob: Frobenius) -> RatVec:
-    """sigma0-orbit average (1/N) sum sigma0^i(mu): the Newton vector
-    of t^mu under sigma0 alone, read off the same cycles."""
+def _diamond(vec: Sequence[int], frob: Frobenius) -> tuple[int, list[int]]:
+    """The sigma0-orbit average of an integer vector as (k, nums) with
+    nums / k the average and k the order of sigma0's signed map."""
     datum = frob.datum
-    if len(mu) != datum.n:
+    if len(vec) != datum.n:
         raise DimensionMismatch("vector has wrong length")
     twist = AffineMap(frob.sigma0.map(), (0,) * datum.n)
     part = _linear_part(range(1, datum.n + 1), twist)
-    lam, _ = _newton_kernel(part, mu, datum.block_slices())
-    return tuple(Fraction(x, part.order) for x in lam)
+    return part.order, _newton_kernel(part, vec, datum.block_slices())[0]
+
+
+def diamond(mu: Sequence, frob: Frobenius) -> RatVec:
+    """sigma0-orbit average (1/N) sum sigma0^i(mu): the Newton vector
+    of t^mu under sigma0 alone, read off the same cycles."""
+    k, nums = _diamond(mu, frob)
+    return tuple(Fraction(x, k) for x in nums)

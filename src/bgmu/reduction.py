@@ -56,14 +56,13 @@ from .newton import (
     NewtonPoint,
     Sigma0,
     _block_map,
+    _diamond,
     _linear_part,
     _map_power,
     _newton_key,
+    _scaled_heights,
     _vec_str,
-    diamond,
     dominant_rep,
-    heights,
-    heights_leq,
     kappa,
     newton_point,
     simple_nodes,
@@ -116,10 +115,11 @@ class Solution:
     certificate: Optional[PeelCertificate] = None
 
 
-def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> None:
+def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> NewtonPoint:
     """The one check of a final answer: w <= t^{x(mu)} (membership of w
     in Adm(mu), with the reported x), w in the coset of t^mu, and the
-    Newton point of w equal to the claimed raw point nu_raw."""
+    Newton point of w equal to the claimed raw point nu_raw. Returns
+    that Newton point, with the reporting shift: the answer's."""
     datum = problem.datum
     bound = AffineElement.translation(datum, sol.x.act(problem.mu))
     if not bruhat_leq(sol.w, bound):
@@ -128,11 +128,13 @@ def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> None:
         )
     if kappa(sol.w) != kappa(AffineElement.translation(datum, problem.mu)):
         raise InternalCheckFailed("witness leaves the translation coset")
-    bar = newton_point(sol.w, problem.frob.with_shift((Fraction(0),) * datum.n)).nu_bar.nu
+    point = newton_point(sol.w, problem.frob).nu_bar
+    bar = tuple(a + b for a, b in zip(point.nu, problem.frob.shift))
     if bar != nu_raw:
         raise InternalCheckFailed(
             f"witness Newton point {_vec_str(bar)} differs from claimed {_vec_str(nu_raw)}"
         )
+    return point
 
 
 # --- individual reduction steps ----------------------------------------------
@@ -378,9 +380,10 @@ class ParabolicStep:
         return Solution(w, x, (self,) + sub.trace, sub.certificate)
 
 
-def _fixed_direction_space(frob: Frobenius) -> list[tuple[Fraction, ...]]:
+def _fixed_direction_space(frob: Frobenius) -> tuple[int, list[IntVec]]:
     """Basis of the centered directions fixed by the twist on a single
-    block, read off the cycles of its linear part.
+    block, read off the cycles of its linear part, as integer vectors
+    over one denominator d.
 
     The linear part is a signed permutation that maps the block to
     itself up to sign, so it keeps centered vectors centered and the
@@ -389,43 +392,45 @@ def _fixed_direction_space(frob: Frobenius) -> list[tuple[Fraction, ...]]:
     coordinate's sign: it vanishes on a cycle of sign product -1, and a
     cycle of sign product +1 carries one fixed vector, +-1 along the
     cycle and +1 at its last coordinate. Taken in the order of their
-    last coordinates, the first of these with a nonzero sum absorbs the
-    sums of all later ones and drops out. This is the row-reduced basis:
-    each vector is 1 at its last nonzero coordinate, the other vectors
-    are 0 there, and those coordinates ascend."""
+    last coordinates, the first of these with a nonzero sum, the pivot,
+    absorbs the sums of all later ones and drops out; d is the absolute
+    value of its sum. This is the row-reduced basis: each vector is 1
+    (d over d) at its last nonzero coordinate, the other vectors are 0
+    there, and those coordinates ascend."""
     lin = frob.affine_map.linear
     units = []
     for cycle, sign in lin.cycles():
         if sign != 1:
             continue
-        u, s = [Fraction(0)] * len(lin.pos), 1
+        u, s = [0] * len(lin.pos), 1
         for p in cycle:
-            u[p] = Fraction(s)
+            u[p] = s
             s *= lin.sign[p]
         last = max(cycle)
         units.append((last, [x * u[last] for x in u]))
-    basis: list[tuple[Fraction, ...]] = []
-    pivot = None
-    for _, u in sorted(units):
-        if pivot is None and sum(u) != 0:
-            pivot = u
-        elif pivot is None:
-            basis.append(tuple(u))
-        else:
-            f = sum(u) / sum(pivot)
-            basis.append(tuple(a - f * b for a, b in zip(u, pivot)))
-    return basis
+    units.sort()
+    pivot = next((u for _, u in units if sum(u) != 0), None)
+    if pivot is None:
+        return 1, [tuple(u) for _, u in units]
+    d, sign = abs(sum(pivot)), 1 if sum(pivot) > 0 else -1
+    # before the pivot, d u; after it, d u - (d / sum(pivot)) sum(u) pivot
+    basis = []
+    for _, u in units:
+        if u is not pivot:
+            f = sign * sum(u)
+            basis.append(tuple(d * a - f * b for a, b in zip(u, pivot)))
+    return d, basis
 
 
-def _generic_point(frob: Frobenius, basis: list[tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-    """sum_k t^k basis[k] with t = n^2 + 1, which lies on no root
-    hyperplane that the basis does not: times the pivot's sum (see
-    ``_fixed_direction_space``), a coordinate difference of each basis
-    vector is an integer D_k of size at most 2n, since the cycles are
-    disjoint, and sum_k t^k D_k vanishes only when every D_k does."""
+def _generic_point(frob: Frobenius, den: int, basis: list[IntVec]) -> IntVec:
+    """sum_k t^k basis[k] with t = n^2 + 1, over the basis's denominator
+    den, which lies on no root hyperplane that the basis does not: a
+    coordinate difference of each basis vector is an integer D_k of size
+    at most 2n den, since the cycles are disjoint, and sum_k t^k D_k
+    vanishes only when every D_k does."""
     datum = frob.datum
     n = datum.n
-    v0 = [Fraction(0)] * n
+    v0 = [0] * n
     scale = 1
     for b in basis:
         v0 = [a + scale * c for a, c in zip(v0, b)]
@@ -434,11 +439,13 @@ def _generic_point(frob: Frobenius, basis: list[tuple[Fraction, ...]]) -> tuple[
         for i in range(lo, hi + 1):
             for j in range(i + 1, hi + 1):
                 if v0[i - 1] == v0[j - 1] and any(b[i - 1] != b[j - 1] for b in basis):
-                    raise InternalCheckFailed(f"direction {_vec_str(v0)} is not generic")
+                    raise InternalCheckFailed(
+                        f"direction {_vec_str(Fraction(x, den) for x in v0)} is not generic"
+                    )
     return tuple(v0)
 
 
-def _prefer_dominant(frob: Frobenius, v0: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _prefer_dominant(frob: Frobenius, v0: IntVec) -> IntVec:
     """Swap the generic point for its dominant representative when that
     stays inside the fixed-direction space; the descent data z then
     comes out as the identity."""
@@ -460,9 +467,8 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
     datum = problem.datum
     if datum.num_blocks != 1:
         raise ValueError("parabolic reduction expects a single block")
-    basis = _fixed_direction_space(frob)
-    v0 = _generic_point(frob, basis)
-    v0 = _prefer_dominant(frob, v0)
+    den, basis = _fixed_direction_space(frob)
+    v0 = _prefer_dominant(frob, _generic_point(frob, den, basis))
     vbar, z = dominant_rep(datum, v0)
     J = frozenset(
         nd for nd in simple_nodes(datum)
@@ -485,7 +491,7 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
         raise InternalCheckFailed("residual twist is not length zero in the stabilizer")
     sub_frob = _sub_twist(new_tau, frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
     _check_integrality_split(problem, z, J, sub_datum)
-    step = ParabolicStep("parabolic", frob, tuple(v0), z, sub_datum)
+    step = ParabolicStep("parabolic", frob, tuple(Fraction(x, den) for x in v0), z, sub_datum)
     return Problem(problem.mu, sub_frob), step
 
 
@@ -496,15 +502,15 @@ def _check_integrality_split(problem: Problem, z: Permutation, J: frozenset,
     integral exactly away from the stabilizer."""
     datum = problem.datum
     frob = problem.frob
-    zlam_h = heights(datum, diamond(z.act(frob.lam), frob))
+    _, zlam_h = _scaled_heights(datum, _diamond(z.act(frob.lam), frob)[1])
     I = frozenset(simple_nodes(datum)) - J
     if any(zlam_h[nd] != 0 for nd in I):
         raise InternalCheckFailed("z(lambda) average escapes the coroot span")
-    lam_h = heights(datum, diamond(frob.lam, frob))
+    k, lam_dia = _diamond(frob.lam, frob)
+    s, lam_h = _scaled_heights(datum, lam_dia)
     for orbit in frob.sigma0.node_orbits():
-        val = sum(lam_h[nd] for nd in orbit)
-        inside_I = orbit[0] in I
-        if (val.denominator == 1) != inside_I:
+        integral = sum(lam_h[nd] for nd in orbit) % (k * s) == 0
+        if integral != (orbit[0] in I):
             raise InternalCheckFailed("defect integrality does not match the support")
 
 
@@ -682,11 +688,8 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
                     f" {_vec_str(brute)} disagree"
                 )
             checks["matches_bruteforce"] = True
-    _verify_solution(problem, sol, nu_raw)
+    point = _verify_solution(problem, sol, nu_raw)
     checks["admissible"] = True
-    kap = kappa(AffineElement.translation(problem.datum, problem.mu))
-    shifted = tuple(a - b for a, b in zip(nu_raw, frob.shift))
-    point = NewtonPoint(problem.datum, shifted, kap)
     return SolveResult(
         problem, point, nu_raw, sol.w, sol.x, sol.trace,
         sol.certificate, strategy, checks,
@@ -708,9 +711,10 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
     it to. Each tuple is keyed by the integer pair (order, blockwise
     sorted translation) of its Newton map reduced by their gcd; the
     cycles of u o A are walked once per distinct permutation u, whose
-    linear part serves every translation over it. Fractions are built
-    only for the distinct keys, and lengths and elements only for the
-    class of the maximal key, whose least element is the witness."""
+    linear part serves every translation over it. The keys compare by
+    cross-multiplied heights; fractions are built only for the maximal
+    key, and lengths and elements only for its class, whose least
+    element is the witness."""
     datum = problem.datum
     raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N)
     if len(raw) > BRUTE_GUARD_SIZE:
@@ -723,17 +727,22 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
         if part is None:
             part = parts[images] = _linear_part(images, twist)
         keyed.setdefault(_newton_key(part, trans, slices), []).append((trans, images))
-    attained = {tuple(Fraction(x, k) for x in lam): (k, lam) for k, lam in keyed}
-    hs = {p: heights(datum, p) for p in attained}
-    maxima = [p for p in attained if all(heights_leq(hs[q], hs[p]) for q in attained)]
+    # a key (k, lam) is the point lam / k, so heights compare cross-multiplied
+    hs = {key: _scaled_heights(datum, key[1])[1] for key in keyed}
+    maxima = [
+        (k, lam) for k, lam in keyed
+        if all(h * k <= hs[k, lam][nd] * kq for (kq, q) in keyed for nd, h in hs[kq, q].items())
+    ]
     if len(maxima) != 1:
+        attained = sorted(tuple(Fraction(x, k) for x in lam) for k, lam in keyed)
         raise InternalCheckFailed(
             f"admissible Newton points have {len(maxima)} maxima:"
-            f" {', '.join(map(_vec_str, sorted(attained)))}"
+            f" {', '.join(map(_vec_str, attained))}"
         )
     witness = min(
         (AffineElement(datum, trans, Permutation(images))
-         for trans, images in keyed[attained[maxima[0]]]),
+         for trans, images in keyed[maxima[0]]),
         key=_adm_order,
     )
-    return maxima[0], witness
+    k, lam = maxima[0]
+    return tuple(Fraction(x, k) for x in lam), witness

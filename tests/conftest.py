@@ -20,6 +20,8 @@ nothing in the package calls them:
 * acceptable points: ``adjoint_leq``, ``nu_reference``, and the
   integrality criterion ``newton_criterion`` with its witness
   ``newton_witness`` (``_defect_heights``, ``coroot_vector``);
+* the hull and the heights in fractions: ``polygon_reference``, the
+  greedy longest-prefix search, and ``heights_reference``;
 * the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
   and ``expand``;
 * the byte-identity gate: ``twisted_draw``, the fixed-seed problem
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from bgmu.acceptable import _integral_on, _mu_lam_diamond, support_nodes
+from bgmu.acceptable import PolygonData, _mu_lam_diamond, support_nodes
 from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed
 from bgmu.newton import (
     Frobenius,
@@ -41,7 +43,6 @@ from bgmu.newton import (
     _vec_str,
     dominant_rep,
     heights,
-    heights_leq,
     kappa,
     newton_point,
 )
@@ -174,11 +175,53 @@ def bruhat_lower_set(*tops: AffineElement) -> frozenset:
     return frozenset(AffineElement(datum, t, Permutation(p)) for t, p in raw)
 
 
+# --- the hull and the heights in fractions --------------------------------------
+
+def polygon_reference(eta) -> PolygonData:
+    """Greedy sharp decomposition: repeatedly take the longest prefix
+    of maximal average, all in fractions. The block averages, repeated
+    blockwise, form the weakly decreasing slope sequence of the hull."""
+    rest = list(eta)
+    x = 0
+    y = Fraction(0)
+    vertices = [(x, y)]
+    slopes = []
+    while rest:
+        best_k, best_av, acc = 1, Fraction(rest[0]), 0
+        for k in range(1, len(rest) + 1):
+            acc += rest[k - 1]
+            av = Fraction(acc, k)
+            if av >= best_av:
+                best_av, best_k = av, k
+        slopes.extend([best_av] * best_k)
+        x += best_k
+        y += best_av * best_k
+        vertices.append((x, y))
+        rest = rest[best_k:]
+    return PolygonData(tuple(vertices), tuple(slopes))
+
+
+def heights_reference(datum: GroupDatum, vec) -> dict:
+    """<omega_i, v> per node in fractions: the running sum of the first
+    i entries of the block minus (i/n_b) times the block total."""
+    out = {}
+    for b, s in enumerate(datum.block_slices()):
+        part = vec[s]
+        nb = len(part)
+        total = Fraction(sum(part))
+        head = Fraction(0)
+        for i in range(1, nb):
+            head += part[i - 1]
+            out[(b, i)] = head - Fraction(i, nb) * total
+    return out
+
+
 # --- acceptable points: the integrality criterion and its witness --------------
 
 def adjoint_leq(datum: GroupDatum, v, w) -> bool:
     """v <= w modulo block centers: all fundamental pairings compare."""
-    return heights_leq(heights(datum, v), heights(datum, w))
+    hw = heights(datum, w)
+    return all(h <= hw[nd] for nd, h in heights(datum, v).items())
 
 
 def nu_reference(mu, frob: Frobenius):
@@ -205,13 +248,24 @@ def _defect_heights(v, mu, frob: Frobenius) -> dict:
         raise ValueError("v must be dominant per block")
     if not frob.sigma0.is_invariant(v):
         raise ValueError("v must be sigma0-invariant")
-    _, both = _mu_lam_diamond(mu, frob)
+    k, _, nums = _mu_lam_diamond(mu, frob)
+    both = tuple(Fraction(x, k) for x in nums)
     if datum.block_sums(v) != datum.block_sums(both):
         raise ValueError(
             f"central coordinates {_vec_str(datum.block_sums(v))} do not match"
             f" the coset profile {_vec_str(datum.block_sums(both))}"
         )
     return heights(datum, tuple(a - c for a, c in zip(both, v)))
+
+
+def _integral_on(frob: Frobenius, support: frozenset, h: dict) -> bool:
+    """Whether every orbit pairing sum_{i in c} h_i is an integer on the
+    sigma0-orbits c of simple roots inside the support."""
+    return all(
+        sum(h[nd] for nd in orbit).denominator == 1
+        for orbit in frob.sigma0.node_orbits()
+        if orbit[0] in support
+    )
 
 
 def newton_criterion(v, mu, frob: Frobenius) -> bool:

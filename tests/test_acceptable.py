@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgmu.acceptable import (
@@ -21,6 +21,7 @@ from bgmu.acceptable import (
     maximal_newton,
     maximal_newton_state,
     mu_diamond_acceptable,
+    polygon,
     support_nodes,
 )
 from bgmu.errors import GuardExceeded, ParseError
@@ -38,10 +39,12 @@ from conftest import (
     adm_reference,
     coset_ball,
     dominant_coweights,
+    heights_reference,
     newton_criterion,
     newton_witness,
     nu_reference,
     orbit_points,
+    polygon_reference,
 )
 
 GL2 = GroupDatum.gl(2)
@@ -475,3 +478,42 @@ def test_adm_guard():
         adm_enumerate((0,) * 6, GroupDatum.gl(6))
     with pytest.raises(GuardExceeded):
         adm_enumerate((5, 0), GL2)
+
+
+# --- the integer hull and heights against the fraction references --------------
+
+# entries that make ties and runs of equal slope likely: a few small
+# integers, halves and thirds, negative ones included
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_entries, max_size=14))
+@example([])
+@example([3, 3, 3])
+@example([1, 2, 1, 2, 1, 2])
+@example([2, 0, 2, 0, 1, 1])
+@example([-1, -1, 3, 3, -2, 0, 0])
+@example([Fraction(1, 2), 1, 0, Fraction(1, 2), Fraction(1, 2)])
+def test_polygon_is_the_greedy_reference(eta):
+    # the monotone stack gives the greedy search's vertices and slopes,
+    # as the same fractions; the hull value off the vertices is the
+    # slope sum at every abscissa
+    got = polygon(eta)
+    assert repr(got) == repr(polygon_reference(eta))
+    for k in range(len(eta) + 1):
+        value = got.hull_value(k)
+        assert type(value) is Fraction and value == sum(got.slopes[:k], Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_heights_are_the_fraction_reference(data):
+    blocks = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    datum = GroupDatum(blocks)
+    vec = tuple(data.draw(st.lists(_entries, min_size=datum.n, max_size=datum.n)))
+    assert repr(heights(datum, vec)) == repr(heights_reference(datum, vec))

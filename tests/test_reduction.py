@@ -561,15 +561,15 @@ def test_fixed_direction_basis_is_row_reduced_from_cycles():
                 for flip in (False, True):
                     fr = Frobenius(omega_element(d, (k,)), Sigma0(d, (0,), (flip,)))
                     lin = fr.affine_map.linear
-                    basis = _fixed_direction_space(fr)
+                    den, basis = _fixed_direction_space(fr)
                     positive = [c for c, sign in lin.cycles() if sign == 1]
                     drop = any(_cycle_vector_sum(lin, c) != 0 for c in positive)
-                    assert len(basis) == len(positive) - drop
+                    assert len(basis) == len(positive) - drop and den > 0
                     lasts = []
                     for v in basis:
                         assert lin.apply(v) == v and sum(v) == 0
                         last = max(p for p in range(n) if v[p] != 0)
-                        assert v[last] == 1
+                        assert v[last] == den
                         lasts.append(last)
                     assert lasts == sorted(set(lasts))
                     for v, last in zip(basis, lasts):
