@@ -322,9 +322,7 @@ class NewtonPoint:
     kappa: KappaValue
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nu", tuple(x if type(x) is Fraction else Fraction(x) for x in self.nu)
-        )
+        object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
         if len(self.nu) != self.datum.n:
             raise DimensionMismatch("vector has wrong length")
         if not self.datum.is_dominant(self.nu):

@@ -425,9 +425,9 @@ def _fixed_direction_space(frob: Frobenius) -> tuple[int, list[IntVec]]:
 def _generic_point(frob: Frobenius, den: int, basis: list[IntVec]) -> IntVec:
     """sum_k t^k basis[k] with t = n^2 + 1, over the basis's denominator
     den, which lies on no root hyperplane that the basis does not: a
-    coordinate difference of each basis vector is an integer D_k of size
-    at most 2n den, since the cycles are disjoint, and sum_k t^k D_k
-    vanishes only when every D_k does."""
+    coordinate difference of each integer basis vector is an integer D_k
+    of size at most 2n, since the cycles are disjoint, and
+    sum_k t^k D_k vanishes only when every D_k does."""
     datum = frob.datum
     n = datum.n
     v0 = [0] * n

@@ -45,7 +45,7 @@ from typing import Sequence
 
 from .acceptable import polygon
 from .errors import InternalCheckFailed, ParseError
-from .newton import Frobenius, NewtonPoint, _vec_str, kappa, newton_point
+from .newton import Frobenius, NewtonPoint, _vec_str, newton_point
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -437,11 +437,10 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     cert = sharp_peel(mu, m, n)
     w = cert.end * superbasic_element(m, n).inverse()
     frob = Frobenius.superbasic(m, n, normalized=False)
-    bar = newton_point(w, frob).nu_bar.nu
-    if bar != cert.slopes:
+    point = newton_point(w, frob).nu_bar
+    if point.nu != cert.slopes:
         raise InternalCheckFailed(
-            f"witness Newton point {_vec_str(bar)} is not the hull slope sequence"
+            f"witness Newton point {_vec_str(point.nu)} is not the hull slope sequence"
             f" {_vec_str(cert.slopes)}"
         )
-    point = NewtonPoint(w.datum, cert.slopes, kappa(w))
     return SuperbasicWitness(point, w, cert.epsilon, cert)
