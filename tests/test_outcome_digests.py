@@ -23,7 +23,6 @@ and says how many lines changed, and why.
 
 import hashlib
 import random
-import sys
 from math import gcd
 from pathlib import Path
 
@@ -113,4 +112,4 @@ def write() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(write())
+    write()
