@@ -21,10 +21,10 @@ No Bruhat query is made here, and each fact is checked in one place:
 
 * ``euclid_chain``: each level's templates rebuild the level above it,
   so every level expands to chi_{m,n} by induction;
-* ``sharp_peel``: each chain step drops the length, which makes it a
-  strict Bruhat descent; the chain starts at t^{eps(mu)} sigma_{m,n} by
-  construction, so it proves w < t^{eps(mu)}; and the slopes of the
-  decomposition are those of ``polygon(theta)``;
+* ``sharp_peel``: each chain step drops the length (the start's length
+  is counted once, each drop exactly in O(n)), so it is a strict Bruhat
+  descent; the chain starts at t^{eps(mu)} sigma_{m,n}, so it proves
+  w < t^{eps(mu)}; and the decomposition has the hull slopes of theta;
 * ``superbasic_witness``: the Newton point of w is that slope sequence;
 * ``solve``: the point is the maximal acceptable one and w lies below
   t^{x(mu)}, once for the whole problem. The test suite checks the
@@ -43,13 +43,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .acceptable import polygon
+from .acceptable import _hull, polygon
 from .errors import InternalCheckFailed, ParseError
 from .newton import Frobenius, NewtonPoint, _vec_str, newton_point
 from .weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
+    _transposition_delta,
     format_element,
     superbasic_element,
 )
@@ -253,6 +254,8 @@ class ChainStep:
     cycle_conjugated: tuple[int, int]
     before: AffineElement
     after: AffineElement
+    length_before: int
+    length_after: int
 
 
 @dataclass(frozen=True)
@@ -271,6 +274,8 @@ class PeelCertificate:
     end: AffineElement
 
     def to_json_dict(self) -> dict:
+        # step i runs from texts[i] to texts[i + 1]: each element is formatted once
+        texts = [format_element(w) for w in (self.start, *(c.after for c in self.chain))]
         return {
             "schema": "bgmu/1",
             "m": self.m,
@@ -291,16 +296,16 @@ class PeelCertificate:
                     "kind": c.kind,
                     "cycle": list(c.cycle),
                     "cycle_conjugated": list(c.cycle_conjugated),
-                    "before": format_element(c.before),
-                    "after": format_element(c.after),
-                    "length_before": c.before.length(),
-                    "length_after": c.after.length(),
+                    "before": texts[i],
+                    "after": texts[i + 1],
+                    "length_before": c.length_before,
+                    "length_after": c.length_after,
                     "verified": True,  # emit raises before building an unverified step
                 }
-                for c in self.chain
+                for i, c in enumerate(self.chain)
             ],
-            "start": format_element(self.start),
-            "end": format_element(self.end),
+            "start": texts[0],
+            "end": texts[-1],
         }
 
 
@@ -308,6 +313,11 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     """Peel theta = mu + chi_{m,n} block by block into a sharp
     decomposition, certifying each emitted transposition (conjugated by
     epsilon) as a strict Bruhat descent by its drop in length."""
+    return _sharp_peel(mu, m, n)[0]
+
+
+def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, AffineElement]:
+    """``sharp_peel`` and the sigma_{m,n} it starts from, built once per witness."""
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError(f"mu must have length {n}")
@@ -320,26 +330,28 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     chain_data = euclid_chain(m, n)
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
-    start = AffineElement.translation(datum, eps.act(mu)) * superbasic_element(m, n)
+    sigma = superbasic_element(m, n)
+    start = AffineElement.translation(datum, eps.act(mu)) * sigma
 
     chain_steps: list[ChainStep] = []
     decomposition: list[Segment] = []
-    current = start
+    current, length = start, start.length()
 
     def emit(block_i: int, kind: str, a: int, b: int) -> None:
-        nonlocal current
-        cyc_conj = (eps(a), eps(b))
-        nxt = current * AffineElement.from_permutation(
-            datum, Permutation.from_cycles(n, [cyc_conj])
-        )
-        # nxt = current * r for a reflection r, and wr < w iff l(wr) < l(w)
-        if nxt.length() >= current.length():
+        nonlocal current, length
+        c, d = eps(a), eps(b)
+        images = list(current.perm.images)  # nxt = current * (c d): u(c), u(d) trade places
+        images[c - 1], images[d - 1] = images[d - 1], images[c - 1]
+        nxt = AffineElement(datum, current.trans, Permutation(images))
+        nxt_len = length + _transposition_delta(current.trans, current.perm.images, c, d)
+        # (c d) is a reflection r, and wr < w iff l(wr) < l(w)
+        if nxt_len >= length:
             raise InternalCheckFailed(
                 f"chain step {kind} cyc{(a, b)} is not a strict Bruhat descent"
                 f" at {format_element(current)}"
             )
-        chain_steps.append(ChainStep(block_i, kind, (a, b), cyc_conj, current, nxt))
-        current = nxt
+        chain_steps.append(ChainStep(block_i, kind, (a, b), (c, d), current, nxt, length, nxt_len))
+        current, length = nxt, nxt_len
 
     def theta_seg(rng0: tuple[int, int]) -> Segment:
         return Segment(rng0[0], theta[rng0[0] - 1 : rng0[1]])
@@ -402,19 +414,19 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
             raise InternalCheckFailed("decomposition does not cover the block")
         decomposition.extend(block_pieces)
 
-    slopes = tuple(
-        itertools.chain.from_iterable([s.average] * s.size for s in decomposition)
-    )
-    hull = polygon(theta)
-    if slopes != hull.slopes:
+    # per position: equal-slope neighbours of the decomposition are one hull run
+    pieces = itertools.chain.from_iterable([(s.total, s.size)] * s.size for s in decomposition)
+    runs = itertools.chain.from_iterable([run] * run[0] for run in _hull(1, theta))
+    slopes = tuple(itertools.chain.from_iterable([s.average] * s.size for s in decomposition))
+    if any(total * width != rise * size for (total, size), (width, rise) in zip(pieces, runs)):
         raise InternalCheckFailed(
             f"peeled decomposition slopes {_vec_str(slopes)} differ from hull"
-            f" {_vec_str(hull.slopes)}"
+            f" {_vec_str(polygon(theta).slopes)}"
         )
     return PeelCertificate(
         m, n, mu, chi0, theta, eps, tuple(breaks),
         tuple(decomposition), slopes, tuple(chain_steps), start, current,
-    )
+    ), sigma
 
 
 @dataclass(frozen=True)
@@ -434,10 +446,9 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     multiplication with the length-zero sigma^{-1}, proves
     w < t^{eps(mu)} whenever the chain is not empty. That the slopes
     are the maximal point is checked by ``solve``, not here."""
-    cert = sharp_peel(mu, m, n)
-    w = cert.end * superbasic_element(m, n).inverse()
-    frob = Frobenius.superbasic(m, n, normalized=False)
-    point = newton_point(w, frob).nu_bar
+    cert, sigma = _sharp_peel(mu, m, n)
+    w = cert.end * sigma.inverse()
+    point = newton_point(w, Frobenius.inner(sigma)).nu_bar
     if point.nu != cert.slopes:
         raise InternalCheckFailed(
             f"witness Newton point {_vec_str(point.nu)} is not the hull slope sequence"

@@ -269,6 +269,36 @@ def _block_length(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> i
     return total
 
 
+def _transposition_delta(lam: Sequence[int], images: Sequence[int], a: int, b: int) -> int:
+    """len(w (a b)) - len(w) for w = t^lam u, given images = u in
+    one-line form and a transposition (a b) inside one block.
+
+    The product swaps the entries a and b of u^-1, which sit at the
+    positions p = u(a) and q = u(b). So only the Iwahori-Matsumoto terms
+    of pairs at p or q change, and of those only the pair (p, q) and the
+    pairs with a position k whose entry u^-1(k) lies between a and b.
+    Each such term changes by one, up or down as (lam, position) orders
+    the pair, so the delta is +-(1 + 2 c), with c the number of such k
+    ordered strictly between p and q. It costs O(|a - b|).
+
+    >>> lam, u = (2, 0, 1), (1, 2, 3)
+    >>> _block_length(lam, u, 1, 3)
+    4
+    >>> _transposition_delta(lam, u, 1, 3), _block_length(lam, (3, 2, 1), 1, 3)
+    (-1, 3)
+    """
+    if a > b:
+        a, b = b, a
+    p, q = images[a - 1], images[b - 1]
+    kp, kq = (lam[p - 1], p), (lam[q - 1], q)
+    low, high = min(kp, kq), max(kp, kq)
+    between = 0
+    for k in images[a : b - 1]:
+        if low < (lam[k - 1], k) < high:
+            between += 1
+    return (1 if kp < kq else -1) * (1 + 2 * between)
+
+
 class AffineElement:
     """t^trans * perm in the extended affine Weyl group of a datum."""
 

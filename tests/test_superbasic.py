@@ -7,7 +7,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bgmu import weyl
 from bgmu.acceptable import maximal_newton
 from bgmu.errors import ParseError
 from bgmu.newton import Frobenius, dominant_rep, newton_point
@@ -22,7 +25,14 @@ from bgmu.superbasic import (
     sharp_peel,
     superbasic_witness,
 )
-from bgmu.weyl import AffineElement, GroupDatum, Permutation, superbasic_element
+from bgmu.weyl import (
+    AffineElement,
+    GroupDatum,
+    Permutation,
+    _block_length,
+    _transposition_delta,
+    superbasic_element,
+)
 from conftest import a_sequence_less, bruhat_lt, dominant_coweights, expand, reading_sequence
 
 
@@ -283,6 +293,61 @@ def test_sharp_peel_small_cases():
     cert = sharp_peel((2, 0), 1, 2)
     assert [tuple(s.values) for s in cert.decomposition] == [(2,), (1,)]
     assert cert.slopes == (2, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_transposition_delta_is_the_counted_change(data):
+    n = data.draw(st.integers(2, 12))
+    lam = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    images = data.draw(st.permutations(range(1, n + 1)))
+    # adjacent positions and the block's ends among them
+    a = data.draw(st.sampled_from([1, data.draw(st.integers(1, n - 1))]))
+    b = data.draw(st.sampled_from([a + 1, n, data.draw(st.integers(a + 1, n))]))
+    if data.draw(st.booleans()):
+        a, b = b, a
+    swapped = list(images)
+    swapped[a - 1], swapped[b - 1] = swapped[b - 1], swapped[a - 1]
+
+    def length(u):
+        return _block_length(lam, Permutation(u).inverse().images, 1, n)
+
+    assert _transposition_delta(lam, images, a, b) == length(swapped) - length(images)
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_carried_lengths_are_counted_lengths(n, data):
+    mu = sorted(data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
+                reverse=True)
+    for m in range(1, n):
+        if gcd(m, n) != 1:
+            continue
+        for step in sharp_peel(mu, m, n).chain:
+            # fresh elements, so length() counts from scratch
+            before = AffineElement(step.before.datum, step.before.trans, step.before.perm)
+            after = AffineElement(step.after.datum, step.after.trans, step.after.perm)
+            assert step.length_before == before.length()
+            assert step.length_after == after.length()
+            assert step.length_after < step.length_before
+
+
+def test_witness_counts_lengths_once(monkeypatch):
+    # the start's length and sigma's length-zero check are the only
+    # O(n^2) counts, however long the chain
+    calls = []
+    real = weyl._block_length
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weyl, "_block_length", counted)
+    sw = superbasic_witness(tuple(range(63, -1, -1)), 33, 64)
+    sw.certificate.to_json_dict()
+    assert len(sw.certificate.chain) == 63
+    assert len(calls) == 2
 
 
 def test_sharp_peel_slopes_match_hull():
