@@ -35,7 +35,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -392,21 +392,51 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
     return True
 
 
+# Adm(mu) of one GL_n block per dominant shape mu - min(mu)*1, built once
+# per process, as (lam, (images, ...)) groups; Adm(mu + c*1) is
+# t^{c*1} Adm(mu). The guards admit entry spreads of at most 2, so a
+# rank has at most C(n + 2, 2) shapes. Equal translations, permutations
+# and permutation groups of all entries are one tuple, kept in _SHARED.
+_BLOCK_ADM: dict[IntVec, tuple[tuple[IntVec, tuple[IntVec, ...]], ...]] = {}
+_SHARED: dict[tuple, tuple] = {}
+
+
+def _shared(t: tuple) -> tuple:
+    return _SHARED.setdefault(t, t)
+
+
 def _block_adm(mu: Sequence[int]) -> list[tuple[IntVec, IntVec]]:
     """Adm(mu) of GL_n, n = len(mu), as (trans, images) in local
-    coordinates, unsorted: for each lattice point lam of Conv(W_0 mu)
-    (the distinct rearrangements of every dominant vector dominated by
-    mu), u is built one position at a time, and a branch is kept while
-    the vertex it has just reached passes the test of ``adm_enumerate``."""
+    coordinates, unsorted: the table entry of mu's shape, each
+    translation moved by min(mu). A fresh list on every call."""
+    c = min(mu)
+    shape = tuple(sorted((x - c for x in mu), reverse=True))
+    groups = _BLOCK_ADM.get(shape)
+    if groups is None:
+        groups = _BLOCK_ADM[shape] = _grow_block_adm(shape)
+    out: list[tuple[IntVec, IntVec]] = []
+    for lam, ims in groups:
+        lam = tuple(x + c for x in lam) if c else lam
+        out += [(lam, im) for im in ims]
+    return out
+
+
+def _grow_block_adm(mu: Sequence[int]) -> tuple[tuple[IntVec, tuple[IntVec, ...]], ...]:
+    """Adm(mu) of GL_n grouped by translation: for each lattice point
+    lam of Conv(W_0 mu) (the distinct rearrangements of every dominant
+    vector dominated by mu), u is built one position at a time, and a
+    branch is kept while the vertex it has just reached passes the test
+    of ``adm_enumerate``."""
     n = len(mu)
     sums = _hull_sums(mu)
-    out: list[tuple[IntVec, IntVec]] = []
+    groups: list[tuple[IntVec, tuple[IntVec, ...]]] = []
+    found: list[IntVec] = []
     images = [0] * n
     used = [False] * n
 
-    def grow(lam: IntVec, vec: list[int], k: int) -> None:
+    def grow(vec: list[int], k: int) -> None:
         if k == n:
-            out.append((lam, tuple(images)))
+            found.append(_shared(tuple(images)))
             return
         vec[k] -= 1
         for j in range(n):
@@ -416,7 +446,7 @@ def _block_adm(mu: Sequence[int]) -> list[tuple[IntVec, IntVec]]:
             # at k + 1 == n the vertex is omega_n, i.e. lam itself
             if k + 1 == n or _in_hull(vec, sums):
                 used[j], images[k] = True, j + 1
-                grow(lam, vec, k + 1)
+                grow(vec, k + 1)
                 used[j] = False
             vec[j] -= 1
         vec[k] += 1
@@ -424,8 +454,10 @@ def _block_adm(mu: Sequence[int]) -> list[tuple[IntVec, IntVec]]:
     for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n):
         if sum(dom) == sums[-1] and _in_hull(dom, sums):
             for lam in _distinct_permutations(dom):
-                grow(lam, list(lam), 0)
-    return out
+                grow(list(lam), 0)
+                groups.append((_shared(lam), _shared(tuple(found))))
+                found.clear()
+    return tuple(groups)
 
 
 def _distinct_permutations(part: Sequence[int]) -> list[tuple[int, ...]]:
@@ -493,23 +525,29 @@ def _adm_refusal(mu: Sequence[int], datum: GroupDatum, guard_n: int) -> Optional
 
 
 def _adm_raw(
-    mu: Sequence[int], datum: GroupDatum, guard_n: int
+    mu: Sequence[int], datum: GroupDatum, guard_n: int, max_size: Optional[int] = None
 ) -> list[tuple[IntVec, IntVec]]:
     """The elements of ``adm_enumerate`` as (trans, images), unsorted,
     before they are validated as elements: one block's set as it is,
-    else the product of the blocks' sets, each moved to its offset."""
+    else the product of the blocks' sets, each moved to its offset.
+    With max_size, a set larger than that is refused before the product
+    is built."""
     refusal = _adm_refusal(mu, datum, guard_n)
     if refusal:
         raise GuardExceeded(refusal)
-    if datum.num_blocks == 1:
-        return _block_adm(mu)
-    per_block = [
-        [(t, tuple(j + lo - 1 for j in im)) for t, im in _block_adm(mu[lo - 1 : hi])]
-        for lo, hi in datum.block_ranges()
+    per_block = [_block_adm(mu[lo - 1 : hi]) for lo, hi in datum.block_ranges()]
+    size = prod(map(len, per_block))
+    if max_size is not None and size > max_size:
+        raise GuardExceeded(f"admissible set too large: {size}")
+    if len(per_block) == 1:
+        return per_block[0]
+    moved = [
+        [(t, tuple(j + lo - 1 for j in im)) for t, im in block]
+        for (lo, _), block in zip(datum.block_ranges(), per_block)
     ]
     return [
         (sum((e[0] for e in combo), ()), sum((e[1] for e in combo), ()))
-        for combo in itertools.product(*per_block)
+        for combo in itertools.product(*moved)
     ]
 
 

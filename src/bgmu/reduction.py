@@ -45,7 +45,6 @@ from .acceptable import (
 )
 from .errors import (
     DimensionMismatch,
-    GuardExceeded,
     InternalCheckFailed,
     ParseError,
     UnsupportedTwist,
@@ -666,7 +665,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     problem = Problem(tuple(mu), frob)
     checks: dict = {}
     if strategy == "bruteforce":
-        nu_raw, w = _brute_force(problem)
+        nu_raw, w = _brute_force(problem, witness=True)
         ok, x = adm_member(w, problem.mu)
         if not ok:
             raise InternalCheckFailed("brute-force witness is not admissible")
@@ -681,7 +680,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         nu_raw = maximal_newton_state(problem.mu, problem.frob).nu_raw
         checks["matches_maximal_newton"] = True
         if strategy == "auto" and _adm_refusal(problem.mu, problem.datum, BRUTE_GUARD_N) is None:
-            brute, _ = _brute_force(problem)
+            brute, _ = _brute_force(problem, witness=False)
             if brute != nu_raw:
                 raise InternalCheckFailed(
                     f"constructive {_vec_str(nu_raw)} and brute force"
@@ -696,11 +695,11 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     )
 
 
-def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
+def _brute_force(problem: Problem, witness: bool) -> tuple[RatVec, Optional[AffineElement]]:
     """The maximum of the Newton points over Adm(mu), the set that the
-    paper's theorem says attains the maximal acceptable point, and the
-    first element of Adm(mu) in (length, trans, images) order that
-    attains it.
+    paper's theorem says attains the maximal acceptable point, and, with
+    ``witness``, the first element of Adm(mu) in (length, trans, images)
+    order that attains it (else None).
 
     ``_adm_raw`` lists Adm(mu) as ``adm_enumerate`` does, by the
     vertexwise criterion (w(omega_k) - omega_k in Conv(W_0 mu) for
@@ -716,9 +715,7 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
     key, and lengths and elements only for its class, whose least
     element is the witness."""
     datum = problem.datum
-    raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N)
-    if len(raw) > BRUTE_GUARD_SIZE:
-        raise GuardExceeded(f"admissible set too large: {len(raw)}")
+    raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE)
     twist, slices = problem.frob.affine_map, datum.block_slices()
     parts: dict[IntVec, LinearPart] = {}
     keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
@@ -739,10 +736,11 @@ def _brute_force(problem: Problem) -> tuple[RatVec, AffineElement]:
             f"admissible Newton points have {len(maxima)} maxima:"
             f" {', '.join(map(_vec_str, attained))}"
         )
-    witness = min(
-        (AffineElement(datum, trans, Permutation(images))
-         for trans, images in keyed[maxima[0]]),
+    k, lam = maxima[0]
+    nu_raw = tuple(Fraction(x, k) for x in lam)
+    if not witness:
+        return nu_raw, None
+    return nu_raw, min(
+        (AffineElement(datum, trans, Permutation(images)) for trans, images in keyed[maxima[0]]),
         key=_adm_order,
     )
-    k, lam = maxima[0]
-    return tuple(Fraction(x, k) for x in lam), witness

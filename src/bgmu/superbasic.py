@@ -50,6 +50,7 @@ from .weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
+    _dominant_length,
     _transposition_delta,
     format_element,
     superbasic_element,
@@ -335,7 +336,8 @@ def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, Aff
 
     chain_steps: list[ChainStep] = []
     decomposition: list[Segment] = []
-    current, length = start, start.length()
+    # sigma has length zero and eps permutes mu, so l(start) = l(t^mu)
+    current, length = start, _dominant_length(mu)
 
     def emit(block_i: int, kind: str, a: int, b: int) -> None:
         nonlocal current, length

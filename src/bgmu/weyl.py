@@ -269,6 +269,18 @@ def _block_length(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> i
     return total
 
 
+def _dominant_length(mu: Sequence[int]) -> int:
+    """len(t^mu) for a dominant mu of one block, in O(n): every pair
+    i < j of ``_block_length`` with u = 1 adds mu_i - mu_j, so the sum
+    is sum_i mu_i (n + 1 - 2 i).
+
+    >>> _dominant_length((2, 1, 0)), _block_length((2, 1, 0), (1, 2, 3), 1, 3)
+    (4, 4)
+    """
+    n = len(mu)
+    return sum(x * (n + 1 - 2 * i) for i, x in enumerate(mu, 1))
+
+
 def _transposition_delta(lam: Sequence[int], images: Sequence[int], a: int, b: int) -> int:
     """len(w (a b)) - len(w) for w = t^lam u, given images = u in
     one-line form and a transposition (a b) inside one block.

@@ -5,6 +5,7 @@ admissible set."""
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bgmu import acceptable, reduction
 from bgmu.acceptable import (
     _orbit_points,
     adjoint_eq,
@@ -26,6 +28,7 @@ from bgmu.acceptable import (
 )
 from bgmu.errors import GuardExceeded, ParseError
 from bgmu.newton import Frobenius, Sigma0, diamond, dominant_rep, heights, newton_point
+from bgmu.reduction import solve
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -478,6 +481,101 @@ def test_adm_guard():
         adm_enumerate((0,) * 6, GroupDatum.gl(6))
     with pytest.raises(GuardExceeded):
         adm_enumerate((5, 0), GL2)
+
+
+# --- the table of Adm(mu) per block shape -------------------------------------
+
+@pytest.fixture
+def empty_adm_table(monkeypatch):
+    """An empty Adm table for one test; the process's own comes back after."""
+    monkeypatch.setattr(acceptable, "_BLOCK_ADM", {})
+
+
+def _flat(groups):
+    return [(lam, im) for lam, ims in groups for im in ims]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_block_adm_is_the_shifted_shape(data):
+    n = data.draw(st.integers(1, 5))
+    low = data.draw(st.integers(0, 2))
+    mu = tuple(sorted(data.draw(st.lists(st.integers(low, 2), min_size=n, max_size=n)),
+                      reverse=True))
+    c = data.draw(st.integers(-5, 5))
+    moved = tuple(x + c for x in mu)
+    got = acceptable._block_adm(moved)
+    assert got == _flat(acceptable._grow_block_adm(moved))
+    assert got == [(tuple(x + c for x in t), im) for t, im in acceptable._block_adm(mu)]
+
+
+def test_one_table_entry_per_shape(empty_adm_table):
+    fr = Frobenius.superbasic(2, 5)
+    for c in (0, 1, -2, 3):
+        r = solve(tuple(x + c for x in (2, 2, 1, 0, 0)), fr, strategy="bruteforce")
+        assert r.nu_raw[:3] == (Fraction(2 + c),) * 3
+    assert list(acceptable._BLOCK_ADM) == [(2, 2, 1, 0, 0)]
+    # two blocks of one shape share the entry within one solve
+    d = GroupDatum((3, 3))
+    solve((3, 2, 1, 2, 1, 0), Frobenius(omega_element(d, (1, 1)), Sigma0.identity(d)),
+          strategy="bruteforce")
+    assert len(acceptable._BLOCK_ADM) == 2 and (2, 1, 0) in acceptable._BLOCK_ADM
+
+
+def test_block_adm_returns_a_fresh_list(empty_adm_table):
+    mu = (2, 1, 1, 0)
+    want = acceptable._block_adm(mu)
+    first = acceptable._block_adm(mu)
+    assert first == want and first is not want
+    first.clear()
+    want.append(((9, 9, 9, 9), (1, 2, 3, 4)))
+    assert acceptable._block_adm(mu) == _flat(acceptable._grow_block_adm(mu))
+
+
+def _verify_sweep_problems():
+    """The problems of ``bgmu verify`` at desk scale: every superbasic
+    twist on gl:n and pgl:n, n = 3..5, entries 0..2, and pgl:4 with the
+    kappa = 2 inner twist."""
+    out = []
+    for n in (3, 4, 5):
+        for mu in dominant_coweights(n, 2):
+            for adjoint in (False, True):
+                out += [(mu, Frobenius.superbasic(m, n, adjoint=adjoint))
+                        for m in range(1, n) if gcd(m, n) == 1]
+            if n == 4:
+                out.append((mu, Frobenius.inner(omega_element(GroupDatum.pgl(4), (2,)))))
+    return out
+
+
+def test_brute_force_answers_do_not_depend_on_order(monkeypatch):
+    # each order starts from an empty table, so a shape built by an
+    # earlier problem cannot hand a later one a different answer
+    problems = _verify_sweep_problems()
+    assert len(problems) == 283
+    answers = []
+    for order in (range(len(problems)), random.Random(0).sample(range(len(problems)), len(problems))):
+        monkeypatch.setattr(acceptable, "_BLOCK_ADM", {})
+        answers.append({
+            i: reduction._brute_force(reduction.Problem(*problems[i]), witness=True)
+            for i in order
+        })
+    assert answers[0] == answers[1]
+
+
+def test_size_guard_comes_before_the_product(monkeypatch):
+    # |Adm((2,1,0,2,1,0))| on gl:3*3 is 25 * 25, known from the blocks
+    def no_product(*args):
+        raise AssertionError("the product was built")
+
+    d = GroupDatum((3, 3))
+    fr = Frobenius(omega_element(d, (1, 1)), Sigma0.identity(d))
+    monkeypatch.setattr(reduction, "BRUTE_GUARD_SIZE", 624)
+    monkeypatch.setattr(itertools, "product", no_product)
+    with pytest.raises(GuardExceeded, match=r"^admissible set too large: 625$"):
+        solve((2, 1, 0, 2, 1, 0), fr, strategy="bruteforce")
+    monkeypatch.undo()
+    monkeypatch.setattr(reduction, "BRUTE_GUARD_SIZE", 625)
+    assert solve((2, 1, 0, 2, 1, 0), fr, strategy="bruteforce").checks["bruteforce"]
 
 
 # --- the integer hull and heights against the fraction references --------------

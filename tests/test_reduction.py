@@ -367,7 +367,8 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # Adm((2,2,1,0,0)) has 1,701 elements over 120 distinct permutations,
     # and 35 of them attain the maximal Newton point under superbasic
     # 2/5: the brute force walks the cycles of u o A once per
-    # permutation and takes lengths only inside the maximal class
+    # permutation and takes lengths only inside the maximal class, and
+    # only for the witness of the bruteforce strategy (auto discards it)
     import bgmu.reduction as reduction
     import bgmu.weyl as weyl
 
@@ -380,10 +381,10 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def brute_force(problem):
+    def brute_force(*args, **kwargs):
         inside[0] = True
         try:
-            return real(problem)
+            return real(*args, **kwargs)
         finally:
             inside[0] = False
 
@@ -393,6 +394,11 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     monkeypatch.setattr(weyl, "_block_length", counted("length", weyl._block_length))
     r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="auto")
     assert r.checks["matches_bruteforce"]
+    assert 0 < calls["cycles"] <= 120
+    assert calls["length"] == 0
+    calls.update(cycles=0, length=0)
+    r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="bruteforce")
+    assert r.checks["bruteforce"]
     assert 0 < calls["cycles"] <= 120
     assert 0 < calls["length"] <= 35
 

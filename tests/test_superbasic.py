@@ -30,6 +30,7 @@ from bgmu.weyl import (
     GroupDatum,
     Permutation,
     _block_length,
+    _dominant_length,
     _transposition_delta,
     superbasic_element,
 )
@@ -334,8 +335,8 @@ def test_carried_lengths_are_counted_lengths(n, data):
 
 
 def test_witness_counts_lengths_once(monkeypatch):
-    # the start's length and sigma's length-zero check are the only
-    # O(n^2) counts, however long the chain
+    # sigma's length-zero check is the only O(n^2) count, however long
+    # the chain: the start's length is the closed form
     calls = []
     real = weyl._block_length
 
@@ -347,7 +348,21 @@ def test_witness_counts_lengths_once(monkeypatch):
     sw = superbasic_witness(tuple(range(63, -1, -1)), 33, 64)
     sw.certificate.to_json_dict()
     assert len(sw.certificate.chain) == 63
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=40))
+def test_dominant_length_is_the_counted_length(entries):
+    mu = tuple(sorted(entries, reverse=True))
+    n = len(mu)
+    assert _dominant_length(mu) == _block_length(mu, tuple(range(1, n + 1)), 1, n)
+    for m in (1, n - 1):
+        if 0 < m < n and gcd(m, n) == 1:
+            # the start of the peel, t^{eps(mu)} sigma_{m,n}, counted afresh
+            start = sharp_peel(mu, m, n).start
+            fresh = AffineElement(start.datum, start.trans, start.perm)
+            assert _dominant_length(mu) == fresh.length()
 
 
 def test_sharp_peel_slopes_match_hull():
