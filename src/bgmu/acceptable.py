@@ -45,6 +45,7 @@ from .newton import (
     NewtonPoint,
     Node,
     RatVec,
+    Sigma0,
     _diamond,
     _scaled,
     _scaled_heights,
@@ -393,11 +394,16 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
 
 
 # Adm(mu) of one GL_n block per dominant shape mu - min(mu)*1, built once
-# per process, as (lam, (images, ...)) groups; Adm(mu + c*1) is
-# t^{c*1} Adm(mu). The guards admit entry spreads of at most 2, so a
-# rank has at most C(n + 2, 2) shapes. Equal translations, permutations
-# and permutation groups of all entries are one tuple, kept in _SHARED.
-_BLOCK_ADM: dict[IntVec, tuple[tuple[IntVec, tuple[IntVec, ...]], ...]] = {}
+# per process, as (groups, reps): groups lists Adm(mu) as (lam, (images,
+# ...)) pairs, and reps, grouped the same way, holds one member of each
+# orbit under conjugation by omega_1 (``_rotate``), the least by (images,
+# trans). Adm(mu + c*1) is t^{c*1} Adm(mu), and t^{c*1} commutes with
+# omega_1 and keeps that order, so both move by c. The guards admit entry
+# spreads of at most 2, so a rank has at most C(n + 2, 2) shapes. Equal
+# translations, permutations and permutation groups of all entries are
+# one tuple, kept in _SHARED; reps holds the tuples of groups.
+_Groups = tuple[tuple[IntVec, tuple[IntVec, ...]], ...]
+_BLOCK_ADM: dict[IntVec, tuple[_Groups, _Groups]] = {}
 _SHARED: dict[tuple, tuple] = {}
 
 
@@ -405,15 +411,21 @@ def _shared(t: tuple) -> tuple:
     return _SHARED.setdefault(t, t)
 
 
-def _block_adm(mu: Sequence[int]) -> list[tuple[IntVec, IntVec]]:
-    """Adm(mu) of GL_n, n = len(mu), as (trans, images) in local
-    coordinates, unsorted: the table entry of mu's shape, each
-    translation moved by min(mu). A fresh list on every call."""
+def _block_entry(mu: Sequence[int]) -> tuple[int, _Groups, _Groups]:
+    """(c, groups, reps): the table entry of mu's shape, which c =
+    min(mu) moves to mu's."""
     c = min(mu)
     shape = tuple(sorted((x - c for x in mu), reverse=True))
-    groups = _BLOCK_ADM.get(shape)
-    if groups is None:
-        groups = _BLOCK_ADM[shape] = _grow_block_adm(shape)
+    entry = _BLOCK_ADM.get(shape)
+    if entry is None:
+        groups = _grow_block_adm(shape)
+        entry = _BLOCK_ADM[shape] = (groups, _orbit_reps(groups))
+    return (c, *entry)
+
+
+def _flatten(c: int, groups: _Groups) -> list[tuple[IntVec, IntVec]]:
+    """(trans, images) of every element of groups, each translation
+    moved by c. A fresh list on every call."""
     out: list[tuple[IntVec, IntVec]] = []
     for lam, ims in groups:
         lam = tuple(x + c for x in lam) if c else lam
@@ -421,7 +433,75 @@ def _block_adm(mu: Sequence[int]) -> list[tuple[IntVec, IntVec]]:
     return out
 
 
-def _grow_block_adm(mu: Sequence[int]) -> tuple[tuple[IntVec, tuple[IntVec, ...]], ...]:
+def _rotate(trans: IntVec, images: IntVec) -> tuple[IntVec, IntVec]:
+    """omega_1 (t^trans u) omega_1^{-1} in GL_n, n = len(trans), on raw
+    tuples, for omega_1 = t^{e_1} r the length-zero element of kappa 1
+    (r(i) = i + 1 mod n): t^{r(trans) + e_1 - e_{v(1)}} v with
+    v = r u r^{-1}."""
+    n = len(images)
+    ims = tuple([x % n + 1 for x in (images[-1], *images[:-1])])
+    moved = [trans[-1], *trans[:-1]]
+    moved[0] += 1
+    moved[ims[0] - 1] -= 1
+    return tuple(moved), ims
+
+
+def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
+    """Per sigma0-orbit of blocks with an even number of flips, the
+    blocks of omega_O in the orbit's cyclic order from its least block,
+    each with its kappa: +1 on the first, the sign flipping after each
+    flipped block. sigma0 carries kappa_b to block_to[b] negated on a
+    flip, so the signs close up around the orbit exactly when its
+    number of flips is even."""
+    out, seen = [], set()
+    for b in range(len(sigma0.block_to)):
+        orbit, sign = [], 1
+        while b not in seen:
+            seen.add(b)
+            orbit.append((b, sign))
+            sign = -sign if sigma0.flip[b] else sign
+            b = sigma0.block_to[b]
+        if orbit and sign == 1:
+            out.append(orbit)
+    return out
+
+
+def _conjugate(elem: tuple[IntVec, IntVec], orbit: Sequence[tuple[int, int]],
+               ranges: Sequence[tuple[int, int]]) -> tuple[IntVec, IntVec]:
+    """omega_O (t^trans u) omega_O^{-1} on raw tuples elem = (trans,
+    images), for omega_O with the kappas +1 or -1 of orbit on the blocks
+    at ranges: per block, conjugation by omega_1 once, or n_b - 1 times
+    for omega_1^{-1} (omega_1^{n_b} is central)."""
+    trans, images = list(elem[0]), list(elem[1])
+    for b, sign in orbit:
+        lo, hi = ranges[b]
+        t, u = tuple(trans[lo - 1 : hi]), tuple(j - lo + 1 for j in images[lo - 1 : hi])
+        for _ in range(1 if sign == 1 else hi - lo):
+            t, u = _rotate(t, u)
+        trans[lo - 1 : hi], images[lo - 1 : hi] = t, (j + lo - 1 for j in u)
+    return tuple(trans), tuple(images)
+
+
+def _orbit_reps(groups: _Groups) -> _Groups:
+    """The members of groups that are least by (images, trans) in their
+    orbit under conjugation by omega_1, grouped as groups are and made
+    of its tuples. A member's walk along its orbit (at most n steps, as
+    omega_1^n is central) stops at the first smaller conjugate."""
+    reps = []
+    for lam, ims in groups:
+        kept = []
+        for im in ims:
+            t, u = _rotate(lam, im)
+            while (u, t) > (im, lam):
+                t, u = _rotate(t, u)
+            if (u, t) == (im, lam):
+                kept.append(im)
+        if kept:
+            reps.append((lam, _shared(tuple(kept))))
+    return tuple(reps)
+
+
+def _grow_block_adm(mu: Sequence[int]) -> _Groups:
     """Adm(mu) of GL_n grouped by translation: for each lattice point
     lam of Conv(W_0 mu) (the distinct rearrangements of every dominant
     vector dominated by mu), u is built one position at a time, and a
@@ -525,20 +605,24 @@ def _adm_refusal(mu: Sequence[int], datum: GroupDatum, guard_n: int) -> Optional
 
 
 def _adm_raw(
-    mu: Sequence[int], datum: GroupDatum, guard_n: int, max_size: Optional[int] = None
+    mu: Sequence[int], datum: GroupDatum, guard_n: int, max_size: Optional[int] = None,
+    reduced: Sequence[int] = (),
 ) -> list[tuple[IntVec, IntVec]]:
     """The elements of ``adm_enumerate`` as (trans, images), unsorted,
     before they are validated as elements: one block's set as it is,
     else the product of the blocks' sets, each moved to its offset.
-    With max_size, a set larger than that is refused before the product
-    is built."""
+    A block in ``reduced`` contributes only its omega_1-orbit
+    representatives. With max_size, a set whose full size is larger
+    than that is refused before the product is built."""
     refusal = _adm_refusal(mu, datum, guard_n)
     if refusal:
         raise GuardExceeded(refusal)
-    per_block = [_block_adm(mu[lo - 1 : hi]) for lo, hi in datum.block_ranges()]
-    size = prod(map(len, per_block))
+    entries = [_block_entry(mu[lo - 1 : hi]) for lo, hi in datum.block_ranges()]
+    size = prod(sum(len(ims) for _, ims in groups) for _, groups, _ in entries)
     if max_size is not None and size > max_size:
         raise GuardExceeded(f"admissible set too large: {size}")
+    per_block = [_flatten(c, reps if b in reduced else groups)
+                 for b, (c, groups, reps) in enumerate(entries)]
     if len(per_block) == 1:
         return per_block[0]
     moved = [
@@ -571,7 +655,7 @@ def adm_enumerate(
     lies in Conv(W_0 mu) for each base-alcove vertex
     omega_k = (1^k, 0^{n_b-k}), k = 0, ..., n_b - 1. The order of the
     vertices matters: (0^{n_b-k}, 1^k) gives a different set already on
-    GL_2. ``_block_adm`` builds each block's set, the result is their
+    GL_2. ``_grow_block_adm`` builds each block's set, the result is their
     product, so the work is about the size of the output; it is sorted
     by (length, trans, images), and every element is validated once,
     through ``AffineElement``. The test suite holds it to an independent

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .acceptable import (
     _adm_order,
     _adm_raw,
     _adm_refusal,
+    _conjugate,
+    _omega_blocks,
     adm_member,
     maximal_newton_state,
 )
@@ -707,15 +709,28 @@ def _brute_force(problem: Problem, witness: bool) -> tuple[RatVec, Optional[Affi
     Haines-Ngo 2002 for GL_n), but unsorted and as raw tuples; the
     subword products over the orbit of mu (``bruhat_lower_set`` in
     ``tests/conftest.py``) are the independent reference the tests hold
-    it to. Each tuple is keyed by the integer pair (order, blockwise
-    sorted translation) of its Newton map reduced by their gcd; the
-    cycles of u o A are walked once per distinct permutation u, whose
-    linear part serves every translation over it. The keys compare by
-    cross-multiplied heights; fractions are built only for the maximal
-    key, and lengths and elements only for its class, whose least
-    element is the witness."""
+    it to.
+
+    Only one element per orbit of a group H of length-zero elements is
+    keyed: omega_O per sigma0-orbit O of blocks with an even number of
+    flips (``_omega_blocks``). It is sigma0-fixed, and Omega is abelian,
+    so sigma-conjugation by it is plain conjugation, which keeps Adm(mu)
+    and every Newton point. On O's first block it is conjugation by
+    omega_1, so that block's omega_1-orbit representatives times the
+    other blocks' full sets meet every H-orbit and give every key. The
+    size guard still counts all of Adm(mu).
+
+    A key is the pair (order, blockwise sorted translation) of the
+    Newton map in lowest terms; the cycles of u o A are walked once per
+    distinct permutation u. Over the lcm of the orders the heights are
+    integers, and the maximal key is the one at the componentwise
+    maximum. Fractions are built only for it, and lengths and elements
+    only for its class, the union of the H-orbits of its keyed tuples,
+    whose least element is the witness."""
     datum = problem.datum
-    raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE)
+    omegas = _omega_blocks(problem.frob.sigma0)
+    raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE,
+                   reduced=[orbit[0][0] for orbit in omegas])
     twist, slices = problem.frob.affine_map, datum.block_slices()
     parts: dict[IntVec, LinearPart] = {}
     keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
@@ -724,12 +739,12 @@ def _brute_force(problem: Problem, witness: bool) -> tuple[RatVec, Optional[Affi
         if part is None:
             part = parts[images] = _linear_part(images, twist)
         keyed.setdefault(_newton_key(part, trans, slices), []).append((trans, images))
-    # a key (k, lam) is the point lam / k, so heights compare cross-multiplied
-    hs = {key: _scaled_heights(datum, key[1])[1] for key in keyed}
-    maxima = [
-        (k, lam) for k, lam in keyed
-        if all(h * k <= hs[k, lam][nd] * kq for (kq, q) in keyed for nd, h in hs[kq, q].items())
-    ]
+    # a key (k, lam) is the point lam / k, with heights h * (m / k) over m
+    m = lcm(*(k for k, _ in keyed))
+    hs = {(k, lam): [h * (m // k) for h in _scaled_heights(datum, lam)[1].values()]
+          for k, lam in keyed}
+    top = [max(col) for col in zip(*hs.values())]
+    maxima = [key for key, h in hs.items() if h == top]
     if len(maxima) != 1:
         attained = sorted(tuple(Fraction(x, k) for x in lam) for k, lam in keyed)
         raise InternalCheckFailed(
@@ -740,7 +755,14 @@ def _brute_force(problem: Problem, witness: bool) -> tuple[RatVec, Optional[Affi
     nu_raw = tuple(Fraction(x, k) for x in lam)
     if not witness:
         return nu_raw, None
+    # the maximal class: the H-orbits of its keyed tuples, one generator
+    # at a time (they commute); each walk stops at a tuple already found
+    found, ranges = set(keyed[maxima[0]]), datum.block_ranges()
+    for orbit in omegas:
+        for elem in list(found):
+            while (elem := _conjugate(elem, orbit, ranges)) not in found:
+                found.add(elem)
     return nu_raw, min(
-        (AffineElement(datum, trans, Permutation(images)) for trans, images in keyed[maxima[0]]),
+        (AffineElement(datum, trans, Permutation(images)) for trans, images in found),
         key=_adm_order,
     )

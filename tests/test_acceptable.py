@@ -27,11 +27,21 @@ from bgmu.acceptable import (
     support_nodes,
 )
 from bgmu.errors import GuardExceeded, ParseError
-from bgmu.newton import Frobenius, Sigma0, diamond, dominant_rep, heights, newton_point
+from bgmu.newton import (
+    Frobenius,
+    Sigma0,
+    _linear_part,
+    _newton_key,
+    diamond,
+    dominant_rep,
+    heights,
+    newton_point,
+)
 from bgmu.reduction import solve
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
+    _product,
     bruhat_leq,
     omega_element,
     parse_element,
@@ -48,6 +58,7 @@ from conftest import (
     nu_reference,
     orbit_points,
     polygon_reference,
+    twisted_draw,
 )
 
 GL2 = GroupDatum.gl(2)
@@ -495,6 +506,30 @@ def _flat(groups):
     return [(lam, im) for lam, ims in groups for im in ims]
 
 
+def _block_adm(mu):
+    """Adm(mu) of one block from the table, moved to mu."""
+    c, groups, _ = acceptable._block_entry(mu)
+    return acceptable._flatten(c, groups)
+
+
+def _reps(mu):
+    """The omega_1-orbit representatives of the table entry of mu's
+    shape, moved to mu."""
+    c, _, reps = acceptable._block_entry(mu)
+    return acceptable._flatten(c, reps)
+
+
+def _conjugator(om):
+    """(t^trans u) -> om (t^trans u) om^{-1} on raw tuples, by the
+    group product."""
+    inv = om.inverse()
+
+    def conj(elem):
+        t, u = _product(om.trans, om.perm.images, *elem)
+        return _product(t, u, inv.trans, inv.perm.images)
+    return conj
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_block_adm_is_the_shifted_shape(data):
@@ -504,9 +539,12 @@ def test_block_adm_is_the_shifted_shape(data):
                       reverse=True))
     c = data.draw(st.integers(-5, 5))
     moved = tuple(x + c for x in mu)
-    got = acceptable._block_adm(moved)
+    got = _block_adm(moved)
     assert got == _flat(acceptable._grow_block_adm(moved))
-    assert got == [(tuple(x + c for x in t), im) for t, im in acceptable._block_adm(mu)]
+    assert got == [(tuple(x + c for x in t), im) for t, im in _block_adm(mu)]
+    reps = _reps(moved)
+    assert reps == [(tuple(x + c for x in t), im) for t, im in _reps(mu)]
+    assert set(reps) <= set(got)
 
 
 def test_one_table_entry_per_shape(empty_adm_table):
@@ -524,12 +562,12 @@ def test_one_table_entry_per_shape(empty_adm_table):
 
 def test_block_adm_returns_a_fresh_list(empty_adm_table):
     mu = (2, 1, 1, 0)
-    want = acceptable._block_adm(mu)
-    first = acceptable._block_adm(mu)
+    want = _block_adm(mu)
+    first = _block_adm(mu)
     assert first == want and first is not want
     first.clear()
     want.append(((9, 9, 9, 9), (1, 2, 3, 4)))
-    assert acceptable._block_adm(mu) == _flat(acceptable._grow_block_adm(mu))
+    assert _block_adm(mu) == _flat(acceptable._grow_block_adm(mu))
 
 
 def _verify_sweep_problems():
@@ -576,6 +614,94 @@ def test_size_guard_comes_before_the_product(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(reduction, "BRUTE_GUARD_SIZE", 625)
     assert solve((2, 1, 0, 2, 1, 0), fr, strategy="bruteforce").checks["bruteforce"]
+
+
+def test_representatives_are_the_orbit_minima():
+    # every shape of rank <= 4 with entries 0..2, and (2,2,1,0,0): one
+    # representative per orbit under conjugation by omega_1, the least
+    # by (images, trans), orbits walked by the group product
+    shapes = [mu for n in range(1, 5) for mu in dominant_coweights(n, 2) if mu[-1] == 0]
+    for mu in shapes + [(2, 2, 1, 0, 0)]:
+        conj = _conjugator(omega_element(GroupDatum.gl(len(mu)), (1,)))
+        want = set()
+        for elem in _block_adm(mu):
+            orbit = [elem]
+            while (nxt := conj(orbit[-1])) != elem:
+                orbit.append(nxt)
+            want.add(min(orbit, key=lambda e: (e[1], e[0])))
+        reps = _reps(mu)
+        assert len(reps) == len(want) and set(reps) == want, mu
+    assert len(_reps((2, 2, 1, 0, 0))) == 341
+    assert len({im for _, im in _reps((2, 2, 1, 0, 0))}) == 28
+
+
+def test_representatives_live_in_the_table_entries(empty_adm_table):
+    # the 283 verify-sweep problems fill 31 shapes; each entry holds its
+    # set and its representatives, and a representative is made of the
+    # very tuples of the set
+    for mu, frob in _verify_sweep_problems():
+        solve(mu, frob, strategy="auto")
+    assert len(acceptable._BLOCK_ADM) == 31
+    for groups, reps in acceptable._BLOCK_ADM.values():
+        lams = {lam: {id(im) for im in ims} for lam, ims in groups}
+        ids = {lam: id(lam) for lam, _ in groups}
+        assert reps and len(reps) <= len(groups)
+        for lam, ims in reps:
+            assert id(lam) == ids[lam]
+            assert {id(im) for im in ims} <= lams[lam]
+
+
+def _brute_force_problems():
+    """The 283 verify-sweep problems and the problems of the seed-0 and
+    seed-7 draws (1,000 each) that the brute force's guards admit."""
+    out = _verify_sweep_problems()
+    for seed in (0, 7):
+        rng = random.Random(seed)
+        draw = [twisted_draw(rng) for _ in range(1000)]
+        out += [(mu, frob) for mu, frob in draw
+                if acceptable._adm_refusal(mu, frob.datum, reduction.BRUTE_GUARD_N) is None]
+    return out
+
+
+def test_brute_force_keys_one_element_per_omega_orbit():
+    # for each generator omega_O: sigma0 fixes it, Adm(mu) is stable
+    # under conjugation by it, and the Newton key is constant along its
+    # orbits; so keying the first block's representatives gives the
+    # keys of all of Adm(mu)
+    problems = _brute_force_problems()
+    seen = {"flipped": 0, "odd": 0}
+    for mu, frob in problems:
+        datum, sigma0 = frob.datum, frob.sigma0
+        twist, slices = frob.affine_map, datum.block_slices()
+        parts = {}
+
+        def key(elem):
+            trans, images = elem
+            if images not in parts:
+                parts[images] = _linear_part(images, twist)
+            return _newton_key(parts[images], trans, slices)
+
+        full = acceptable._adm_raw(mu, datum, reduction.BRUTE_GUARD_N)
+        keys = {elem: key(elem) for elem in full}
+        orbits = acceptable._omega_blocks(sigma0)
+        for orbit in orbits:
+            kappas = [0] * datum.num_blocks
+            for b, sign in orbit:
+                kappas[b] = sign
+            om = omega_element(datum, kappas)
+            assert sigma0.apply_element(om) == om
+            conj = _conjugator(om)
+            moved = [conj(elem) for elem in full]
+            assert set(moved) == set(keys)
+            assert all(keys[c] == keys[e] for e, c in zip(full, moved))
+            seen["flipped"] += any(sigma0.flip[b] for b, _ in orbit)
+        seen["odd"] += len(orbits) < len(sigma0.block_orbits())
+        reduced = acceptable._adm_raw(mu, datum, reduction.BRUTE_GUARD_N,
+                                      reduced=[orbit[0][0] for orbit in orbits])
+        assert set(reduced) <= set(keys)
+        assert {key(elem) for elem in reduced} == set(keys.values())
+    # the corpus meets flipped even orbits and odd ones
+    assert seen["flipped"] and seen["odd"]
 
 
 # --- the integer hull and heights against the fraction references --------------

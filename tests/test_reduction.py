@@ -366,13 +366,17 @@ def test_solve_bruteforce_guard():
 def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # Adm((2,2,1,0,0)) has 1,701 elements over 120 distinct permutations,
     # and 35 of them attain the maximal Newton point under superbasic
-    # 2/5: the brute force walks the cycles of u o A once per
-    # permutation and takes lengths only inside the maximal class, and
-    # only for the witness of the bruteforce strategy (auto discards it)
+    # 2/5. The brute force keys one element per orbit under conjugation
+    # by omega_1, the least by (images, trans): 341 elements over 28
+    # permutations. It walks the cycles of u o A once per keyed
+    # permutation, runs the kernel once per keyed element, and takes
+    # lengths only inside the maximal class, and only for the witness of
+    # the bruteforce strategy (auto discards it)
+    import bgmu.newton as newton
     import bgmu.reduction as reduction
     import bgmu.weyl as weyl
 
-    calls = {"cycles": 0, "length": 0}
+    calls = {"cycles": 0, "kernel": 0, "length": 0}
     inside = [False]
 
     def counted(name, fn):
@@ -391,15 +395,18 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     real = reduction._brute_force
     monkeypatch.setattr(reduction, "_brute_force", brute_force)
     monkeypatch.setattr(weyl.SignedMap, "cycles", counted("cycles", weyl.SignedMap.cycles))
+    monkeypatch.setattr(newton, "_newton_kernel", counted("kernel", newton._newton_kernel))
     monkeypatch.setattr(weyl, "_block_length", counted("length", weyl._block_length))
     r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="auto")
     assert r.checks["matches_bruteforce"]
-    assert 0 < calls["cycles"] <= 120
+    assert 0 < calls["cycles"] <= 28
+    assert 0 < calls["kernel"] <= 341
     assert calls["length"] == 0
-    calls.update(cycles=0, length=0)
+    calls.update(cycles=0, kernel=0, length=0)
     r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="bruteforce")
     assert r.checks["bruteforce"]
-    assert 0 < calls["cycles"] <= 120
+    assert 0 < calls["cycles"] <= 28
+    assert 0 < calls["kernel"] <= 341
     assert 0 < calls["length"] <= 35
 
 
