@@ -103,9 +103,17 @@ def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[int, list[int],
     return k, mu_dia, [a + b for a, b in zip(mu_dia, lam_dia)]
 
 
-def _orbit_bounds(
-    mu: Sequence[int], frob: Frobenius
-) -> tuple[int, dict[Node, int], list[int], list[tuple[tuple[Node, ...], int, range]]]:
+_Bounds = tuple[
+    int, dict[Node, int], tuple[int, ...], tuple[tuple[tuple[Node, ...], int, range], ...]
+]
+
+# the last bound table built, as ((mu, frob), table): one problem asks
+# for the same table in solve, enumerate_acceptable and
+# mu_diamond_acceptable, and the callers only read it
+_LAST_BOUNDS: list = [None, None]
+
+
+def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
     """The bound table of the acceptable set: the heights of mu_diamond,
     the block sums s_b of mu_diamond + lam_diamond, and per sigma0-orbit
     c of simple roots (c, rep, offsets) with rep / den = <omega_c,
@@ -113,7 +121,15 @@ def _orbit_bounds(
     are those of the coset in [0, <omega_c, mu_diamond>]. All are
     numerators over den = k s o (k the order of sigma0's map, s and o
     the lcms of the block sizes and orbit lengths), in which n_b
-    divides i s_b and an orbit's length divides its pairings."""
+    divides i s_b and an orbit's length divides its pairings.
+    The last table is kept and reused for an equal (mu, frob)."""
+    key = (tuple(mu), frob)
+    if _LAST_BOUNDS[0] != key:
+        _LAST_BOUNDS[:] = [key, _build_bounds(mu, frob)]
+    return _LAST_BOUNDS[1]
+
+
+def _build_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
     datum = frob.datum
     k, mu_dia, both = _mu_lam_diamond(mu, frob)
     orbits = frob.sigma0.node_orbits()
@@ -126,7 +142,7 @@ def _orbit_bounds(
         rep = sum(h_both[nd] for nd in orbit)
         upper = sum(h_mu[nd] for nd in orbit)
         table.append((orbit, rep, range(-(rep // den), (upper - rep) // den + 1)))
-    return den, h_mu, [t * s * o for t in datum.block_sums(both)], table
+    return den, h_mu, tuple(t * s * o for t in datum.block_sums(both)), tuple(table)
 
 
 def _knot_rises(
@@ -216,7 +232,7 @@ def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverSta
     return _maximal_state(frob, _orbit_bounds(mu, frob))
 
 
-def _maximal_state(frob: Frobenius, bounds: tuple) -> MaximalSolverState:
+def _maximal_state(frob: Frobenius, bounds: _Bounds) -> MaximalSolverState:
     """The maximal point and its checks, on the bound table of
     ``_orbit_bounds``: the top of every orbit's range, then the hull.
     The tents are numerators over den, the point over den w, w the lcm

@@ -20,9 +20,10 @@ w o sigma is u o A_s and its translation is trans + u(b_s). So the map
 is read in two steps: ``_linear_part`` takes what depends on u alone
 (the order k, the signs, the cycles of u o A_s of sign product +1, and
 u(b_s)), and ``_newton_kernel`` walks those cycles over trans.
-``newton_point``, ``diamond`` and the brute force's ``_newton_key`` all
-go through both, and the brute force walks the cycles once per
-distinct permutation of Adm(mu) rather than once per element.
+``newton_point``, ``diamond``, the brute force's ``_newton_key`` and
+``superbasic_witness`` all go through both, and the brute force walks
+the cycles once per distinct permutation of Adm(mu) rather than once
+per element.
 
 Everything is exact and, below the output boundary, integral: the
 kernel returns (k, lam), and a rational vector is carried as one
@@ -109,8 +110,15 @@ class Sigma0:
         return rho * u * rho.inverse()
 
     def apply_element(self, w: AffineElement, power: int = 1) -> AffineElement:
+        """sigma0^power of an element of the datum. It is not checked
+        again: sigma0 maps blocks to blocks of equal size, so the
+        conjugated permutation preserves the blocks."""
+        if w.datum != self.datum:
+            raise DimensionMismatch("element and sigma0 live in different data")
         lin = _map_power(self.map(), power)
-        return AffineElement(w.datum, lin.apply(w.trans), self.apply_perm(w.perm, power))
+        return AffineElement._unchecked(
+            w.datum, lin.apply(w.trans), self.apply_perm(w.perm, power)
+        )
 
     def block_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the block permutation, each listed in cyclic order
@@ -275,6 +283,13 @@ class Frobenius:
         u = SignedMap(self.tau.perm.images, (1,) * self.datum.n)
         return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
 
+    @cached_property
+    def _scaled_shift(self) -> tuple[int, tuple[int, ...]]:
+        """The reporting shift as ``_scaled`` numerators over one
+        denominator, built once per twist."""
+        d, nums = _scaled(self.shift)
+        return d, tuple(nums)
+
     def with_shift(self, shift: Sequence) -> "Frobenius":
         return Frobenius(self.tau, self.sigma0, tuple(Fraction(x) for x in shift))
 
@@ -322,7 +337,9 @@ class NewtonPoint:
     kappa: KappaValue
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", tuple(Fraction(x) for x in self.nu))
+        object.__setattr__(self, "nu", tuple(
+            x if type(x) is Fraction else Fraction(x) for x in self.nu
+        ))
         if len(self.nu) != self.datum.n:
             raise DimensionMismatch("vector has wrong length")
         if not self.datum.is_dominant(self.nu):
@@ -429,14 +446,23 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     part = _linear_part(w.perm.images, frob.affine_map)
     lam, bar = _newton_kernel(part, w.trans, datum.block_slices())
     k = part.order
-    d, shift = _scaled(frob.shift)
-    nu_bar = tuple(Fraction(x * d - k * sh, k * d) for x, sh in zip(bar, shift))
+    d, shift = frob._scaled_shift
+    nu_bar = _fractions([x * d - k * sh for x, sh in zip(bar, shift)], k * d)
     return NewtonData(
-        k,
-        tuple(lam),
-        tuple(Fraction(x, k) for x in lam),
-        NewtonPoint(datum, nu_bar, kappa(w)),
+        k, tuple(lam), _fractions(lam, k), NewtonPoint(datum, nu_bar, kappa(w))
     )
+
+
+def _fractions(nums: Sequence[int], den: int) -> RatVec:
+    """nums / den, one ``Fraction`` per run of equal numerators: a sorted
+    or cycle-constant vector has few distinct entries."""
+    out: list[Fraction] = []
+    last: Optional[int] = None
+    for x in nums:
+        if x != last:
+            value, last = Fraction(x, den), x
+        out.append(value)
+    return tuple(out)
 
 
 def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:

@@ -19,13 +19,17 @@ The ingredients, all for coprime 0 < m < n:
 
 No Bruhat query is made here, and each fact is checked in one place:
 
+* ``omega_element``: sigma_{m,n} has length zero, by an O(n) test;
 * ``euclid_chain``: each level's templates rebuild the level above it,
   so every level expands to chi_{m,n} by induction;
 * ``sharp_peel``: each chain step drops the length (the start's length
-  is counted once, each drop exactly in O(n)), so it is a strict Bruhat
-  descent; the chain starts at t^{eps(mu)} sigma_{m,n}, so it proves
-  w < t^{eps(mu)}; and the decomposition has the hull slopes of theta;
-* ``superbasic_witness``: the Newton point of w is that slope sequence;
+  is the closed form for t^mu, each drop exact in O(n)), so it is a
+  strict Bruhat descent; the chain starts at t^{eps(mu)} sigma_{m,n},
+  so it proves w < t^{eps(mu)}; and the decomposition has the hull
+  slopes of theta. A step swaps two images of one block, so its element
+  is built unchecked;
+* ``superbasic_witness``: the Newton point of w is that slope sequence,
+  compared in integers;
 * ``solve``: the point is the maximal acceptable one and w lies below
   t^{x(mu)}, once for the whole problem. The test suite checks the
   first of these for the superbasic base directly.
@@ -45,7 +49,7 @@ from typing import Sequence
 
 from .acceptable import _hull, polygon
 from .errors import InternalCheckFailed, ParseError
-from .newton import Frobenius, NewtonPoint, _vec_str, newton_point
+from .newton import Frobenius, NewtonPoint, _linear_part, _newton_kernel, _vec_str, kappa
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -344,7 +348,9 @@ def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, Aff
         c, d = eps(a), eps(b)
         images = list(current.perm.images)  # nxt = current * (c d): u(c), u(d) trade places
         images[c - 1], images[d - 1] = images[d - 1], images[c - 1]
-        nxt = AffineElement(datum, current.trans, Permutation(images))
+        # two images swapped inside the one block of GL_n are still a
+        # block-preserving permutation, so nxt is not checked again
+        nxt = AffineElement._unchecked(datum, current.trans, Permutation._unchecked(tuple(images)))
         nxt_len = length + _transposition_delta(current.trans, current.perm.images, c, d)
         # (c d) is a reflection r, and wr < w iff l(wr) < l(w)
         if nxt_len >= length:
@@ -447,13 +453,24 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     The strict chain from t^{eps(mu)} sigma, followed by right
     multiplication with the length-zero sigma^{-1}, proves
     w < t^{eps(mu)} whenever the chain is not empty. That the slopes
-    are the maximal point is checked by ``solve``, not here."""
+    are the maximal point is checked by ``solve``, not here.
+
+    The Newton point of w is compared with the slopes in integers: the
+    kernel's blockwise sorted lam over the order k against each piece's
+    total over its size, by cross-multiplication. Once they agree, the
+    certificate's slopes are the point."""
     cert, sigma = _sharp_peel(mu, m, n)
     w = cert.end * sigma.inverse()
-    point = newton_point(w, Frobenius.inner(sigma)).nu_bar
-    if point.nu != cert.slopes:
+    part = _linear_part(w.perm.images, Frobenius.inner(sigma).affine_map)
+    _, bar = _newton_kernel(part, w.trans, w.datum.block_slices())
+    k = part.order
+    pieces = itertools.chain.from_iterable(
+        [(s.total, s.size)] * s.size for s in cert.decomposition
+    )
+    if any(x * size != total * k for x, (total, size) in zip(bar, pieces)):
         raise InternalCheckFailed(
-            f"witness Newton point {_vec_str(point.nu)} is not the hull slope sequence"
-            f" {_vec_str(cert.slopes)}"
+            f"witness Newton point {_vec_str(Fraction(x, k) for x in bar)} is not"
+            f" the hull slope sequence {_vec_str(cert.slopes)}"
         )
+    point = NewtonPoint(w.datum, cert.slopes, kappa(w))
     return SuperbasicWitness(point, w, cert.epsilon, cert)

@@ -14,6 +14,14 @@ Length is the Iwahori-Matsumoto count, summed over blocks:
 (indices i < j inside one block). The Bruhat order extends from the
 affine Weyl group W_a to the full group: elements are comparable only
 inside one W_a coset, detected through the per-block coordinate sums.
+
+Elements are checked once, where they enter the program: the public
+constructors of ``Permutation`` and ``AffineElement`` check that the
+images are a permutation and that it preserves the blocks, and so do
+``parse_element`` and ``with_datum``. Operations whose result is valid
+by construction (products and inverses, and the twists of
+``newton.Sigma0``) build it through the private ``_unchecked``
+constructors and do not repeat those checks.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -63,10 +72,13 @@ class GroupDatum:
         ))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def gl(n: int) -> "GroupDatum":
+        """GL_n, one datum per rank: the datum is frozen, so callers share it."""
         return GroupDatum((n,))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def pgl(n: int) -> "GroupDatum":
         return GroupDatum((n,), (True,))
 
@@ -122,6 +134,16 @@ class Permutation:
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, not checked: only for
+        images that are a permutation by construction, such as a
+        product or an inverse of permutations."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "images", images)
+        object.__setattr__(u, "_hash", hash(images))
+        return u
+
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Permutation is immutable")
 
@@ -150,14 +172,15 @@ class Permutation:
         return self.images[i - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        # a composition of permutations is one, so it is not checked again
         a, b = self.images, other.images
-        return Permutation(a[b[i] - 1] for i in range(len(a)))
+        return Permutation._unchecked(tuple([a[b[i] - 1] for i in range(len(a))]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def act(self, vec: Sequence) -> tuple:
         """u(e_i) = e_{u(i)}: entry at position u(i) is vec[i-1]."""
@@ -189,10 +212,7 @@ class Permutation:
         return self._hash
 
     def __repr__(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "id"
-        return "".join("cyc(%s)" % ",".join(map(str, c)) for c in cycs)
+        return "".join(_cycle_texts(self.images)) or "id"
 
 
 class SignedMap(NamedTuple):
@@ -269,6 +289,33 @@ def _block_length(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> i
     return total
 
 
+def _block_length_zero(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> bool:
+    """Whether ``_block_length(lam, inv, lo, hi) == 0``, in O(n). Every
+    term of a pair i < j vanishes exactly when lam_i = lam_j and
+    inv_i < inv_j, or lam_i = lam_j + 1 and inv_i > inv_j. So lam takes
+    the values q + 1 and then q (q its last entry), inv ascends within
+    each value, and every inv of the q + 1 part exceeds every inv of the
+    q part.
+
+    >>> _block_length_zero((1, 0, 0), (3, 1, 2), 1, 3), _block_length((1, 0, 0), (3, 1, 2), 1, 3)
+    (True, 0)
+    >>> _block_length_zero((1, 0, 0), (2, 1, 3), 1, 3), _block_length((1, 0, 0), (2, 1, 3), 1, 3)
+    (False, 1)
+    """
+    q = lam[hi - 1]
+    split = lo - 1
+    while lam[split] == q + 1:
+        split += 1
+    if any(lam[p] != q for p in range(split, hi)):
+        return False
+    high, low = inv[lo - 1 : split], inv[split:hi]
+    return (
+        all(a < b for a, b in zip(high, high[1:]))
+        and all(a < b for a, b in zip(low, low[1:]))
+        and (not high or high[0] > low[-1])
+    )
+
+
 def _dominant_length(mu: Sequence[int]) -> int:
     """len(t^mu) for a dominant mu of one block, in O(n): every pair
     i < j of ``_block_length`` with u = 1 adds mu_i - mu_j, so the sum
@@ -330,6 +377,20 @@ class AffineElement:
         object.__setattr__(self, "_hash", hash((trans, perm.images)))
         object.__setattr__(self, "_len", -1)
 
+    @classmethod
+    def _unchecked(cls, datum: GroupDatum, trans: tuple[int, ...],
+                   perm: Permutation) -> "AffineElement":
+        """t^trans perm, not checked: only for a translation of rank n
+        and a block-preserving perm that are so by construction, such
+        as the parts of a product or an inverse of elements of datum."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "datum", datum)
+        object.__setattr__(w, "trans", trans)
+        object.__setattr__(w, "perm", perm)
+        object.__setattr__(w, "_hash", hash((trans, perm.images)))
+        object.__setattr__(w, "_len", -1)
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("AffineElement is immutable")
 
@@ -348,15 +409,16 @@ class AffineElement:
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.datum != other.datum:
             raise DimensionMismatch("different group data")
+        # both permutations preserve the blocks, so their product does
         trans, images = _product(
             self.trans, self.perm.images, other.trans, other.perm.images
         )
-        return AffineElement(self.datum, trans, Permutation(images))
+        return AffineElement._unchecked(self.datum, trans, Permutation._unchecked(images))
 
     def inverse(self) -> "AffineElement":
         uinv = self.perm.inverse()
-        return AffineElement(
-            self.datum, tuple(-x for x in uinv.act(self.trans)), uinv
+        return AffineElement._unchecked(
+            self.datum, tuple([-x for x in uinv.act(self.trans)]), uinv
         )
 
     def length(self) -> int:
@@ -530,8 +592,10 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
         trans += [q + 1] * m + [q] * (nb - m)
         images += [lo + (k + m) % nb for k in range(nb)]
     w = AffineElement(datum, trans, Permutation(images))
-    if w.length() != 0:
+    inv = w.perm.inverse().images
+    if not all(_block_length_zero(w.trans, inv, lo, hi) for lo, hi in datum.block_ranges()):
         raise InternalCheckFailed("omega element is not length zero")
+    object.__setattr__(w, "_len", 0)
     return w
 
 
@@ -549,9 +613,26 @@ def format_element(w: AffineElement) -> str:
     >>> format_element(AffineElement(d, (1, 0), Permutation.from_cycles(2, [(1, 2)])))
     't[1,0]*cyc(1,2)'
     """
-    t = "t[%s]" % ",".join(str(x) for x in w.trans)
-    cycs = w.perm.cycles()
-    return t + "".join("*cyc(%s)" % ",".join(map(str, c)) for c in cycs)
+    t = "t[%s]" % ",".join(map(str, w.trans))
+    return t + "".join(["*" + c for c in _cycle_texts(w.perm.images)])
+
+
+def _cycle_texts(images: Sequence[int]) -> list[str]:
+    """``cyc(...)`` per nontrivial cycle of the one-line permutation
+    images, each from its least element, in order of least element:
+    one walk over images."""
+    seen = [False] * len(images)
+    out = []
+    for start, image in enumerate(images, 1):
+        if seen[start - 1] or image == start:
+            continue
+        cycle, cur = [], start
+        while not seen[cur - 1]:
+            seen[cur - 1] = True
+            cycle.append(cur)
+            cur = images[cur - 1]
+        out.append("cyc(%s)" % ",".join(map(str, cycle)))
+    return out
 
 
 def parse_element(text: str, datum: GroupDatum) -> AffineElement:

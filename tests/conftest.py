@@ -13,6 +13,8 @@ nothing in the package calls them:
 
 * group arithmetic: ``num_inversions``, ``apply_affine`` (the affine
   action on the ambient space) and ``element_power``;
+* the text form: ``format_element_reference`` and
+  ``permutation_repr_reference``, built on ``Permutation.cycles``;
 * reduced words and the Bruhat order: ``simple_reflections``,
   ``ReducedWord``, ``reduced_word`` (the greedy left-descent word, one
   letter per step of ``weyl._walk``), ``bruhat_lt`` and
@@ -89,6 +91,18 @@ def element_power(w: AffineElement, k: int) -> AffineElement:
         base = base * base
         k >>= 1
     return result
+
+
+def permutation_repr_reference(perm: Permutation) -> str:
+    """``repr`` of a permutation through its cycle list."""
+    cycs = perm.cycles()
+    return "".join("cyc(%s)" % ",".join(map(str, c)) for c in cycs) or "id"
+
+
+def format_element_reference(w: AffineElement) -> str:
+    """The canonical literal through ``Permutation.cycles``."""
+    t = "t[%s]" % ",".join(str(x) for x in w.trans)
+    return t + "".join("*cyc(%s)" % ",".join(map(str, c)) for c in w.perm.cycles())
 
 
 # --- simple reflections, reduced words, Bruhat order ---------------------------

@@ -26,7 +26,7 @@ from bgmu.acceptable import (
     polygon,
     support_nodes,
 )
-from bgmu.errors import GuardExceeded, ParseError
+from bgmu.errors import GuardExceeded, ParseError, UnsupportedTwist
 from bgmu.newton import (
     Frobenius,
     Sigma0,
@@ -256,6 +256,36 @@ def test_enumeration_builds_one_bound_table(monkeypatch):
         calls.clear()
         enumerate_acceptable(mu, frob)
         assert len(calls) == 1, (mu, frob)
+
+
+def test_verify_body_builds_one_bound_table(monkeypatch):
+    # solve, enumerate_acceptable and mu_diamond_acceptable of one
+    # problem share the last table; a different problem builds its own
+    import bgmu.acceptable as acceptable
+
+    calls = []
+    real = acceptable._build_bounds
+    monkeypatch.setattr(acceptable, "_build_bounds", lambda *a: calls.append(a) or real(*a))
+    problems = list(itertools.islice(_pinned_twisted_problems(), 0, 180, 15))
+    for mu, frob in problems:
+        calls.clear()
+        try:
+            nu_raw = solve(mu, frob, strategy="auto").nu_raw
+        except UnsupportedTwist:  # a flip at the superbasic base
+            nu_raw = maximal_newton_state(mu, frob).nu_raw
+        acc = enumerate_acceptable(mu, frob)
+        mu_diamond_acceptable(list(mu), frob)
+        assert len(calls) == 1, (mu, frob)
+        assert acc.raw[acc.maximum] == nu_raw
+    # an equal twist built afresh reuses the table; another mu does not
+    mu, frob = problems[-1]
+    calls.clear()
+    again = Frobenius(frob.tau, frob.sigma0, frob.shift)
+    assert acceptable._orbit_bounds(mu, again) is acceptable._orbit_bounds(mu, frob)
+    assert not calls
+    other = tuple(x + 1 for x in mu)
+    assert acceptable._orbit_bounds(other, frob) == real(other, frob)
+    assert len(calls) == 1
 
 
 def _pinned_twisted_problems():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bgmu import weyl
 from bgmu.acceptable import maximal_newton
-from bgmu.errors import ParseError
+from bgmu.errors import InternalCheckFailed, ParseError
 from bgmu.newton import Frobenius, dominant_rep, newton_point
 from bgmu.superbasic import (
     Segment,
@@ -335,8 +335,8 @@ def test_carried_lengths_are_counted_lengths(n, data):
 
 
 def test_witness_counts_lengths_once(monkeypatch):
-    # sigma's length-zero check is the only O(n^2) count, however long
-    # the chain: the start's length is the closed form
+    # no O(n^2) count at all, however long the chain: the start's
+    # length is the closed form and sigma's length zero the O(n) test
     calls = []
     real = weyl._block_length
 
@@ -348,7 +348,7 @@ def test_witness_counts_lengths_once(monkeypatch):
     sw = superbasic_witness(tuple(range(63, -1, -1)), 33, 64)
     sw.certificate.to_json_dict()
     assert len(sw.certificate.chain) == 63
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -410,6 +410,30 @@ def test_witness_chain_is_certified():
     doc = cert.to_json_dict()
     assert doc["schema"] == "bgmu/1"
     assert all(entry["verified"] for entry in doc["chain"])
+
+
+@pytest.mark.parametrize("m,n", coprime_pairs(7))
+def test_witness_point_is_the_newton_point(m, n):
+    # the witness compares its point with the slopes in integers and
+    # then reports the slopes: they are newton_point's dominant point
+    frob = Frobenius.inner(superbasic_element(m, n))
+    for mu in dominant_coweights(n, 2):
+        sw = superbasic_witness(mu, m, n)
+        assert sw.nu == newton_point(sw.w, frob).nu_bar, (mu, m, n)
+
+
+def test_witness_refuses_a_point_off_the_slopes(monkeypatch):
+    from bgmu import superbasic
+
+    real = superbasic._newton_kernel
+
+    def off_by_one(*args):
+        lam, bar = real(*args)
+        return lam, [bar[0] + 1] + bar[1:]
+
+    monkeypatch.setattr(superbasic, "_newton_kernel", off_by_one)
+    with pytest.raises(InternalCheckFailed, match="is not the hull slope sequence"):
+        superbasic_witness((2, 1, 1, 0, 0), 2, 5)
 
 
 def test_witness_newton_point_from_cycle_element():

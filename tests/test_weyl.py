@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgmu.errors import DimensionMismatch, ParseError
+from bgmu.newton import Sigma0
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
+    _block_length,
+    _block_length_zero,
     bruhat_leq,
     format_element,
     omega_element,
@@ -23,7 +26,9 @@ from conftest import (
     bruhat_lower_set,
     bruhat_lt,
     element_power,
+    format_element_reference,
     oracle_length,
+    permutation_repr_reference,
     reduced_word,
     simple_reflections,
     wa_ball,
@@ -352,3 +357,151 @@ def test_parse_errors():
         parse_element("t[1,0]*cyc(1,1)", GL2)
     with pytest.raises(ParseError):
         parse_element("t[1]", GL2)
+
+
+# --- checks at entry, closed operations unchecked ------------------------------
+
+def rechecked(w):
+    """w built again through the public, checking constructors."""
+    return AffineElement(w.datum, w.trans, Permutation(w.perm.images))
+
+
+def assert_valid(w):
+    fresh = rechecked(w)
+    assert w == fresh and hash(w) == hash(fresh)
+    assert type(w.trans) is tuple and type(w.perm.images) is tuple
+    assert w.length() == fresh.length()
+
+
+@st.composite
+def twisted_products(draw):
+    """A product of GL/PGL blocks, two of its elements and a diagram
+    automorphism with random flips on a random permutation of equal
+    blocks."""
+    blocks = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    adjoint = tuple(draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks))))
+    datum = GroupDatum(blocks, adjoint)
+    block_to = list(range(len(blocks)))
+    for size in set(blocks):
+        same = [b for b, nb in enumerate(blocks) if nb == size]
+        for b, tb in zip(same, draw(st.permutations(same))):
+            block_to[b] = tb
+    flip = tuple(draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks))))
+    sigma0 = Sigma0(datum, tuple(block_to), flip)
+    return datum, draw(elements(datum)), draw(elements(datum)), sigma0
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_products(), st.integers(-3, 3))
+def test_closed_operations_equal_their_rechecked_copies(problem, power):
+    datum, v, w, sigma0 = problem
+    for result in (v * w, w * v, v.inverse(), (v * w).inverse(),
+                   sigma0.apply_element(w, power), sigma0.apply_element(v * w, power)):
+        assert result.datum == datum
+        assert_valid(result)
+    for perm in (v.perm * w.perm, w.perm.inverse(), sigma0.apply_perm(w.perm, power)):
+        assert perm == Permutation(perm.images) and hash(perm) == hash(Permutation(perm.images))
+    # sigma0 is an automorphism: it respects products and inverses
+    assert sigma0.apply_element(v * w, power) == (
+        sigma0.apply_element(v, power) * sigma0.apply_element(w, power))
+    assert sigma0.apply_element(sigma0.apply_element(w, power), -power) == w
+
+
+def test_apply_element_rejects_another_datum():
+    sigma0 = Sigma0(GroupDatum((1, 1)), (1, 0), (False, False))
+    with pytest.raises(DimensionMismatch):
+        sigma0.apply_element(AffineElement.identity(GL2))
+
+
+@pytest.mark.parametrize("mu, m", [((2, 2, 1, 0, 0), 2), ((3, 1, 1, 0, 0, 0, 0), 3),
+                                   (tuple(range(11, -1, -1)), 5)])
+def test_peel_steps_equal_their_rechecked_copies(mu, m):
+    from bgmu.superbasic import sharp_peel
+
+    cert = sharp_peel(mu, m, len(mu))
+    assert cert.chain
+    for step in cert.chain:
+        assert_valid(step.after)
+        assert rechecked(step.after).length() == step.length_after
+
+
+def test_public_constructors_still_check():
+    d21 = GroupDatum((2, 1))
+    with pytest.raises(ValueError):
+        Permutation((1, 1, 2))
+    with pytest.raises(ValueError):
+        Permutation((0, 1, 2))
+    crossing = Permutation((3, 2, 1))
+    with pytest.raises(ValueError):
+        AffineElement(d21, (0, 0, 0), crossing)
+    with pytest.raises(ValueError):
+        AffineElement.from_permutation(GroupDatum.gl(3), crossing).with_datum(d21)
+    with pytest.raises(ParseError):
+        parse_element("t[0,0,0]*cyc(1,3)", d21)
+    with pytest.raises(ParseError):
+        parse_element("t[0,0,0]*cyc(1,2,1)", d21)
+    with pytest.raises(ParseError):
+        parse_element("t[0,0,0]*cyc(1,4)", d21)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+    st.permutations(list(range(1, n + 1))),
+)))
+def test_format_element_matches_the_cycle_reference(case):
+    trans, images = case
+    if not images:
+        return
+    w = AffineElement(GroupDatum.gl(len(images)), trans, Permutation(images))
+    assert format_element(w) == format_element_reference(w)
+    assert repr(w.perm) == permutation_repr_reference(w.perm)
+
+
+def test_gl_reuses_one_datum_per_rank():
+    assert GroupDatum.gl(7) is GroupDatum.gl(7)
+    assert GroupDatum.gl(7) == GroupDatum((7,)) and GroupDatum.gl(6) != GroupDatum.gl(7)
+    assert GroupDatum.pgl(7) is GroupDatum.pgl(7) and GroupDatum.pgl(7).adjoint == (True,)
+
+
+# --- the O(n) length-zero test --------------------------------------------------
+
+@st.composite
+def blocks_near_length_zero(draw):
+    """(lam, inv, lo, hi): one block of rank <= 8 inside padding, either
+    random (entries -3..3, a random inverse permutation) or a length-zero
+    block with one pair of lam entries and one pair of inv entries swapped."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        lam = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        inv = draw(st.permutations(list(range(1, n + 1))))
+    else:
+        w = omega_element(GroupDatum.gl(n), (draw(st.integers(-2 * n, 2 * n)),))
+        lam, inv = list(w.trans), list(w.perm.inverse().images)
+        for vec in (lam, inv):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            vec[i], vec[j] = vec[j], vec[i]
+    pad = draw(st.integers(0, 2))
+    lam = [9] * pad + list(lam) + [-9] * pad
+    inv = list(range(1, pad + 1)) + [x + pad for x in inv] + list(range(pad + n + 1, 2 * pad + n + 1))
+    return tuple(lam), tuple(inv), pad + 1, pad + n
+
+
+@settings(max_examples=400, deadline=None)
+@given(blocks_near_length_zero())
+def test_length_zero_test_matches_the_count(block):
+    assert _block_length_zero(*block) == (_block_length(*block) == 0)
+
+
+def test_every_omega_element_is_counted_length_zero():
+    for n in range(1, 41):
+        datum = GroupDatum.gl(n)
+        for kap in range(-2 * n, 2 * n + 1):
+            w = omega_element(datum, (kap,))
+            inv = w.perm.inverse().images
+            assert _block_length(w.trans, inv, 1, n) == 0, (n, kap)
+            assert _block_length_zero(w.trans, inv, 1, n)
+            assert w.length() == 0 and rechecked(w).length() == 0
+    d = GroupDatum((2, 3, 1), (False, True, False))
+    for kappas in itertools.product(range(-4, 5), range(-6, 7), range(-2, 3)):
+        assert rechecked(omega_element(d, kappas)).length() == 0
