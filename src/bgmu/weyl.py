@@ -104,10 +104,12 @@ class GroupDatum:
         return tuple(sum(vec[s]) for s in self.block_slices())
 
     def is_dominant(self, vec: Sequence) -> bool:
-        """Weakly decreasing inside every block."""
+        """Weakly decreasing inside every block. Neighbours that are one
+        object are equal, so only the others are compared: a vector of
+        Fractions shared along runs costs one comparison per run."""
         for s in self.block_slices():
             part = vec[s]
-            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+            if any(a < b for a, b in zip(part, part[1:]) if a is not b):
                 return False
         return True
 
@@ -621,16 +623,17 @@ def _cycle_texts(images: Sequence[int]) -> list[str]:
     """``cyc(...)`` per nontrivial cycle of the one-line permutation
     images, each from its least element, in order of least element:
     one walk over images."""
-    seen = [False] * len(images)
+    nxt = (0, *images)  # nxt[i] = u(i), 1-based
+    seen = [False] * len(nxt)
     out = []
-    for start, image in enumerate(images, 1):
-        if seen[start - 1] or image == start:
+    for start in range(1, len(nxt)):
+        if seen[start] or nxt[start] == start:
             continue
-        cycle, cur = [], start
-        while not seen[cur - 1]:
-            seen[cur - 1] = True
+        cycle, cur = [start], nxt[start]
+        while cur != start:
+            seen[cur] = True
             cycle.append(cur)
-            cur = images[cur - 1]
+            cur = nxt[cur]
         out.append("cyc(%s)" % ",".join(map(str, cycle)))
     return out
 
