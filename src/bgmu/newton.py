@@ -283,13 +283,6 @@ class Frobenius:
         u = SignedMap(self.tau.perm.images, (1,) * self.datum.n)
         return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
 
-    @cached_property
-    def _scaled_shift(self) -> tuple[int, tuple[int, ...]]:
-        """The reporting shift as ``_scaled`` numerators over one
-        denominator, built once per twist."""
-        d, nums = _scaled(self.shift)
-        return d, tuple(nums)
-
     def with_shift(self, shift: Sequence) -> "Frobenius":
         return Frobenius(self.tau, self.sigma0, tuple(Fraction(x) for x in shift))
 
@@ -446,7 +439,7 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     part = _linear_part(w.perm.images, frob.affine_map)
     lam, bar = _newton_kernel(part, w.trans, datum.block_slices())
     k = part.order
-    d, shift = frob._scaled_shift
+    d, shift = _scaled(frob.shift)
     nu_bar = _fractions([x * d - k * sh for x, sh in zip(bar, shift)], k * d)
     return NewtonData(
         k, tuple(lam), _fractions(lam, k), NewtonPoint(datum, nu_bar, kappa(w))

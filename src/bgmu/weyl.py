@@ -78,7 +78,6 @@ class GroupDatum:
         return GroupDatum((n,))
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def pgl(n: int) -> "GroupDatum":
         return GroupDatum((n,), (True,))
 

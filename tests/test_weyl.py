@@ -461,7 +461,8 @@ def test_format_element_matches_the_cycle_reference(case):
 def test_gl_reuses_one_datum_per_rank():
     assert GroupDatum.gl(7) is GroupDatum.gl(7)
     assert GroupDatum.gl(7) == GroupDatum((7,)) and GroupDatum.gl(6) != GroupDatum.gl(7)
-    assert GroupDatum.pgl(7) is GroupDatum.pgl(7) and GroupDatum.pgl(7).adjoint == (True,)
+    with pytest.raises(ParseError):
+        GroupDatum.gl(0)
 
 
 # --- the O(n) length-zero test --------------------------------------------------
