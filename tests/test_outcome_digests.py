@@ -1,4 +1,4 @@
-"""Byte-identity gate: the outcome line of every problem of five fixed
+"""Byte-identity gate: the outcome line of every problem of six fixed
 corpora, against one short digest per problem committed in
 ``outcome_digests.txt``.
 
@@ -9,7 +9,13 @@ The corpora:
 * ``auto``: every fifth of the 1,000 problems of the seed-7 draw;
 * ``enumerate``: ``enumerate_acceptable`` on the seed-0 draw;
 * ``witness``: ``superbasic_witness`` for every coprime m < n <= 40,
-  with two fixed mu per n.
+  with two fixed mu per n;
+* ``n6``: single blocks of rank 6, where the brute force is the largest
+  it gets on one block: ``auto`` on gl:6 and pgl:6 with superbasic m in
+  {1, 5}, for the 21 dominant mu with entries 0..2 and least entry 0;
+  and ``bruteforce`` on block swaps of gl:3*3, whose second block reads
+  the whole of its Adm(mu) rather than only its omega_1-orbit
+  representatives.
 
 A line is ``outcome_line``'s: the answer's JSON bytes, or the refusal.
 A failure names the first problem whose line changed and prints that
@@ -29,13 +35,14 @@ from pathlib import Path
 import pytest
 
 from bgmu.acceptable import enumerate_acceptable
+from bgmu.newton import Frobenius, Sigma0
 from bgmu.reduction import solve
 from bgmu.superbasic import superbasic_witness
-from bgmu.weyl import format_element
-from conftest import outcome_line, twisted_draw
+from bgmu.weyl import GroupDatum, format_element, omega_element
+from conftest import dominant_coweights, outcome_line, twisted_draw
 
 DIGESTS = Path(__file__).resolve().parent / "outcome_digests.txt"
-CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness")
+CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness", "n6")
 DRAW_SIZE = 1000
 
 
@@ -59,8 +66,40 @@ def _witness_mus(n: int) -> tuple:
     )
 
 
+# (mu, kappas) of the gl:3*3 block swaps in the n6 corpus
+_SWAPS = (
+    ((2, 1, 0, 2, 1, 0), (0, 0)),
+    ((2, 1, 0, 2, 1, 0), (1, 1)),
+    ((2, 1, 0, 1, 1, 0), (1, 0)),
+    ((1, 1, 0, 2, 1, 0), (0, 1)),
+    ((2, 2, 0, 1, 0, 0), (1, 2)),
+    ((2, 0, 0, 2, 2, 1), (2, -1)),
+    ((1, 0, 0, 2, 1, 0), (-1, 0)),
+    ((2, 1, 1, 1, 0, 0), (3, 1)),
+)
+
+
+def _n6() -> list:
+    out = []
+    for adjoint in (False, True):
+        group = "pgl" if adjoint else "gl"
+        for m in (1, 5):
+            fr = Frobenius.superbasic(m, 6, adjoint=adjoint)
+            out += [(f"{group}:6 {m}/6 {','.join(map(str, mu))}", _describe(mu, fr),
+                     solve, (mu, fr, "auto"))
+                    for mu in dominant_coweights(6, 2) if mu[-1] == 0]
+    d = GroupDatum((3, 3))
+    for mu, kappas in _SWAPS:
+        fr = Frobenius(omega_element(d, kappas), Sigma0(d, (1, 0), (False, False)))
+        out.append((f"gl:3*3 swap {','.join(map(str, kappas))} {','.join(map(str, mu))}",
+                    _describe(mu, fr), solve, (mu, fr, "bruteforce")))
+    return out
+
+
 def corpus(name: str) -> list:
     """The problems of one corpus as (key, description, run, args)."""
+    if name == "n6":
+        return _n6()
     if name == "witness":
         return [
             (f"{m}/{n} {','.join(map(str, mu))}", f"m={m} n={n} mu={mu}",
