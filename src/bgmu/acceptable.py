@@ -107,10 +107,12 @@ _Bounds = tuple[
     int, dict[Node, int], tuple[int, ...], tuple[tuple[tuple[Node, ...], int, range], ...]
 ]
 
-# the last bound table built, as ((mu, frob), table): one problem asks
-# for the same table in solve, enumerate_acceptable and
-# mu_diamond_acceptable, and the callers only read it
-_LAST_BOUNDS: list = [None, None]
+# the last bound table built, as one ((mu, frob), table) tuple that is
+# read once and replaced whole, so a reader never pairs one problem's key
+# with another's table: one problem asks for the same table in solve,
+# enumerate_acceptable and mu_diamond_acceptable, and the callers only
+# read it
+_LAST_BOUNDS: Optional[tuple[tuple, _Bounds]] = None
 
 
 def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
@@ -123,10 +125,13 @@ def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
     the lcms of the block sizes and orbit lengths), in which n_b
     divides i s_b and an orbit's length divides its pairings.
     The last table is kept and reused for an equal (mu, frob)."""
-    key = (tuple(mu), frob)
-    if _LAST_BOUNDS[0] != key:
-        _LAST_BOUNDS[:] = [key, _build_bounds(mu, frob)]
-    return _LAST_BOUNDS[1]
+    global _LAST_BOUNDS
+    key, last = (tuple(mu), frob), _LAST_BOUNDS
+    if last is not None and last[0] == key:
+        return last[1]
+    table = _build_bounds(mu, frob)
+    _LAST_BOUNDS = (key, table)
+    return table
 
 
 def _build_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
@@ -409,34 +414,37 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
     return True
 
 
-# Adm(mu) of one GL_n block per dominant shape mu - min(mu)*1, built once
-# per process, as (groups, reps): groups lists Adm(mu) as (lam, (images,
-# ...)) pairs, and reps, grouped the same way, holds one member of each
-# orbit under conjugation by omega_1 (``_rotate``), the least by (images,
-# trans). Adm(mu + c*1) is t^{c*1} Adm(mu), and t^{c*1} commutes with
-# omega_1 and keeps that order, so both move by c. The guards admit entry
-# spreads of at most 2, so a rank has at most C(n + 2, 2) shapes. Equal
-# translations, permutations and permutation groups of all entries are
-# one tuple, kept in _SHARED; reps holds the tuples of groups.
+# Adm(mu) of one GL_n block per dominant shape mu - min(mu), built once
+# per process (``_grow_block_adm``). An entry holds the members of Adm(mu)
+# that are least by (images, trans) in their orbit under conjugation by
+# omega_1 (``_rotate``), grouped by translation as (lam, (images, ...))
+# pairs; |Adm(mu)|, the sum of their orbit sizes; and, once something has
+# asked for it (``_full_set``), the whole set grouped the same way.
+# Adm(mu + c*1) is t^{c*1} Adm(mu), and t^{c*1} commutes with omega_1 and
+# keeps that order, so all of it moves by c. The guards admit entry
+# spreads of at most 2, so a rank has at most C(n + 2, 2) shapes.
 _Groups = tuple[tuple[IntVec, tuple[IntVec, ...]], ...]
-_BLOCK_ADM: dict[IntVec, tuple[_Groups, _Groups]] = {}
-_SHARED: dict[tuple, tuple] = {}
 
 
-def _shared(t: tuple) -> tuple:
-    return _SHARED.setdefault(t, t)
+@dataclass
+class _BlockEntry:
+    reps: _Groups
+    size: int
+    full: Optional[_Groups] = None
 
 
-def _block_entry(mu: Sequence[int]) -> tuple[int, _Groups, _Groups]:
-    """(c, groups, reps): the table entry of mu's shape, which c =
-    min(mu) moves to mu's."""
+_BLOCK_ADM: dict[IntVec, _BlockEntry] = {}
+
+
+def _block_entry(mu: Sequence[int]) -> tuple[int, _BlockEntry]:
+    """(c, entry): the table entry of mu's shape, which c = min(mu)
+    moves to mu's."""
     c = min(mu)
     shape = tuple(sorted((x - c for x in mu), reverse=True))
     entry = _BLOCK_ADM.get(shape)
     if entry is None:
-        groups = _grow_block_adm(shape)
-        entry = _BLOCK_ADM[shape] = (groups, _orbit_reps(groups))
-    return (c, *entry)
+        entry = _BLOCK_ADM[shape] = _BlockEntry(*_grow_block_adm(shape))
+    return c, entry
 
 
 def _flatten(c: int, groups: _Groups) -> list[tuple[IntVec, IntVec]]:
@@ -449,17 +457,39 @@ def _flatten(c: int, groups: _Groups) -> list[tuple[IntVec, IntVec]]:
     return out
 
 
-def _rotate(trans: IntVec, images: IntVec) -> tuple[IntVec, IntVec]:
-    """omega_1 (t^trans u) omega_1^{-1} in GL_n, n = len(trans), on raw
+def _rotate(trans: IntVec, images: IntVec, k: int) -> tuple[IntVec, IntVec]:
+    """omega_1^k (t^trans u) omega_1^{-k} in GL_n, n = len(trans), on raw
     tuples, for omega_1 = t^{e_1} r the length-zero element of kappa 1
-    (r(i) = i + 1 mod n): t^{r(trans) + e_1 - e_{v(1)}} v with
-    v = r u r^{-1}."""
+    (r(i) = i + 1 mod n) and 0 <= k < n: omega_1^k = t^{E_k} r^k with
+    E_k = e_1 + ... + e_k, so the conjugate is t^{E_k + r^k(trans) -
+    v(E_k)} v with v = r^k u r^{-k}, v(i) = u(i - k) + k mod n."""
     n = len(images)
-    ims = tuple([x % n + 1 for x in (images[-1], *images[:-1])])
-    moved = [trans[-1], *trans[:-1]]
-    moved[0] += 1
-    moved[ims[0] - 1] -= 1
+    ims = tuple([(x + k - 1) % n + 1 for x in images[n - k:] + images[:n - k]])
+    moved = list(trans[n - k:] + trans[:n - k])
+    for i in range(k):
+        moved[i] += 1
+        moved[ims[i] - 1] -= 1
     return tuple(moved), ims
+
+
+def _full_set(entry: _BlockEntry) -> _Groups:
+    """The whole of an entry's Adm(mu), grouped by translation: the
+    omega_1-orbit of every representative, walked by ``_rotate`` until
+    it comes back. Built on first use, around the representatives' own
+    tuples with one tuple per distinct permutation, and stored whole in
+    one assignment, so a reader finds None or the complete set."""
+    if entry.full is None:
+        grouped = {lam: list(ims) for lam, ims in entry.reps}
+        perms = {im: im for ims in grouped.values() for im in ims}
+        for lam, ims in entry.reps:
+            for im in ims:
+                for k in range(1, len(im)):
+                    t, u = _rotate(lam, im, k)
+                    if u == im and t == lam:
+                        break
+                    grouped.setdefault(t, []).append(perms.setdefault(u, u))
+        entry.full = tuple((lam, tuple(ims)) for lam, ims in grouped.items())
+    return entry.full
 
 
 def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
@@ -486,74 +516,84 @@ def _conjugate(elem: tuple[IntVec, IntVec], orbit: Sequence[tuple[int, int]],
                ranges: Sequence[tuple[int, int]]) -> tuple[IntVec, IntVec]:
     """omega_O (t^trans u) omega_O^{-1} on raw tuples elem = (trans,
     images), for omega_O with the kappas +1 or -1 of orbit on the blocks
-    at ranges: per block, conjugation by omega_1 once, or n_b - 1 times
+    at ranges: per block, conjugation by omega_1, or by omega_1^{n_b - 1}
     for omega_1^{-1} (omega_1^{n_b} is central)."""
     trans, images = list(elem[0]), list(elem[1])
     for b, sign in orbit:
         lo, hi = ranges[b]
-        t, u = tuple(trans[lo - 1 : hi]), tuple(j - lo + 1 for j in images[lo - 1 : hi])
-        for _ in range(1 if sign == 1 else hi - lo):
-            t, u = _rotate(t, u)
+        t, u = _rotate(tuple(trans[lo - 1 : hi]), tuple(j - lo + 1 for j in images[lo - 1 : hi]),
+                       1 if sign == 1 else hi - lo)
         trans[lo - 1 : hi], images[lo - 1 : hi] = t, (j + lo - 1 for j in u)
     return tuple(trans), tuple(images)
 
 
-def _orbit_reps(groups: _Groups) -> _Groups:
-    """The members of groups that are least by (images, trans) in their
-    orbit under conjugation by omega_1, grouped as groups are and made
-    of its tuples. A member's walk along its orbit (at most n steps, as
-    omega_1^n is central) stops at the first smaller conjugate."""
-    reps = []
-    for lam, ims in groups:
-        kept = []
-        for im in ims:
-            t, u = _rotate(lam, im)
-            while (u, t) > (im, lam):
-                t, u = _rotate(t, u)
-            if (u, t) == (im, lam):
-                kept.append(im)
-        if kept:
-            reps.append((lam, _shared(tuple(kept))))
-    return tuple(reps)
-
-
-def _grow_block_adm(mu: Sequence[int]) -> _Groups:
-    """Adm(mu) of GL_n grouped by translation: for each lattice point
-    lam of Conv(W_0 mu) (the distinct rearrangements of every dominant
+def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
+    """The omega_1-orbit representatives of Adm(mu) of GL_n, grouped by
+    translation, and |Adm(mu)|. For each lattice point lam of Conv(W_0
+    mu) with mu's sum (the distinct rearrangements of every dominant
     vector dominated by mu), u is built one position at a time, and a
-    branch is kept while the vertex it has just reached passes the test
-    of ``adm_enumerate``."""
+    branch is kept while the vertex it has just reached is one of those
+    points: the test of ``adm_enumerate``, as every vertex has mu's sum.
+
+    The conjugate by omega_1^k has first image ((u(j) - j) mod n) + 1,
+    j = n - k + 1, so t^lam u is least in its orbit by (images, trans)
+    only if (u(j) - j) mod n >= u(1) - 1 for every j; a branch is cut
+    at the first position that breaks this. A leaf is compared with
+    each conjugate whose first image ties with its own, by increasing
+    k; the first equal to it gives the orbit size, and the later ones
+    repeat the earlier."""
     n = len(mu)
     sums = _hull_sums(mu)
+    lams = [lam for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n)
+            if sum(dom) == sums[-1] and _in_hull(dom, sums)
+            for lam in _distinct_permutations(dom)]
+    points = set(lams)
     groups: list[tuple[IntVec, tuple[IntVec, ...]]] = []
     found: list[IntVec] = []
+    perms: dict[IntVec, IntVec] = {}  # one tuple per distinct u
     images = [0] * n
     used = [False] * n
+    size = 0
 
-    def grow(vec: list[int], k: int) -> None:
+    def leaf(lam: IntVec) -> None:
+        nonlocal size
+        u, first = tuple(images), images[0] - 1
+        orbit = n
+        for k in range(1, n):
+            if (u[n - k] + k - 1) % n == first:
+                t, v = _rotate(lam, u, k)
+                if (v, t) < (u, lam):
+                    return
+                if v == u and t == lam:
+                    orbit = k
+                    break
+        found.append(perms.setdefault(u, u))
+        size += orbit
+
+    def grow(lam: IntVec, vec: list[int], k: int) -> None:
         if k == n:
-            found.append(_shared(tuple(images)))
+            leaf(lam)
             return
+        first = images[0] - 1
         vec[k] -= 1
         for j in range(n):
-            if used[j]:
+            if used[j] or (k and (j - k) % n < first):
                 continue
             vec[j] += 1
             # at k + 1 == n the vertex is omega_n, i.e. lam itself
-            if k + 1 == n or _in_hull(vec, sums):
+            if k + 1 == n or tuple(vec) in points:
                 used[j], images[k] = True, j + 1
-                grow(vec, k + 1)
+                grow(lam, vec, k + 1)
                 used[j] = False
             vec[j] -= 1
         vec[k] += 1
 
-    for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n):
-        if sum(dom) == sums[-1] and _in_hull(dom, sums):
-            for lam in _distinct_permutations(dom):
-                grow(list(lam), 0)
-                groups.append((_shared(lam), _shared(tuple(found))))
-                found.clear()
-    return tuple(groups)
+    for lam in lams:
+        grow(lam, list(lam), 0)
+        if found:
+            groups.append((lam, tuple(found)))
+            found.clear()
+    return tuple(groups), size
 
 
 def _distinct_permutations(part: Sequence[int]) -> list[tuple[int, ...]]:
@@ -634,11 +674,11 @@ def _adm_raw(
     if refusal:
         raise GuardExceeded(refusal)
     entries = [_block_entry(mu[lo - 1 : hi]) for lo, hi in datum.block_ranges()]
-    size = prod(sum(len(ims) for _, ims in groups) for _, groups, _ in entries)
+    size = prod(entry.size for _, entry in entries)
     if max_size is not None and size > max_size:
         raise GuardExceeded(f"admissible set too large: {size}")
-    per_block = [_flatten(c, reps if b in reduced else groups)
-                 for b, (c, groups, reps) in enumerate(entries)]
+    per_block = [_flatten(c, entry.reps if b in reduced else _full_set(entry))
+                 for b, (c, entry) in enumerate(entries)]
     if len(per_block) == 1:
         return per_block[0]
     moved = [
@@ -671,10 +711,11 @@ def adm_enumerate(
     lies in Conv(W_0 mu) for each base-alcove vertex
     omega_k = (1^k, 0^{n_b-k}), k = 0, ..., n_b - 1. The order of the
     vertices matters: (0^{n_b-k}, 1^k) gives a different set already on
-    GL_2. ``_grow_block_adm`` builds each block's set, the result is their
-    product, so the work is about the size of the output; it is sorted
-    by (length, trans, images), and every element is validated once,
-    through ``AffineElement``. The test suite holds it to an independent
+    GL_2. ``_grow_block_adm`` builds each block's omega_1-orbit
+    representatives and ``_full_set`` their orbits, the result is the
+    blocks' product, so the work is about the size of the output; it is
+    sorted by (length, trans, images), and every element is validated
+    once, through ``AffineElement``. The test suite holds it to an independent
     reference: the subword products of reduced words of every t^{x(mu)}
     (``bruhat_lower_set`` in ``tests/conftest.py``)."""
     if datum is None:

@@ -537,16 +537,17 @@ def _flat(groups):
 
 
 def _block_adm(mu):
-    """Adm(mu) of one block from the table, moved to mu."""
-    c, groups, _ = acceptable._block_entry(mu)
-    return acceptable._flatten(c, groups)
+    """Adm(mu) of one block from the table, expanded from its
+    representatives and moved to mu."""
+    c, entry = acceptable._block_entry(mu)
+    return acceptable._flatten(c, acceptable._full_set(entry))
 
 
 def _reps(mu):
     """The omega_1-orbit representatives of the table entry of mu's
     shape, moved to mu."""
-    c, _, reps = acceptable._block_entry(mu)
-    return acceptable._flatten(c, reps)
+    c, entry = acceptable._block_entry(mu)
+    return acceptable._flatten(c, entry.reps)
 
 
 def _conjugator(om):
@@ -570,11 +571,12 @@ def test_block_adm_is_the_shifted_shape(data):
     c = data.draw(st.integers(-5, 5))
     moved = tuple(x + c for x in mu)
     got = _block_adm(moved)
-    assert got == _flat(acceptable._grow_block_adm(moved))
     assert got == [(tuple(x + c for x in t), im) for t, im in _block_adm(mu)]
+    grown, size = acceptable._grow_block_adm(moved)
     reps = _reps(moved)
+    assert reps == _flat(grown)
     assert reps == [(tuple(x + c for x in t), im) for t, im in _reps(mu)]
-    assert set(reps) <= set(got)
+    assert set(reps) <= set(got) and len(set(got)) == len(got) == size
 
 
 def test_one_table_entry_per_shape(empty_adm_table):
@@ -597,7 +599,8 @@ def test_block_adm_returns_a_fresh_list(empty_adm_table):
     assert first == want and first is not want
     first.clear()
     want.append(((9, 9, 9, 9), (1, 2, 3, 4)))
-    assert _block_adm(mu) == _flat(acceptable._grow_block_adm(mu))
+    assert _block_adm(mu) == want[:-1]
+    assert _reps(mu) is not _reps(mu)
 
 
 def _verify_sweep_problems():
@@ -647,36 +650,50 @@ def test_size_guard_comes_before_the_product(monkeypatch):
 
 
 def test_representatives_are_the_orbit_minima():
-    # every shape of rank <= 4 with entries 0..2, and (2,2,1,0,0): one
-    # representative per orbit under conjugation by omega_1, the least
-    # by (images, trans), orbits walked by the group product
+    # every shape of rank <= 4 with entries 0..2, and (2,2,1,0,0), on
+    # the subword reference of Adm(mu): one representative per orbit
+    # under conjugation by omega_1, the least by (images, trans), orbits
+    # walked by the group product; the entry's size is the sum of the
+    # orbit sizes, and the representatives' orbits are the whole set
     shapes = [mu for n in range(1, 5) for mu in dominant_coweights(n, 2) if mu[-1] == 0]
     for mu in shapes + [(2, 2, 1, 0, 0)]:
-        conj = _conjugator(omega_element(GroupDatum.gl(len(mu)), (1,)))
-        want = set()
-        for elem in _block_adm(mu):
+        datum = GroupDatum.gl(len(mu))
+        conj = _conjugator(omega_element(datum, (1,)))
+        reference = {(e.trans, e.perm.images) for e in adm_reference(datum, mu)}
+        want, seen = set(), set()
+        for elem in reference:
+            if elem in seen:
+                continue
             orbit = [elem]
             while (nxt := conj(orbit[-1])) != elem:
                 orbit.append(nxt)
+            seen.update(orbit)
             want.add(min(orbit, key=lambda e: (e[1], e[0])))
         reps = _reps(mu)
         assert len(reps) == len(want) and set(reps) == want, mu
+        assert acceptable._block_entry(mu)[1].size == len(reference), mu
+        full = _block_adm(mu)
+        assert len(full) == len(reference) and set(full) == reference, mu
     assert len(_reps((2, 2, 1, 0, 0))) == 341
     assert len({im for _, im in _reps((2, 2, 1, 0, 0))}) == 28
 
 
 def test_representatives_live_in_the_table_entries(empty_adm_table):
-    # the 283 verify-sweep problems fill 31 shapes; each entry holds its
-    # set and its representatives, and a representative is made of the
-    # very tuples of the set
+    # the 283 verify-sweep problems fill 31 shapes and never expand one:
+    # each entry holds only its representatives and |Adm(mu)|; expanding
+    # one stores the whole set, built from the representatives' own tuples
     for mu, frob in _verify_sweep_problems():
         solve(mu, frob, strategy="auto")
     assert len(acceptable._BLOCK_ADM) == 31
-    for groups, reps in acceptable._BLOCK_ADM.values():
-        lams = {lam: {id(im) for im in ims} for lam, ims in groups}
-        ids = {lam: id(lam) for lam, _ in groups}
-        assert reps and len(reps) <= len(groups)
-        for lam, ims in reps:
+    for shape, entry in acceptable._BLOCK_ADM.items():
+        assert entry.full is None and entry.reps
+        assert len(_flat(entry.reps)) <= entry.size
+        full = acceptable._full_set(entry)
+        assert acceptable._full_set(entry) is full is entry.full
+        assert sum(len(ims) for _, ims in full) == entry.size
+        lams = {lam: {id(im) for im in ims} for lam, ims in full}
+        ids = {lam: id(lam) for lam, _ in full}
+        for lam, ims in entry.reps:
             assert id(lam) == ids[lam]
             assert {id(im) for im in ims} <= lams[lam]
 
