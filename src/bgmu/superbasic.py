@@ -42,10 +42,11 @@ upper convex hull of theta.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .acceptable import _hull, polygon
 from .errors import InternalCheckFailed, ParseError
@@ -168,13 +169,17 @@ class EuclideanChain:
         return len(self.pairs) - 1
 
 
-def euclid_chain(m: int, n: int) -> EuclideanChain:
+def euclid_chain(m: int, n: int, chi0: Optional[tuple[int, ...]] = None) -> EuclideanChain:
+    """The recursion from (m, n) down to its terminal pair; chi0, when
+    given, is taken as chi(m, n), which the first template expansion
+    rebuilds and so checks."""
     if n == 1:
         if m not in (0, 1):
             raise ValueError("terminal pairs are (1,1) and (0,1)")
         seed = (m,)
         return EuclideanChain(m, n, ((m, 1),), (seed,), (), (), (), ((1,),))
-    chi0 = chi(m, n)
+    if chi0 is None:
+        chi0 = chi(m, n)
     pairs = [(m, n)]
     chis = [chi0]
     templates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -229,15 +234,13 @@ def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit
     a, b = gamma
     if not (1 <= a <= b <= chain.n):
         raise ParseError(f"segment [{a},{b}] is not aligned with positions 1..{chain.n}")
-    level = 0
-    for h in range(chain.depth, -1, -1):
-        ends = chain.ends0[h]
-        if (a - 1 == 0 or (a - 1) in ends) and b in ends:
-            level = h
+    # the boundaries ascend: i1 - 1 of them lie before a and j1 at or
+    # before b; level 0 has every position as a boundary
+    for level in range(chain.depth, -1, -1):
+        ends = chain.ends0[level]
+        i1, j1 = bisect_left(ends, a) + 1, bisect_right(ends, b)
+        if (a == 1 or (i1 > 1 and ends[i1 - 2] == a - 1)) and j1 and ends[j1 - 1] == b:
             break
-    ends = chain.ends0[level]
-    i1 = sum(1 for e in ends if e < a) + 1
-    j1 = sum(1 for e in ends if e <= b)
     iota = Segment(i1, chain.chis[level][i1 - 1 : j1])
     if level == chain.depth:
         inside = True
@@ -330,9 +333,10 @@ def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, Aff
     if not datum.is_dominant(mu):
         raise ValueError(f"mu {mu} is not dominant")
     chi0 = chi(m, n)
-    eps = epsilon(chi0)
+    # epsilon's closed form; chi has checked that m and n are coprime
+    eps = Permutation._unchecked(tuple(j * m % n + 1 for j in range(1, n + 1)))
     theta = tuple(a + b for a, b in zip(mu, chi0))
-    chain_data = euclid_chain(m, n)
+    chain_data = euclid_chain(m, n, chi0)
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
     sigma = superbasic_element(m, n)
