@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, InternalCheckFailed, ParseError
 from .newton import (
@@ -418,19 +418,17 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
 # per process (``_grow_block_adm``). An entry holds the members of Adm(mu)
 # that are least by (images, trans) in their orbit under conjugation by
 # omega_1 (``_rotate``), grouped by translation as (lam, (images, ...))
-# pairs; |Adm(mu)|, the sum of their orbit sizes; and, once something has
-# asked for it (``_full_set``), the whole set grouped the same way.
+# pairs; and |Adm(mu)|, the sum of their orbit sizes. ``_full_set``
+# expands the whole set from them on each call.
 # Adm(mu + c*1) is t^{c*1} Adm(mu), and t^{c*1} commutes with omega_1 and
 # keeps that order, so all of it moves by c. The guards admit entry
 # spreads of at most 2, so a rank has at most C(n + 2, 2) shapes.
 _Groups = tuple[tuple[IntVec, tuple[IntVec, ...]], ...]
 
 
-@dataclass
-class _BlockEntry:
+class _BlockEntry(NamedTuple):
     reps: _Groups
     size: int
-    full: Optional[_Groups] = None
 
 
 _BLOCK_ADM: dict[IntVec, _BlockEntry] = {}
@@ -475,21 +473,16 @@ def _rotate(trans: IntVec, images: IntVec, k: int) -> tuple[IntVec, IntVec]:
 def _full_set(entry: _BlockEntry) -> _Groups:
     """The whole of an entry's Adm(mu), grouped by translation: the
     omega_1-orbit of every representative, walked by ``_rotate`` until
-    it comes back. Built on first use, around the representatives' own
-    tuples with one tuple per distinct permutation, and stored whole in
-    one assignment, so a reader finds None or the complete set."""
-    if entry.full is None:
-        grouped = {lam: list(ims) for lam, ims in entry.reps}
-        perms = {im: im for ims in grouped.values() for im in ims}
-        for lam, ims in entry.reps:
-            for im in ims:
-                for k in range(1, len(im)):
-                    t, u = _rotate(lam, im, k)
-                    if u == im and t == lam:
-                        break
-                    grouped.setdefault(t, []).append(perms.setdefault(u, u))
-        entry.full = tuple((lam, tuple(ims)) for lam, ims in grouped.items())
-    return entry.full
+    it comes back. Built afresh on every call."""
+    grouped = {lam: list(ims) for lam, ims in entry.reps}
+    for lam, ims in entry.reps:
+        for im in ims:
+            for k in range(1, len(im)):
+                t, u = _rotate(lam, im, k)
+                if u == im and t == lam:
+                    break
+                grouped.setdefault(t, []).append(u)
+    return tuple((lam, tuple(ims)) for lam, ims in grouped.items())
 
 
 def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:

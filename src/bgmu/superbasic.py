@@ -46,7 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .acceptable import _hull, polygon
 from .errors import InternalCheckFailed, ParseError
@@ -121,7 +121,12 @@ def epsilon(chi_vals: Sequence[int]) -> Permutation:
     n, m = len(chi_vals), sum(chi_vals)
     if not (0 < m < n and gcd(m, n) == 1 and tuple(chi_vals) == chi(m, n)):
         raise ValueError(f"{tuple(chi_vals)} is not chi_{{m,n}} of a coprime pair")
-    return Permutation(tuple(j * m % n + 1 for j in range(1, n + 1)))
+    return _epsilon(m, n)
+
+
+def _epsilon(m: int, n: int) -> Permutation:
+    """epsilon's closed form j -> (j m mod n) + 1, for coprime 0 < m < n."""
+    return Permutation._unchecked(tuple(j * m % n + 1 for j in range(1, n + 1)))
 
 
 # --- the Euclidean recursion -------------------------------------------------
@@ -169,17 +174,13 @@ class EuclideanChain:
         return len(self.pairs) - 1
 
 
-def euclid_chain(m: int, n: int, chi0: Optional[tuple[int, ...]] = None) -> EuclideanChain:
-    """The recursion from (m, n) down to its terminal pair; chi0, when
-    given, is taken as chi(m, n), which the first template expansion
-    rebuilds and so checks."""
+def euclid_chain(m: int, n: int) -> EuclideanChain:
     if n == 1:
         if m not in (0, 1):
             raise ValueError("terminal pairs are (1,1) and (0,1)")
         seed = (m,)
         return EuclideanChain(m, n, ((m, 1),), (seed,), (), (), (), ((1,),))
-    if chi0 is None:
-        chi0 = chi(m, n)
+    chi0 = chi(m, n)
     pairs = [(m, n)]
     chis = [chi0]
     templates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -332,11 +333,12 @@ def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, Aff
     datum = GroupDatum.gl(n)
     if not datum.is_dominant(mu):
         raise ValueError(f"mu {mu} is not dominant")
-    chi0 = chi(m, n)
-    # epsilon's closed form; chi has checked that m and n are coprime
-    eps = Permutation._unchecked(tuple(j * m % n + 1 for j in range(1, n + 1)))
+    if n == 1:
+        chi(m, n)  # no coprime 0 < m < 1: raises ParseError
+    chain_data = euclid_chain(m, n)
+    chi0 = chain_data.chis[0]  # chi(m, n), which has checked m and n
+    eps = _epsilon(m, n)
     theta = tuple(a + b for a, b in zip(mu, chi0))
-    chain_data = euclid_chain(m, n, chi0)
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
     sigma = superbasic_element(m, n)
