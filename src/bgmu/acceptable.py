@@ -462,12 +462,18 @@ def _rotate(trans: IntVec, images: IntVec, k: int) -> tuple[IntVec, IntVec]:
     E_k = e_1 + ... + e_k, so the conjugate is t^{E_k + r^k(trans) -
     v(E_k)} v with v = r^k u r^{-k}, v(i) = u(i - k) + k mod n."""
     n = len(images)
-    ims = tuple([(x + k - 1) % n + 1 for x in images[n - k:] + images[:n - k]])
+    ims = _rotate_images(images, k)
     moved = list(trans[n - k:] + trans[:n - k])
     for i in range(k):
         moved[i] += 1
         moved[ims[i] - 1] -= 1
     return tuple(moved), ims
+
+
+def _rotate_images(images: IntVec, k: int) -> IntVec:
+    """The images v of ``_rotate``'s conjugate, without its translation."""
+    n = len(images)
+    return tuple([(x + k - 1) % n + 1 for x in images[n - k:] + images[:n - k]])
 
 
 def _full_set(entry: _BlockEntry) -> _Groups:
@@ -534,7 +540,8 @@ def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
     at the first position that breaks this. A leaf is compared with
     each conjugate whose first image ties with its own, by increasing
     k; the first equal to it gives the orbit size, and the later ones
-    repeat the earlier."""
+    repeat the earlier. The conjugate's images decide the comparison
+    unless they equal u's, so its translation is built only then."""
     n = len(mu)
     sums = _hull_sums(mu)
     lams = [lam for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n)
@@ -554,12 +561,16 @@ def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
         orbit = n
         for k in range(1, n):
             if (u[n - k] + k - 1) % n == first:
-                t, v = _rotate(lam, u, k)
-                if (v, t) < (u, lam):
+                v = _rotate_images(u, k)
+                if v < u:
                     return
-                if v == u and t == lam:
-                    orbit = k
-                    break
+                if v == u:
+                    t = _rotate(lam, u, k)[0]
+                    if t < lam:
+                        return
+                    if t == lam:
+                        orbit = k
+                        break
         found.append(perms.setdefault(u, u))
         size += orbit
 

@@ -428,7 +428,12 @@ def _generic_point(frob: Frobenius, den: int, basis: list[IntVec]) -> IntVec:
     den, which lies on no root hyperplane that the basis does not: a
     coordinate difference of each integer basis vector is an integer D_k
     of size at most 2n, since the cycles are disjoint, and
-    sum_k t^k D_k vanishes only when every D_k does."""
+    sum_k t^k D_k vanishes only when every D_k does.
+
+    The check is O(n K) for K basis vectors: each position is compared
+    with the first position of its block holding the same value, which
+    covers every tied pair, as agreeing on every basis vector is
+    transitive."""
     datum = frob.datum
     n = datum.n
     v0 = [0] * n
@@ -436,13 +441,14 @@ def _generic_point(frob: Frobenius, den: int, basis: list[IntVec]) -> IntVec:
     for b in basis:
         v0 = [a + scale * c for a, c in zip(v0, b)]
         scale *= n * n + 1
-    for lo, hi in datum.block_ranges():
-        for i in range(lo, hi + 1):
-            for j in range(i + 1, hi + 1):
-                if v0[i - 1] == v0[j - 1] and any(b[i - 1] != b[j - 1] for b in basis):
-                    raise InternalCheckFailed(
-                        f"direction {_vec_str(Fraction(x, den) for x in v0)} is not generic"
-                    )
+    for sl in datum.block_slices():
+        first: dict[int, int] = {}
+        for p in range(sl.start, sl.stop):
+            q = first.setdefault(v0[p], p)
+            if q != p and any(b[p] != b[q] for b in basis):
+                raise InternalCheckFailed(
+                    f"direction {_vec_str(Fraction(x, den) for x in v0)} is not generic"
+                )
     return tuple(v0)
 
 

@@ -17,7 +17,8 @@ The ingredients, all for coprime 0 < m < n:
   to eps t^theta x_c eps^{-1}, each step right multiplication by one
   transposition and each certified by a strict drop in length.
 
-No Bruhat query is made here, and each fact is checked in one place:
+No Bruhat query is made here, and each fact is checked in one place
+(the first two once per (m, n) per process, through ``_twist_data``):
 
 * ``omega_element``: sigma_{m,n} has length zero, by an O(n) test;
 * ``euclid_chain``: each level's templates rebuild the level above it,
@@ -45,12 +46,13 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .acceptable import _hull, polygon
 from .errors import InternalCheckFailed, ParseError
-from .newton import Frobenius, NewtonPoint, _linear_part, _newton_kernel, _vec_str, kappa
+from .newton import AffineMap, Frobenius, NewtonPoint, _linear_part, _newton_kernel, _vec_str, kappa
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -253,6 +255,34 @@ def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit
     return LevelSplit(level, iota, inside, elem_ends)
 
 
+# --- the twist's data --------------------------------------------------------
+
+class _TwistData(NamedTuple):
+    """What a witness reads from the twist Ad(sigma_{m,n}) alone."""
+
+    chain: EuclideanChain
+    eps: Permutation
+    sigma: AffineElement
+    sigma_inv: AffineElement
+    affine_map: AffineMap
+
+
+@lru_cache(maxsize=64)
+def _twist_data(m: int, n: int) -> _TwistData:
+    """The (m, n) data of a witness, built and checked once per pair per
+    process: the template check of ``euclid_chain``, the length-zero
+    proof of ``omega_element`` and the checks of ``Frobenius`` run on
+    the first call. An invalid pair raises ParseError, which is not
+    cached."""
+    if n == 1:
+        chi(m, n)  # no coprime 0 < m < 1: raises ParseError
+    chain = euclid_chain(m, n)  # its chi(m, n) checks m and n
+    sigma = superbasic_element(m, n)
+    return _TwistData(
+        chain, _epsilon(m, n), sigma, sigma.inverse(), Frobenius.inner(sigma).affine_map
+    )
+
+
 # --- the peeling construction ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -325,24 +355,24 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     return _sharp_peel(mu, m, n)[0]
 
 
-def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, AffineElement]:
-    """``sharp_peel`` and the sigma_{m,n} it starts from, built once per witness."""
+def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, _TwistData]:
+    """``sharp_peel`` and the twist's data it was built from. The
+    Euclidean chain, epsilon and sigma_{m,n} come from ``_twist_data``,
+    built once per (m, n); mu is checked before them, so its errors come
+    first."""
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError(f"mu must have length {n}")
     datum = GroupDatum.gl(n)
     if not datum.is_dominant(mu):
         raise ValueError(f"mu {mu} is not dominant")
-    if n == 1:
-        chi(m, n)  # no coprime 0 < m < 1: raises ParseError
-    chain_data = euclid_chain(m, n)
-    chi0 = chain_data.chis[0]  # chi(m, n), which has checked m and n
-    eps = _epsilon(m, n)
+    twist = _twist_data(m, n)
+    chain_data, eps = twist.chain, twist.eps
+    chi0 = chain_data.chis[0]
     theta = tuple(a + b for a, b in zip(mu, chi0))
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
-    sigma = superbasic_element(m, n)
-    start = AffineElement.translation(datum, eps.act(mu)) * sigma
+    start = AffineElement.translation(datum, eps.act(mu)) * twist.sigma
 
     chain_steps: list[ChainStep] = []
     decomposition: list[Segment] = []
@@ -440,7 +470,7 @@ def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, Aff
     return PeelCertificate(
         m, n, mu, chi0, theta, eps, tuple(breaks),
         tuple(decomposition), slopes, tuple(chain_steps), start, current,
-    ), sigma
+    ), twist
 
 
 @dataclass(frozen=True)
@@ -464,10 +494,15 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     The Newton point of w is compared with the slopes in integers: the
     kernel's blockwise sorted lam over the order k against each piece's
     total over its size, by cross-multiplication. Once they agree, the
-    certificate's slopes are the point."""
-    cert, sigma = _sharp_peel(mu, m, n)
-    w = cert.end * sigma.inverse()
-    part = _linear_part(w.perm.images, Frobenius.inner(sigma).affine_map)
+    certificate's slopes are the point.
+
+    sigma_{m,n}^{-1} and the affine map of Ad(sigma_{m,n}) come from
+    ``_twist_data``, as do the chain, epsilon and sigma_{m,n} that
+    ``_sharp_peel`` reads: all of them are built and checked once per
+    (m, n) per process."""
+    cert, twist = _sharp_peel(mu, m, n)
+    w = cert.end * twist.sigma_inv
+    part = _linear_part(w.perm.images, twist.affine_map)
     _, bar = _newton_kernel(part, w.trans, w.datum.block_slices())
     k = part.order
     pieces = itertools.chain.from_iterable(

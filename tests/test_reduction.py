@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from bgmu.reduction import (
     Problem,
     Solution,
     _fixed_direction_space,
+    _generic_point,
     _sub_twist,
     factor_witness,
     omega_conjugate,
@@ -587,6 +589,29 @@ def test_fixed_direction_basis_is_row_reduced_from_cycles():
                     assert lasts == sorted(set(lasts))
                     for v, last in zip(basis, lasts):
                         assert all(v[p] == 0 for p in lasts if p != last)
+
+
+def test_generic_point_refuses_a_tie_off_the_basis():
+    # t = n^2 + 1 = 10: v0 = b0 + 10 b1 is 10 at every position, and
+    # position 3 differs from the first tied position on b0 and b1
+    fr = Frobenius.trivial(GroupDatum.gl(3))
+    with pytest.raises(InternalCheckFailed, match=re.escape("direction (10, 10, 10) is not generic")):
+        _generic_point(fr, 1, [(0, 0, 10), (1, 1, 0)])
+    # a tie that only the later basis vectors tell apart
+    with pytest.raises(InternalCheckFailed, match="is not generic"):
+        _generic_point(fr, 1, [(0, 0, 0), (10, 0, 0), (0, 1, 0)])
+    # a tie of positions 1 and 3, behind an untied position 2
+    with pytest.raises(InternalCheckFailed, match="is not generic"):
+        _generic_point(fr, 1, [(10, 0, 0), (0, 2, 1)])
+    # ties that every basis vector shares are generic
+    assert _generic_point(fr, 2, [(1, 1, -2)]) == (1, 1, -2)
+    assert _generic_point(fr, 1, []) == (0, 0, 0)
+
+
+def test_generic_point_checks_each_block_alone():
+    # positions 2 and 3 tie off the basis, but in different blocks of GL_2 x GL_1
+    fr = Frobenius.trivial(GroupDatum((2, 1)))
+    assert _generic_point(fr, 1, [(0, 10, 0), (0, 0, 1)]) == (0, 10, 10)
 
 
 def test_descent_integrality_checks_run():

@@ -2,7 +2,11 @@
 construction."""
 
 import itertools
+import json
 import random
+import re
+import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +20,7 @@ from bgmu.errors import InternalCheckFailed, ParseError
 from bgmu.newton import Frobenius, dominant_rep, newton_point
 from bgmu.superbasic import (
     Segment,
+    _twist_data,
     chi,
     division_step,
     epsilon,
@@ -486,3 +491,88 @@ def test_witness_sweep_matches_enumeration(m, n):
         sw = superbasic_witness(mu, m, n)
         acc = enumerate_acceptable(mu, frob)
         assert acc.raw[acc.maximum] == sw.nu.nu
+
+
+# --- the per-(m, n) twist data ---------------------------------------------------
+
+def test_twist_data_is_a_fresh_build_kept_once():
+    for m, n in coprime_pairs(40):
+        data = _twist_data(m, n)
+        assert _twist_data(m, n) is data
+        sigma = superbasic_element(m, n)
+        assert data.chain == euclid_chain(m, n)
+        assert data.eps == epsilon(chi(m, n))
+        assert data.sigma == sigma
+        assert data.sigma_inv == sigma.inverse()
+        assert data.affine_map == Frobenius.inner(sigma).affine_map
+    info = _twist_data.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+
+
+def _witness_text(mu, m, n):
+    sw = superbasic_witness(mu, m, n)
+    doc = sw.certificate.to_json_dict()
+    return json.dumps(doc, sort_keys=True), weyl.format_element(sw.w), sw.nu, sw.x
+
+
+def test_witness_is_the_same_from_a_warm_and_a_cleared_cache():
+    cases = [(mu, m, n) for m, n in coprime_pairs(7) for mu in dominant_coweights(n, 2)]
+    cases += [(tuple(range(n - 1, -1, -1)), n // 2 + 1, n) for n in (12, 17, 32)]
+    for mu, m, n in cases:
+        _twist_data.cache_clear()
+        cold = _witness_text(mu, m, n)
+        hits = _twist_data.cache_info().hits
+        assert _witness_text(mu, m, n) == cold, (mu, m, n)
+        assert _twist_data.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (2, 1), (0, 3), (3, 3), (4, 3), (-1, 3), (2, 4), (6, 9)])
+def test_invalid_twist_raises_and_is_not_kept(m, n):
+    _twist_data.cache_clear()
+    mu = (0,) * n
+    message = re.escape(f"need coprime 0 < m < n, got ({m}, {n})")
+    for build in (superbasic_witness, sharp_peel):
+        with pytest.raises(ParseError, match=message):
+            build(mu, m, n)
+    with pytest.raises(ParseError, match=message):
+        _twist_data(m, n)
+    assert _twist_data.cache_info().currsize == 0
+
+
+def test_mu_is_checked_before_the_twist():
+    _twist_data.cache_clear()
+    with pytest.raises(ValueError, match="mu must have length 4"):
+        superbasic_witness((0, 0, 0), 2, 4)
+    with pytest.raises(ValueError, match="is not dominant"):
+        superbasic_witness((0, 1, 0, 0), 2, 4)
+    assert _twist_data.cache_info().currsize == 0
+
+
+def test_witnesses_from_threads_match_one_thread():
+    # more pairs than the cache holds, from more threads than cores, with
+    # a short switch interval: misses, evictions and hits interleave, and
+    # every witness is still the one a single thread builds
+    cases = [(tuple(range(n - 1, -1, -1)), m, n) for m, n in coprime_pairs(20)]
+    assert len(cases) > _twist_data.cache_info().maxsize
+    expected = {case: _witness_text(*case) for case in cases}
+    _twist_data.cache_clear()
+    wrong: list = []
+
+    def run(seed):
+        order = cases[:]
+        random.Random(seed).shuffle(order)
+        wrong.extend(case for case in order if _witness_text(*case) != expected[case])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert _twist_data.cache_info().currsize <= 64
