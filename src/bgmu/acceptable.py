@@ -26,6 +26,13 @@ ceilings and floors are integer divisions and every comparison of two
 points cross-multiplies. ``_hull`` finds the upper convex hull with a
 monotone stack in O(n). ``Fraction`` is built only for the results:
 ``PolygonData``, ``MaximalSolverState`` and ``AcceptableSet``.
+
+The admissible set Adm(mu) is the other half of the theorem, and this
+module owns its raw (trans, images) tuples: ``adm_enumerate`` lists it,
+and ``_brute_force``, the maximum of the Newton points over it, checks
+that it attains the maximal acceptable point. Both expand orbits under
+conjugation by length-zero elements through one closure,
+``_omega_closure``.
 """
 
 from __future__ import annotations
@@ -42,11 +49,14 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import GuardExceeded, InternalCheckFailed, ParseError
 from .newton import (
     Frobenius,
+    LinearPart,
     NewtonPoint,
     Node,
     RatVec,
     Sigma0,
     _diamond,
+    _linear_part,
+    _newton_key,
     _scaled,
     _scaled_heights,
     _vec_str,
@@ -68,6 +78,8 @@ from .weyl import (
 DEFAULT_ENUM_GUARD = 8
 DEFAULT_ADM_GUARD_N = 5
 DEFAULT_ADM_GUARD_SPREAD = 2
+BRUTE_GUARD_N = 6
+BRUTE_GUARD_SIZE = 200_000
 
 
 def guard_limit(default: int) -> int:
@@ -476,19 +488,10 @@ def _rotate_images(images: IntVec, k: int) -> IntVec:
     return tuple([(x + k - 1) % n + 1 for x in images[n - k:] + images[:n - k]])
 
 
-def _full_set(entry: _BlockEntry) -> _Groups:
-    """The whole of an entry's Adm(mu), grouped by translation: the
-    omega_1-orbit of every representative, walked by ``_rotate`` until
-    it comes back. Built afresh on every call."""
-    grouped = {lam: list(ims) for lam, ims in entry.reps}
-    for lam, ims in entry.reps:
-        for im in ims:
-            for k in range(1, len(im)):
-                t, u = _rotate(lam, im, k)
-                if u == im and t == lam:
-                    break
-                grouped.setdefault(t, []).append(u)
-    return tuple((lam, tuple(ims)) for lam, ims in grouped.items())
+def _full_set(reps: list[tuple[IntVec, IntVec]]) -> list[tuple[IntVec, IntVec]]:
+    """The whole of one block's Adm(mu) from its omega_1-orbit
+    representatives: their orbits, built afresh on every call."""
+    return _omega_closure(reps, [((0, 1),)], [(1, len(reps[0][0]))])
 
 
 def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
@@ -498,16 +501,14 @@ def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
     flipped block. sigma0 carries kappa_b to block_to[b] negated on a
     flip, so the signs close up around the orbit exactly when its
     number of flips is even."""
-    out, seen = [], set()
-    for b in range(len(sigma0.block_to)):
-        orbit, sign = [], 1
-        while b not in seen:
-            seen.add(b)
-            orbit.append((b, sign))
+    out = []
+    for orbit in sigma0.block_orbits():
+        blocks, sign = [], 1
+        for b in orbit:
+            blocks.append((b, sign))
             sign = -sign if sigma0.flip[b] else sign
-            b = sigma0.block_to[b]
-        if orbit and sign == 1:
-            out.append(orbit)
+        if sign == 1:
+            out.append(blocks)
     return out
 
 
@@ -524,6 +525,20 @@ def _conjugate(elem: tuple[IntVec, IntVec], orbit: Sequence[tuple[int, int]],
                        1 if sign == 1 else hi - lo)
         trans[lo - 1 : hi], images[lo - 1 : hi] = t, (j + lo - 1 for j in u)
     return tuple(trans), tuple(images)
+
+
+def _omega_closure(elems: Sequence[tuple[IntVec, IntVec]], orbits: Sequence[Sequence[tuple[int, int]]],
+                   ranges: Sequence[tuple[int, int]]) -> list[tuple[IntVec, IntVec]]:
+    """elems and everything they reach under conjugation by the omega_O
+    of orbits (``_conjugate``), in the order first found: one generator
+    at a time, as they commute, each walk stopping at a tuple already
+    found."""
+    found = dict.fromkeys(elems)
+    for orbit in orbits:
+        for elem in list(found):
+            while (elem := _conjugate(elem, orbit, ranges)) not in found:
+                found[elem] = None
+    return list(found)
 
 
 def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
@@ -681,8 +696,8 @@ def _adm_raw(
     size = prod(entry.size for _, entry in entries)
     if max_size is not None and size > max_size:
         raise GuardExceeded(f"admissible set too large: {size}")
-    per_block = [_flatten(c, entry.reps if b in reduced else _full_set(entry))
-                 for b, (c, entry) in enumerate(entries)]
+    per_block = [reps if b in reduced else _full_set(reps)
+                 for b, reps in enumerate(_flatten(c, entry.reps) for c, entry in entries)]
     if len(per_block) == 1:
         return per_block[0]
     moved = [
@@ -727,3 +742,70 @@ def adm_enumerate(
     raw = _adm_raw(mu, datum, DEFAULT_ADM_GUARD_N)
     elements = (AffineElement(datum, t, Permutation(im)) for t, im in raw)
     return tuple(sorted(elements, key=_adm_order))
+
+
+def _brute_force(mu: Sequence[int], frob: Frobenius,
+                 witness: bool) -> tuple[RatVec, Optional[AffineElement]]:
+    """The maximum of the Newton points over Adm(mu), the set that the
+    paper's theorem says attains the maximal acceptable point, and, with
+    ``witness``, the first element of Adm(mu) in (length, trans, images)
+    order that attains it (else None).
+
+    ``_adm_raw`` lists Adm(mu) as ``adm_enumerate`` does, by the
+    vertexwise criterion (w(omega_k) - omega_k in Conv(W_0 mu) for
+    omega_k = (1^k, 0^{n-k}); Kottwitz-Rapoport 2000 for minuscule mu,
+    Haines-Ngo 2002 for GL_n), but unsorted and as raw tuples; the
+    subword products over the orbit of mu (``bruhat_lower_set`` in
+    ``tests/conftest.py``) are the independent reference the tests hold
+    it to.
+
+    Only one element per orbit of a group H of length-zero elements is
+    keyed: omega_O per sigma0-orbit O of blocks with an even number of
+    flips (``_omega_blocks``). It is sigma0-fixed, and Omega is abelian,
+    so sigma-conjugation by it is plain conjugation, which keeps Adm(mu)
+    and every Newton point. On O's first block it is conjugation by
+    omega_1, so that block's omega_1-orbit representatives times the
+    other blocks' full sets meet every H-orbit and give every key. The
+    size guard still counts all of Adm(mu).
+
+    A key is the pair (order, blockwise sorted translation) of the
+    Newton map in lowest terms; the cycles of u o A are walked once per
+    distinct permutation u. Over the lcm of the orders the heights are
+    integers, and the maximal key is the one at the componentwise
+    maximum. Fractions are built only for it, and lengths and elements
+    only for its class, the union of the H-orbits of its keyed tuples,
+    whose least element is the witness."""
+    datum = frob.datum
+    omegas = _omega_blocks(frob.sigma0)
+    raw = _adm_raw(mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE,
+                   reduced=[orbit[0][0] for orbit in omegas])
+    twist, slices = frob.affine_map, datum.block_slices()
+    parts: dict[IntVec, LinearPart] = {}
+    keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
+    for trans, images in raw:
+        part = parts.get(images)
+        if part is None:
+            part = parts[images] = _linear_part(images, twist)
+        keyed.setdefault(_newton_key(part, trans, slices), []).append((trans, images))
+    # a key (k, lam) is the point lam / k, with heights h * (m / k) over m
+    m = lcm(*(k for k, _ in keyed))
+    hs = {(k, lam): [h * (m // k) for h in _scaled_heights(datum, lam)[1].values()]
+          for k, lam in keyed}
+    top = [max(col) for col in zip(*hs.values())]
+    maxima = [key for key, h in hs.items() if h == top]
+    if len(maxima) != 1:
+        attained = sorted(tuple(Fraction(x, k) for x in lam) for k, lam in keyed)
+        raise InternalCheckFailed(
+            f"admissible Newton points have {len(maxima)} maxima:"
+            f" {', '.join(map(_vec_str, attained))}"
+        )
+    k, lam = maxima[0]
+    nu_raw = tuple(Fraction(x, k) for x in lam)
+    if not witness:
+        return nu_raw, None
+    # the maximal class: the H-orbits of its keyed tuples
+    found = _omega_closure(keyed[maxima[0]], omegas, datum.block_ranges())
+    return nu_raw, min(
+        (AffineElement(datum, trans, Permutation(images)) for trans, images in found),
+        key=_adm_order,
+    )

@@ -14,18 +14,21 @@ their order. ``_restrict`` (parent to sub-problem) and ``_embed`` with
 ``_embed_perm`` for x (sub-problems back to the parent, identity
 elsewhere) are the one place where these coordinates are mapped, and
 ``_sub_twist``, which restricts tau and a signed map of the parent, is
-the one place where a sub-problem's twist is built.
+the one place where a sub-problem's twist is built. Raw element formats
+stay with the modules that own them: the brute force and its (trans,
+images) tuples in ``acceptable``, the descent walk's lists behind
+``factor_witness``'s subword split in ``weyl``.
 
 The lifts carry only the witness w and x (with the trace and the
 certificate), and check nothing. The point is claimed, not derived:
 ``maximal_newton_state``, the unique maximal acceptable point, for the
 constructive and auto strategies; the maximum over the Newton points of
-the admissible set for the brute force, which looks up x for its
-witness. Each fact about the answer is then checked once, in
-``_verify_solution``, for every strategy: w <= t^{x(mu)} for the
-reported x, which is the definition of Adm(mu); w lies in the coset of
-t^mu; and the Newton point of w, computed there and nowhere else, is
-the claimed one. The auto strategy also compares the claimed point with
+the admissible set for the brute force (``acceptable._brute_force``),
+which looks up x for its witness. Each fact about the answer is then
+checked once, in ``_verify_solution``, for every strategy: w <=
+t^{x(mu)} for the reported x, which is the definition of Adm(mu); w
+lies in the coset of t^mu; and the Newton point of w, computed there
+and nowhere else, is the claimed one. The auto strategy also compares the claimed point with
 the brute-force maximum on desk-scale inputs.
 """
 
@@ -33,15 +36,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Optional, Sequence
 
 from .acceptable import (
-    _adm_order,
-    _adm_raw,
+    BRUTE_GUARD_N,
     _adm_refusal,
-    _conjugate,
-    _omega_blocks,
+    _brute_force,
     adm_member,
     maximal_newton_state,
 )
@@ -53,14 +54,11 @@ from .errors import (
 )
 from .newton import (
     Frobenius,
-    LinearPart,
     NewtonPoint,
     Sigma0,
     _block_map,
     _diamond,
-    _linear_part,
     _map_power,
-    _newton_key,
     _scaled_heights,
     _vec_str,
     dominant_rep,
@@ -76,15 +74,10 @@ from .weyl import (
     Permutation,
     RatVec,
     SignedMap,
-    _raw,
-    _reflect,
-    _walk,
+    _subword_split,
     bruhat_leq,
     omega_element,
 )
-
-BRUTE_GUARD_N = 6
-BRUTE_GUARD_SIZE = 200_000
 
 
 @dataclass(frozen=True)
@@ -345,22 +338,9 @@ def factor_witness(
     if not bruhat_leq(w, total):
         raise ValueError("element is not below the product of the bounds")
 
-    def split2(u: AffineElement, v: AffineElement) -> tuple[AffineElement, AffineElement]:
-        """u <= v v' length-additively: u = u1 u2 with u1 <= v. Walk v
-        down its left descents to length zero, lifting u by each
-        descent it shares; those letters, in reverse, applied to the
-        bottom of v rebuild u1."""
-        bottom = _raw(v)
-        moved = [s for s, hit in _walk(v.datum, bottom, _raw(u)) if hit]
-        ranges = v.datum.block_ranges()
-        for b, node in reversed(moved):
-            _reflect(*bottom, *ranges[b], node)
-        u1 = AffineElement(v.datum, bottom[0], Permutation(bottom[1]).inverse())
-        return u1, u1.inverse() * u
-
     pieces = []
     for bound in bounds[:-1]:
-        piece, w = split2(w, bound)
+        piece, w = _subword_split(w, bound)
         pieces.append(piece)
     return (*pieces, w)
 
@@ -673,7 +653,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     problem = Problem(tuple(mu), frob)
     checks: dict = {}
     if strategy == "bruteforce":
-        nu_raw, w = _brute_force(problem, witness=True)
+        nu_raw, w = _brute_force(problem.mu, frob, witness=True)
         ok, x = adm_member(w, problem.mu)
         if not ok:
             raise InternalCheckFailed("brute-force witness is not admissible")
@@ -688,7 +668,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         nu_raw = maximal_newton_state(problem.mu, problem.frob).nu_raw
         checks["matches_maximal_newton"] = True
         if strategy == "auto" and _adm_refusal(problem.mu, problem.datum, BRUTE_GUARD_N) is None:
-            brute, _ = _brute_force(problem, witness=False)
+            brute, _ = _brute_force(problem.mu, frob, witness=False)
             if brute != nu_raw:
                 raise InternalCheckFailed(
                     f"constructive {_vec_str(nu_raw)} and brute force"
@@ -700,75 +680,4 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     return SolveResult(
         problem, point, nu_raw, sol.w, sol.x, sol.trace,
         sol.certificate, strategy, checks,
-    )
-
-
-def _brute_force(problem: Problem, witness: bool) -> tuple[RatVec, Optional[AffineElement]]:
-    """The maximum of the Newton points over Adm(mu), the set that the
-    paper's theorem says attains the maximal acceptable point, and, with
-    ``witness``, the first element of Adm(mu) in (length, trans, images)
-    order that attains it (else None).
-
-    ``_adm_raw`` lists Adm(mu) as ``adm_enumerate`` does, by the
-    vertexwise criterion (w(omega_k) - omega_k in Conv(W_0 mu) for
-    omega_k = (1^k, 0^{n-k}); Kottwitz-Rapoport 2000 for minuscule mu,
-    Haines-Ngo 2002 for GL_n), but unsorted and as raw tuples; the
-    subword products over the orbit of mu (``bruhat_lower_set`` in
-    ``tests/conftest.py``) are the independent reference the tests hold
-    it to.
-
-    Only one element per orbit of a group H of length-zero elements is
-    keyed: omega_O per sigma0-orbit O of blocks with an even number of
-    flips (``_omega_blocks``). It is sigma0-fixed, and Omega is abelian,
-    so sigma-conjugation by it is plain conjugation, which keeps Adm(mu)
-    and every Newton point. On O's first block it is conjugation by
-    omega_1, so that block's omega_1-orbit representatives times the
-    other blocks' full sets meet every H-orbit and give every key. The
-    size guard still counts all of Adm(mu).
-
-    A key is the pair (order, blockwise sorted translation) of the
-    Newton map in lowest terms; the cycles of u o A are walked once per
-    distinct permutation u. Over the lcm of the orders the heights are
-    integers, and the maximal key is the one at the componentwise
-    maximum. Fractions are built only for it, and lengths and elements
-    only for its class, the union of the H-orbits of its keyed tuples,
-    whose least element is the witness."""
-    datum = problem.datum
-    omegas = _omega_blocks(problem.frob.sigma0)
-    raw = _adm_raw(problem.mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE,
-                   reduced=[orbit[0][0] for orbit in omegas])
-    twist, slices = problem.frob.affine_map, datum.block_slices()
-    parts: dict[IntVec, LinearPart] = {}
-    keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
-    for trans, images in raw:
-        part = parts.get(images)
-        if part is None:
-            part = parts[images] = _linear_part(images, twist)
-        keyed.setdefault(_newton_key(part, trans, slices), []).append((trans, images))
-    # a key (k, lam) is the point lam / k, with heights h * (m / k) over m
-    m = lcm(*(k for k, _ in keyed))
-    hs = {(k, lam): [h * (m // k) for h in _scaled_heights(datum, lam)[1].values()]
-          for k, lam in keyed}
-    top = [max(col) for col in zip(*hs.values())]
-    maxima = [key for key, h in hs.items() if h == top]
-    if len(maxima) != 1:
-        attained = sorted(tuple(Fraction(x, k) for x in lam) for k, lam in keyed)
-        raise InternalCheckFailed(
-            f"admissible Newton points have {len(maxima)} maxima:"
-            f" {', '.join(map(_vec_str, attained))}"
-        )
-    k, lam = maxima[0]
-    nu_raw = tuple(Fraction(x, k) for x in lam)
-    if not witness:
-        return nu_raw, None
-    # the maximal class: the H-orbits of its keyed tuples, one generator
-    # at a time (they commute); each walk stops at a tuple already found
-    found, ranges = set(keyed[maxima[0]]), datum.block_ranges()
-    for orbit in omegas:
-        for elem in list(found):
-            while (elem := _conjugate(elem, orbit, ranges)) not in found:
-                found.add(elem)
-    return nu_raw, min(
-        (AffineElement(datum, trans, Permutation(images)) for trans, images in found),
-        key=_adm_order,
     )

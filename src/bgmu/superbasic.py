@@ -177,11 +177,6 @@ class EuclideanChain:
 
 
 def euclid_chain(m: int, n: int) -> EuclideanChain:
-    if n == 1:
-        if m not in (0, 1):
-            raise ValueError("terminal pairs are (1,1) and (0,1)")
-        seed = (m,)
-        return EuclideanChain(m, n, ((m, 1),), (seed,), (), (), (), ((1,),))
     chi0 = chi(m, n)
     pairs = [(m, n)]
     chis = [chi0]
@@ -274,8 +269,6 @@ def _twist_data(m: int, n: int) -> _TwistData:
     proof of ``omega_element`` and the checks of ``Frobenius`` run on
     the first call. An invalid pair raises ParseError, which is not
     cached."""
-    if n == 1:
-        chi(m, n)  # no coprime 0 < m < 1: raises ParseError
     chain = euclid_chain(m, n)  # its chi(m, n) checks m and n
     sigma = superbasic_element(m, n)
     return _TwistData(
@@ -351,12 +344,7 @@ class PeelCertificate:
 def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     """Peel theta = mu + chi_{m,n} block by block into a sharp
     decomposition, certifying each emitted transposition (conjugated by
-    epsilon) as a strict Bruhat descent by its drop in length."""
-    return _sharp_peel(mu, m, n)[0]
-
-
-def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, _TwistData]:
-    """``sharp_peel`` and the twist's data it was built from. The
+    epsilon) as a strict Bruhat descent by its drop in length. The
     Euclidean chain, epsilon and sigma_{m,n} come from ``_twist_data``,
     built once per (m, n); mu is checked before them, so its errors come
     first."""
@@ -470,7 +458,7 @@ def _sharp_peel(mu: Sequence[int], m: int, n: int) -> tuple[PeelCertificate, _Tw
     return PeelCertificate(
         m, n, mu, chi0, theta, eps, tuple(breaks),
         tuple(decomposition), slopes, tuple(chain_steps), start, current,
-    ), twist
+    )
 
 
 @dataclass(frozen=True)
@@ -498,9 +486,11 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
 
     sigma_{m,n}^{-1} and the affine map of Ad(sigma_{m,n}) come from
     ``_twist_data``, as do the chain, epsilon and sigma_{m,n} that
-    ``_sharp_peel`` reads: all of them are built and checked once per
-    (m, n) per process."""
-    cert, twist = _sharp_peel(mu, m, n)
+    ``sharp_peel`` reads: all of them are built and checked once per
+    (m, n) per process, and read here after ``sharp_peel`` has checked
+    mu."""
+    cert = sharp_peel(mu, m, n)
+    twist = _twist_data(m, n)
     w = cert.end * twist.sigma_inv
     part = _linear_part(w.perm.images, twist.affine_map)
     _, bar = _newton_kernel(part, w.trans, w.datum.block_slices())

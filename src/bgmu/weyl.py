@@ -496,8 +496,8 @@ def _walk(datum: GroupDatum, w: tuple[list[int], list[int]],
     take the first s in (block, node) order, replace w by s w, and u by
     s u when s is also a descent of u. Yields (s, whether u moved), s as
     its (block, node) pair. The callers, ``bruhat_leq`` and
-    ``reduction.factor_witness`` (and the test suite's ``reduced_word``),
-    validate only the elements they build from the pairs."""
+    ``_subword_split`` (and the test suite's ``reduced_word``), validate
+    only the elements they build from the pairs."""
     ranges = enumerate(datum.block_ranges())
     nodes = [(b, i, lo, hi) for b, (lo, hi) in ranges if hi > lo for i in range(hi - lo + 1)]
     while True:
@@ -550,6 +550,20 @@ def bruhat_leq(w1: AffineElement, w2: AffineElement) -> bool:
     while gap > 0:  # w2 has a descent; a step that leaves w1 closes the gap
         gap -= not next(steps)[1]
     return gap == 0 and top == low
+
+
+def _subword_split(u: AffineElement, v: AffineElement) -> tuple[AffineElement, AffineElement]:
+    """u <= v v' length-additively: u = u1 u2 with u1 <= v, by the
+    subword property. Walk v down its left descents to length zero,
+    lifting u by each descent it shares; those letters, in reverse,
+    applied to the bottom of v rebuild u1."""
+    bottom = _raw(v)
+    moved = [s for s, hit in _walk(v.datum, bottom, _raw(u)) if hit]
+    ranges = v.datum.block_ranges()
+    for b, node in reversed(moved):
+        _reflect(*bottom, *ranges[b], node)
+    u1 = AffineElement(v.datum, bottom[0], Permutation(bottom[1]).inverse())
+    return u1, u1.inverse() * u
 
 
 # --- distinguished length-zero elements -------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bgmu import acceptable, reduction
+from bgmu import acceptable
 from bgmu.acceptable import (
     _orbit_points,
     adjoint_eq,
@@ -540,7 +540,7 @@ def _block_adm(mu):
     """Adm(mu) of one block from the table, expanded from its
     representatives and moved to mu."""
     c, entry = acceptable._block_entry(mu)
-    return acceptable._flatten(c, acceptable._full_set(entry))
+    return acceptable._full_set(acceptable._flatten(c, entry.reps))
 
 
 def _reps(mu):
@@ -627,7 +627,7 @@ def test_brute_force_answers_do_not_depend_on_order(monkeypatch):
     for order in (range(len(problems)), random.Random(0).sample(range(len(problems)), len(problems))):
         monkeypatch.setattr(acceptable, "_BLOCK_ADM", {})
         answers.append({
-            i: reduction._brute_force(reduction.Problem(*problems[i]), witness=True)
+            i: acceptable._brute_force(*problems[i], witness=True)
             for i in order
         })
     assert answers[0] == answers[1]
@@ -640,12 +640,12 @@ def test_size_guard_comes_before_the_product(monkeypatch):
 
     d = GroupDatum((3, 3))
     fr = Frobenius(omega_element(d, (1, 1)), Sigma0.identity(d))
-    monkeypatch.setattr(reduction, "BRUTE_GUARD_SIZE", 624)
+    monkeypatch.setattr(acceptable, "BRUTE_GUARD_SIZE", 624)
     monkeypatch.setattr(itertools, "product", no_product)
     with pytest.raises(GuardExceeded, match=r"^admissible set too large: 625$"):
         solve((2, 1, 0, 2, 1, 0), fr, strategy="bruteforce")
     monkeypatch.undo()
-    monkeypatch.setattr(reduction, "BRUTE_GUARD_SIZE", 625)
+    monkeypatch.setattr(acceptable, "BRUTE_GUARD_SIZE", 625)
     assert solve((2, 1, 0, 2, 1, 0), fr, strategy="bruteforce").checks["bruteforce"]
 
 
@@ -684,14 +684,14 @@ def test_representatives_live_in_the_table_entries(empty_adm_table, monkeypatch)
     # their expansion meets
     expanded = []
     full_set = acceptable._full_set
-    monkeypatch.setattr(acceptable, "_full_set", lambda entry: expanded.append(entry) or full_set(entry))
+    monkeypatch.setattr(acceptable, "_full_set", lambda reps: expanded.append(reps) or full_set(reps))
     for mu, frob in _verify_sweep_problems():
         solve(mu, frob, strategy="auto")
     assert len(acceptable._BLOCK_ADM) == 31 and not expanded
     for entry in acceptable._BLOCK_ADM.values():
         reps, size = entry
         assert reps and len(_flat(reps)) <= size
-        assert sum(len(ims) for _, ims in full_set(entry)) == size
+        assert len(full_set(_flat(reps))) == size
 
 
 def _brute_force_problems():
@@ -702,7 +702,7 @@ def _brute_force_problems():
         rng = random.Random(seed)
         draw = [twisted_draw(rng) for _ in range(1000)]
         out += [(mu, frob) for mu, frob in draw
-                if acceptable._adm_refusal(mu, frob.datum, reduction.BRUTE_GUARD_N) is None]
+                if acceptable._adm_refusal(mu, frob.datum, acceptable.BRUTE_GUARD_N) is None]
     return out
 
 
@@ -724,7 +724,7 @@ def test_brute_force_keys_one_element_per_omega_orbit():
                 parts[images] = _linear_part(images, twist)
             return _newton_key(parts[images], trans, slices)
 
-        full = acceptable._adm_raw(mu, datum, reduction.BRUTE_GUARD_N)
+        full = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N)
         keys = {elem: key(elem) for elem in full}
         orbits = acceptable._omega_blocks(sigma0)
         for orbit in orbits:
@@ -739,7 +739,7 @@ def test_brute_force_keys_one_element_per_omega_orbit():
             assert all(keys[c] == keys[e] for e, c in zip(full, moved))
             seen["flipped"] += any(sigma0.flip[b] for b, _ in orbit)
         seen["odd"] += len(orbits) < len(sigma0.block_orbits())
-        reduced = acceptable._adm_raw(mu, datum, reduction.BRUTE_GUARD_N,
+        reduced = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N,
                                       reduced=[orbit[0][0] for orbit in orbits])
         assert set(reduced) <= set(keys)
         assert {key(elem) for elem in reduced} == set(keys.values())

@@ -195,6 +195,24 @@ def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("group, sigma, message", [
+    ("sl:2", "superbasic:1/2", "unknown group kind 'sl'"),
+    ("gl:2*x", "superbasic:1/2", "bad block sizes in 'gl:2*x'"),
+    ("gl:2*2", "sigma0=a,1", "bad sigma0 spec 'a,1'"),
+    ("gl:2*2", "sigma0=1", "sigma0 needs 2 targets, got 1"),
+    ("gl:2", "superbasic:1/2/3", "superbasic twist must be m/n, got '1/2/3'"),
+    ("gl:3", "superbasic:1/2", "superbasic:1/2 needs a single block of size 2, got gl:3"),
+    ("gl:4", "superbasic:2/4", "superbasic twist needs coprime 0 < m < n, got 2/4"),
+    ("gl:2", "foo=1", "unknown twist component 'foo=1'"),
+])
+def test_bad_group_or_twist_is_a_one_line_error(capsys, group, sigma, message):
+    n = sum(int(b) for b in group.split(":")[1].split("*") if b.isdigit())
+    code, out, err = run(capsys, "max", "--group", group, "--mu", ",".join(["0"] * n),
+                         "--sigma", sigma)
+    assert code == 1 and out == ""
+    assert err == f"bgmu: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--group", "gl:2", "--mu", "0,1", "--sigma", "superbasic:1/2"],
     ["enumerate", "--group", "gl:2*2", "--mu", "1,0,0,1", "--sigma", "sigma0=2,1"],

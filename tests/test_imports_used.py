@@ -12,6 +12,11 @@ that defines it.
 A third check covers the package's records: every annotated field of a
 ``@dataclass`` in ``src/bgmu`` must be read as an attribute somewhere in
 the package, in ``bench/`` or in the test suite.
+
+A fourth check keeps raw element formats inside the modules that own
+them: ``reduction`` imports none of the helpers that read the descent
+walk's lists, the admissible set's (trans, images) tuples or the Newton
+map's keying internals.
 """
 
 import ast
@@ -153,3 +158,32 @@ def test_every_dataclass_field_is_read():
         path.read_text() for folder in ("bench", "tests") for path in sorted((ROOT / folder).glob("*.py"))
     ]
     assert unread_fields(sources, readers) == []
+
+
+def imported_names(source: str) -> set[tuple[str, str]]:
+    """(module, name) for every name bound by ``from module import
+    name``, the module without its leading dots."""
+    return {
+        (node.module or "", alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_imported_names_are_found():
+    source = "from .weyl import _raw, bruhat_leq\nfrom typing import Optional\nimport os\n"
+    assert imported_names(source) == {("weyl", "_raw"), ("weyl", "bruhat_leq"), ("typing", "Optional")}
+
+
+OWNED_ELSEWHERE = {
+    ("weyl", "_raw"), ("weyl", "_walk"), ("weyl", "_reflect"),
+    ("acceptable", "_adm_raw"), ("acceptable", "_adm_order"),
+    ("acceptable", "_conjugate"), ("acceptable", "_omega_blocks"),
+    ("newton", "_linear_part"), ("newton", "_newton_key"),
+}
+
+
+def test_reduction_reads_no_raw_element_format():
+    source = (ROOT / "src" / "bgmu" / "reduction.py").read_text()
+    assert sorted(imported_names(source) & OWNED_ELSEWHERE) == []

@@ -371,14 +371,16 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # 2/5. The brute force keys one element per orbit under conjugation
     # by omega_1, the least by (images, trans): 341 elements over 28
     # permutations. It walks the cycles of u o A once per keyed
-    # permutation, runs the kernel once per keyed element, and takes
-    # lengths only inside the maximal class, and only for the witness of
-    # the bruteforce strategy (auto discards it)
+    # permutation, and the block orbits of sigma0 once; it runs the
+    # kernel once per keyed element, and takes lengths only inside the
+    # maximal class, and only for the witness of the bruteforce strategy
+    # (auto discards it)
+    import bgmu.acceptable as acceptable
     import bgmu.newton as newton
     import bgmu.reduction as reduction
     import bgmu.weyl as weyl
 
-    calls = {"cycles": 0, "kernel": 0, "length": 0}
+    calls = {"cycles": 0, "linear": 0, "orbits": 0, "kernel": 0, "length": 0}
     inside = [False]
 
     def counted(name, fn):
@@ -397,19 +399,22 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     real = reduction._brute_force
     monkeypatch.setattr(reduction, "_brute_force", brute_force)
     monkeypatch.setattr(weyl.SignedMap, "cycles", counted("cycles", weyl.SignedMap.cycles))
+    monkeypatch.setattr(acceptable, "_linear_part", counted("linear", acceptable._linear_part))
+    monkeypatch.setattr(newton.Sigma0, "block_orbits", counted("orbits", newton.Sigma0.block_orbits))
     monkeypatch.setattr(newton, "_newton_kernel", counted("kernel", newton._newton_kernel))
     monkeypatch.setattr(weyl, "_block_length", counted("length", weyl._block_length))
-    r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="auto")
-    assert r.checks["matches_bruteforce"]
-    assert 0 < calls["cycles"] <= 28
-    assert 0 < calls["kernel"] <= 341
-    assert calls["length"] == 0
-    calls.update(cycles=0, kernel=0, length=0)
-    r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy="bruteforce")
-    assert r.checks["bruteforce"]
-    assert 0 < calls["cycles"] <= 28
-    assert 0 < calls["kernel"] <= 341
-    assert 0 < calls["length"] <= 35
+    for strategy in ("auto", "bruteforce"):
+        calls.update(dict.fromkeys(calls, 0))
+        r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy=strategy)
+        assert r.checks["matches_bruteforce" if strategy == "auto" else "bruteforce"]
+        assert 0 < calls["linear"] <= 28
+        assert calls["orbits"] == 1
+        assert calls["cycles"] == calls["linear"] + calls["orbits"]
+        assert 0 < calls["kernel"] <= 341
+        if strategy == "auto":
+            assert calls["length"] == 0
+        else:
+            assert 0 < calls["length"] <= 35
 
 
 def test_solve_gl40_has_no_recursion_limit():
