@@ -429,7 +429,7 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
 # Adm(mu) of one GL_n block per dominant shape mu - min(mu), built once
 # per process (``_grow_block_adm``). An entry holds the members of Adm(mu)
 # that are least by (images, trans) in their orbit under conjugation by
-# omega_1 (``_rotate``), grouped by translation as (lam, (images, ...))
+# omega_1 (``_conjugate``), grouped by translation as (lam, (images, ...))
 # pairs; and |Adm(mu)|, the sum of their orbit sizes. ``_full_set``
 # expands the whole set from them on each call.
 # Adm(mu + c*1) is t^{c*1} Adm(mu), and t^{c*1} commutes with omega_1 and
@@ -467,23 +467,10 @@ def _flatten(c: int, groups: _Groups) -> list[tuple[IntVec, IntVec]]:
     return out
 
 
-def _rotate(trans: IntVec, images: IntVec, k: int) -> tuple[IntVec, IntVec]:
-    """omega_1^k (t^trans u) omega_1^{-k} in GL_n, n = len(trans), on raw
-    tuples, for omega_1 = t^{e_1} r the length-zero element of kappa 1
-    (r(i) = i + 1 mod n) and 0 <= k < n: omega_1^k = t^{E_k} r^k with
-    E_k = e_1 + ... + e_k, so the conjugate is t^{E_k + r^k(trans) -
-    v(E_k)} v with v = r^k u r^{-k}, v(i) = u(i - k) + k mod n."""
-    n = len(images)
-    ims = _rotate_images(images, k)
-    moved = list(trans[n - k:] + trans[:n - k])
-    for i in range(k):
-        moved[i] += 1
-        moved[ims[i] - 1] -= 1
-    return tuple(moved), ims
-
-
 def _rotate_images(images: IntVec, k: int) -> IntVec:
-    """The images v of ``_rotate``'s conjugate, without its translation."""
+    """The images v of the conjugate of t^trans u by omega_1^k in GL_n,
+    n = len(images) (``_conjugate`` on one block), without its
+    translation."""
     n = len(images)
     return tuple([(x + k - 1) % n + 1 for x in images[n - k:] + images[:n - k]])
 
@@ -515,15 +502,24 @@ def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
 def _conjugate(elem: tuple[IntVec, IntVec], orbit: Sequence[tuple[int, int]],
                ranges: Sequence[tuple[int, int]]) -> tuple[IntVec, IntVec]:
     """omega_O (t^trans u) omega_O^{-1} on raw tuples elem = (trans,
-    images), for omega_O with the kappas +1 or -1 of orbit on the blocks
-    at ranges: per block, conjugation by omega_1, or by omega_1^{n_b - 1}
-    for omega_1^{-1} (omega_1^{n_b} is central)."""
+    images), for omega_O with kappa kappa_b on each block b of orbit's
+    (b, kappa_b) pairs, the blocks at ranges: per block, conjugation by
+    omega_1^k of GL_{n_b}, k = kappa_b mod n_b (omega_1^{n_b} is
+    central). For omega_1 = t^{e_1} r, the length-zero element of kappa
+    1 (r(i) = i + 1 mod n), and 0 <= k < n: omega_1^k = t^{E_k} r^k with
+    E_k = e_1 + ... + e_k, so the conjugate is t^{E_k + r^k(trans) -
+    v(E_k)} v with v = r^k u r^{-k}, v(i) = u(i - k) + k mod n."""
     trans, images = list(elem[0]), list(elem[1])
-    for b, sign in orbit:
+    for b, kappa in orbit:
         lo, hi = ranges[b]
-        t, u = _rotate(tuple(trans[lo - 1 : hi]), tuple(j - lo + 1 for j in images[lo - 1 : hi]),
-                       1 if sign == 1 else hi - lo)
-        trans[lo - 1 : hi], images[lo - 1 : hi] = t, (j + lo - 1 for j in u)
+        nb = hi - lo + 1
+        k = kappa % nb
+        cut = hi - k  # r^k moves the block's last k positions to its front
+        trans[lo - 1 : hi] = trans[cut:hi] + trans[lo - 1 : cut]
+        images[lo - 1 : hi] = [(x - lo + k) % nb + lo for x in images[cut:hi] + images[lo - 1 : cut]]
+        for i in range(lo - 1, lo - 1 + k):
+            trans[i] += 1
+            trans[images[i] - 1] -= 1
     return tuple(trans), tuple(images)
 
 
@@ -558,6 +554,7 @@ def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
     repeat the earlier. The conjugate's images decide the comparison
     unless they equal u's, so its translation is built only then."""
     n = len(mu)
+    whole = ((1, n),)
     sums = _hull_sums(mu)
     lams = [lam for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n)
             if sum(dom) == sums[-1] and _in_hull(dom, sums)
@@ -580,7 +577,7 @@ def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
                 if v < u:
                     return
                 if v == u:
-                    t = _rotate(lam, u, k)[0]
+                    t = _conjugate((lam, u), ((0, k),), whole)[0]
                     if t < lam:
                         return
                     if t == lam:
