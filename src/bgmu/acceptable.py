@@ -502,13 +502,14 @@ def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
 def _conjugate(elem: tuple[IntVec, IntVec], orbit: Sequence[tuple[int, int]],
                ranges: Sequence[tuple[int, int]]) -> tuple[IntVec, IntVec]:
     """omega_O (t^trans u) omega_O^{-1} on raw tuples elem = (trans,
-    images), for omega_O with kappa kappa_b on each block b of orbit's
-    (b, kappa_b) pairs, the blocks at ranges: per block, conjugation by
-    omega_1^k of GL_{n_b}, k = kappa_b mod n_b (omega_1^{n_b} is
-    central). For omega_1 = t^{e_1} r, the length-zero element of kappa
-    1 (r(i) = i + 1 mod n), and 0 <= k < n: omega_1^k = t^{E_k} r^k with
-    E_k = e_1 + ... + e_k, so the conjugate is t^{E_k + r^k(trans) -
-    v(E_k)} v with v = r^k u r^{-k}, v(i) = u(i - k) + k mod n."""
+    images), where orbit lists (b, kappa_b) pairs: omega_O has kappa
+    kappa_b on block b, at ranges[b], and 0 elsewhere. On each such block
+    that is conjugation by omega_1^k of GL_{n_b}, k = kappa_b mod n_b, as
+    omega_1^{n_b} is central. For omega_1 = t^{e_1} r, the length-zero
+    element of kappa 1 (r(i) = i + 1 mod n), and 0 <= k < n: omega_1^k =
+    t^{E_k} r^k with E_k = e_1 + ... + e_k, so the conjugate is
+    t^{E_k + r^k(trans) - v(E_k)} v with v = r^k u r^{-k}, v(i) =
+    u(i - k) + k mod n."""
     trans, images = list(elem[0]), list(elem[1])
     for b, kappa in orbit:
         lo, hi = ranges[b]
