@@ -1,5 +1,5 @@
-"""Byte-identity gate: the outcome line of every problem of six fixed
-corpora, against one short digest per problem committed in
+"""Byte-identity gate: the outcome line of every problem of seven fixed
+corpora (4,566 lines), against one short digest per problem committed in
 ``outcome_digests.txt``.
 
 The corpora:
@@ -15,7 +15,11 @@ The corpora:
   {1, 5}, for the 21 dominant mu with entries 0..2 and least entry 0;
   and ``bruteforce`` on block swaps of gl:3*3, whose second block reads
   the whole of its Adm(mu) rather than only its omega_1-orbit
-  representatives.
+  representatives;
+* ``large``: the superbasic base at rank n in {48, 64, 96, 128}, with
+  the ``witness`` corpus's two mu per n: ``superbasic_witness`` for
+  every coprime m < n, and the ``constructive`` solve at
+  m = n // 2 + 1.
 
 A line is ``outcome_line``'s: the answer's JSON bytes, or the refusal.
 A failure names the first problem whose line changed and prints that
@@ -42,7 +46,8 @@ from bgmu.weyl import GroupDatum, format_element, omega_element
 from conftest import dominant_coweights, outcome_line, twisted_draw
 
 DIGESTS = Path(__file__).resolve().parent / "outcome_digests.txt"
-CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness", "n6")
+CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness", "n6", "large")
+LARGE_N = (48, 64, 96, 128)
 DRAW_SIZE = 1000
 
 
@@ -96,10 +101,27 @@ def _n6() -> list:
     return out
 
 
+def _large() -> list:
+    out = [
+        (f"{m}/{n} {','.join(map(str, mu))}", f"m={m} n={n} mu={mu}",
+         superbasic_witness, (mu, m, n))
+        for n in LARGE_N for m in range(1, n) if gcd(m, n) == 1
+        for mu in _witness_mus(n)
+    ]
+    for n in LARGE_N:
+        fr = Frobenius.superbasic(n // 2 + 1, n)
+        out += [(f"solve {n // 2 + 1}/{n} {','.join(map(str, mu))}", _describe(mu, fr),
+                 solve, (mu, fr, "constructive"))
+                for mu in _witness_mus(n)]
+    return out
+
+
 def corpus(name: str) -> list:
     """The problems of one corpus as (key, description, run, args)."""
     if name == "n6":
         return _n6()
+    if name == "large":
+        return _large()
     if name == "witness":
         return [
             (f"{m}/{n} {','.join(map(str, mu))}", f"m={m} n={n} mu={mu}",
