@@ -156,10 +156,10 @@ class EuclideanChain:
     """Full recursion data for one coprime pair.
 
     ``chis[h]`` is chi at level h; ``templates[h]`` expands level h+1
-    into level h; ``ends0[h]`` holds the level-h block boundaries in
-    level-0 coordinates; ``parents[h]`` maps a level-h entry to the
-    level h+1 entry it came from; ``parent_ends[h]`` are the level-one
-    block boundaries of ``chis[h]`` in level-h coordinates.
+    into level h. ``ends0`` is the one block-boundary table:
+    ``ends0[h]`` holds the ends of the level-h entries in level-0
+    coordinates, so ``ends0[h + 1]``, a subset of ``ends0[h]``, ends the
+    level-one blocks of level h.
     """
 
     m: int
@@ -167,8 +167,6 @@ class EuclideanChain:
     pairs: tuple[tuple[int, int], ...]
     chis: tuple[tuple[int, ...], ...]
     templates: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    parents: tuple[tuple[int, ...], ...]
-    parent_ends: tuple[tuple[int, ...], ...]
     ends0: tuple[tuple[int, ...], ...]
 
     @property
@@ -181,21 +179,18 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
     pairs = [(m, n)]
     chis = [chi0]
     templates: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    parents: list[tuple[int, ...]] = []
-    parent_ends: list[tuple[int, ...]] = []
+    ends0: list[tuple[int, ...]] = [tuple(range(1, n + 1))]
     while pairs[-1][1] != 1:
         cm, cn = pairs[-1]
         nm, nn = division_step(cm, cn)
         one, zero = _templates(cm, cn)
         nxt = (nm,) if nn == 1 else chi(nm, nn)
         expanded: list[int] = []
-        par: list[int] = []
         ends: list[int] = []
-        for idx, v in enumerate(nxt, start=1):
-            t = one if v == 1 else zero
-            expanded.extend(t)
-            par.extend([idx] * len(t))
-            ends.append(len(expanded))
+        for v in nxt:
+            expanded.extend(one if v == 1 else zero)
+            # the level-0 end of the last level-h entry this one expands to
+            ends.append(ends0[-1][len(expanded) - 1])
         if tuple(expanded) != chis[-1]:
             raise InternalCheckFailed(
                 f"template expansion of chi{(nm, nn)} does not rebuild chi{(cm, cn)}"
@@ -203,16 +198,8 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
         pairs.append((nm, nn))
         chis.append(nxt)
         templates.append((one, zero))
-        parents.append(tuple(par))
-        parent_ends.append(tuple(ends))
-    # block boundaries of every level in level-0 coordinates
-    ends0: list[tuple[int, ...]] = [tuple(range(1, n + 1))]
-    for h in range(len(templates)):
-        ends0.append(tuple(ends0[h][e - 1] for e in parent_ends[h]))
-    return EuclideanChain(
-        m, n, tuple(pairs), tuple(chis), tuple(templates),
-        tuple(parents), tuple(parent_ends), tuple(ends0),
-    )
+        ends0.append(tuple(ends))
+    return EuclideanChain(m, n, tuple(pairs), tuple(chis), tuple(templates), tuple(ends0))
 
 
 @dataclass(frozen=True)
@@ -222,7 +209,6 @@ class LevelSplit:
     level: int
     iota: Segment
     inside_elementary: bool
-    elementary_ends: tuple[int, ...]
 
 
 def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit:
@@ -240,14 +226,11 @@ def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit
         if (a == 1 or (i1 > 1 and ends[i1 - 2] == a - 1)) and j1 and ends[j1 - 1] == b:
             break
     iota = Segment(i1, chain.chis[level][i1 - 1 : j1])
-    if level == chain.depth:
-        inside = True
-        elem_ends: tuple[int, ...] = ()
-    else:
-        par = chain.parents[level]
-        inside = par[i1 - 1] == par[j1 - 1]
-        elem_ends = chain.parent_ends[level]
-    return LevelSplit(level, iota, inside, elem_ends)
+    # inside one level-one block: no block of level h + 1 ends in [a, b - 1]
+    inside = level == chain.depth or (
+        bisect_left(chain.ends0[level + 1], a) == bisect_left(chain.ends0[level + 1], b)
+    )
+    return LevelSplit(level, iota, inside)
 
 
 # --- the twist's data --------------------------------------------------------
@@ -344,7 +327,9 @@ class PeelCertificate:
 def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     """Peel theta = mu + chi_{m,n} block by block into a sharp
     decomposition, certifying each emitted transposition (conjugated by
-    epsilon) as a strict Bruhat descent by its drop in length. The
+    epsilon) as a strict Bruhat descent by its drop in length. The peel
+    runs in level-0 coordinates: each piece is a range of positions of
+    theta, split at the block ends ``ends0`` of the Euclidean chain. The
     Euclidean chain, epsilon and sigma_{m,n} come from ``_twist_data``,
     built once per (m, n); mu is checked before them, so its errors come
     first."""
@@ -397,42 +382,27 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
             split = level_decompose(chain_data, cur)
             if split.inside_elementary:  # case II: cur is the last piece
                 break
-            # case I: split iota along the level-one blocks of level h
-            h, iota = split.level, split.iota
-            elem_ends = split.elementary_ends
-            ends0 = chain_data.ends0[h]
-
-            def to_level0(p: int, q: int) -> tuple[int, int]:
-                start0 = 1 if p == 1 else ends0[p - 2] + 1
-                return (start0, ends0[q - 1])
-
-            i1, j1 = iota.head, iota.tail
-            par = chain_data.parents[h]
-            p1, p2 = par[i1 - 1], par[j1 - 1]
-            s1 = 1 if p1 == 1 else elem_ends[p1 - 2] + 1
-            e1 = elem_ends[p1 - 1]
-            s2 = 1 if p2 == 1 else elem_ends[p2 - 2] + 1
-            e2 = elem_ends[p2 - 1]
-            zeta_rng = (i1, e1) if i1 > s1 else None
-            xi_rng = (s2, j1) if j1 < e2 else None
-            mid_from = i1 if zeta_rng is None else e1 + 1
-            mid_to = j1 if xi_rng is None else s2 - 1
-            middle_rng = (mid_from, mid_to) if mid_from <= mid_to else None
-            if middle_rng is None:
+            # case I: a and b lie in the level-one blocks p < q of level h,
+            # which end at outer[p] and outer[q]; zeta is a's block from a
+            # on, unless a starts it, and xi is b's block up to b, unless
+            # b ends it
+            a, b = cur
+            outer = chain_data.ends0[split.level + 1]
+            p, q = bisect_left(outer, a), bisect_left(outer, b)
+            a_start, b_start = (outer[p - 1] + 1 if p else 1), outer[q - 1] + 1
+            zeta = theta_seg((a, outer[p])) if a > a_start else None
+            xi = theta_seg((b_start, b)) if b < outer[q] else None
+            cur = (a if zeta is None else outer[p] + 1, b if xi is None else b_start - 1)
+            if cur[0] > cur[1]:
                 # both partial blocks meet: peel only the head piece and
                 # keep the rest as the next gamma (it is then case II)
-                xi_rng = None
-                middle_rng = (s2, j1)
-
-            zeta = theta_seg(to_level0(*zeta_rng)) if zeta_rng else None
-            xi = theta_seg(to_level0(*xi_rng)) if xi_rng else None
+                xi, cur = None, (b_start, b)
             if zeta is not None:
                 emit(i, "zeta", n, zeta.tail)
                 zetas.append(zeta)
             if xi is not None:
                 emit(i, "xi", xi.head - 1, xi.tail)
                 xis.append(xi)
-            cur = to_level0(*middle_rng)
         gamma_final = theta_seg(cur)
         if gamma_final.tail != n:
             emit(i, "final", gamma_final.tail, n)
