@@ -122,7 +122,7 @@ def epsilon(chi_vals: Sequence[int]) -> Permutation:
     """
     n, m = len(chi_vals), sum(chi_vals)
     if not (0 < m < n and gcd(m, n) == 1 and tuple(chi_vals) == chi(m, n)):
-        raise ValueError(f"{tuple(chi_vals)} is not chi_{{m,n}} of a coprime pair")
+        raise ParseError(f"{tuple(chi_vals)} is not chi_{{m,n}} of a coprime pair")
     return _epsilon(m, n)
 
 
@@ -335,10 +335,10 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     first."""
     mu = tuple(mu)
     if len(mu) != n:
-        raise ValueError(f"mu must have length {n}")
+        raise ParseError(f"mu must have length {n}")
     datum = GroupDatum.gl(n)
     if not datum.is_dominant(mu):
-        raise ValueError(f"mu {mu} is not dominant")
+        raise ParseError(f"mu {mu} is not dominant")
     twist = _twist_data(m, n)
     chain_data, eps = twist.chain, twist.eps
     chi0 = chain_data.chis[0]

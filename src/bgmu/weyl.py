@@ -579,9 +579,9 @@ def superbasic_element(m: int, n: int, datum: Optional[GroupDatum] = None) -> Af
     from math import gcd
 
     if not (0 < m < n):
-        raise ValueError(f"need 0 < m < n, got ({m}, {n})")
+        raise ParseError(f"need 0 < m < n, got ({m}, {n})")
     if gcd(m, n) != 1:
-        raise ValueError(f"({m}, {n}) are not coprime")
+        raise ParseError(f"({m}, {n}) are not coprime")
     if datum is None:
         datum = GroupDatum.gl(n)
     if datum.blocks != (n,):

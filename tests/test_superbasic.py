@@ -89,9 +89,9 @@ def test_epsilon_small():
 
 
 def test_epsilon_refuses_a_word_that_is_not_chi():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         epsilon((1, 0, 1, 0))  # its reading sequences tie
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         epsilon((1, 1, 0))  # a rotation of chi(2, 3)
 
 
@@ -211,6 +211,36 @@ def test_level_decompose_misaligned():
     ch = euclid_chain(5, 8)
     with pytest.raises(ParseError):
         level_decompose(ch, (0, 3))
+
+
+def _template_spans(ch, h) -> list:
+    """The level-0 span (start, end) of each level-h entry, from the
+    templates alone: each entry expands to a run of its own length."""
+    spans, end = [], 0
+    for v in ch.chis[h]:
+        start, end = end + 1, end + len(expand(ch, h, (v,)))
+        spans.append((start, end))
+    return spans
+
+
+@pytest.mark.parametrize("m,n", coprime_pairs(24))
+def test_level_decompose_matches_the_template_spans(m, n):
+    """Every segment [a, b]: its level is the largest h at which a starts
+    a level-h span and b ends one, iota is the entries those spans
+    cover, and it is inside one elementary block when a and b lie in one
+    level-(h + 1) span (always at the top level)."""
+    ch = euclid_chain(m, n)
+    spans = [_template_spans(ch, h) for h in range(ch.depth + 1)]
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            h = max(h for h, sp in enumerate(spans)
+                    if a in {s for s, _ in sp} and b in {e for _, e in sp})
+            i = next(k for k, (s, _) in enumerate(spans[h], 1) if s == a)
+            j = next(k for k, (_, e) in enumerate(spans[h], 1) if e == b)
+            inside = h == ch.depth or any(s <= a and b <= e for s, e in spans[h + 1])
+            split = level_decompose(ch, (a, b))
+            assert (split.level, split.inside_elementary) == (h, inside), (a, b)
+            assert split.iota == Segment(i, ch.chis[h][i - 1 : j]), (a, b)
 
 
 def test_fact_c_elementary_interior_readings():
@@ -541,11 +571,18 @@ def test_invalid_twist_raises_and_is_not_kept(m, n):
     assert _twist_data.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("m,n,message", [(2, 4, "(2, 4) are not coprime"),
+                                         (0, 3, "need 0 < m < n, got (0, 3)")])
+def test_superbasic_element_refuses_a_bad_pair(m, n, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        superbasic_element(m, n)
+
+
 def test_mu_is_checked_before_the_twist():
     _twist_data.cache_clear()
-    with pytest.raises(ValueError, match="mu must have length 4"):
+    with pytest.raises(ParseError, match="mu must have length 4"):
         superbasic_witness((0, 0, 0), 2, 4)
-    with pytest.raises(ValueError, match="is not dominant"):
+    with pytest.raises(ParseError, match="is not dominant"):
         superbasic_witness((0, 1, 0, 0), 2, 4)
     assert _twist_data.cache_info().currsize == 0
 
