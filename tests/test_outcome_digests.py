@@ -101,13 +101,17 @@ def _n6() -> list:
     return out
 
 
-def _large() -> list:
-    out = [
+def _witnesses(ns) -> list:
+    return [
         (f"{m}/{n} {','.join(map(str, mu))}", f"m={m} n={n} mu={mu}",
          superbasic_witness, (mu, m, n))
-        for n in LARGE_N for m in range(1, n) if gcd(m, n) == 1
+        for n in ns for m in range(1, n) if gcd(m, n) == 1
         for mu in _witness_mus(n)
     ]
+
+
+def _large() -> list:
+    out = _witnesses(LARGE_N)
     for n in LARGE_N:
         fr = Frobenius.superbasic(n // 2 + 1, n)
         out += [(f"solve {n // 2 + 1}/{n} {','.join(map(str, mu))}", _describe(mu, fr),
@@ -123,12 +127,7 @@ def corpus(name: str) -> list:
     if name == "large":
         return _large()
     if name == "witness":
-        return [
-            (f"{m}/{n} {','.join(map(str, mu))}", f"m={m} n={n} mu={mu}",
-             superbasic_witness, (mu, m, n))
-            for n in range(2, 41) for m in range(1, n) if gcd(m, n) == 1
-            for mu in _witness_mus(n)
-        ]
+        return _witnesses(range(2, 41))
     if name == "auto":
         draw = list(enumerate(_draw(7)))[::5]
     else:

@@ -215,7 +215,7 @@ def test_level_decompose_misaligned():
 
 def _template_spans(ch, h) -> list:
     """The level-0 span (start, end) of each level-h entry, from the
-    templates alone: each entry expands to a run of its own length."""
+    templates alone: the entries expand to consecutive runs of chi."""
     spans, end = [], 0
     for v in ch.chis[h]:
         start, end = end + 1, end + len(expand(ch, h, (v,)))
