@@ -59,7 +59,6 @@ from .reduction import (
     Problem,
     Solution,
     SolveResult,
-    factor_witness,
     omega_conjugate,
     parabolic_reduce,
     product_split,

@@ -239,11 +239,11 @@ class Frobenius:
         for lo, hi in self.datum.block_ranges():
             part = self.shift[lo - 1 : hi]
             if part.count(part[0]) != len(part):
-                raise ValueError("shift must be central (constant per block)")
+                raise ParseError("shift must be central (constant per block)")
         if not self.datum.is_dominant(self.tau.trans):
             # every length-zero element of a GL-type product has a
             # dominant translation part, so this is a hard error
-            raise ValueError(f"tau {self.tau!r} has non-dominant translation part")
+            raise ParseError(f"tau {self.tau!r} has non-dominant translation part")
 
     @property
     def datum(self) -> GroupDatum:

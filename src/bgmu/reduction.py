@@ -14,10 +14,10 @@ their order. ``_restrict`` (parent to sub-problem) and ``_embed`` with
 ``_embed_perm`` for x (sub-problems back to the parent, identity
 elsewhere) are the one place where these coordinates are mapped, and
 ``_sub_twist``, which restricts tau and a signed map of the parent, is
-the one place where a sub-problem's twist is built. Raw element formats
-stay with the modules that own them: the brute force and its (trans,
-images) tuples in ``acceptable``, the descent walk's lists behind
-``factor_witness``'s subword split in ``weyl``.
+the one place where a sub-problem's twist is built and its length
+counted. Raw element formats stay with the modules that own them: the
+brute force and its (trans, images) tuples in ``acceptable``, the
+descent walk's lists behind the subword split in ``weyl``.
 
 The lifts carry only the witness w and x (with the trace and the
 certificate), and check nothing. The point is claimed, not derived:
@@ -26,17 +26,18 @@ constructive and auto strategies; the maximum over the Newton points of
 the admissible set for the brute force (``acceptable._brute_force``),
 which looks up x for its witness. Each fact about the answer is then
 checked once, in ``_verify_solution``, for every strategy: w <=
-t^{x(mu)} for the reported x, which is the definition of Adm(mu); w
-lies in the coset of t^mu; and the Newton point of w, computed there
-and nowhere else, is the claimed one. The auto strategy also compares the claimed point with
-the brute-force maximum on desk-scale inputs.
+t^{x(mu)} for the reported x, the definition of Adm(mu), whose coset
+test also puts w in the coset of t^mu; and the Newton point of w,
+computed there and nowhere else, is the claimed one. The auto strategy
+also compares the claimed point with the brute-force maximum on
+desk-scale inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from typing import Optional, Sequence
 
 from .acceptable import (
@@ -62,7 +63,6 @@ from .newton import (
     _scaled_heights,
     _vec_str,
     dominant_rep,
-    kappa,
     newton_point,
     simple_nodes,
 )
@@ -76,6 +76,7 @@ from .weyl import (
     SignedMap,
     _subword_split,
     bruhat_leq,
+    format_element,
     omega_element,
 )
 
@@ -110,18 +111,15 @@ class Solution:
 
 
 def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> NewtonPoint:
-    """The one check of a final answer: w <= t^{x(mu)} (membership of w
-    in Adm(mu), with the reported x), w in the coset of t^mu, and the
-    Newton point of w equal to the claimed raw point nu_raw. Returns
-    that Newton point, with the reporting shift: the answer's."""
-    datum = problem.datum
-    bound = AffineElement.translation(datum, sol.x.act(problem.mu))
+    """The one check of a final answer: w <= t^{x(mu)} (w in Adm(mu) with
+    the reported x, and so in the coset of t^mu, which t^{x(mu)} shares),
+    and the Newton point of w equal to the claimed raw point nu_raw.
+    Returns that Newton point, with the reporting shift: the answer's."""
+    bound = AffineElement.translation(problem.datum, sol.x.act(problem.mu))
     if not bruhat_leq(sol.w, bound):
         raise InternalCheckFailed(
             f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}"
         )
-    if kappa(sol.w) != kappa(AffineElement.translation(datum, problem.mu)):
-        raise InternalCheckFailed("witness leaves the translation coset")
     point = newton_point(sol.w, problem.frob).nu_bar
     bar = tuple(a + b for a, b in zip(point.nu, problem.frob.shift))
     if bar != nu_raw:
@@ -157,7 +155,7 @@ class OmegaStep:
 
 def omega_conjugate(problem: Problem, tau0: AffineElement) -> tuple[Problem, OmegaStep]:
     if tau0.length() != 0:
-        raise ValueError("conjugator must have length zero")
+        raise ParseError("conjugator must have length zero")
     frob = problem.frob
     new_tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
     return (
@@ -200,7 +198,7 @@ class ProductSplitStep:
 
         Let L be the last block, F = sigma0^m on L (a flip when the orbit
         carries an odd number of flips, else 1), and A = piece_{m-2} ...
-        piece_0, where ``factor_witness`` splits the sub-witness as
+        piece_0, where ``_factor_witness`` splits the sub-witness, unchecked, as
         A piece_{m-1} with each piece below its part. Piece i < m-1 goes
         on orbit block i as sigma0^{i+1}(piece_i), forwards round the
         orbit, and piece_{m-1} stays on L. The norm of y on L is then
@@ -216,7 +214,7 @@ class ProductSplitStep:
         # factor the sub-witness along the parts (already written in
         # last-block coordinates) in the order m-2, ..., 0, m-1
         order = [*range(m - 2, -1, -1), m - 1]
-        pieces = dict(zip(order, factor_witness(sub.w, [
+        pieces = dict(zip(order, _factor_witness(sub.w, [
             AffineElement.translation(self.sub_datum, sub.x.act(self.parts[i]))
             for i in order
         ])))
@@ -271,10 +269,10 @@ def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int
 def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
                sub_datum: GroupDatum) -> Frobenius:
     """The twist of the sub-problem on ``positions``: tau restricted by
-    ``_restrict``, and the diagram automorphism of sub_datum whose map is
-    smap on those positions. Each sub-block's target block and flip are
-    read off smap at the block's first position; the whole restricted
-    map must then be that automorphism's."""
+    ``_restrict``, which must have length zero, and the diagram
+    automorphism of sub_datum whose map is smap on those positions. Each
+    sub-block's target block and flip are read off smap at the block's
+    first position; the whole restricted map must be that automorphism's."""
     local = {p: i for i, p in enumerate(positions, start=1)}
     ranges = sub_datum.block_ranges()
     block_of = {p: b for b, (lo, hi) in enumerate(ranges) for p in range(lo, hi + 1)}
@@ -286,7 +284,10 @@ def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
     flip = tuple(sub_map.sign[lo - 1] < 0 for lo, _ in ranges)
     if None in block_to or _block_map(sub_datum, block_to, flip) != sub_map:
         raise InternalCheckFailed("twist does not permute the sub-blocks")
-    return Frobenius(_restrict(tau, positions, sub_datum), Sigma0(sub_datum, block_to, flip))
+    sub_tau = _restrict(tau, positions, sub_datum)
+    if sub_tau.length() != 0:
+        raise InternalCheckFailed(f"restricted twist {sub_tau!r} is not length zero")
+    return Frobenius(sub_tau, Sigma0(sub_datum, block_to, flip))
 
 
 def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
@@ -297,7 +298,7 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     datum = problem.datum
     orbits = frob.sigma0.block_orbits()
     if len(orbits) != 1:
-        raise ValueError("sigma0 must act transitively on blocks; split orbits first")
+        raise ParseError("sigma0 must act transitively on blocks; split orbits first")
     orbit = orbits[0]
     m = len(orbit)
     last = orbit[-1]
@@ -309,7 +310,7 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     # carries an odd number of flips
     sub_frob = _sub_twist(frob.tau, _map_power(frob.sigma0.map(), m), embed, sub_datum)
     if _embed(datum, [(sub_frob.tau, embed)]) != frob.tau:
-        raise ValueError("tau must be supported on the last orbit block; conjugate first")
+        raise ParseError("tau must be supported on the last orbit block; conjugate first")
     # parts sigma0^{-(i+1)}(mu_i), and mu_{m-1} itself, land in the last block
     parts = []
     gamma = [0] * nb
@@ -324,20 +325,15 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     return Problem(tuple(gamma), sub_frob), step
 
 
-def factor_witness(
+def _factor_witness(
     w: AffineElement, bounds: Sequence[AffineElement]
 ) -> tuple[AffineElement, ...]:
     """Split w <= bounds[0] * ... * bounds[-1] (lengths adding) into
     w = w_1 ... w_k with w_i <= bounds[i], by the subword property.
-    Only the input is checked: each split of u is u1 (u1^-1 u), so the
-    pieces multiply back to w by construction, and the subword property
-    is what puts each piece below its bound."""
-    total = prod(bounds[1:], start=bounds[0])
-    if sum(b.length() for b in bounds) != total.length():
-        raise ValueError("bound lengths do not add; invalid factorization request")
-    if not bruhat_leq(w, total):
-        raise ValueError("element is not below the product of the bounds")
-
+    Nothing is checked: the pieces multiply back to w by construction,
+    and a w not below the product lifts to a witness that fails the
+    final walk in ``solve``, as Bruhat order on blocks is the product
+    order."""
     pieces = []
     for bound in bounds[:-1]:
         piece, w = _subword_split(w, bound)
@@ -453,7 +449,7 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
     frob = problem.frob
     datum = problem.datum
     if datum.num_blocks != 1:
-        raise ValueError("parabolic reduction expects a single block")
+        raise ParseError("parabolic reduction expects a single block")
     den, basis = _fixed_direction_space(frob)
     v0 = _prefer_dominant(frob, _generic_point(frob, den, basis))
     vbar, z = dominant_rep(datum, v0)
@@ -468,14 +464,7 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
     # sub datum: J-intervals of [1..n]
     n = datum.n
     cut = sorted(i for (_, i) in (frozenset(simple_nodes(datum)) - J))
-    sizes = []
-    prev = 0
-    for c in cut + [n]:
-        sizes.append(c - prev)
-        prev = c
-    sub_datum = GroupDatum(tuple(sizes))
-    if new_tau.with_datum(sub_datum).length() != 0:
-        raise InternalCheckFailed("residual twist is not length zero in the stabilizer")
+    sub_datum = GroupDatum(tuple(b - a for a, b in zip([0] + cut, cut + [n])))
     sub_frob = _sub_twist(new_tau, frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
     _check_integrality_split(problem, z, J, sub_datum)
     step = ParabolicStep("parabolic", frob, tuple(Fraction(x, den) for x in v0), z, sub_datum)
@@ -565,14 +554,11 @@ def _solve_block(problem: Problem) -> Solution:
     )
 
 
-def _solve_orbit(problem: Problem) -> Solution:
-    """sigma0 transitive on the blocks of the problem."""
-    orbits = problem.frob.sigma0.block_orbits()
-    if len(orbits) != 1:
-        raise InternalCheckFailed("orbit solver called on a split problem")
+def _solve_orbit(problem: Problem, orbit: tuple[int, ...]) -> Solution:
+    """sigma0 transitive on the blocks of the problem, which are orbit."""
     if problem.datum.num_blocks == 1:
         return _solve_block(problem)
-    tau0 = _conjugator_into_last(problem, orbits[0])
+    tau0 = _conjugator_into_last(problem, orbit)
     conj_problem, om_step = omega_conjugate(problem, tau0)
     sub_problem, ps_step = product_split(conj_problem)
     sub_sol = _solve_orbits(sub_problem)
@@ -584,30 +570,24 @@ def _solve_orbits(problem: Problem) -> Solution:
     frob = problem.frob
     orbits = frob.sigma0.block_orbits()
     if len(orbits) == 1:
-        return _solve_orbit(problem)
+        return _solve_orbit(problem, orbits[0])
+    ranges = datum.block_ranges()
     positions = []
     subs = []
     for orbit in orbits:
-        pos = tuple(
-            p
-            for b in sorted(orbit)
-            for p in range(datum.block_ranges()[b][0], datum.block_ranges()[b][1] + 1)
-        )
+        blocks = sorted(orbit)
+        pos = tuple(p for b in blocks for p in range(ranges[b][0], ranges[b][1] + 1))
         positions.append(pos)
-        sub_blocks = tuple(datum.blocks[b] for b in sorted(orbit))
-        sub_adj = tuple(datum.adjoint[b] for b in sorted(orbit))
-        sub_datum = GroupDatum(sub_blocks, sub_adj)
+        sub_datum = GroupDatum(tuple(datum.blocks[b] for b in blocks),
+                               tuple(datum.adjoint[b] for b in blocks))
         sub_frob = _sub_twist(frob.tau, frob.sigma0.map(), pos, sub_datum)
-        sub_mu = tuple(problem.mu[p - 1] for p in pos)
-        subs.append(_solve_orbits(Problem(sub_mu, sub_frob)))
+        subs.append(_solve_orbits(Problem(tuple(problem.mu[p - 1] for p in pos), sub_frob)))
     step = OrbitSplitStep("orbit-split", frob, orbits, tuple(positions))
     return step.lift(subs)
 
 
 def step_json(step) -> dict:
     """Serializable record of one reduction step."""
-    from .weyl import format_element
-
     doc: dict = {"kind": step.kind}
     if isinstance(step, AdjointStep):
         doc["kappa"] = list(step.kappas)
@@ -649,7 +629,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     maximal point with the brute-force maximum.
     """
     if strategy not in ("auto", "constructive", "bruteforce"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise ParseError(f"unknown strategy {strategy!r}")
     problem = Problem(tuple(mu), frob)
     checks: dict = {}
     if strategy == "bruteforce":

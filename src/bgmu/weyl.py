@@ -131,7 +131,7 @@ class Permutation:
         images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images}")
+            raise ParseError(f"not a permutation of 1..{n}: {images}")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "_hash", hash(images))
 
@@ -371,7 +371,7 @@ class AffineElement:
                 f"rank mismatch: datum n={datum.n}, trans {len(trans)}, perm {perm.n}"
             )
         if not perm.preserves_blocks(datum):
-            raise ValueError(f"permutation {perm!r} does not preserve blocks {datum.blocks}")
+            raise ParseError(f"permutation {perm!r} does not preserve blocks {datum.blocks}")
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "trans", trans)
         object.__setattr__(self, "perm", perm)
@@ -679,8 +679,4 @@ def parse_element(text: str, datum: GroupDatum) -> AffineElement:
         if any(not (1 <= i <= datum.n) for i in cyc):
             raise ParseError(f"cycle index out of range 1..{datum.n} in {text!r}")
         cycles.append(cyc)
-    perm = Permutation.from_cycles(datum.n, cycles)
-    try:
-        return AffineElement(datum, coords, perm)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return AffineElement(datum, coords, Permutation.from_cycles(datum.n, cycles))

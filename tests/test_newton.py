@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgmu.errors import ParseError
 from bgmu.newton import (
     Frobenius,
     KappaValue,
@@ -67,6 +68,11 @@ def test_identity_under_superbasic_twist():
         # oracle: direct n-th power is the translation by m*d
         s = superbasic_element(m, n)
         assert element_power(s, n) == AffineElement.translation(GroupDatum.gl(n), (m,) * n)
+
+
+def test_frobenius_refuses_a_shift_that_is_not_central():
+    with pytest.raises(ParseError, match="shift must be central"):
+        Frobenius.superbasic(1, 2).with_shift((0, 1))
 
 
 def test_worked_example_newton_point():

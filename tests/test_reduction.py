@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 
 from bgmu.acceptable import enumerate_acceptable, maximal_newton_state
-from bgmu.errors import GuardExceeded, InternalCheckFailed, UnsupportedTwist
+from bgmu.errors import GuardExceeded, InternalCheckFailed, ParseError, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, _map_power, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     Problem,
     Solution,
+    _factor_witness,
     _fixed_direction_space,
     _generic_point,
     _sub_twist,
-    factor_witness,
     omega_conjugate,
     parabolic_reduce,
     product_split,
@@ -82,7 +82,7 @@ def test_omega_conjugate_preserves_acceptable_set():
 
 def test_omega_conjugate_rejects_positive_length():
     fr = Frobenius.superbasic(1, 2, normalized=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="conjugator must have length zero"):
         omega_conjugate(Problem((1, 0), fr), parse_element("t[1,0]", fr.datum))
 
 
@@ -105,8 +105,11 @@ def test_product_split_two_blocks():
 def test_product_split_requires_supported_tau():
     tau = omega_element(GroupDatum((2, 2)), (1, 0))
     fr = swap_frobenius(tau)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="supported on the last orbit block"):
         product_split(Problem((1, 0, 1, 0), fr))
+    d = GroupDatum((2, 2))
+    with pytest.raises(ParseError, match="act transitively"):
+        product_split(Problem((1, 0, 1, 0), Frobenius.trivial(d)))
 
 
 def test_product_split_bijection_of_acceptable_sets():
@@ -135,14 +138,14 @@ def test_product_lift_newton_shape():
 def test_factor_witness_single_part():
     d2 = GroupDatum.gl(2)
     w = parse_element("t[1,0]*cyc(1,2)", d2)
-    assert factor_witness(w, [parse_element("t[1,0]", d2)]) == (w,)
+    assert _factor_witness(w, [parse_element("t[1,0]", d2)]) == (w,)
 
 
 def test_factor_witness_full_subword():
     d2 = GroupDatum.gl(2)
     bounds = [parse_element("t[1,0]", d2), parse_element("t[1,0]", d2)]
     total = bounds[0] * bounds[1]
-    pieces = factor_witness(total, bounds)
+    pieces = _factor_witness(total, bounds)
     assert pieces == (bounds[0], bounds[1])
 
 
@@ -153,7 +156,7 @@ def test_factor_witness_splits_below_bounds():
     for w in sorted(
         bruhat_lower_set(total), key=lambda v: (v.length(), v.trans, v.perm.images)
     ):
-        pieces = factor_witness(w, bounds)
+        pieces = _factor_witness(w, bounds)
         prod = pieces[0]
         for p in pieces[1:]:
             prod = prod * p
@@ -169,17 +172,10 @@ def test_factor_witness_three_bounds_on_gl3():
     bounds = [parse_element(t, d3) for t in ("t[1,0,0]", "t[1,1,0]", "t[1,0,0]")]
     total = bounds[0] * bounds[1] * bounds[2]
     for w in bruhat_lower_set(total):
-        pieces = factor_witness(w, bounds)
+        pieces = _factor_witness(w, bounds)
         assert pieces[0] * pieces[1] * pieces[2] == w
         for piece, bound in zip(pieces, bounds):
             assert bruhat_leq(piece, bound)
-
-
-def test_factor_witness_rejects_non_additive_bounds():
-    d2 = GroupDatum.gl(2)
-    s = parse_element("t[0,0]*cyc(1,2)", d2)
-    with pytest.raises(ValueError):
-        factor_witness(s, [s, s])  # lengths 1,1 but product has length 0
 
 
 # --- parabolic reduction ---------------------------------------------------------------
@@ -187,6 +183,11 @@ def test_factor_witness_rejects_non_additive_bounds():
 def test_parabolic_superbasic_is_terminal():
     fr = Frobenius.superbasic(1, 3, normalized=False, adjoint=True)
     assert parabolic_reduce(Problem((1, 0, 0), fr)) is None
+
+
+def test_parabolic_reduce_expects_a_single_block():
+    with pytest.raises(ParseError, match="expects a single block"):
+        parabolic_reduce(Problem((1, 0, 1, 0), Frobenius.trivial(GroupDatum((2, 2)))))
 
 
 def test_parabolic_pgl4_splits_into_two_gl2():
@@ -455,6 +456,64 @@ def test_solve_rejects_witness_above_bound(monkeypatch):
         solve((1, 0, 0), fr, strategy="constructive")
 
 
+def test_solve_rejects_an_unknown_strategy():
+    with pytest.raises(ParseError, match="unknown strategy 'nope'"):
+        solve((1, 0), Frobenius.superbasic(1, 2), "nope")
+
+
+def test_solve_rejects_a_sub_witness_above_its_bound(monkeypatch):
+    # the product-split lift splits its sub-witness unchecked; a forged
+    # GL_3 sub-witness of the gl:3*3 block swap, t[1,3,0]*cyc(1,3,2) with
+    # two translation entries swapped, is not below its bound, and the
+    # final walk refuses the lifted witness
+    import dataclasses
+
+    import bgmu.reduction as reduction
+
+    real = reduction._solve_orbits
+    forged = []
+
+    def forge(problem):
+        sol = real(problem)
+        if problem.datum.blocks == (3,):
+            assert format_element(sol.w) == "t[1,3,0]*cyc(1,3,2)"
+            sol = dataclasses.replace(sol, w=parse_element("t[1,0,3]*cyc(1,3,2)", problem.datum))
+            forged.append(sol.w)
+        return sol
+
+    monkeypatch.setattr(reduction, "_solve_orbits", forge)
+    d = GroupDatum((3, 3))
+    fr = Frobenius(omega_element(d, (1, 0)), Sigma0(d, (1, 0), (False, False)))
+    with pytest.raises(InternalCheckFailed, match="not below"):
+        solve((2, 1, 0, 1, 0, 0), fr, strategy="constructive")
+    assert len(forged) == 1
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_solve_rejects_a_witness_off_the_coset(monkeypatch, adjoint):
+    # one more unit on one translation entry moves w out of the coset of
+    # t^mu, on PGL_3 too, where kappa is read mod 3: the walk's coset test
+    # is the only coset check
+    import dataclasses
+
+    import bgmu.reduction as reduction
+
+    real = reduction._solve_orbits
+    witnesses = []
+
+    def moved(problem):
+        sol = real(problem)
+        trans = (sol.w.trans[0] + 1,) + sol.w.trans[1:]
+        witnesses.append(AffineElement(sol.w.datum, trans, sol.w.perm))
+        return dataclasses.replace(sol, w=witnesses[-1])
+
+    monkeypatch.setattr(reduction, "_solve_orbits", moved)
+    fr = Frobenius.superbasic(1, 3, adjoint=adjoint)
+    with pytest.raises(InternalCheckFailed, match="not below"):
+        solve((1, 0, 0), fr, strategy="constructive")
+    assert kappa(witnesses[0]) != kappa(AffineElement.translation(fr.datum, (1, 0, 0)))
+
+
 def test_solve_negative_dominant_entries():
     fr = Frobenius.superbasic(1, 2, normalized=False)
     r = solve((1, -1), fr)
@@ -531,9 +590,12 @@ def test_twisted_draw_passes_every_internal_check():
 def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     # gl:2*2*2 with blocks 1, 2 swapped runs a product split down to a
     # superbasic GL_2 and a parabolic descent on block 3; gl:3 with the
-    # trivial twist descends to three rank-one bases. The lifts and the
-    # bases carry only witnesses: solve takes the maximal point as the
-    # claim, and _verify_solution reads the witness's Newton point once
+    # trivial twist descends to three rank-one bases; the gl:3*3*3
+    # rotation splits an orbit of three blocks. The lifts and the bases
+    # carry only witnesses: solve takes the maximal point as the claim,
+    # and _verify_solution reads the witness's Newton point once and
+    # walks w <= t^{x(mu)} once. A product split of m blocks splits its
+    # sub-witness m - 1 times and walks nothing else
     import bgmu.acceptable as acceptable
     import bgmu.reduction as reduction
 
@@ -548,21 +610,28 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     state = counted("maximal_newton_state", acceptable.maximal_newton_state)
     monkeypatch.setattr(acceptable, "maximal_newton_state", state)
     monkeypatch.setattr(reduction, "maximal_newton_state", state)
-    monkeypatch.setattr(reduction, "adm_member", counted("adm_member", reduction.adm_member))
-    monkeypatch.setattr(reduction, "newton_point", counted("newton_point", newton_point))
+    for name in ("adm_member", "newton_point", "bruhat_leq", "_subword_split"):
+        monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
 
     d = GroupDatum((2, 2, 2))
+    d3 = GroupDatum((3, 3, 3))
     problems = [
         ((1, 0, 1, 0, 1, 0), Frobenius(omega_element(d, (0, 1, 0)), Sigma0(d, (1, 0, 2), (False,) * 3)),
-         {"parabolic", "product-split", "base-superbasic"}),
-        ((2, 1, 0), Frobenius.trivial(GroupDatum.gl(3)), {"parabolic", "base-rank-one"}),
+         {"parabolic", "product-split", "base-superbasic"}, 1),
+        ((2, 1, 0), Frobenius.trivial(GroupDatum.gl(3)), {"parabolic", "base-rank-one"}, 0),
+        ((3, 0, 0, 3, 0, 0, 3, 3, 0),
+         Frobenius(parse_element("t[0,0,0,1,1,0,0,0,0]*cyc(4,6,5)", d3), Sigma0(d3, (1, 2, 0), (False,) * 3)),
+         {"product-split", "base-superbasic"}, 2),
     ]
-    for mu, fr, steps in problems:
-        calls.update(maximal_newton_state=0, newton_point=0, adm_member=0)
+    for mu, fr, steps, splits in problems:
+        calls.update(maximal_newton_state=0, newton_point=0, adm_member=0, bruhat_leq=0, _subword_split=0)
         r = solve(mu, fr, strategy=strategy)
         assert steps <= {s.kind for s in r.trace}
-        assert ("matches_bruteforce" in r.checks) == (strategy == "auto")
-        assert calls == {"maximal_newton_state": 1, "newton_point": 1, "adm_member": 0}, mu
+        assert splits == sum(len(s.orbit) - 1 for s in r.trace if s.kind == "product-split")
+        small = len(mu) <= acceptable.BRUTE_GUARD_N
+        assert ("matches_bruteforce" in r.checks) == (strategy == "auto" and small)
+        assert calls == {"maximal_newton_state": 1, "newton_point": 1, "adm_member": 0,
+                         "bruhat_leq": 1, "_subword_split": splits}, mu
 
 
 def _cycle_vector_sum(lin, cycle) -> int:
@@ -655,6 +724,16 @@ def test_sub_twists_of_the_orbit_and_product_splits():
                                      tuple(range(lo, hi + 1)), last)
                     assert got.sigma0 == Sigma0(last, (0,), (parity,))
                     assert got.tau == omega_element(last, (1,))
+
+
+def test_sub_twist_refuses_a_restriction_of_positive_length():
+    # t[1,0,0,0] restricts to t[1,0] on the first GL_2 block, of length 1
+    d22 = GroupDatum((2, 2))
+    tau = AffineElement.translation(d22, (1, 0, 0, 0))
+    with pytest.raises(InternalCheckFailed, match=re.escape("restricted twist t[1,0] is not length zero")):
+        _sub_twist(tau, Sigma0.identity(d22).map(), (1, 2), GroupDatum.gl(2))
+    # the other block restricts to length zero
+    assert _sub_twist(tau, Sigma0.identity(d22).map(), (3, 4), GroupDatum.gl(2)).tau.is_identity()
 
 
 def test_sub_twist_refuses_a_map_that_does_not_permute_the_sub_blocks():

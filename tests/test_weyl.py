@@ -427,14 +427,14 @@ def test_peel_steps_equal_their_rechecked_copies(mu, m):
 
 def test_public_constructors_still_check():
     d21 = GroupDatum((2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="not a permutation"):
         Permutation((1, 1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="not a permutation"):
         Permutation((0, 1, 2))
     crossing = Permutation((3, 2, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="does not preserve blocks"):
         AffineElement(d21, (0, 0, 0), crossing)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="does not preserve blocks"):
         AffineElement.from_permutation(GroupDatum.gl(3), crossing).with_datum(d21)
     with pytest.raises(ParseError):
         parse_element("t[0,0,0]*cyc(1,3)", d21)
