@@ -107,9 +107,8 @@ def test_product_split_requires_supported_tau():
     fr = swap_frobenius(tau)
     with pytest.raises(ParseError, match="supported on the last orbit block"):
         product_split(Problem((1, 0, 1, 0), fr))
-    d = GroupDatum((2, 2))
     with pytest.raises(ParseError, match="act transitively"):
-        product_split(Problem((1, 0, 1, 0), Frobenius.trivial(d)))
+        product_split(Problem((1, 0, 1, 0), Frobenius.trivial(GroupDatum((2, 2)))))
 
 
 def test_product_split_bijection_of_acceptable_sets():
