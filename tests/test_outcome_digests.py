@@ -1,5 +1,5 @@
-"""Byte-identity gate: the outcome line of every problem of seven fixed
-corpora (4,566 lines), against one short digest per problem committed in
+"""Byte-identity gate: the outcome line of every problem of eight fixed
+corpora, against one short digest per problem committed in
 ``outcome_digests.txt``.
 
 The corpora:
@@ -19,7 +19,14 @@ The corpora:
 * ``large``: the superbasic base at rank n in {48, 64, 96, 128}, with
   the ``witness`` corpus's two mu per n: ``superbasic_witness`` for
   every coprime m < n, and the ``constructive`` solve at
-  m = n // 2 + 1.
+  m = n // 2 + 1;
+* ``traces``: constructive solves whose reduction traces run above
+  rank 9: gl:2k and pgl:2k with kappa 2 at 2k in {32, 64} (parabolic
+  descent, orbit split, two superbasic bases), block swaps gl:k*k and
+  3-cycles gl:k*k*k at k in {8, 16, 32} (omega conjugation and product
+  split, the 3-cycles at kappa sum 2 with a parabolic descent after
+  it), the superbasic base with distinct entries mu = (n-1, ..., 0) at
+  n in {16, 32, 48}, and (10^4, 0) under superbasic 1/2.
 
 A line is ``outcome_line``'s: the answer's JSON bytes, or the refusal.
 A failure names the first problem whose line changed and prints that
@@ -29,6 +36,11 @@ with
     PYTHONPATH=src python3 tests/test_outcome_digests.py
 
 and says how many lines changed, and why.
+
+The file's ``split`` rows pin, on the product-split problems of
+``traces``, each pair (u1, u2) that ``_subword_split`` hands to the
+lift, one row per call: the outcome lines do not show the pieces, and
+which pieces the split picks depends on the order of the descent walk.
 """
 
 import hashlib
@@ -38,15 +50,17 @@ from pathlib import Path
 
 import pytest
 
+from bgmu import reduction
 from bgmu.acceptable import enumerate_acceptable
 from bgmu.newton import Frobenius, Sigma0
 from bgmu.reduction import solve
 from bgmu.superbasic import superbasic_witness
-from bgmu.weyl import GroupDatum, format_element, omega_element
+from bgmu.weyl import GroupDatum, _subword_split, format_element, omega_element
 from conftest import dominant_coweights, outcome_line, twisted_draw
 
 DIGESTS = Path(__file__).resolve().parent / "outcome_digests.txt"
-CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness", "n6", "large")
+CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness", "n6", "large", "traces")
+SPLIT = "split"
 LARGE_N = (48, 64, 96, 128)
 DRAW_SIZE = 1000
 
@@ -120,12 +134,61 @@ def _large() -> list:
     return out
 
 
+def _steps(n: int) -> tuple:
+    """(4^q, 2^q, 1^q, 0^(n - 3q)) with q = n // 4."""
+    q = n // 4
+    return (4,) * q + (2,) * q + (1,) * q + (0,) * (n - 3 * q)
+
+
+def _distinct(n: int) -> tuple:
+    return tuple(range(n - 1, -1, -1))
+
+
+def _product_splits() -> list:
+    """The block swaps and 3-cycles of ``traces``, as (key, mu, frob):
+    the blocks' mu are ``_steps``, then the two ``_witness_mus``."""
+    out = []
+    for k in (8, 16, 32):
+        thirds, hook = _witness_mus(k)
+        d = GroupDatum((k, k))
+        for kappas, flip in (((1, 0), (False, False)), ((1, 0), (True, True)),
+                             ((0, 3), (False, False))):
+            fr = Frobenius(omega_element(d, kappas), Sigma0(d, (1, 0), flip))
+            name = "swap flipped" if any(flip) else "swap"
+            out.append((f"gl:{k}*{k} {name} {','.join(map(str, kappas))}",
+                        _steps(k) + thirds, fr))
+        d = GroupDatum((k, k, k))
+        for kappas in ((1, 0, 0), (1, 1, 0)):
+            fr = Frobenius(omega_element(d, kappas), Sigma0(d, (1, 2, 0), (False,) * 3))
+            out.append((f"gl:{k}*{k}*{k} cycle {','.join(map(str, kappas))}",
+                        _steps(k) + thirds + hook, fr))
+    return out
+
+
+def _traces() -> list:
+    rows = []
+    for n in (32, 64):
+        for group, adjoint in (("gl", False), ("pgl", True)):
+            fr = Frobenius.inner(omega_element(GroupDatum((n,), (adjoint,)), (2,)))
+            rows.append((f"{group}:{n} kappa 2 steps", _steps(n), fr))
+            if n == 32:  # distinct entries at n = 64 take 0.5 s each
+                rows.append((f"{group}:{n} kappa 2 distinct", _distinct(n), fr))
+    rows += _product_splits()
+    for n in (16, 32, 48):
+        for m in (1, n // 2 + 1):
+            rows.append((f"{m}/{n} distinct", _distinct(n), Frobenius.superbasic(m, n)))
+    rows.append(("1/2 10000,0", (10**4, 0), Frobenius.superbasic(1, 2)))
+    return [(key, _describe(mu, fr), solve, (mu, fr, "constructive")) for key, mu, fr in rows]
+
+
 def corpus(name: str) -> list:
     """The problems of one corpus as (key, description, run, args)."""
     if name == "n6":
         return _n6()
     if name == "large":
         return _large()
+    if name == "traces":
+        return _traces()
     if name == "witness":
         return _witnesses(range(2, 41))
     if name == "auto":
@@ -141,9 +204,30 @@ def digest(line: str) -> str:
     return hashlib.sha256(line.encode()).hexdigest()[:16]
 
 
+def subword_splits() -> list:
+    """(key, line) for each ``_subword_split`` call of the constructive
+    solves of ``_product_splits``: the row's key with the call's index,
+    and the pieces u1 and u2."""
+    calls: list = []
+
+    def record(w, v):
+        u1, u2 = _subword_split(w, v)
+        calls.append(f"{format_element(u1)} {format_element(u2)}")
+        return u1, u2
+
+    rows = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_subword_split", record)
+        for key, mu, fr in _product_splits():
+            start = len(calls)
+            solve(mu, fr, "constructive")
+            rows += [(f"{key} #{i}", line) for i, line in enumerate(calls[start:])]
+    return rows
+
+
 def committed() -> dict:
-    """corpus -> [(key, digest)] in file order."""
-    out: dict = {name: [] for name in CORPORA}
+    """corpus (or ``SPLIT``) -> [(key, digest)] in file order."""
+    out: dict = {name: [] for name in (*CORPORA, SPLIT)}
     for row in DIGESTS.read_text().splitlines():
         name, key, value = row.split("\t")
         out[name].append((key, value))
@@ -162,11 +246,20 @@ def test_outcomes_match_committed_digests(name):
             pytest.fail(f"{name} problem {key} changed ({description}); new line:\n{line}")
 
 
+def test_subword_splits_match_committed_digests():
+    want = committed()[SPLIT]
+    got = subword_splits()
+    assert [key for key, _ in got] == [key for key, _ in want], \
+        f"the product-split rows make other _subword_split calls than {DIGESTS.name} lists"
+    for (key, line), (_, value) in zip(got, want):
+        assert digest(line) == value, f"_subword_split changed its pieces on {key}: {line}"
+
+
 def write() -> None:
     rows = [
         f"{name}\t{key}\t{digest(outcome_line(run, *args))}\n"
         for name in CORPORA for key, _, run, args in corpus(name)
-    ]
+    ] + [f"{SPLIT}\t{key}\t{digest(line)}\n" for key, line in subword_splits()]
     DIGESTS.write_text("".join(rows))
     print(f"wrote {len(rows)} digests to {DIGESTS}")
 
