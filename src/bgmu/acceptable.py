@@ -196,7 +196,7 @@ class PolygonData:
     def hull_value(self, k: int) -> Fraction:
         """Hull height after the first k steps, off the last vertex at or before k."""
         if not (0 <= k <= len(self.slopes)):
-            raise ValueError(f"abscissa {k} outside 0..{len(self.slopes)}")
+            raise ParseError(f"abscissa {k} outside 0..{len(self.slopes)}")
         x, y = self.vertices[bisect_right(self.vertices, k, key=itemgetter(0)) - 1]
         return y + (k - x) * self.slopes[k - 1] if k > x else y
 

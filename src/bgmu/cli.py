@@ -277,6 +277,8 @@ def cmd_verify(args) -> int:
             is_diamond = adjoint_eq(frob.datum, result.nu_raw, diamond(mu, frob))
             if want_diamond != is_diamond:
                 raise BgmuError("mu_diamond criterion mismatch")
+        except GuardExceeded:
+            raise  # a refusal, not a mismatch: main reports it
         except BgmuError as exc:
             failures.append((spec, str(exc)))
             if not args.keep_going:

@@ -336,7 +336,7 @@ class NewtonPoint:
         if len(self.nu) != self.datum.n:
             raise DimensionMismatch("vector has wrong length")
         if not self.datum.is_dominant(self.nu):
-            raise ValueError(f"Newton point {_vec_str(self.nu)} is not dominant per block")
+            raise ParseError(f"Newton point {_vec_str(self.nu)} is not dominant per block")
         if self.kappa.datum != self.datum:
             raise DimensionMismatch("kappa from a different datum")
 

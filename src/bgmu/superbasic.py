@@ -91,7 +91,7 @@ class Segment:
     @property
     def average(self) -> Fraction:
         if not self.values:
-            raise ValueError("empty segment has no average")
+            raise ParseError("empty segment has no average")
         return Fraction(self.total, self.size)
 
     def __repr__(self) -> str:

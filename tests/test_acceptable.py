@@ -777,6 +777,12 @@ def test_polygon_is_the_greedy_reference(eta):
         assert type(value) is Fraction and value == sum(got.slopes[:k], Fraction(0))
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_hull_value_refuses_an_abscissa_out_of_range(k):
+    with pytest.raises(ParseError, match=f"abscissa {k} outside 0..2"):
+        polygon((1, 0)).hull_value(k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_heights_are_the_fraction_reference(data):

@@ -185,6 +185,9 @@ def test_usage_error_exit_code(capsys):
     (["polygon", "--mu", "1,0,0", "--m", "1", "--n", "2"], None),
     (["verify", "--max-n", "1"], None),
     (["verify", "--max-entry", "-2"], None),
+    (["verify", "--max-n", "9", "--max-entry", "0"], None),
+    (["verify", "--max-n", "9", "--max-entry", "0", "--keep-going"], None),
+    (["verify", "--max-n", "4", "--max-entry", "0"], "3"),
 ])
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     if env is not None:

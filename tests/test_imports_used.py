@@ -16,7 +16,9 @@ the package, in ``bench/`` or in the test suite.
 A fourth check keeps raw element formats inside the modules that own
 them: ``reduction`` imports none of the helpers that read the descent
 walk's lists, the admissible set's (trans, images) tuples or the Newton
-map's keying internals.
+map's keying internals. A fifth keeps decisions there: ``reduction``
+imports neither the sigma0-average and height helpers nor the brute
+force's guard policy.
 """
 
 import ast
@@ -184,6 +186,21 @@ OWNED_ELSEWHERE = {
 }
 
 
+# the helpers behind decisions that other modules own: the sigma0
+# averages and heights of the Levi descent's hypotheses, which the final
+# check covers, and the brute force's guard policy, which the brute
+# force applies itself
+DECIDED_ELSEWHERE = {
+    ("newton", "_diamond"), ("newton", "_scaled_heights"), ("newton", "simple_nodes"),
+    ("acceptable", "_adm_refusal"), ("acceptable", "BRUTE_GUARD_N"),
+}
+
+
 def test_reduction_reads_no_raw_element_format():
     source = (ROOT / "src" / "bgmu" / "reduction.py").read_text()
     assert sorted(imported_names(source) & OWNED_ELSEWHERE) == []
+
+
+def test_reduction_re_derives_no_decision_owned_elsewhere():
+    source = (ROOT / "src" / "bgmu" / "reduction.py").read_text()
+    assert sorted(imported_names(source) & DECIDED_ELSEWHERE) == []

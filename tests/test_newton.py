@@ -12,6 +12,7 @@ from bgmu.errors import ParseError
 from bgmu.newton import (
     Frobenius,
     KappaValue,
+    NewtonPoint,
     Sigma0,
     SignedMap,
     _linear_part,
@@ -73,6 +74,12 @@ def test_identity_under_superbasic_twist():
 def test_frobenius_refuses_a_shift_that_is_not_central():
     with pytest.raises(ParseError, match="shift must be central"):
         Frobenius.superbasic(1, 2).with_shift((0, 1))
+
+
+def test_newton_point_refuses_a_point_that_is_not_dominant():
+    gl2 = GroupDatum.gl(2)
+    with pytest.raises(ParseError, match=r"Newton point \(0, 1\) is not dominant per block"):
+        NewtonPoint(gl2, (0, 1), KappaValue(gl2, (1,)))
 
 
 def test_worked_example_newton_point():

@@ -365,6 +365,21 @@ def test_solve_bruteforce_guard():
         solve((1, 1, 1, 0, 0, 0, 0, 0), fr, strategy="bruteforce")
 
 
+def test_auto_skips_its_cross_check_when_the_brute_force_refuses(monkeypatch):
+    # (2, 1, 0) passes the rank and spread guards, and |Adm| = 25 is
+    # over a size guard of 10: auto answers without the cross-check,
+    # while bruteforce still raises
+    import bgmu.acceptable as acceptable
+
+    monkeypatch.setattr(acceptable, "BRUTE_GUARD_SIZE", 10)
+    fr = Frobenius.superbasic(1, 3)
+    r = solve((2, 1, 0), fr, "auto")
+    assert "matches_bruteforce" not in r.checks and r.checks["admissible"]
+    assert r.nu_raw == solve((2, 1, 0), fr, "constructive").nu_raw
+    with pytest.raises(GuardExceeded, match="admissible set too large: 25"):
+        solve((2, 1, 0), fr, "bruteforce")
+
+
 def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # Adm((2,2,1,0,0)) has 1,701 elements over 120 distinct permutations,
     # and 35 of them attain the maximal Newton point under superbasic
@@ -687,11 +702,17 @@ def test_generic_point_checks_each_block_alone():
     assert _generic_point(fr, 1, [(0, 10, 0), (0, 0, 1)]) == (0, 10, 10)
 
 
-def test_descent_integrality_checks_run():
+def test_parabolic_reduce_descends_on_pgl4_kappa_2():
+    # kappa 2 is not superbasic on PGL_4: the generic fixed direction
+    # (-1, 1, -1, 1) has the dominant representative (1, 1, -1, -1),
+    # whose runs of equal entries give the Levi GL_2 x GL_2
     d4 = GroupDatum.pgl(4)
     fr = Frobenius.inner(omega_element(d4, (2,)))
     reduced = parabolic_reduce(Problem((1, 0, 0, 0), fr))
-    assert reduced is not None  # the internal integrality asserts passed
+    assert reduced is not None
+    sub, step = reduced
+    assert step.sub_datum.blocks == sub.datum.blocks == (2, 2)
+    assert sub.mu == (1, 0, 0, 0)
 
 
 def test_sub_twists_of_the_orbit_and_product_splits():

@@ -131,6 +131,11 @@ def test_segment_basics():
     assert s.tail == 5 and s.size == 3 and s.total == 3 and s.average == 1
 
 
+def test_segment_average_refuses_an_empty_segment():
+    with pytest.raises(ParseError, match="empty segment has no average"):
+        Segment(3, ()).average
+
+
 def test_polygon_constant():
     p = polygon((3, 3, 3))
     assert p.slopes == (3, 3, 3)
