@@ -59,7 +59,6 @@ from .reduction import (
     Problem,
     Solution,
     SolveResult,
-    omega_conjugate,
     parabolic_reduce,
     product_split,
     solve,

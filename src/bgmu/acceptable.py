@@ -59,7 +59,6 @@ from .newton import (
     _newton_key,
     _scaled,
     _scaled_heights,
-    _vec_str,
     alpha_pairing,
     dominant_rep,
     heights,
@@ -201,11 +200,12 @@ class PolygonData:
         return y + (k - x) * self.slopes[k - 1] if k > x else y
 
 
-def _hull(den: int, nums: Sequence[int]) -> list[tuple[int, int]]:
-    """The upper convex hull of the running sums of nums / den as
-    (width, rise) per segment, by a monotone stack: a step enters as a
-    segment of width 1 and merges with the one before while that one's
-    slope is at most its own, so no vertex is collinear with others."""
+def _hull(nums: Sequence[int]) -> list[tuple[int, int]]:
+    """The upper convex hull of the running sums of nums as (width,
+    rise) per segment, by a monotone stack: a step enters as a segment
+    of width 1 and merges with the one before while that one's slope is
+    at most its own, so no vertex is collinear with others and the
+    slopes strictly decrease."""
     runs: list[tuple[int, int]] = []
     for rise in nums:
         width = 1
@@ -213,10 +213,6 @@ def _hull(den: int, nums: Sequence[int]) -> list[tuple[int, int]]:
             w0, r0 = runs.pop()
             width, rise = width + w0, rise + r0
         runs.append((width, rise))
-    if any(r0 * w1 < r1 * w0 for (w0, r0), (w1, r1) in zip(runs, runs[1:])):
-        raise InternalCheckFailed(
-            f"hull slopes of {_vec_str(Fraction(x, den) for x in nums)} are not decreasing"
-        )
     return runs
 
 
@@ -227,7 +223,7 @@ def polygon(eta: Sequence) -> PolygonData:
     x, y = 0, 0
     vertices: list[tuple[int, Fraction]] = [(x, Fraction(y))]
     slopes: list[Fraction] = []
-    for width, rise in _hull(den, nums):
+    for width, rise in _hull(nums):
         x, y = x + width, y + rise
         vertices.append((x, Fraction(y, den)))
         slopes += [Fraction(rise, width * den)] * width
@@ -263,9 +259,9 @@ def _maximal_state(frob: Frobenius, bounds: _Bounds) -> MaximalSolverState:
             targets[nd] = q // len(orbit)
 
     # per block, the least concave majorant of the tents: the hull of
-    # the knots at every node, which are a unit apart; _hull checks
-    # that its slopes decrease, so nu is dominant
-    hulls = [_hull(den, [rise for _, rise in runs]) for runs in _knot_rises(datum, targets, sums)]
+    # the knots at every node, which are a unit apart; _hull's slopes
+    # decrease by construction, so nu is dominant
+    hulls = [_hull([rise for _, rise in runs]) for runs in _knot_rises(datum, targets, sums)]
     w = lcm(*(width for runs in hulls for width, _ in runs))
     nu = tuple(rise * (w // width) for runs in hulls for width, rise in runs for _ in range(width))
     active = support_nodes(datum, nu)

@@ -34,7 +34,7 @@ from .acceptable import (
     mu_diamond_acceptable,
 )
 from .acceptable import polygon as make_polygon
-from .errors import BgmuError, GuardExceeded, ParseError
+from .errors import BgmuError, GuardExceeded, InternalCheckFailed, ParseError
 from .newton import Frobenius, Sigma0, diamond, kappa, newton_point
 from .reduction import solve, step_json
 from .superbasic import chi as chi_vec
@@ -182,8 +182,24 @@ def cmd_newton(args) -> int:
     return 0
 
 
-def cmd_max(args) -> int:
-    spec = _problem_from_args(args)
+def _replayable(cmd):
+    """cmd on the parsed problem; a failed internal check (a bug) adds
+    the problem as a second stderr line of compact JSON to replay."""
+
+    def run(args) -> int:
+        spec = _problem_from_args(args)
+        try:
+            return cmd(spec, args)
+        except InternalCheckFailed as exc:
+            problem = json.dumps(spec.to_json_dict(), separators=(",", ":"))
+            sys.stderr.write(f"bgmu: {exc}\nbgmu: problem {problem}\n")
+            return 1
+
+    return run
+
+
+@_replayable
+def cmd_max(spec: ProblemSpec, args) -> int:
     result = solve(spec.mu, spec.frob, strategy=args.strategy)
     doc = {
         "schema": SCHEMA,
@@ -203,8 +219,8 @@ def cmd_max(args) -> int:
     return 0
 
 
-def cmd_enumerate(args) -> int:
-    spec = _problem_from_args(args)
+@_replayable
+def cmd_enumerate(spec: ProblemSpec, args) -> int:
     acc = enumerate_acceptable(spec.mu, spec.frob)
     doc = acc.to_json_dict()
     doc["problem"] = spec.to_json_dict()

@@ -240,10 +240,6 @@ class Frobenius:
             part = self.shift[lo - 1 : hi]
             if part.count(part[0]) != len(part):
                 raise ParseError("shift must be central (constant per block)")
-        if not self.datum.is_dominant(self.tau.trans):
-            # every length-zero element of a GL-type product has a
-            # dominant translation part, so this is a hard error
-            raise ParseError(f"tau {self.tau!r} has non-dominant translation part")
 
     @property
     def datum(self) -> GroupDatum:

@@ -1,41 +1,41 @@
 """Reductions composing the full solver.
 
-A problem (datum, mu, twist) is reduced in a fixed order: conjugation
-by a length-zero element to put the twist in the last factor of each
-block orbit, splitting a transitive orbit to its last factor, then
-parabolic descent along the stabilizer of a generic fixed direction
-until the residual twist is superbasic on a single GL factor. The
+A problem (datum, mu, twist) is reduced stage by stage, each stage a
+bijection of acceptable sets that builds its sub-problem once: the
+blocks split into sigma0-orbits; an orbit of several blocks is
+conjugated by a length-zero element that puts the twist on its last
+block, and split to that block (``product_split``); a single block
+descends along the stabilizer of a generic fixed direction
+(``parabolic_reduce``) until the residual twist is superbasic. The
 twist's linear part is a signed permutation, so its fixed directions
 are read off its cycles, one per cycle of sign product +1, with no
 linear algebra. Every step records enough data to lift a witness back.
 
 A sub-problem lives on some of the parent's positions, renumbered in
-their order. ``_restrict`` (parent to sub-problem) and ``_embed`` with
+their order. ``_sub_twist`` (parent to sub-problem) and ``_embed`` with
 ``_embed_perm`` for x (sub-problems back to the parent, identity
-elsewhere) are the one place where these coordinates are mapped, and
-``_sub_twist``, which restricts tau and a signed map of the parent, is
-the one place where a sub-problem's twist is built and its length
-counted. Raw element formats stay with the modules that own them: the
-brute force and its (trans, images) tuples in ``acceptable``, the
-descent walk's lists behind the subword split in ``weyl``.
+elsewhere) are the one place where these coordinates are mapped.
+``_sub_twist`` builds every sub-problem's twist and is its one check:
+the restricted tau must map each sub-block onto itself and have length
+zero, or the reduction has a bug (``InternalCheckFailed``). Raw element
+formats stay with the modules that own them: the brute force and its
+(trans, images) tuples in ``acceptable``, the descent walk's lists
+behind the subword split in ``weyl``.
 
-The lifts carry only the witness w and x (with the trace and the
-certificate), and check nothing. The point is claimed, not derived:
-``maximal_newton_state``, the unique maximal acceptable point, for the
-constructive and auto strategies; the maximum over the Newton points of
-the admissible set for the brute force (``acceptable._brute_force``),
-which looks up x for its witness. Each fact about the answer is then
-checked once, in ``_verify_solution``, for every strategy: w <=
-t^{x(mu)} for the reported x, the definition of Adm(mu), whose coset
-test also puts w in the coset of t^mu; and the Newton point of w,
-computed there and nowhere else, is the claimed one. The auto strategy
-also compares the claimed point with the brute-force maximum whenever
-the brute force's own guards let it list Adm(mu).
-
-The parabolic step does not re-check the descent's hypotheses: a
-descent that broke one would lift to a witness whose Newton point is
-not the independently computed maximum, which ``_verify_solution``
-refuses.
+The lifts carry only the witness w and x with the trace, whose
+superbasic bases hold their certificates, and check nothing. The point
+is claimed, not derived: ``maximal_newton_state``, the unique maximal
+acceptable point, for the constructive and auto strategies; the maximum
+over the Newton points of the admissible set for the brute force
+(``acceptable._brute_force``), which looks up x for its witness. Each
+fact about the answer is then checked once, in ``_verify_solution``,
+for every strategy: w <= t^{x(mu)} for the reported x, the definition
+of Adm(mu), whose coset test also puts w in the coset of t^mu; and the
+Newton point of w, computed there and nowhere else, is the claimed one.
+The auto strategy also compares the claimed point with the brute-force
+maximum whenever the brute force's own guards let it list Adm(mu). So
+no step re-checks its own hypotheses: a conjugation or a descent that
+broke one lifts to a witness that ``_verify_solution`` refuses.
 """
 
 from __future__ import annotations
@@ -97,14 +97,13 @@ class Problem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Witness w with x such that w <= t^{x(mu)}, the reduction trace
-    and the superbasic certificate, if any. Its Newton point is read off
-    w once, by ``_verify_solution``."""
+    """Witness w with x such that w <= t^{x(mu)}, and the reduction
+    trace, whose superbasic bases carry their certificates. Its Newton
+    point is read off w once, by ``_verify_solution``."""
 
     w: AffineElement
     x: Permutation
     trace: tuple = ()
-    certificate: Optional[PeelCertificate] = None
 
 
 def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> NewtonPoint:
@@ -114,9 +113,7 @@ def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> NewtonP
     Returns that Newton point, with the reporting shift: the answer's."""
     bound = AffineElement.translation(problem.datum, sol.x.act(problem.mu))
     if not bruhat_leq(sol.w, bound):
-        raise InternalCheckFailed(
-            f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}"
-        )
+        raise InternalCheckFailed(f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}")
     point = newton_point(sol.w, problem.frob).nu_bar
     bar = tuple(a + b for a, b in zip(point.nu, problem.frob.shift))
     if bar != nu_raw:
@@ -138,27 +135,11 @@ class AdjointStep:
 
 @dataclass(frozen=True)
 class OmegaStep:
+    """The trace record of a product split's conjugation by the
+    length-zero tau0, which ``ProductSplitStep.lift`` undoes."""
+
     kind: str
     tau0: AffineElement
-
-    def lift(self, sub: Solution) -> Solution:
-        """B(mu, tau0 sigma tau0^-1) = B(mu, sigma) with witness
-        w -> tau0^-1 w tau0."""
-        inv = self.tau0.inverse()
-        w = inv * sub.w * self.tau0
-        x = inv.perm * sub.x
-        return Solution(w, x, (self,) + sub.trace, sub.certificate)
-
-
-def omega_conjugate(problem: Problem, tau0: AffineElement) -> tuple[Problem, OmegaStep]:
-    if tau0.length() != 0:
-        raise ParseError("conjugator must have length zero")
-    frob = problem.frob
-    new_tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
-    return (
-        Problem(problem.mu, Frobenius(new_tau, frob.sigma0, frob.shift)),
-        OmegaStep("omega-conjugate", tau0),
-    )
 
 
 def _conjugator_into_last(problem: Problem, orbit: Sequence[int]) -> AffineElement:
@@ -168,16 +149,13 @@ def _conjugator_into_last(problem: Problem, orbit: Sequence[int]) -> AffineEleme
     datum = problem.datum
     kappas = datum.block_sums(frob.tau.trans)
     # tau has length zero, so its factor on block b is the unique
-    # length-zero element of that block with coordinate sum kappa_b(tau)
-    g = {orbit[-1]: AffineElement.identity(datum)}
-    prev = orbit[-1]
+    # length-zero element of that block with coordinate sum kappa_b(tau);
+    # the g are supported on their blocks, so they commute
+    g = tau0 = AffineElement.identity(datum)
     for b in orbit[:-1]:
         factor = omega_element(datum, [kappas[b] if c == b else 0 for c in range(len(kappas))])
-        g[b] = frob.sigma0.apply_element(g[prev]) * factor.inverse()
-        prev = b
-    tau0 = AffineElement.identity(datum)
-    for b in orbit:
-        tau0 = tau0 * g[b]
+        g = frob.sigma0.apply_element(g) * factor.inverse()
+        tau0 = tau0 * g
     return tau0
 
 
@@ -189,12 +167,16 @@ class ProductSplitStep:
     parts: tuple[tuple[int, ...], ...]  # each mu_i carried to the last block
     sub_datum: GroupDatum
     embed: tuple[int, ...]  # global positions of the last block
+    omega: OmegaStep  # tau0 puts the parent twist on the last block
 
     def lift(self, sub: Solution) -> Solution:
-        """Spread the sub-witness over the orbit.
+        """Spread the sub-witness over the orbit, then undo the
+        conjugation: B(mu, tau0 sigma tau0^-1) = B(mu, sigma) with
+        witness w -> tau0^-1 w tau0.
 
-        Let L be the last block, F = sigma0^m on L (a flip when the orbit
-        carries an odd number of flips, else 1), and A = piece_{m-2} ...
+        Let L be the last block, tau the conjugated twist, which lives on
+        L, F = sigma0^m on L (a flip when the orbit carries an odd number
+        of flips, else 1), and A = piece_{m-2} ...
         piece_0, where ``_factor_witness`` splits the sub-witness, unchecked, as
         A piece_{m-1} with each piece below its part. Piece i < m-1 goes
         on orbit block i as sigma0^{i+1}(piece_i), forwards round the
@@ -226,18 +208,8 @@ class ProductSplitStep:
             emb = _embed(datum, [(pieces[i], self.embed)])
             y = y * sigma0.apply_element(emb, power=power)
             x = x * sigma0.apply_perm(x_emb, power=power)
-        return Solution(y, x, (self,) + sub.trace, sub.certificate)
-
-
-def _restrict(w: AffineElement, positions: Sequence[int], sub_datum: GroupDatum) -> AffineElement:
-    """The element w on positions it maps to themselves, renumbered
-    1..len(positions) in their order, as an element of sub_datum."""
-    local = {p: i for i, p in enumerate(positions, start=1)}
-    return AffineElement(
-        sub_datum,
-        (w.trans[p - 1] for p in positions),
-        Permutation(local[w.perm(p)] for p in positions),
-    )
+        inv = self.omega.tau0.inverse()
+        return Solution(inv * y * self.omega.tau0, inv.perm * x, (self.omega, self) + sub.trace)
 
 
 def _embed_perm(n: int, pieces: Sequence[tuple[Permutation, Sequence[int]]]) -> Permutation:
@@ -252,8 +224,8 @@ def _embed_perm(n: int, pieces: Sequence[tuple[Permutation, Sequence[int]]]) -> 
 
 def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int]]]) -> AffineElement:
     """Each element w of a (w, positions) pair placed on its positions,
-    which are disjoint; the identity elsewhere. The inverse of
-    ``_restrict`` on every piece."""
+    which are disjoint; the identity elsewhere. The inverse of the
+    restriction in ``_sub_twist`` on every piece."""
     trans = [0] * datum.n
     for w, positions in pieces:
         for p, t in zip(positions, w.trans):
@@ -265,11 +237,14 @@ def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int
 
 def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
                sub_datum: GroupDatum) -> Frobenius:
-    """The twist of the sub-problem on ``positions``: tau restricted by
-    ``_restrict``, which must have length zero, and the diagram
-    automorphism of sub_datum whose map is smap on those positions. Each
-    sub-block's target block and flip are read off smap at the block's
-    first position; the whole restricted map must be that automorphism's."""
+    """The twist of the sub-problem on ``positions``, built and checked
+    once: tau restricted to those positions, renumbered 1..len(positions)
+    in their order, which must map each sub-block onto itself and have
+    length zero, and the diagram automorphism of sub_datum whose map is
+    smap on those positions. Each sub-block's target block and flip are
+    read off smap at the block's first position; the whole restricted
+    map must be that automorphism's. A failure is a bug in the reduction
+    that built tau or smap; what passes is not checked again."""
     local = {p: i for i, p in enumerate(positions, start=1)}
     ranges = sub_datum.block_ranges()
     block_of = {p: b for b, (lo, hi) in enumerate(ranges) for p in range(lo, hi + 1)}
@@ -281,7 +256,14 @@ def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
     flip = tuple(sub_map.sign[lo - 1] < 0 for lo, _ in ranges)
     if None in block_to or _block_map(sub_datum, block_to, flip) != sub_map:
         raise InternalCheckFailed("twist does not permute the sub-blocks")
-    sub_tau = _restrict(tau, positions, sub_datum)
+    images = tuple(local.get(tau.perm(p)) for p in positions)
+    if any(block_of.get(j) != block_of[i] for i, j in enumerate(images, start=1)):
+        raise InternalCheckFailed(
+            f"twist {tau!r} does not map the sub-blocks {sub_datum.blocks} onto themselves"
+        )
+    sub_tau = AffineElement._unchecked(
+        sub_datum, tuple(tau.trans[p - 1] for p in positions), Permutation._unchecked(images)
+    )
     if sub_tau.length() != 0:
         raise InternalCheckFailed(f"restricted twist {sub_tau!r} is not length zero")
     return Frobenius(sub_tau, Sigma0(sub_datum, block_to, flip))
@@ -290,7 +272,9 @@ def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
 def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     """A transitive orbit of blocks reduces to its last factor with
     coweight gamma = mu_{m-1} + sum_{i < m-1} sigma0^{-(i+1)}(mu_i) and
-    twist sigma^m (see ``ProductSplitStep.lift`` for the powers)."""
+    twist sigma^m (see ``ProductSplitStep.lift`` for the powers), once
+    tau is conjugated to tau0 tau sigma0(tau0)^-1 on the last block by
+    the length-zero tau0 of ``_conjugator_into_last``."""
     frob = problem.frob
     datum = problem.datum
     orbits = frob.sigma0.block_orbits()
@@ -301,25 +285,22 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     last = orbit[-1]
     lo, hi = datum.block_ranges()[last]
     embed = tuple(range(lo, hi + 1))
-    nb = datum.blocks[last]
-    sub_datum = GroupDatum((nb,), (datum.adjoint[last],))
+    sub_datum = GroupDatum((datum.blocks[last],), (datum.adjoint[last],))
+    tau0 = _conjugator_into_last(problem, orbit)
+    tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
     # sigma0^m maps the last block to itself, flipped when the orbit
     # carries an odd number of flips
-    sub_frob = _sub_twist(frob.tau, _map_power(frob.sigma0.map(), m), embed, sub_datum)
-    if _embed(datum, [(sub_frob.tau, embed)]) != frob.tau:
-        raise ParseError("tau must be supported on the last orbit block; conjugate first")
+    sub_frob = _sub_twist(tau, _map_power(frob.sigma0.map(), m), embed, sub_datum)
     # parts sigma0^{-(i+1)}(mu_i), and mu_{m-1} itself, land in the last block
     parts = []
-    gamma = [0] * nb
     for i, b in enumerate(orbit):
         s = datum.block_slices()[b]
         vec = [0] * datum.n
         vec[s] = problem.mu[s]
-        part = frob.sigma0.apply_vector(vec, -(i + 1) if i < m - 1 else 0)[lo - 1 : hi]
-        parts.append(part)
-        gamma = [a + c for a, c in zip(gamma, part)]
-    step = ProductSplitStep("product-split", orbit, frob, tuple(parts), sub_datum, embed)
-    return Problem(tuple(gamma), sub_frob), step
+        parts.append(frob.sigma0.apply_vector(vec, -(i + 1) if i < m - 1 else 0)[lo - 1 : hi])
+    step = ProductSplitStep("product-split", orbit, frob, tuple(parts), sub_datum, embed,
+                            OmegaStep("omega-conjugate", tau0))
+    return Problem(tuple(map(sum, zip(*parts))), sub_frob), step
 
 
 def _factor_witness(
@@ -351,7 +332,7 @@ class ParabolicStep:
         z_elt = AffineElement.from_permutation(datum, self.z)
         w = z_elt.inverse() * sub.w.with_datum(datum) * z_elt
         x = self.z.inverse() * sub.x
-        return Solution(w, x, (self,) + sub.trace, sub.certificate)
+        return Solution(w, x, (self,) + sub.trace)
 
 
 def _fixed_direction_space(frob: Frobenius) -> tuple[int, list[IntVec]]:
@@ -425,20 +406,6 @@ def _generic_point(frob: Frobenius, den: int, basis: list[IntVec]) -> IntVec:
     return tuple(v0)
 
 
-def _prefer_dominant(frob: Frobenius, v0: IntVec) -> IntVec:
-    """Swap the generic point for its dominant representative when that
-    stays inside the fixed-direction space; the descent data z then
-    comes out as the identity."""
-    vbar, _ = dominant_rep(frob.datum, v0)
-    if vbar == v0 or frob.affine_map.linear.apply(vbar) != vbar:
-        return v0
-    # vbar stays generic: a fixed vector of sum zero lies in the span of
-    # the basis, so it is equal wherever every basis vector is, which is
-    # where v0 is; as a rearrangement of v0 within blocks it has exactly
-    # as many equal pairs as v0
-    return tuple(vbar)
-
-
 def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]]:
     """Descend to the stabilizer of the dominant representative vbar of
     a generic twist-fixed direction: the Levi whose blocks are the runs
@@ -449,9 +416,17 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
     if datum.num_blocks != 1:
         raise ParseError("parabolic reduction expects a single block")
     den, basis = _fixed_direction_space(frob)
-    v0 = _prefer_dominant(frob, _generic_point(frob, den, basis))
+    v0 = _generic_point(frob, den, basis)
     vbar, z = dominant_rep(datum, v0)
     n = datum.n
+    if vbar != v0 and frob.affine_map.linear.apply(vbar) == vbar:
+        # the generic point is swapped for vbar, which stays inside the
+        # fixed-direction space, and z becomes the identity. vbar stays
+        # generic: a fixed vector of sum zero lies in the span of the
+        # basis, so it is equal wherever every basis vector is, which is
+        # where v0 is; as a rearrangement of v0 within blocks it has
+        # exactly as many equal pairs as v0
+        v0, z = vbar, Permutation.identity(n)
     cut = [i for i in range(1, n) if vbar[i - 1] != vbar[i]]
     if not cut:
         return None
@@ -476,20 +451,20 @@ class OrbitSplitStep:
         datum = self.parent_frob.datum
         w = _embed(datum, [(sub.w, pos) for pos, sub in zip(self.positions, subs)])
         x = _embed_perm(datum.n, [(sub.x, pos) for pos, sub in zip(self.positions, subs)])
-        trace: tuple = (self,)
-        cert = None
-        for sub in subs:
-            trace = trace + sub.trace
-            cert = cert or sub.certificate
-        return Solution(w, x, trace, cert)
+        return Solution(w, x, (self,) + tuple(step for sub in subs for step in sub.trace))
 
 
 @dataclass(frozen=True)
 class BaseStep:
+    """A base of the reduction. A superbasic base carries the peeling
+    certificate of its witness, which ``step_json`` leaves out; ``solve``
+    reports the first one in trace order."""
+
     kind: str
     m: int
     n: int
     central: int
+    certificate: Optional[PeelCertificate] = None
 
 
 def _solve_block(problem: Problem) -> Solution:
@@ -500,13 +475,11 @@ def _solve_block(problem: Problem) -> Solution:
     nb = datum.blocks[0]
     if nb == 1:
         w = AffineElement.translation(datum, problem.mu)
-        return Solution(w, Permutation.identity(1),
-                        (BaseStep("base-rank-one", 0, 1, problem.mu[0]),), None)
+        return Solution(w, Permutation.identity(1), (BaseStep("base-rank-one", 0, 1, problem.mu[0]),))
     reduced = parabolic_reduce(problem)
     if reduced is not None:
         sub_problem, step = reduced
-        sub_sol = _solve_orbits(sub_problem)
-        return step.lift(sub_sol)
+        return step.lift(_solve_orbits(sub_problem))
     # superbasic base case
     if not frob.sigma0.is_identity():
         raise UnsupportedTwist(
@@ -517,33 +490,26 @@ def _solve_block(problem: Problem) -> Solution:
     m0 = kap % nb
     central = (kap - m0) // nb
     if m0 == 0 or gcd(m0, nb) != 1:
-        raise InternalCheckFailed(
-            f"residual twist kappa={kap} is not superbasic on GL_{nb}"
-        )
+        raise InternalCheckFailed(f"residual twist kappa={kap} is not superbasic on GL_{nb}")
     sw = superbasic_witness(problem.mu, m0, nb)
     return Solution(
         sw.w.with_datum(datum), sw.x,
-        (BaseStep("base-superbasic", m0, nb, central),), sw.certificate,
+        (BaseStep("base-superbasic", m0, nb, central, sw.certificate),),
     )
 
 
-def _solve_orbit(problem: Problem, orbit: tuple[int, ...]) -> Solution:
-    """sigma0 transitive on the blocks of the problem, which are orbit."""
-    if problem.datum.num_blocks == 1:
-        return _solve_block(problem)
-    tau0 = _conjugator_into_last(problem, orbit)
-    conj_problem, om_step = omega_conjugate(problem, tau0)
-    sub_problem, ps_step = product_split(conj_problem)
-    sub_sol = _solve_orbits(sub_problem)
-    return om_step.lift(ps_step.lift(sub_sol))
-
-
 def _solve_orbits(problem: Problem) -> Solution:
+    """One sub-problem per sigma0-orbit of blocks; a single orbit of
+    several blocks splits to its last block, and a single block goes
+    to ``_solve_block``."""
     datum = problem.datum
     frob = problem.frob
     orbits = frob.sigma0.block_orbits()
     if len(orbits) == 1:
-        return _solve_orbit(problem, orbits[0])
+        if datum.num_blocks == 1:
+            return _solve_block(problem)
+        sub_problem, step = product_split(problem)
+        return step.lift(_solve_orbits(sub_problem))
     ranges = datum.block_ranges()
     positions = []
     subs = []
@@ -612,7 +578,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         if not ok:
             raise InternalCheckFailed("brute-force witness is not admissible")
         trace = (BaseStep("bruteforce", 0, problem.datum.n, 0),)
-        sol = Solution(w, x, trace, None)
+        sol = Solution(w, x, trace)
         checks["bruteforce"] = True
     else:
         sol = _solve_orbits(problem)
@@ -635,7 +601,9 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
                 checks["matches_bruteforce"] = True
     point = _verify_solution(problem, sol, nu_raw)
     checks["admissible"] = True
+    certificate = next((step.certificate for step in sol.trace
+                        if isinstance(step, BaseStep) and step.certificate is not None), None)
     return SolveResult(
         problem, point, nu_raw, sol.w, sol.x, sol.trace,
-        sol.certificate, strategy, checks,
+        certificate, strategy, checks,
     )

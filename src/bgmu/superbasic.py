@@ -418,7 +418,7 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
 
     # per position: equal-slope neighbours of the decomposition are one hull run
     pieces = itertools.chain.from_iterable([(s.total, s.size)] * s.size for s in decomposition)
-    runs = itertools.chain.from_iterable([run] * run[0] for run in _hull(1, theta))
+    runs = itertools.chain.from_iterable([run] * run[0] for run in _hull(theta))
     slopes = tuple(itertools.chain.from_iterable([s.average] * s.size for s in decomposition))
     if any(total * width != rise * size for (total, size), (width, rise) in zip(pieces, runs)):
         raise InternalCheckFailed(

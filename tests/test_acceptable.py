@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bgmu import acceptable
 from bgmu.acceptable import (
+    _hull,
     _orbit_points,
     adjoint_eq,
     adm_enumerate,
@@ -775,6 +776,24 @@ def test_polygon_is_the_greedy_reference(eta):
     for k in range(len(eta) + 1):
         value = got.hull_value(k)
         assert type(value) is Fraction and value == sum(got.slopes[:k], Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=16))
+@example([2, 2, 2])
+@example([0, 1, 0, 1])
+def test_hull_slopes_strictly_decrease(nums):
+    # why _hull needs no check of its own: the monotone stack only keeps
+    # a segment whose slope is above the next one's, and its runs cover
+    # the steps and lie on or above every running sum
+    runs = _hull(nums)
+    assert all(r0 * w1 > r1 * w0 for (w0, r0), (w1, r1) in zip(runs, runs[1:]))
+    assert sum(w for w, _ in runs) == len(nums) and sum(r for _, r in runs) == sum(nums)
+    x = y = 0
+    for width, rise in runs:
+        for k in range(1, width + 1):
+            assert (y * width + k * rise) >= width * sum(nums[: x + k])
+        x, y = x + width, y + rise
 
 
 @pytest.mark.parametrize("k", [-1, 3])

@@ -271,6 +271,26 @@ def test_byte_determinism(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("command, patched", [("max", "solve"), ("enumerate", "enumerate_acceptable")])
+def test_internal_check_failure_prints_the_problem_to_replay(capsys, monkeypatch, command, patched):
+    # a bug, unlike bad input, adds a second stderr line: the problem as
+    # compact JSON, the same object that max reports under "problem"
+    import bgmu.cli as cli
+    from bgmu.errors import InternalCheckFailed
+
+    argv = [command, "--group", "gl:2*2", "--mu", "1,0,1,0", "--sigma", "sigma0=2,-1"]
+    code, out, _ = run(capsys, "max", *argv[1:])
+    problem = json.loads(out)["problem"]
+
+    def broken(*args, **kwargs):
+        raise InternalCheckFailed("forced bug")
+
+    monkeypatch.setattr(cli, patched, broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"bgmu: forced bug\nbgmu: problem {json.dumps(problem, separators=(',', ':'))}\n"
+
+
 def test_verify_reports_replayable_failure(capsys, monkeypatch):
     import bgmu.cli as cli
     from bgmu.errors import BgmuError

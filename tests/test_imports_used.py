@@ -204,3 +204,37 @@ def test_reduction_reads_no_raw_element_format():
 def test_reduction_re_derives_no_decision_owned_elsewhere():
     source = (ROOT / "src" / "bgmu" / "reduction.py").read_text()
     assert sorted(imported_names(source) & DECIDED_ELSEWHERE) == []
+
+
+def constructions_outside(source: str, classes: set[str], owner: str) -> list[str]:
+    """Calls that construct one of ``classes``, ``C(...)`` or
+    ``C.factory(...)``, outside the function named ``owner``, each as
+    class in function (line); module-level calls count as ``<module>``."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func.value if isinstance(child.func, ast.Attribute) else child.func
+                if isinstance(func, ast.Name) and func.id in classes and where != owner:
+                    found.append(f"{func.id} in {where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_constructions_outside_are_found():
+    source = ("X = A()\ndef f():\n    return A.make(B())\ndef g():\n    def f():\n        return A()\n"
+              "    return A(), b.A()\n")
+    assert constructions_outside(source, {"A"}, "f") == ["A in <module> (line 1)", "A in g (line 7)"]
+
+
+def test_reduction_builds_every_sub_twist_in_sub_twist():
+    # each reduction stage builds its sub-problem's twist once, through
+    # the one function that checks it
+    source = (ROOT / "src" / "bgmu" / "reduction.py").read_text()
+    assert constructions_outside(source, {"Frobenius", "Sigma0"}, "_sub_twist") == []

@@ -76,6 +76,28 @@ def test_frobenius_refuses_a_shift_that_is_not_central():
         Frobenius.superbasic(1, 2).with_shift((0, 1))
 
 
+def test_every_length_zero_twist_has_a_dominant_translation():
+    # why Frobenius checks only tau's length: on a product of GL blocks
+    # a length-zero element is omega^k per block, whose translation part
+    # is dominant. All 235 length-zero elements with entries in -2..2
+    # on GL_1..GL_4, GL_2 x GL_2, GL_1 x GL_2 and GL_3 x GL_1
+    seen = 0
+    for blocks in ((1,), (2,), (3,), (4,), (2, 2), (1, 2), (3, 1)):
+        d = GroupDatum(blocks)
+        perms = [
+            Permutation(p for part in parts for p in part)
+            for parts in itertools.product(*(
+                itertools.permutations(range(lo, hi + 1)) for lo, hi in d.block_ranges()
+            ))
+        ]
+        for trans in itertools.product(range(-2, 3), repeat=d.n):
+            for u in perms:
+                if AffineElement(d, trans, u).length() == 0:
+                    seen += 1
+                    assert d.is_dominant(trans), (blocks, trans, u)
+    assert seen == 235
+
+
 def test_newton_point_refuses_a_point_that_is_not_dominant():
     gl2 = GroupDatum.gl(2)
     with pytest.raises(ParseError, match=r"Newton point \(0, 1\) is not dominant per block"):

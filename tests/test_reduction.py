@@ -17,7 +17,6 @@ from bgmu.reduction import (
     _fixed_direction_space,
     _generic_point,
     _sub_twist,
-    omega_conjugate,
     parabolic_reduce,
     product_split,
     solve,
@@ -54,36 +53,17 @@ def test_adjoint_round_trip():
 
 # --- omega conjugation ------------------------------------------------------------
 
-def test_omega_conjugate_identity():
-    fr = Frobenius.superbasic(2, 3, normalized=False)
-    problem = Problem((1, 0, 0), fr)
-    conj, step = omega_conjugate(problem, AffineElement.identity(fr.datum))
-    assert conj.frob.tau == fr.tau
-
-
-def test_omega_conjugate_by_self_keeps_problem():
-    fr = Frobenius.superbasic(2, 3, normalized=False)
-    problem = Problem((1, 0, 0), fr)
-    conj, _ = omega_conjugate(problem, fr.tau)
-    assert conj.frob.tau == fr.tau  # tau commutes with itself
-
-
 def test_omega_conjugate_preserves_acceptable_set():
+    # sigma-conjugation by a length-zero tau0, tau -> tau0 tau sigma0(tau0)^-1,
+    # which the product split applies before it splits, keeps B(G, mu)
     d3 = GroupDatum.gl(3)
     fr = Frobenius.superbasic(1, 3, normalized=False)
-    problem = Problem((1, 1, 0), fr)
+    a = enumerate_acceptable((1, 1, 0), fr)
     for k in (1, 2, 4):
         tau0 = omega_element(d3, (k,))
-        conj, _ = omega_conjugate(problem, tau0)
-        a = enumerate_acceptable(problem.mu, problem.frob)
-        b = enumerate_acceptable(conj.mu, conj.frob)
+        conj = Frobenius(tau0 * fr.tau * fr.sigma0.apply_element(tau0).inverse(), fr.sigma0)
+        b = enumerate_acceptable((1, 1, 0), conj)
         assert a.raw == b.raw and a.hasse == b.hasse
-
-
-def test_omega_conjugate_rejects_positive_length():
-    fr = Frobenius.superbasic(1, 2, normalized=False)
-    with pytest.raises(ParseError, match="conjugator must have length zero"):
-        omega_conjugate(Problem((1, 0), fr), parse_element("t[1,0]", fr.datum))
 
 
 # --- product splitting --------------------------------------------------------------
@@ -102,13 +82,18 @@ def test_product_split_two_blocks():
     assert step.parts == ((1, 0), (0, 0))
 
 
-def test_product_split_requires_supported_tau():
-    tau = omega_element(GroupDatum((2, 2)), (1, 0))
-    fr = swap_frobenius(tau)
-    with pytest.raises(ParseError, match="supported on the last orbit block"):
-        product_split(Problem((1, 0, 1, 0), fr))
+def test_product_split_conjugates_tau_onto_the_last_block():
+    # tau on the first block is conjugated onto the last one by a
+    # length-zero tau0, which the step records; tau on the last block
+    # needs none. Either way the sub-twist is the same on GL_2
+    d22 = GroupDatum((2, 2))
+    for kappas, tau0 in (((1, 0), "t[0,-1,0,0]*cyc(1,2)"), ((0, 1), "t[0,0,0,0]")):
+        sub, step = product_split(Problem((1, 0, 1, 0), swap_frobenius(omega_element(d22, kappas))))
+        assert format_element(step.omega.tau0) == tau0 and step.omega.tau0.length() == 0
+        assert format_element(sub.frob.tau) == "t[1,0]*cyc(1,2)"
+        assert sub.mu == (2, 0)
     with pytest.raises(ParseError, match="act transitively"):
-        product_split(Problem((1, 0, 1, 0), Frobenius.trivial(GroupDatum((2, 2)))))
+        product_split(Problem((1, 0, 1, 0), Frobenius.trivial(d22)))
 
 
 def test_product_split_bijection_of_acceptable_sets():
@@ -528,6 +513,46 @@ def test_solve_rejects_a_witness_off_the_coset(monkeypatch, adjoint):
     assert kappa(witnesses[0]) != kappa(AffineElement.translation(fr.datum, (1, 0, 0)))
 
 
+def test_a_conjugator_that_leaves_tau_off_the_last_block_is_a_bug(monkeypatch):
+    # with the identity for tau0, tau stays on the first block of the
+    # gl:2*2 swap and the split reads a trivial sub-twist off the last
+    # one; the lifted witness fails the final check, as a bug, not as
+    # bad input
+    import bgmu.reduction as reduction
+
+    monkeypatch.setattr(reduction, "_conjugator_into_last",
+                        lambda problem, orbit: AffineElement.identity(problem.datum))
+    fr = swap_frobenius(omega_element(GroupDatum((2, 2)), (1, 0)))
+    with pytest.raises(InternalCheckFailed, match="differs from claimed"):
+        solve((1, 0, 1, 0), fr, strategy="constructive")
+
+
+def test_a_descent_that_skips_its_conjugation_is_a_bug(monkeypatch):
+    # on GL_4 with kappa 2 the generic direction (-1, 1, -1, 1) is not
+    # dominant, so the descent conjugates by z; with z the identity, tau
+    # swaps the Levi blocks {1, 2} and {3, 4}, which _sub_twist refuses
+    import bgmu.reduction as reduction
+
+    def no_z(datum, vec):
+        return dominant_rep(datum, vec)[0], Permutation.identity(datum.n)
+
+    monkeypatch.setattr(reduction, "dominant_rep", no_z)
+    fr = Frobenius.inner(omega_element(GroupDatum.gl(4), (2,)))
+    with pytest.raises(InternalCheckFailed, match="does not map the sub-blocks"):
+        solve((1, 0, 0, 0), fr, strategy="constructive")
+
+
+def test_the_certificate_is_the_first_base_steps():
+    # kappa 2 on GL_6 descends to two superbasic GL_3 bases, each with
+    # its own certificate; the answer reports the first in trace order
+    fr = Frobenius.inner(omega_element(GroupDatum.gl(6), (2,)))
+    r = solve((2, 1, 1, 0, 0, 0), fr, strategy="constructive")
+    certs = [s.certificate for s in r.trace if s.kind == "base-superbasic"]
+    assert len(certs) == 2 and certs[0] != certs[1]
+    assert r.certificate is certs[0]
+    assert all("certificate" not in step_json(s) for s in r.trace)
+
+
 def test_solve_negative_dominant_entries():
     fr = Frobenius.superbasic(1, 2, normalized=False)
     r = solve((1, -1), fr)
@@ -754,6 +779,20 @@ def test_sub_twist_refuses_a_restriction_of_positive_length():
         _sub_twist(tau, Sigma0.identity(d22).map(), (1, 2), GroupDatum.gl(2))
     # the other block restricts to length zero
     assert _sub_twist(tau, Sigma0.identity(d22).map(), (3, 4), GroupDatum.gl(2)).tau.is_identity()
+
+
+def test_sub_twist_refuses_a_twist_that_moves_a_sub_block():
+    # omega^2 on GL_4 carries {1, 2} onto {3, 4}: it is no twist of
+    # GL_2 x GL_2, nor of GL_2 on positions 1, 2
+    d4 = GroupDatum.gl(4)
+    tau = omega_element(d4, (2,))
+    identity = Sigma0.identity(d4).map()
+    with pytest.raises(InternalCheckFailed, match=re.escape("does not map the sub-blocks (2, 2)")):
+        _sub_twist(tau, identity, (1, 2, 3, 4), GroupDatum((2, 2)))
+    with pytest.raises(InternalCheckFailed, match=re.escape("does not map the sub-blocks (2,)")):
+        _sub_twist(tau, identity, (1, 2), GroupDatum.gl(2))
+    # it maps GL_4 itself onto itself
+    assert _sub_twist(tau, identity, (1, 2, 3, 4), d4).tau == tau
 
 
 def test_sub_twist_refuses_a_map_that_does_not_permute_the_sub_blocks():
