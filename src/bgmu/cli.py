@@ -183,8 +183,8 @@ def cmd_newton(args) -> int:
 
 
 def _replayable(cmd):
-    """cmd on the parsed problem; a failed internal check (a bug) adds
-    the problem as a second stderr line of compact JSON to replay."""
+    """Run cmd(spec, args) on the parsed problem; after a failed internal
+    check (a bug), print the problem on stderr as compact JSON to replay."""
 
     def run(args) -> int:
         spec = _problem_from_args(args)

@@ -77,10 +77,10 @@ def test_frobenius_refuses_a_shift_that_is_not_central():
 
 
 def test_every_length_zero_twist_has_a_dominant_translation():
-    # why Frobenius checks only tau's length: on a product of GL blocks
-    # a length-zero element is omega^k per block, whose translation part
-    # is dominant. All 235 length-zero elements with entries in -2..2
-    # on GL_1..GL_4, GL_2 x GL_2, GL_1 x GL_2 and GL_3 x GL_1
+    # why Frobenius checks only tau's length: each pair i < j of a block
+    # adds |lam_i - lam_j| or |lam_i - lam_j - 1| to the length, so length
+    # zero forces lam_i >= lam_j. All 235 length-zero elements with
+    # entries in -2..2 on GL_1..GL_4, GL_2 x GL_2, GL_1 x GL_2 and GL_3 x GL_1
     seen = 0
     for blocks in ((1,), (2,), (3,), (4,), (2, 2), (1, 2), (3, 1)):
         d = GroupDatum(blocks)
