@@ -118,13 +118,6 @@ _Bounds = tuple[
     int, dict[Node, int], tuple[int, ...], tuple[tuple[tuple[Node, ...], int, range], ...]
 ]
 
-# the last bound table built, as one ((mu, frob), table) tuple that is
-# read once and replaced whole, so a reader never pairs one problem's key
-# with another's table: one problem asks for the same table in solve,
-# enumerate_acceptable and mu_diamond_acceptable, and the callers only
-# read it
-_LAST_BOUNDS: Optional[tuple[tuple, _Bounds]] = None
-
 
 def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
     """The bound table of the acceptable set: the heights of mu_diamond,
@@ -134,21 +127,10 @@ def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
     are those of the coset in [0, <omega_c, mu_diamond>]. All are
     numerators over den = k s o (k the order of sigma0's map, s and o
     the lcms of the block sizes and orbit lengths), in which n_b
-    divides i s_b and an orbit's length divides its pairings.
-    The last table is kept and reused for an equal (mu, frob)."""
-    global _LAST_BOUNDS
-    key, last = (tuple(mu), frob), _LAST_BOUNDS
-    if last is not None and last[0] == key:
-        return last[1]
-    table = _build_bounds(mu, frob)
-    _LAST_BOUNDS = (key, table)
-    return table
-
-
-def _build_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
+    divides i s_b and an orbit's length divides its pairings."""
     datum = frob.datum
     k, mu_dia, both = _mu_lam_diamond(mu, frob)
-    orbits = frob.sigma0.node_orbits()
+    orbits = frob.sigma0.node_orbits
     o = lcm(*map(len, orbits))
     s, h_mu = _scaled_heights(datum, [x * o for x in mu_dia])
     _, h_both = _scaled_heights(datum, [x * o for x in both])
@@ -485,7 +467,7 @@ def _omega_blocks(sigma0: Sigma0) -> list[list[tuple[int, int]]]:
     flip, so the signs close up around the orbit exactly when its
     number of flips is even."""
     out = []
-    for orbit in sigma0.block_orbits():
+    for orbit in sigma0.block_orbits:
         blocks, sign = [], 1
         for b in orbit:
             blocks.append((b, sign))

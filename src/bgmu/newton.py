@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
@@ -120,12 +120,14 @@ class Sigma0:
             w.datum, lin.apply(w.trans), self.apply_perm(w.perm, power)
         )
 
+    @cached_property
     def block_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the block permutation, each listed in cyclic order
         starting from its smallest block index."""
         to = SignedMap(tuple(b + 1 for b in self.block_to), (1,) * len(self.block_to))
         return tuple(c for c, _ in to.cycles())
 
+    @cached_property
     def node_orbits(self) -> tuple[tuple[Node, ...], ...]:
         """Orbits on the finite simple roots, sorted by least node:
         (b, i) goes to (block_to[b], n_b - i) on a flip, else to
@@ -138,6 +140,12 @@ class Sigma0:
         )
         to = SignedMap(images, (1,) * len(nodes))
         return tuple(tuple(nodes[k] for k in sorted(c)) for c, _ in to.cycles())
+
+    @cached_property
+    def _average(self) -> "LinearPart":
+        """The identity's linear part under the map; ``_diamond`` reads the average off it."""
+        n = self.datum.n
+        return _linear_part(range(1, n + 1), AffineMap(self._map, (0,) * n))
 
 
 def _block_map(datum: GroupDatum, block_to: Sequence[int], flip: Sequence[bool]) -> SignedMap:
@@ -166,7 +174,6 @@ def _map_power(m: SignedMap, power: int) -> SignedMap:
     return acc
 
 
-@lru_cache(maxsize=None)
 def simple_nodes(datum: GroupDatum) -> tuple[Node, ...]:
     return tuple(
         (b, i) for b, nb in enumerate(datum.blocks) for i in range(1, nb)
@@ -474,8 +481,7 @@ def _diamond(vec: Sequence[int], frob: Frobenius) -> tuple[int, list[int]]:
     datum = frob.datum
     if len(vec) != datum.n:
         raise DimensionMismatch("vector has wrong length")
-    twist = AffineMap(frob.sigma0.map(), (0,) * datum.n)
-    part = _linear_part(range(1, datum.n + 1), twist)
+    part = frob.sigma0._average
     return part.order, _newton_kernel(part, vec, datum.block_slices())[0]
 
 

@@ -277,7 +277,7 @@ def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     the length-zero tau0 of ``_conjugator_into_last``."""
     frob = problem.frob
     datum = problem.datum
-    orbits = frob.sigma0.block_orbits()
+    orbits = frob.sigma0.block_orbits
     if len(orbits) != 1:
         raise ParseError("sigma0 must act transitively on blocks; split orbits first")
     orbit = orbits[0]
@@ -504,7 +504,7 @@ def _solve_orbits(problem: Problem) -> Solution:
     to ``_solve_block``."""
     datum = problem.datum
     frob = problem.frob
-    orbits = frob.sigma0.block_orbits()
+    orbits = frob.sigma0.block_orbits
     if len(orbits) == 1:
         if datum.num_blocks == 1:
             return _solve_block(problem)
@@ -581,7 +581,11 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         sol = Solution(w, x, trace)
         checks["bruteforce"] = True
     else:
-        sol = _solve_orbits(problem)
+        # the input is checked above, so these errors are reduction bugs
+        try:
+            sol = _solve_orbits(problem)
+        except (ParseError, DimensionMismatch, LookupError) as exc:
+            raise InternalCheckFailed(f"reduction failed: {exc!r}") from exc
         ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
         sol = replace(sol, trace=(ad_step,) + sol.trace)
         # the claimed point; _verify_solution checks that w realizes it

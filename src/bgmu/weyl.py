@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -72,9 +71,7 @@ class GroupDatum:
         ))
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def gl(n: int) -> "GroupDatum":
-        """GL_n, one datum per rank: the datum is frozen, so callers share it."""
         return GroupDatum((n,))
 
     @staticmethod

@@ -277,7 +277,7 @@ def _integral_on(frob: Frobenius, support: frozenset, h: dict) -> bool:
     sigma0-orbits c of simple roots inside the support."""
     return all(
         sum(h[nd] for nd in orbit).denominator == 1
-        for orbit in frob.sigma0.node_orbits()
+        for orbit in frob.sigma0.node_orbits
         if orbit[0] in support
     )
 
@@ -303,14 +303,14 @@ def newton_witness(v, mu, frob: Frobenius) -> AffineElement:
     if not _integral_on(frob, I, defect):
         raise ValueError(f"{_vec_str(v)} fails the integrality criterion")
     beta = [a + b for a, b in zip(mu, frob.lam)]
-    for orbit in frob.sigma0.node_orbits():
+    for orbit in frob.sigma0.node_orbits:
         if orbit[0] not in I:
             continue
         a_c = int(sum(defect[nd] for nd in orbit))
         cor = coroot_vector(datum, min(orbit))
         beta = [x - a_c * y for x, y in zip(beta, cor)]
     x = Permutation.identity(datum.n)
-    for orbit in frob.sigma0.node_orbits():
+    for orbit in frob.sigma0.node_orbits:
         if orbit[0] in I:
             continue
         b, i = min(orbit)

@@ -291,6 +291,31 @@ def test_internal_check_failure_prints_the_problem_to_replay(capsys, monkeypatch
     assert err == f"bgmu: forced bug\nbgmu: problem {json.dumps(problem, separators=(',', ':'))}\n"
 
 
+
+def test_reduction_bug_is_an_internal_check(capsys, monkeypatch):
+    # an orbit split that lifts its sub-witnesses onto the wrong orbits
+    # fails inside the reduction with an IndexError; solve reports it as
+    # an internal check, so the CLI prints the problem to replay instead
+    # of a traceback
+    from dataclasses import replace
+
+    import bgmu.reduction as reduction
+
+    real = reduction.OrbitSplitStep.lift
+    monkeypatch.setattr(reduction.OrbitSplitStep, "lift",
+                        lambda self, subs: real(replace(self, positions=self.positions[::-1]), subs))
+    tau = "t[1,0,0,1,1,1,0]*cyc(1,2,3)*cyc(4,7,6,5)"
+    code, out, err = run(capsys, "max", "--group", "gl:3*4", "--mu", "1,1,0,3,2,1,0",
+                         "--sigma", f"tau={tau};sigma0=1,2")
+    assert code == 1 and out == ""
+    first, second = err.splitlines()
+    assert first == "bgmu: reduction failed: IndexError('tuple index out of range')"
+    assert json.loads(second.removeprefix("bgmu: problem ")) == {
+        "group": "gl:3*4", "mu": [1, 1, 0, 3, 2, 1, 0], "tau": tau, "sigma0": "1,2",
+        "shift": ["0"] * 7,
+    }
+    assert "Traceback" not in err
+
 def test_verify_reports_replayable_failure(capsys, monkeypatch):
     import bgmu.cli as cli
     from bgmu.errors import BgmuError

@@ -283,6 +283,23 @@ def test_diamond_swapped_blocks():
     )
 
 
+
+def test_sigma0_derives_its_orbits_and_average_once(monkeypatch):
+    # block_orbits, node_orbits and the average behind diamond each walk
+    # the cycles of one signed map on first read, and never again
+    d22 = GroupDatum((2, 2))
+    s0 = Sigma0(d22, (1, 0), (True, False))
+    frob = Frobenius(AffineElement.identity(d22), s0)
+    walks = []
+    real = SignedMap.cycles
+    monkeypatch.setattr(SignedMap, "cycles", lambda self: walks.append(self) or real(self))
+    q = Fraction(1, 4)
+    for _ in range(2):
+        assert s0.block_orbits == ((0, 1),)
+        assert s0.node_orbits == (((0, 1), (1, 1)),)
+        assert diamond((1, 0, 0, 0), frob) == (q, -q, q, -q)
+    assert len(walks) == 3
+
 @st.composite
 def orbit_data(draw):
     """A sigma0 on GL/PGL with 1-3 blocks of size at most 4 (any
@@ -324,7 +341,7 @@ def test_orbit_data_matches_definitions(data):
     assert diamond(vec, Frobenius(AffineElement.identity(datum), s0)) == orbit_average(vec, s0)
 
     blocks = [_closure(b, s0.block_to.__getitem__) for b in range(datum.num_blocks)]
-    assert s0.block_orbits() == tuple(tuple(o) for o in blocks if o[0] == min(o))
+    assert s0.block_orbits == tuple(tuple(o) for o in blocks if o[0] == min(o))
 
     def node_step(node):
         b, i = node
@@ -332,7 +349,7 @@ def test_orbit_data_matches_definitions(data):
 
     nodes = [(b, i) for b, nb in enumerate(datum.blocks) for i in range(1, nb)]
     orbits = [sorted(_closure(nd, node_step)) for nd in nodes]
-    assert s0.node_orbits() == tuple(tuple(o) for nd, o in zip(nodes, orbits) if o[0] == nd)
+    assert s0.node_orbits == tuple(tuple(o) for nd, o in zip(nodes, orbits) if o[0] == nd)
 
     cycles = perm.cycles()
     assert all(len(c) > 1 and c[0] == min(c) for c in cycles)

@@ -371,7 +371,8 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # 2/5. The brute force keys one element per orbit under conjugation
     # by omega_1, the least by (images, trans): 341 elements over 28
     # permutations. It walks the cycles of u o A once per keyed
-    # permutation, and the block orbits of sigma0 once; it runs the
+    # permutation and no others: the Sigma0 derived its block orbits
+    # before, in the constructive path of auto; it runs the
     # kernel once per keyed element, and takes lengths only inside the
     # maximal class, and only for the witness of the bruteforce strategy
     # (auto discards it)
@@ -380,7 +381,7 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     import bgmu.reduction as reduction
     import bgmu.weyl as weyl
 
-    calls = {"cycles": 0, "linear": 0, "orbits": 0, "kernel": 0, "length": 0}
+    calls = {"cycles": 0, "linear": 0, "kernel": 0, "length": 0}
     inside = [False]
 
     def counted(name, fn):
@@ -400,16 +401,15 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     monkeypatch.setattr(reduction, "_brute_force", brute_force)
     monkeypatch.setattr(weyl.SignedMap, "cycles", counted("cycles", weyl.SignedMap.cycles))
     monkeypatch.setattr(acceptable, "_linear_part", counted("linear", acceptable._linear_part))
-    monkeypatch.setattr(newton.Sigma0, "block_orbits", counted("orbits", newton.Sigma0.block_orbits))
     monkeypatch.setattr(newton, "_newton_kernel", counted("kernel", newton._newton_kernel))
     monkeypatch.setattr(weyl, "_block_length", counted("length", weyl._block_length))
+    frob = Frobenius.superbasic(2, 5)
     for strategy in ("auto", "bruteforce"):
         calls.update(dict.fromkeys(calls, 0))
-        r = solve((2, 2, 1, 0, 0), Frobenius.superbasic(2, 5), strategy=strategy)
+        r = solve((2, 2, 1, 0, 0), frob, strategy=strategy)
         assert r.checks["matches_bruteforce" if strategy == "auto" else "bruteforce"]
         assert 0 < calls["linear"] <= 28
-        assert calls["orbits"] == 1
-        assert calls["cycles"] == calls["linear"] + calls["orbits"]
+        assert calls["cycles"] == calls["linear"]
         assert 0 < calls["kernel"] <= 341
         if strategy == "auto":
             assert calls["length"] == 0
@@ -752,7 +752,7 @@ def test_sub_twists_of_the_orbit_and_product_splits():
         for block_to in itertools.permutations(range(r)):
             for flip in itertools.product((False, True), repeat=r):
                 s0 = Sigma0(d, block_to, flip)
-                for orbit in s0.block_orbits():
+                for orbit in s0.block_orbits:
                     blocks = sorted(orbit)
                     pos = tuple(p for b in blocks for p in range(ranges[b][0], ranges[b][1] + 1))
                     sub = GroupDatum((k,) * len(blocks))

@@ -456,8 +456,7 @@ def test_format_element_matches_the_cycle_reference(case):
     assert repr(w.perm) == permutation_repr_reference(w.perm)
 
 
-def test_gl_reuses_one_datum_per_rank():
-    assert GroupDatum.gl(7) is GroupDatum.gl(7)
+def test_gl_is_the_single_block_datum():
     assert GroupDatum.gl(7) == GroupDatum((7,)) and GroupDatum.gl(6) != GroupDatum.gl(7)
     with pytest.raises(ParseError):
         GroupDatum.gl(0)
