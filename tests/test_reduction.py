@@ -371,8 +371,8 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # 2/5. The brute force keys one element per orbit under conjugation
     # by omega_1, the least by (images, trans): 341 elements over 28
     # permutations. It walks the cycles of u o A once per keyed
-    # permutation and no others: the Sigma0 derived its block orbits
-    # before, in the constructive path of auto; it runs the
+    # permutation and no others, since the twist's Sigma0 derived its
+    # block orbits in the constructive path of the auto run; it runs the
     # kernel once per keyed element, and takes lengths only inside the
     # maximal class, and only for the witness of the bruteforce strategy
     # (auto discards it)
