@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import itemgetter
@@ -167,8 +166,7 @@ def _knot_rises(
 
 # --- the maximal point -------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolygonData:
+class PolygonData(NamedTuple):
     """Upper convex hull of the running sums of a sequence."""
 
     vertices: tuple[tuple[int, Fraction], ...]
@@ -212,8 +210,7 @@ def polygon(eta: Sequence) -> PolygonData:
     return PolygonData(tuple(vertices), tuple(slopes))
 
 
-@dataclass(frozen=True)
-class MaximalSolverState:
+class MaximalSolverState(NamedTuple):
     """Hull solve for the maximal point: per-node tent heights e, the
     sigma0-stable support of the solution, and the solution."""
 
@@ -288,8 +285,7 @@ def mu_diamond_acceptable(mu: Sequence[int], frob: Frobenius) -> bool:
 
 # --- enumeration -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AcceptableSet:
+class AcceptableSet(NamedTuple):
     """All acceptable points, their dominance covers and the maximum.
 
     ``points`` carry the reporting shift; ``raw`` are the unshifted
@@ -424,14 +420,17 @@ class _BlockEntry(NamedTuple):
 _BLOCK_ADM: dict[IntVec, _BlockEntry] = {}
 
 
-def _block_entry(mu: Sequence[int]) -> tuple[int, _BlockEntry]:
+def _block_entry(mu: Sequence[int], limit: Optional[int] = None) -> tuple[int, _BlockEntry]:
     """(c, entry): the table entry of mu's shape, which c = min(mu)
-    moves to mu's."""
+    moves to mu's. A shape whose set is larger than limit is refused,
+    and one refused while it grows is not stored."""
     c = min(mu)
     shape = tuple(sorted((x - c for x in mu), reverse=True))
     entry = _BLOCK_ADM.get(shape)
     if entry is None:
-        entry = _BLOCK_ADM[shape] = _BlockEntry(*_grow_block_adm(shape))
+        entry = _BLOCK_ADM[shape] = _BlockEntry(*_grow_block_adm(shape, limit))
+    if limit is not None and entry.size > limit:
+        raise GuardExceeded(f"admissible set too large: more than {limit}")
     return c, entry
 
 
@@ -516,9 +515,10 @@ def _omega_closure(elems: Sequence[tuple[IntVec, IntVec]], orbits: Sequence[Sequ
     return list(found)
 
 
-def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
+def _grow_block_adm(mu: Sequence[int], limit: Optional[int] = None) -> tuple[_Groups, int]:
     """The omega_1-orbit representatives of Adm(mu) of GL_n, grouped by
-    translation, and |Adm(mu)|. For each lattice point lam of Conv(W_0
+    translation, and |Adm(mu)|, refused (``_block_entry``'s message) as
+    soon as the count passes limit. For each lattice point lam of Conv(W_0
     mu) with mu's sum (the distinct rearrangements of every dominant
     vector dominated by mu), u is built one position at a time, and a
     branch is kept while the vertex it has just reached is one of those
@@ -564,6 +564,8 @@ def _grow_block_adm(mu: Sequence[int]) -> tuple[_Groups, int]:
                         break
         found.append(perms.setdefault(u, u))
         size += orbit
+        if limit is not None and size > limit:
+            raise GuardExceeded(f"admissible set too large: more than {limit}")
 
     def grow(lam: IntVec, vec: list[int], k: int) -> None:
         if k == n:
@@ -664,11 +666,12 @@ def _adm_raw(
     else the product of the blocks' sets, each moved to its offset.
     A block in ``reduced`` contributes only its omega_1-orbit
     representatives. With max_size, a set whose full size is larger
-    than that is refused before the product is built."""
+    than that is refused before the product is built, and a block's set
+    larger than that before it is grown in full."""
     refusal = _adm_refusal(mu, datum, guard_n)
     if refusal:
         raise GuardExceeded(refusal)
-    entries = [_block_entry(mu[lo - 1 : hi]) for lo, hi in datum.block_ranges()]
+    entries = [_block_entry(mu[lo - 1 : hi], max_size) for lo, hi in datum.block_ranges()]
     size = prod(entry.size for _, entry in entries)
     if max_size is not None and size > max_size:
         raise GuardExceeded(f"admissible set too large: {size}")

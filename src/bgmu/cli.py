@@ -22,9 +22,8 @@ import functools
 import itertools
 import json
 import sys
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .acceptable import (
     adjoint_eq,
@@ -48,8 +47,7 @@ from .weyl import (
 SCHEMA = "bgmu/1"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Parsed command-line problem: group, coweight and twist."""
 
     datum: GroupDatum

@@ -37,7 +37,6 @@ strings and in check messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -45,7 +44,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ParseError
-from .weyl import AffineElement, GroupDatum, Permutation, SignedMap
+from .weyl import AffineElement, GroupDatum, Permutation, SignedMap, _Frozen
 
 RatVec = tuple[Fraction, ...]
 Node = tuple[int, int]  # (block, i) finite simple root, 1 <= i <= n_b - 1
@@ -64,8 +63,7 @@ class AffineMap(NamedTuple):
     shift: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Sigma0:
+class Sigma0(_Frozen):
     """Diagram automorphism: block_to[b] is the image block of block b,
     flip[b] whether the map b -> block_to[b] composes with the flip."""
 
@@ -73,18 +71,19 @@ class Sigma0:
     block_to: tuple[int, ...]
     flip: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        r = self.datum.num_blocks
-        if sorted(self.block_to) != list(range(r)) or len(self.flip) != r:
+    def __init__(self, datum: GroupDatum, block_to: tuple[int, ...], flip: tuple[bool, ...]) -> None:
+        r = datum.num_blocks
+        if sorted(block_to) != list(range(r)) or len(flip) != r:
             raise ParseError("block_to must permute blocks, one flip flag each")
-        sizes = self.datum.blocks
-        for b, tb in enumerate(self.block_to):
+        sizes = datum.blocks
+        for b, tb in enumerate(block_to):
             if sizes[b] != sizes[tb]:
                 raise ParseError("sigma0 maps blocks of different sizes")
         # the map is read by every twist built on this automorphism, so it
         # is computed once here; it is not a field, so eq and hash still
         # compare datum, block_to and flip only
-        object.__setattr__(self, "_map", _block_map(self.datum, self.block_to, self.flip))
+        self._set(datum=datum, block_to=block_to, flip=flip,
+                  _map=_block_map(datum, block_to, flip))
 
     @staticmethod
     def identity(datum: GroupDatum) -> "Sigma0":
@@ -225,28 +224,28 @@ def alpha_pairing(datum: GroupDatum, node: Node, vec: Sequence):
     return vec[p - 1] - vec[p]
 
 
-@dataclass(frozen=True)
-class Frobenius:
+class Frobenius(_Frozen):
     """Twist descriptor sigma = Ad(tau) o sigma0 with an optional
     central shift subtracted from reported Newton points only."""
 
     tau: AffineElement
     sigma0: Sigma0
-    shift: RatVec = ()
+    shift: RatVec
 
-    def __post_init__(self) -> None:
-        if self.tau.length() != 0:
+    def __init__(self, tau: AffineElement, sigma0: Sigma0, shift: RatVec = ()) -> None:
+        datum = tau.datum
+        if tau.length() != 0:
             raise ParseError("tau must have length zero")
-        if self.sigma0.datum != self.tau.datum:
+        if sigma0.datum != datum:
             raise DimensionMismatch("sigma0 and tau live in different data")
-        if not self.shift:
-            object.__setattr__(self, "shift", (Fraction(0),) * self.datum.n)
-        if len(self.shift) != self.datum.n:
+        shift = shift or (Fraction(0),) * datum.n
+        if len(shift) != datum.n:
             raise DimensionMismatch("shift has wrong length")
-        for lo, hi in self.datum.block_ranges():
-            part = self.shift[lo - 1 : hi]
+        for lo, hi in datum.block_ranges():
+            part = shift[lo - 1 : hi]
             if part.count(part[0]) != len(part):
                 raise ParseError("shift must be central (constant per block)")
+        self._set(tau=tau, sigma0=sigma0, shift=shift)
 
     @property
     def datum(self) -> GroupDatum:
@@ -298,21 +297,19 @@ class Frobenius:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class KappaValue:
+class KappaValue(_Frozen):
     """Per-block Kottwitz coordinate; reduced mod n_b on PGL blocks."""
 
     datum: GroupDatum
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.datum.num_blocks:
+    def __init__(self, datum: GroupDatum, values: tuple[int, ...]) -> None:
+        if len(values) != datum.num_blocks:
             raise DimensionMismatch("one kappa per block required")
         reduced = tuple(
-            v % nb if adj else v
-            for v, nb, adj in zip(self.values, self.datum.blocks, self.datum.adjoint)
+            v % nb if adj else v for v, nb, adj in zip(values, datum.blocks, datum.adjoint)
         )
-        object.__setattr__(self, "values", reduced)
+        self._set(datum=datum, values=reduced)
 
 
 def kappa(w: AffineElement) -> KappaValue:
@@ -324,24 +321,22 @@ def _vec_str(vec: Sequence) -> str:
     return "(" + ", ".join(map(str, vec)) + ")"
 
 
-@dataclass(frozen=True)
-class NewtonPoint:
+class NewtonPoint(_Frozen):
     """Dominant rational vector with its Kottwitz coordinate."""
 
     datum: GroupDatum
     nu: RatVec
     kappa: KappaValue
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nu", tuple(
-            x if type(x) is Fraction else Fraction(x) for x in self.nu
-        ))
-        if len(self.nu) != self.datum.n:
+    def __init__(self, datum: GroupDatum, nu: RatVec, kappa: KappaValue) -> None:
+        nu = tuple(x if type(x) is Fraction else Fraction(x) for x in nu)
+        if len(nu) != datum.n:
             raise DimensionMismatch("vector has wrong length")
-        if not self.datum.is_dominant(self.nu):
-            raise ParseError(f"Newton point {_vec_str(self.nu)} is not dominant per block")
-        if self.kappa.datum != self.datum:
+        if not datum.is_dominant(nu):
+            raise ParseError(f"Newton point {_vec_str(nu)} is not dominant per block")
+        if kappa.datum != datum:
             raise DimensionMismatch("kappa from a different datum")
+        self._set(datum=datum, nu=nu, kappa=kappa)
 
     def strings(self) -> tuple[str, ...]:
         return tuple(str(x) for x in self.nu)

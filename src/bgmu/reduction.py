@@ -40,10 +40,9 @@ broke one lifts to a witness that ``_verify_solution`` refuses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .acceptable import _brute_force, adm_member, maximal_newton_state
 from .errors import (
@@ -71,6 +70,7 @@ from .weyl import (
     Permutation,
     RatVec,
     SignedMap,
+    _Frozen,
     _subword_split,
     bruhat_leq,
     format_element,
@@ -78,25 +78,24 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(_Frozen):
     mu: tuple[int, ...]
     frob: Frobenius
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(self.mu))
-        if len(self.mu) != self.datum.n:
+    def __init__(self, mu: tuple[int, ...], frob: Frobenius) -> None:
+        mu = tuple(mu)
+        if len(mu) != frob.datum.n:
             raise DimensionMismatch("mu has wrong length")
-        if not self.datum.is_dominant(self.mu):
-            raise ParseError(f"mu {self.mu} is not dominant per block")
+        if not frob.datum.is_dominant(mu):
+            raise ParseError(f"mu {mu} is not dominant per block")
+        self._set(mu=mu, frob=frob)
 
     @property
     def datum(self) -> GroupDatum:
         return self.frob.datum
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Witness w with x such that w <= t^{x(mu)}, and the reduction
     trace, whose superbasic bases carry their certificates. Its Newton
     point is read off w once, by ``_verify_solution``."""
@@ -125,16 +124,14 @@ def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> NewtonP
 
 # --- individual reduction steps ----------------------------------------------
 
-@dataclass(frozen=True)
-class AdjointStep:
+class AdjointStep(NamedTuple):
     """The trace's first record: the per-block coordinate sums of mu."""
 
     kind: str
     kappas: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OmegaStep:
+class OmegaStep(NamedTuple):
     """The trace record of a product split's conjugation by the
     length-zero tau0, which ``ProductSplitStep.lift`` undoes."""
 
@@ -159,8 +156,7 @@ def _conjugator_into_last(problem: Problem, orbit: Sequence[int]) -> AffineEleme
     return tau0
 
 
-@dataclass(frozen=True)
-class ProductSplitStep:
+class ProductSplitStep(NamedTuple):
     kind: str
     orbit: tuple[int, ...]
     parent_frob: Frobenius
@@ -319,8 +315,7 @@ def _factor_witness(
     return (*pieces, w)
 
 
-@dataclass(frozen=True)
-class ParabolicStep:
+class ParabolicStep(NamedTuple):
     kind: str
     parent_frob: Frobenius
     v0: tuple[Fraction, ...]
@@ -440,8 +435,7 @@ def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]
 
 # --- the solver ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitSplitStep:
+class OrbitSplitStep(NamedTuple):
     kind: str
     parent_frob: Frobenius
     orbits: tuple[tuple[int, ...], ...]
@@ -454,8 +448,7 @@ class OrbitSplitStep:
         return Solution(w, x, (self,) + tuple(step for sub in subs for step in sub.trace))
 
 
-@dataclass(frozen=True)
-class BaseStep:
+class BaseStep(NamedTuple):
     """A base of the reduction. A superbasic base carries the peeling
     certificate of its witness, which ``step_json`` leaves out; ``solve``
     reports the first one in trace order."""
@@ -546,8 +539,7 @@ def step_json(step) -> dict:
     return doc
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     problem: Problem
     nu: NewtonPoint
     nu_raw: tuple[Fraction, ...]
@@ -587,7 +579,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         except (ParseError, DimensionMismatch, LookupError) as exc:
             raise InternalCheckFailed(f"reduction failed: {exc!r}") from exc
         ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
-        sol = replace(sol, trace=(ad_step,) + sol.trace)
+        sol = sol._replace(trace=(ad_step,) + sol.trace)
         # the claimed point; _verify_solution checks that w realizes it
         nu_raw = maximal_newton_state(problem.mu, problem.frob).nu_raw
         checks["matches_maximal_newton"] = True

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -57,6 +56,7 @@ from .weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
+    _Frozen,
     _dominant_length,
     _transposition_delta,
     format_element,
@@ -66,15 +66,14 @@ from .weyl import (
 
 # --- segments ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Frozen):
     """Integer vector supported on an index interval [head, tail]."""
 
     head: int
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, head: int, values: tuple[int, ...]) -> None:
+        self._set(head=head, values=tuple(values))
 
     @property
     def tail(self) -> int:
@@ -151,8 +150,7 @@ def _templates(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ((0,) + (1,) * q, (0,) + (1,) * (q - 1))
 
 
-@dataclass(frozen=True)
-class EuclideanChain:
+class EuclideanChain(NamedTuple):
     """Full recursion data for one coprime pair.
 
     ``chis[h]`` is chi at level h; ``templates[h]`` expands level h+1
@@ -202,8 +200,7 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
     return EuclideanChain(m, n, tuple(pairs), tuple(chis), tuple(templates), tuple(ends0))
 
 
-@dataclass(frozen=True)
-class LevelSplit:
+class LevelSplit(NamedTuple):
     """Result of grading a subsegment of chi by the recursion."""
 
     level: int
@@ -261,8 +258,7 @@ def _twist_data(m: int, n: int) -> _TwistData:
 
 # --- the peeling construction ------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     block: int
     kind: str  # "zeta" | "xi" | "final"
     cycle: tuple[int, int]
@@ -273,8 +269,7 @@ class ChainStep:
     length_after: int
 
 
-@dataclass(frozen=True)
-class PeelCertificate:
+class PeelCertificate(NamedTuple):
     m: int
     n: int
     mu: tuple[int, ...]
@@ -431,8 +426,7 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     )
 
 
-@dataclass(frozen=True)
-class SuperbasicWitness:
+class SuperbasicWitness(NamedTuple):
     nu: NewtonPoint
     w: AffineElement
     x: Permutation

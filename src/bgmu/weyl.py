@@ -27,10 +27,9 @@ constructors and do not repeat those checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InternalCheckFailed, ParseError
@@ -39,8 +38,38 @@ IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class _Frozen:
+    """An immutable value that checks its input. A subclass annotates its
+    fields in the class body and sets them, and any attributes derived
+    from them, through ``_set`` in ``__init__``. Equality, hash and repr
+    read the fields alone, so derived attributes do not count."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        cls._key = property(attrgetter(*cls._fields))
+
+    def _set(self, **attrs) -> None:
+        self.__dict__.update(attrs)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroupDatum(_Frozen):
     """Block structure: an ordered tuple of GL factors.
 
     ``adjoint[b]`` marks the factor as a PGL quotient; arithmetic stays
@@ -49,26 +78,23 @@ class GroupDatum:
     """
 
     blocks: tuple[int, ...]
-    adjoint: tuple[bool, ...] = ()
+    adjoint: tuple[bool, ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks or any(n < 1 for n in self.blocks):
-            raise ParseError(f"invalid block sizes {self.blocks}")
-        if not self.adjoint:
-            object.__setattr__(self, "adjoint", (False,) * len(self.blocks))
-        if len(self.adjoint) != len(self.blocks):
+    def __init__(self, blocks: tuple[int, ...], adjoint: tuple[bool, ...] = ()) -> None:
+        if not blocks or any(n < 1 for n in blocks):
+            raise ParseError(f"invalid block sizes {blocks}")
+        adjoint = adjoint or (False,) * len(blocks)
+        if len(adjoint) != len(blocks):
             raise ParseError("adjoint flags do not match blocks")
         # the layout is read for every element built, so it is computed
         # once here; these attributes are not fields, so eq and hash
         # still compare blocks and adjoint only
-        offsets = tuple(accumulate(self.blocks[:-1], initial=0))
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_ranges", tuple(
-            (o + 1, o + n) for o, n in zip(offsets, self.blocks)
-        ))
-        object.__setattr__(self, "_slices", tuple(
-            slice(o, o + n) for o, n in zip(offsets, self.blocks)
-        ))
+        offsets = tuple(accumulate(blocks[:-1], initial=0))
+        self._set(
+            blocks=blocks, adjoint=adjoint, _offsets=offsets,
+            _ranges=tuple((o + 1, o + n) for o, n in zip(offsets, blocks)),
+            _slices=tuple(slice(o, o + n) for o, n in zip(offsets, blocks)),
+        )
 
     @staticmethod
     def gl(n: int) -> "GroupDatum":

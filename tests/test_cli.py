@@ -297,13 +297,11 @@ def test_reduction_bug_is_an_internal_check(capsys, monkeypatch):
     # fails inside the reduction with an IndexError; solve reports it as
     # an internal check, so the CLI prints the problem to replay instead
     # of a traceback
-    from dataclasses import replace
-
     import bgmu.reduction as reduction
 
     real = reduction.OrbitSplitStep.lift
     monkeypatch.setattr(reduction.OrbitSplitStep, "lift",
-                        lambda self, subs: real(replace(self, positions=self.positions[::-1]), subs))
+                        lambda self, subs: real(self._replace(positions=self.positions[::-1]), subs))
     tau = "t[1,0,0,1,1,1,0]*cyc(1,2,3)*cyc(4,7,6,5)"
     code, out, err = run(capsys, "max", "--group", "gl:3*4", "--mu", "1,1,0,3,2,1,0",
                          "--sigma", f"tau={tau};sigma0=1,2")

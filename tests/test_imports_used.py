@@ -10,8 +10,9 @@ underscore must be read somewhere in the package outside the statement
 that defines it.
 
 A third check covers the package's records: every annotated field of a
-``@dataclass`` in ``src/bgmu`` must be read as an attribute somewhere in
-the package, in ``bench/`` or in the test suite.
+``NamedTuple``, of a ``_Frozen`` value or of a ``@dataclass`` in
+``src/bgmu`` must be read as an attribute somewhere in the package, in
+``bench/`` or in the test suite.
 
 A fourth check keeps raw element formats inside the modules that own
 them: ``reduction`` imports none of the helpers that read the descent
@@ -117,13 +118,20 @@ def test_every_private_definition_is_read():
     assert dead_definitions(sources) == []
 
 
-def _is_dataclass(decorator: ast.expr) -> bool:
-    node = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "dataclass"
+def _name(node: ast.expr) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether the class body's annotations are its fields: a
+    ``NamedTuple``, a ``_Frozen`` value or a ``@dataclass``."""
+    return (any(_name(base) in ("NamedTuple", "_Frozen") for base in cls.bases)
+            or any(_name(decorator) == "dataclass" for decorator in cls.decorator_list))
 
 
 def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
-    """Annotated fields of the package's ``@dataclass`` classes, as
+    """Annotated fields of the package's records (``_is_record``), as
     module.Class.field, that no attribute load in the package or in the
     reader sources reads."""
     trees = {module: ast.parse(source) for module, source in package.items()}
@@ -137,7 +145,7 @@ def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
         f"{module}.{cls.name}.{stmt.target.id}"
         for module, tree in trees.items()
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         and stmt.target.id not in loads
@@ -149,12 +157,15 @@ def test_unread_fields_are_found():
         "a": "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n    z: int = 0\n"
              "class Q:\n    y: int\n",
         "b": "@dataclasses.dataclass\nclass R:\n    w: int\n    def f(self):\n        return self.x\n",
+        "c": "class S(typing.NamedTuple):\n    u: int\n    v: int\n"
+             "class T(_Frozen):\n    s: int\n    t: int\n    def __init__(self, s, t):\n"
+             "        self._set(s=s, t=t, _d=s + t)\n",
     }
-    readers = ["print(P(1, 2).z)\n", "r.w = 1\n"]
-    assert unread_fields(sources, readers) == ["a.P.y", "b.R.w"]
+    readers = ["print(P(1, 2).z)\n", "r.w = 1\n", "print(S(1, 2).v, T(1, 2).s, x.u[0])\n"]
+    assert unread_fields(sources, readers) == ["a.P.y", "b.R.w", "c.T.t"]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     readers = [
         path.read_text() for folder in ("bench", "tests") for path in sorted((ROOT / folder).glob("*.py"))

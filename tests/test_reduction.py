@@ -361,7 +361,25 @@ def test_auto_skips_its_cross_check_when_the_brute_force_refuses(monkeypatch):
     r = solve((2, 1, 0), fr, "auto")
     assert "matches_bruteforce" not in r.checks and r.checks["admissible"]
     assert r.nu_raw == solve((2, 1, 0), fr, "constructive").nu_raw
-    with pytest.raises(GuardExceeded, match="admissible set too large: 25"):
+    with pytest.raises(GuardExceeded, match=r"^admissible set too large: more than 10$"):
+        solve((2, 1, 0), fr, "bruteforce")
+
+
+def test_size_guard_refuses_a_block_before_storing_it(monkeypatch):
+    # |Adm((2, 1, 0))| = 25 passes a limit of 10 while the table grows:
+    # the shape is refused there and no entry is kept, and a shape
+    # already in the table is refused with the same message
+    import bgmu.acceptable as acceptable
+
+    monkeypatch.setattr(acceptable, "_BLOCK_ADM", {})
+    monkeypatch.setattr(acceptable, "BRUTE_GUARD_SIZE", 10)
+    fr = Frobenius.superbasic(1, 3)
+    message = r"^admissible set too large: more than 10$"
+    with pytest.raises(GuardExceeded, match=message):
+        solve((2, 1, 0), fr, "bruteforce")
+    assert (2, 1, 0) not in acceptable._BLOCK_ADM
+    acceptable._block_entry((2, 1, 0))
+    with pytest.raises(GuardExceeded, match=message):
         solve((2, 1, 0), fr, "bruteforce")
 
 
@@ -438,8 +456,6 @@ def test_solve_deterministic():
 def test_solve_rejects_witness_above_bound(monkeypatch):
     # the lifts check nothing, so the one final verification in solve
     # must catch a witness that is not below t^{x(mu)}
-    import dataclasses
-
     import bgmu.reduction as reduction
 
     real = reduction.superbasic_witness
@@ -447,7 +463,7 @@ def test_solve_rejects_witness_above_bound(monkeypatch):
     def broken(mu, m, n):
         sw = real(mu, m, n)
         bad = AffineElement.translation(GroupDatum.gl(n), (2, 0, -1))
-        return dataclasses.replace(sw, w=bad)
+        return sw._replace(w=bad)
 
     monkeypatch.setattr(reduction, "superbasic_witness", broken)
     fr = Frobenius.superbasic(1, 3)
@@ -465,8 +481,6 @@ def test_solve_rejects_a_sub_witness_above_its_bound(monkeypatch):
     # GL_3 sub-witness of the gl:3*3 block swap, t[1,3,0]*cyc(1,3,2) with
     # two translation entries swapped, is not below its bound, and the
     # final walk refuses the lifted witness
-    import dataclasses
-
     import bgmu.reduction as reduction
 
     real = reduction._solve_orbits
@@ -476,7 +490,7 @@ def test_solve_rejects_a_sub_witness_above_its_bound(monkeypatch):
         sol = real(problem)
         if problem.datum.blocks == (3,):
             assert format_element(sol.w) == "t[1,3,0]*cyc(1,3,2)"
-            sol = dataclasses.replace(sol, w=parse_element("t[1,0,3]*cyc(1,3,2)", problem.datum))
+            sol = sol._replace(w=parse_element("t[1,0,3]*cyc(1,3,2)", problem.datum))
             forged.append(sol.w)
         return sol
 
@@ -493,8 +507,6 @@ def test_solve_rejects_a_witness_off_the_coset(monkeypatch, adjoint):
     # one more unit on one translation entry moves w out of the coset of
     # t^mu, on PGL_3 too, where kappa is read mod 3: the walk's coset test
     # is the only coset check
-    import dataclasses
-
     import bgmu.reduction as reduction
 
     real = reduction._solve_orbits
@@ -504,7 +516,7 @@ def test_solve_rejects_a_witness_off_the_coset(monkeypatch, adjoint):
         sol = real(problem)
         trans = (sol.w.trans[0] + 1,) + sol.w.trans[1:]
         witnesses.append(AffineElement(sol.w.datum, trans, sol.w.perm))
-        return dataclasses.replace(sol, w=witnesses[-1])
+        return sol._replace(w=witnesses[-1])
 
     monkeypatch.setattr(reduction, "_solve_orbits", moved)
     fr = Frobenius.superbasic(1, 3, adjoint=adjoint)
