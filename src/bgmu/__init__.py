@@ -1,6 +1,9 @@
 """Exact computation of acceptable Newton points for extended affine
 Weyl groups of type A, with admissible witnesses and machine-checkable
-Bruhat-chain certificates."""
+Bruhat-chain certificates.
+
+The top level exports the names that README's Library section lists;
+everything else is imported from its module."""
 
 from .errors import (
     BgmuError,
@@ -22,9 +25,6 @@ from .weyl import (
 )
 from .newton import (
     Frobenius,
-    KappaValue,
-    NewtonData,
-    NewtonPoint,
     Sigma0,
     diamond,
     dominant_rep,
@@ -32,9 +32,6 @@ from .newton import (
     newton_point,
 )
 from .acceptable import (
-    AcceptableSet,
-    MaximalSolverState,
-    PolygonData,
     adm_enumerate,
     adm_member,
     enumerate_acceptable,
@@ -44,24 +41,10 @@ from .acceptable import (
     polygon,
 )
 from .superbasic import (
-    EuclideanChain,
-    PeelCertificate,
-    Segment,
-    SuperbasicWitness,
     chi,
-    epsilon,
-    euclid_chain,
-    level_decompose,
     sharp_peel,
     superbasic_witness,
 )
-from .reduction import (
-    Problem,
-    Solution,
-    SolveResult,
-    parabolic_reduce,
-    product_split,
-    solve,
-)
+from .reduction import solve
 
 __version__ = "0.1.0"

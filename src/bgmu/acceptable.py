@@ -695,9 +695,7 @@ def _adm_order(w: AffineElement) -> tuple:
     return w.length(), w.trans, w.perm.images
 
 
-def adm_enumerate(
-    mu: Sequence[int], datum: Optional[GroupDatum] = None
-) -> tuple[AffineElement, ...]:
+def adm_enumerate(mu: Sequence[int], datum: GroupDatum) -> tuple[AffineElement, ...]:
     """Adm(mu), the union of the lower Bruhat intervals of all
     t^{x(mu)}, built vertexwise. By Adm(mu) = Perm(mu) (Kottwitz-Rapoport,
     Manuscripta Math. 2000, for minuscule mu; Haines-Ngo, Amer. J. Math.
@@ -716,8 +714,6 @@ def adm_enumerate(
     once, through ``AffineElement``. The test suite holds it to an independent
     reference: the subword products of reduced words of every t^{x(mu)}
     (``bruhat_lower_set`` in ``tests/conftest.py``)."""
-    if datum is None:
-        datum = GroupDatum((len(mu),))
     raw = _adm_raw(mu, datum, DEFAULT_ADM_GUARD_N)
     elements = (AffineElement(datum, t, Permutation(im)) for t, im in raw)
     return tuple(sorted(elements, key=_adm_order))

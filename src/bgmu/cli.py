@@ -23,7 +23,7 @@ import itertools
 import json
 import sys
 from math import gcd
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .acceptable import (
     adjoint_eq,
@@ -35,7 +35,7 @@ from .acceptable import (
 from .acceptable import polygon as make_polygon
 from .errors import BgmuError, GuardExceeded, InternalCheckFailed, ParseError
 from .newton import Frobenius, Sigma0, diamond, kappa, newton_point
-from .reduction import solve, step_json
+from .reduction import Problem, solve, step_json
 from .superbasic import chi as chi_vec
 from .weyl import (
     AffineElement,
@@ -45,23 +45,6 @@ from .weyl import (
 )
 
 SCHEMA = "bgmu/1"
-
-
-class ProblemSpec(NamedTuple):
-    """Parsed command-line problem: group, coweight and twist."""
-
-    datum: GroupDatum
-    mu: Optional[tuple[int, ...]]
-    frob: Frobenius
-
-    def to_json_dict(self) -> dict:
-        return {
-            "group": _format_group(self.datum),
-            "mu": list(self.mu) if self.mu is not None else None,
-            "tau": format_element(self.frob.tau),
-            "sigma0": _format_sigma0(self.frob.sigma0),
-            "shift": [str(x) for x in self.frob.shift],
-        }
 
 
 def _parse_group(text: str) -> GroupDatum:
@@ -148,11 +131,24 @@ def _parse_mu(text: str, n: int) -> tuple[int, ...]:
     return mu
 
 
-def _problem_from_args(args, need_mu: bool = True) -> ProblemSpec:
+def _problem_from_args(args) -> Problem:
+    """The checked problem of ``--group``, ``--mu`` and ``--sigma``."""
     datum = _parse_group(args.group)
-    mu = _parse_mu(args.mu, datum.n) if need_mu else None
-    frob = _parse_sigma(args.sigma, datum, getattr(args, "normalize", False))
-    return ProblemSpec(datum, mu, frob)
+    mu = _parse_mu(args.mu, datum.n)
+    return Problem(mu, _parse_sigma(args.sigma, datum, args.normalize))
+
+
+def _problem_json(problem: Problem) -> dict:
+    """The problem as ``max``, ``enumerate``, ``verify`` and the replay
+    line report it."""
+    frob = problem.frob
+    return {
+        "group": _format_group(problem.datum),
+        "mu": list(problem.mu),
+        "tau": format_element(frob.tau),
+        "sigma0": _format_sigma0(frob.sigma0),
+        "shift": [str(x) for x in frob.shift],
+    }
 
 
 def _emit(doc: dict) -> None:
@@ -160,11 +156,12 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_newton(args) -> int:
-    spec = _problem_from_args(args, need_mu=False)
-    w = parse_element(args.w, spec.datum)
-    nd = newton_point(w, spec.frob)
+    datum = _parse_group(args.group)
+    frob = _parse_sigma(args.sigma, datum, args.normalize)
+    w = parse_element(args.w, datum)
+    nd = newton_point(w, frob)
     normalized = nd.nu_bar.nu
-    bar = tuple(a + b for a, b in zip(normalized, spec.frob.shift))
+    bar = tuple(a + b for a, b in zip(normalized, frob.shift))
     _emit(
         {
             "schema": SCHEMA,
@@ -181,27 +178,28 @@ def cmd_newton(args) -> int:
 
 
 def _replayable(cmd):
-    """Run cmd(spec, args) on the parsed problem; after a failed internal
-    check (a bug), print the problem on stderr as compact JSON to replay."""
+    """Run cmd(problem, args) on the parsed problem; after a failed
+    internal check (a bug), print the problem on stderr as compact JSON
+    to replay."""
 
     def run(args) -> int:
-        spec = _problem_from_args(args)
+        problem = _problem_from_args(args)
         try:
-            return cmd(spec, args)
+            return cmd(problem, args)
         except InternalCheckFailed as exc:
-            problem = json.dumps(spec.to_json_dict(), separators=(",", ":"))
-            sys.stderr.write(f"bgmu: {exc}\nbgmu: problem {problem}\n")
+            replay = json.dumps(_problem_json(problem), separators=(",", ":"))
+            sys.stderr.write(f"bgmu: {exc}\nbgmu: problem {replay}\n")
             return 1
 
     return run
 
 
 @_replayable
-def cmd_max(spec: ProblemSpec, args) -> int:
-    result = solve(spec.mu, spec.frob, strategy=args.strategy)
+def cmd_max(problem: Problem, args) -> int:
+    result = solve(problem.mu, problem.frob, strategy=args.strategy)
     doc = {
         "schema": SCHEMA,
-        "problem": spec.to_json_dict(),
+        "problem": _problem_json(problem),
         "nu": [str(x) for x in result.nu.nu],
         "nu_raw": [str(x) for x in result.nu_raw],
         "kappa": list(result.nu.kappa.values),
@@ -218,11 +216,11 @@ def cmd_max(spec: ProblemSpec, args) -> int:
 
 
 @_replayable
-def cmd_enumerate(spec: ProblemSpec, args) -> int:
-    acc = enumerate_acceptable(spec.mu, spec.frob)
+def cmd_enumerate(problem: Problem, args) -> int:
+    acc = enumerate_acceptable(problem.mu, problem.frob)
     doc = acc.to_json_dict()
-    doc["problem"] = spec.to_json_dict()
-    doc["mu_diamond_acceptable"] = mu_diamond_acceptable(spec.mu, spec.frob)
+    doc["problem"] = _problem_json(problem)
+    doc["mu_diamond_acceptable"] = mu_diamond_acceptable(problem.mu, problem.frob)
     _emit(doc)
     return 0
 
@@ -280,7 +278,7 @@ def cmd_verify(args) -> int:
                 itertools.combinations_with_replacement(range(args.max_entry, -1, -1), frob.datum.n))
     for frob, mu in problems:
         checked += 1
-        spec = ProblemSpec(frob.datum, mu, frob)
+        problem = Problem(mu, frob)
         try:
             # solve checks its witness's Newton point, and
             # enumerate_acceptable its maximum, against the maximal
@@ -294,18 +292,18 @@ def cmd_verify(args) -> int:
         except GuardExceeded:
             raise  # a refusal, not a mismatch: main reports it
         except BgmuError as exc:
-            failures.append((spec, str(exc)))
+            failures.append((problem, str(exc)))
             if not args.keep_going:
                 break
     if failures:
-        spec, message = failures[0]
+        problem, message = failures[0]
         _emit(
             {
                 "schema": SCHEMA,
                 "verified": checked,
                 "failures": len(failures),
                 "first_failure": {
-                    "problem": spec.to_json_dict(),
+                    "problem": _problem_json(problem),
                     "error": message,
                 },
             }
@@ -327,15 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_mu=True, need_sigma=True):
+    def add_common(p, need_mu=True):
         p.add_argument("--group", required=True, help="gl:8, pgl:4 or gl:2*2")
         if need_mu:
             p.add_argument("--mu", required=True, help="comma separated integers")
-        if need_sigma:
-            p.add_argument("--sigma", required=True,
-                           help="superbasic:m/n or tau=...;sigma0=...")
-            p.add_argument("--normalize", action="store_true",
-                           help="report Newton points with the canonical central shift")
+        p.add_argument("--sigma", required=True,
+                       help="superbasic:m/n or tau=...;sigma0=...")
+        p.add_argument("--normalize", action="store_true",
+                       help="report Newton points with the canonical central shift")
 
     p = sub.add_parser("newton", help="Newton point of one element")
     add_common(p, need_mu=False)

@@ -44,7 +44,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ParseError
-from .weyl import AffineElement, GroupDatum, Permutation, SignedMap, _Frozen
+from .weyl import AffineElement, GroupDatum, Permutation, SignedMap, _Frozen, superbasic_element
 
 RatVec = tuple[Fraction, ...]
 Node = tuple[int, int]  # (block, i) finite simple root, 1 <= i <= n_b - 1
@@ -261,9 +261,8 @@ class Frobenius(_Frozen):
         return Frobenius(AffineElement.identity(datum), Sigma0.identity(datum))
 
     @staticmethod
-    def inner(tau: AffineElement, shift: Optional[Sequence] = None) -> "Frobenius":
-        sh = tuple(Fraction(x) for x in shift) if shift is not None else ()
-        return Frobenius(tau, Sigma0.identity(tau.datum), sh)
+    def inner(tau: AffineElement) -> "Frobenius":
+        return Frobenius(tau, Sigma0.identity(tau.datum))
 
     @staticmethod
     def superbasic(m: int, n: int, normalized: bool = True,
@@ -271,8 +270,6 @@ class Frobenius(_Frozen):
         """Ad(sigma_{m,n}) on a single GL_n (or PGL_n) block, with the
         canonical central shift (m/n) d so reported points are basic
         of slope zero when mu = 0."""
-        from .weyl import superbasic_element
-
         datum = GroupDatum.pgl(n) if adjoint else GroupDatum.gl(n)
         tau = superbasic_element(m, n, datum)
         shift = (Fraction(m, n),) * n if normalized else ()

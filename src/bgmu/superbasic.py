@@ -110,23 +110,15 @@ def chi(m: int, n: int) -> tuple[int, ...]:
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
 
 
-def epsilon(chi_vals: Sequence[int]) -> Permutation:
-    """The ranking permutation: eps(i) < eps(j) iff a^i > a^j, for
-    chi_vals = chi_{m,n}. In closed form eps(j) = (j m mod n) + 1: the
-    reading sequences are the rotations of one Christoffel word, and
+def _epsilon(m: int, n: int) -> Permutation:
+    """The ranking permutation of chi_{m,n}, for coprime 0 < m < n:
+    eps(i) < eps(j) iff a^i > a^j. In closed form eps(j) = (j m mod n) + 1:
+    the reading sequences are the rotations of one Christoffel word, and
     they descend lexicographically as their intercepts j m mod n ascend.
 
-    >>> epsilon(chi(5, 8)).images
+    >>> _epsilon(5, 8).images
     (6, 3, 8, 5, 2, 7, 4, 1)
     """
-    n, m = len(chi_vals), sum(chi_vals)
-    if not (0 < m < n and gcd(m, n) == 1 and tuple(chi_vals) == chi(m, n)):
-        raise ParseError(f"{tuple(chi_vals)} is not chi_{{m,n}} of a coprime pair")
-    return _epsilon(m, n)
-
-
-def _epsilon(m: int, n: int) -> Permutation:
-    """epsilon's closed form j -> (j m mod n) + 1, for coprime 0 < m < n."""
     return Permutation._unchecked(tuple(j * m % n + 1 for j in range(1, n + 1)))
 
 

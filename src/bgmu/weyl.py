@@ -29,6 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -599,8 +600,6 @@ def superbasic_element(m: int, n: int, datum: Optional[GroupDatum] = None) -> Af
     >>> superbasic_element(1, 2)
     t[1,0]*cyc(1,2)
     """
-    from math import gcd
-
     if not (0 < m < n):
         raise ParseError(f"need 0 < m < n, got ({m}, {n})")
     if gcd(m, n) != 1:

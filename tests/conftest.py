@@ -26,8 +26,11 @@ nothing in the package calls them:
   greedy longest-prefix search, and ``heights_reference``;
 * the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
   and ``expand``;
+* the admissible set and its Newton points: ``adm_reference``,
+  ``reference_attained`` and ``reference_brute_force``;
 * the byte-identity gate: ``twisted_draw``, the fixed-seed problem
-  draw, and ``outcome_line``, the canonical line of one outcome.
+  draw, ``pinned_twisted_problems``, a fixed list of twisted problems,
+  and ``outcome_line``, the canonical line of one outcome.
 """
 
 import itertools
@@ -503,12 +506,12 @@ def adm_reference(datum: GroupDatum, mu):
     return _by_length(bruhat_lower_set(*tops))
 
 
-def reference_brute_force(mu, frob: Frobenius):
-    """(nu_raw, w, x) of the brute force by the slow paths: the
-    admissible set from per-point subword intervals, Newton points by
-    k-fold iteration, the first element per point (in (length, trans,
-    images) order) as its witness, and x from the first orbit point,
-    descending lexicographically, whose interval holds the witness."""
+def _reference_adm(mu, frob: Frobenius):
+    """By the slow paths: the orbit points of mu, descending
+    lexicographically, their lower intervals (subword products), whose
+    union is Adm(mu), and ``attained``, each raw Newton point of Adm(mu)
+    (k-fold iteration) with its first element in (length, trans,
+    images) order."""
     datum = frob.datum
     points = orbit_points(datum, mu)
     lower = [bruhat_lower_set(AffineElement.translation(datum, p)) for p in points]
@@ -516,6 +519,22 @@ def reference_brute_force(mu, frob: Frobenius):
     attained = {}
     for w in _by_length(set().union(*lower)):
         attained.setdefault(iterated_newton(w, zero)[3], w)
+    return points, lower, attained
+
+
+def reference_attained(mu, frob: Frobenius) -> set:
+    """The raw Newton points of Adm(mu), by the slow paths
+    (``_reference_adm``)."""
+    return set(_reference_adm(mu, frob)[2])
+
+
+def reference_brute_force(mu, frob: Frobenius):
+    """(nu_raw, w, x) of the brute force by the slow paths
+    (``_reference_adm``): the maximum of the Newton points of Adm(mu),
+    the first element attaining it as its witness, and x from the first
+    orbit point whose interval holds the witness."""
+    datum = frob.datum
+    points, lower, attained = _reference_adm(mu, frob)
     maxima = [p for p in attained if all(adjoint_leq(datum, q, p) for q in attained)]
     assert len(maxima) == 1, maxima
     w = attained[maxima[0]]
@@ -549,6 +568,30 @@ def twisted_draw(rng):
         for x in sorted((rng.randint(0, 2) for _ in range(nb)), reverse=True)
     )
     return mu, frob
+
+
+def pinned_twisted_problems():
+    """Block rotations and fixed blocks, every flip pattern, GL and PGL
+    blocks, three twist kappas, two dominant mu each, and the canonical
+    shift on every other problem: 180 problems."""
+    cases = [
+        ((2, 2), (False, True), (1, 0), ((1, 0, 2, 0), (3, 1, 1, 0))),
+        ((3, 3), (False, False), (1, 0), ((2, 1, 0, 1, 0, 0), (3, 3, 0, 2, 1, 1))),
+        ((2, 2, 1), (True, False, False), (1, 0, 2), ((2, 0, 1, 1, 3), (3, 0, 2, -1, 0))),
+        ((2, 2, 2), (False, False, True), (1, 2, 0), ((1, 0, 1, 0, 2, 1), (3, 0, 0, 0, 1, -1))),
+        ((4,), (True,), (0,), ((3, 2, 0, 0), (2, 2, 1, -1))),
+        ((3, 1), (False, False), (0, 1), ((3, 1, 0, 2), (1, 1, -1, 0))),
+    ]
+    count = 0
+    for blocks, adjoint, block_to, mus in cases:
+        datum = GroupDatum(blocks, adjoint)
+        for flips in itertools.product((False, True), repeat=len(blocks)):
+            for k in (-1, 1, 2):
+                kappas = (k,) + (1,) * (len(blocks) - 1)
+                frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flips))
+                for mu in mus:
+                    count += 1
+                    yield mu, frob.with_shift(frob.canonical_shift()) if count % 2 else frob
 
 
 def outcome_line(run, *args) -> str:

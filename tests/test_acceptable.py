@@ -58,6 +58,7 @@ from conftest import (
     newton_witness,
     nu_reference,
     orbit_points,
+    pinned_twisted_problems,
     polygon_reference,
     twisted_draw,
 )
@@ -253,7 +254,7 @@ def test_enumeration_builds_one_bound_table(monkeypatch):
     calls = []
     real = acceptable._orbit_bounds
     monkeypatch.setattr(acceptable, "_orbit_bounds", lambda *a: calls.append(a) or real(*a))
-    for mu, frob in itertools.islice(_pinned_twisted_problems(), 0, 180, 15):
+    for mu, frob in itertools.islice(pinned_twisted_problems(), 0, 180, 15):
         calls.clear()
         enumerate_acceptable(mu, frob)
         assert len(calls) == 1, (mu, frob)
@@ -264,7 +265,7 @@ def test_verify_body_agrees_on_the_maximum():
     # problem each build their own bound table, and agree as the verify
     # body checks: the enumeration's maximum is the solved point, which
     # is mu_diamond exactly when the criterion says so
-    for mu, frob in itertools.islice(_pinned_twisted_problems(), 0, 180, 15):
+    for mu, frob in itertools.islice(pinned_twisted_problems(), 0, 180, 15):
         try:
             nu_raw = solve(mu, frob, strategy="auto").nu_raw
         except UnsupportedTwist:  # a flip at the superbasic base
@@ -275,34 +276,10 @@ def test_verify_body_agrees_on_the_maximum():
             frob.datum, nu_raw, diamond(mu, frob)), (mu, frob)
 
 
-def _pinned_twisted_problems():
-    """Block rotations and fixed blocks, every flip pattern, GL and PGL
-    blocks, three twist kappas, two dominant mu each, and the canonical
-    shift on every other problem."""
-    cases = [
-        ((2, 2), (False, True), (1, 0), ((1, 0, 2, 0), (3, 1, 1, 0))),
-        ((3, 3), (False, False), (1, 0), ((2, 1, 0, 1, 0, 0), (3, 3, 0, 2, 1, 1))),
-        ((2, 2, 1), (True, False, False), (1, 0, 2), ((2, 0, 1, 1, 3), (3, 0, 2, -1, 0))),
-        ((2, 2, 2), (False, False, True), (1, 2, 0), ((1, 0, 1, 0, 2, 1), (3, 0, 0, 0, 1, -1))),
-        ((4,), (True,), (0,), ((3, 2, 0, 0), (2, 2, 1, -1))),
-        ((3, 1), (False, False), (0, 1), ((3, 1, 0, 2), (1, 1, -1, 0))),
-    ]
-    count = 0
-    for blocks, adjoint, block_to, mus in cases:
-        datum = GroupDatum(blocks, adjoint)
-        for flips in itertools.product((False, True), repeat=len(blocks)):
-            for k in (-1, 1, 2):
-                kappas = (k,) + (1,) * (len(blocks) - 1)
-                frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flips))
-                for mu in mus:
-                    count += 1
-                    yield mu, frob.with_shift(frob.canonical_shift()) if count % 2 else frob
-
-
 def test_twisted_enumeration_bytes():
     # every point, cover and maximum of 180 twisted enumerations, pinned
     h = hashlib.sha256()
-    for mu, frob in _pinned_twisted_problems():
+    for mu, frob in pinned_twisted_problems():
         acc = enumerate_acceptable(mu, frob)
         h.update(json.dumps(acc.to_json_dict(), sort_keys=True).encode())
         h.update(repr([tuple(map(str, v)) for v in acc.raw]).encode())

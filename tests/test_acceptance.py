@@ -18,7 +18,7 @@ from bgmu.acceptable import (
 )
 from bgmu.newton import Frobenius, diamond, dominant_rep, newton_point
 from bgmu.reduction import Problem, parabolic_reduce, solve
-from bgmu.superbasic import chi, epsilon, euclid_chain, superbasic_witness
+from bgmu.superbasic import _epsilon, chi, euclid_chain, superbasic_witness
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -62,7 +62,7 @@ def test_criterion_1_paper_example_reproduction():
         n, m = 8, 5
         mu = (1, 1, 1, 0, 0, 0, 0, 0)
         assert chi(m, n) == (0, 1, 0, 1, 1, 0, 1, 1)
-        eps = epsilon(chi(m, n))
+        eps = _epsilon(m, n)
         assert eps == Permutation.from_cycles(8, [(1, 6, 7, 4, 5, 2, 3, 8)])
         s = superbasic_element(m, n)
         assert s.perm == Permutation.from_cycles(8, [(6, 3, 8, 5, 2, 7, 4, 1)])
@@ -160,7 +160,7 @@ def test_criterion_5_combinatorial_identities():
         for n in range(2, 61):
             for m in coprime_range(n):
                 c = chi(m, n)
-                eps = epsilon(c)
+                eps = _epsilon(m, n)
                 varpi = tuple(1 if i <= m else 0 for i in range(1, n + 1))
                 assert eps.act(c) == varpi, (m, n)
                 assert eps(n) == 1, (m, n)

@@ -219,12 +219,15 @@ def test_bad_group_or_twist_is_a_one_line_error(capsys, group, sigma, message):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--group", "gl:2", "--mu", "0,1", "--sigma", "superbasic:1/2"],
     ["enumerate", "--group", "gl:2*2", "--mu", "1,0,0,1", "--sigma", "sigma0=2,1"],
+    # mu is checked before any guard: gl:9 is above the enumeration guard
+    ["enumerate", "--group", "gl:9", "--mu", "0,1,0,0,0,0,0,0,0", "--sigma", "superbasic:1/9"],
 ])
 def test_enumerate_refuses_non_dominant_mu(capsys, argv):
     # refused as a ParseError, as max refuses it
     code, out, err = run(capsys, *argv)
+    mu = tuple(int(x) for x in argv[argv.index("--mu") + 1].split(","))
     assert code == 1 and out == ""
-    assert "not dominant" in err
+    assert err == f"bgmu: mu {mu} is not dominant per block\n"
 
 
 @pytest.mark.parametrize("argv", [

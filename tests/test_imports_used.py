@@ -7,7 +7,10 @@ an import must appear as a loaded ``Name`` somewhere in the module.
 A second check covers the package's private definitions: a module-level
 function, class or constant of ``src/bgmu`` named with one leading
 underscore must be read somewhere in the package outside the statement
-that defines it.
+that defines it. Its public counterpart covers module-level functions
+and classes without a leading underscore: each is read in the package
+outside its definition, read in ``bench/``, named as an entry point in
+``pyproject.toml``, or exported by ``bgmu``.
 
 A third check covers the package's records: every annotated field of a
 ``NamedTuple``, of a ``_Frozen`` value or of a ``@dataclass`` in
@@ -23,9 +26,12 @@ force's guard policy.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
+
+import bgmu
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -116,6 +122,60 @@ def test_dead_definitions_are_found():
 def test_every_private_definition_is_read():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert dead_definitions(sources) == []
+
+
+def dead_public_definitions(sources: dict[str, str], readers: list[str], kept: set[str]) -> list[str]:
+    """Public module-level functions and classes, as module.name, that
+    no module of ``sources`` reads by name outside the statement
+    defining them, that no reader source reads (by name or as an
+    attribute) or imports, and that are not in ``kept`` (the exports
+    and entry points)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    # the package reads its own functions and classes by name; an
+    # attribute of the same name (a record field) is not a read
+    read: dict[str, list[ast.stmt]] = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.setdefault(node.id, []).append(stmt)
+    outside = set(kept)
+    for node in (node for source in readers for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            outside.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            outside.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            outside.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_") and stmt.name not in outside
+        and all(s is stmt for s in read.get(stmt.name, []))
+    )
+
+
+def test_dead_public_definitions_are_found():
+    sources = {
+        "a": "def f():\n    return f()\ndef g():\n    return h()\ndef h():\n    pass\n"
+             "class C:\n    pass\ndef entry():\n    pass\ndef _p():\n    pass\n"
+             "def r():\n    pass\ndef s(x):\n    return x.r\n",
+        # an import inside the package is not a read
+        "b": "from .a import g\ndef m():\n    pass\ndef n():\n    pass\n",
+    }
+    readers = ["from b import m\nimport a\nprint(a.C, a.s)\n"]
+    assert dead_public_definitions(sources, readers, {"entry"}) == ["a.f", "a.g", "a.r", "b.n"]
+
+
+def test_every_public_definition_is_used():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    readers = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    entries = {target.split(":")[1] for target in scripts.values()}
+    exports = {name for name in vars(bgmu) if not name.startswith("_")}
+    assert dead_public_definitions(sources, readers, entries | exports) == []
 
 
 def _name(node: ast.expr) -> str:

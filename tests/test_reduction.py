@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from bgmu.acceptable import enumerate_acceptable, maximal_newton_state
+from bgmu.acceptable import (
+    BRUTE_GUARD_N,
+    DEFAULT_ADM_GUARD_N,
+    _adm_refusal,
+    enumerate_acceptable,
+    maximal_newton_state,
+)
 from bgmu.errors import GuardExceeded, InternalCheckFailed, ParseError, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, _map_power, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
@@ -31,7 +37,14 @@ from bgmu.weyl import (
     omega_element,
     parse_element,
 )
-from conftest import bruhat_lower_set, dominant_coweights, reference_brute_force, twisted_draw
+from conftest import (
+    bruhat_lower_set,
+    dominant_coweights,
+    pinned_twisted_problems,
+    reference_attained,
+    reference_brute_force,
+    twisted_draw,
+)
 
 
 # --- adjoint -------------------------------------------------------------------
@@ -332,16 +345,50 @@ def _pgl4_superbasic_3_4():
     return Frobenius.superbasic(3, 4, adjoint=True)
 
 
-@pytest.mark.parametrize(
-    "make", [_pgl4_inner, _pgl22_flip, _gl23_rotation, _superbasic_1_4, _pgl4_superbasic_3_4]
-)
-def test_solve_bruteforce_matches_reference_maximum(make):
-    frob = make()
+REFERENCE_TWISTS = [_pgl4_inner, _pgl22_flip, _gl23_rotation, _superbasic_1_4, _pgl4_superbasic_3_4]
+
+
+def _reference_problems(frob):
+    """The twist with every mu whose blocks are dominant with entries
+    in 0..2."""
     per_block = [dominant_coweights(nb, 2) for nb in frob.datum.blocks]
-    for combo in itertools.product(*per_block):
-        mu = tuple(x for part in combo for x in part)
+    return [(tuple(x for part in combo for x in part), frob) for combo in itertools.product(*per_block)]
+
+
+@pytest.mark.parametrize("make", REFERENCE_TWISTS)
+def test_solve_bruteforce_matches_reference_maximum(make):
+    for mu, frob in _reference_problems(make()):
         r = solve(mu, frob, strategy="bruteforce")
         assert (r.nu_raw, r.w, r.x) == reference_brute_force(mu, frob), mu
+
+
+def _admitted(problems, guard_n):
+    """The problems whose Adm(mu) the rank guard guard_n and the
+    entry-spread guard let the package list."""
+    return [(mu, frob) for mu, frob in problems if _adm_refusal(mu, frob.datum, guard_n) is None]
+
+
+def _oracle_problems(group):
+    if group == "reference-twists":
+        return [p for make in REFERENCE_TWISTS for p in _reference_problems(make())]
+    if group == "draw":
+        rng = random.Random(0)
+        return _admitted([twisted_draw(rng) for _ in range(1000)], DEFAULT_ADM_GUARD_N)
+    return _admitted(pinned_twisted_problems(), BRUTE_GUARD_N)
+
+
+@pytest.mark.parametrize("group, count", [("reference-twists", 141), ("draw", 667), ("pinned", 96)])
+def test_acceptable_set_is_the_newton_image_of_adm(group, count):
+    # the whole acceptable set, not only its maximum, is the set of
+    # Newton points of Adm(mu) (the Kottwitz-Rapoport conjecture, proved
+    # by X. He, Ann. Sci. ENS 49, 2016): the enumeration, read off the
+    # bound table, against the subword-interval Adm(mu) and k-fold
+    # iteration, which share no code with it
+    problems = _oracle_problems(group)
+    assert len(problems) == count
+    wrong = [(mu, frob) for mu, frob in problems
+             if set(enumerate_acceptable(mu, frob).raw) != reference_attained(mu, frob)]
+    assert not wrong, wrong[:3]
 
 
 def test_solve_bruteforce_guard():
