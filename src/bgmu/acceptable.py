@@ -45,7 +45,7 @@ from math import lcm, prod
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import GuardExceeded, InternalCheckFailed, ParseError
+from .errors import DimensionMismatch, GuardExceeded, InternalCheckFailed, ParseError
 from .newton import (
     Frobenius,
     LinearPart,
@@ -103,12 +103,19 @@ def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     return heights(datum, v) == heights(datum, w)
 
 
+def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
+    """The caller's mu: one entry per position, dominant per block."""
+    if len(mu) != datum.n:
+        raise DimensionMismatch("mu has wrong length")
+    if not datum.is_dominant(mu):
+        raise ParseError(f"mu {tuple(mu)} is not dominant per block")
+
+
 def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[int, list[int], list[int]]:
     """mu_diamond and mu_diamond + lam_diamond, for a dominant mu, as
     numerators over k, the order of sigma0's signed map."""
+    _check_mu(mu, frob.datum)
     k, mu_dia = _diamond(mu, frob)
-    if not frob.datum.is_dominant(mu):
-        raise ParseError(f"mu {tuple(mu)} is not dominant per block")
     _, lam_dia = _diamond(frob.lam, frob)
     return k, mu_dia, [a + b for a, b in zip(mu_dia, lam_dia)]
 
@@ -320,11 +327,12 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     Covers come from bitmasks: up[i] holds the points at or above i,
     down[j] those at or below j, and a cover has up[i] & down[j] = {i, j}."""
     datum = frob.datum
+    # the bound table checks mu, so bad input is refused before the guard
+    bounds = _orbit_bounds(mu, frob)
+    den, _, sums, table = bounds
     limit = guard_limit(DEFAULT_ENUM_GUARD)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
-    bounds = _orbit_bounds(mu, frob)
-    den, _, sums, table = bounds
     m = lcm(*range(1, max(datum.blocks) + 1))
     options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
                for orbit, rep, offsets in table]

@@ -96,8 +96,8 @@ class Sigma0(_Frozen):
     def map(self) -> SignedMap:
         return self._map
 
-    def apply_vector(self, vec: Sequence, power: int = 1) -> tuple:
-        return _map_power(self.map(), power).apply(vec)
+    def apply_vector(self, vec: Sequence) -> tuple:
+        return self.map().apply(vec)
 
     def is_invariant(self, vec: Sequence) -> bool:
         return self.apply_vector(vec) == tuple(vec)
@@ -167,8 +167,10 @@ def _block_map(datum: GroupDatum, block_to: Sequence[int], flip: Sequence[bool])
 def _map_power(m: SignedMap, power: int) -> SignedMap:
     if power < 0:
         return _map_power(m.inverse(), -power)
-    acc = SignedMap.identity(len(m.pos))
-    for _ in range(power):
+    if power == 0:
+        return SignedMap.identity(len(m.pos))
+    acc = m
+    for _ in range(power - 1):
         acc = m.after(acc)
     return acc
 

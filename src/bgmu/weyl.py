@@ -43,7 +43,10 @@ class _Frozen:
     """An immutable value that checks its input. A subclass annotates its
     fields in the class body and sets them, and any attributes derived
     from them, through ``_set`` in ``__init__``. Equality, hash and repr
-    read the fields alone, so derived attributes do not count."""
+    read the fields alone, so derived attributes do not count. The hash
+    is computed on first use and kept, as ``_hash``, beside them: a value
+    that keys a cache is looked up many times, and hashing a twist reads
+    its element, its automorphism, its datum and its Fraction shift."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
@@ -63,7 +66,11 @@ class _Frozen:
         return self is other or self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash(self._key)
+            return h
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

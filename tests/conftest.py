@@ -1,5 +1,6 @@
 """Shared brute-force oracles, reference implementations that only the
-tests use, and the acceptance report hook.
+tests use, the acceptance report hook, and ``_fresh_stages``, which
+empties the reduction's stage cache around a test that patches it.
 
 The oracles here deliberately avoid the library's fast paths: lengths
 come from Cayley-graph breadth-first search, Bruhat order from subword
@@ -39,6 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from bgmu.acceptable import PolygonData, _mu_lam_diamond, support_nodes
 from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed
 from bgmu.newton import (
@@ -51,7 +54,7 @@ from bgmu.newton import (
     kappa,
     newton_point,
 )
-from bgmu.reduction import SolveResult, step_json
+from bgmu.reduction import SolveResult, _stage, step_json
 from bgmu.superbasic import SuperbasicWitness
 from bgmu.weyl import (
     AffineElement,
@@ -625,6 +628,22 @@ def outcome_line(run, *args) -> str:
     else:
         doc = out.to_json_dict()
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_stages(request):
+    """Empty the reduction's stage cache before and after every test
+    that takes ``monkeypatch``, and so every test that patches a name of
+    ``bgmu.reduction``: a stage built by the real code must not answer
+    a mutated run, nor one built by a mutant outlive its test. Set up
+    before ``monkeypatch``, this fixture is torn down after it, once
+    the patches are undone."""
+    patches = "monkeypatch" in request.fixturenames
+    if patches:
+        _stage.cache_clear()
+    yield
+    if patches:
+        _stage.cache_clear()
 
 
 _acceptance_lines: list[str] = []

@@ -27,7 +27,7 @@ from bgmu.acceptable import (
     polygon,
     support_nodes,
 )
-from bgmu.errors import GuardExceeded, ParseError, UnsupportedTwist
+from bgmu.errors import DimensionMismatch, GuardExceeded, ParseError, UnsupportedTwist
 from bgmu.newton import (
     Frobenius,
     Sigma0,
@@ -178,6 +178,31 @@ def test_enumerate_guard():
 def test_non_dominant_mu_is_refused(solver):
     with pytest.raises(ParseError, match=r"mu \(0, 1\) is not dominant per block"):
         solver((0, 1), Frobenius.superbasic(1, 2))
+
+
+def test_mu_is_checked_before_the_enumeration_guard():
+    # n = 9 is over the rank guard, but a mu of the wrong length or not
+    # dominant is bad input first, as solve and the CLI report it
+    frob = Frobenius.superbasic(1, 9)
+    with pytest.raises(ParseError, match=r"^mu \(0, 1, 0, 0, 0, 0, 0, 0, 0\) is not dominant per block$"):
+        enumerate_acceptable((0, 1, 0, 0, 0, 0, 0, 0, 0), frob)
+    with pytest.raises(DimensionMismatch, match="^mu has wrong length$"):
+        enumerate_acceptable((1, 0), frob)
+    with pytest.raises(GuardExceeded, match=r"^enumeration guard: n=9 > 8$"):
+        enumerate_acceptable((1, 0, 0, 0, 0, 0, 0, 0, 0), frob)
+
+
+def test_mu_is_checked_before_it_is_averaged(monkeypatch):
+    import bgmu.acceptable as acceptable
+
+    def averaged(vec, frob):
+        raise AssertionError("averaged before the check")
+
+    monkeypatch.setattr(acceptable, "_diamond", averaged)
+    with pytest.raises(ParseError, match="is not dominant per block"):
+        maximal_newton_state((0, 1), Frobenius.superbasic(1, 2))
+    with pytest.raises(DimensionMismatch, match="^mu has wrong length$"):
+        maximal_newton_state((1, 0, 0), Frobenius.superbasic(1, 2))
 
 
 def test_maximal_pgl2_examples():

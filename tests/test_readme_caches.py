@@ -7,6 +7,10 @@ or by a call whose result is bound at module level), or module-level
 state: a name bound to an empty dict at module level, or rebound by a
 ``global`` statement. Its name is ``Class.function`` for a method and
 ``module.name`` otherwise, and the section must name it in backticks.
+
+A memo must also keep a bound: every ``lru_cache`` passes an integer
+``maxsize``, and ``functools.cache`` only wraps a function of no
+arguments, whose memo holds one value.
 """
 
 import ast
@@ -29,10 +33,8 @@ def _is_cache_wrapper(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id in CACHE_WRAPPERS
 
 
-def caches(module: str, source: str) -> list[str]:
-    """The process-wide caches that one module's source defines."""
-    tree = ast.parse(source)
-    found = []
+def _assignments(tree: ast.Module):
+    """(name, value) for each name bound by a module-level assignment."""
     for node in tree.body:
         targets = []
         if isinstance(node, ast.Assign):
@@ -40,22 +42,57 @@ def caches(module: str, source: str) -> list[str]:
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets, value = [node.target], node.value
         for target in targets:
-            if isinstance(target, ast.Name) and (
-                (isinstance(value, ast.Dict) and not value.keys)
-                or (isinstance(value, ast.Call) and _is_cache_wrapper(value.func))
-            ):
-                found.append(f"{module}.{target.id}")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            found += [f"{module}.{name}" for name in node.names]
+            if isinstance(target, ast.Name):
+                yield target.id, value
+
+
+def _memos(module: str, tree: ast.Module):
+    """(name, wrapper, wrapped) for each function that the module wraps
+    in a cache; wrapped is the function's definition, or None when the
+    module does not define it."""
+    defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for name, value in _assignments(tree):
+        if isinstance(value, ast.Call) and _is_cache_wrapper(value.func):
+            arg = value.args[0] if value.args else None
+            yield f"{module}.{name}", value.func, defs.get(arg.id) if isinstance(arg, ast.Name) else None
     for owner in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
         prefix = owner.name if isinstance(owner, ast.ClassDef) else module
         for node in owner.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                _is_cache_wrapper(d) for d in node.decorator_list
-            ):
-                found.append(f"{prefix}.{node.name}")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    if _is_cache_wrapper(d):
+                        yield f"{prefix}.{node.name}", d, node
+
+
+def caches(module: str, source: str) -> list[str]:
+    """The process-wide caches that one module's source defines."""
+    tree = ast.parse(source)
+    found = [name for name, _, _ in _memos(module, tree)]
+    found += [f"{module}.{name}" for name, value in _assignments(tree)
+              if isinstance(value, ast.Dict) and not value.keys]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found += [f"{module}.{name}" for name in node.names]
     return sorted(set(found))
+
+
+def _bounded(wrapper: ast.expr, wrapped) -> bool:
+    """lru_cache called with an integer maxsize, or cache around a
+    function of no arguments."""
+    if isinstance(wrapper, ast.Call):
+        sizes = wrapper.args[:1] + [k.value for k in wrapper.keywords if k.arg == "maxsize"]
+        return any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)
+    name = wrapper.attr if isinstance(wrapper, ast.Attribute) else wrapper.id
+    if name != "cache" or wrapped is None:
+        return False
+    args = wrapped.args
+    return not (args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg)
+
+
+def unbounded(module: str, source: str) -> list[str]:
+    """The memos of one module's source that keep no bound."""
+    return sorted(name for name, wrapper, wrapped in _memos(module, ast.parse(source))
+                  if not _bounded(wrapper, wrapped))
 
 
 def concurrency_section() -> str:
@@ -95,10 +132,48 @@ def test_caches_are_found():
     assert caches("m", source) == ["C.g", "m._LAST", "m._TABLE", "m._parser", "m.f"]
 
 
+def test_unbounded_memos_are_found():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "def build():\n"
+        "    return 1\n"
+        "def keyed(x):\n"
+        "    return x\n"
+        "_one = functools.cache(build)\n"
+        "_many = functools.cache(keyed)\n"
+        "_imported = functools.cache(other)\n"
+        "_sized = lru_cache(8)(keyed)\n"
+        "@lru_cache(maxsize=64)\n"
+        "def a(x):\n"
+        "    return x\n"
+        "@lru_cache(maxsize=None)\n"
+        "def b(x):\n"
+        "    return x\n"
+        "@lru_cache\n"
+        "def c(x):\n"
+        "    return x\n"
+        "class C:\n"
+        "    @staticmethod\n"
+        "    @functools.cache\n"
+        "    def g(n):\n"
+        "        return n\n"
+    )
+    assert unbounded("m", source) == ["C.g", "m._imported", "m._many", "m.b", "m.c"]
+
+
 def test_the_package_caches_are_seen():
-    # the package keeps state across problems in these three only: the
-    # block Adm table, the superbasic twist data and the CLI's parser
-    assert PACKAGE_CACHES == ["acceptable._BLOCK_ADM", "cli._parser", "superbasic._twist_data"]
+    # the package keeps state across problems in these four only: the
+    # block Adm table, the superbasic twist data, the reduction's
+    # per-twist stages and the CLI's parser
+    assert PACKAGE_CACHES == [
+        "acceptable._BLOCK_ADM", "cli._parser", "reduction._stage", "superbasic._twist_data",
+    ]
+
+
+def test_every_memo_is_bounded():
+    for path in PACKAGE.glob("*.py"):
+        assert unbounded(path.stem, path.read_text()) == [], path.name
 
 
 def test_no_module_has_a_global_statement():

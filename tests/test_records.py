@@ -81,6 +81,21 @@ def test_derived_attributes_do_not_count():
     assert Sigma0._fields == ("datum", "block_to", "flip")
 
 
+def test_the_hash_is_kept_beside_the_fields():
+    # the first hash of a value is the hash of its fields, kept on the
+    # value; equal values hash equal, and a cached property filled later
+    # leaves the hash, equality and repr as they were
+    fr, other = Frobenius.superbasic(2, 5), Frobenius.superbasic(2, 5)
+    assert "_hash" not in vars(fr)
+    h = hash(fr)
+    assert vars(fr)["_hash"] == h == hash(fr._key) == hash(other)
+    before = repr(fr)
+    assert fr.affine_map and fr.sigma0.block_orbits
+    assert "affine_map" in vars(fr) and "affine_map" not in vars(other)
+    assert hash(fr) == h and repr(fr) == before and fr == other
+    assert fr._fields == ("tau", "sigma0", "shift")
+
+
 def test_values_print_their_fields():
     d = GroupDatum((2,))
     assert repr(d) == "GroupDatum(blocks=(2,), adjoint=(False,))"

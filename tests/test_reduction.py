@@ -580,7 +580,7 @@ def test_a_conjugator_that_leaves_tau_off_the_last_block_is_a_bug(monkeypatch):
     import bgmu.reduction as reduction
 
     monkeypatch.setattr(reduction, "_conjugator_into_last",
-                        lambda problem, orbit: AffineElement.identity(problem.datum))
+                        lambda frob, orbit: AffineElement.identity(frob.datum))
     fr = swap_frobenius(omega_element(GroupDatum((2, 2)), (1, 0)))
     with pytest.raises(InternalCheckFailed, match="differs from claimed"):
         solve((1, 0, 1, 0), fr, strategy="constructive")
@@ -599,6 +599,64 @@ def test_a_descent_that_skips_its_conjugation_is_a_bug(monkeypatch):
     fr = Frobenius.inner(omega_element(GroupDatum.gl(4), (2,)))
     with pytest.raises(InternalCheckFailed, match="does not map the sub-blocks"):
         solve((1, 0, 0, 0), fr, strategy="constructive")
+
+
+# --- stages -----------------------------------------------------------------------
+
+def _rotation_33(kappas):
+    d = GroupDatum((3, 3))
+    return Frobenius(omega_element(d, kappas), Sigma0(d, (1, 0), (False, False)))
+
+
+def test_equal_twists_share_one_stage():
+    # a stage is keyed by the twist's value: two equal twists built
+    # separately give one miss, then one hit, and the same trace
+    from bgmu.reduction import _stage
+
+    a, b = _rotation_33((1, 0)), _rotation_33((1, 0))
+    assert a is not b and a == b
+    _stage.cache_clear()
+    assert _stage(a) is _stage(b)
+    assert _stage.cache_info()[:2] == (1, 1)  # hits, misses
+    mu = (2, 1, 0, 1, 0, 0)
+    first, second = solve(mu, a, "constructive"), solve(mu, b, "constructive")
+    assert first.trace == second.trace and first.w == second.w
+
+
+def test_a_sub_twist_reached_from_two_parents_is_a_hit():
+    # the gl:3*3 rotation with tau on either block conjugates onto the
+    # same GL_3 sub-twist: the second solve builds only its own stage
+    from bgmu.reduction import _stage
+
+    mu = (2, 1, 0, 1, 0, 0)
+    a, b = _rotation_33((1, 0)), _rotation_33((0, 1))
+    assert a != b
+    assert product_split(Problem(mu, a))[0] == product_split(Problem(mu, b))[0]
+    _stage.cache_clear()
+    solve(mu, a, "constructive")
+    misses = _stage.cache_info().misses
+    assert misses == 2  # the rotation and its GL_3 sub-twist
+    solve(mu, b, "constructive")
+    assert _stage.cache_info().misses == misses + 1
+
+
+def test_a_failed_stage_is_not_cached(monkeypatch):
+    # a check that fails on the first build fails again on the next
+    # solve of the same twist: lru_cache keeps no exception
+    import bgmu.reduction as reduction
+
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        raise InternalCheckFailed("sub-twist refused")
+
+    monkeypatch.setattr(reduction, "_sub_twist", refused)
+    fr = _rotation_33((1, 0))
+    for _ in range(2):
+        with pytest.raises(InternalCheckFailed, match="^sub-twist refused$"):
+            solve((2, 1, 0, 1, 0, 0), fr, "constructive")
+    assert len(calls) == 2 and reduction._stage.cache_info().currsize == 0
 
 
 def test_the_certificate_is_the_first_base_steps():
