@@ -25,7 +25,8 @@ The corpora:
   descent, orbit split, two superbasic bases), block swaps gl:k*k and
   3-cycles gl:k*k*k at k in {8, 16, 32} (omega conjugation and product
   split, the 3-cycles at kappa sum 2 with a parabolic descent after
-  it), the superbasic base with distinct entries mu = (n-1, ..., 0) at
+  it; the swaps that flip one block only lift through a last-block
+  sub-twist that itself carries a flip), the superbasic base with distinct entries mu = (n-1, ..., 0) at
   n in {16, 32, 48}, and (10^4, 0) under superbasic 1/2.
 
 A line is ``outcome_line``'s: the answer's JSON bytes, or the refusal.
@@ -152,9 +153,10 @@ def _product_splits() -> list:
         thirds, hook = _witness_mus(k)
         d = GroupDatum((k, k))
         for kappas, flip in (((1, 0), (False, False)), ((1, 0), (True, True)),
-                             ((0, 3), (False, False))):
+                             ((0, 3), (False, False)), ((1, 1), (False, True)),
+                             ((2, 0), (False, True))):
             fr = Frobenius(omega_element(d, kappas), Sigma0(d, (1, 0), flip))
-            name = "swap flipped" if any(flip) else "swap"
+            name = {0: "swap", 1: "swap odd-flipped", 2: "swap flipped"}[sum(flip)]
             out.append((f"gl:{k}*{k} {name} {','.join(map(str, kappas))}",
                         _steps(k) + thirds, fr))
         d = GroupDatum((k, k, k))
