@@ -102,22 +102,17 @@ class Sigma0(_Frozen):
     def is_invariant(self, vec: Sequence) -> bool:
         return self.apply_vector(vec) == tuple(vec)
 
-    def apply_perm(self, u: Permutation, power: int = 1) -> Permutation:
-        """sigma0^power of a block-preserving permutation: the signs of
-        the linear map cancel, leaving conjugation by its position part."""
-        rho = _map_power(self.map(), power).position_perm()
-        return rho * u * rho.inverse()
-
-    def apply_element(self, w: AffineElement, power: int = 1) -> AffineElement:
-        """sigma0^power of an element of the datum. It is not checked
-        again: sigma0 maps blocks to blocks of equal size, so the
-        conjugated permutation preserves the blocks."""
+    def apply_element(self, w: AffineElement) -> AffineElement:
+        """sigma0 of an element of the datum: its signed map on the
+        translation and, as the signs cancel, conjugation by the map's
+        positions on the permutation. It is not checked again: sigma0
+        maps blocks to blocks of equal size, so the conjugated
+        permutation preserves the blocks."""
         if w.datum != self.datum:
             raise DimensionMismatch("element and sigma0 live in different data")
-        lin = _map_power(self.map(), power)
-        return AffineElement._unchecked(
-            w.datum, lin.apply(w.trans), self.apply_perm(w.perm, power)
-        )
+        lin = self.map()
+        rho = Permutation._unchecked(lin.pos)
+        return AffineElement._unchecked(w.datum, lin.apply(w.trans), rho * w.perm * rho.inverse())
 
     @cached_property
     def block_orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -162,17 +157,6 @@ def _block_map(datum: GroupDatum, block_to: Sequence[int], flip: Sequence[bool])
             pos.extend(range(start + 1, start + nb + 1))
         sign.extend([-1 if flip[b] else 1] * nb)
     return SignedMap(tuple(pos), tuple(sign))
-
-
-def _map_power(m: SignedMap, power: int) -> SignedMap:
-    if power < 0:
-        return _map_power(m.inverse(), -power)
-    if power == 0:
-        return SignedMap.identity(len(m.pos))
-    acc = m
-    for _ in range(power - 1):
-        acc = m.after(acc)
-    return acc
 
 
 def simple_nodes(datum: GroupDatum) -> tuple[Node, ...]:

@@ -23,7 +23,12 @@ mu, sum a product split's parts, build a base's witness.
 A sub-problem lives on some of the parent's positions, renumbered in
 their order. ``_sub_twist`` (parent to sub-problem) and ``_embed`` with
 ``_embed_perm`` for x (sub-problems back to the parent, identity
-elsewhere) are the one place where these coordinates are mapped.
+elsewhere) are the one place where these coordinates are mapped. Every
+lift is a placement: a list of parent positions in the sub-problem's
+order and one sign, -1 where a piece reaches its block through an odd
+number of flips. An orbit split places each orbit on its positions, a
+product split each piece on its block of the orbit, and a parabolic
+descent the whole sub-witness at the images of z^-1.
 ``_sub_twist`` builds every sub-problem's twist and is its one check:
 the restricted tau must map each sub-block onto itself and have length
 zero, or the reduction has a bug (``InternalCheckFailed``). Raw element
@@ -167,29 +172,19 @@ class ProductSplitStep(NamedTuple):
     parent_frob: Frobenius
     parts: tuple[tuple[int, ...], ...]  # each mu_i carried to the last block
     sub_datum: GroupDatum
-    embed: tuple[int, ...]  # global positions of the last block
+    places: tuple[tuple[tuple[int, ...], int], ...]  # (positions, sign) per orbit block
     omega: OmegaStep  # tau0 puts the parent twist on the last block
 
     def lift(self, sub: Solution) -> Solution:
         """Spread the sub-witness over the orbit, then undo the
         conjugation: B(mu, tau0 sigma tau0^-1) = B(mu, sigma) with
-        witness w -> tau0^-1 w tau0.
-
-        Let L be the last block, tau the conjugated twist, which lives on
-        L, F = sigma0^m on L (a flip when the orbit carries an odd number
-        of flips, else 1), and A = piece_{m-2} ...
-        piece_0, where ``_factor_witness`` splits the sub-witness, unchecked, as
-        A piece_{m-1} with each piece below its part. Piece i < m-1 goes
-        on orbit block i as sigma0^{i+1}(piece_i), forwards round the
-        orbit, and piece_{m-1} stays on L. The norm of y on L is then
-        piece_{m-1} tau F(A) F, a twisted conjugate of
-        (A piece_{m-1}) tau F: the sub-witness under the sub-twist tau F.
-        Going backwards, sigma0^{i-m+1}(piece_i), would give the norm
-        piece_{m-1} tau A F instead, a twisted conjugate of
-        (F(A) piece_{m-1}) tau F, which is the sub-witness only when
-        F = 1; for an even flip parity the two powers are the same map."""
+        witness w -> tau0^-1 w tau0. ``_factor_witness`` splits the
+        sub-witness, unchecked, as piece_{m-2} ... piece_0 piece_{m-1}
+        with each piece below its part, and piece i goes on orbit block
+        i by its placement (see ``_split_product``). The pieces have
+        disjoint supports, so the product of their moved copies is
+        their overlay, and so is that of the moved copies of x."""
         datum = self.parent_frob.datum
-        sigma0 = self.parent_frob.sigma0
         m = len(self.orbit)
         # factor the sub-witness along the parts (already written in
         # last-block coordinates) in the order m-2, ..., 0, m-1
@@ -198,17 +193,8 @@ class ProductSplitStep(NamedTuple):
             AffineElement.translation(self.sub_datum, sub.x.act(self.parts[i]))
             for i in order
         ])))
-        # sigma0^{i+1} carries the last block to the i-th block of the
-        # orbit, so these copies have disjoint supports and the product
-        # of the moved copies of x is their overlay
-        powers = [i + 1 for i in range(m - 1)] + [0]
-        y = AffineElement.identity(datum)
-        x = Permutation.identity(datum.n)
-        x_emb = _embed_perm(datum.n, [(sub.x, self.embed)])
-        for i, power in enumerate(powers):
-            emb = _embed(datum, [(pieces[i], self.embed)])
-            y = y * sigma0.apply_element(emb, power=power)
-            x = x * sigma0.apply_perm(x_emb, power=power)
+        y = _embed(datum, [(pieces[i], pos, sign) for i, (pos, sign) in enumerate(self.places)])
+        x = _embed_perm(datum.n, [(sub.x, pos) for pos, _ in self.places])
         inv = self.omega.tau0.inverse()
         return Solution(inv * y * self.omega.tau0, inv.perm * x, (self.omega, self) + sub.trace)
 
@@ -223,16 +209,18 @@ def _embed_perm(n: int, pieces: Sequence[tuple[Permutation, Sequence[int]]]) -> 
     return Permutation(images)
 
 
-def _embed(datum: GroupDatum, pieces: Sequence[tuple[AffineElement, Sequence[int]]]) -> AffineElement:
-    """Each element w of a (w, positions) pair placed on its positions,
-    which are disjoint; the identity elsewhere. The inverse of the
-    restriction in ``_sub_twist`` on every piece."""
+def _embed(datum: GroupDatum,
+           pieces: Sequence[tuple[AffineElement, Sequence[int], int]]) -> AffineElement:
+    """Each element w of a (w, positions, sign) placement put on its
+    positions, which are disjoint, with its translation times sign; the
+    identity elsewhere. With sign +1, the inverse of the restriction in
+    ``_sub_twist`` on every piece."""
     trans = [0] * datum.n
-    for w, positions in pieces:
+    for w, positions, sign in pieces:
         for p, t in zip(positions, w.trans):
-            trans[p - 1] = t
+            trans[p - 1] = sign * t
     return AffineElement(
-        datum, trans, _embed_perm(datum.n, [(w.perm, positions) for w, positions in pieces])
+        datum, trans, _embed_perm(datum.n, [(w.perm, positions) for w, positions, _ in pieces])
     )
 
 
@@ -273,9 +261,24 @@ def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
 def _split_product(frob: Frobenius) -> _Stage:
     """The twist's half of ``product_split``: the conjugator tau0, the
     sub-twist on the orbit's last block and, per block b_i of the orbit,
-    where the part sigma0^{-(i+1)}(mu_i) (mu_i itself for the last
-    block) reads mu: position p of the last block holds sign * mu at q,
-    for the position q and the sign to which sigma0^{i+1} carries p."""
+    its placement: the positions to which sigma0^{i+1} carries the last
+    block's, in order, and the sign it multiplies them by (the last
+    block stays put). The lift puts piece_i there, and the part
+    sigma0^{-(i+1)}(mu_i) reads mu there: position p of the last block
+    holds sign * mu at the image of p.
+
+    Why forwards: let L be the last block, tau the conjugated twist,
+    which lives on L, F = sigma0^m on L (a flip when the orbit carries
+    an odd number of flips, else 1), and A = piece_{m-2} ... piece_0.
+    With piece i < m-1 on orbit block i as sigma0^{i+1}(piece_i) and
+    piece_{m-1} on L, the norm of the lift on L is
+    piece_{m-1} tau F(A) F, a twisted conjugate of
+    (A piece_{m-1}) tau F: the sub-witness under the sub-twist tau F.
+    Going backwards, sigma0^{i-m+1}(piece_i), would give the norm
+    piece_{m-1} tau A F instead, a twisted conjugate of
+    (F(A) piece_{m-1}) tau F, which is the sub-witness only when
+    F = 1; for an even flip parity the two powers are the same map.
+    sigma0^{i+1} maps the whole of L to one block, with one sign."""
     datum = frob.datum
     orbit = frob.sigma0.block_orbits[0]
     last = orbit[-1]
@@ -284,35 +287,35 @@ def _split_product(frob: Frobenius) -> _Stage:
     sub_datum = GroupDatum((datum.blocks[last],), (datum.adjoint[last],))
     smap = frob.sigma0.map()
     power = SignedMap.identity(datum.n)
-    gathers = []
+    places = []
     for _ in orbit[:-1]:
         power = smap.after(power)
-        gathers.append(tuple((power.pos[p - 1] - 1, power.sign[p - 1]) for p in embed))
-    gathers.append(tuple((p - 1, 1) for p in embed))
+        places.append((tuple(power.pos[p - 1] for p in embed), power.sign[lo - 1]))
+    places.append((embed, 1))
     tau0 = _conjugator_into_last(frob, orbit)
     tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
     # sigma0^m maps the last block to itself, flipped when the orbit
     # carries an odd number of flips
     sub_frob = _sub_twist(tau, smap.after(power), embed, sub_datum)
-    step = ProductSplitStep("product-split", orbit, frob, (), sub_datum, embed,
+    step = ProductSplitStep("product-split", orbit, frob, (), sub_datum, tuple(places),
                             OmegaStep("omega-conjugate", tau0))
-    return _Stage(step, (sub_frob,), tuple(gathers))
+    return _Stage(step, (sub_frob,))
 
 
 def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
     """A transitive orbit of two or more blocks reduces to its last
     factor with coweight gamma = mu_{m-1} + sum_{i < m-1}
     sigma0^{-(i+1)}(mu_i) and twist sigma^m (see
-    ``ProductSplitStep.lift`` for the powers), once tau is conjugated to
+    ``_split_product`` for the powers), once tau is conjugated to
     tau0 tau sigma0(tau0)^-1 on the last block by the length-zero tau0
     of ``_conjugator_into_last``. The twist's half comes from the stage;
-    the parts are read off mu here."""
+    the parts are read off mu here, at the placements."""
     frob = problem.frob
     if len(frob.sigma0.block_orbits) != 1 or problem.datum.num_blocks == 1:
         raise ParseError("sigma0 must act transitively on two or more blocks; split orbits first")
     stage = _stage(frob)
     mu = problem.mu
-    parts = tuple(tuple(s * mu[q] for q, s in gather) for gather in stage.gathers)
+    parts = tuple(tuple(sign * mu[p - 1] for p in pos) for pos, sign in stage.step.places)
     return Problem(tuple(map(sum, zip(*parts))), stage.subs[0]), stage.step._replace(parts=parts)
 
 
@@ -340,11 +343,11 @@ class ParabolicStep(NamedTuple):
     sub_datum: GroupDatum
 
     def lift(self, sub: Solution) -> Solution:
-        datum = self.parent_frob.datum
-        z_elt = AffineElement.from_permutation(datum, self.z)
-        w = z_elt.inverse() * sub.w.with_datum(datum) * z_elt
-        x = self.z.inverse() * sub.x
-        return Solution(w, x, (self,) + sub.trace)
+        """Undo the conjugation by z: z^-1 w z places w at the images
+        of z^-1."""
+        zinv = self.z.inverse()
+        w = _embed(self.parent_frob.datum, [(sub.w, zinv.images, 1)])
+        return Solution(w, zinv * sub.x, (self,) + sub.trace)
 
 
 def _fixed_direction_space(frob: Frobenius) -> tuple[int, list[IntVec]]:
@@ -481,7 +484,7 @@ class OrbitSplitStep(NamedTuple):
 
     def lift(self, subs: Sequence[Solution]) -> Solution:
         datum = self.parent_frob.datum
-        w = _embed(datum, [(sub.w, pos) for pos, sub in zip(self.positions, subs)])
+        w = _embed(datum, [(sub.w, pos, 1) for pos, sub in zip(self.positions, subs)])
         x = _embed_perm(datum.n, [(sub.x, pos) for pos, sub in zip(self.positions, subs)])
         return Solution(w, x, (self,) + tuple(step for sub in subs for step in sub.trace))
 
@@ -503,12 +506,10 @@ class _Stage(NamedTuple):
     trace record with all that mu does not decide: complete for an orbit
     split and a parabolic step, without its parts for a product split,
     and without its central part (rank one) or certificate (superbasic)
-    for a base. ``subs`` are the sub-problems' twists, and ``gathers``
-    the (position, sign) pairs of a product split's parts."""
+    for a base. ``subs`` are the sub-problems' twists."""
 
     step: tuple
     subs: tuple[Frobenius, ...] = ()
-    gathers: tuple[tuple[tuple[int, int], ...], ...] = ()
 
 
 def _split_orbits(frob: Frobenius) -> _Stage:

@@ -270,14 +270,6 @@ class SignedMap(NamedTuple):
             out[p - 1] = s * vec[i]
         return tuple(out)
 
-    def inverse(self) -> "SignedMap":
-        pos = [0] * len(self.pos)
-        sign = [1] * len(self.pos)
-        for i, (p, s) in enumerate(zip(self.pos, self.sign)):
-            pos[p - 1] = i + 1
-            sign[p - 1] = s
-        return SignedMap(tuple(pos), tuple(sign))
-
     def cycles(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The cycles of the position permutation, each as its 0-based
         coordinates in visiting order (from its least one) and the
@@ -295,9 +287,6 @@ class SignedMap(NamedTuple):
                 cur = self.pos[cur] - 1
             out.append((tuple(cycle), sign))
         return tuple(out)
-
-    def position_perm(self) -> Permutation:
-        return Permutation(self.pos)
 
 
 def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec]:

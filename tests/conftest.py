@@ -13,7 +13,9 @@ The references below are what the tests compare the solver against;
 nothing in the package calls them:
 
 * group arithmetic: ``num_inversions``, ``apply_affine`` (the affine
-  action on the ambient space) and ``element_power``;
+  action on the ambient space), ``element_power`` and
+  ``orbit_spread_reference``, a product split's pieces moved round
+  their orbit by repeated sigma0;
 * the text form: ``format_element_reference`` and
   ``permutation_repr_reference``, built on ``Permutation.cycles``;
 * reduced words and the Bruhat order: ``simple_reflections``,
@@ -96,6 +98,28 @@ def element_power(w: AffineElement, k: int) -> AffineElement:
             result = result * base
         base = base * base
         k >>= 1
+    return result
+
+
+def orbit_spread_reference(sigma0: Sigma0, pieces) -> AffineElement:
+    """The product of sigma0^{i+1}(piece_i) over the pieces of a
+    product split on the one orbit of sigma0, piece_{m-1} left as it
+    is: each piece, an element of the orbit's last block, is put on
+    that block and moved forwards round the orbit by i + 1 repeated
+    applications of sigma0."""
+    datum = sigma0.datum
+    lo, hi = datum.block_ranges()[sigma0.block_orbits[0][-1]]
+    m = len(pieces)
+    result = AffineElement.identity(datum)
+    for i, piece in enumerate(pieces):
+        trans = [0] * datum.n
+        trans[lo - 1 : hi] = piece.trans
+        images = list(range(1, datum.n + 1))
+        images[lo - 1 : hi] = [lo - 1 + j for j in piece.perm.images]
+        moved = AffineElement(datum, trans, Permutation(images))
+        for _ in range(i + 1 if i < m - 1 else 0):
+            moved = sigma0.apply_element(moved)
+        result = result * moved
     return result
 
 

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgmu.acceptable import (
     BRUTE_GUARD_N,
@@ -15,13 +17,16 @@ from bgmu.acceptable import (
     maximal_newton_state,
 )
 from bgmu.errors import GuardExceeded, InternalCheckFailed, ParseError, UnsupportedTwist
-from bgmu.newton import Frobenius, Sigma0, _map_power, dominant_rep, kappa, newton_point
+from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     Problem,
     Solution,
+    _embed,
+    _embed_perm,
     _factor_witness,
     _fixed_direction_space,
     _generic_point,
+    _split_product,
     _sub_twist,
     parabolic_reduce,
     product_split,
@@ -32,6 +37,7 @@ from bgmu.weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
+    SignedMap,
     bruhat_leq,
     format_element,
     omega_element,
@@ -40,6 +46,7 @@ from bgmu.weyl import (
 from conftest import (
     bruhat_lower_set,
     dominant_coweights,
+    orbit_spread_reference,
     pinned_twisted_problems,
     reference_attained,
     reference_brute_force,
@@ -882,10 +889,50 @@ def test_sub_twists_of_the_orbit_and_product_splits():
                     lo, hi = ranges[orbit[-1]]
                     last = GroupDatum((k,))
                     parity = sum(flip[b] for b in orbit) % 2 == 1
-                    got = _sub_twist(tau, _map_power(s0.map(), len(orbit)),
-                                     tuple(range(lo, hi + 1)), last)
+                    power = SignedMap.identity(d.n)
+                    for _ in orbit:
+                        power = s0.map().after(power)
+                    got = _sub_twist(tau, power, tuple(range(lo, hi + 1)), last)
                     assert got.sigma0 == Sigma0(last, (0,), (parity,))
                     assert got.tau == omega_element(last, (1,))
+
+
+# every transitive sigma0 on 2 or 3 blocks, with every flip pattern
+ORBIT_TWISTS = [(block_to, flip)
+                for block_to in ((1, 0), (1, 2, 0), (2, 0, 1))
+                for flip in itertools.product((False, True), repeat=len(block_to))]
+
+
+@st.composite
+def product_split_pieces(draw, r):
+    """A block size k of 1-4, kappas for a length-zero twist on r
+    blocks of size k, r elements of GL_k and a permutation of k."""
+    k = draw(st.integers(1, 4))
+    last = GroupDatum.gl(k)
+    pieces = [AffineElement(last, draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)),
+                            Permutation(draw(st.permutations(range(1, k + 1)))))
+              for _ in range(r)]
+    x = Permutation(draw(st.permutations(range(1, k + 1))))
+    return k, draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)), pieces, x
+
+
+@pytest.mark.parametrize("block_to, flip", ORBIT_TWISTS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_product_split_placements_equal_the_sigma0_powers(block_to, flip, data):
+    # the lift places piece i by one _embed call at the product split's
+    # placements; that is the product of the sigma0^{i+1}(piece_i), and
+    # the overlay of x the product of the sigma0^{i+1}(x)
+    r = len(block_to)
+    k, kappas, pieces, x = data.draw(product_split_pieces(r))
+    d = GroupDatum((k,) * r)
+    s0 = Sigma0(d, block_to, flip)
+    places = _split_product(Frobenius(omega_element(d, kappas), s0)).step.places
+    assert _embed(d, [(w, pos, sign) for w, (pos, sign) in zip(pieces, places)]) == \
+        orbit_spread_reference(s0, pieces)
+    x_elt = AffineElement.from_permutation(GroupDatum.gl(k), x)
+    assert _embed_perm(d.n, [(x, pos) for pos, _ in places]) == \
+        orbit_spread_reference(s0, [x_elt] * r).perm
 
 
 def test_sub_twist_refuses_a_restriction_of_positive_length():
