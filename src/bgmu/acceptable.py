@@ -58,6 +58,7 @@ from .newton import (
     _newton_key,
     _scaled,
     _scaled_heights,
+    _vec_str,
     alpha_pairing,
     dominant_rep,
     heights,

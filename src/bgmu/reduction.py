@@ -2,23 +2,25 @@
 
 A problem (datum, mu, twist) is reduced stage by stage, each stage a
 bijection of acceptable sets that builds its sub-problem once: the
-blocks split into sigma0-orbits; an orbit of several blocks is
-conjugated by a length-zero element that puts the twist on its last
-block, and split to that block (``product_split``); a single block
-descends along the stabilizer of a generic fixed direction
-(``parabolic_reduce``) until the residual twist is superbasic. The
-twist's linear part is a signed permutation, so its fixed directions
-are read off its cycles, one per cycle of sign product +1, with no
-linear algebra. Every step records enough data to lift a witness back.
+blocks split into sigma0-orbits (``OrbitSplitStep``); an orbit of
+several blocks is conjugated by a length-zero element that puts the
+twist on its last block, and split to that block
+(``ProductSplitStep``); a single block descends along the stabilizer of
+a generic fixed direction (``ParabolicStep``) until the residual twist
+is superbasic (``BaseStep``). The twist's linear part is a signed
+permutation, so its fixed directions are read off its cycles, one per
+cycle of sign product +1, with no linear algebra.
 
 The stages read the twist only: the orbits, the conjugator and the
 sub-twist of a product split, the generic direction and the Levi of a
 descent, and a superbasic base's data are chosen from sigma, and mu
-only rides along. So each stage is split in two. ``_stage`` builds the
-twist's half, with every check of the twist, once per twist per
-process (an ``lru_cache`` of 256 twists); ``_solve_orbits``,
-``product_split`` and ``parabolic_reduce`` add the mu half: restrict
-mu, sum a product split's parts, build a base's witness.
+only rides along. So a stage is its step record, built from the twist
+with every check of the twist once per twist per process by ``_stage``
+(an ``lru_cache`` of 256 twists), sub-twists included. ``_solve_orbits``
+is one recursion over the steps: a base builds its witness from mu;
+any other step's ``split(mu)`` returns the step with what mu decides
+(a product split's parts) and the sub-problems, and its ``lift`` takes
+their solutions back to one.
 
 A sub-problem lives on some of the parent's positions, renumbered in
 their order. ``_sub_twist`` (parent to sub-problem) and ``_embed`` with
@@ -170,12 +172,22 @@ class ProductSplitStep(NamedTuple):
     kind: str
     orbit: tuple[int, ...]
     parent_frob: Frobenius
-    parts: tuple[tuple[int, ...], ...]  # each mu_i carried to the last block
-    sub_datum: GroupDatum
+    parts: tuple[tuple[int, ...], ...]  # each mu_i carried to the last block; () until split
+    sub_frob: Frobenius  # the twist sigma^m on the last block
     places: tuple[tuple[tuple[int, ...], int], ...]  # (positions, sign) per orbit block
     omega: OmegaStep  # tau0 puts the parent twist on the last block
 
-    def lift(self, sub: Solution) -> Solution:
+    def split(self, mu: Sequence[int]) -> tuple[ProductSplitStep, list[Problem]]:
+        """The orbit reduces to its last factor with coweight
+        gamma = mu_{m-1} + sum_{i < m-1} sigma0^{-(i+1)}(mu_i) and the
+        sub-twist, once tau is conjugated to tau0 tau sigma0(tau0)^-1 on
+        the last block by the length-zero tau0 of
+        ``_conjugator_into_last``. The parts are read off mu at the
+        placements (see ``_split_product`` for the powers)."""
+        parts = tuple(tuple(sign * mu[p - 1] for p in pos) for pos, sign in self.places)
+        return self._replace(parts=parts), [Problem(tuple(map(sum, zip(*parts))), self.sub_frob)]
+
+    def lift(self, subs: Sequence[Solution]) -> Solution:
         """Spread the sub-witness over the orbit, then undo the
         conjugation: B(mu, tau0 sigma tau0^-1) = B(mu, sigma) with
         witness w -> tau0^-1 w tau0. ``_factor_witness`` splits the
@@ -184,13 +196,14 @@ class ProductSplitStep(NamedTuple):
         i by its placement (see ``_split_product``). The pieces have
         disjoint supports, so the product of their moved copies is
         their overlay, and so is that of the moved copies of x."""
+        (sub,) = subs
         datum = self.parent_frob.datum
         m = len(self.orbit)
         # factor the sub-witness along the parts (already written in
         # last-block coordinates) in the order m-2, ..., 0, m-1
         order = [*range(m - 2, -1, -1), m - 1]
         pieces = dict(zip(order, _factor_witness(sub.w, [
-            AffineElement.translation(self.sub_datum, sub.x.act(self.parts[i]))
+            AffineElement.translation(self.sub_frob.datum, sub.x.act(self.parts[i]))
             for i in order
         ])))
         y = _embed(datum, [(pieces[i], pos, sign) for i, (pos, sign) in enumerate(self.places)])
@@ -258,8 +271,8 @@ def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
     return Frobenius(sub_tau, Sigma0(sub_datum, block_to, flip))
 
 
-def _split_product(frob: Frobenius) -> _Stage:
-    """The twist's half of ``product_split``: the conjugator tau0, the
+def _split_product(frob: Frobenius) -> ProductSplitStep:
+    """The product split's step without its parts: the conjugator tau0, the
     sub-twist on the orbit's last block and, per block b_i of the orbit,
     its placement: the positions to which sigma0^{i+1} carries the last
     block's, in order, and the sign it multiplies them by (the last
@@ -297,26 +310,8 @@ def _split_product(frob: Frobenius) -> _Stage:
     # sigma0^m maps the last block to itself, flipped when the orbit
     # carries an odd number of flips
     sub_frob = _sub_twist(tau, smap.after(power), embed, sub_datum)
-    step = ProductSplitStep("product-split", orbit, frob, (), sub_datum, tuple(places),
+    return ProductSplitStep("product-split", orbit, frob, (), sub_frob, tuple(places),
                             OmegaStep("omega-conjugate", tau0))
-    return _Stage(step, (sub_frob,))
-
-
-def product_split(problem: Problem) -> tuple[Problem, ProductSplitStep]:
-    """A transitive orbit of two or more blocks reduces to its last
-    factor with coweight gamma = mu_{m-1} + sum_{i < m-1}
-    sigma0^{-(i+1)}(mu_i) and twist sigma^m (see
-    ``_split_product`` for the powers), once tau is conjugated to
-    tau0 tau sigma0(tau0)^-1 on the last block by the length-zero tau0
-    of ``_conjugator_into_last``. The twist's half comes from the stage;
-    the parts are read off mu here, at the placements."""
-    frob = problem.frob
-    if len(frob.sigma0.block_orbits) != 1 or problem.datum.num_blocks == 1:
-        raise ParseError("sigma0 must act transitively on two or more blocks; split orbits first")
-    stage = _stage(frob)
-    mu = problem.mu
-    parts = tuple(tuple(sign * mu[p - 1] for p in pos) for pos, sign in stage.step.places)
-    return Problem(tuple(map(sum, zip(*parts))), stage.subs[0]), stage.step._replace(parts=parts)
 
 
 def _factor_witness(
@@ -340,11 +335,18 @@ class ParabolicStep(NamedTuple):
     parent_frob: Frobenius
     v0: tuple[Fraction, ...]
     z: Permutation
-    sub_datum: GroupDatum
+    sub_frob: Frobenius  # the twist on the Levi, conjugated by z
 
-    def lift(self, sub: Solution) -> Solution:
+    def split(self, mu: Sequence[int]) -> tuple[ParabolicStep, list[Problem]]:
+        """Descend to the stabilizer of the dominant representative
+        vbar of the generic direction v0: the Levi whose blocks are the
+        runs of equal entries of vbar, with mu as it is."""
+        return self, [Problem(mu, self.sub_frob)]
+
+    def lift(self, subs: Sequence[Solution]) -> Solution:
         """Undo the conjugation by z: z^-1 w z places w at the images
         of z^-1."""
+        (sub,) = subs
         zinv = self.z.inverse()
         w = _embed(self.parent_frob.datum, [(sub.w, zinv.images, 1)])
         return Solution(w, zinv * sub.x, (self,) + sub.trace)
@@ -421,25 +423,12 @@ def _generic_point(frob: Frobenius, den: int, basis: list[IntVec]) -> IntVec:
     return tuple(v0)
 
 
-def parabolic_reduce(problem: Problem) -> Optional[tuple[Problem, ParabolicStep]]:
-    """Descend to the stabilizer of the dominant representative vbar of
-    a generic twist-fixed direction: the Levi whose blocks are the runs
-    of equal entries of vbar. Returns None when vbar is central, that is
-    when the twist is already superbasic (no proper descent), and on a
-    block of rank one. The descent is the stage's (``_descend``), which
-    also refuses a superbasic twist with a flip (``UnsupportedTwist``)."""
-    if problem.datum.num_blocks != 1:
-        raise ParseError("parabolic reduction expects a single block")
-    stage = _stage(problem.frob)
-    if not isinstance(stage.step, ParabolicStep):
-        return None
-    return Problem(problem.mu, stage.subs[0]), stage.step
-
-
-def _descend(frob: Frobenius) -> _Stage:
-    """The stage of a single block of rank at least two: the parabolic
-    step and its sub-twist or, at a superbasic twist, the base's m0, n
-    and central part, once the base's twist is checked."""
+def _descend(frob: Frobenius) -> ParabolicStep | BaseStep:
+    """The step of a single block of rank at least two: the parabolic
+    step with its sub-twist when the dominant representative vbar of
+    the generic direction is not central or, at a superbasic twist, the
+    base's m0, n and central part, once the base's twist is checked; a
+    superbasic twist with a flip is refused (``UnsupportedTwist``)."""
     datum = frob.datum
     den, basis = _fixed_direction_space(frob)
     v0 = _generic_point(frob, den, basis)
@@ -459,8 +448,7 @@ def _descend(frob: Frobenius) -> _Stage:
         new_tau = z_elt * frob.tau * frob.sigma0.apply_element(z_elt).inverse()
         sub_datum = GroupDatum(tuple(b - a for a, b in zip([0] + cut, cut + [n])))
         sub_frob = _sub_twist(new_tau, frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
-        step = ParabolicStep("parabolic", frob, tuple(Fraction(x, den) for x in v0), z, sub_datum)
-        return _Stage(step, (sub_frob,))
+        return ParabolicStep("parabolic", frob, tuple(Fraction(x, den) for x in v0), z, sub_frob)
     # superbasic base case
     if not frob.sigma0.is_identity():
         raise UnsupportedTwist(
@@ -471,7 +459,7 @@ def _descend(frob: Frobenius) -> _Stage:
     m0 = kap % n
     if m0 == 0 or gcd(m0, n) != 1:
         raise InternalCheckFailed(f"residual twist kappa={kap} is not superbasic on GL_{n}")
-    return _Stage(BaseStep("base-superbasic", m0, n, (kap - m0) // n))
+    return BaseStep("base-superbasic", m0, n, (kap - m0) // n)
 
 
 # --- the solver ---------------------------------------------------------------
@@ -481,6 +469,12 @@ class OrbitSplitStep(NamedTuple):
     parent_frob: Frobenius
     orbits: tuple[tuple[int, ...], ...]
     positions: tuple[tuple[int, ...], ...]  # global positions per orbit
+    subs: tuple[Frobenius, ...]  # the twist on each orbit
+
+    def split(self, mu: Sequence[int]) -> tuple[OrbitSplitStep, list[Problem]]:
+        """mu restricted to each orbit's positions, with its twist."""
+        return self, [Problem(tuple(mu[p - 1] for p in pos), sub)
+                      for pos, sub in zip(self.positions, self.subs)]
 
     def lift(self, subs: Sequence[Solution]) -> Solution:
         datum = self.parent_frob.datum
@@ -501,18 +495,7 @@ class BaseStep(NamedTuple):
     certificate: Optional[PeelCertificate] = None
 
 
-class _Stage(NamedTuple):
-    """The twist's half of one reduction stage. ``step`` is the stage's
-    trace record with all that mu does not decide: complete for an orbit
-    split and a parabolic step, without its parts for a product split,
-    and without its central part (rank one) or certificate (superbasic)
-    for a base. ``subs`` are the sub-problems' twists."""
-
-    step: tuple
-    subs: tuple[Frobenius, ...] = ()
-
-
-def _split_orbits(frob: Frobenius) -> _Stage:
+def _split_orbits(frob: Frobenius) -> OrbitSplitStep:
     """One sub-twist per sigma0-orbit of blocks, on the orbit's blocks
     in increasing order."""
     datum = frob.datum
@@ -527,49 +510,43 @@ def _split_orbits(frob: Frobenius) -> _Stage:
         sub_datum = GroupDatum(tuple(datum.blocks[b] for b in blocks),
                                tuple(datum.adjoint[b] for b in blocks))
         subs.append(_sub_twist(frob.tau, frob.sigma0.map(), pos, sub_datum))
-    return _Stage(OrbitSplitStep("orbit-split", frob, orbits, tuple(positions)), tuple(subs))
+    return OrbitSplitStep("orbit-split", frob, orbits, tuple(positions), tuple(subs))
 
 
 @lru_cache(maxsize=256)
-def _stage(frob: Frobenius) -> _Stage:
-    """The twist's half of the stage that a problem on frob takes,
+def _stage(frob: Frobenius) -> OrbitSplitStep | ProductSplitStep | ParabolicStep | BaseStep:
+    """The step that a problem on frob takes, with its sub-twists,
     built and checked once per twist per process: an orbit split when
     sigma0 has several orbits of blocks, a product split on one orbit of
     several blocks, and on a single block a rank-one base, a parabolic
-    descent or a superbasic base. Every check of the twist runs on the
-    first build; a failed one raises on every call, as ``lru_cache``
-    keeps no exception. The bound holds the twists of a desk-scale
-    sweep, top-level and sub-problem alike: 181 distinct ones over the
-    811 stages of 220 ``bgmu max`` problems on ranks 6-9, where 64
-    entries would evict and rebuild 113 more."""
+    descent or a superbasic base. The step holds all that mu does not
+    decide: a product split lacks its parts, which its ``split`` fills
+    in, and a base its central part (rank one) or certificate
+    (superbasic), which ``_solve_orbits`` fills in. Every check of the
+    twist runs on the first build; a failed one raises on every call,
+    as ``lru_cache`` keeps no exception. The bound holds the twists of
+    a desk-scale sweep, top-level and sub-problem alike: 181 distinct
+    ones over the 811 stages of 220 ``bgmu max`` problems on ranks 6-9,
+    where 64 entries would evict and rebuild 113 more."""
     datum = frob.datum
     if len(frob.sigma0.block_orbits) != 1:
         return _split_orbits(frob)
     if datum.num_blocks != 1:
         return _split_product(frob)
     if datum.n == 1:
-        return _Stage(BaseStep("base-rank-one", 0, 1, 0))
+        return BaseStep("base-rank-one", 0, 1, 0)
     return _descend(frob)
 
 
 def _solve_orbits(problem: Problem) -> Solution:
-    """The mu half of the problem's stage: restrict mu to each orbit,
-    or take the product split's parts or the descent's sub-problem, and
-    at a base build the witness."""
+    """Solve the problem by its step: at a base build the witness from
+    mu; at any other step split mu into the sub-problems, solve each and
+    lift their solutions."""
+    step = _stage(problem.frob)
+    if not isinstance(step, BaseStep):
+        step, subs = step.split(problem.mu)
+        return step.lift([_solve_orbits(sub) for sub in subs])
     mu = problem.mu
-    stage = _stage(problem.frob)
-    step = stage.step
-    if isinstance(step, OrbitSplitStep):
-        return step.lift([
-            _solve_orbits(Problem(tuple(mu[p - 1] for p in pos), sub))
-            for pos, sub in zip(step.positions, stage.subs)
-        ])
-    if isinstance(step, ProductSplitStep):
-        sub_problem, step = product_split(problem)
-        return step.lift(_solve_orbits(sub_problem))
-    if isinstance(step, ParabolicStep):
-        sub_problem, step = parabolic_reduce(problem)
-        return step.lift(_solve_orbits(sub_problem))
     if step.kind == "base-rank-one":
         w = AffineElement.translation(problem.datum, mu)
         return Solution(w, Permutation.identity(1), (step._replace(central=mu[0]),))
@@ -589,7 +566,7 @@ def step_json(step) -> dict:
         doc["parts"] = [list(p) for p in step.parts]
     elif isinstance(step, ParabolicStep):
         doc["z"] = repr(step.z)
-        doc["blocks"] = list(step.sub_datum.blocks)
+        doc["blocks"] = list(step.sub_frob.datum.blocks)
         doc["generic_direction"] = [str(x) for x in step.v0]
     elif isinstance(step, OrbitSplitStep):
         doc["orbits"] = [[b + 1 for b in orbit] for orbit in step.orbits]

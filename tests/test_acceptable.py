@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -27,7 +28,13 @@ from bgmu.acceptable import (
     polygon,
     support_nodes,
 )
-from bgmu.errors import DimensionMismatch, GuardExceeded, ParseError, UnsupportedTwist
+from bgmu.errors import (
+    DimensionMismatch,
+    GuardExceeded,
+    InternalCheckFailed,
+    ParseError,
+    UnsupportedTwist,
+)
 from bgmu.newton import (
     Frobenius,
     Sigma0,
@@ -283,6 +290,19 @@ def test_enumeration_builds_one_bound_table(monkeypatch):
         calls.clear()
         enumerate_acceptable(mu, frob)
         assert len(calls) == 1, (mu, frob)
+
+
+def test_an_enumerated_maximum_off_the_solver_point_is_refused(monkeypatch):
+    # the enumeration's cross-check against the maximal point raises the
+    # typed error, with both points in its message
+    real = acceptable._maximal_state
+    monkeypatch.setattr(acceptable, "_maximal_state",
+                        lambda *a: real(*a)._replace(nu_raw=(Fraction(1), 0, 0)))
+    fr = Frobenius.superbasic(1, 3, normalized=False)
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+        "enumerated maximum (1, 1/2, 1/2) differs from solver (1, 0, 0)"
+    )):
+        enumerate_acceptable((1, 0, 0), fr)
 
 
 def test_verify_body_agrees_on_the_maximum():
@@ -636,6 +656,18 @@ def test_size_guard_comes_before_the_product(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(acceptable, "BRUTE_GUARD_SIZE", 625)
     assert solve((2, 1, 0, 2, 1, 0), fr, strategy="bruteforce").checks["bruteforce"]
+
+
+def test_incomparable_admissible_maxima_are_refused(monkeypatch):
+    # two keys whose heights (2, 2) and (1, 3) are incomparable leave the
+    # brute force no maximum: the typed error lists the points attained
+    keys = itertools.cycle([(1, (2, 0, 1)), (1, (1, 2, 0))])
+    monkeypatch.setattr(acceptable, "_newton_key", lambda *a: next(keys))
+    fr = Frobenius.superbasic(1, 3, normalized=False)
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+        "admissible Newton points have 0 maxima: (1, 2, 0), (2, 0, 1)"
+    )):
+        acceptable._brute_force((1, 0, 0), fr, witness=False)
 
 
 def test_representatives_are_the_orbit_minima():

@@ -39,7 +39,8 @@ def test_bench_imports_resolve(script):
 COUNTERS = {"weyl.length", "weyl.mul", "reduction.lift", "cli.stdout_bytes"}
 DEAD = {
     "weyl.left_descent", "weyl.bruhat_memo", "weyl.bruhat_lower_set", "weyl.reduced_word",
-    "superbasic.bruhat_lt", "reduction.factor_witness",
+    "superbasic.bruhat_lt", "reduction.factor_witness", "reduction.product_split",
+    "reduction.parabolic_reduce",
 }
 
 

@@ -4,6 +4,10 @@ Each module of the package (except ``__init__.py``, which imports to
 re-export) and of the test suite is parsed with ``ast``; a name bound by
 an import must appear as a loaded ``Name`` somewhere in the module.
 
+The converse runs on the same modules with ``symtable``: every name
+that a function, class or comprehension of a module reads as a global
+must be bound in the module once it is imported, or be a builtin.
+
 A second check covers the package's private definitions: a module-level
 function, class or constant of ``src/bgmu`` named with one leading
 underscore must be read somewhere in the package outside the statement
@@ -26,6 +30,9 @@ force's guard policy.
 """
 
 import ast
+import builtins
+import importlib
+import symtable
 import tomllib
 from pathlib import Path
 
@@ -70,6 +77,33 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     assert unused_imports((ROOT / module).read_text()) == []
+
+
+def global_reads(source: str, filename: str = "<module>") -> set[str]:
+    """The names that the module's functions, classes and comprehensions,
+    at any depth, read as globals."""
+    found: set[str] = set()
+    tables = list(symtable.symtable(source, filename, "exec").get_children())
+    while tables:
+        table = tables.pop()
+        found.update(sym.get_name() for sym in table.get_symbols()
+                     if sym.is_global() and sym.is_referenced())
+        tables += table.get_children()
+    return found
+
+
+def test_global_reads_are_found():
+    source = ("import os\nX = 1\ndef f(a):\n    b = a\n    return [os.sep for _ in Y] + [b, X]\n"
+              "class C:\n    def m(self):\n        global Z\n        Z = 1\n        return W\n")
+    assert global_reads(source) == {"os", "X", "Y", "W"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_global_read_is_bound(module):
+    path = ROOT / module
+    name = ("bgmu." if module.startswith("src/") else "") + path.stem
+    bound = set(vars(importlib.import_module(name))) | set(vars(builtins))
+    assert sorted(global_reads(path.read_text(), module) - bound) == []
 
 
 PACKAGE = sorted((ROOT / "src" / "bgmu").glob("*.py"))

@@ -19,6 +19,8 @@ from bgmu.acceptable import (
 from bgmu.errors import GuardExceeded, InternalCheckFailed, ParseError, UnsupportedTwist
 from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
+    BaseStep,
+    ParabolicStep,
     Problem,
     Solution,
     _embed,
@@ -27,9 +29,8 @@ from bgmu.reduction import (
     _fixed_direction_space,
     _generic_point,
     _split_product,
+    _stage,
     _sub_twist,
-    parabolic_reduce,
-    product_split,
     solve,
     step_json,
 )
@@ -96,7 +97,7 @@ def swap_frobenius(tau=None):
 
 def test_product_split_two_blocks():
     fr = swap_frobenius()
-    sub, step = product_split(Problem((1, 0, 0, 0), fr))
+    step, (sub,) = _stage(fr).split((1, 0, 0, 0))
     assert sub.datum.blocks == (2,)
     assert sub.mu == (1, 0)
     assert step.parts == ((1, 0), (0, 0))
@@ -108,18 +109,16 @@ def test_product_split_conjugates_tau_onto_the_last_block():
     # needs none. Either way the sub-twist is the same on GL_2
     d22 = GroupDatum((2, 2))
     for kappas, tau0 in (((1, 0), "t[0,-1,0,0]*cyc(1,2)"), ((0, 1), "t[0,0,0,0]")):
-        sub, step = product_split(Problem((1, 0, 1, 0), swap_frobenius(omega_element(d22, kappas))))
+        step, (sub,) = _stage(swap_frobenius(omega_element(d22, kappas))).split((1, 0, 1, 0))
         assert format_element(step.omega.tau0) == tau0 and step.omega.tau0.length() == 0
         assert format_element(sub.frob.tau) == "t[1,0]*cyc(1,2)"
         assert sub.mu == (2, 0)
-    with pytest.raises(ParseError, match="act transitively"):
-        product_split(Problem((1, 0, 1, 0), Frobenius.trivial(d22)))
 
 
 def test_product_split_bijection_of_acceptable_sets():
     fr = swap_frobenius()
     parent = Problem((1, 0, 0, 0), fr)
-    sub, step = product_split(parent)
+    step, (sub,) = _stage(fr).split(parent.mu)
     a = enumerate_acceptable(parent.mu, parent.frob)
     b = enumerate_acceptable(sub.mu, sub.frob)
     # parent points are the halved spread of the factor points
@@ -186,18 +185,13 @@ def test_factor_witness_three_bounds_on_gl3():
 
 def test_parabolic_superbasic_is_terminal():
     fr = Frobenius.superbasic(1, 3, normalized=False, adjoint=True)
-    assert parabolic_reduce(Problem((1, 0, 0), fr)) is None
-
-
-def test_parabolic_reduce_expects_a_single_block():
-    with pytest.raises(ParseError, match="expects a single block"):
-        parabolic_reduce(Problem((1, 0, 1, 0), Frobenius.trivial(GroupDatum((2, 2)))))
+    assert isinstance(_stage(fr), BaseStep)
 
 
 def test_parabolic_pgl4_splits_into_two_gl2():
     d4 = GroupDatum.pgl(4)
     fr = Frobenius.inner(omega_element(d4, (2,)))
-    sub, step = parabolic_reduce(Problem((1, 1, 0, 0), fr))
+    step, (sub,) = _stage(fr).split((1, 1, 0, 0))
     assert sub.datum.blocks == (2, 2)
     assert sub.frob.tau.length() == 0
     assert kappa(sub.frob.tau).values == (1, 1)
@@ -212,9 +206,8 @@ def test_parabolic_image_contains_maximum():
     fr = Frobenius.inner(omega_element(d4, (2,)))
     for mu in dominant_coweights(4, 2):
         parent = Problem(mu, fr)
-        reduced = parabolic_reduce(parent)
-        assert reduced is not None
-        sub, step = reduced
+        assert isinstance(_stage(fr), ParabolicStep)
+        step, (sub,) = _stage(fr).split(mu)
         a = enumerate_acceptable(parent.mu, parent.frob)
         b = enumerate_acceptable(sub.mu, sub.frob)
         top = a.raw[a.maximum]
@@ -254,7 +247,7 @@ def test_parabolic_lift_newton_vector_is_the_dominant_rearrangement():
     unsorted = 0
     for k, flip in ((2, False), (1, True)):
         fr = Frobenius(omega_element(d4, (k,)), Sigma0(d4, (0,), (flip,)))
-        sub, step = parabolic_reduce(Problem((1, 0, 0, 0), fr))
+        step, (sub,) = _stage(fr).split((1, 0, 0, 0))
         assert not step.z.is_identity() and sub.datum.num_blocks > 1
         zeros = (Fraction(0),) * 4
         perms = [
@@ -268,7 +261,7 @@ def test_parabolic_lift_newton_vector_is_the_dominant_rearrangement():
             for u in perms:
                 w = AffineElement(sub.datum, lam, u)
                 nu = newton_point(w, sub.frob.with_shift(zeros)).nu_bar.nu
-                lifted = step.lift(Solution(w, Permutation.identity(4)))
+                lifted = step.lift([Solution(w, Permutation.identity(4))])
                 lifted_nu = newton_point(lifted.w, fr.with_shift(zeros)).nu_bar.nu
                 assert lifted_nu == tuple(sorted(nu, reverse=True))
                 unsorted += list(nu) != sorted(nu, reverse=True)
@@ -618,8 +611,6 @@ def _rotation_33(kappas):
 def test_equal_twists_share_one_stage():
     # a stage is keyed by the twist's value: two equal twists built
     # separately give one miss, then one hit, and the same trace
-    from bgmu.reduction import _stage
-
     a, b = _rotation_33((1, 0)), _rotation_33((1, 0))
     assert a is not b and a == b
     _stage.cache_clear()
@@ -633,12 +624,10 @@ def test_equal_twists_share_one_stage():
 def test_a_sub_twist_reached_from_two_parents_is_a_hit():
     # the gl:3*3 rotation with tau on either block conjugates onto the
     # same GL_3 sub-twist: the second solve builds only its own stage
-    from bgmu.reduction import _stage
-
     mu = (2, 1, 0, 1, 0, 0)
     a, b = _rotation_33((1, 0)), _rotation_33((0, 1))
     assert a != b
-    assert product_split(Problem(mu, a))[0] == product_split(Problem(mu, b))[0]
+    assert _stage(a).split(mu)[1] == _stage(b).split(mu)[1]
     _stage.cache_clear()
     solve(mu, a, "constructive")
     misses = _stage.cache_info().misses
@@ -857,10 +846,9 @@ def test_parabolic_reduce_descends_on_pgl4_kappa_2():
     # whose runs of equal entries give the Levi GL_2 x GL_2
     d4 = GroupDatum.pgl(4)
     fr = Frobenius.inner(omega_element(d4, (2,)))
-    reduced = parabolic_reduce(Problem((1, 0, 0, 0), fr))
-    assert reduced is not None
-    sub, step = reduced
-    assert step.sub_datum.blocks == sub.datum.blocks == (2, 2)
+    assert isinstance(_stage(fr), ParabolicStep)
+    step, (sub,) = _stage(fr).split((1, 0, 0, 0))
+    assert step.sub_frob.datum.blocks == sub.datum.blocks == (2, 2)
     assert sub.mu == (1, 0, 0, 0)
 
 
@@ -927,7 +915,7 @@ def test_product_split_placements_equal_the_sigma0_powers(block_to, flip, data):
     k, kappas, pieces, x = data.draw(product_split_pieces(r))
     d = GroupDatum((k,) * r)
     s0 = Sigma0(d, block_to, flip)
-    places = _split_product(Frobenius(omega_element(d, kappas), s0)).step.places
+    places = _split_product(Frobenius(omega_element(d, kappas), s0)).places
     assert _embed(d, [(w, pos, sign) for w, (pos, sign) in zip(pieces, places)]) == \
         orbit_spread_reference(s0, pieces)
     x_elt = AffineElement.from_permutation(GroupDatum.gl(k), x)
