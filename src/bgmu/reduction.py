@@ -43,15 +43,19 @@ superbasic bases hold their certificates, and check nothing. The point
 is claimed, not derived: ``maximal_newton_state``, the unique maximal
 acceptable point, for the constructive and auto strategies; the maximum
 over the Newton points of the admissible set for the brute force
-(``acceptable._brute_force``), which looks up x for its witness. Each
+(``acceptable._brute_force``), whose witness comes without x. Each
 fact about the answer is then checked once, in ``_verify_solution``,
 for every strategy: w <= t^{x(mu)} for the reported x, the definition
-of Adm(mu), whose coset test also puts w in the coset of t^mu; and the
-Newton point of w, computed there and nowhere else, is the claimed one.
-The auto strategy also compares the claimed point with the brute-force
-maximum whenever the brute force's own guards let it list Adm(mu). So
-no step re-checks its own hypotheses: a conjugation or a descent that
-broke one lifts to a witness that ``_verify_solution`` refuses.
+of Adm(mu), whose coset test also puts w in the coset of t^mu (for the
+brute force's witness, ``adm_member`` looks up x there, and its last,
+successful walk is this test); and the Newton point of w, computed
+there once, off the final witness, is the claimed one
+(``superbasic_witness`` also computes its own witness's point, to check
+the certificate's slopes). The auto strategy also compares the claimed
+point with the brute-force maximum whenever the brute force's own
+guards let it list Adm(mu). So no step re-checks its own hypotheses: a
+conjugation or a descent that broke one lifts to a witness that
+``_verify_solution`` refuses.
 """
 
 from __future__ import annotations
@@ -111,28 +115,38 @@ class Problem(_Frozen):
 class Solution(NamedTuple):
     """Witness w with x such that w <= t^{x(mu)}, and the reduction
     trace, whose superbasic bases carry their certificates. Its Newton
-    point is read off w once, by ``_verify_solution``."""
+    point is read off w once, by ``_verify_solution``, which also looks
+    up x when it is None (the brute force's witness)."""
 
     w: AffineElement
-    x: Permutation
+    x: Optional[Permutation]
     trace: tuple = ()
 
 
-def _verify_solution(problem: Problem, sol: Solution, nu_raw: RatVec) -> NewtonPoint:
+def _verify_solution(problem: Problem, sol: Solution,
+                     nu_raw: RatVec) -> tuple[NewtonPoint, Permutation]:
     """The one check of a final answer: w <= t^{x(mu)} (w in Adm(mu) with
     the reported x, and so in the coset of t^mu, which t^{x(mu)} shares),
     and the Newton point of w equal to the claimed raw point nu_raw.
-    Returns that Newton point, with the reporting shift: the answer's."""
-    bound = AffineElement.translation(problem.datum, sol.x.act(problem.mu))
-    if not bruhat_leq(sol.w, bound):
-        raise InternalCheckFailed(f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}")
+    A solution without x (the brute force's) gets it from ``adm_member``,
+    whose last, successful walk is that same w <= t^{x(mu)}. Returns the
+    Newton point, with the reporting shift, and x: the answer's."""
+    x = sol.x
+    if x is None:
+        ok, x = adm_member(sol.w, problem.mu)
+        if not ok:
+            raise InternalCheckFailed(f"witness {sol.w!r} is not admissible")
+    else:
+        bound = AffineElement.translation(problem.datum, x.act(problem.mu))
+        if not bruhat_leq(sol.w, bound):
+            raise InternalCheckFailed(f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}")
     point = newton_point(sol.w, problem.frob).nu_bar
     bar = tuple(a + b for a, b in zip(point.nu, problem.frob.shift))
     if bar != nu_raw:
         raise InternalCheckFailed(
             f"witness Newton point {_vec_str(bar)} differs from claimed {_vec_str(nu_raw)}"
         )
-    return point
+    return point, x
 
 
 # --- individual reduction steps ----------------------------------------------
@@ -601,12 +615,9 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     problem = Problem(tuple(mu), frob)
     checks: dict = {}
     if strategy == "bruteforce":
+        # the claimed maximum and a witness; _verify_solution looks up x
         nu_raw, w = _brute_force(problem.mu, frob, witness=True)
-        ok, x = adm_member(w, problem.mu)
-        if not ok:
-            raise InternalCheckFailed("brute-force witness is not admissible")
-        trace = (BaseStep("bruteforce", 0, problem.datum.n, 0),)
-        sol = Solution(w, x, trace)
+        sol = Solution(w, None, (BaseStep("bruteforce", 0, problem.datum.n, 0),))
         checks["bruteforce"] = True
     else:
         # the input is checked above, so these errors are reduction bugs
@@ -631,11 +642,11 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
                         f" {_vec_str(brute)} disagree"
                     )
                 checks["matches_bruteforce"] = True
-    point = _verify_solution(problem, sol, nu_raw)
+    point, x = _verify_solution(problem, sol, nu_raw)
     checks["admissible"] = True
     certificate = next((step.certificate for step in sol.trace
                         if isinstance(step, BaseStep) and step.certificate is not None), None)
     return SolveResult(
-        problem, point, nu_raw, sol.w, sol.x, sol.trace,
+        problem, point, nu_raw, sol.w, x, sol.trace,
         certificate, strategy, checks,
     )

@@ -20,8 +20,8 @@ constructors of ``Permutation`` and ``AffineElement`` check that the
 images are a permutation and that it preserves the blocks, and so do
 ``parse_element`` and ``with_datum``. Operations whose result is valid
 by construction (products and inverses, and the twists of
-``newton.Sigma0``) build it through the private ``_unchecked``
-constructors and do not repeat those checks.
+``newton.Sigma0``) build it through ``_Frozen._unchecked``, which sets
+the fields and runs no ``__init__``, so they do not repeat those checks.
 """
 
 from __future__ import annotations
@@ -42,15 +42,27 @@ RatVec = tuple[Fraction, ...]
 class _Frozen:
     """An immutable value that checks its input. A subclass annotates its
     fields in the class body and sets them, and any attributes derived
-    from them, through ``_set`` in ``__init__``. Equality, hash and repr
-    read the fields alone, so derived attributes do not count. The hash
-    is computed on first use and kept, as ``_hash``, beside them: a value
-    that keys a cache is looked up many times, and hashing a twist reads
-    its element, its automorphism, its datum and its Fraction shift."""
+    from them, through ``_set`` in ``__init__``; ``_unchecked`` sets the
+    fields, in order, and skips ``__init__``, for input that is valid by
+    construction. Equality, hash and repr read the fields alone, so
+    derived attributes do not count. The hash is computed on first use
+    and kept, as ``_hash``, beside them: a value that keys a cache is
+    looked up many times, and hashing a twist reads its element, its
+    automorphism, its datum and its Fraction shift, while most elements
+    are built, read and dropped unhashed."""
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
         cls._key = property(attrgetter(*cls._fields))
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        value = object.__new__(cls)
+        # one whole dict, as ``_set``'s update from its keywords makes:
+        # under CPython 3.11 a __dict__ filled key by key (by update
+        # from pairs) reads its attributes about three times slower
+        object.__setattr__(value, "__dict__", dict(zip(cls._fields, fields)))
+        return value
 
     def _set(self, **attrs) -> None:
         self.__dict__.update(attrs)
@@ -144,7 +156,7 @@ class GroupDatum(_Frozen):
         return True
 
 
-class Permutation:
+class Permutation(_Frozen):
     """Permutation of {1,...,n} in one-line notation.
 
     ``images[i-1] = u(i)``. Products compose as functions applied on
@@ -156,28 +168,14 @@ class Permutation:
     3
     """
 
-    __slots__ = ("images", "_hash")
+    images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ParseError(f"not a permutation of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_hash", hash(images))
-
-    @classmethod
-    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
-        """The permutation with these images, not checked: only for
-        images that are a permutation by construction, such as a
-        product or an inverse of permutations."""
-        u = object.__new__(cls)
-        object.__setattr__(u, "images", images)
-        object.__setattr__(u, "_hash", hash(images))
-        return u
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("Permutation is immutable")
+        self._set(images=images)
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -236,12 +234,6 @@ class Permutation:
             lo <= min(im[lo - 1 : hi]) and max(im[lo - 1 : hi]) <= hi
             for lo, hi in datum.block_ranges()
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return "".join(_cycle_texts(self.images)) or "id"
@@ -379,10 +371,12 @@ def _transposition_delta(lam: Sequence[int], images: Sequence[int], a: int, b: i
     return (1 if kp < kq else -1) * (1 + 2 * between)
 
 
-class AffineElement:
+class AffineElement(_Frozen):
     """t^trans * perm in the extended affine Weyl group of a datum."""
 
-    __slots__ = ("datum", "trans", "perm", "_hash", "_len")
+    datum: GroupDatum
+    trans: tuple[int, ...]
+    perm: Permutation
 
     def __init__(self, datum: GroupDatum, trans: Iterable[int], perm: Permutation):
         trans = tuple(trans)
@@ -392,28 +386,7 @@ class AffineElement:
             )
         if not perm.preserves_blocks(datum):
             raise ParseError(f"permutation {perm!r} does not preserve blocks {datum.blocks}")
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "_hash", hash((trans, perm.images)))
-        object.__setattr__(self, "_len", -1)
-
-    @classmethod
-    def _unchecked(cls, datum: GroupDatum, trans: tuple[int, ...],
-                   perm: Permutation) -> "AffineElement":
-        """t^trans perm, not checked: only for a translation of rank n
-        and a block-preserving perm that are so by construction, such
-        as the parts of a product or an inverse of elements of datum."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "datum", datum)
-        object.__setattr__(w, "trans", trans)
-        object.__setattr__(w, "perm", perm)
-        object.__setattr__(w, "_hash", hash((trans, perm.images)))
-        object.__setattr__(w, "_len", -1)
-        return w
-
-    def __setattr__(self, *a):
-        raise AttributeError("AffineElement is immutable")
+        self._set(datum=datum, trans=trans, perm=perm)
 
     @staticmethod
     def identity(datum: GroupDatum) -> "AffineElement":
@@ -443,14 +416,16 @@ class AffineElement:
         )
 
     def length(self) -> int:
-        if self._len < 0:
+        """Computed on first use and kept, as ``_len``, beside the fields."""
+        try:
+            return self.__dict__["_len"]
+        except KeyError:
             inv = self.perm.inverse().images
-            total = sum(
+            total = self.__dict__["_len"] = sum(
                 _block_length(self.trans, inv, lo, hi)
                 for lo, hi in self.datum.block_ranges()
             )
-            object.__setattr__(self, "_len", total)
-        return self._len
+            return total
 
     def kappa_raw(self) -> tuple[int, ...]:
         """Per-block coordinate sums (no adjoint reduction)."""
@@ -463,17 +438,6 @@ class AffineElement:
         """Same underlying map, reinterpreted in a finer or coarser
         block structure of the same rank."""
         return AffineElement(datum, self.trans, self.perm)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineElement)
-            and self.trans == other.trans
-            and self.perm == other.perm
-            and self.datum == other.datum
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return format_element(self)
@@ -628,7 +592,7 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
     inv = w.perm.inverse().images
     if not all(_block_length_zero(w.trans, inv, lo, hi) for lo, hi in datum.block_ranges()):
         raise InternalCheckFailed("omega element is not length zero")
-    object.__setattr__(w, "_len", 0)
+    w.__dict__["_len"] = 0
     return w
 
 

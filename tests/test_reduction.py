@@ -738,7 +738,7 @@ def test_twisted_draw_passes_every_internal_check():
     assert not failed, failed[:3]
 
 
-@pytest.mark.parametrize("strategy", ["constructive", "auto"])
+@pytest.mark.parametrize("strategy", ["constructive", "auto", "bruteforce"])
 def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     # gl:2*2*2 with blocks 1, 2 swapped runs a product split down to a
     # superbasic GL_2 and a parabolic descent on block 3; gl:3 with the
@@ -747,7 +747,9 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     # carry only witnesses: solve takes the maximal point as the claim,
     # and _verify_solution reads the witness's Newton point once and
     # walks w <= t^{x(mu)} once. A product split of m blocks splits its
-    # sub-witness m - 1 times and walks nothing else
+    # sub-witness m - 1 times and walks nothing else. The brute force's
+    # witness comes without x: one adm_member scan looks it up, and its
+    # last, successful walk is the Bruhat check, so reduction walks none
     import bgmu.acceptable as acceptable
     import bgmu.reduction as reduction
 
@@ -777,10 +779,21 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     ]
     for mu, fr, steps, splits in problems:
         calls.update(maximal_newton_state=0, newton_point=0, adm_member=0, bruhat_leq=0, _subword_split=0)
+        small = len(mu) <= acceptable.BRUTE_GUARD_N
+        if strategy == "bruteforce":
+            if not small:
+                with pytest.raises(GuardExceeded):
+                    solve(mu, fr, strategy=strategy)
+                continue
+            r = solve(mu, fr, strategy=strategy)
+            assert [s.kind for s in r.trace] == ["bruteforce"]
+            assert bruhat_leq(r.w, AffineElement.translation(fr.datum, r.x.act(mu)))
+            assert calls == {"maximal_newton_state": 0, "newton_point": 1, "adm_member": 1,
+                             "bruhat_leq": 0, "_subword_split": 0}, mu
+            continue
         r = solve(mu, fr, strategy=strategy)
         assert steps <= {s.kind for s in r.trace}
         assert splits == sum(len(s.orbit) - 1 for s in r.trace if s.kind == "product-split")
-        small = len(mu) <= acceptable.BRUTE_GUARD_N
         assert ("matches_bruteforce" in r.checks) == (strategy == "auto" and small)
         assert calls == {"maximal_newton_state": 1, "newton_point": 1, "adm_member": 0,
                          "bruhat_leq": 1, "_subword_split": splits}, mu
