@@ -27,7 +27,10 @@ The corpora:
   split, the 3-cycles at kappa sum 2 with a parabolic descent after
   it; the swaps that flip one block only lift through a last-block
   sub-twist that itself carries a flip), the superbasic base with distinct entries mu = (n-1, ..., 0) at
-  n in {16, 32, 48}, and (10^4, 0) under superbasic 1/2.
+  n in {16, 32, 48}, (10^4, 0) under superbasic 1/2, and a cyclic
+  sigma0 on 64 blocks (``_many_blocks``: rank one without and with an
+  odd flip, and rank two without), whose product split conjugates by
+  a tau0 with 63 nonzero block factors.
 
 A line is ``outcome_line``'s: the answer's JSON bytes, or the refusal.
 A failure names the first problem whose line changed and prints that
@@ -180,7 +183,24 @@ def _traces() -> list:
         for m in (1, n // 2 + 1):
             rows.append((f"{m}/{n} distinct", _distinct(n), Frobenius.superbasic(m, n)))
     rows.append(("1/2 10000,0", (10**4, 0), Frobenius.superbasic(1, 2)))
+    rows += _many_blocks(64)
     return [(key, _describe(mu, fr), solve, (mu, fr, "constructive")) for key, mu, fr in rows]
+
+
+def _many_blocks(k: int) -> list:
+    """(key, mu, frob) of the cyclic sigma0 b -> b + 1 on k blocks, the
+    twist tau the length-zero element with kappas -1, 0, 1, -1, ...:
+    on rank-one blocks without and with a flip on block 0, and on
+    rank-two blocks without. mu cycles through 0, 1, 2 per block."""
+    out = []
+    for size, flips, name in ((1, 0, "cycle"), (1, 1, "cycle odd-flipped"), (2, 0, "cycle")):
+        d = GroupDatum((size,) * k)
+        flip = (True,) * flips + (False,) * (k - flips)
+        fr = Frobenius(omega_element(d, [i % 3 - 1 for i in range(k)]),
+                       Sigma0(d, (*range(1, k), 0), flip))
+        mu = tuple(x for i in range(k) for x in (i % 3,) + (0,) * (size - 1))
+        out.append((f"{k} blocks of {size} {name}", mu, fr))
+    return out
 
 
 def corpus(name: str) -> list:
