@@ -13,6 +13,12 @@ Groups are written ``gl:8``, ``pgl:4`` or ``gl:2*2``; twists either
 ``superbasic:m/n`` or ``tau=<element>;sigma0=<targets>`` where targets
 is a comma list of 1-based block numbers, negative for a flip (for
 example ``sigma0=2,-1``). All fractions are printed exactly.
+
+Every JSON document is printed by ``_emit``, with the bytes that
+``json.dumps(doc, indent=2)`` would print, but without the pure-Python
+encoder that ``indent`` selects: one recursive writer, which refuses
+any type outside JSON's own. The help text is the docstring above this
+paragraph.
 """
 
 from __future__ import annotations
@@ -151,8 +157,49 @@ def _problem_json(problem: Problem) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
+
+
+def _encode(o, depth: int, newlines: list[str]) -> str:
+    """o as ``json.dumps(o, indent=2)`` writes it at nesting depth
+    ``depth``, where newlines[d] is "\\n" and 2d spaces, grown as deeper
+    containers are reached. Only dicts with str keys, lists, str, int,
+    bool and None are written: anything else (a float, a tuple, an int
+    subclass or a non-str key) raises TypeError rather than risk other
+    bytes than json.dumps's."""
+    kind = type(o)
+    if kind is str:
+        return _escape(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is list or kind is dict:
+        if not o:
+            return "[]" if kind is list else "{}"
+        if len(newlines) == depth + 1:
+            newlines.append(newlines[depth] + "  ")
+        inner = newlines[depth + 1]
+        if kind is list:
+            items = [_encode(v, depth + 1, newlines) for v in o]
+            return "[" + inner + ("," + inner).join(items) + newlines[depth] + "]"
+        items = []
+        for k, v in o.items():
+            if type(k) is not str:
+                raise TypeError(f"the JSON writer writes only str keys, got {k!r}")
+            items.append(_escape(k) + ": " + _encode(v, depth + 1, newlines))
+        return "{" + inner + ("," + inner).join(items) + newlines[depth] + "}"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if o is None:
+        return "null"
+    raise TypeError(f"the JSON writer does not write {kind.__name__} {o!r}")
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+    """Print doc exactly as ``json.dumps(doc, indent=2)`` would, without
+    its pure-Python encoder (``indent`` turns the C one off)."""
+    sys.stdout.write(_encode(doc, 0, ["\n"]) + "\n")
 
 
 def cmd_newton(args) -> int:
@@ -321,7 +368,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="bgmu", description=__doc__,
+    parser = _Parser(prog="bgmu", description=__doc__.split("\nEvery JSON document")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

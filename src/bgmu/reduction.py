@@ -168,18 +168,21 @@ class OmegaStep(NamedTuple):
 
 def _conjugator_into_last(frob: Frobenius, orbit: Sequence[int]) -> AffineElement:
     """Length-zero tau0 with (tau0 tau sigma0(tau0)^-1) supported on the
-    last block of the orbit."""
-    datum = frob.datum
-    kappas = datum.block_sums(frob.tau.trans)
-    # tau has length zero, so its factor on block b is the unique
-    # length-zero element of that block with coordinate sum kappa_b(tau);
-    # the g are supported on their blocks, so they commute
-    g = tau0 = AffineElement.identity(datum)
-    for b in orbit[:-1]:
-        factor = omega_element(datum, [kappas[b] if c == b else 0 for c in range(len(kappas))])
-        g = frob.sigma0.apply_element(g) * factor.inverse()
-        tau0 = tau0 * g
-    return tau0
+    last block of the orbit: the product of the g_i, with g_{-1} = 1 and
+    g_i = sigma0(g_{i-1}) f_i^-1 on the orbit's block b_i, f_i being tau's
+    factor there. tau has length zero, so f_i is the unique length-zero
+    element of b_i with coordinate sum kappa_{b_i}(tau), and so is each
+    g_i with its own kappa: sigma0 carries g_{i-1}'s kappa from b_{i-1}
+    to b_i, negated when b_{i-1} flips. The g_i sit on distinct blocks,
+    so tau0 is one length-zero element, built from its kappas in O(n)."""
+    datum, flip = frob.datum, frob.sigma0.flip
+    tau_kappas = datum.block_sums(frob.tau.trans)
+    kappas = [0] * datum.num_blocks
+    g = 0
+    for i, b in enumerate(orbit[:-1]):
+        g = (-g if flip[orbit[i - 1]] else g) - tau_kappas[b]  # g is 0 at i = 0
+        kappas[b] = g
+    return omega_element(datum, kappas)
 
 
 class ProductSplitStep(NamedTuple):
@@ -313,17 +316,24 @@ def _split_product(frob: Frobenius) -> ProductSplitStep:
     embed = tuple(range(lo, hi + 1))
     sub_datum = GroupDatum((datum.blocks[last],), (datum.adjoint[last],))
     smap = frob.sigma0.map()
-    power = SignedMap.identity(datum.n)
+    # sigma0^{i+1} is followed on the last block's positions only, at
+    # O(n_L) a power rather than O(n)
+    pos, sign = embed, (1,) * len(embed)
     places = []
-    for _ in orbit[:-1]:
-        power = smap.after(power)
-        places.append((tuple(power.pos[p - 1] for p in embed), power.sign[lo - 1]))
-    places.append((embed, 1))
+    for _ in orbit:
+        sign = tuple(s * smap.sign[p - 1] for p, s in zip(pos, sign))
+        pos = tuple(smap.pos[p - 1] for p in pos)
+        places.append((pos, sign[0]))
+    places[-1] = (embed, 1)
     tau0 = _conjugator_into_last(frob, orbit)
     tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
     # sigma0^m maps the last block to itself, flipped when the orbit
-    # carries an odd number of flips
-    sub_frob = _sub_twist(tau, smap.after(power), embed, sub_datum)
+    # carries an odd number of flips; _sub_twist reads the map only on
+    # embed, so it is the identity elsewhere
+    ident = SignedMap.identity(datum.n)
+    power = SignedMap(ident.pos[:lo - 1] + pos + ident.pos[hi:],
+                      ident.sign[:lo - 1] + sign + ident.sign[hi:])
+    sub_frob = _sub_twist(tau, power, embed, sub_datum)
     return ProductSplitStep("product-split", orbit, frob, (), sub_frob, tuple(places),
                             OmegaStep("omega-conjugate", tau0))
 

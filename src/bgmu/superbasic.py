@@ -58,7 +58,9 @@ from .weyl import (
     Permutation,
     _Frozen,
     _dominant_length,
+    _element_text,
     _transposition_delta,
+    _translation_text,
     format_element,
     superbasic_element,
 )
@@ -276,8 +278,15 @@ class PeelCertificate(NamedTuple):
     end: AffineElement
 
     def to_json_dict(self) -> dict:
-        # step i runs from texts[i] to texts[i + 1]: each element is formatted once
-        texts = [format_element(w) for w in (self.start, *(c.after for c in self.chain))]
+        # step i runs from texts[i] to texts[i + 1]: each element is
+        # formatted once, and the translation that emit hands on from the
+        # start to every step is joined once
+        shared = self.start.trans
+        t = _translation_text(shared)
+        texts = [
+            _element_text(t, w.perm.images) if w.trans is shared else format_element(w)
+            for w in (self.start, *(c.after for c in self.chain))
+        ]
         return {
             "schema": "bgmu/1",
             "m": self.m,

@@ -610,8 +610,17 @@ def format_element(w: AffineElement) -> str:
     >>> format_element(AffineElement(d, (1, 0), Permutation.from_cycles(2, [(1, 2)])))
     't[1,0]*cyc(1,2)'
     """
-    t = "t[%s]" % ",".join(map(str, w.trans))
-    return t + "".join(["*" + c for c in _cycle_texts(w.perm.images)])
+    return _element_text(_translation_text(w.trans), w.perm.images)
+
+
+def _translation_text(trans: Sequence[int]) -> str:
+    return "t[%s]" % ",".join(map(str, trans))
+
+
+def _element_text(translation_text: str, images: Sequence[int]) -> str:
+    """``format_element``'s text of t^lam u from the text of lam and the
+    images of u: elements that share one translation join it once."""
+    return translation_text + "".join(["*" + c for c in _cycle_texts(images)])
 
 
 def _cycle_texts(images: Sequence[int]) -> list[str]:

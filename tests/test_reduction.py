@@ -23,6 +23,7 @@ from bgmu.reduction import (
     ParabolicStep,
     Problem,
     Solution,
+    _conjugator_into_last,
     _embed,
     _embed_perm,
     _factor_witness,
@@ -934,6 +935,43 @@ def test_product_split_placements_equal_the_sigma0_powers(block_to, flip, data):
     x_elt = AffineElement.from_permutation(GroupDatum.gl(k), x)
     assert _embed_perm(d.n, [(x, pos) for pos, _ in places]) == \
         orbit_spread_reference(s0, [x_elt] * r).perm
+
+
+def conjugator_reference(frob, orbit):
+    """The conjugator as a product of whole-datum elements: per orbit
+    block b, tau's factor f_b there (the length-zero element of b with
+    kappa_b(tau)), g = sigma0(g) f_b^-1 and tau0 = tau0 g."""
+    datum = frob.datum
+    kappas = datum.block_sums(frob.tau.trans)
+    g = tau0 = AffineElement.identity(datum)
+    for b in orbit[:-1]:
+        factor = omega_element(datum, [kappas[b] if c == b else 0 for c in range(len(kappas))])
+        g = frob.sigma0.apply_element(g) * factor.inverse()
+        tau0 = tau0 * g
+    return tau0
+
+
+def test_the_conjugator_equals_the_whole_datum_products():
+    # 300 cyclic twists of 2-5 blocks of size 1-4, random flips, kappas
+    # -3..3: the conjugator built from its kappas is the reference's
+    # product, and it puts tau on the last block of the orbit
+    rng = random.Random(5)
+    for _ in range(300):
+        r, k = rng.randint(2, 5), rng.randint(1, 4)
+        d = GroupDatum((k,) * r, (rng.random() < 0.5,) * r)
+        cycle = rng.sample(range(r), r)
+        block_to = [0] * r
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            block_to[a] = b
+        flips = tuple(rng.random() < 0.5 for _ in range(r))
+        fr = Frobenius(omega_element(d, [rng.randint(-3, 3) for _ in range(r)]),
+                       Sigma0(d, tuple(block_to), flips))
+        (orbit,) = fr.sigma0.block_orbits
+        tau0 = _conjugator_into_last(fr, orbit)
+        assert tau0 == conjugator_reference(fr, orbit)
+        moved = tau0 * fr.tau * fr.sigma0.apply_element(tau0).inverse()
+        lo, hi = d.block_ranges()[orbit[-1]]
+        assert all(t == 0 for p, t in enumerate(moved.trans, start=1) if not lo <= p <= hi)
 
 
 def test_sub_twist_refuses_a_restriction_of_positive_length():
