@@ -160,46 +160,60 @@ def _problem_json(problem: Problem) -> dict:
 _escape = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
 
 
-def _encode(o, depth: int, newlines: list[str]) -> str:
-    """o as ``json.dumps(o, indent=2)`` writes it at nesting depth
-    ``depth``, where newlines[d] is "\\n" and 2d spaces, grown as deeper
-    containers are reached. Only dicts with str keys, lists, str, int,
-    bool and None are written: anything else (a float, a tuple, an int
-    subclass or a non-str key) raises TypeError rather than risk other
-    bytes than json.dumps's."""
+def _write(o, depth: int, newlines: list[str], out: list[str]) -> None:
+    """Append to out the text of o as ``json.dumps(o, indent=2)`` writes
+    it at nesting depth ``depth``, where newlines[d] is "\\n" and 2d
+    spaces, grown as deeper containers are reached. Only dicts with str
+    keys, lists, str, int, bool and None are written: anything else (a
+    float, a tuple, an int subclass or a non-str key) raises TypeError
+    rather than risk other bytes than json.dumps's."""
     kind = type(o)
     if kind is str:
-        return _escape(o)
-    if kind is int:
-        return int.__repr__(o)
-    if kind is list or kind is dict:
+        out.append(_escape(o))
+    elif kind is int:
+        out.append(int.__repr__(o))
+    elif kind is list or kind is dict:
         if not o:
-            return "[]" if kind is list else "{}"
+            out.append("[]" if kind is list else "{}")
+            return
         if len(newlines) == depth + 1:
             newlines.append(newlines[depth] + "  ")
-        inner = newlines[depth + 1]
+        sep = "," + newlines[depth + 1]
+        out.append("[" if kind is list else "{")
+        first = len(out)
         if kind is list:
-            items = [_encode(v, depth + 1, newlines) for v in o]
-            return "[" + inner + ("," + inner).join(items) + newlines[depth] + "]"
-        items = []
-        for k, v in o.items():
-            if type(k) is not str:
-                raise TypeError(f"the JSON writer writes only str keys, got {k!r}")
-            items.append(_escape(k) + ": " + _encode(v, depth + 1, newlines))
-        return "{" + inner + ("," + inner).join(items) + newlines[depth] + "}"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if o is None:
-        return "null"
-    raise TypeError(f"the JSON writer does not write {kind.__name__} {o!r}")
+            for v in o:
+                out.append(sep)
+                _write(v, depth + 1, newlines, out)
+        else:
+            for k, v in o.items():
+                if type(k) is not str:
+                    raise TypeError(f"the JSON writer writes only str keys, got {k!r}")
+                out.append(sep)
+                out.append(_escape(k))
+                out.append(": ")
+                _write(v, depth + 1, newlines, out)
+        out[first] = newlines[depth + 1]  # no comma before the first item
+        out.append(newlines[depth])
+        out.append("]" if kind is list else "}")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif o is None:
+        out.append("null")
+    else:
+        raise TypeError(f"the JSON writer does not write {kind.__name__} {o!r}")
 
 
 def _emit(doc: dict) -> None:
     """Print doc exactly as ``json.dumps(doc, indent=2)`` would, without
-    its pure-Python encoder (``indent`` turns the C one off)."""
-    sys.stdout.write(_encode(doc, 0, ["\n"]) + "\n")
+    its pure-Python encoder (``indent`` turns the C one off). The pieces
+    are joined once, so each byte is copied once however deep it sits."""
+    out: list[str] = []
+    _write(doc, 0, ["\n"], out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def cmd_newton(args) -> int:

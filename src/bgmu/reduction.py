@@ -316,8 +316,9 @@ def _split_product(frob: Frobenius) -> ProductSplitStep:
     embed = tuple(range(lo, hi + 1))
     sub_datum = GroupDatum((datum.blocks[last],), (datum.adjoint[last],))
     smap = frob.sigma0.map()
-    # sigma0^{i+1} is followed on the last block's positions only, at
-    # O(n_L) a power rather than O(n)
+    # sigma0^{i+1}, i = 0..m-1, followed on the last block's positions
+    # only: O(n_L) per power, not O(n). The last power, sigma0^m, maps
+    # the last block to itself, and its placement is the identity
     pos, sign = embed, (1,) * len(embed)
     places = []
     for _ in orbit:
@@ -327,9 +328,9 @@ def _split_product(frob: Frobenius) -> ProductSplitStep:
     places[-1] = (embed, 1)
     tau0 = _conjugator_into_last(frob, orbit)
     tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
-    # sigma0^m maps the last block to itself, flipped when the orbit
-    # carries an odd number of flips; _sub_twist reads the map only on
-    # embed, so it is the identity elsewhere
+    # sigma0^m is a flip when the orbit carries an odd number of flips;
+    # _sub_twist reads the map only on embed, so it is the identity
+    # elsewhere
     ident = SignedMap.identity(datum.n)
     power = SignedMap(ident.pos[:lo - 1] + pos + ident.pos[hi:],
                       ident.sign[:lo - 1] + sign + ident.sign[hi:])
