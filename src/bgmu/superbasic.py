@@ -279,14 +279,11 @@ class PeelCertificate(NamedTuple):
 
     def to_json_dict(self) -> dict:
         # step i runs from texts[i] to texts[i + 1]: each element is
-        # formatted once, and the translation that emit hands on from the
-        # start to every step is joined once
-        shared = self.start.trans
-        t = _translation_text(shared)
-        texts = [
-            _element_text(t, w.perm.images) if w.trans is shared else format_element(w)
-            for w in (self.start, *(c.after for c in self.chain))
-        ]
+        # formatted once, and the translation, which emit hands on
+        # unchanged from the start to every step, is joined once
+        t = _translation_text(self.start.trans)
+        texts = [_element_text(t, w.perm.images)
+                 for w in (self.start, *(c.after for c in self.chain))]
         return {
             "schema": "bgmu/1",
             "m": self.m,
