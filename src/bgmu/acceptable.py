@@ -70,6 +70,7 @@ from .weyl import (
     GroupDatum,
     IntVec,
     Permutation,
+    _read_int,
     _same_wa_coset,
     bruhat_leq,
 )
@@ -86,10 +87,7 @@ def guard_limit(default: int) -> int:
     env = os.environ.get("BGMU_GUARD")
     if not env:
         return default
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"BGMU_GUARD must be an integer, got {env!r}") from None
+    return _read_int(env, f"BGMU_GUARD must be an integer, got {env!r}")
 
 
 def support_nodes(datum: GroupDatum, vec: Sequence) -> frozenset:

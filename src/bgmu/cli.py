@@ -46,6 +46,7 @@ from .superbasic import chi as chi_vec
 from .weyl import (
     AffineElement,
     GroupDatum,
+    _read_int,
     format_element,
     parse_element,
 )
@@ -61,10 +62,8 @@ def _parse_group(text: str) -> GroupDatum:
         raise ParseError(f"group must look like gl:8 or pgl:2*2, got {text!r}") from exc
     if kind not in ("gl", "pgl"):
         raise ParseError(f"unknown group kind {kind!r}")
-    try:
-        blocks = tuple(int(b) for b in spec.split("*"))
-    except ValueError as exc:
-        raise ParseError(f"bad block sizes in {text!r}") from exc
+    error = f"bad block sizes in {text!r}"
+    blocks = tuple(_read_int(b, error) for b in spec.split("*"))
     return GroupDatum(blocks, (kind == "pgl",) * len(blocks))
 
 
@@ -80,10 +79,8 @@ def _format_sigma0(s: Sigma0) -> str:
 
 
 def _parse_sigma0(text: str, datum: GroupDatum) -> Sigma0:
-    try:
-        entries = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad sigma0 spec {text!r}") from exc
+    error = f"bad sigma0 spec {text!r}"
+    entries = [_read_int(x, error) for x in text.split(",")]
     if len(entries) != datum.num_blocks:
         raise ParseError(
             f"sigma0 needs {datum.num_blocks} targets, got {len(entries)}"
@@ -99,11 +96,9 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
     text = text.strip()
     if text.startswith("superbasic:"):
         frac = text[len("superbasic:"):]
-        try:
-            m_s, n_s = frac.split("/")
-            m, n = int(m_s), int(n_s)
-        except ValueError as exc:
-            raise ParseError(f"superbasic twist must be m/n, got {frac!r}") from exc
+        error = f"superbasic twist must be m/n, got {frac!r}"
+        m_s, _, n_s = frac.partition("/")
+        m, n = _read_int(m_s, error), _read_int(n_s, error)
         if datum.blocks != (n,):
             raise ParseError(
                 f"superbasic:{m}/{n} needs a single block of size {n},"
@@ -128,10 +123,8 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
 
 
 def _parse_mu(text: str, n: int) -> tuple[int, ...]:
-    try:
-        mu = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ParseError(f"bad mu {text!r}") from exc
+    error = f"bad mu {text!r}"
+    mu = tuple(_read_int(x, error) for x in text.split(","))
     if len(mu) != n:
         raise ParseError(f"mu must have {n} entries")
     return mu

@@ -6,12 +6,19 @@ The permutation acts on the lattice by u(e_i) = e_{u(i)}, so the
 product rule is (t^a u)(t^b v) = t^{a + u(b)} uv, with uv meaning
 function composition: (uv)(i) = u(v(i)).
 
-Length is the Iwahori-Matsumoto count, summed over blocks:
+Lengths, descents and the Bruhat walk read one raw form, the window of
+an affine permutation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+8.3): on a block [lo, hi] of size n_b, t^lam u has the window
 
-    len(t^lam u) = sum_{i<j, u^-1(i)<u^-1(j)} |lam_i - lam_j|
-                 + sum_{i<j, u^-1(i)>u^-1(j)} |lam_i - lam_j - 1|
+    g_p = u^-1(p) - n_b lam_p        (lo <= p <= hi),
 
-(indices i < j inside one block). The Bruhat order extends from the
+a left descent compares two of its entries (``_nodes``), and the length
+is Shi's formula (J.-Y. Shi, LNM 1179, 1986), summed over blocks:
+
+    len(t^lam u) = sum_{lo <= i < j <= hi} |floor((g_j - g_i) / n_b)|,
+
+whose term for a pair i < j is |lam_i - lam_j| when u^-1(i) < u^-1(j)
+and |lam_i - lam_j - 1| otherwise. The Bruhat order extends from the
 affine Weyl group W_a to the full group: elements are comparable only
 inside one W_a coset, detected through the per-block coordinate sums.
 
@@ -291,50 +298,69 @@ def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec
     return tuple(map(add, a, acted)), tuple(u[j - 1] for j in v)
 
 
-def _block_length(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> int:
-    """The Iwahori-Matsumoto count of the block [lo, hi] (1-based) of
-    t^lam u, given inv = u^-1 in one-line form."""
+def _window(w: AffineElement) -> list[int]:
+    """The window of w (module docstring), 0-based: r - n_b lam_{u(r)}
+    at the position u(r)."""
+    trans, images, datum = w.trans, w.perm.images, w.datum
+    g = [0] * len(trans)
+    for s, nb in zip(datum.block_slices(), datum.blocks):
+        for r in range(s.start, s.stop):
+            p = images[r] - 1
+            g[p] = r + 1 - nb * trans[p]
+    return g
+
+
+def _from_window(datum: GroupDatum, g: Sequence[int]) -> AffineElement:
+    """The element whose window is g, built checked: inv_p = lo + (g_p -
+    lo) mod n_b and lam_p = (inv_p - g_p) / n_b."""
+    trans, inv = [], []
+    for (lo, _), nb, s in zip(datum.block_ranges(), datum.blocks, datum.block_slices()):
+        for x in g[s]:
+            i = lo + (x - lo) % nb
+            inv.append(i)
+            trans.append((i - x) // nb)
+    return AffineElement(datum, trans, Permutation(inv).inverse())
+
+
+def _window_length(part: Sequence[int], nb: int) -> int:
+    """Shi's formula on the window part of one block of size nb: the sum
+    of |(g_j - g_i) // nb| over its pairs i < j, in O(nb^2)."""
     total = 0
-    for i in range(lo, hi + 1):
-        for j in range(i + 1, hi + 1):
-            d = lam[i - 1] - lam[j - 1]
-            total += abs(d) if inv[i - 1] < inv[j - 1] else abs(d - 1)
+    for i, a in enumerate(part):
+        for b in part[i + 1:]:
+            total += abs((b - a) // nb)
     return total
 
 
-def _block_length_zero(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int) -> bool:
-    """Whether ``_block_length(lam, inv, lo, hi) == 0``, in O(n). Every
-    term of a pair i < j vanishes exactly when lam_i = lam_j and
-    inv_i < inv_j, or lam_i = lam_j + 1 and inv_i > inv_j. So lam takes
-    the values q + 1 and then q (q its last entry), inv ascends within
-    each value, and every inv of the q + 1 part exceeds every inv of the
-    q part.
+def _nodes(datum: GroupDatum) -> list[tuple[tuple[int, int], int, int, int]]:
+    """The simple reflections in (block, node) order, each as (letter, a,
+    c, k): letter is (block, node), and a, c are 0-based window positions.
+    s is a left descent of w when g_a - k > g_c, and s w swaps the two
+    entries: g_a becomes g_c + k and g_c becomes g_a - k. Node i >= 1
+    of a block [lo, hi] has a = lo + i - 1 and c = lo + i (1-based) and
+    k = 0; node 0 has a = hi, c = lo and k = n_b. A block of size one
+    has no node."""
+    out = []
+    for b, ((lo, hi), nb) in enumerate(zip(datum.block_ranges(), datum.blocks)):
+        if nb > 1:
+            out.append(((b, 0), hi - 1, lo - 1, nb))
+            out += [((b, i), lo + i - 2, lo + i - 1, 0) for i in range(1, nb)]
+    return out
 
-    >>> _block_length_zero((1, 0, 0), (3, 1, 2), 1, 3), _block_length((1, 0, 0), (3, 1, 2), 1, 3)
-    (True, 0)
-    >>> _block_length_zero((1, 0, 0), (2, 1, 3), 1, 3), _block_length((1, 0, 0), (2, 1, 3), 1, 3)
-    (False, 1)
-    """
-    q = lam[hi - 1]
-    split = lo - 1
-    while lam[split] == q + 1:
-        split += 1
-    if any(lam[p] != q for p in range(split, hi)):
-        return False
-    high, low = inv[lo - 1 : split], inv[split:hi]
-    return (
-        all(a < b for a, b in zip(high, high[1:]))
-        and all(a < b for a, b in zip(low, low[1:]))
-        and (not high or high[0] > low[-1])
-    )
+
+def _swap(g: list[int], node: tuple[tuple[int, int], int, int, int]) -> None:
+    """g -> the window of s w, in place, for the simple reflection s at
+    ``node`` of ``_nodes``."""
+    _, a, c, k = node
+    g[a], g[c] = g[c] + k, g[a] - k
 
 
 def _dominant_length(mu: Sequence[int]) -> int:
-    """len(t^mu) for a dominant mu of one block, in O(n): every pair
-    i < j of ``_block_length`` with u = 1 adds mu_i - mu_j, so the sum
-    is sum_i mu_i (n + 1 - 2 i).
+    """len(t^mu) for a dominant mu of one block, in O(n): with u = 1
+    every pair i < j of Shi's formula adds mu_i - mu_j, so the sum is
+    sum_i mu_i (n + 1 - 2 i).
 
-    >>> _dominant_length((2, 1, 0)), _block_length((2, 1, 0), (1, 2, 3), 1, 3)
+    >>> _dominant_length((2, 1, 0)), AffineElement.translation(GroupDatum.gl(3), (2, 1, 0)).length()
     (4, 4)
     """
     n = len(mu)
@@ -346,17 +372,18 @@ def _transposition_delta(lam: Sequence[int], images: Sequence[int], a: int, b: i
     one-line form and a transposition (a b) inside one block.
 
     The product swaps the entries a and b of u^-1, which sit at the
-    positions p = u(a) and q = u(b). So only the Iwahori-Matsumoto terms
-    of pairs at p or q change, and of those only the pair (p, q) and the
-    pairs with a position k whose entry u^-1(k) lies between a and b.
+    positions p = u(a) and q = u(b). So only the terms of Shi's formula
+    (module docstring) of pairs at p or q change, and of those only the
+    pair (p, q) and the pairs with a position k whose entry u^-1(k) lies
+    between a and b.
     Each such term changes by one, up or down as (lam, position) orders
     the pair, so the delta is +-(1 + 2 c), with c the number of such k
     ordered strictly between p and q. It costs O(|a - b|).
 
-    >>> lam, u = (2, 0, 1), (1, 2, 3)
-    >>> _block_length(lam, u, 1, 3)
+    >>> lam, u, d = (2, 0, 1), (1, 2, 3), GroupDatum.gl(3)
+    >>> AffineElement(d, lam, Permutation(u)).length()
     4
-    >>> _transposition_delta(lam, u, 1, 3), _block_length(lam, (3, 2, 1), 1, 3)
+    >>> _transposition_delta(lam, u, 1, 3), AffineElement(d, lam, Permutation((3, 2, 1))).length()
     (-1, 3)
     """
     if a > b:
@@ -420,10 +447,9 @@ class AffineElement(_Frozen):
         try:
             return self.__dict__["_len"]
         except KeyError:
-            inv = self.perm.inverse().images
+            g, datum = _window(self), self.datum
             total = self.__dict__["_len"] = sum(
-                _block_length(self.trans, inv, lo, hi)
-                for lo, hi in self.datum.block_ranges()
+                _window_length(g[s], nb) for s, nb in zip(datum.block_slices(), datum.blocks)
             )
             return total
 
@@ -445,56 +471,29 @@ class AffineElement(_Frozen):
 
 # --- the descent walk and the Bruhat order ----------------------------------
 
-def _descends(lam: Sequence[int], inv: Sequence[int], lo: int, hi: int, node: int) -> bool:
-    """Whether len(s w) < len(w) for the simple reflection s at ``node``
-    of the block [lo, hi], for w = t^lam u given inv = u^-1.
-
-    s swaps one pair of positions and permutes the other Iwahori-Matsumoto
-    terms among themselves, so only the term of that pair decides."""
-    if node == 0:
-        d = lam[lo - 1] - lam[hi - 1]
-        return d >= (1 if inv[lo - 1] < inv[hi - 1] else 2)
-    p = lo + node - 1
-    d = lam[p - 1] - lam[p]
-    return d < 0 if inv[p - 1] < inv[p] else d <= 0
-
-
-def _reflect(trans: list[int], inv: list[int], lo: int, hi: int, node: int) -> None:
-    """w -> s w in place, for w = t^trans u and inv = u^-1: s swaps two
-    positions of both lists, and node 0, t^{e_lo - e_hi} (lo hi), also
-    moves a unit of translation from hi to lo."""
-    a, b = (lo - 1, hi - 1) if node == 0 else (lo + node - 2, lo + node - 1)
-    d = 1 if node == 0 else 0
-    trans[a], trans[b] = trans[b] + d, trans[a] - d
-    inv[a], inv[b] = inv[b], inv[a]
-
-
-def _raw(w: AffineElement) -> tuple[list[int], list[int]]:
-    return list(w.trans), list(w.perm.inverse().images)
-
-
-def _walk(datum: GroupDatum, w: tuple[list[int], list[int]],
-          u: Optional[tuple[list[int], list[int]]] = None):
-    """The descent walk (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    8.3) on raw (trans, inv) pairs, in place: while w has a left descent,
-    take the first s in (block, node) order, replace w by s w, and u by
-    s u when s is also a descent of u. Yields (s, whether u moved), s as
-    its (block, node) pair. The callers, ``bruhat_leq`` and
-    ``_subword_split`` (and the test suite's ``reduced_word``), validate
-    only the elements they build from the pairs."""
-    ranges = enumerate(datum.block_ranges())
-    nodes = [(b, i, lo, hi) for b, (lo, hi) in ranges if hi > lo for i in range(hi - lo + 1)]
+def _walk(datum: GroupDatum, top: list[int], low: Optional[list[int]] = None):
+    """The descent walk (Bjorner-Brenti, 8.3) on windows, in place: while
+    top has a left descent, take the first s in (block, node) order,
+    replace top by s top, and low by s low when s is also a descent of
+    low. Yields (node, whether low moved), node as ``_nodes`` gives it.
+    The order fixes only the letters of the test suite's ``reduced_word``:
+    ``bruhat_leq`` returns a bool, and ``_subword_split``'s u1 was the
+    same under every order on each pair of GL_2..GL_4 that the test
+    ``test_subword_split_does_not_depend_on_the_descent_order`` tries.
+    Callers validate only the elements they build from the windows."""
+    nodes = _nodes(datum)
     while True:
-        for b, node, lo, hi in nodes:
-            if _descends(*w, lo, hi, node):
+        for node in nodes:
+            _, a, c, k = node
+            if top[a] - k > top[c]:
                 break
         else:
             return
-        _reflect(*w, lo, hi, node)
-        moved = u is not None and _descends(*u, lo, hi, node)
+        _swap(top, node)
+        moved = low is not None and low[a] - k > low[c]
         if moved:
-            _reflect(*u, lo, hi, node)
-        yield (b, node), moved
+            _swap(low, node)
+        yield node, moved
 
 
 def _same_wa_coset(w1: AffineElement, w2: AffineElement) -> Optional[AffineElement]:
@@ -529,7 +528,7 @@ def bruhat_leq(w1: AffineElement, w2: AffineElement) -> bool:
     if w1 is None:
         return False
     gap = w2.length() - w1.length()
-    top, low = _raw(w2), _raw(w1)
+    top, low = _window(w2), _window(w1)
     steps = _walk(w1.datum, top, low)
     while gap > 0:  # w2 has a descent; a step that leaves w1 closes the gap
         gap -= not next(steps)[1]
@@ -541,12 +540,11 @@ def _subword_split(u: AffineElement, v: AffineElement) -> tuple[AffineElement, A
     subword property. Walk v down its left descents to length zero,
     lifting u by each descent it shares; those letters, in reverse,
     applied to the bottom of v rebuild u1."""
-    bottom = _raw(v)
-    moved = [s for s, hit in _walk(v.datum, bottom, _raw(u)) if hit]
-    ranges = v.datum.block_ranges()
-    for b, node in reversed(moved):
-        _reflect(*bottom, *ranges[b], node)
-    u1 = AffineElement(v.datum, bottom[0], Permutation(bottom[1]).inverse())
+    bottom = _window(v)
+    moved = [node for node, hit in _walk(v.datum, bottom, _window(u)) if hit]
+    for node in reversed(moved):
+        _swap(bottom, node)
+    u1 = _from_window(v.datum, bottom)
     return u1, u1.inverse() * u
 
 
@@ -589,8 +587,9 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
         trans += [q + 1] * m + [q] * (nb - m)
         images += [lo + (k + m) % nb for k in range(nb)]
     w = AffineElement(datum, trans, Permutation(images))
-    inv = w.perm.inverse().images
-    if not all(_block_length_zero(w.trans, inv, lo, hi) for lo, hi in datum.block_ranges()):
+    # length zero exactly when no simple reflection is a left descent: O(n)
+    g = _window(w)
+    if any(g[a] - k > g[c] for _, a, c, k in _nodes(datum)):
         raise InternalCheckFailed("omega element is not length zero")
     w.__dict__["_len"] = 0
     return w
@@ -600,6 +599,19 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
 
 _LITERAL_RE = re.compile(r"^t\[([^\]]*)\]((?:\*cyc\([^)]*\))*)$")
 _CYCLE_RE = re.compile(r"\*cyc\(([^)]*)\)")
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _read_int(text: str, error: str) -> int:
+    """The integer that text writes as an optional sign and ASCII digits,
+    with optional whitespace around them, or ``ParseError(error)``: int()
+    alone would also read underscores and non-ASCII digits."""
+    try:
+        if _INT_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(error)
 
 
 def format_element(w: AffineElement) -> str:
@@ -653,18 +665,13 @@ def parse_element(text: str, datum: GroupDatum) -> AffineElement:
     if not m:
         raise ParseError(f"malformed element literal: {text!r}")
     body, cycles_part = m.group(1), m.group(2)
-    try:
-        coords = tuple(int(x) for x in body.split(",")) if body else ()
-    except ValueError as exc:
-        raise ParseError(f"bad translation entries in {text!r}") from exc
+    error = f"bad translation entries in {text!r}"
+    coords = tuple(_read_int(x, error) for x in body.split(",")) if body else ()
     if len(coords) != datum.n:
         raise ParseError(f"expected {datum.n} coordinates, got {len(coords)}")
-    cycles = []
+    cycles, error = [], f"bad cycle entries in {text!r}"
     for cm in _CYCLE_RE.finditer(cycles_part):
-        try:
-            cyc = tuple(int(x) for x in cm.group(1).split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad cycle entries in {text!r}") from exc
+        cyc = tuple(_read_int(x, error) for x in cm.group(1).split(","))
         if len(set(cyc)) != len(cyc):
             raise ParseError(f"repeated index inside a cycle in {text!r}")
         if any(not (1 <= i <= datum.n) for i in cyc):

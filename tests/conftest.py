@@ -12,6 +12,8 @@ intervals of the t^{x(mu)} rather than the vertexwise criterion.
 The references below are what the tests compare the solver against;
 nothing in the package calls them:
 
+* lengths: ``im_length``, the O(n^2) Iwahori-Matsumoto count that
+  ``AffineElement.length``'s window formula is tested against;
 * group arithmetic: ``num_inversions``, ``apply_affine`` (the affine
   action on the ambient space), ``element_power`` and
   ``orbit_spread_reference``, a product split's pieces moved round
@@ -20,7 +22,7 @@ nothing in the package calls them:
   ``permutation_repr_reference``, built on ``Permutation.cycles``;
 * reduced words and the Bruhat order: ``simple_reflections``,
   ``ReducedWord``, ``reduced_word`` (the greedy left-descent word, one
-  letter per step of ``weyl._walk``), ``bruhat_lt`` and
+  letter per step of ``weyl._walk`` on the window), ``bruhat_lt`` and
   ``bruhat_lower_set``, the subword products that define Adm(mu);
 * acceptable points: ``adjoint_leq``, ``nu_reference``, and the
   integrality criterion ``newton_criterion`` with its witness
@@ -62,13 +64,30 @@ from bgmu.weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
+    _from_window,
     _product,
-    _raw,
     _walk,
+    _window,
     bruhat_leq,
     format_element,
     omega_element,
 )
+
+
+# --- lengths ------------------------------------------------------------------
+
+def im_length(w: AffineElement) -> int:
+    """The Iwahori-Matsumoto count, summed over blocks: for positions
+    i < j of one block of t^lam u, |lam_i - lam_j| when u^-1(i) <
+    u^-1(j), else |lam_i - lam_j - 1|."""
+    lam, inv = w.trans, w.perm.inverse().images
+    total = 0
+    for lo, hi in w.datum.block_ranges():
+        for i in range(lo - 1, hi):
+            for j in range(i + 1, hi):
+                d = lam[i] - lam[j]
+                total += abs(d) if inv[i] < inv[j] else abs(d - 1)
+    return total
 
 
 # --- group arithmetic ---------------------------------------------------------
@@ -183,9 +202,9 @@ class ReducedWord:
 
 
 def reduced_word(w: AffineElement) -> ReducedWord:
-    trans, inv = _raw(w)
-    letters = tuple(s for s, _ in _walk(w.datum, (trans, inv)))
-    omega = AffineElement(w.datum, trans, Permutation(inv).inverse())
+    g = _window(w)
+    letters = tuple(node[0] for node, _ in _walk(w.datum, g))
+    omega = _from_window(w.datum, g)
     if omega.length() != 0:
         raise InternalCheckFailed(f"descent search stalled at {omega!r}")
     return ReducedWord(w.datum, letters, omega)

@@ -188,6 +188,18 @@ def test_usage_error_exit_code(capsys):
     (["verify", "--max-n", "9", "--max-entry", "0"], None),
     (["verify", "--max-n", "9", "--max-entry", "0", "--keep-going"], None),
     (["verify", "--max-n", "4", "--max-entry", "0"], "3"),
+    # every number is an optional sign and ASCII digits, not what int() reads
+    (["max", "--group", "gl:1_0", "--mu", "1,0,0,0,0,0,0,0,0,0", "--sigma", "superbasic:1/10"], None),
+    (["max", "--group", "gl:\u0663", "--mu", "1,0,0", "--sigma", "superbasic:1/3"], None),
+    (["max", "--group", "gl:10", "--mu", "1_0,0,0,0,0,0,0,0,0,0", "--sigma", "superbasic:1/10"], None),
+    (["max", "--group", "gl:3", "--mu", "1,0,0", "--sigma", "superbasic:1/\u0663"], None),
+    (["max", "--group", "gl:3", "--mu", "1,0,0", "--sigma", "superbasic:0_1/3"], None),
+    (["max", "--group", "gl:2*2", "--mu", "1,0,1,0", "--sigma", "sigma0=\u0662,1"], None),
+    (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "tau=t[0_0,0]"], None),
+    (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "tau=t[1,0]*cyc(1,\u0662)"], None),
+    (["newton", "--group", "gl:2", "--w", "t[\u0661,0]", "--sigma", "superbasic:1/2"], None),
+    (["enumerate", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "1_0"),
+    (["enumerate", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "\u0668"),
 ])
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     if env is not None:

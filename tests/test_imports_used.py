@@ -279,12 +279,13 @@ def imported_names(source: str) -> set[tuple[str, str]]:
 
 
 def test_imported_names_are_found():
-    source = "from .weyl import _raw, bruhat_leq\nfrom typing import Optional\nimport os\n"
-    assert imported_names(source) == {("weyl", "_raw"), ("weyl", "bruhat_leq"), ("typing", "Optional")}
+    source = "from .weyl import _window, bruhat_leq\nfrom typing import Optional\nimport os\n"
+    assert imported_names(source) == {("weyl", "_window"), ("weyl", "bruhat_leq"), ("typing", "Optional")}
 
 
 OWNED_ELSEWHERE = {
-    ("weyl", "_raw"), ("weyl", "_walk"), ("weyl", "_reflect"),
+    ("weyl", "_window"), ("weyl", "_from_window"), ("weyl", "_window_length"),
+    ("weyl", "_nodes"), ("weyl", "_swap"), ("weyl", "_walk"),
     ("acceptable", "_adm_raw"), ("acceptable", "_adm_order"),
     ("acceptable", "_conjugate"), ("acceptable", "_omega_blocks"),
     ("newton", "_linear_part"), ("newton", "_newton_key"),

@@ -5,13 +5,18 @@
 text they return a value or refuse it with a ``BgmuError`` subclass,
 which ``cli.main`` prints as one line; anything else would reach the
 user as a traceback. An element that ``parse_element`` returns
-re-parses from its ``format_element`` text to an equal element.
+re-parses from its ``format_element`` text to an equal element. Every
+number is read as an optional sign and ASCII digits, so no accepted
+text holds an underscore or a non-ASCII digit, both of which int()
+alone would read.
 
 Group ranks stay at most 64, so no example builds more than a
 desk-scale element; on the command line a larger rank is refused by
 ``_parse_mu`` (mu has one entry per coordinate) before any twist is
 built. Everything runs in process.
 """
+
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,6 +38,18 @@ def joined(items, seps=(",",)):
 
 
 near_text = st.text(alphabet=SYNTAX, max_size=24)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def misread(texts):
+    """Each text with an underscore in its first number, or with all its
+    digits Arabic-Indic: int() alone would read both."""
+    return st.one_of(
+        texts.map(lambda t: re.sub(r"[0-9]", lambda m: m.group() + "_0", t, count=1)),
+        texts.map(lambda t: t.translate(ARABIC_INDIC)),
+    )
 
 
 group_texts = st.one_of(
@@ -63,16 +80,19 @@ def element_texts(draw, datum):
     cycles = draw(st.lists(st.lists(st.integers(-1, n + 1), max_size=4), max_size=3))
     text = "t[%s]" % ",".join(map(str, coords)) + "".join(
         "*cyc(%s)" % ",".join(map(str, c)) for c in cycles)
-    return draw(st.one_of(st.just(text), omega, near_text,
+    return draw(st.one_of(st.just(text), omega, near_text, misread(st.just(text)),
                           st.builds(lambda a, b: a + b, st.just(text), near_text)))
 
 
-def returns_or_refuses(parse, *args):
-    """parse(*args), or None after a BgmuError."""
+def returns_or_refuses(parse, text, *args):
+    """parse(text, *args), or None after a BgmuError; a text that int()
+    alone would misread is refused."""
     try:
-        return parse(*args)
+        value = parse(text, *args)
     except BgmuError:
         return None
+    assert "_" not in text and all(c.isascii() for c in text if c.isdigit()), text
+    return value
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,6 +100,8 @@ def returns_or_refuses(parse, *args):
 @example("gl:0")
 @example("pgl:")
 @example("gl:3*-1")
+@example("gl:1_0")
+@example("gl:\u0663")
 def test_parse_group_returns_or_refuses(text):
     datum = returns_or_refuses(_parse_group, text)
     assert datum is None or datum.n <= 4 * MAX_RANK
@@ -90,6 +112,8 @@ def test_parse_group_returns_or_refuses(text):
        st.integers(1, MAX_RANK))
 @example("9" * 5000, 1)
 @example("", 1)
+@example("1_0", 1)
+@example("\u0663,0", 2)
 def test_parse_mu_returns_or_refuses(text, n):
     mu = returns_or_refuses(_parse_mu, text, n)
     assert mu is None or len(mu) == n
@@ -122,7 +146,8 @@ def twist_texts(draw, datum):
         st.builds("sigma0={}".format, joined(targets)),
         near_text,
     ]
-    return draw(joined(st.lists(st.one_of(*parts), max_size=3), (";", "; ", "")))
+    return draw(joined(st.lists(st.one_of(*parts, misread(st.one_of(*parts[:3]))), max_size=3),
+                       (";", "; ", "")))
 
 
 @settings(max_examples=200, deadline=None)

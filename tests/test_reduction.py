@@ -468,7 +468,7 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     monkeypatch.setattr(weyl.SignedMap, "cycles", counted("cycles", weyl.SignedMap.cycles))
     monkeypatch.setattr(acceptable, "_linear_part", counted("linear", acceptable._linear_part))
     monkeypatch.setattr(newton, "_newton_kernel", counted("kernel", newton._newton_kernel))
-    monkeypatch.setattr(weyl, "_block_length", counted("length", weyl._block_length))
+    monkeypatch.setattr(weyl, "_window_length", counted("length", weyl._window_length))
     frob = Frobenius.superbasic(2, 5)
     for strategy in ("auto", "bruteforce"):
         calls.update(dict.fromkeys(calls, 0))

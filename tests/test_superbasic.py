@@ -35,12 +35,18 @@ from bgmu.weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
-    _block_length,
     _dominant_length,
     _transposition_delta,
     superbasic_element,
 )
-from conftest import a_sequence_less, bruhat_lt, dominant_coweights, expand, reading_sequence
+from conftest import (
+    a_sequence_less,
+    bruhat_lt,
+    dominant_coweights,
+    expand,
+    im_length,
+    reading_sequence,
+)
 
 
 def coprime_pairs(max_n):
@@ -345,7 +351,7 @@ def test_transposition_delta_is_the_counted_change(data):
     swapped[a - 1], swapped[b - 1] = swapped[b - 1], swapped[a - 1]
 
     def length(u):
-        return _block_length(lam, Permutation(u).inverse().images, 1, n)
+        return im_length(AffineElement(GroupDatum.gl(n), lam, Permutation(u)))
 
     assert _transposition_delta(lam, images, a, b) == length(swapped) - length(images)
 
@@ -372,13 +378,13 @@ def test_witness_counts_lengths_once(monkeypatch):
     # no O(n^2) count at all, however long the chain: the start's
     # length is the closed form and sigma's length zero the O(n) test
     calls = []
-    real = weyl._block_length
+    real = weyl._window_length
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(weyl, "_block_length", counted)
+    monkeypatch.setattr(weyl, "_window_length", counted)
     sw = superbasic_witness(tuple(range(63, -1, -1)), 33, 64)
     sw.certificate.to_json_dict()
     assert len(sw.certificate.chain) == 63
@@ -390,7 +396,7 @@ def test_witness_counts_lengths_once(monkeypatch):
 def test_dominant_length_is_the_counted_length(entries):
     mu = tuple(sorted(entries, reverse=True))
     n = len(mu)
-    assert _dominant_length(mu) == _block_length(mu, tuple(range(1, n + 1)), 1, n)
+    assert _dominant_length(mu) == im_length(AffineElement.translation(GroupDatum.gl(n), mu))
     for m in (1, n - 1):
         if 0 < m < n and gcd(m, n) == 1:
             # the start of the peel, t^{eps(mu)} sigma_{m,n}, counted afresh

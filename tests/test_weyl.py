@@ -1,6 +1,7 @@
 """Group arithmetic, length, reduced words and the Bruhat order."""
 
 import itertools
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -13,8 +14,11 @@ from bgmu.weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
-    _block_length,
-    _block_length_zero,
+    _from_window,
+    _nodes,
+    _subword_split,
+    _swap,
+    _window,
     bruhat_leq,
     format_element,
     omega_element,
@@ -27,6 +31,7 @@ from conftest import (
     bruhat_lt,
     element_power,
     format_element_reference,
+    im_length,
     oracle_length,
     permutation_repr_reference,
     reduced_word,
@@ -147,6 +152,27 @@ def test_length_against_word_search(datum):
             assert oracle_length(w, cap=6) == w.length()
 
 
+@st.composite
+def wide_elements(draw):
+    """An element of a GL or PGL datum of 1-4 blocks of size 1-6, its
+    entries small or up to 10^20 in size."""
+    blocks = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    datum = GroupDatum(blocks, tuple(draw(st.lists(st.booleans(), min_size=len(blocks),
+                                                   max_size=len(blocks)))))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**20, 10**20))
+    trans = draw(st.lists(entry, min_size=datum.n, max_size=datum.n))
+    images = []
+    for lo, hi in datum.block_ranges():
+        images += draw(st.permutations(range(lo, hi + 1)))
+    return AffineElement(datum, trans, Permutation(images))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_elements())
+def test_length_is_the_iwahori_matsumoto_count(w):
+    assert w.length() == im_length(w)
+
+
 @settings(max_examples=80, deadline=None)
 @given(elements(GL3))
 def test_length_symmetries(w):
@@ -239,6 +265,52 @@ def test_bruhat_matches_subword_enumeration(datum, max_len):
             assert reduced_word(u).product() == u
             for w in ball:
                 assert bruhat_leq(u, w) == (u in lower[w])
+
+
+def splits_in_every_order(u, v):
+    """The u1 that ``_subword_split(u, v)`` would return, for each order
+    in which its walk may take v's left descents: a walk on the windows
+    that branches on every descent of the top, memoized by state."""
+    nodes = _nodes(v.datum)
+
+    @lru_cache(maxsize=None)
+    def bottoms(top, low):
+        found = set()
+        for node in nodes:
+            _, a, c, k = node
+            if top[a] - k <= top[c]:
+                continue
+            t = list(top)
+            _swap(t, node)
+            if low[a] - k <= low[c]:
+                found |= bottoms(tuple(t), low)
+                continue
+            lo = list(low)
+            _swap(lo, node)
+            for g in bottoms(tuple(t), tuple(lo)):
+                g = list(g)
+                _swap(g, node)
+                found.add(tuple(g))
+        return frozenset(found or [top])
+
+    return {_from_window(v.datum, g) for g in bottoms(tuple(_window(v)), tuple(_window(u)))}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_subword_split_does_not_depend_on_the_descent_order(n):
+    # the answer to the walk's order question: on these cases every
+    # order gives the same u1, so the (block, node) order is a choice,
+    # not a requirement; for u <= v that u1 is u itself
+    datum = GroupDatum.gl(n)
+    ball = wa_ball(datum, 6)
+    for v in ball:
+        for u in bruhat_lower_set(v):
+            assert splits_in_every_order(u, v) == {u}
+    # pairs that are not comparable, as the product split hands over
+    small = [w for w in ball if w.length() <= 4]
+    for v in small:
+        for u in small:
+            assert splits_in_every_order(u, v) == {_subword_split(u, v)[0]}
 
 
 def test_walks_build_only_the_elements_they_return(monkeypatch):
@@ -461,7 +533,7 @@ def test_gl_is_the_single_block_datum():
         GroupDatum.gl(0)
 
 
-# --- the O(n) length-zero test --------------------------------------------------
+# --- the O(n) length-zero test: no left descent on the window --------------------
 
 @st.composite
 def blocks_near_length_zero(draw):
@@ -487,7 +559,14 @@ def blocks_near_length_zero(draw):
 @settings(max_examples=400, deadline=None)
 @given(blocks_near_length_zero())
 def test_length_zero_test_matches_the_count(block):
-    assert _block_length_zero(*block) == (_block_length(*block) == 0)
+    # the block between two length-zero padding blocks of its own
+    lam, inv, lo, hi = block
+    pad, n = lo - 1, hi - lo + 1
+    datum = GroupDatum((pad, n, pad) if pad else (n,))
+    w = AffineElement(datum, lam, Permutation(inv).inverse())
+    g = _window(w)
+    no_descent = not any(g[a] - k > g[c] for _, a, c, k in _nodes(datum))
+    assert no_descent == (im_length(w) == 0)
 
 
 def test_every_omega_element_is_counted_length_zero():
@@ -495,9 +574,7 @@ def test_every_omega_element_is_counted_length_zero():
         datum = GroupDatum.gl(n)
         for kap in range(-2 * n, 2 * n + 1):
             w = omega_element(datum, (kap,))
-            inv = w.perm.inverse().images
-            assert _block_length(w.trans, inv, 1, n) == 0, (n, kap)
-            assert _block_length_zero(w.trans, inv, 1, n)
+            assert im_length(w) == 0, (n, kap)
             assert w.length() == 0 and rechecked(w).length() == 0
     d = GroupDatum((2, 3, 1), (False, True, False))
     for kappas in itertools.product(range(-4, 5), range(-6, 7), range(-2, 3)):
