@@ -83,7 +83,8 @@ BRUTE_GUARD_SIZE = 200_000
 
 
 def guard_limit(default: int) -> int:
-    """Enumeration guards, overridable through BGMU_GUARD."""
+    """A rank guard: default, or BGMU_GUARD's one value, which replaces
+    every rank limit, lowering it as well as raising it."""
     env = os.environ.get("BGMU_GUARD")
     if not env:
         return default

@@ -367,6 +367,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _int_option(text: str) -> int:
+    """An integer option's value, read as every number of the input is
+    (``weyl._read_int``), refused with argparse's own message."""
+    try:
+        return _read_int(text, "")
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -411,13 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polygon", help="running sums of mu + chi and their hull")
     p.add_argument("--mu", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_int_option, required=True)
+    p.add_argument("--n", type=_int_option, required=True)
     p.set_defaults(func=cmd_polygon)
 
     p = sub.add_parser("verify", help="oracle sweep over small problems")
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-entry", type=int, default=2)
+    p.add_argument("--max-n", type=_int_option, default=3)
+    p.add_argument("--max-entry", type=_int_option, default=2)
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

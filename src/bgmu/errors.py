@@ -16,8 +16,10 @@ class ParseError(BgmuError, ValueError):
 class GuardExceeded(BgmuError, RuntimeError):
     """A desk-scale enumeration guard was hit.
 
-    The BGMU_GUARD environment variable raises the rank limits if the
-    larger computation is really wanted.
+    The BGMU_GUARD environment variable replaces the three rank limits
+    (enumeration 8, admissible set 5, brute force 6) by its one value:
+    a larger value admits a larger computation, a smaller one lowers
+    all three.
     """
 
 

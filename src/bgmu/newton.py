@@ -44,7 +44,15 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ParseError
-from .weyl import AffineElement, GroupDatum, Permutation, SignedMap, _Frozen, superbasic_element
+from .weyl import (
+    AffineElement,
+    GroupDatum,
+    Permutation,
+    SignedMap,
+    _Frozen,
+    _length_zero,
+    superbasic_element,
+)
 
 RatVec = tuple[Fraction, ...]
 Node = tuple[int, int]  # (block, i) finite simple root, 1 <= i <= n_b - 1
@@ -220,7 +228,7 @@ class Frobenius(_Frozen):
 
     def __init__(self, tau: AffineElement, sigma0: Sigma0, shift: RatVec = ()) -> None:
         datum = tau.datum
-        if tau.length() != 0:
+        if not _length_zero(tau):
             raise ParseError("tau must have length zero")
         if sigma0.datum != datum:
             raise DimensionMismatch("sigma0 and tau live in different data")

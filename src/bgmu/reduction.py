@@ -56,6 +56,26 @@ point with the brute-force maximum whenever the brute force's own
 guards let it list Adm(mu). So no step re-checks its own hypotheses: a
 conjugation or a descent that broke one lifts to a witness that
 ``_verify_solution`` refuses.
+
+Where each check runs:
+
+* the caller's mu (its length, and dominance per block): in
+  ``Problem``. The splits build their sub-problems with
+  ``Problem._unchecked``, as a restriction of mu, mu itself on a Levi
+  and a sum of dominant parts are dominant; ``sharp_peel``, a public
+  routine, still checks the mu of a superbasic base;
+* length zero, of a parsed tau (``Frobenius``), of a conjugator
+  (``omega_element``) and of a sub-twist (``_sub_twist``): the one O(n)
+  test ``weyl._length_zero``, whose yes the element keeps, so the
+  sub-twist's ``Frobenius`` reads it rather than testing again;
+* the rest of a twist, once per twist per process in ``_stage``: the
+  sub-blocks in ``_sub_twist``, the generic direction in
+  ``_generic_point`` and the superbasic residue in ``_descend``;
+* a superbasic base's chain and slopes in ``sharp_peel``, and its
+  witness's Newton point in ``superbasic_witness``, which then builds
+  the point from those slopes unchecked; the base relabels the witness
+  to the problem's datum, the same single block, unchecked;
+* the answer: in ``_verify_solution``, once.
 """
 
 from __future__ import annotations
@@ -91,6 +111,7 @@ from .weyl import (
     RatVec,
     SignedMap,
     _Frozen,
+    _length_zero,
     _subword_split,
     bruhat_leq,
     format_element,
@@ -99,6 +120,10 @@ from .weyl import (
 
 
 class Problem(_Frozen):
+    """A caller's problem, whose mu ``__init__`` checks against the
+    twist's datum. The splits build their sub-problems with
+    ``_unchecked``: a sub-problem's mu is dominant by construction."""
+
     mu: tuple[int, ...]
     frob: Frobenius
 
@@ -202,7 +227,8 @@ class ProductSplitStep(NamedTuple):
         ``_conjugator_into_last``. The parts are read off mu at the
         placements (see ``_split_product`` for the powers)."""
         parts = tuple(tuple(sign * mu[p - 1] for p in pos) for pos, sign in self.places)
-        return self._replace(parts=parts), [Problem(tuple(map(sum, zip(*parts))), self.sub_frob)]
+        gamma = tuple(map(sum, zip(*parts)))
+        return self._replace(parts=parts), [Problem._unchecked(gamma, self.sub_frob)]
 
     def lift(self, subs: Sequence[Solution]) -> Solution:
         """Spread the sub-witness over the orbit, then undo the
@@ -283,7 +309,7 @@ def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
     sub_tau = AffineElement._unchecked(
         sub_datum, tuple(tau.trans[p - 1] for p in positions), Permutation._unchecked(images)
     )
-    if sub_tau.length() != 0:
+    if not _length_zero(sub_tau):
         raise InternalCheckFailed(f"restricted twist {sub_tau!r} is not length zero")
     return Frobenius(sub_tau, Sigma0(sub_datum, block_to, flip))
 
@@ -366,7 +392,7 @@ class ParabolicStep(NamedTuple):
         """Descend to the stabilizer of the dominant representative
         vbar of the generic direction v0: the Levi whose blocks are the
         runs of equal entries of vbar, with mu as it is."""
-        return self, [Problem(mu, self.sub_frob)]
+        return self, [Problem._unchecked(mu, self.sub_frob)]
 
     def lift(self, subs: Sequence[Solution]) -> Solution:
         """Undo the conjugation by z: z^-1 w z places w at the images
@@ -498,7 +524,7 @@ class OrbitSplitStep(NamedTuple):
 
     def split(self, mu: Sequence[int]) -> tuple[OrbitSplitStep, list[Problem]]:
         """mu restricted to each orbit's positions, with its twist."""
-        return self, [Problem(tuple(mu[p - 1] for p in pos), sub)
+        return self, [Problem._unchecked(tuple(mu[p - 1] for p in pos), sub)
                       for pos, sub in zip(self.positions, self.subs)]
 
     def lift(self, subs: Sequence[Solution]) -> Solution:
@@ -576,7 +602,9 @@ def _solve_orbits(problem: Problem) -> Solution:
         w = AffineElement.translation(problem.datum, mu)
         return Solution(w, Permutation.identity(1), (step._replace(central=mu[0]),))
     sw = superbasic_witness(mu, step.m, step.n)
-    return Solution(sw.w.with_datum(problem.datum), sw.x, (step._replace(certificate=sw.certificate),))
+    # the same single block, PGL or GL as the problem's: relabelled unchecked
+    w = AffineElement._unchecked(problem.datum, sw.w.trans, sw.w.perm)
+    return Solution(w, sw.x, (step._replace(certificate=sw.certificate),))
 
 
 def step_json(step) -> dict:

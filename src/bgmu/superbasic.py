@@ -30,7 +30,7 @@ No Bruhat query is made here, and each fact is checked in one place
   slopes of theta. A step swaps two images of one block, so its element
   is built unchecked;
 * ``superbasic_witness``: the Newton point of w is that slope sequence,
-  compared in integers;
+  compared in integers, so the point is built from the slopes unchecked;
 * ``solve``: the point is the maximal acceptable one and w lies below
   t^{x(mu)}, once for the whole problem. The test suite checks the
   first of these for the superbasic base directly.
@@ -465,5 +465,7 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
             f"witness Newton point {_vec_str(Fraction(x, k) for x in bar)} is not"
             f" the hull slope sequence {_vec_str(cert.slopes)}"
         )
-    point = NewtonPoint(w.datum, cert.slopes, kappa(w))
+    # the slopes are Fractions that decrease, as the hull's do, and they
+    # have just been read off w: the point is built unchecked
+    point = NewtonPoint._unchecked(w.datum, cert.slopes, kappa(w))
     return SuperbasicWitness(point, w, cert.epsilon, cert)

@@ -29,6 +29,9 @@ images are a permutation and that it preserves the blocks, and so do
 by construction (products and inverses, and the twists of
 ``newton.Sigma0``) build it through ``_Frozen._unchecked``, which sets
 the fields and runs no ``__init__``, so they do not repeat those checks.
+Length zero, which ``omega_element``, a twist and a sub-problem's twist
+require, is tested by one O(n) routine, ``_length_zero``, which keeps
+its yes as the element's length.
 """
 
 from __future__ import annotations
@@ -114,11 +117,13 @@ class GroupDatum(_Frozen):
         if len(adjoint) != len(blocks):
             raise ParseError("adjoint flags do not match blocks")
         # the layout is read for every element built, so it is computed
-        # once here; these attributes are not fields, so eq and hash
-        # still compare blocks and adjoint only
+        # once here, the rank n and num_blocks included; these attributes
+        # are not fields, so eq and hash still compare blocks and adjoint
+        # only
         offsets = tuple(accumulate(blocks[:-1], initial=0))
         self._set(
-            blocks=blocks, adjoint=adjoint, _offsets=offsets,
+            blocks=blocks, adjoint=adjoint, n=sum(blocks), num_blocks=len(blocks),
+            _offsets=offsets,
             _ranges=tuple((o + 1, o + n) for o, n in zip(offsets, blocks)),
             _slices=tuple(slice(o, o + n) for o, n in zip(offsets, blocks)),
         )
@@ -130,14 +135,6 @@ class GroupDatum(_Frozen):
     @staticmethod
     def pgl(n: int) -> "GroupDatum":
         return GroupDatum((n,), (True,))
-
-    @property
-    def n(self) -> int:
-        return sum(self.blocks)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
 
     def offsets(self) -> tuple[int, ...]:
         return self._offsets
@@ -330,6 +327,22 @@ def _window_length(part: Sequence[int], nb: int) -> int:
         for b in part[i + 1:]:
             total += abs((b - a) // nb)
     return total
+
+
+def _length_zero(w: AffineElement) -> bool:
+    """Whether w has length zero: the kept ``_len`` if w has one, else
+    whether no simple reflection is a left descent of its window, in
+    O(n) (Bjorner-Brenti, 8.3), a yes being kept as ``_len = 0``. The
+    one length-zero test: ``omega_element``, ``Frobenius`` and the
+    reduction's ``_sub_twist`` each raise their own error on a no."""
+    known = w.__dict__.get("_len")
+    if known is not None:
+        return known == 0
+    g = _window(w)
+    if any(g[a] - k > g[c] for _, a, c, k in _nodes(w.datum)):
+        return False
+    w.__dict__["_len"] = 0
+    return True
 
 
 def _nodes(datum: GroupDatum) -> list[tuple[tuple[int, int], int, int, int]]:
@@ -587,11 +600,8 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
         trans += [q + 1] * m + [q] * (nb - m)
         images += [lo + (k + m) % nb for k in range(nb)]
     w = AffineElement(datum, trans, Permutation(images))
-    # length zero exactly when no simple reflection is a left descent: O(n)
-    g = _window(w)
-    if any(g[a] - k > g[c] for _, a, c, k in _nodes(datum)):
+    if not _length_zero(w):
         raise InternalCheckFailed("omega element is not length zero")
-    w.__dict__["_len"] = 0
     return w
 
 

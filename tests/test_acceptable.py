@@ -44,6 +44,7 @@ from bgmu.newton import (
     dominant_rep,
     heights,
     newton_point,
+    simple_nodes,
 )
 from bgmu.reduction import solve
 from bgmu.weyl import (
@@ -829,3 +830,56 @@ def test_heights_are_the_fraction_reference(data):
     datum = GroupDatum(blocks)
     vec = tuple(data.draw(st.lists(_entries, min_size=datum.n, max_size=datum.n)))
     assert repr(heights(datum, vec)) == repr(heights_reference(datum, vec))
+
+
+# --- the self-checks of the maximal point and of the enumeration --------------
+# Each is forced with a patched input: only a bug could raise them, and each
+# must raise its typed error with a message that formats.
+
+def test_a_maximal_point_that_sigma0_moves_is_refused(monkeypatch):
+    monkeypatch.setattr(Sigma0, "is_invariant", lambda self, vec: False)
+    with pytest.raises(InternalCheckFailed, match="^maximal point is not sigma0-invariant$"):
+        maximal_newton_state((1, 0, 0), Frobenius.superbasic(1, 3))
+
+
+def test_a_maximal_point_above_mu_diamond_is_refused(monkeypatch):
+    # mu_diamond's heights lowered to -1: a dominant point's are >= 0
+    real = acceptable._orbit_bounds
+
+    def lowered(mu, frob):
+        den, h_mu, sums, table = real(mu, frob)
+        return den, dict.fromkeys(h_mu, -1), sums, table
+
+    monkeypatch.setattr(acceptable, "_orbit_bounds", lowered)
+    with pytest.raises(InternalCheckFailed, match="^maximal point exceeds mu_diamond$"):
+        maximal_newton_state((1, 0, 0), Frobenius.superbasic(1, 3))
+
+
+def test_a_maximal_point_below_a_tent_is_refused(monkeypatch):
+    # a hull of one straight run is central; the tent of mu = (1, 0)
+    # under the trivial twist is mu's height 1/2
+    monkeypatch.setattr(acceptable, "_hull", lambda rises: [(len(rises), sum(rises))])
+    with pytest.raises(InternalCheckFailed, match="^maximal point drops below a tent$"):
+        maximal_newton_state((1, 0), Frobenius.trivial(GL2))
+
+
+def test_a_maximal_point_off_the_integrality_criterion_is_refused(monkeypatch):
+    # superbasic 1/2 with mu = 0: the point (1/2, 1/2) has an empty
+    # support, and its pairing 0 is off the coset 1/2 + Z, which only a
+    # support that claims the node puts to the test
+    monkeypatch.setattr(acceptable, "support_nodes",
+                        lambda datum, vec: frozenset(simple_nodes(datum)))
+    with pytest.raises(InternalCheckFailed,
+                       match="^maximal point fails the integrality criterion$"):
+        maximal_newton_state((0, 0), Frobenius.superbasic(1, 2, normalized=False))
+
+
+def test_an_acceptable_set_without_one_maximum_is_refused(monkeypatch):
+    # knots that ignore every prescribed height make each candidate the
+    # central point: the four choices on GL_3's two nodes (in or out of
+    # the support) give four equal points, all maxima
+    real = acceptable._knot_rises
+    monkeypatch.setattr(acceptable, "_knot_rises",
+                        lambda datum, prescribed, sums: real(datum, {}, sums))
+    with pytest.raises(InternalCheckFailed, match="^acceptable set has 4 maxima$"):
+        enumerate_acceptable((1, 0, 0), Frobenius.trivial(GroupDatum.gl(3)))

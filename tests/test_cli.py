@@ -6,6 +6,7 @@ import json
 import pytest
 
 from bgmu.cli import main
+from bgmu.weyl import GroupDatum
 
 
 def run(capsys, *argv):
@@ -162,6 +163,24 @@ def test_verify_small_sweep(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["failures"] == 0 and doc["verified"] > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["polygon", "--mu", "1,0", "--m", "1", "--n", "\u0662"], "argument --n: invalid int value: '\u0662'"),
+    (["verify", "--max-n", "1_0", "--max-entry", "0"], "argument --max-n: invalid int value: '1_0'"),
+    (["polygon", "--mu", "1,0", "--m", "1_0", "--n", "2"], "argument --m: invalid int value: '1_0'"),
+    (["verify", "--max-entry", "\u0661"], "argument --max-entry: invalid int value: '\u0661'"),
+    # argparse's own message, as int() refused it
+    (["polygon", "--mu", "1,0", "--m", "1", "--n", "x"], "argument --n: invalid int value: 'x'"),
+])
+def test_integer_options_are_read_strictly(capsys, argv, message):
+    # the options' numbers follow the rule of every other number: the
+    # usage line and argparse's error, exit 1
+    code, out, err = run(capsys, *argv)
+    usage, error = err.splitlines()
+    assert code == 1 and out == ""
+    assert usage.startswith(f"usage: bgmu {argv[0]} ")
+    assert error == f"bgmu {argv[0]}: error: {message}"
 
 
 def test_usage_error_exit_code(capsys):
@@ -370,6 +389,86 @@ def test_verify_stops_at_the_first_failure_unless_kept_going(capsys, monkeypatch
     assert (doc["verified"], doc["failures"]) == (verified, failures)
     assert doc["first_failure"]["problem"]["group"] == "gl:3"
     assert doc["first_failure"]["problem"]["mu"] == [1, 1, 1]
+
+
+def test_verify_reports_a_mu_diamond_mismatch(capsys, monkeypatch):
+    # the criterion negated disagrees with the maximum on the first
+    # problem, gl:2 with mu = (1, 1)
+    import bgmu.cli as cli
+
+    real = cli.mu_diamond_acceptable
+    monkeypatch.setattr(cli, "mu_diamond_acceptable", lambda mu, frob: not real(mu, frob))
+    code, out, _ = run(capsys, "verify", "--max-n", "2", "--max-entry", "1")
+    doc = json.loads(out)
+    assert code == 2 and (doc["verified"], doc["failures"]) == (1, 1)
+    assert doc["first_failure"]["error"] == "mu_diamond criterion mismatch"
+    assert doc["first_failure"]["problem"]["mu"] == [1, 1]
+
+
+def test_a_brute_force_disagreement_prints_the_problem_to_replay(capsys, monkeypatch):
+    # auto compares the claimed point with the brute-force maximum; a
+    # forced disagreement is a failed internal check, reported with the
+    # problem to replay
+    import bgmu.reduction as reduction
+    from fractions import Fraction
+
+    argv = ["max", "--group", "gl:3", "--mu", "1,0,0", "--sigma", "superbasic:1/3"]
+    code, out, _ = run(capsys, *argv)
+    problem = json.loads(out)["problem"]
+    monkeypatch.setattr(reduction, "_brute_force",
+                        lambda mu, frob, witness: ((Fraction(0),) * 3, None))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        "bgmu: constructive (1, 1/2, 1/2) and brute force (0, 0, 0) disagree\n"
+        f"bgmu: problem {json.dumps(problem, separators=(',', ':'))}\n"
+    )
+
+
+def test_twist_and_mu_checks_run_once(capsys, monkeypatch):
+    # on twisted problems, the parsed tau and every sub-twist are tested
+    # for length zero by the O(n) window test, never by Shi's O(n^2) sum;
+    # and mu is checked three times, all on the caller's datum: the
+    # parsed problem, solve's, and the maximal point's bound table. The
+    # reduction's sub-problems are built unchecked
+    import bgmu.acceptable as acceptable
+    import bgmu.newton as newton
+    import bgmu.reduction as reduction
+    import bgmu.weyl as weyl
+
+    inside, counted, checked = [], [], []
+
+    def scoped(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    real_length, real_mu = weyl._window_length, acceptable._check_mu
+    monkeypatch.setattr(weyl, "_window_length",
+                        lambda *args: counted.append(bool(inside)) or real_length(*args))
+    monkeypatch.setattr(newton.Frobenius, "__init__", scoped(newton.Frobenius.__init__))
+    monkeypatch.setattr(reduction, "_sub_twist", scoped(reduction._sub_twist))
+    for module in (acceptable, reduction):
+        monkeypatch.setattr(module, "_check_mu",
+                            lambda mu, datum: checked.append(datum) or real_mu(mu, datum))
+    problems = [
+        ("gl:6", "2,1,1,0,0,0", "tau=t[1,1,0,0,0,0]*cyc(1,3,5)*cyc(2,4,6)"),
+        ("gl:3*3", "2,1,0,1,0,0", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1"),
+        ("gl:3*4", "1,1,0,3,2,1,0", "tau=t[1,0,0,1,1,1,0]*cyc(1,2,3)*cyc(4,7,6,5);sigma0=1,2"),
+        ("gl:2*2", "1,0,1,0", "tau=t[1,0,0,0]*cyc(1,2);sigma0=2,1"),
+    ]
+    for group, mu, sigma in problems:
+        checked.clear()
+        code, _, err = run(capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma,
+                           "--strategy", "constructive")
+        assert code == 0, err
+        top = GroupDatum(tuple(int(b) for b in group[3:].split("*")))
+        assert checked == [top] * 3, group
+    assert True not in counted
 
 
 def test_guard_env_override(capsys, monkeypatch):

@@ -102,6 +102,17 @@ def test_derived_attributes_do_not_count():
     assert Sigma0._fields == ("datum", "block_to", "flip")
 
 
+def test_the_datum_keeps_its_rank_and_block_count():
+    # n and num_blocks are read for nearly every element built, so they
+    # are set once with the layout, not recounted on every read
+    d = GroupDatum((2, 3, 1))
+    assert vars(d)["n"] == d.n == 6 and vars(d)["num_blocks"] == d.num_blocks == 3
+    for name in ("n", "num_blocks"):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(d, name, 0)
+    assert d == GroupDatum((2, 3, 1), (False,) * 3)
+
+
 def test_the_hash_is_kept_beside_the_fields():
     # the first hash of a value is the hash of its fields, kept on the
     # value; equal values hash equal, and a cached property filled later

@@ -602,6 +602,28 @@ def test_a_descent_that_skips_its_conjugation_is_a_bug(monkeypatch):
         solve((1, 0, 0, 0), fr, strategy="constructive")
 
 
+def test_a_brute_force_witness_outside_adm_is_a_bug(monkeypatch):
+    # the brute force's witness gets x from adm_member, whose refusal is
+    # the final check's
+    import bgmu.reduction as reduction
+
+    monkeypatch.setattr(reduction, "adm_member", lambda w, mu: (False, None))
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+            "witness t[0,1,0]*cyc(2,3) is not admissible")):
+        solve((1, 0, 0), Frobenius.superbasic(1, 3), strategy="bruteforce")
+
+
+def test_a_residual_twist_that_is_not_superbasic_is_a_bug(monkeypatch):
+    # a generic direction of zero leaves the trivial twist of GL_2
+    # undescended: its kappa 0 is no superbasic base
+    import bgmu.reduction as reduction
+
+    monkeypatch.setattr(reduction, "_generic_point", lambda frob, den, basis: (0,) * frob.datum.n)
+    with pytest.raises(InternalCheckFailed,
+                       match="^residual twist kappa=0 is not superbasic on GL_2$"):
+        solve((1, 0), Frobenius.trivial(GroupDatum.gl(2)), strategy="constructive")
+
+
 # --- stages -----------------------------------------------------------------------
 
 def _rotation_33(kappas):

@@ -619,3 +619,56 @@ def test_witnesses_from_threads_match_one_thread():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert _twist_data.cache_info().currsize <= 64
+
+
+# --- the self-checks of the chain, the peel and the witness -------------------
+# Each is forced with a patched input: only a bug could raise them, and each
+# must raise its typed error with a message that formats.
+
+def test_templates_that_do_not_rebuild_chi_are_refused(monkeypatch):
+    import bgmu.superbasic as superbasic
+
+    real = superbasic._templates
+    monkeypatch.setattr(superbasic, "_templates", lambda m, n: real(m, n)[::-1])
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+        "template expansion of chi(1, 2) does not rebuild chi(2, 5)"
+    )):
+        euclid_chain(2, 5)
+
+
+def test_a_chain_step_that_keeps_the_length_is_refused(monkeypatch):
+    import bgmu.superbasic as superbasic
+
+    monkeypatch.setattr(superbasic, "_transposition_delta", lambda *args: 0)
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+        "chain step final cyc(1, 3) is not a strict Bruhat descent at t[1,1,0]*cyc(1,2,3)"
+    )):
+        sharp_peel((1, 0, 0), 1, 3)
+
+
+@pytest.mark.parametrize("cut, message", [
+    # each piece loses its first entry and starts one later
+    (lambda head, values: (head + 1, values[1:]), "decomposition pieces are not contiguous"),
+    # each piece loses its last entry
+    (lambda head, values: (head, values[:-1]), "decomposition does not cover the block"),
+])
+def test_pieces_that_do_not_tile_the_block_are_refused(monkeypatch, cut, message):
+    # mu = 0 is one block, peeled as one piece; a shortened piece emits
+    # a final step, which is let pass
+    import bgmu.superbasic as superbasic
+
+    monkeypatch.setattr(superbasic, "Segment", lambda head, values: Segment(*cut(head, values)))
+    monkeypatch.setattr(superbasic, "_transposition_delta", lambda *args: -1)
+    with pytest.raises(InternalCheckFailed, match=f"^{message}$"):
+        sharp_peel((0, 0, 0), 1, 3)
+
+
+def test_slopes_off_the_hull_are_refused(monkeypatch):
+    # a hull of one straight run against the peel of theta = (1, 0, 1)
+    import bgmu.superbasic as superbasic
+
+    monkeypatch.setattr(superbasic, "_hull", lambda nums: [(len(nums), sum(nums))])
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+        "peeled decomposition slopes (1, 1/2, 1/2) differ from hull"
+    )):
+        sharp_peel((1, 0, 0), 1, 3)

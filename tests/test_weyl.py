@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgmu.errors import DimensionMismatch, ParseError
+from bgmu import weyl
+from bgmu.errors import DimensionMismatch, InternalCheckFailed, ParseError
 from bgmu.newton import Sigma0
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
     Permutation,
     _from_window,
+    _length_zero,
     _nodes,
     _subword_split,
     _swap,
@@ -564,9 +566,25 @@ def test_length_zero_test_matches_the_count(block):
     pad, n = lo - 1, hi - lo + 1
     datum = GroupDatum((pad, n, pad) if pad else (n,))
     w = AffineElement(datum, lam, Permutation(inv).inverse())
-    g = _window(w)
-    no_descent = not any(g[a] - k > g[c] for _, a, c, k in _nodes(datum))
-    assert no_descent == (im_length(w) == 0)
+    zero = _length_zero(w)  # the window's no-descent test, on a fresh element
+    assert zero == (im_length(w) == 0)
+    assert w.__dict__.get("_len") == (0 if zero else None)  # a yes is kept
+
+
+def test_length_zero_reads_a_kept_length(monkeypatch):
+    d = GroupDatum.gl(3)
+    zero, two = omega_element(d, (1,)), AffineElement.translation(d, (1, 0, 0))
+    assert two.length() == 2
+    monkeypatch.setattr(weyl, "_window", lambda w: pytest.fail("the window was read"))
+    assert _length_zero(zero) and not _length_zero(two)
+
+
+def test_an_omega_element_of_positive_length_is_refused(monkeypatch):
+    # a reversed window has a left descent at node 1
+    real = weyl._window
+    monkeypatch.setattr(weyl, "_window", lambda w: real(w)[::-1])
+    with pytest.raises(InternalCheckFailed, match="^omega element is not length zero$"):
+        omega_element(GroupDatum.gl(3), (0,))
 
 
 def test_every_omega_element_is_counted_length_zero():
