@@ -113,8 +113,9 @@ def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
 
 def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[int, list[int], list[int]]:
     """mu_diamond and mu_diamond + lam_diamond, for a dominant mu, as
-    numerators over k, the order of sigma0's signed map."""
-    _check_mu(mu, frob.datum)
+    numerators over k, the order of sigma0's signed map. mu is not
+    checked here: the public callers of ``_orbit_bounds`` check it, and
+    ``reduction._solve`` has a checked ``Problem``."""
     k, mu_dia = _diamond(mu, frob)
     _, lam_dia = _diamond(frob.lam, frob)
     return k, mu_dia, [a + b for a, b in zip(mu_dia, lam_dia)]
@@ -228,6 +229,7 @@ class MaximalSolverState(NamedTuple):
 
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
+    _check_mu(mu, frob.datum)
     return _maximal_state(frob, _orbit_bounds(mu, frob))
 
 
@@ -284,6 +286,7 @@ def mu_diamond_acceptable(mu: Sequence[int], frob: Frobenius) -> bool:
     """Whether mu_diamond itself is an acceptable point: the defect
     pairings <omega_c, lam_diamond> = rep - <omega_c, mu_diamond> of
     ``_orbit_bounds`` are integers on the support of mu_diamond."""
+    _check_mu(mu, frob.datum)
     den, h_mu, _, table = _orbit_bounds(mu, frob)
     support = support_nodes(frob.datum, _diamond(mu, frob)[1])
     return all((rep - sum(h_mu[nd] for nd in orbit)) % den == 0
@@ -327,7 +330,7 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     Covers come from bitmasks: up[i] holds the points at or above i,
     down[j] those at or below j, and a cover has up[i] & down[j] = {i, j}."""
     datum = frob.datum
-    # the bound table checks mu, so bad input is refused before the guard
+    _check_mu(mu, datum)  # bad input is refused before the guard
     bounds = _orbit_bounds(mu, frob)
     den, _, sums, table = bounds
     limit = guard_limit(DEFAULT_ENUM_GUARD)

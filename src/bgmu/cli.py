@@ -41,7 +41,7 @@ from .acceptable import (
 from .acceptable import polygon as make_polygon
 from .errors import BgmuError, GuardExceeded, InternalCheckFailed, ParseError
 from .newton import Frobenius, Sigma0, diamond, kappa, newton_point
-from .reduction import Problem, solve, step_json
+from .reduction import Problem, _solve, solve, step_json
 from .superbasic import chi as chi_vec
 from .weyl import (
     AffineElement,
@@ -250,7 +250,7 @@ def _replayable(cmd):
 
 @_replayable
 def cmd_max(problem: Problem, args) -> int:
-    result = solve(problem.mu, problem.frob, strategy=args.strategy)
+    result = _solve(problem, args.strategy)
     doc = {
         "schema": SCHEMA,
         "problem": _problem_json(problem),

@@ -46,10 +46,8 @@ over the Newton points of the admissible set for the brute force
 (``acceptable._brute_force``), whose witness comes without x. Each
 fact about the answer is then checked once, in ``_verify_solution``,
 for every strategy: w <= t^{x(mu)} for the reported x, the definition
-of Adm(mu), whose coset test also puts w in the coset of t^mu (for the
-brute force's witness, ``adm_member`` looks up x there, and its last,
-successful walk is this test); and the Newton point of w, computed
-there once, off the final witness, is the claimed one
+of Adm(mu); and the Newton point of w, computed there once, off the
+final witness, is the claimed one
 (``superbasic_witness`` also computes its own witness's point, to check
 the certificate's slopes). The auto strategy also compares the claimed
 point with the brute-force maximum whenever the brute force's own
@@ -57,10 +55,24 @@ guards let it list Adm(mu). So no step re-checks its own hypotheses: a
 conjugation or a descent that broke one lifts to a witness that
 ``_verify_solution`` refuses.
 
+Two routes prove w <= t^{x(mu)}, chosen by the trace. On a trace of
+one superbasic base below the adjoint step, the base's peel
+certificate is the proof, read in O(n): its chain descends strictly,
+step by checked step, from t^{eps(mu)} sigma to its end, and sigma has
+length zero, so w = end sigma^-1 is below t^{eps(mu)}; being reached
+from it by affine reflections, w also lies in its coset, that of t^mu.
+So it suffices that the certificate is this answer's: its mu is mu, x
+is its eps, its start is t^{x(mu)} sigma and its end is w sigma. Every
+other trace walks ``bruhat_leq(w, t^{x(mu)})``, whose first test is
+the coset; for the brute force's witness, ``adm_member`` looks up x,
+and its last, successful walk is this test.
+
 Where each check runs:
 
 * the caller's mu (its length, and dominance per block): in
-  ``Problem``. The splits build their sub-problems with
+  ``Problem``, once per solve: ``bgmu max`` hands its checked problem
+  to ``_solve``, which builds the maximal point from the bound table
+  unchecked. The splits build their sub-problems with
   ``Problem._unchecked``, as a restriction of mu, mu itself on a Levi
   and a sum of dominant parts are dominant; ``sharp_peel``, a public
   routine, still checks the mu of a superbasic base;
@@ -75,7 +87,9 @@ Where each check runs:
   witness's Newton point in ``superbasic_witness``, which then builds
   the point from those slopes unchecked; the base relabels the witness
   to the problem's datum, the same single block, unchecked;
-* the answer: in ``_verify_solution``, once.
+* the answer: in ``_verify_solution``, once, with w <= t^{x(mu)} read
+  off the certificate on an ``adjoint, base-superbasic`` trace and
+  walked on every other.
 """
 
 from __future__ import annotations
@@ -85,7 +99,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
-from .acceptable import _brute_force, _check_mu, adm_member, maximal_newton_state
+from .acceptable import _brute_force, _check_mu, _maximal_state, _orbit_bounds, adm_member
 from .errors import (
     DimensionMismatch,
     GuardExceeded,
@@ -102,7 +116,7 @@ from .newton import (
     dominant_rep,
     newton_point,
 )
-from .superbasic import PeelCertificate, superbasic_witness
+from .superbasic import PeelCertificate, _twist_data, superbasic_witness
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -141,7 +155,9 @@ class Solution(NamedTuple):
     """Witness w with x such that w <= t^{x(mu)}, and the reduction
     trace, whose superbasic bases carry their certificates. Its Newton
     point is read off w once, by ``_verify_solution``, which also looks
-    up x when it is None (the brute force's witness)."""
+    up x when it is None (the brute force's witness), and proves
+    w <= t^{x(mu)} from the certificate when the trace is one
+    superbasic base below the adjoint step."""
 
     w: AffineElement
     x: Optional[Permutation]
@@ -153,8 +169,12 @@ def _verify_solution(problem: Problem, sol: Solution,
     """The one check of a final answer: w <= t^{x(mu)} (w in Adm(mu) with
     the reported x, and so in the coset of t^mu, which t^{x(mu)} shares),
     and the Newton point of w equal to the claimed raw point nu_raw.
-    A solution without x (the brute force's) gets it from ``adm_member``,
-    whose last, successful walk is that same w <= t^{x(mu)}. Returns the
+    On an ``adjoint, base-superbasic`` trace the base's certificate
+    proves w <= t^{x(mu)} once it is shown, in O(n), to be this answer's
+    (module docstring); w may live on PGL_n, so the elements are
+    compared by trans and perm. Every other trace walks. A solution
+    without x (the brute force's) gets it from ``adm_member``, whose
+    last, successful walk is that same w <= t^{x(mu)}. Returns the
     Newton point, with the reporting shift, and x: the answer's."""
     x = sol.x
     if x is None:
@@ -163,7 +183,16 @@ def _verify_solution(problem: Problem, sol: Solution,
             raise InternalCheckFailed(f"witness {sol.w!r} is not admissible")
     else:
         bound = AffineElement.translation(problem.datum, x.act(problem.mu))
-        if not bruhat_leq(sol.w, bound):
+        if [step.kind for step in sol.trace] == ["adjoint", "base-superbasic"]:
+            cert = sol.trace[1].certificate
+            sigma_inv = _twist_data(cert.m, cert.n).sigma_inv
+            start, end = cert.start * sigma_inv, cert.end * sigma_inv
+            below = cert.mu == problem.mu and x == cert.epsilon and (
+                (start.trans, start.perm, end.trans, end.perm)
+                == (bound.trans, bound.perm, sol.w.trans, sol.w.perm))
+        else:
+            below = bruhat_leq(sol.w, bound)
+        if not below:
             raise InternalCheckFailed(f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}")
     point = newton_point(sol.w, problem.frob).nu_bar
     bar = tuple(a + b for a, b in zip(point.nu, problem.frob.shift))
@@ -651,7 +680,13 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     """
     if strategy not in ("auto", "constructive", "bruteforce"):
         raise ParseError(f"unknown strategy {strategy!r}")
-    problem = Problem(tuple(mu), frob)
+    return _solve(Problem(tuple(mu), frob), strategy)
+
+
+def _solve(problem: Problem, strategy: str) -> SolveResult:
+    """``solve`` on a checked problem and a known strategy, as ``bgmu
+    max`` has them: mu is not checked again."""
+    frob = problem.frob
     checks: dict = {}
     if strategy == "bruteforce":
         # the claimed maximum and a witness; _verify_solution looks up x
@@ -667,7 +702,7 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
         ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
         sol = sol._replace(trace=(ad_step,) + sol.trace)
         # the claimed point; _verify_solution checks that w realizes it
-        nu_raw = maximal_newton_state(problem.mu, problem.frob).nu_raw
+        nu_raw = _maximal_state(frob, _orbit_bounds(problem.mu, frob)).nu_raw
         checks["matches_maximal_newton"] = True
         if strategy == "auto":
             try:

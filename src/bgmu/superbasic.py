@@ -32,7 +32,10 @@ No Bruhat query is made here, and each fact is checked in one place
 * ``superbasic_witness``: the Newton point of w is that slope sequence,
   compared in integers, so the point is built from the slopes unchecked;
 * ``solve``: the point is the maximal acceptable one and w lies below
-  t^{x(mu)}, once for the whole problem. The test suite checks the
+  t^{x(mu)}, once for the whole problem. When the problem is this base
+  alone (an ``adjoint, base-superbasic`` trace), the certificate is
+  that proof: ``solve`` checks in O(n) that its mu, epsilon, start and
+  end are the answer's, and walks nothing. The test suite checks the
   first of these for the superbasic base directly.
 
 The final witness is w = eps (t^theta x_c) eps^{-1} sigma_{m,n}^{-1};

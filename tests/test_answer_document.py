@@ -35,10 +35,10 @@ from hypothesis import strategies as st
 from bgmu import cli
 from bgmu.cli import _format_group, _format_sigma0, main
 from bgmu.errors import BgmuError
-from bgmu.newton import newton_point
+from bgmu.newton import Frobenius, newton_point
 from bgmu.reduction import Problem
 from bgmu.weyl import GroupDatum, format_element, parse_element, superbasic_element
-from test_outcome_digests import corpus
+from test_outcome_digests import _distinct, _steps, corpus
 
 TRACE_KINDS = {"adjoint", "omega-conjugate", "product-split", "parabolic", "orbit-split",
                "base-rank-one", "base-superbasic", "bruteforce"}
@@ -233,3 +233,25 @@ def test_the_judge_refuses_a_mutated_certificate(mutate):
     mutate(doc["certificate"])
     with pytest.raises(AssertionError):
         judge(problem, json.dumps(doc, indent=2))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("family", [_steps, _distinct], ids=["steps", "distinct"])
+def test_the_judge_accepts_large_superbasic_answers(family, n):
+    # the certificate is the solver's only proof of w <= t^{x(mu)} on
+    # these traces, so the judge re-checks it from the text at scale
+    mu, frob = family(n), Frobenius.superbasic(n // 2 + 1, n)
+    code, text = run(max_argv(mu, frob, "constructive"))
+    assert code == 0
+    assert [s["kind"] for s in json.loads(text)["trace"]] == ["adjoint", "base-superbasic"]
+    judge(Problem(mu, frob), text)
+
+
+def test_a_twenty_digit_entry_is_answered_and_judged():
+    # the certificate's cost does not grow with the entries, as a walk's
+    # does, whose length is about the larger entry
+    argv = ["max", "--group", "gl:2", "--mu", "99999999999999999999,0", "--sigma", "superbasic:1/2"]
+    code, text = run(argv)
+    assert code == 0
+    assert json.loads(text)["witness"] == "t[1,99999999999999999998]*cyc(1,2)"
+    judge(cli._problem_from_args(cli.build_parser().parse_args(argv)), text)

@@ -305,7 +305,7 @@ def test_byte_determinism(capsys):
     assert a == b
 
 
-@pytest.mark.parametrize("command, patched", [("max", "solve"), ("enumerate", "enumerate_acceptable")])
+@pytest.mark.parametrize("command, patched", [("max", "_solve"), ("enumerate", "enumerate_acceptable")])
 def test_internal_check_failure_prints_the_problem_to_replay(capsys, monkeypatch, command, patched):
     # a bug, unlike bad input, adds a second stderr line: the problem as
     # compact JSON, the same object that max reports under "problem"
@@ -425,12 +425,22 @@ def test_a_brute_force_disagreement_prints_the_problem_to_replay(capsys, monkeyp
     )
 
 
+# gl:6 descends to a parabolic, gl:3*4 splits its orbits and the block
+# swaps gl:3*3 and gl:2*2 split a product
+TWISTED = [
+    ("gl:6", "2,1,1,0,0,0", "tau=t[1,1,0,0,0,0]*cyc(1,3,5)*cyc(2,4,6)"),
+    ("gl:3*3", "2,1,0,1,0,0", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1"),
+    ("gl:3*4", "1,1,0,3,2,1,0", "tau=t[1,0,0,1,1,1,0]*cyc(1,2,3)*cyc(4,7,6,5);sigma0=1,2"),
+    ("gl:2*2", "1,0,1,0", "tau=t[1,0,0,0]*cyc(1,2);sigma0=2,1"),
+]
+
+
 def test_twist_and_mu_checks_run_once(capsys, monkeypatch):
     # on twisted problems, the parsed tau and every sub-twist are tested
     # for length zero by the O(n) window test, never by Shi's O(n^2) sum;
-    # and mu is checked three times, all on the caller's datum: the
-    # parsed problem, solve's, and the maximal point's bound table. The
-    # reduction's sub-problems are built unchecked
+    # and mu is checked once, in the parsed problem, which max hands to
+    # the solver: the maximal point's bound table and the reduction's
+    # sub-problems are built unchecked
     import bgmu.acceptable as acceptable
     import bgmu.newton as newton
     import bgmu.reduction as reduction
@@ -455,20 +465,36 @@ def test_twist_and_mu_checks_run_once(capsys, monkeypatch):
     for module in (acceptable, reduction):
         monkeypatch.setattr(module, "_check_mu",
                             lambda mu, datum: checked.append(datum) or real_mu(mu, datum))
-    problems = [
-        ("gl:6", "2,1,1,0,0,0", "tau=t[1,1,0,0,0,0]*cyc(1,3,5)*cyc(2,4,6)"),
-        ("gl:3*3", "2,1,0,1,0,0", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1"),
-        ("gl:3*4", "1,1,0,3,2,1,0", "tau=t[1,0,0,1,1,1,0]*cyc(1,2,3)*cyc(4,7,6,5);sigma0=1,2"),
-        ("gl:2*2", "1,0,1,0", "tau=t[1,0,0,0]*cyc(1,2);sigma0=2,1"),
-    ]
-    for group, mu, sigma in problems:
+    for group, mu, sigma in TWISTED:
         checked.clear()
         code, _, err = run(capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma,
                            "--strategy", "constructive")
         assert code == 0, err
         top = GroupDatum(tuple(int(b) for b in group[3:].split("*")))
-        assert checked == [top] * 3, group
+        assert checked == [top], group
     assert True not in counted
+
+
+def test_the_final_check_walks_only_off_the_superbasic_route(capsys, monkeypatch):
+    # max walks w <= t^{x(mu)} once on the parabolic, orbit-split and
+    # product-split traces, and never on an adjoint, base-superbasic
+    # one, where the certificate is the proof
+    import bgmu.reduction as reduction
+
+    walks = []
+    real = reduction.bruhat_leq
+    monkeypatch.setattr(reduction, "bruhat_leq", lambda *args: walks.append(args) or real(*args))
+    superbasic = [("gl:5", "2,1,1,0,0", "superbasic:2/5"), ("pgl:5", "3,1,0,0,0", "superbasic:3/5"),
+                  ("gl:64", ",".join(map(str, range(63, -1, -1))), "superbasic:33/64")]
+    for problems, want in ((TWISTED, 1), (superbasic, 0)):
+        for group, mu, sigma in problems:
+            walks.clear()
+            code, out, err = run(capsys, "max", "--group", group, "--mu", mu, "--sigma", sigma,
+                                 "--strategy", "constructive")
+            assert code == 0, err
+            kinds = [step["kind"] for step in json.loads(out)["trace"]]
+            assert (kinds == ["adjoint", "base-superbasic"]) == (want == 0), group
+            assert len(walks) == want, group
 
 
 def test_guard_env_override(capsys, monkeypatch):

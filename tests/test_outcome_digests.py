@@ -19,7 +19,9 @@ The corpora:
 * ``large``: the superbasic base at rank n in {48, 64, 96, 128}, with
   the ``witness`` corpus's two mu per n: ``superbasic_witness`` for
   every coprime m < n, and the ``constructive`` solve at
-  m = n // 2 + 1;
+  m = n // 2 + 1; then that solve at n in {256, 512} for the two
+  families of ``_steps`` and ``_distinct``, whose certificates prove
+  w <= t^{x(mu)} without a walk;
 * ``traces``: constructive solves whose reduction traces run above
   rank 9: gl:2k and pgl:2k with kappa 2 at 2k in {32, 64} (parabolic
   descent, orbit split, two superbasic bases), block swaps gl:k*k and
@@ -66,6 +68,7 @@ DIGESTS = Path(__file__).resolve().parent / "outcome_digests.txt"
 CORPORA = ("constructive", "bruteforce", "auto", "enumerate", "witness", "n6", "large", "traces")
 SPLIT = "split"
 LARGE_N = (48, 64, 96, 128)
+LARGE_SOLVE_N = (256, 512)
 DRAW_SIZE = 1000
 
 
@@ -135,6 +138,11 @@ def _large() -> list:
         out += [(f"solve {n // 2 + 1}/{n} {','.join(map(str, mu))}", _describe(mu, fr),
                  solve, (mu, fr, "constructive"))
                 for mu in _witness_mus(n)]
+    for n in LARGE_SOLVE_N:
+        fr = Frobenius.superbasic(n // 2 + 1, n)
+        out += [(f"solve {n // 2 + 1}/{n} {family.__name__[1:]}", _describe(family(n), fr),
+                 solve, (family(n), fr, "constructive"))
+                for family in (_steps, _distinct)]
     return out
 
 

@@ -573,6 +573,54 @@ def test_solve_rejects_a_witness_off_the_coset(monkeypatch, adjoint):
     assert kappa(witnesses[0]) != kappa(AffineElement.translation(fr.datum, (1, 0, 0)))
 
 
+def _end_one_step_early(cert, sigma):
+    return cert._replace(end=cert.chain[-1].before)
+
+
+def _other_epsilon(cert, sigma):
+    return cert._replace(epsilon=cert.epsilon * Permutation((2, 1, 3, 4, 5)))
+
+
+def _other_mu(cert, sigma):
+    return cert._replace(mu=(3,) + cert.mu[1:])
+
+
+def _start_at_another_orbit_point(cert, sigma):
+    # eps(mu) with its first two entries swapped: another point of the
+    # W_0-orbit of mu, so the chain no longer starts at t^{x(mu)} sigma
+    y = Permutation((2, 1, 3, 4, 5)) * cert.epsilon
+    assert y.act(cert.mu) != cert.epsilon.act(cert.mu)
+    return cert._replace(start=AffineElement.translation(sigma.datum, y.act(cert.mu)) * sigma)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("forge", [_end_one_step_early, _other_epsilon, _other_mu,
+                                   _start_at_another_orbit_point])
+def test_a_forged_certificate_is_not_a_proof(monkeypatch, forge, adjoint):
+    # on an adjoint, base-superbasic trace the certificate is the proof
+    # of w <= t^{x(mu)}, so a certificate that is not this answer's is
+    # refused, though w and x are unchanged and a walk would accept them
+    import bgmu.reduction as reduction
+    from bgmu.weyl import superbasic_element
+
+    real = reduction.superbasic_witness
+    forged = []
+
+    def forging(mu, m, n):
+        sw = real(mu, m, n)
+        forged.append(sw._replace(certificate=forge(sw.certificate, superbasic_element(m, n))))
+        return forged[-1]
+
+    monkeypatch.setattr(reduction, "superbasic_witness", forging)
+    mu, fr = (2, 1, 1, 0, 0), Frobenius.superbasic(2, 5, adjoint=adjoint)
+    with pytest.raises(InternalCheckFailed, match="not below"):
+        solve(mu, fr, strategy="constructive")
+    (sw,) = forged
+    assert sw.certificate != real(mu, 2, 5).certificate
+    assert bruhat_leq(AffineElement(fr.datum, sw.w.trans, sw.w.perm),
+                      AffineElement.translation(fr.datum, sw.x.act(mu)))
+
+
 def test_a_conjugator_that_leaves_tau_off_the_last_block_is_a_bug(monkeypatch):
     # with the identity for tau0, tau stays on the first block of the
     # gl:2*2 swap and the split reads a trivial sub-twist off the last
@@ -784,10 +832,7 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
             return fn(*args, **kwargs)
         return wrapper
 
-    state = counted("maximal_newton_state", acceptable.maximal_newton_state)
-    monkeypatch.setattr(acceptable, "maximal_newton_state", state)
-    monkeypatch.setattr(reduction, "maximal_newton_state", state)
-    for name in ("adm_member", "newton_point", "bruhat_leq", "_subword_split"):
+    for name in ("_maximal_state", "adm_member", "newton_point", "bruhat_leq", "_subword_split"):
         monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
 
     d = GroupDatum((2, 2, 2))
@@ -801,7 +846,7 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
          {"product-split", "base-superbasic"}, 2),
     ]
     for mu, fr, steps, splits in problems:
-        calls.update(maximal_newton_state=0, newton_point=0, adm_member=0, bruhat_leq=0, _subword_split=0)
+        calls.update(_maximal_state=0, newton_point=0, adm_member=0, bruhat_leq=0, _subword_split=0)
         small = len(mu) <= acceptable.BRUTE_GUARD_N
         if strategy == "bruteforce":
             if not small:
@@ -811,14 +856,14 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
             r = solve(mu, fr, strategy=strategy)
             assert [s.kind for s in r.trace] == ["bruteforce"]
             assert bruhat_leq(r.w, AffineElement.translation(fr.datum, r.x.act(mu)))
-            assert calls == {"maximal_newton_state": 0, "newton_point": 1, "adm_member": 1,
+            assert calls == {"_maximal_state": 0, "newton_point": 1, "adm_member": 1,
                              "bruhat_leq": 0, "_subword_split": 0}, mu
             continue
         r = solve(mu, fr, strategy=strategy)
         assert steps <= {s.kind for s in r.trace}
         assert splits == sum(len(s.orbit) - 1 for s in r.trace if s.kind == "product-split")
         assert ("matches_bruteforce" in r.checks) == (strategy == "auto" and small)
-        assert calls == {"maximal_newton_state": 1, "newton_point": 1, "adm_member": 0,
+        assert calls == {"_maximal_state": 1, "newton_point": 1, "adm_member": 0,
                          "bruhat_leq": 1, "_subword_split": splits}, mu
 
 
