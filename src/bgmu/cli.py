@@ -32,10 +32,12 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .acceptable import (
+    DEFAULT_ENUM_GUARD,
     adjoint_eq,
     adm_enumerate,
     adm_member,
     enumerate_acceptable,
+    guard_limit,
     mu_diamond_acceptable,
 )
 from .acceptable import polygon as make_polygon
@@ -323,6 +325,11 @@ def cmd_polygon(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_n < 2 or args.max_entry < 0:
         raise ParseError("verify needs --max-n >= 2 and --max-entry >= 0")
+    # the sweep reaches every rank from 2 to --max-n, so the first rank
+    # that the enumeration guard refuses is refused before the sweep runs
+    limit = guard_limit(DEFAULT_ENUM_GUARD)
+    if args.max_n > max(limit, 1):
+        raise GuardExceeded(f"enumeration guard: n={max(limit + 1, 2)} > {limit}")
     failures = []
     checked = 0
     # one superbasic twist per coprime pair m < n, built as it is reached

@@ -27,10 +27,12 @@ No Bruhat query is made here, and each fact is checked in one place
   is the closed form for t^mu, each drop exact in O(n)), so it is a
   strict Bruhat descent; the chain starts at t^{eps(mu)} sigma_{m,n},
   so it proves w < t^{eps(mu)}; and the decomposition has the hull
-  slopes of theta. A step swaps two images of one block, so its element
-  is built unchecked;
+  slopes of theta, compared piece by piece with the hull's runs. The
+  start is the product rule on sigma_{m,n}'s tuples, and a step swaps
+  two images of one block, so both elements are built unchecked;
 * ``superbasic_witness``: the Newton point of w is that slope sequence,
-  compared in integers, so the point is built from the slopes unchecked;
+  compared with one integer list, so the point is built from the
+  slopes unchecked;
 * ``solve``: the point is the maximal acceptable one and w lies below
   t^{x(mu)}, once for the whole problem. When the problem is this base
   alone (an ``adjoint, base-superbasic`` trace), the certificate is
@@ -50,6 +52,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .acceptable import _hull, polygon
@@ -57,7 +60,6 @@ from .errors import InternalCheckFailed, ParseError
 from .newton import AffineMap, Frobenius, NewtonPoint, _linear_part, _newton_kernel, _vec_str, kappa
 from .weyl import (
     AffineElement,
-    GroupDatum,
     Permutation,
     _Frozen,
     _dominant_length,
@@ -78,19 +80,12 @@ class Segment(_Frozen):
     values: tuple[int, ...]
 
     def __init__(self, head: int, values: tuple[int, ...]) -> None:
-        self._set(head=head, values=tuple(values))
-
-    @property
-    def tail(self) -> int:
-        return self.head + len(self.values) - 1
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
+        # a peel reads tail, size and total of every piece many times, so
+        # they are computed once here; they are not fields, so eq and hash
+        # still compare head and values only
+        values = tuple(values)
+        size = len(values)
+        self._set(head=head, values=values, tail=head + size - 1, size=size, total=sum(values))
 
     @property
     def average(self) -> Fraction:
@@ -234,6 +229,7 @@ class _TwistData(NamedTuple):
 
     chain: EuclideanChain
     eps: Permutation
+    eps_text: str
     sigma: AffineElement
     sigma_inv: AffineElement
     affine_map: AffineMap
@@ -244,12 +240,15 @@ def _twist_data(m: int, n: int) -> _TwistData:
     """The (m, n) data of a witness, built and checked once per pair per
     process: the template check of ``euclid_chain``, the length-zero
     proof of ``omega_element`` and the checks of ``Frobenius`` run on
-    the first call. An invalid pair raises ParseError, which is not
-    cached."""
+    the first call. Epsilon's cycle text, which every certificate
+    prints, is kept beside it, and sigma_{m,n} carries the GL_n datum
+    that every element of a peel lives on. An invalid pair raises
+    ParseError, which is not cached."""
     chain = euclid_chain(m, n)  # its chi(m, n) checks m and n
+    eps = _epsilon(m, n)
     sigma = superbasic_element(m, n)
     return _TwistData(
-        chain, _epsilon(m, n), sigma, sigma.inverse(), Frobenius.inner(sigma).affine_map
+        chain, eps, repr(eps), sigma, sigma.inverse(), Frobenius.inner(sigma).affine_map
     )
 
 
@@ -287,6 +286,11 @@ class PeelCertificate(NamedTuple):
         t = _translation_text(self.start.trans)
         texts = [_element_text(t, w.perm.images)
                  for w in (self.start, *(c.after for c in self.chain))]
+        # the pieces tile 1..n and each shares one slope along its
+        # positions, which is written once per piece
+        slopes: list[str] = []
+        for s in self.decomposition:
+            slopes += [str(self.slopes[s.head - 1])] * s.size
         return {
             "schema": "bgmu/1",
             "m": self.m,
@@ -294,13 +298,13 @@ class PeelCertificate(NamedTuple):
             "mu": list(self.mu),
             "chi": list(self.chi),
             "theta": list(self.theta),
-            "epsilon": repr(self.epsilon),
+            "epsilon": _twist_data(self.m, self.n).eps_text,
             "breakpoints": list(self.breakpoints),
             "decomposition": [
                 {"head": s.head, "tail": s.tail, "values": list(s.values)}
                 for s in self.decomposition
             ],
-            "slopes": [str(s) for s in self.slopes],
+            "slopes": slopes,
             "chain": [
                 {
                     "block": c.block,
@@ -328,20 +332,26 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     theta, split at the block ends ``ends0`` of the Euclidean chain. The
     Euclidean chain, epsilon and sigma_{m,n} come from ``_twist_data``,
     built once per (m, n); mu is checked before them, so its errors come
-    first."""
+    first.
+
+    The slopes are checked piece by piece, not position by position:
+    the pieces, with equal-slope neighbours merged, must be the runs of
+    the upper convex hull of theta, as ``_hull`` gives them."""
     mu = tuple(mu)
     if len(mu) != n:
         raise ParseError(f"mu must have length {n}")
-    datum = GroupDatum.gl(n)
-    if not datum.is_dominant(mu):
+    if any(a < b for a, b in zip(mu, mu[1:])):
         raise ParseError(f"mu {mu} is not dominant")
     twist = _twist_data(m, n)
-    chain_data, eps = twist.chain, twist.eps
+    chain_data, eps, sigma = twist.chain, twist.eps, twist.sigma
+    datum = sigma.datum
     chi0 = chain_data.chis[0]
     theta = tuple(a + b for a, b in zip(mu, chi0))
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
-    start = AffineElement.translation(datum, eps.act(mu)) * twist.sigma
+    # t^{eps(mu)} sigma by the product rule with u = 1: the translation
+    # eps(mu) + sigma's, on sigma's permutation, valid as sigma is
+    start = AffineElement._unchecked(datum, tuple(map(add, eps.act(mu), sigma.trans)), sigma.perm)
 
     chain_steps: list[ChainStep] = []
     decomposition: list[Segment] = []
@@ -412,11 +422,16 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
             raise InternalCheckFailed("decomposition does not cover the block")
         decomposition.extend(block_pieces)
 
-    # per position: equal-slope neighbours of the decomposition are one hull run
-    pieces = itertools.chain.from_iterable([(s.total, s.size)] * s.size for s in decomposition)
-    runs = itertools.chain.from_iterable([run] * run[0] for run in _hull(theta))
+    # equal-slope neighbours of the decomposition merge into one hull run
+    runs: list[tuple[int, int]] = []
+    for s in decomposition:
+        if runs and runs[-1][1] * s.size == s.total * runs[-1][0]:
+            width, rise = runs.pop()
+            runs.append((width + s.size, rise + s.total))
+        else:
+            runs.append((s.size, s.total))
     slopes = tuple(itertools.chain.from_iterable([s.average] * s.size for s in decomposition))
-    if any(total * width != rise * size for (total, size), (width, rise) in zip(pieces, runs)):
+    if runs != _hull(theta):
         raise InternalCheckFailed(
             f"peeled decomposition slopes {_vec_str(slopes)} differ from hull"
             f" {_vec_str(polygon(theta).slopes)}"
@@ -445,9 +460,9 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     are the maximal point is checked by ``solve``, not here.
 
     The Newton point of w is compared with the slopes in integers: the
-    kernel's blockwise sorted lam over the order k against each piece's
-    total over its size, by cross-multiplication. Once they agree, the
-    certificate's slopes are the point.
+    kernel's blockwise sorted lam over the order k against one integer
+    list, each piece's total times k over its size, repeated along the
+    piece. Once they agree, the certificate's slopes are the point.
 
     sigma_{m,n}^{-1} and the affine map of Ad(sigma_{m,n}) come from
     ``_twist_data``, as do the chain, epsilon and sigma_{m,n} that
@@ -460,10 +475,13 @@ def superbasic_witness(mu: Sequence[int], m: int, n: int) -> SuperbasicWitness:
     part = _linear_part(w.perm.images, twist.affine_map)
     _, bar = _newton_kernel(part, w.trans, w.datum.block_slices())
     k = part.order
-    pieces = itertools.chain.from_iterable(
-        [(s.total, s.size)] * s.size for s in cert.decomposition
-    )
-    if any(x * size != total * k for x, (total, size) in zip(bar, pieces)):
+    expected: list[int] = []
+    for s in cert.decomposition:
+        q, r = divmod(s.total * k, s.size)
+        if r:  # no entry of bar over k makes this slope: the lists differ
+            break
+        expected += [q] * s.size
+    if bar != expected:
         raise InternalCheckFailed(
             f"witness Newton point {_vec_str(Fraction(x, k) for x in bar)} is not"
             f" the hull slope sequence {_vec_str(cert.slopes)}"

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from bgmu import cli
 from bgmu.cli import main
 from bgmu.weyl import GroupDatum
 
@@ -189,7 +191,7 @@ def test_usage_error_exit_code(capsys):
                  "--sigma", "superbasic:1/2"]) == 1
 
 
-@pytest.mark.parametrize("argv, env", [
+BAD_INPUT = [
     (["max", "--group", "gl:0", "--mu", "0", "--sigma", "superbasic:1/2"], None),
     (["max", "--group", "gl:2", "--mu", "1,0", "--sigma", "tau=t[1,0]"], None),
     (["max", "--group", "gl:2", "--mu", "0,1", "--sigma", "superbasic:1/2"], None),
@@ -219,7 +221,12 @@ def test_usage_error_exit_code(capsys):
     (["newton", "--group", "gl:2", "--w", "t[\u0661,0]", "--sigma", "superbasic:1/2"], None),
     (["enumerate", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "1_0"),
     (["enumerate", "--group", "gl:2", "--mu", "1,0", "--sigma", "superbasic:1/2"], "\u0668"),
-])
+    # a bad BGMU_GUARD is bad input to verify too, not a mismatch
+    (["verify", "--max-n", "3", "--max-entry", "1"], "abc"),
+]
+
+
+@pytest.mark.parametrize("argv, env", BAD_INPUT)
 def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("BGMU_GUARD", env)
@@ -227,6 +234,128 @@ def test_bad_input_is_a_one_line_error(capsys, monkeypatch, argv, env):
     assert code == 1 and out == ""
     assert err.startswith("bgmu: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (["verify", "--max-n", "9"], None, "n=9 > 8"),
+    (["verify", "--max-n", "9", "--max-entry", "5", "--keep-going"], None, "n=9 > 8"),
+    (["verify", "--max-n", "4", "--max-entry", "0"], "3", "n=4 > 3"),
+    (["verify", "--max-n", "3"], "1", "n=2 > 1"),
+    (["verify", "--max-n", "2"], "-3", "n=2 > -3"),
+])
+def test_verify_refuses_a_guarded_rank_before_its_sweep(capsys, monkeypatch, argv, env, message):
+    # the sweep would reach the refused rank, so no problem runs first
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify solved a problem before its guard")
+
+    if env is not None:
+        monkeypatch.setenv("BGMU_GUARD", env)
+    monkeypatch.setattr(cli, "solve", refuse)
+    assert run(capsys, *argv) == (1, "", f"bgmu: guard exceeded: enumeration guard: {message}\n")
+
+
+def test_verify_runs_when_its_guard_admits_every_rank(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(mu, frob, strategy):
+        raise Reached(frob.datum.n)
+
+    monkeypatch.setenv("BGMU_GUARD", "9")
+    monkeypatch.setattr(cli, "solve", reached)
+    with pytest.raises(Reached):
+        main(["verify", "--max-n", "9"])
+
+
+# valid commands at rank <= 6, one per subcommand and twist kind
+VALID_INPUT = [
+    ["max", "--group", "gl:6", "--mu", "2,1,1,0,0,0", "--sigma", "superbasic:5/6"],
+    ["max", "--group", "pgl:4", "--mu", "2,1,0,0", "--sigma", "superbasic:1/4", "--normalize"],
+    ["max", "--group", "gl:3*3", "--mu", "2,1,0,1,0,0",
+     "--sigma", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1", "--strategy", "constructive"],
+    ["max", "--group", "gl:2*2", "--mu", "1,0,1,0", "--sigma", "sigma0=2,-1",
+     "--strategy", "bruteforce"],
+    ["newton", "--group", "gl:2", "--w", "t[1,0]*cyc(1,2)", "--sigma", "superbasic:1/2"],
+    ["enumerate", "--group", "gl:3", "--mu", "2,1,0", "--sigma", "superbasic:1/3"],
+    ["adm", "--group", "gl:2", "--mu", "1,0"],
+    ["adm", "--group", "gl:3", "--mu", "1,0,0", "--w", "t[1,0,0]*cyc(1,2,3)"],
+    ["polygon", "--mu", "1,1,1,0,0,0", "--m", "5", "--n", "6"],
+    ["verify", "--max-n", "3", "--max-entry", "1"],
+]
+
+_FUZZ_CHARS = "0123456789-+,:;/*=[]()_ xtcy\u0663"
+
+
+def _mutate(rng, argv):
+    """argv with one or two of its tokens changed: a digit replaced by a
+    digit, a character replaced, dropped or inserted, or a token dropped,
+    repeated or swapped. Three times in four the token is a value, not a
+    subcommand or a flag."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 2)):
+        values = [i for i, t in enumerate(argv) if i and not t.startswith("--")]
+        i = rng.choice(values) if values and rng.random() < 0.75 else rng.randrange(len(argv))
+        token, op = argv[i], rng.randrange(7)
+        k = rng.randrange(len(token) + 1)
+        digits = [j for j, c in enumerate(token) if c.isdigit()]
+        if op == 0 and digits:
+            k = rng.choice(digits)
+            argv[i] = token[:k] + rng.choice("0123456789") + token[k + 1:]
+        elif op == 1:
+            argv[i] = token[:k] + rng.choice(_FUZZ_CHARS) + token[k + 1:]
+        elif op == 2:
+            argv[i] = token[:k] + token[k + 1:]
+        elif op == 3:
+            argv[i] = token[:k] + rng.choice(_FUZZ_CHARS) + token[k:]
+        elif op == 4 and len(argv) > 1:
+            del argv[i]
+        elif op == 5:
+            argv.insert(i, token)
+        else:
+            j = rng.randrange(len(argv))
+            argv[i], argv[j] = argv[j], token
+    return argv
+
+
+def _long_sweep(argv):
+    """Whether argv asks verify for a sweep past n = 4 or entries past 3:
+    a sweep costs what it asks for, so the fuzz does not run one."""
+    try:
+        args = cli._parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return args.func is cli.cmd_verify and (args.max_n > 4 or args.max_entry > 3)
+
+
+def test_valid_commands_exit_zero(capsys):
+    for argv in VALID_INPUT:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == "", (argv, err)
+
+
+def test_mutated_commands_fail_cleanly_and_deterministically(capsys, monkeypatch):
+    # derandomized: the same 3,000 command lines on every run, half of
+    # them from the valid commands and half from the bad ones
+    rng = random.Random(20261019)
+    valid = [(argv, None) for argv in VALID_INPUT]
+    codes = []
+    for _ in range(3000):
+        argv, env = rng.choice(valid if rng.random() < 0.5 else BAD_INPUT)
+        argv = _mutate(rng, argv)
+        if env is None:
+            monkeypatch.delenv("BGMU_GUARD", raising=False)
+        else:
+            monkeypatch.setenv("BGMU_GUARD", env)
+        if _long_sweep(argv):
+            continue
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), (argv, env, err)
+        assert "Traceback" not in err, (argv, env)
+        assert run(capsys, *argv)[:2] == (code, out), (argv, env)
+        codes.append(code)
+    # the mutations reach both answers and refusals
+    assert codes.count(0) >= 80 and codes.count(1) >= 2000
 
 
 @pytest.mark.parametrize("group, sigma, message", [

@@ -405,6 +405,37 @@ def test_dominant_length_is_the_counted_length(entries):
             assert _dominant_length(mu) == fresh.length()
 
 
+def _peel_mus(n):
+    """Two mu per n, one with distinct entries and one with steps, and a
+    central one."""
+    q = max(n // 3, 1)
+    steps = (4,) * q + (1,) * q + (-2,) * (n - 2 * q)
+    return [tuple(range(n - 1, -1, -1)), steps, (3,) * n]
+
+
+@pytest.mark.parametrize("m,n", coprime_pairs(16))
+def test_the_unchecked_start_is_the_checked_product(m, n):
+    eps, sigma = _epsilon(m, n), superbasic_element(m, n)
+    for mu in _peel_mus(n):
+        start = sharp_peel(mu, m, n).start
+        expected = AffineElement.translation(GroupDatum.gl(n), eps.act(mu)) * sigma
+        assert start == expected, (mu, m, n)
+        assert start.datum == GroupDatum.gl(n)
+
+
+@pytest.mark.parametrize("m,n", coprime_pairs(16))
+def test_segments_keep_their_recomputed_tail_size_and_total(m, n):
+    chain = euclid_chain(m, n)
+    segments = [level_decompose(chain, (a, b)).iota
+                for a in range(1, n + 1) for b in range(a, n + 1, 3)]
+    for mu in _peel_mus(n):
+        segments += sharp_peel(mu, m, n).decomposition
+    for s in segments:
+        assert s.tail == s.head + len(s.values) - 1, s
+        assert s.size == len(s.values), s
+        assert s.total == sum(s.values), s
+
+
 def test_sharp_peel_slopes_match_hull():
     for m, n in coprime_pairs(7):
         for mu in dominant_coweights(n, 2):
@@ -537,6 +568,7 @@ def test_twist_data_is_a_fresh_build_kept_once():
         sigma = superbasic_element(m, n)
         assert data.chain == euclid_chain(m, n)
         assert data.eps == _epsilon(m, n)
+        assert data.eps_text == repr(_epsilon(m, n))
         assert data.sigma == sigma
         assert data.sigma_inv == sigma.inverse()
         assert data.affine_map == Frobenius.inner(sigma).affine_map
@@ -558,8 +590,9 @@ def test_witness_is_the_same_from_a_warm_and_a_cleared_cache():
         cold = _witness_text(mu, m, n)
         hits, misses, _, _ = _twist_data.cache_info()
         assert _witness_text(mu, m, n) == cold, (mu, m, n)
-        # one hit in sharp_peel and one in superbasic_witness
-        assert _twist_data.cache_info()[:2] == (hits + 2, misses)
+        # one hit in sharp_peel, one in superbasic_witness and one for
+        # epsilon's text in to_json_dict
+        assert _twist_data.cache_info()[:2] == (hits + 3, misses)
 
 
 @pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (2, 1), (0, 3), (3, 3), (4, 3), (-1, 3), (2, 4), (6, 9)])

@@ -175,6 +175,33 @@ def test_length_is_the_iwahori_matsumoto_count(w):
     assert w.length() == im_length(w)
 
 
+@st.composite
+def wide_translations(draw):
+    """A pure translation of a GL or PGL datum of 1-4 blocks of size
+    1-6, its entries unsorted, negative or up to 10^20 in size."""
+    w = draw(wide_elements())
+    return AffineElement.translation(w.datum, w.trans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_translations())
+def test_translation_length_is_the_iwahori_matsumoto_count(w):
+    # a translation takes the sorted closed form, not Shi's sum
+    assert w.perm.is_identity()
+    assert w.length() == im_length(w)
+
+
+def test_translation_length_sums_no_pairs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a translation's length summed pairs")
+
+    monkeypatch.setattr(weyl, "_window_length", refuse)
+    datum = GroupDatum((3, 64), (False, True))
+    trans = (-2, 5, 0) + tuple((7 * i) % 13 - 6 for i in range(64))
+    w = AffineElement.translation(datum, trans)
+    assert w.length() == im_length(w)
+
+
 @settings(max_examples=80, deadline=None)
 @given(elements(GL3))
 def test_length_symmetries(w):
