@@ -24,7 +24,9 @@ candidates are numerators over one denominator built from the order
 of sigma0, the block sizes, the orbit lengths and the hull widths, so
 ceilings and floors are integer divisions and every comparison of two
 points cross-multiplies. ``_hull`` finds the upper convex hull with a
-monotone stack in O(n). ``Fraction`` is built only for the results:
+monotone stack in O(n). ``_knot_runs`` places the knots of the
+maximal point and of every candidate, on one node plan per block
+(``_node_plans``). ``Fraction`` is built only for the results:
 ``PolygonData``, ``MaximalSolverState`` and ``AcceptableSet``.
 
 The admissible set Adm(mu) is the other half of the theorem, and this
@@ -42,7 +44,7 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, GuardExceeded, InternalCheckFailed, ParseError
@@ -54,6 +56,7 @@ from .newton import (
     RatVec,
     Sigma0,
     _diamond,
+    _fractions,
     _linear_part,
     _newton_key,
     _scaled,
@@ -150,25 +153,43 @@ def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
     return den, h_mu, tuple(t * s * o for t in datum.block_sums(both)), tuple(table)
 
 
-def _knot_rises(
-    datum: GroupDatum, prescribed: dict[Node, int], sums: Sequence[int]
-) -> list[list[tuple[int, int]]]:
+_Plan = list[list[tuple[int, Optional[int], int]]]
+
+
+def _node_plans(datum: GroupDatum, table: Sequence, sums: Sequence[int]) -> _Plan:
+    """Per block, the knots that ``_knot_runs`` may place, in order: one
+    (i, c, (i/n_b) s_b) per node i, c the index in table of the node's
+    orbit and s_b the block sum of the bound table, then the block's end
+    (n_b, None, s_b), which is always placed."""
+    orbit_of = {nd: c for c, (orbit, _, _) in enumerate(table) for nd in orbit}
+    return [[*((i, orbit_of[b, i], i * total // nb) for i in range(1, nb)), (nb, None, total)]
+            for b, (nb, total) in enumerate(zip(datum.blocks, sums))]
+
+
+def _knot_runs(plans: _Plan, heights: Sequence[Optional[int]],
+               strict: bool) -> Optional[list[list[tuple[int, int]]]]:
     """Per block, (width, rise) between consecutive knots of the running
-    sums: (0, 0), then (i, h_i + (i/n_b) s_b) at each node with a
-    prescribed centered height h_i, then (n_b, s_b) with s_b the block
-    sum; all numerators over one denominator in which n_b divides i s_b.
-    A vector through the knots is constant between them, with slope
-    rise / width."""
+    sums: (0, 0), then (i, h + (i/n_b) s_b) at each node i whose orbit c
+    has a centered height h = heights[c] (None: no knot there), then
+    (n_b, s_b); all numerators over one denominator in which n_b divides
+    i s_b. A vector through the knots is constant between them, with
+    slope rise / width. With strict, None as soon as a run's slope is
+    not below the one before it in its block."""
     out = []
-    for b, nb in enumerate(datum.blocks):
-        total = sums[b]
-        knots = [(0, 0)]
-        knots += [
-            (i, prescribed[b, i] + i * total // nb)
-            for i in range(1, nb) if (b, i) in prescribed
-        ]
-        knots.append((nb, total))
-        out.append([(i1 - i0, p1 - p0) for (i0, p0), (i1, p1) in zip(knots, knots[1:])])
+    for plan in plans:
+        runs = []
+        x0 = y0 = 0
+        w0, r0 = 0, 1  # an infinite slope before the block's first run
+        for x, c, base in plan:
+            h = 0 if c is None else heights[c]
+            if h is None:
+                continue
+            w, r = x - x0, h + base - y0
+            if strict and r0 * w <= r * w0:
+                return None
+            runs.append((w, r))
+            x0, y0, w0, r0 = x, h + base, w, r
+        out.append(runs)
     return out
 
 
@@ -240,16 +261,15 @@ def _maximal_state(frob: Frobenius, bounds: _Bounds) -> MaximalSolverState:
     of the hull's widths."""
     datum = frob.datum
     den, h_mu, sums, table = bounds
-    targets: dict[Node, int] = {}
-    for orbit, rep, offsets in table:
-        q = rep + offsets[-1] * den if offsets else 0
-        for nd in orbit:
-            targets[nd] = q // len(orbit)
+    tops = [(rep + offsets[-1] * den if offsets else 0) // len(orbit)
+            for orbit, rep, offsets in table]
+    targets = {nd: q for (orbit, _, _), q in zip(table, tops) for nd in orbit}
 
     # per block, the least concave majorant of the tents: the hull of
     # the knots at every node, which are a unit apart; _hull's slopes
     # decrease by construction, so nu is dominant
-    hulls = [_hull([rise for _, rise in runs]) for runs in _knot_rises(datum, targets, sums)]
+    runs = _knot_runs(_node_plans(datum, table, sums), tops, strict=False)
+    hulls = [_hull([rise for _, rise in block]) for block in runs]
     w = lcm(*(width for runs in hulls for width, _ in runs))
     nu = tuple(rise * (w // width) for runs in hulls for width, rise in runs for _ in range(width))
     active = support_nodes(datum, nu)
@@ -285,10 +305,13 @@ def maximal_newton(mu: Sequence[int], frob: Frobenius) -> NewtonPoint:
 def mu_diamond_acceptable(mu: Sequence[int], frob: Frobenius) -> bool:
     """Whether mu_diamond itself is an acceptable point: the defect
     pairings <omega_c, lam_diamond> = rep - <omega_c, mu_diamond> of
-    ``_orbit_bounds`` are integers on the support of mu_diamond."""
+    ``_orbit_bounds`` are integers on the support of mu_diamond, read off
+    the table's heights of mu_diamond."""
     _check_mu(mu, frob.datum)
     den, h_mu, _, table = _orbit_bounds(mu, frob)
-    support = support_nodes(frob.datum, _diamond(mu, frob)[1])
+    # <alpha_i, v> = 2 h_i - h_{i-1} - h_{i+1} in heights, 0 at the block ends
+    support = {(b, i) for (b, i), h in h_mu.items()
+               if 2 * h != h_mu.get((b, i - 1), 0) + h_mu.get((b, i + 1), 0)}
     return all((rep - sum(h_mu[nd] for nd in orbit)) % den == 0
                for orbit, rep, _ in table if orbit[0] in support)
 
@@ -317,6 +340,27 @@ class AcceptableSet(NamedTuple):
         }
 
 
+def _candidates(datum: GroupDatum, bounds: _Bounds, m: int) -> list[tuple[int, ...]]:
+    """Every acceptable point of ``enumerate_acceptable`` as numerators
+    over den m, in the order of ``itertools.product`` over the orbits'
+    choices: for each choice, ``_knot_runs`` places the knots and drops
+    the choice at the first slope that fails to decrease."""
+    den, _, sums, table = bounds
+    plans = _node_plans(datum, table, sums)
+    options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
+               for orbit, rep, offsets in table]
+    found = []
+    for combo in itertools.product(*options):
+        blocks = _knot_runs(plans, combo, strict=True)
+        if blocks is not None:
+            vec: list[int] = []
+            for runs in blocks:
+                for w, r in runs:
+                    vec += [r * (m // w)] * w
+            found.append(tuple(vec))
+    return found
+
+
 def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     """Every acceptable point: per orbit c of ``_orbit_bounds``, c is
     outside the support or its pairing takes one value of its range,
@@ -326,39 +370,35 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     sigma0-invariance or for lying below mu_diamond: its heights are equal
     on each orbit and linear between knots, where mu_diamond's are concave.
     Candidates are numerators over den m, m the lcm of 1..max n_b,
-    which every width divides.
-    Covers come from bitmasks: up[i] holds the points at or above i,
+    which every width divides (``_candidates``).
+
+    The points are built from those integers unchecked: each is
+    dominant, and the reporting shift is constant per block (checked by
+    ``Frobenius``). All candidates have the same block sums, so their
+    running sums compare as their heights do. Covers come from bitmasks: up[i] holds the points at or above i,
     down[j] those at or below j, and a cover has up[i] & down[j] = {i, j}."""
     datum = frob.datum
     _check_mu(mu, datum)  # bad input is refused before the guard
     bounds = _orbit_bounds(mu, frob)
-    den, _, sums, table = bounds
     limit = guard_limit(DEFAULT_ENUM_GUARD)
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
     m = lcm(*range(1, max(datum.blocks) + 1))
-    options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
-               for orbit, rep, offsets in table]
-    found: list[tuple[int, ...]] = []
-    for combo in itertools.product(*options):
-        prescribed = {nd: q for (orbit, _, _), q in zip(table, combo)
-                      if q is not None for nd in orbit}
-        blocks = _knot_rises(datum, prescribed, sums)
-        if all(r0 * w1 > r1 * w0 for runs in blocks for (w0, r0), (w1, r1) in zip(runs, runs[1:])):
-            found.append(tuple(r * (m // w) for runs in blocks for w, r in runs for _ in range(w)))
-
+    found = _candidates(datum, bounds, m)
     found.sort(reverse=True)
-    raw = tuple(tuple(Fraction(x, den * m) for x in v) for v in found)
+    dm = bounds[0] * m
+    raw = tuple(_fractions(v, dm) for v in found)
+    d, shift = _scaled(frob.shift)
     kap = kappa(AffineElement.translation(datum, mu))
     points = tuple(
-        NewtonPoint(datum, tuple(a - b for a, b in zip(v, frob.shift)), kap)
-        for v in raw
+        NewtonPoint._unchecked(datum, _fractions([x * d - s * dm for x, s in zip(v, shift)], dm * d), kap)
+        for v in found
     )
-    hs = [_scaled_heights(datum, v)[1] for v in found]
+    hs = [list(itertools.accumulate(v)) for v in found]
     size = len(raw)
     up, down = [0] * size, [0] * size
     for i, j in itertools.product(range(size), repeat=2):
-        if all(h <= hs[j][nd] for nd, h in hs[i].items()):
+        if all(map(le, hs[i], hs[j])):
             up[i] |= 1 << j
             down[j] |= 1 << i
     maxima = [j for j in range(size) if down[j] == (1 << size) - 1]

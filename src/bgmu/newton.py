@@ -422,17 +422,25 @@ def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:
     >>> nd.order, nd.translation, nd.nu_bar
     (2, (1, 1), (1/2, 1/2))
     """
+    k, lam, bar = _element_kernel(w, frob)
+    d, shift = _scaled(frob.shift)
+    nu_bar = _fractions([x * d - k * sh for x, sh in zip(bar, shift)], k * d)
+    return NewtonData(
+        k, tuple(lam), _fractions(lam, k), NewtonPoint(w.datum, nu_bar, kappa(w))
+    )
+
+
+def _element_kernel(w: AffineElement, frob: Frobenius) -> tuple[int, list[int], list[int]]:
+    """The integer part of the Newton map of the element w under frob,
+    with no reporting shift: (k, lam, bar), k the order of the linear
+    part of w o sigma and (lam, bar) the ``_newton_kernel`` of it, lam
+    sorted blockwise. The Newton point is bar / k."""
     datum = w.datum
     if datum != frob.datum:
         raise DimensionMismatch("element and twist live in different data")
     part = _linear_part(w.perm.images, frob.affine_map)
     lam, bar = _newton_kernel(part, w.trans, datum.block_slices())
-    k = part.order
-    d, shift = _scaled(frob.shift)
-    nu_bar = _fractions([x * d - k * sh for x, sh in zip(bar, shift)], k * d)
-    return NewtonData(
-        k, tuple(lam), _fractions(lam, k), NewtonPoint(datum, nu_bar, kappa(w))
-    )
+    return part.order, lam, bar
 
 
 def _fractions(nums: Sequence[int], den: int) -> RatVec:

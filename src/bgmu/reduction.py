@@ -46,10 +46,12 @@ over the Newton points of the admissible set for the brute force
 (``acceptable._brute_force``), whose witness comes without x. Each
 fact about the answer is then checked once, in ``_verify_solution``,
 for every strategy: w <= t^{x(mu)} for the reported x, the definition
-of Adm(mu); and the Newton point of w, computed there once, off the
-final witness, is the claimed one
-(``superbasic_witness`` also computes its own witness's point, to check
-the certificate's slopes). The auto strategy also compares the claimed
+of Adm(mu); and the Newton point of w is the claimed one, compared in
+integers. The point is read off the final witness by one run of the
+Newton kernel there, except on a trace of one superbasic base below the
+adjoint step, where it is the certificate's slopes plus the base's
+central part: ``superbasic_witness`` has checked those slopes against
+its witness's kernel, once. The auto strategy also compares the claimed
 point with the brute-force maximum whenever the brute force's own
 guards let it list Adm(mu). So no step re-checks its own hypotheses: a
 conjugation or a descent that broke one lifts to a witness that
@@ -89,7 +91,8 @@ Where each check runs:
   to the problem's datum, the same single block, unchecked;
 * the answer: in ``_verify_solution``, once, with w <= t^{x(mu)} read
   off the certificate on an ``adjoint, base-superbasic`` trace and
-  walked on every other.
+  walked on every other, and its Newton point read off the same
+  certificate's slopes, or off one kernel run on every other trace.
 """
 
 from __future__ import annotations
@@ -112,9 +115,12 @@ from .newton import (
     NewtonPoint,
     Sigma0,
     _block_map,
+    _element_kernel,
+    _fractions,
+    _scaled,
     _vec_str,
     dominant_rep,
-    newton_point,
+    kappa,
 )
 from .superbasic import PeelCertificate, _twist_data, superbasic_witness
 from .weyl import (
@@ -154,10 +160,11 @@ class Problem(_Frozen):
 class Solution(NamedTuple):
     """Witness w with x such that w <= t^{x(mu)}, and the reduction
     trace, whose superbasic bases carry their certificates. Its Newton
-    point is read off w once, by ``_verify_solution``, which also looks
-    up x when it is None (the brute force's witness), and proves
-    w <= t^{x(mu)} from the certificate when the trace is one
-    superbasic base below the adjoint step."""
+    point is checked once, by ``_verify_solution``, which also looks up
+    x when it is None (the brute force's witness). When the trace is
+    one superbasic base below the adjoint step, the certificate proves
+    w <= t^{x(mu)}, and its slopes plus the base's central part are the
+    point; otherwise w is walked and its point read off the kernel."""
 
     w: AffineElement
     x: Optional[Permutation]
@@ -172,11 +179,19 @@ def _verify_solution(problem: Problem, sol: Solution,
     On an ``adjoint, base-superbasic`` trace the base's certificate
     proves w <= t^{x(mu)} once it is shown, in O(n), to be this answer's
     (module docstring); w may live on PGL_n, so the elements are
-    compared by trans and perm. Every other trace walks. A solution
-    without x (the brute force's) gets it from ``adm_member``, whose
-    last, successful walk is that same w <= t^{x(mu)}. Returns the
-    Newton point, with the reporting shift, and x: the answer's."""
+    compared by trans and perm. Its point is then the certificate's
+    slopes plus the base's central part, which ``superbasic_witness``
+    has checked against w: the problem's twist is sigma_{m,n} times the
+    central translation by that part, so the kernel does not run again.
+    Every other trace walks, and reads the point off one run of the
+    kernel. A solution without x (the brute force's) gets it from
+    ``adm_member``, whose last, successful walk is that same
+    w <= t^{x(mu)}. The two points are compared in integers, and the
+    answer's is nu_raw minus the reporting shift, built unchecked: nu_raw
+    is dominant by construction and the shift is constant per block.
+    Returns that point and x: the answer's."""
     x = sol.x
+    cert = None
     if x is None:
         ok, x = adm_member(sol.w, problem.mu)
         if not ok:
@@ -184,7 +199,8 @@ def _verify_solution(problem: Problem, sol: Solution,
     else:
         bound = AffineElement.translation(problem.datum, x.act(problem.mu))
         if [step.kind for step in sol.trace] == ["adjoint", "base-superbasic"]:
-            cert = sol.trace[1].certificate
+            base = sol.trace[1]
+            cert = base.certificate
             sigma_inv = _twist_data(cert.m, cert.n).sigma_inv
             start, end = cert.start * sigma_inv, cert.end * sigma_inv
             below = cert.mu == problem.mu and x == cert.epsilon and (
@@ -194,13 +210,21 @@ def _verify_solution(problem: Problem, sol: Solution,
             below = bruhat_leq(sol.w, bound)
         if not below:
             raise InternalCheckFailed(f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}")
-    point = newton_point(sol.w, problem.frob).nu_bar
-    bar = tuple(a + b for a, b in zip(point.nu, problem.frob.shift))
-    if bar != nu_raw:
+    # the witness's point, bar / k
+    if cert is not None:
+        k, bar = _scaled(cert.slopes)
+        bar = [y + base.central * k for y in bar]
+    else:
+        k, _, bar = _element_kernel(sol.w, problem.frob)
+    d, nums = _scaled(nu_raw)
+    if [y * d for y in bar] != [y * k for y in nums]:
         raise InternalCheckFailed(
-            f"witness Newton point {_vec_str(bar)} differs from claimed {_vec_str(nu_raw)}"
+            f"witness Newton point {_vec_str(Fraction(y, k) for y in bar)}"
+            f" differs from claimed {_vec_str(nu_raw)}"
         )
-    return point, x
+    ds, shift = _scaled(problem.frob.shift)
+    point = _fractions([y * ds - s * d for y, s in zip(nums, shift)], d * ds)
+    return NewtonPoint._unchecked(problem.datum, point, kappa(sol.w)), x
 
 
 # --- individual reduction steps ----------------------------------------------

@@ -24,6 +24,8 @@ nothing in the package calls them:
   ``ReducedWord``, ``reduced_word`` (the greedy left-descent word, one
   letter per step of ``weyl._walk`` on the window), ``bruhat_lt`` and
   ``bruhat_lower_set``, the subword products that define Adm(mu);
+* the candidates of the acceptable set: ``candidates_reference``, the
+  enumeration's first formulation, with ``knot_rises_reference``;
 * acceptable points: ``adjoint_leq``, ``nu_reference``, and the
   integrality criterion ``newton_criterion`` with its witness
   ``newton_witness`` (``_defect_heights``, ``coroot_vector``);
@@ -277,6 +279,40 @@ def heights_reference(datum: GroupDatum, vec) -> dict:
             head += part[i - 1]
             out[(b, i)] = head - Fraction(i, nb) * total
     return out
+
+
+# --- the candidates of the acceptable set ----------------------------------------
+
+def knot_rises_reference(datum: GroupDatum, prescribed: dict, sums) -> list:
+    """Per block, (width, rise) between consecutive knots of the running
+    sums: (0, 0), then (i, h_i + (i/n_b) s_b) at each node (b, i) with a
+    prescribed centered height h_i, then (n_b, s_b); numerators over the
+    bound table's denominator, in which n_b divides i s_b."""
+    out = []
+    for b, nb in enumerate(datum.blocks):
+        total = sums[b]
+        knots = [(0, 0)]
+        knots += [(i, prescribed[b, i] + i * total // nb) for i in range(1, nb) if (b, i) in prescribed]
+        knots.append((nb, total))
+        out.append([(i1 - i0, p1 - p0) for (i0, p0), (i1, p1) in zip(knots, knots[1:])])
+    return out
+
+
+def candidates_reference(datum: GroupDatum, bounds, m: int) -> list:
+    """The candidates of ``acceptable._candidates``, built as the
+    enumeration once built them: per choice of the orbits' heights, a
+    dict of the prescribed nodes, every block's knot runs, then one test
+    that the slopes strictly decrease in every block."""
+    den, _, sums, table = bounds
+    options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
+               for orbit, rep, offsets in table]
+    found = []
+    for combo in itertools.product(*options):
+        prescribed = {nd: q for (orbit, _, _), q in zip(table, combo) if q is not None for nd in orbit}
+        blocks = knot_rises_reference(datum, prescribed, sums)
+        if all(r0 * w1 > r1 * w0 for runs in blocks for (w0, r0), (w1, r1) in zip(runs, runs[1:])):
+            found.append(tuple(r * (m // w) for runs in blocks for w, r in runs for _ in range(w)))
+    return found
 
 
 # --- acceptable points: the integrality criterion and its witness --------------

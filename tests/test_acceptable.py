@@ -8,7 +8,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -59,6 +59,7 @@ from bgmu.weyl import (
 from conftest import (
     adjoint_leq,
     adm_reference,
+    candidates_reference,
     coset_ball,
     dominant_coweights,
     heights_reference,
@@ -338,6 +339,74 @@ def test_enumerate_gl2_long_chain():
     assert len(acc.points) == 151
     assert acc.maximum == 0
     assert acc.hasse == tuple((i + 1, i) for i in range(150))
+
+
+# --- the enumeration's candidates and points, against their first form --------
+
+def _gate_enumerations():
+    """The problems of the byte gate's enumerations: the seed-0 twisted
+    draw of its ``enumerate`` corpus, then the 180 pinned problems."""
+    rng = random.Random(0)
+    return [*(twisted_draw(rng) for _ in range(1000)), *pinned_twisted_problems()]
+
+
+def _candidate_lists(mu, frob):
+    bounds = acceptable._orbit_bounds(mu, frob)
+    m = lcm(*range(1, max(frob.datum.blocks) + 1))
+    return acceptable._candidates(frob.datum, bounds, m), candidates_reference(frob.datum, bounds, m)
+
+
+def test_candidates_are_the_first_formulations_on_the_gate():
+    # the same candidates in the same order, ranks over the guard included
+    for mu, frob in _gate_enumerations():
+        got, want = _candidate_lists(mu, frob)
+        assert got == want, (mu, frob)
+
+
+@st.composite
+def permuted_blocks(draw):
+    """2 or 3 equal blocks of size 1-4 (at most 8 positions) under any
+    block permutation, so sigma0-orbits of nodes span blocks, with
+    random flips, adjoint flags, twist kappas and dominant mu in 0..2."""
+    r = draw(st.integers(2, 3))
+    nb = draw(st.integers(1, 8 // r))
+    block_to = tuple(draw(st.permutations(range(r))))
+    flip = tuple(draw(st.lists(st.booleans(), min_size=r, max_size=r)))
+    adjoint = tuple(draw(st.lists(st.booleans(), min_size=r, max_size=r)))
+    datum = GroupDatum((nb,) * r, adjoint)
+    kappas = draw(st.lists(st.integers(-3, 5), min_size=r, max_size=r))
+    frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flip))
+    mu = []
+    for _ in range(r):
+        mu += sorted(draw(st.lists(st.integers(0, 2), min_size=nb, max_size=nb)), reverse=True)
+    return tuple(mu), frob
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_blocks())
+def test_candidates_are_the_first_formulations_on_drawn_twists(problem):
+    got, want = _candidate_lists(*problem)
+    assert got == want
+
+
+def test_points_are_dominant_and_the_raw_points_shifted():
+    # the points are built unchecked from integers: on the gate's
+    # enumerations, and on the draw under the canonical shift that
+    # --normalize adds to a tau= twist, each is dominant and is its raw
+    # point minus the shift, in fractions
+    gate = _gate_enumerations()
+    normalized = [(mu, frob.with_shift(frob.canonical_shift())) for mu, frob in gate[:1000]]
+    shifted = 0
+    for mu, frob in gate + normalized:
+        if frob.datum.n > acceptable.DEFAULT_ENUM_GUARD:
+            continue
+        acc = enumerate_acceptable(mu, frob)
+        shifted += any(frob.shift)
+        for point, raw in zip(acc.points, acc.raw, strict=True):
+            assert frob.datum.is_dominant(point.nu), (mu, frob)
+            assert point.nu == tuple(a - b for a, b in zip(raw, frob.shift)), (mu, frob)
+            assert all(type(x) is Fraction for x in point.nu)
+    assert shifted > 500
 
 
 def test_mu_diamond_acceptable_examples():
@@ -878,8 +947,8 @@ def test_an_acceptable_set_without_one_maximum_is_refused(monkeypatch):
     # knots that ignore every prescribed height make each candidate the
     # central point: the four choices on GL_3's two nodes (in or out of
     # the support) give four equal points, all maxima
-    real = acceptable._knot_rises
-    monkeypatch.setattr(acceptable, "_knot_rises",
-                        lambda datum, prescribed, sums: real(datum, {}, sums))
+    real = acceptable._knot_runs
+    monkeypatch.setattr(acceptable, "_knot_runs",
+                        lambda plans, heights, strict: real(plans, [None] * len(heights), strict))
     with pytest.raises(InternalCheckFailed, match="^acceptable set has 4 maxima$"):
         enumerate_acceptable((1, 0, 0), Frobenius.trivial(GroupDatum.gl(3)))

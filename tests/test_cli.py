@@ -167,6 +167,17 @@ def test_verify_small_sweep(capsys):
     assert doc["failures"] == 0 and doc["verified"] > 0
 
 
+@pytest.mark.parametrize("keep_going", [False, True])
+def test_verify_sweeps_every_problem_to_rank_five(capsys, keep_going):
+    # every superbasic problem of rank 2-5 with entries 0..2 runs the
+    # whole verify body: the constructive solve and its final check, the
+    # brute force, the enumeration and the mu_diamond criterion
+    argv = ["verify", "--max-n", "5", "--max-entry", "2"] + ["--keep-going"] * keep_going
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"schema": "bgmu/1", "verified": 140, "failures": 0}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["polygon", "--mu", "1,0", "--m", "1", "--n", "\u0662"], "argument --n: invalid int value: '\u0662'"),
     (["verify", "--max-n", "1_0", "--max-entry", "0"], "argument --max-n: invalid int value: '1_0'"),

@@ -17,7 +17,7 @@ from bgmu.acceptable import (
     maximal_newton_state,
 )
 from bgmu.errors import GuardExceeded, InternalCheckFailed, ParseError, UnsupportedTwist
-from bgmu.newton import Frobenius, Sigma0, dominant_rep, kappa, newton_point
+from bgmu.newton import Frobenius, Sigma0, _vec_str, dominant_rep, kappa, newton_point
 from bgmu.reduction import (
     BaseStep,
     ParabolicStep,
@@ -621,6 +621,63 @@ def test_a_forged_certificate_is_not_a_proof(monkeypatch, forge, adjoint):
                       AffineElement.translation(fr.datum, sw.x.act(mu)))
 
 
+def _kappa_seven(adjoint):
+    # superbasic 2/5 times the central translation by 1: kappa 7, so the
+    # base's central part is 1
+    d = GroupDatum.pgl(5) if adjoint else GroupDatum.gl(5)
+    return Frobenius.inner(omega_element(d, (7,)))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_a_claim_off_by_the_central_part_is_refused(monkeypatch, adjoint):
+    # on an adjoint, base-superbasic trace the witness's point is the
+    # certificate's slopes plus the base's central part; a claim of the
+    # slopes alone is the witness's point under sigma_{2,5}, not under
+    # the problem's twist, and is refused
+    import bgmu.reduction as reduction
+
+    real = reduction._maximal_state
+
+    def uncentered(frob, bounds):
+        state = real(frob, bounds)
+        return state._replace(nu_raw=tuple(x - 1 for x in state.nu_raw))
+
+    mu, fr = (2, 1, 1, 0, 0), _kappa_seven(adjoint)
+    r = solve(mu, fr, strategy="constructive")
+    assert [step_json(s) for s in r.trace][1]["central"] == 1
+    assert r.nu_raw == tuple(x + 1 for x in r.certificate.slopes)
+    monkeypatch.setattr(reduction, "_maximal_state", uncentered)
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+            f"witness Newton point {_vec_str(r.nu_raw)} differs from claimed"
+            f" {_vec_str(x - 1 for x in r.nu_raw)}")):
+        solve(mu, fr, strategy="constructive")
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_a_certificate_with_other_slopes_is_refused(monkeypatch, adjoint):
+    # the certificate's slopes are the witness's point on the certificate
+    # route, so slopes moved by one unit between the first and the last
+    # entry (the same total, still decreasing) no longer make the claim
+    import bgmu.reduction as reduction
+
+    real = reduction.superbasic_witness
+
+    def tampered(mu, m, n):
+        sw = real(mu, m, n)
+        slopes = list(sw.certificate.slopes)
+        slopes[0] += 1
+        slopes[-1] -= 1
+        return sw._replace(certificate=sw.certificate._replace(slopes=tuple(slopes)))
+
+    mu, fr = (2, 1, 1, 0, 0), _kappa_seven(adjoint)
+    nu_raw = solve(mu, fr, strategy="constructive").nu_raw
+    moved = (nu_raw[0] + 1, *nu_raw[1:-1], nu_raw[-1] - 1)
+    monkeypatch.setattr(reduction, "superbasic_witness", tampered)
+    with pytest.raises(InternalCheckFailed, match=re.escape(
+            f"witness Newton point {_vec_str(moved)} differs from claimed {_vec_str(nu_raw)}")):
+        solve(mu, fr, strategy="constructive")
+
+
 def test_a_conjugator_that_leaves_tau_off_the_last_block_is_a_bug(monkeypatch):
     # with the identity for tau0, tau stays on the first block of the
     # gl:2*2 swap and the split reads a trivial sub-twist off the last
@@ -814,13 +871,18 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     # gl:2*2*2 with blocks 1, 2 swapped runs a product split down to a
     # superbasic GL_2 and a parabolic descent on block 3; gl:3 with the
     # trivial twist descends to three rank-one bases; the gl:3*3*3
-    # rotation splits an orbit of three blocks. The lifts and the bases
-    # carry only witnesses: solve takes the maximal point as the claim,
-    # and _verify_solution reads the witness's Newton point once and
-    # walks w <= t^{x(mu)} once. A product split of m blocks splits its
-    # sub-witness m - 1 times and walks nothing else. The brute force's
-    # witness comes without x: one adm_member scan looks it up, and its
-    # last, successful walk is the Bruhat check, so reduction walks none
+    # rotation splits an orbit of three blocks; superbasic 2/5, and GL_2
+    # under a tau of kappa 3 (central part 1), are one superbasic base
+    # below the adjoint step. The lifts and the bases carry only
+    # witnesses: solve takes the maximal point as the claim, and
+    # _verify_solution walks w <= t^{x(mu)} once and runs the Newton
+    # kernel (_element_kernel) once, except on a lone superbasic base,
+    # whose certificate is the proof and whose slopes, checked against
+    # the kernel in superbasic_witness, are the point: there it walks
+    # nothing and runs no kernel. A product split of m blocks splits its sub-witness
+    # m - 1 times and walks nothing else. The brute force's witness
+    # comes without x: one adm_member scan looks it up, and its last,
+    # successful walk is the Bruhat check, so reduction walks none
     import bgmu.acceptable as acceptable
     import bgmu.reduction as reduction
 
@@ -832,7 +894,8 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_maximal_state", "adm_member", "newton_point", "bruhat_leq", "_subword_split"):
+    names = ("_maximal_state", "adm_member", "_element_kernel", "bruhat_leq", "_subword_split")
+    for name in names:
         monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
 
     d = GroupDatum((2, 2, 2))
@@ -844,9 +907,12 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
         ((3, 0, 0, 3, 0, 0, 3, 3, 0),
          Frobenius(parse_element("t[0,0,0,1,1,0,0,0,0]*cyc(4,6,5)", d3), Sigma0(d3, (1, 2, 0), (False,) * 3)),
          {"product-split", "base-superbasic"}, 2),
+        ((2, 1, 1, 0, 0), Frobenius.superbasic(2, 5), {"base-superbasic"}, 0),
+        ((2, 0), Frobenius.inner(parse_element("t[2,1]*cyc(1,2)", GroupDatum.gl(2))),
+         {"base-superbasic"}, 0),
     ]
     for mu, fr, steps, splits in problems:
-        calls.update(_maximal_state=0, newton_point=0, adm_member=0, bruhat_leq=0, _subword_split=0)
+        calls.update(dict.fromkeys(names, 0))
         small = len(mu) <= acceptable.BRUTE_GUARD_N
         if strategy == "bruteforce":
             if not small:
@@ -856,15 +922,16 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
             r = solve(mu, fr, strategy=strategy)
             assert [s.kind for s in r.trace] == ["bruteforce"]
             assert bruhat_leq(r.w, AffineElement.translation(fr.datum, r.x.act(mu)))
-            assert calls == {"_maximal_state": 0, "newton_point": 1, "adm_member": 1,
+            assert calls == {"_maximal_state": 0, "_element_kernel": 1, "adm_member": 1,
                              "bruhat_leq": 0, "_subword_split": 0}, mu
             continue
         r = solve(mu, fr, strategy=strategy)
         assert steps <= {s.kind for s in r.trace}
         assert splits == sum(len(s.orbit) - 1 for s in r.trace if s.kind == "product-split")
         assert ("matches_bruteforce" in r.checks) == (strategy == "auto" and small)
-        assert calls == {"_maximal_state": 1, "newton_point": 1, "adm_member": 0,
-                         "bruhat_leq": 1, "_subword_split": splits}, mu
+        walks = int([s.kind for s in r.trace] != ["adjoint", "base-superbasic"])
+        assert calls == {"_maximal_state": 1, "_element_kernel": walks, "adm_member": 0,
+                         "bruhat_leq": walks, "_subword_split": splits}, mu
 
 
 def _cycle_vector_sum(lin, cycle) -> int:
