@@ -50,15 +50,13 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import DimensionMismatch, GuardExceeded, InternalCheckFailed, ParseError
 from .newton import (
     Frobenius,
-    LinearPart,
     NewtonPoint,
     Node,
     RatVec,
     Sigma0,
     _diamond,
     _fractions,
-    _linear_part,
-    _newton_key,
+    _newton_keys,
     _scaled,
     _scaled_heights,
     _vec_str,
@@ -795,8 +793,10 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
     size guard still counts all of Adm(mu).
 
     A key is the pair (order, blockwise sorted translation) of the
-    Newton map in lowest terms; the cycles of u o A are walked once per
-    distinct permutation u. Over the lcm of the orders the heights are
+    Newton map in lowest terms, and ``_newton_keys`` keys the tuples in
+    one batch: one plan per distinct permutation u, two ``itemgetter``
+    sums per cycle of u o A per translation, and one gcd per distinct
+    point. Over the lcm of the orders the heights are
     integers, and the maximal key is the one at the componentwise
     maximum. Fractions are built only for it, and lengths and elements
     only for its class, the union of the H-orbits of its keyed tuples,
@@ -805,14 +805,7 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
     omegas = _omega_blocks(frob.sigma0)
     raw = _adm_raw(mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE,
                    reduced=[orbit[0][0] for orbit in omegas])
-    twist, slices = frob.affine_map, datum.block_slices()
-    parts: dict[IntVec, LinearPart] = {}
-    keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
-    for trans, images in raw:
-        part = parts.get(images)
-        if part is None:
-            part = parts[images] = _linear_part(images, twist)
-        keyed.setdefault(_newton_key(part, trans, slices), []).append((trans, images))
+    keyed = _newton_keys(raw, frob.affine_map, datum.block_slices())
     # a key (k, lam) is the point lam / k, with heights h * (m / k) over m
     m = lcm(*(k for k, _ in keyed))
     hs = {(k, lam): [h * (m // k) for h in _scaled_heights(datum, lam)[1].values()]

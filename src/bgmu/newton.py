@@ -19,11 +19,12 @@ For w = t^trans u and the twist v -> A_s v + b_s, the linear part of
 w o sigma is u o A_s and its translation is trans + u(b_s). So the map
 is read in two steps: ``_linear_part`` takes what depends on u alone
 (the order k, the signs, the cycles of u o A_s of sign product +1, and
-u(b_s)), and ``_newton_kernel`` walks those cycles over trans.
-``newton_point``, ``diamond``, the brute force's ``_newton_key`` and
-``superbasic_witness`` all go through both, and the brute force walks
-the cycles once per distinct permutation of Adm(mu) rather than once
-per element.
+u(b_s)) in one walk of u o A_s, and ``_newton_kernel`` walks those
+cycles over trans. ``newton_point``, ``diamond`` and
+``superbasic_witness`` go through both. The brute force keys Adm(mu)
+in one batch, ``_newton_keys``: one linear part and one plan per
+distinct permutation u, which turns each cycle's value into one or two
+``itemgetter`` sums over trans, and one gcd per distinct point.
 
 Everything is exact and, below the output boundary, integral: the
 kernel returns (k, lam), and a rational vector is carried as one
@@ -41,12 +42,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, ParseError
 from .weyl import (
     AffineElement,
     GroupDatum,
+    IntVec,
     Permutation,
     SignedMap,
     _Frozen,
@@ -56,12 +59,6 @@ from .weyl import (
 
 RatVec = tuple[Fraction, ...]
 Node = tuple[int, int]  # (block, i) finite simple root, 1 <= i <= n_b - 1
-
-
-def _cycles_order(cycles) -> int:
-    """Exact order from the cycle structure: a cycle of length L
-    contributes L when its sign product is +1, else 2L."""
-    return lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in cycles))
 
 
 class AffineMap(NamedTuple):
@@ -362,18 +359,32 @@ class LinearPart(NamedTuple):
 def _linear_part(images: Sequence[int], twist: AffineMap) -> LinearPart:
     """The part of the Newton map of t^trans u (u in one-line form
     ``images``) under the twist's affine map that does not depend on
-    trans: one walk over the cycles of u o A."""
-    # w o sigma = (t^trans u) o (v -> A v + b): linear part u o A, and
-    # translation trans + u(b)
-    tpos, tsign = twist.linear
-    lin = SignedMap(tuple([images[p - 1] for p in tpos]), tsign)
-    moved = [0] * len(tpos)
+    trans: one walk over the cycles of u o A, the order accumulating
+    along it."""
+    # w o sigma = (t^trans u) o (v -> A v + b): linear part u o A, with
+    # A's signs as u has none, and translation trans + u(b)
+    tpos, sign = twist.linear
+    n = len(tpos)
+    seen = [False] * n
+    order, cycles = 1, []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle, prod, cur = [], 1, start
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(cur)
+            prod *= sign[cur]
+            cur = images[tpos[cur] - 1] - 1
+        if prod == 1:
+            cycles.append(tuple(cycle))
+            order = lcm(order, len(cycle))
+        else:
+            order = lcm(order, 2 * len(cycle))
+    moved = [0] * n
     for j, b in zip(images, twist.shift):
         moved[j - 1] += b
-    cycles = lin.cycles()
-    return LinearPart(
-        _cycles_order(cycles), lin.sign, tuple(c for c, s in cycles if s == 1), moved
-    )
+    return LinearPart(order, sign, tuple(cycles), moved)
 
 
 def _newton_kernel(
@@ -382,8 +393,7 @@ def _newton_kernel(
     """The integer part of the Newton map of t^trans u from u's linear
     part: the translation lam of the k-th power of w o sigma, and lam
     sorted decreasingly inside each block slice. One linear part serves
-    every translation over the same u, which is how the brute force
-    keys Adm(mu) with one cycle walk per permutation."""
+    every translation over the same u."""
     k, sign, moved = part.order, part.sign, part.moved
     lam = [0] * len(sign)
     for cycle in part.cycles:
@@ -400,16 +410,100 @@ def _newton_kernel(
     return lam, [x for block in slices for x in sorted(lam[block], reverse=True)]
 
 
-def _newton_key(
-    part: LinearPart, trans: Sequence[int], slices: Sequence[slice]
-) -> tuple[int, tuple[int, ...]]:
-    """(k, blockwise sorted lam) divided by their gcd: two elements get
-    the same key exactly when their Newton points have the same
-    dominant representative, which is lam_bar / k for the key's k."""
-    _, bar = _newton_kernel(part, trans, slices)
-    k = part.order
-    g = gcd(k, *bar)
-    return k // g, tuple([x // g for x in bar])
+def _getter(idx: Sequence[int]) -> itemgetter:
+    """A getter of the entries at idx as a sequence, also for one index
+    i, which ``itemgetter`` would return bare: that is read as the slice
+    i:i+1, or -1: for the last entry."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    i = idx[0]
+    return itemgetter(slice(i, i + 1 or None))
+
+
+def _newton_keys(
+    raw: Iterable[tuple[IntVec, IntVec]], twist: AffineMap, slices: Sequence[slice]
+) -> dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]]:
+    """The (trans, images) pairs of raw grouped by the Newton map of
+    t^trans u under the twist, in lowest terms: (k, bar) divided by
+    their gcd, bar the translation lam of the k-th power of w o sigma
+    sorted decreasingly inside each block slice. Two elements share a
+    key exactly when their Newton points have the same dominant
+    representative, bar / k.
+
+    The pairs are keyed one permutation u at a time, on a plan built
+    from u's ``_linear_part``. On a cycle of u o A of length L and sign
+    product +1, lam is +-v at each coordinate c, the sign being
+    sign(c -> first coordinate), the kernel's carry, and
+    v = k / L (sum_c carry_c moved_c + sum_c carry_c trans_c); on a
+    cycle of sign product -1 it is 0. So a cycle's plan is k / L, the
+    constant and two ``itemgetter`` over trans, the coordinates of carry
+    +1 and -1, and each coordinate gets a slot in the values
+    [v, -v, 0]. A translation then costs one sum or two per cycle; the
+    slot ``itemgetter`` and sort per block run once per distinct values
+    over u, and the gcd reduction once per distinct unreduced (k, bar).
+
+    A flip of PGL_3 under u = 1 fixes the middle coordinate with sign
+    -1 (its slot is the 0) and swaps the outer two, the last reading
+    the first negated; both translations give lam = (2, 0, -2) over
+    k = 2:
+
+    >>> d = GroupDatum.pgl(3)
+    >>> flip = Frobenius(AffineElement.identity(d), Sigma0(d, (0,), (True,)))
+    >>> raw = [((2, 0, 0), (1, 2, 3)), ((2, 1, 0), (1, 2, 3))]
+    >>> _newton_keys(raw, flip.affine_map, d.block_slices())
+    {(1, (1, 0, -1)): [((2, 0, 0), (1, 2, 3)), ((2, 1, 0), (1, 2, 3))]}
+    """
+    by_perm: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
+    for elem in raw:
+        by_perm.setdefault(elem[1], []).append(elem)
+    unreduced: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
+    for images, group in by_perm.items():
+        k, sign, cycles, moved = _linear_part(images, twist)
+        m = len(cycles)
+        # the slot of each coordinate in [v_1..v_m, -v_1..-v_m, 0]: its
+        # cycle's value, that value negated, or -1, the 0 at the end
+        slot = [-1] * len(sign)
+        plan, negated = [], False
+        for i, cycle in enumerate(cycles):
+            plus, minus, const, carry = [], [], 0, 1
+            for c in cycle:
+                # the carry is also the product of the signs before c,
+                # as the cycle's product is +1
+                if carry == 1:
+                    plus.append(c)
+                    slot[c] = i
+                    const += moved[c]
+                else:
+                    minus.append(c)
+                    slot[c] = m + i
+                    const -= moved[c]
+                carry *= sign[c]
+            negated = negated or bool(minus)
+            plan.append((k // len(cycle), const, _getter(plus), _getter(minus) if minus else None))
+        padded = -1 in slot
+        getters = [_getter(slot[sl]) for sl in slices]
+        # the members of each (k, bar) met over u, by the cycles' values
+        seen: dict[tuple[int, ...], list[tuple[IntVec, IntVec]]] = {}
+        for elem in group:
+            t = elem[0]
+            vals = [f * (c + sum(p(t)) - (sum(q(t)) if q else 0)) for f, c, p, q in plan]
+            key = tuple(vals)
+            members = seen.get(key)
+            if members is None:
+                if negated:
+                    vals += [-v for v in vals]
+                if padded:
+                    vals.append(0)
+                bar: list[int] = []
+                for g in getters:
+                    bar += sorted(g(vals), reverse=True)
+                members = seen[key] = unreduced.setdefault((k, tuple(bar)), [])
+            members.append(elem)
+    keyed: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
+    for (k, bar), members in unreduced.items():
+        g = gcd(k, *bar)
+        keyed.setdefault((k // g, tuple([x // g for x in bar])), []).extend(members)
+    return keyed
 
 
 def newton_point(w: AffineElement, frob: Frobenius) -> NewtonData:

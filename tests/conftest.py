@@ -34,7 +34,9 @@ nothing in the package calls them:
 * the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
   and ``expand``;
 * the admissible set and its Newton points: ``adm_reference``,
-  ``reference_attained`` and ``reference_brute_force``;
+  ``reference_attained`` and ``reference_brute_force``, and
+  ``brute_keys_reference``, the brute force's keying one element at a
+  time, with ``same_keys``;
 * the byte-identity gate: ``twisted_draw``, the fixed-seed problem
   draw, ``pinned_twisted_problems``, a fixed list of twisted problems,
   and ``outcome_line``, the canonical line of one outcome.
@@ -45,6 +47,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import pytest
 
@@ -52,8 +55,10 @@ from bgmu.acceptable import PolygonData, _mu_lam_diamond, support_nodes
 from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed
 from bgmu.newton import (
     Frobenius,
+    LinearPart,
     Sigma0,
     SignedMap,
+    _newton_kernel,
     _vec_str,
     dominant_rep,
     heights,
@@ -622,6 +627,42 @@ def reference_brute_force(mu, frob: Frobenius):
     w = attained[maxima[0]]
     point = next(p for p, low in zip(points, lower) if w in low)
     return maxima[0], w, dominant_rep(datum, point)[1].inverse()
+
+
+def _linear_part_reference(images, twist) -> LinearPart:
+    """The linear part of t^trans u under the twist's affine map, read
+    off the ``SignedMap`` of u o A and its ``cycles``."""
+    tpos, tsign = twist.linear
+    lin = SignedMap(tuple([images[p - 1] for p in tpos]), tsign)
+    moved = [0] * len(tpos)
+    for j, b in zip(images, twist.shift):
+        moved[j - 1] += b
+    cycles = lin.cycles()
+    order = lcm(*(len(c) if s == 1 else 2 * len(c) for c, s in cycles))
+    return LinearPart(order, lin.sign, tuple(c for c, s in cycles if s == 1), moved)
+
+
+def brute_keys_reference(raw, twist, slices) -> dict:
+    """The brute force's keys one element at a time: the kernel's
+    blockwise sorted lam and the order k, divided by their gcd, with the
+    linear part built once per distinct permutation."""
+    parts, keyed = {}, {}
+    for trans, images in raw:
+        if images not in parts:
+            parts[images] = _linear_part_reference(images, twist)
+        part = parts[images]
+        _, bar = _newton_kernel(part, trans, slices)
+        g = gcd(part.order, *bar)
+        key = part.order // g, tuple([x // g for x in bar])
+        keyed.setdefault(key, []).append((trans, images))
+    return keyed
+
+
+def same_keys(keyed, reference) -> bool:
+    """Two keyings agree: the same keys, each with the same members."""
+    return keyed.keys() == reference.keys() and all(
+        sorted(keyed[key]) == sorted(members) for key, members in reference.items()
+    )
 
 
 def dominant_coweights(n: int, max_entry: int):

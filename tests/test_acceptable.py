@@ -38,8 +38,7 @@ from bgmu.errors import (
 from bgmu.newton import (
     Frobenius,
     Sigma0,
-    _linear_part,
-    _newton_key,
+    _newton_keys,
     diamond,
     dominant_rep,
     heights,
@@ -59,6 +58,7 @@ from bgmu.weyl import (
 from conftest import (
     adjoint_leq,
     adm_reference,
+    brute_keys_reference,
     candidates_reference,
     coset_ball,
     dominant_coweights,
@@ -69,6 +69,7 @@ from conftest import (
     orbit_points,
     pinned_twisted_problems,
     polygon_reference,
+    same_keys,
     twisted_draw,
 )
 
@@ -731,8 +732,9 @@ def test_size_guard_comes_before_the_product(monkeypatch):
 def test_incomparable_admissible_maxima_are_refused(monkeypatch):
     # two keys whose heights (2, 2) and (1, 3) are incomparable leave the
     # brute force no maximum: the typed error lists the points attained
-    keys = itertools.cycle([(1, (2, 0, 1)), (1, (1, 2, 0))])
-    monkeypatch.setattr(acceptable, "_newton_key", lambda *a: next(keys))
+    monkeypatch.setattr(acceptable, "_newton_keys", lambda raw, twist, slices: {
+        (1, (2, 0, 1)): raw[:1], (1, (1, 2, 0)): raw[1:],
+    })
     fr = Frobenius.superbasic(1, 3, normalized=False)
     with pytest.raises(InternalCheckFailed, match=re.escape(
         "admissible Newton points have 0 maxima: (1, 2, 0), (2, 0, 1)"
@@ -801,22 +803,17 @@ def test_brute_force_keys_one_element_per_omega_orbit():
     # for each generator omega_O: sigma0 fixes it, Adm(mu) is stable
     # under conjugation by it, and the Newton key is constant along its
     # orbits; so keying the first block's representatives gives the
-    # keys of all of Adm(mu)
+    # keys of all of Adm(mu). The batch keying agrees with the
+    # one-element-at-a-time reference on both sets
     problems = _brute_force_problems()
     seen = {"flipped": 0, "odd": 0}
     for mu, frob in problems:
         datum, sigma0 = frob.datum, frob.sigma0
         twist, slices = frob.affine_map, datum.block_slices()
-        parts = {}
-
-        def key(elem):
-            trans, images = elem
-            if images not in parts:
-                parts[images] = _linear_part(images, twist)
-            return _newton_key(parts[images], trans, slices)
-
         full = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N)
-        keys = {elem: key(elem) for elem in full}
+        reference = brute_keys_reference(full, twist, slices)
+        assert same_keys(_newton_keys(full, twist, slices), reference)
+        keys = {elem: key for key, members in reference.items() for elem in members}
         orbits = acceptable._omega_blocks(sigma0)
         for orbit in orbits:
             kappas = [0] * datum.num_blocks
@@ -833,7 +830,9 @@ def test_brute_force_keys_one_element_per_omega_orbit():
         reduced = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N,
                                       reduced=[orbit[0][0] for orbit in orbits])
         assert set(reduced) <= set(keys)
-        assert {key(elem) for elem in reduced} == set(keys.values())
+        keyed = _newton_keys(reduced, twist, slices)
+        assert same_keys(keyed, brute_keys_reference(reduced, twist, slices))
+        assert keyed.keys() == reference.keys()
     # the corpus meets flipped even orbits and odd ones
     assert seen["flipped"] and seen["odd"]
 

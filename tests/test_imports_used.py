@@ -288,7 +288,7 @@ OWNED_ELSEWHERE = {
     ("weyl", "_nodes"), ("weyl", "_swap"), ("weyl", "_walk"),
     ("acceptable", "_adm_raw"), ("acceptable", "_adm_order"),
     ("acceptable", "_conjugate"), ("acceptable", "_omega_blocks"),
-    ("newton", "_linear_part"), ("newton", "_newton_key"),
+    ("newton", "_linear_part"), ("newton", "_newton_keys"),
 }
 
 

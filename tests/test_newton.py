@@ -17,7 +17,7 @@ from bgmu.newton import (
     SignedMap,
     _linear_part,
     _newton_kernel,
-    _newton_key,
+    _newton_keys,
     diamond,
     dominant_rep,
     kappa,
@@ -32,11 +32,13 @@ from bgmu.weyl import (
     superbasic_element,
 )
 from conftest import (
+    brute_keys_reference,
     element_power,
     iterated_newton,
     num_inversions,
     oracle_newton,
     orbit_average,
+    same_keys,
     wa_ball,
 )
 
@@ -175,10 +177,12 @@ def _check_against_iteration(w, frob):
 def test_newton_point_matches_iteration(problem):
     w, frob = problem
     _check_against_iteration(w, frob)
-    # the brute force's integer key, on plain tuples, names the same
-    # unshifted dominant Newton vector, in lowest terms
-    part = _linear_part(w.perm.images, frob.affine_map)
-    k, lam = _newton_key(part, w.trans, w.datum.block_slices())
+    # the brute force's integer key of a one-element batch, on plain
+    # tuples, names the same unshifted dominant Newton vector, in lowest
+    # terms
+    elem = (w.trans, w.perm.images)
+    [((k, lam), members)] = _newton_keys([elem], frob.affine_map, w.datum.block_slices()).items()
+    assert members == [elem]
     zero = frob.with_shift((Fraction(0),) * w.datum.n)
     assert tuple(Fraction(x, k) for x in lam) == newton_point(w, zero).nu_bar.nu
     assert gcd(k, *lam) == 1
@@ -190,16 +194,21 @@ def test_linear_part_serves_every_translation(problem, data):
     # the brute force walks the cycles of u o A once per permutation and
     # reuses that part for every translation over it: applied to another
     # translation lam', it must give the Newton map of t^lam' u by
-    # iteration, on cycles of sign -1 too
+    # iteration, on cycles of sign -1 too; and a batch of translations
+    # over u puts each under the key of its iterated Newton point
     w, frob = problem
     datum, slices = w.datum, w.datum.block_slices()
     part = _linear_part(w.perm.images, frob.affine_map)
-    other = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=datum.n, max_size=datum.n)))
+    vectors = st.lists(st.integers(-3, 3), min_size=datum.n, max_size=datum.n).map(tuple)
+    others = data.draw(st.lists(vectors, min_size=1, max_size=6, unique=True))
     zero = frob.with_shift((Fraction(0),) * datum.n)
-    k, lam, _, bar = iterated_newton(AffineElement(datum, other, w.perm), zero)
-    assert (part.order, tuple(_newton_kernel(part, other, slices)[0])) == (k, lam)
-    key_k, key_bar = _newton_key(part, other, slices)
-    assert tuple(Fraction(x, key_k) for x in key_bar) == bar
+    keyed = _newton_keys([(t, w.perm.images) for t in others], frob.affine_map, slices)
+    assert sorted(t for members in keyed.values() for t, _ in members) == sorted(others)
+    for (key_k, key_bar), members in keyed.items():
+        for other, _ in members:
+            k, lam, _, bar = iterated_newton(AffineElement(datum, other, w.perm), zero)
+            assert (part.order, tuple(_newton_kernel(part, other, slices)[0])) == (k, lam)
+            assert tuple(Fraction(x, key_k) for x in key_bar) == bar
 
 
 def test_newton_point_on_cycles_of_sign_minus_one():
@@ -227,6 +236,34 @@ def test_newton_point_on_cycles_of_sign_minus_one():
     swap = Frobenius(AffineElement.identity(d22), Sigma0(d22, (1, 0), (True, False)))
     nd = _check_against_iteration(parse_element("t[2,1,0,3]*cyc(1,2)", d22), swap)
     assert nd.order == 4 and nd.translation == (0, 0, 0, 0)
+    assert _newton_keys([((2, 1, 0, 3), (2, 1, 3, 4))], swap.affine_map, d22.block_slices()) == {
+        (1, (0, 0, 0, 0)): [((2, 1, 0, 3), (2, 1, 3, 4))]
+    }
+    # the brute force's batch keying agrees with keying one element at
+    # a time on both balls
+    for datum, frob in ((d3, flip), (d22, swap)):
+        raw = [(a.trans, a.perm.images) for a in wa_ball(datum, 3)]
+        twist, slices = frob.affine_map, datum.block_slices()
+        assert same_keys(_newton_keys(raw, twist, slices), brute_keys_reference(raw, twist, slices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(twisted_elements(), st.data())
+def test_newton_keys_match_the_per_element_reference(problem, data):
+    # a batch of up to 4 permutations, each under up to 5 translations,
+    # keyed at once: the same keys and members as keying the elements
+    # one at a time
+    w, frob = problem
+    datum = w.datum
+    perms = st.tuples(*(st.permutations(range(lo, hi + 1)) for lo, hi in datum.block_ranges()))
+    vectors = st.lists(st.integers(-3, 3), min_size=datum.n, max_size=datum.n).map(tuple)
+    raw = [(w.trans, w.perm.images)]
+    for blocks in data.draw(st.lists(perms, max_size=3)):
+        images = sum(map(tuple, blocks), ())
+        raw += [(t, images) for t in data.draw(st.lists(vectors, min_size=1, max_size=5))]
+    raw = list(dict.fromkeys(raw))
+    twist, slices = frob.affine_map, datum.block_slices()
+    assert same_keys(_newton_keys(raw, twist, slices), brute_keys_reference(raw, twist, slices))
 
 
 def test_twist_change_identity():
@@ -285,20 +322,24 @@ def test_diamond_swapped_blocks():
 
 
 def test_sigma0_derives_its_orbits_and_average_once(monkeypatch):
-    # block_orbits, node_orbits and the average behind diamond each walk
-    # the cycles of one signed map on first read, and never again
+    # block_orbits and node_orbits each walk the cycles of one signed
+    # map on first read, the average behind diamond walks the cycles of
+    # sigma0's map once in _linear_part, and none walks again
+    import bgmu.newton as newton
+
     d22 = GroupDatum((2, 2))
     s0 = Sigma0(d22, (1, 0), (True, False))
     frob = Frobenius(AffineElement.identity(d22), s0)
-    walks = []
-    real = SignedMap.cycles
+    walks, parts = [], []
+    real, real_part = SignedMap.cycles, newton._linear_part
     monkeypatch.setattr(SignedMap, "cycles", lambda self: walks.append(self) or real(self))
+    monkeypatch.setattr(newton, "_linear_part", lambda *a: parts.append(a) or real_part(*a))
     q = Fraction(1, 4)
     for _ in range(2):
         assert s0.block_orbits == ((0, 1),)
         assert s0.node_orbits == (((0, 1), (1, 1)),)
         assert diamond((1, 0, 0, 0), frob) == (q, -q, q, -q)
-    assert len(walks) == 3
+    assert len(walks) == 2 and len(parts) == 1
 
 @st.composite
 def orbit_data(draw):

@@ -436,18 +436,19 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # and 35 of them attain the maximal Newton point under superbasic
     # 2/5. The brute force keys one element per orbit under conjugation
     # by omega_1, the least by (images, trans): 341 elements over 28
-    # permutations. It walks the cycles of u o A once per keyed
-    # permutation and no others, since the twist's Sigma0 derived its
-    # block orbits in the constructive path of the auto run; it runs the
-    # kernel once per keyed element, and takes lengths only inside the
-    # maximal class, and only for the witness of the bruteforce strategy
-    # (auto discards it)
+    # permutations reach _newton_keys. It reads the linear part of
+    # u o A once per permutation it receives and no other, since the
+    # twist's Sigma0 derived its block orbits in the constructive path
+    # of the auto run; and it takes lengths only inside the maximal
+    # class, and only for the witness of the bruteforce strategy (auto
+    # discards it)
     import bgmu.acceptable as acceptable
     import bgmu.newton as newton
     import bgmu.reduction as reduction
     import bgmu.weyl as weyl
 
-    calls = {"cycles": 0, "linear": 0, "kernel": 0, "length": 0}
+    calls = {"linear": 0, "length": 0}
+    keyed: list = []
     inside = [False]
 
     def counted(name, fn):
@@ -463,20 +464,24 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
         finally:
             inside[0] = False
 
-    real = reduction._brute_force
+    def newton_keys(raw, *args):
+        keyed.extend(raw)
+        return real_keys(raw, *args)
+
+    real, real_keys = reduction._brute_force, acceptable._newton_keys
     monkeypatch.setattr(reduction, "_brute_force", brute_force)
-    monkeypatch.setattr(weyl.SignedMap, "cycles", counted("cycles", weyl.SignedMap.cycles))
-    monkeypatch.setattr(acceptable, "_linear_part", counted("linear", acceptable._linear_part))
-    monkeypatch.setattr(newton, "_newton_kernel", counted("kernel", newton._newton_kernel))
+    monkeypatch.setattr(acceptable, "_newton_keys", newton_keys)
+    monkeypatch.setattr(newton, "_linear_part", counted("linear", newton._linear_part))
     monkeypatch.setattr(weyl, "_window_length", counted("length", weyl._window_length))
     frob = Frobenius.superbasic(2, 5)
     for strategy in ("auto", "bruteforce"):
         calls.update(dict.fromkeys(calls, 0))
+        keyed.clear()
         r = solve((2, 2, 1, 0, 0), frob, strategy=strategy)
         assert r.checks["matches_bruteforce" if strategy == "auto" else "bruteforce"]
         assert 0 < calls["linear"] <= 28
-        assert calls["cycles"] == calls["linear"]
-        assert 0 < calls["kernel"] <= 341
+        assert calls["linear"] == len({images for _, images in keyed})
+        assert len(keyed) == 341
         if strategy == "auto":
             assert calls["length"] == 0
         else:
