@@ -73,6 +73,7 @@ from .weyl import (
     Permutation,
     _read_int,
     _same_wa_coset,
+    _tuple_length,
     bruhat_leq,
 )
 
@@ -794,13 +795,14 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
 
     A key is the pair (order, blockwise sorted translation) of the
     Newton map in lowest terms, and ``_newton_keys`` keys the tuples in
-    one batch: one plan per distinct permutation u, two ``itemgetter``
-    sums per cycle of u o A per translation, and one gcd per distinct
-    point. Over the lcm of the orders the heights are
+    one batch: one plan per (twist, u), built once per process, two
+    ``itemgetter`` sums per cycle of u o A per translation, and one gcd
+    per distinct point. Over the lcm of the orders the heights are
     integers, and the maximal key is the one at the componentwise
-    maximum. Fractions are built only for it, and lengths and elements
-    only for its class, the union of the H-orbits of its keyed tuples,
-    whose least element is the witness."""
+    maximum. Fractions are built only for it, and lengths only for its
+    class, the union of the H-orbits of its keyed tuples, on raw tuples
+    (``_tuple_length``): its least one is the witness, the one element
+    validated."""
     datum = frob.datum
     omegas = _omega_blocks(frob.sigma0)
     raw = _adm_raw(mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE,
@@ -822,9 +824,6 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
     nu_raw = tuple(Fraction(x, k) for x in lam)
     if not witness:
         return nu_raw, None
-    # the maximal class: the H-orbits of its keyed tuples
     found = _omega_closure(keyed[maxima[0]], omegas, datum.block_ranges())
-    return nu_raw, min(
-        (AffineElement(datum, trans, Permutation(images)) for trans, images in found),
-        key=_adm_order,
-    )
+    trans, images = min(found, key=lambda e: (_tuple_length(datum, *e), *e))
+    return nu_raw, AffineElement(datum, trans, Permutation(images))

@@ -22,9 +22,11 @@ is read in two steps: ``_linear_part`` takes what depends on u alone
 u(b_s)) in one walk of u o A_s, and ``_newton_kernel`` walks those
 cycles over trans. ``newton_point``, ``diamond`` and
 ``superbasic_witness`` go through both. The brute force keys Adm(mu)
-in one batch, ``_newton_keys``: one linear part and one plan per
-distinct permutation u, which turns each cycle's value into one or two
-``itemgetter`` sums over trans, and one gcd per distinct point.
+in one batch, ``_newton_keys``, on one plan per permutation u, which
+turns each cycle's value into one or two ``itemgetter`` sums over
+trans, and one gcd per distinct point. A plan reads the twist, u and
+the block bounds but not mu, so ``_keying_plan`` builds it, with u's
+linear part, once per (twist, u) per process.
 
 Everything is exact and, below the output boundary, integral: the
 kernel returns (k, lam), and a rational vector is carried as one
@@ -39,7 +41,7 @@ strings and in check messages.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import itemgetter
@@ -420,6 +422,49 @@ def _getter(idx: Sequence[int]) -> itemgetter:
     return itemgetter(slice(i, i + 1 or None))
 
 
+@lru_cache(maxsize=1024)
+def _keying_plan(twist: AffineMap, images: IntVec, bounds: tuple[tuple[int, int], ...]) -> tuple:
+    """The plan on which ``_newton_keys`` keys every translation over the
+    permutation u (one-line form ``images``) under the twist's affine
+    map, with blocks at the 0-based bounds (start, stop):
+    (k, cycles, negated, padded, getters). k is the order of u o A, each
+    cycle of sign product +1 contributes (k / L, const, plus, minus),
+    plus and minus the ``itemgetter`` of its coordinates of carry +1 and
+    -1 (minus None when there are none), negated tells whether some
+    value is read negated, padded whether some coordinate reads the
+    trailing 0, and getters holds one slot ``itemgetter`` per block.
+
+    A plan reads the whole affine map (a cycle's constant reads u(b)),
+    u and the bounds, never mu, so it is built once per (twist, u) per
+    process and shared by every problem on the twist; the bound holds
+    the 414 plans of a verify sweep up to n = 6 and entry 2. The plan
+    is immutable."""
+    k, sign, cycles, moved = _linear_part(images, twist)
+    m = len(cycles)
+    # the slot of each coordinate in [v_1..v_m, -v_1..-v_m, 0]: its
+    # cycle's value, that value negated, or -1, the 0 at the end
+    slot = [-1] * len(sign)
+    plan, negated = [], False
+    for i, cycle in enumerate(cycles):
+        plus, minus, const, carry = [], [], 0, 1
+        for c in cycle:
+            # the carry is also the product of the signs before c, as
+            # the cycle's product is +1
+            if carry == 1:
+                plus.append(c)
+                slot[c] = i
+                const += moved[c]
+            else:
+                minus.append(c)
+                slot[c] = m + i
+                const -= moved[c]
+            carry *= sign[c]
+        negated = negated or bool(minus)
+        plan.append((k // len(cycle), const, _getter(plus), _getter(minus) if minus else None))
+    getters = tuple(_getter(slot[lo:hi]) for lo, hi in bounds)
+    return k, tuple(plan), negated, -1 in slot, getters
+
+
 def _newton_keys(
     raw: Iterable[tuple[IntVec, IntVec]], twist: AffineMap, slices: Sequence[slice]
 ) -> dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]]:
@@ -430,17 +475,18 @@ def _newton_keys(
     key exactly when their Newton points have the same dominant
     representative, bar / k.
 
-    The pairs are keyed one permutation u at a time, on a plan built
-    from u's ``_linear_part``. On a cycle of u o A of length L and sign
-    product +1, lam is +-v at each coordinate c, the sign being
-    sign(c -> first coordinate), the kernel's carry, and
-    v = k / L (sum_c carry_c moved_c + sum_c carry_c trans_c); on a
-    cycle of sign product -1 it is 0. So a cycle's plan is k / L, the
-    constant and two ``itemgetter`` over trans, the coordinates of carry
-    +1 and -1, and each coordinate gets a slot in the values
-    [v, -v, 0]. A translation then costs one sum or two per cycle; the
-    slot ``itemgetter`` and sort per block run once per distinct values
-    over u, and the gcd reduction once per distinct unreduced (k, bar).
+    The pairs are keyed one permutation u at a time, on u's plan,
+    ``_keying_plan``, built once per (twist, u) per process. On a cycle
+    of u o A of length L and sign product +1, lam is +-v at each
+    coordinate c, the sign being sign(c -> first coordinate), the
+    kernel's carry, and v = k / L (sum_c carry_c moved_c + sum_c
+    carry_c trans_c); on a cycle of sign product -1 it is 0. So a
+    cycle's plan is k / L, the constant and two ``itemgetter`` over
+    trans, the coordinates of carry +1 and -1, and each coordinate gets
+    a slot in the values [v, -v, 0]. A translation then costs one sum
+    or two per cycle; the slot ``itemgetter`` and sort per block run
+    once per distinct values over u, and the gcd reduction once per
+    distinct unreduced (k, bar).
 
     A flip of PGL_3 under u = 1 fixes the middle coordinate with sign
     -1 (its slot is the 0) and swaps the outer two, the last reading
@@ -456,32 +502,10 @@ def _newton_keys(
     by_perm: dict[IntVec, list[tuple[IntVec, IntVec]]] = {}
     for elem in raw:
         by_perm.setdefault(elem[1], []).append(elem)
+    bounds = tuple((sl.start, sl.stop) for sl in slices)
     unreduced: dict[tuple[int, tuple[int, ...]], list[tuple[IntVec, IntVec]]] = {}
     for images, group in by_perm.items():
-        k, sign, cycles, moved = _linear_part(images, twist)
-        m = len(cycles)
-        # the slot of each coordinate in [v_1..v_m, -v_1..-v_m, 0]: its
-        # cycle's value, that value negated, or -1, the 0 at the end
-        slot = [-1] * len(sign)
-        plan, negated = [], False
-        for i, cycle in enumerate(cycles):
-            plus, minus, const, carry = [], [], 0, 1
-            for c in cycle:
-                # the carry is also the product of the signs before c,
-                # as the cycle's product is +1
-                if carry == 1:
-                    plus.append(c)
-                    slot[c] = i
-                    const += moved[c]
-                else:
-                    minus.append(c)
-                    slot[c] = m + i
-                    const -= moved[c]
-                carry *= sign[c]
-            negated = negated or bool(minus)
-            plan.append((k // len(cycle), const, _getter(plus), _getter(minus) if minus else None))
-        padded = -1 in slot
-        getters = [_getter(slot[sl]) for sl in slices]
+        k, plan, negated, padded, getters = _keying_plan(twist, images, bounds)
         # the members of each (k, bar) met over u, by the cycles' values
         seen: dict[tuple[int, ...], list[tuple[IntVec, IntVec]]] = {}
         for elem in group:

@@ -298,7 +298,11 @@ def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec
 def _window(w: AffineElement) -> list[int]:
     """The window of w (module docstring), 0-based: r - n_b lam_{u(r)}
     at the position u(r)."""
-    trans, images, datum = w.trans, w.perm.images, w.datum
+    return _tuple_window(w.datum, w.trans, w.perm.images)
+
+
+def _tuple_window(datum: GroupDatum, trans: IntVec, images: IntVec) -> list[int]:
+    """The window of t^trans u from its raw tuples, unvalidated."""
     g = [0] * len(trans)
     for s, nb in zip(datum.block_slices(), datum.blocks):
         for r in range(s.start, s.stop):
@@ -327,6 +331,13 @@ def _window_length(part: Sequence[int], nb: int) -> int:
         for b in part[i + 1:]:
             total += abs((b - a) // nb)
     return total
+
+
+def _tuple_length(datum: GroupDatum, trans: IntVec, images: IntVec) -> int:
+    """The length of t^trans u from its raw tuples, unvalidated: Shi's
+    formula on each block of its window."""
+    g = _tuple_window(datum, trans, images)
+    return sum(_window_length(g[s], nb) for s, nb in zip(datum.block_slices(), datum.blocks))
 
 
 def _length_zero(w: AffineElement) -> bool:
@@ -469,9 +480,7 @@ class AffineElement(_Frozen):
                 total = sum(_dominant_length(sorted(self.trans[s], reverse=True))
                             for s in datum.block_slices())
             else:
-                g = _window(self)
-                total = sum(_window_length(g[s], nb)
-                            for s, nb in zip(datum.block_slices(), datum.blocks))
+                total = _tuple_length(datum, self.trans, self.perm.images)
             self.__dict__["_len"] = total
             return total
 

@@ -7,6 +7,8 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -38,6 +40,7 @@ from bgmu.errors import (
 from bgmu.newton import (
     Frobenius,
     Sigma0,
+    _keying_plan,
     _newton_keys,
     diamond,
     dominant_rep,
@@ -49,6 +52,7 @@ from bgmu.reduction import solve
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
+    Permutation,
     _product,
     bruhat_leq,
     omega_element,
@@ -835,6 +839,86 @@ def test_brute_force_keys_one_element_per_omega_orbit():
         assert keyed.keys() == reference.keys()
     # the corpus meets flipped even orbits and odd ones
     assert seen["flipped"] and seen["odd"]
+
+
+def _brute_force_keyings(problems, clear=False):
+    """The brute force's keying of each problem, the plan cache cleared
+    before each with clear."""
+    out = []
+    for mu, frob in problems:
+        datum = frob.datum
+        raw = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N, reduced=[
+            orbit[0][0] for orbit in acceptable._omega_blocks(frob.sigma0)])
+        if clear:
+            _keying_plan.cache_clear()
+        out.append(_newton_keys(raw, frob.affine_map, datum.block_slices()))
+    return out
+
+
+def test_brute_force_keys_alike_from_a_cleared_and_a_warm_plan_cache():
+    # the keying plans outlive a problem: each problem keyed from a
+    # cleared cache gives the same keys, with the members in the same
+    # order, as the whole corpus keyed in one run, where every problem
+    # reads the plans that earlier problems on its twist built
+    problems = _brute_force_problems()
+    cold = _brute_force_keyings(problems, clear=True)
+    _keying_plan.cache_clear()
+    assert _brute_force_keyings(problems) == cold
+    assert _keying_plan.cache_info().hits
+
+
+def test_brute_force_keys_from_threads_match_one_thread():
+    # more plans than the cache holds, from more threads than cores,
+    # with a short switch interval: misses, evictions and hits
+    # interleave, and every keying is still the one a single thread
+    # makes from a cleared cache; the problems are the first 400 of the
+    # draws, past the 283 verify-sweep problems
+    problems = _brute_force_problems()[283:683]
+    expected = _brute_force_keyings(problems, clear=True)
+    _keying_plan.cache_clear()
+    _brute_force_keyings(problems)
+    assert _keying_plan.cache_info().misses > _keying_plan.cache_info().maxsize
+    _keying_plan.cache_clear()
+    wrong: list = []
+
+    def run(seed):
+        order = list(range(len(problems)))
+        random.Random(seed).shuffle(order)
+        got = _brute_force_keyings([problems[i] for i in order])
+        wrong.extend(i for i, keys in zip(order, got) if keys != expected[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert _keying_plan.cache_info().currsize <= _keying_plan.cache_info().maxsize
+
+
+def test_brute_force_witness_is_the_least_of_the_maximal_class():
+    # the witness is ordered on raw tuples, by (length, trans, images)
+    # with the length from the window: it is the least by _adm_order of
+    # the validated elements of Adm(mu) at the maximal Newton point,
+    # keyed one element at a time
+    for mu, frob in _brute_force_problems():
+        datum = frob.datum
+        nu, witness = acceptable._brute_force(mu, frob, witness=True)
+        full = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N)
+        keyed = brute_keys_reference(full, frob.affine_map, datum.block_slices())
+        top = [members for (k, lam), members in keyed.items()
+               if tuple(Fraction(x, k) for x in lam) == nu]
+        assert len(top) == 1
+        least = min((AffineElement(datum, t, Permutation(im)) for t, im in top[0]),
+                    key=acceptable._adm_order)
+        assert witness == least
+        assert witness.length() == least.length()
 
 
 # --- the integer hull and heights against the fraction references --------------

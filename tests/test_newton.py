@@ -15,6 +15,7 @@ from bgmu.newton import (
     NewtonPoint,
     Sigma0,
     SignedMap,
+    _keying_plan,
     _linear_part,
     _newton_kernel,
     _newton_keys,
@@ -264,6 +265,35 @@ def test_newton_keys_match_the_per_element_reference(problem, data):
     raw = list(dict.fromkeys(raw))
     twist, slices = frob.affine_map, datum.block_slices()
     assert same_keys(_newton_keys(raw, twist, slices), brute_keys_reference(raw, twist, slices))
+
+
+def test_keying_plans_are_keyed_on_the_whole_twist_and_the_bounds():
+    # a plan is kept per process and read by every later twist with an
+    # equal key, so a plan warmed under one twist must not serve another
+    # that differs in what the plan reads: (a) the twists of omega with
+    # kappa k and k + 5 share the linear part, and their translations
+    # differ by (1, ..., 1), which a cycle's constant reads; (b) the
+    # identity twist is one affine map on gl:5 and gl:2*3, whose slot
+    # getters differ; (c) GL_5 and PGL_5 share map and bounds, so one
+    # plan serves both
+    d5, d23 = GroupDatum.gl(5), GroupDatum((2, 3))
+    cases = [
+        (Frobenius.inner(omega_element(d5, (k,))), Frobenius.inner(omega_element(d5, (k + 5,))), False)
+        for k in range(5)
+    ]
+    cases += [
+        (Frobenius.trivial(d5), Frobenius.trivial(d23), False),
+        (Frobenius.superbasic(2, 5), Frobenius.superbasic(2, 5, adjoint=True), True),
+    ]
+    # elements of gl:2*3 are elements of gl:5 as well
+    raw = [(a.trans, a.perm.images) for a in wa_ball(d23, 3)]
+    for first, second, shared in cases:
+        assert first.affine_map.linear == second.affine_map.linear
+        _keying_plan.cache_clear()
+        for frob in (first, second):
+            twist, slices = frob.affine_map, frob.datum.block_slices()
+            assert same_keys(_newton_keys(raw, twist, slices), brute_keys_reference(raw, twist, slices))
+        assert bool(_keying_plan.cache_info().hits) == shared
 
 
 def test_twist_change_identity():

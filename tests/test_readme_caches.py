@@ -163,11 +163,13 @@ def test_unbounded_memos_are_found():
 
 
 def test_the_package_caches_are_seen():
-    # the package keeps state across problems in these four only: the
+    # the package keeps state across problems in these five only: the
     # block Adm table, the superbasic twist data, the reduction's
-    # per-twist stages and the CLI's parser
+    # per-twist stages, the brute force's keying plans and the CLI's
+    # parser
     assert PACKAGE_CACHES == [
-        "acceptable._BLOCK_ADM", "cli._parser", "reduction._stage", "superbasic._twist_data",
+        "acceptable._BLOCK_ADM", "cli._parser", "newton._keying_plan", "reduction._stage",
+        "superbasic._twist_data",
     ]
 
 

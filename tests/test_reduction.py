@@ -436,12 +436,13 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     # and 35 of them attain the maximal Newton point under superbasic
     # 2/5. The brute force keys one element per orbit under conjugation
     # by omega_1, the least by (images, trans): 341 elements over 28
-    # permutations reach _newton_keys. It reads the linear part of
-    # u o A once per permutation it receives and no other, since the
-    # twist's Sigma0 derived its block orbits in the constructive path
-    # of the auto run; and it takes lengths only inside the maximal
-    # class, and only for the witness of the bruteforce strategy (auto
-    # discards it)
+    # permutations reach _newton_keys. From a cleared plan cache it
+    # reads the linear part of u o A once per permutation it receives
+    # and no other, since the twist's Sigma0 derived its block orbits in
+    # the constructive path of the auto run; and it takes lengths only
+    # inside the maximal class, and only for the witness of the
+    # bruteforce strategy (auto discards it). Another mu under the same
+    # twist reads the linear parts of the permutations not yet seen only
     import bgmu.acceptable as acceptable
     import bgmu.newton as newton
     import bgmu.reduction as reduction
@@ -475,6 +476,7 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
     monkeypatch.setattr(weyl, "_window_length", counted("length", weyl._window_length))
     frob = Frobenius.superbasic(2, 5)
     for strategy in ("auto", "bruteforce"):
+        newton._keying_plan.cache_clear()
         calls.update(dict.fromkeys(calls, 0))
         keyed.clear()
         r = solve((2, 2, 1, 0, 0), frob, strategy=strategy)
@@ -486,6 +488,20 @@ def test_bruteforce_walks_cycles_once_per_permutation(monkeypatch):
             assert calls["length"] == 0
         else:
             assert 0 < calls["length"] <= 35
+    # from a cleared cache, mu = (1,1,0,0,0) keys 20 permutations,
+    # (2,1,1,0,0) those 20 and 8 more, and (2,2,1,0,0) the same 28
+    newton._keying_plan.cache_clear()
+    seen: set = set()
+    built = []
+    for mu in ((1, 1, 0, 0, 0), (2, 1, 1, 0, 0), (2, 2, 1, 0, 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        keyed.clear()
+        assert solve(mu, frob, strategy="auto").checks["matches_bruteforce"]
+        perms = {images for _, images in keyed}
+        assert calls["linear"] == len(perms - seen)
+        built.append(calls["linear"])
+        seen |= perms
+    assert built == [20, 8, 0]
 
 
 def test_solve_gl40_has_no_recursion_limit():
