@@ -59,8 +59,9 @@ conjugation or a descent that broke one lifts to a witness that
 
 Two routes prove w <= t^{x(mu)}, chosen by the trace. On a trace of
 one superbasic base below the adjoint step, the base's peel
-certificate is the proof, read in O(n): its chain descends strictly,
-step by checked step, from t^{eps(mu)} sigma to its end, and sigma has
+certificate is the proof, read in O(n): its chain descends strictly
+from t^{eps(mu)} sigma to its end (``sharp_peel`` checked each step
+by one O(1) comparison), and sigma has
 length zero, so w = end sigma^-1 is below t^{eps(mu)}; being reached
 from it by affine reflections, w also lies in its coset, that of t^mu.
 So it suffices that the certificate is this answer's: its mu is mu, x

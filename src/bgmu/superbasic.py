@@ -15,7 +15,7 @@ The ingredients, all for coprime 0 < m < n:
 * the peeling of theta = mu + chi into a sharp decomposition, emitting
   a strictly decreasing Bruhat chain from t^{eps(mu)} sigma_{m,n} down
   to eps t^theta x_c eps^{-1}, each step right multiplication by one
-  transposition and each certified by a strict drop in length.
+  transposition and each certified as a strict descent.
 
 No Bruhat query is made here, and each fact is checked in one place
 (the first two once per (m, n) per process, through ``_twist_data``):
@@ -23,13 +23,17 @@ No Bruhat query is made here, and each fact is checked in one place
 * ``omega_element``: sigma_{m,n} has length zero, by an O(n) test;
 * ``euclid_chain``: each level's templates rebuild the level above it,
   so every level expands to chi_{m,n} by induction;
-* ``sharp_peel``: each chain step drops the length (the start's length
-  is the closed form for t^mu, each drop exact in O(n)), so it is a
-  strict Bruhat descent; the chain starts at t^{eps(mu)} sigma_{m,n},
-  so it proves w < t^{eps(mu)}; and the decomposition has the hull
-  slopes of theta, compared piece by piece with the hull's runs. The
-  start is the product rule on sigma_{m,n}'s tuples, and a step swaps
-  two images of one block, so both elements are built unchecked;
+* ``sharp_peel``: each chain step is a strict Bruhat descent, by one
+  O(1) comparison on the running images (``_transposition_descends``);
+  the chain starts at t^{eps(mu)} sigma_{m,n}, so it proves
+  w < t^{eps(mu)}; and the decomposition has the hull slopes of theta,
+  compared piece by piece with the hull's runs. The start is the
+  product rule on sigma_{m,n}'s tuples and the end is the running
+  images, which differ from sigma's by swaps inside its one block, so
+  both are built unchecked. The lengths along the chain are derived
+  where they are read (``PeelCertificate``): the start's is the closed
+  form for t^mu, and each step adds one ``_transposition_delta``, in
+  O(|a - b|);
 * ``superbasic_witness``: the Newton point of w is that slope sequence,
   compared with one integer list, so the point is built from the
   slopes unchecked;
@@ -65,8 +69,8 @@ from .weyl import (
     _dominant_length,
     _element_text,
     _transposition_delta,
+    _transposition_descends,
     _translation_text,
-    format_element,
     superbasic_element,
 )
 
@@ -149,7 +153,9 @@ class EuclideanChain(NamedTuple):
     into level h. ``ends0`` is the one block-boundary table:
     ``ends0[h]`` holds the ends of the level-h entries in level-0
     coordinates, so ``ends0[h + 1]``, a subset of ``ends0[h]``, ends the
-    level-one blocks of level h.
+    level-one blocks of level h. As the tables nest, ``top[p]`` is the
+    largest h with p in ``ends0[h]``, for p = 1..n, and ``top[0]`` is the
+    top level: position 0 ends every level.
     """
 
     m: int
@@ -158,6 +164,7 @@ class EuclideanChain(NamedTuple):
     chis: tuple[tuple[int, ...], ...]
     templates: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     ends0: tuple[tuple[int, ...], ...]
+    top: tuple[int, ...]
 
     @property
     def depth(self) -> int:
@@ -189,7 +196,12 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
         chis.append(nxt)
         templates.append((one, zero))
         ends0.append(tuple(ends))
-    return EuclideanChain(m, n, tuple(pairs), tuple(chis), tuple(templates), tuple(ends0))
+    top = [0] * (n + 1)
+    for h, ends in enumerate(ends0):
+        for p in ends:
+            top[p] = h
+    top[0] = len(ends0) - 1  # position 0 ends every level
+    return EuclideanChain(m, n, tuple(pairs), tuple(chis), tuple(templates), tuple(ends0), tuple(top))
 
 
 class LevelSplit(NamedTuple):
@@ -207,13 +219,13 @@ def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit
     a, b = gamma
     if not (1 <= a <= b <= chain.n):
         raise ParseError(f"segment [{a},{b}] is not aligned with positions 1..{chain.n}")
-    # the boundaries ascend: i1 - 1 of them lie before a and j1 at or
-    # before b; level 0 has every position as a boundary
-    for level in range(chain.depth, -1, -1):
-        ends = chain.ends0[level]
-        i1, j1 = bisect_left(ends, a) + 1, bisect_right(ends, b)
-        if (a == 1 or (i1 > 1 and ends[i1 - 2] == a - 1)) and j1 and ends[j1 - 1] == b:
-            break
+    # a level-h entry starts at a when one ends at a - 1, and the tables
+    # nest, so the largest level at which a starts and b ends an entry is
+    # the lower of their tops; its boundaries ascend: i1 - 1 of them lie
+    # before a and j1 at or before b
+    level = min(chain.top[a - 1], chain.top[b])
+    ends = chain.ends0[level]
+    i1, j1 = bisect_left(ends, a) + 1, bisect_right(ends, b)
     iota = Segment(i1, chain.chis[level][i1 - 1 : j1])
     # inside one level-one block: no block of level h + 1 ends in [a, b - 1]
     inside = level == chain.depth or (
@@ -231,6 +243,7 @@ class _TwistData(NamedTuple):
     eps: Permutation
     eps_text: str
     sigma: AffineElement
+    sigma_text: str  # "*cyc(...)" per cycle, as it follows a translation
     sigma_inv: AffineElement
     affine_map: AffineMap
 
@@ -240,21 +253,26 @@ def _twist_data(m: int, n: int) -> _TwistData:
     """The (m, n) data of a witness, built and checked once per pair per
     process: the template check of ``euclid_chain``, the length-zero
     proof of ``omega_element`` and the checks of ``Frobenius`` run on
-    the first call. Epsilon's cycle text, which every certificate
-    prints, is kept beside it, and sigma_{m,n} carries the GL_n datum
-    that every element of a peel lives on. An invalid pair raises
-    ParseError, which is not cached."""
+    the first call. The cycle texts of epsilon and of sigma_{m,n}, whose
+    permutation every chain starts from, are kept beside them, as every
+    certificate prints both, and sigma_{m,n} carries the GL_n datum that
+    every element of a peel lives on. An invalid pair raises ParseError,
+    which is not cached."""
     chain = euclid_chain(m, n)  # its chi(m, n) checks m and n
     eps = _epsilon(m, n)
     sigma = superbasic_element(m, n)
     return _TwistData(
-        chain, eps, repr(eps), sigma, sigma.inverse(), Frobenius.inner(sigma).affine_map
+        chain, eps, repr(eps), sigma, _element_text("", sigma.perm.images),
+        sigma.inverse(), Frobenius.inner(sigma).affine_map,
     )
 
 
 # --- the peeling construction ------------------------------------------------
 
 class ChainStep(NamedTuple):
+    """One step of a peel's chain with its elements and lengths, as
+    ``PeelCertificate.chain`` derives it."""
+
     block: int
     kind: str  # "zeta" | "xi" | "final"
     cycle: tuple[int, int]
@@ -266,6 +284,14 @@ class ChainStep(NamedTuple):
 
 
 class PeelCertificate(NamedTuple):
+    """A peel's result. Its chain is stored as ``steps``, one (block,
+    kind, cycle, cycle_conjugated) per step: from ``start``, each step
+    multiplies on the right by the transposition cycle_conjugated, and
+    the last reaches ``end``. The elements and lengths along the chain
+    are derived where they are read, by one replay of the steps:
+    ``to_json_dict`` prints them, and ``chain`` returns them as
+    ``ChainStep`` records, built afresh on each read."""
+
     m: int
     n: int
     mu: tuple[int, ...]
@@ -275,17 +301,60 @@ class PeelCertificate(NamedTuple):
     breakpoints: tuple[int, ...]
     decomposition: tuple[Segment, ...]
     slopes: tuple[Fraction, ...]
-    chain: tuple[ChainStep, ...]
+    steps: tuple[tuple[int, str, tuple[int, int], tuple[int, int]], ...]
     start: AffineElement
     end: AffineElement
 
+    def _replay(self):
+        """(step, images, length before, length after) per step, where
+        images is the running one-line list of the permutation after the
+        step, valid until the next one. The start has the length of t^mu,
+        the closed form (sigma has length zero and eps permutes mu), and
+        each step adds its ``_transposition_delta``, in O(|c - d|)."""
+        lam, images = self.start.trans, list(self.start.perm.images)
+        length = _dominant_length(self.mu)
+        for step in self.steps:
+            c, d = step[3]
+            after = length + _transposition_delta(lam, images, c, d)
+            images[c - 1], images[d - 1] = images[d - 1], images[c - 1]
+            yield step, images, length, after
+            length = after
+
+    @property
+    def chain(self) -> tuple[ChainStep, ...]:
+        """The chain's records, by the replay, in O(n) per step."""
+        datum, lam = self.start.datum, self.start.trans
+        out, before = [], self.start
+        for step, images, length, after_length in self._replay():
+            # two images swapped inside the one block of GL_n are still
+            # a block-preserving permutation
+            after = AffineElement._unchecked(datum, lam, Permutation._unchecked(tuple(images)))
+            out.append(ChainStep(*step, before, after, length, after_length))
+            before = after
+        return tuple(out)
+
     def to_json_dict(self) -> dict:
-        # step i runs from texts[i] to texts[i + 1]: each element is
-        # formatted once, and the translation, which emit hands on
-        # unchanged from the start to every step, is joined once
+        # every element of the chain shares the start's translation, whose
+        # text is joined once; the start's permutation is sigma's, whose
+        # text is kept per (m, n), and each step's after is one cycle walk
+        twist = _twist_data(self.m, self.n)
         t = _translation_text(self.start.trans)
-        texts = [_element_text(t, w.perm.images)
-                 for w in (self.start, *(c.after for c in self.chain))]
+        start = before = t + twist.sigma_text
+        chain = []
+        for (block, kind, cycle, conjugated), images, length, after_length in self._replay():
+            after = _element_text(t, images)
+            chain.append({
+                "block": block,
+                "kind": kind,
+                "cycle": list(cycle),
+                "cycle_conjugated": list(conjugated),
+                "before": before,
+                "after": after,
+                "length_before": length,
+                "length_after": after_length,
+                "verified": True,  # sharp_peel raises before recording an unverified step
+            })
+            before = after
         # the pieces tile 1..n and each shares one slope along its
         # positions, which is written once per piece
         slopes: list[str] = []
@@ -298,36 +367,26 @@ class PeelCertificate(NamedTuple):
             "mu": list(self.mu),
             "chi": list(self.chi),
             "theta": list(self.theta),
-            "epsilon": _twist_data(self.m, self.n).eps_text,
+            "epsilon": twist.eps_text,
             "breakpoints": list(self.breakpoints),
             "decomposition": [
                 {"head": s.head, "tail": s.tail, "values": list(s.values)}
                 for s in self.decomposition
             ],
             "slopes": slopes,
-            "chain": [
-                {
-                    "block": c.block,
-                    "kind": c.kind,
-                    "cycle": list(c.cycle),
-                    "cycle_conjugated": list(c.cycle_conjugated),
-                    "before": texts[i],
-                    "after": texts[i + 1],
-                    "length_before": c.length_before,
-                    "length_after": c.length_after,
-                    "verified": True,  # emit raises before building an unverified step
-                }
-                for i, c in enumerate(self.chain)
-            ],
-            "start": texts[0],
-            "end": texts[-1],
+            "chain": chain,
+            "start": start,
+            "end": before,
         }
 
 
 def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     """Peel theta = mu + chi_{m,n} block by block into a sharp
     decomposition, certifying each emitted transposition (conjugated by
-    epsilon) as a strict Bruhat descent by its drop in length. The peel
+    epsilon) as a strict Bruhat descent by one O(1) comparison on the
+    chain's running images, which the certificate records as its steps;
+    no element of the chain is built but its end, and no length is
+    counted (``PeelCertificate`` derives them). The peel
     runs in level-0 coordinates: each piece is a range of positions of
     theta, split at the block ends ``ends0`` of the Euclidean chain. The
     Euclidean chain, epsilon and sigma_{m,n} come from ``_twist_data``,
@@ -344,37 +403,31 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
         raise ParseError(f"mu {mu} is not dominant")
     twist = _twist_data(m, n)
     chain_data, eps, sigma = twist.chain, twist.eps, twist.sigma
-    datum = sigma.datum
     chi0 = chain_data.chis[0]
     theta = tuple(a + b for a, b in zip(mu, chi0))
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
     # t^{eps(mu)} sigma by the product rule with u = 1: the translation
     # eps(mu) + sigma's, on sigma's permutation, valid as sigma is
-    start = AffineElement._unchecked(datum, tuple(map(add, eps.act(mu), sigma.trans)), sigma.perm)
+    lam = tuple(map(add, eps.act(mu), sigma.trans))
+    start = AffineElement._unchecked(sigma.datum, lam, sigma.perm)
 
-    chain_steps: list[ChainStep] = []
+    steps: list[tuple[int, str, tuple[int, int], tuple[int, int]]] = []
     decomposition: list[Segment] = []
-    # sigma has length zero and eps permutes mu, so l(start) = l(t^mu)
-    current, length = start, _dominant_length(mu)
+    # the chain's element t^lam u, as u's images: a step w -> w (c d)
+    # keeps lam, and u(c), u(d) trade places
+    images = list(sigma.perm.images)
 
     def emit(block_i: int, kind: str, a: int, b: int) -> None:
-        nonlocal current, length
         c, d = eps(a), eps(b)
-        images = list(current.perm.images)  # nxt = current * (c d): u(c), u(d) trade places
-        images[c - 1], images[d - 1] = images[d - 1], images[c - 1]
-        # two images swapped inside the one block of GL_n are still a
-        # block-preserving permutation, so nxt is not checked again
-        nxt = AffineElement._unchecked(datum, current.trans, Permutation._unchecked(tuple(images)))
-        nxt_len = length + _transposition_delta(current.trans, current.perm.images, c, d)
         # (c d) is a reflection r, and wr < w iff l(wr) < l(w)
-        if nxt_len >= length:
+        if not _transposition_descends(lam, images, c, d):
             raise InternalCheckFailed(
                 f"chain step {kind} cyc{(a, b)} is not a strict Bruhat descent"
-                f" at {format_element(current)}"
+                f" at {_element_text(_translation_text(lam), images)}"
             )
-        chain_steps.append(ChainStep(block_i, kind, (a, b), (c, d), current, nxt, length, nxt_len))
-        current, length = nxt, nxt_len
+        images[c - 1], images[d - 1] = images[d - 1], images[c - 1]
+        steps.append((block_i, kind, (a, b), (c, d)))
 
     def theta_seg(rng0: tuple[int, int]) -> Segment:
         return Segment(rng0[0], theta[rng0[0] - 1 : rng0[1]])
@@ -436,9 +489,12 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
             f"peeled decomposition slopes {_vec_str(slopes)} differ from hull"
             f" {_vec_str(polygon(theta).slopes)}"
         )
+    # the running images differ from sigma's by swaps inside its one
+    # block, so the end is built unchecked, once
+    end = AffineElement._unchecked(sigma.datum, lam, Permutation._unchecked(tuple(images)))
     return PeelCertificate(
         m, n, mu, chi0, theta, eps, tuple(breaks),
-        tuple(decomposition), slopes, tuple(chain_steps), start, current,
+        tuple(decomposition), slopes, tuple(steps), start, end,
     )
 
 

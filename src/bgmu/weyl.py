@@ -422,6 +422,22 @@ def _transposition_delta(lam: Sequence[int], images: Sequence[int], a: int, b: i
     return (1 if kp < kq else -1) * (1 + 2 * between)
 
 
+def _transposition_descends(lam: Sequence[int], images: Sequence[int], a: int, b: int) -> bool:
+    """Whether w (a b) < w for w = t^lam u, in O(1): the sign of
+    ``_transposition_delta``, which is negative exactly when (lam_p, p) >
+    (lam_q, q) for p = u(min(a, b)) and q = u(max(a, b)). On a block of
+    size n_b that is f(a) > f(b) for the affine permutation f(r) = u(r) +
+    n_b lam_{u(r)}, the descent criterion of Bjorner-Brenti, 8.3.
+
+    >>> _transposition_descends((2, 0, 1), (1, 2, 3), 3, 1)
+    True
+    """
+    if a > b:
+        a, b = b, a
+    p, q = images[a - 1], images[b - 1]
+    return (lam[p - 1], p) > (lam[q - 1], q)
+
+
 class AffineElement(_Frozen):
     """t^trans * perm in the extended affine Weyl group of a datum."""
 

@@ -32,7 +32,10 @@ nothing in the package calls them:
 * the hull and the heights in fractions: ``polygon_reference``, the
   greedy longest-prefix search, and ``heights_reference``;
 * the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
-  and ``expand``;
+  and ``expand``, and ``level_decompose_reference``, the grading of a
+  segment by a scan of every level;
+* the peel's chain built eagerly: ``eager_peel_chain``, each step's
+  elements by a checked product and its lengths by ``im_length``;
 * the admissible set and its Newton points: ``adm_reference``,
   ``reference_attained`` and ``reference_brute_force``, and
   ``brute_keys_reference``, the brute force's keying one element at a
@@ -44,6 +47,7 @@ nothing in the package calls them:
 
 import itertools
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,7 +70,15 @@ from bgmu.newton import (
     newton_point,
 )
 from bgmu.reduction import SolveResult, _stage, step_json
-from bgmu.superbasic import SuperbasicWitness
+from bgmu.superbasic import (
+    ChainStep,
+    LevelSplit,
+    Segment,
+    SuperbasicWitness,
+    _epsilon,
+    euclid_chain,
+    superbasic_element,
+)
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -446,6 +458,67 @@ def expand(chain, level: int, values) -> tuple:
             x for v in out for x in (one if v == 1 else zero)
         )
     return out
+
+
+def level_decompose_reference(chain, gamma) -> LevelSplit:
+    """``superbasic.level_decompose`` by a scan of the levels from the
+    top, two bisects each: the first level at which a starts an entry (a
+    is 1, or a - 1 ends one) and b ends one."""
+    a, b = gamma
+    for level in range(chain.depth, -1, -1):
+        ends = chain.ends0[level]
+        i1, j1 = bisect_left(ends, a) + 1, bisect_right(ends, b)
+        if (a == 1 or (i1 > 1 and ends[i1 - 2] == a - 1)) and j1 and ends[j1 - 1] == b:
+            break
+    iota = Segment(i1, chain.chis[level][i1 - 1 : j1])
+    inside = level == chain.depth or (
+        bisect_left(chain.ends0[level + 1], a) == bisect_left(chain.ends0[level + 1], b)
+    )
+    return LevelSplit(level, iota, inside)
+
+
+def eager_peel_chain(mu, m: int, n: int) -> tuple:
+    """The chain of ``sharp_peel(mu, m, n)`` built eagerly, one
+    ``ChainStep`` per step: the same transpositions, chosen by the same
+    peel of each block of mu with ``level_decompose_reference``, the
+    after element the checked product of the before one with the
+    transposition, and both lengths counted by ``im_length``. The pieces
+    themselves are not built: only their ends choose the steps."""
+    chain = euclid_chain(m, n)
+    eps, sigma = _epsilon(m, n), superbasic_element(m, n)
+    datum = sigma.datum
+    current = AffineElement.translation(datum, eps.act(mu)) * sigma
+    steps = []
+
+    def emit(block_i, kind, a, b):
+        nonlocal current
+        c, d = eps(a), eps(b)
+        nxt = current * AffineElement.from_permutation(datum, Permutation.from_cycles(n, [(c, d)]))
+        steps.append(ChainStep(block_i, kind, (a, b), (c, d), current, nxt,
+                               im_length(current), im_length(nxt)))
+        current = nxt
+
+    bounds = [0] + [j for j in range(1, n) if mu[j - 1] != mu[j]] + [n]
+    for i in range(1, len(bounds)):
+        cur = (bounds[i - 1] + 1, bounds[i])
+        while not (split := level_decompose_reference(chain, cur)).inside_elementary:
+            # zeta runs from a to the end of a's block, unless a starts
+            # it; xi from the start of b's block to b, unless b ends it
+            a, b = cur
+            outer = chain.ends0[split.level + 1]
+            p, q = bisect_left(outer, a), bisect_left(outer, b)
+            a_start, b_start = (outer[p - 1] + 1 if p else 1), outer[q - 1] + 1
+            zeta, xi = a > a_start, b < outer[q]
+            cur = (outer[p] + 1 if zeta else a, b_start - 1 if xi else b)
+            if cur[0] > cur[1]:
+                xi, cur = False, (b_start, b)
+            if zeta:
+                emit(i, "zeta", n, outer[p])
+            if xi:
+                emit(i, "xi", b_start - 1, b)
+        if cur[1] != n:
+            emit(i, "final", cur[1], n)
+    return tuple(steps)
 
 
 # --- brute-force oracles ---------------------------------------------------------

@@ -37,14 +37,17 @@ from bgmu.weyl import (
     Permutation,
     _dominant_length,
     _transposition_delta,
+    _transposition_descends,
     superbasic_element,
 )
 from conftest import (
     a_sequence_less,
     bruhat_lt,
     dominant_coweights,
+    eager_peel_chain,
     expand,
     im_length,
+    level_decompose_reference,
     reading_sequence,
 )
 
@@ -247,6 +250,19 @@ def test_level_decompose_matches_the_template_spans(m, n):
             assert split.iota == Segment(i, ch.chis[h][i - 1 : j]), (a, b)
 
 
+@pytest.mark.parametrize("m,n", coprime_pairs(24))
+def test_the_level_table_gives_the_level_scan(m, n):
+    # each position's top is the largest level that it ends an entry of,
+    # and the split read off the table is the one the scan finds
+    ch = euclid_chain(m, n)
+    assert len(ch.top) == n + 1 and ch.top[0] == ch.depth
+    for p in range(1, n + 1):
+        assert ch.top[p] == max(h for h, ends in enumerate(ch.ends0) if p in ends), p
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            assert level_decompose(ch, (a, b)) == level_decompose_reference(ch, (a, b)), (a, b)
+
+
 def test_fact_c_elementary_interior_readings():
     """Interior positions of an elementary block read strictly below
     both the position before its head and its tail."""
@@ -354,6 +370,87 @@ def test_transposition_delta_is_the_counted_change(data):
         return im_length(AffineElement(GroupDatum.gl(n), lam, Permutation(u)))
 
     assert _transposition_delta(lam, images, a, b) == length(swapped) - length(images)
+
+
+@st.composite
+def transpositions_of_elements(draw):
+    """t^lam u on a product of GL/PGL blocks and a transposition (a b)
+    inside one of its blocks. The entries of lam are small, so that they
+    tie, or of 20 digits, both signs, among them two that tie."""
+    blocks = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    if max(blocks) < 2:
+        blocks += (2,)
+    adjoint = tuple(draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks))))
+    datum = GroupDatum(blocks, adjoint)
+    images: list[int] = []
+    for lo, hi in datum.block_ranges():
+        images += draw(st.permutations(range(lo, hi + 1)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20),
+                      st.sampled_from([-10**19 - 1, 10**19 + 1]))
+    lam = tuple(draw(st.lists(entry, min_size=datum.n, max_size=datum.n)))
+    lo, hi = draw(st.sampled_from([r for r in datum.block_ranges() if r[1] > r[0]]))
+    a, b = draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2, unique=True))
+    return datum, lam, tuple(images), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(transpositions_of_elements())
+def test_the_descent_test_is_the_sign_of_the_length_change(case):
+    datum, lam, images, a, b = case
+    swapped = list(images)
+    swapped[a - 1], swapped[b - 1] = swapped[b - 1], swapped[a - 1]
+    before = im_length(AffineElement(datum, lam, Permutation(images)))
+    after = im_length(AffineElement(datum, lam, Permutation(swapped)))
+    delta = _transposition_delta(lam, images, a, b)
+    assert delta == after - before
+    assert _transposition_descends(lam, images, a, b) == (delta < 0) == (after < before)
+
+
+@pytest.mark.parametrize("m,n", coprime_pairs(16))
+def test_the_derived_chain_is_the_eager_one(m, n):
+    eps = _epsilon(m, n)
+    for mu in _peel_mus(n):
+        cert = sharp_peel(mu, m, n)
+        chain = cert.chain
+        assert chain == eager_peel_chain(mu, m, n), (mu, m, n)
+        assert [s.cycle_conjugated for s in chain] == [(eps(a), eps(b)) for a, b in (s.cycle for s in chain)]
+        # block by block, the blocks of mu numbered from 1
+        blocks = [s.block for s in chain]
+        assert blocks == sorted(blocks) and set(blocks) <= set(range(1, len(cert.breakpoints) + 2))
+        assert (chain[-1].after if chain else cert.start) == cert.end
+
+
+def test_the_peel_builds_a_fixed_number_of_elements(monkeypatch):
+    # a witness on distinct entries, whose chain has n - 1 steps, builds
+    # as many elements at n = 512 as at n = 64 and counts no length;
+    # printing its certificate adds one length change per step
+    from bgmu import superbasic
+
+    deltas, built = [], []
+    real_delta = superbasic._transposition_delta
+    real_unchecked = weyl._Frozen.__dict__["_unchecked"].__func__
+
+    def delta(*args):
+        deltas.append(args)
+        return real_delta(*args)
+
+    def unchecked(cls, *fields):
+        built.append(cls)
+        return real_unchecked(cls, *fields)
+
+    monkeypatch.setattr(superbasic, "_transposition_delta", delta)
+    monkeypatch.setattr(weyl._Frozen, "_unchecked", classmethod(unchecked))
+    counts = {}
+    for n in (64, 512):
+        mu, m = tuple(range(n - 1, -1, -1)), n // 2 + 1
+        superbasic_witness(mu, m, n)  # the twist's data, once per (m, n)
+        del deltas[:], built[:]
+        sw = superbasic_witness(mu, m, n)
+        assert len(sw.certificate.steps) == n - 1 and deltas == []
+        counts[n] = (built.count(AffineElement), built.count(Permutation))
+        sw.certificate.to_json_dict()
+        assert len(deltas) == n - 1
+    assert counts[64] == counts[512] and max(counts[512]) <= 3, counts
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -672,7 +769,7 @@ def test_templates_that_do_not_rebuild_chi_are_refused(monkeypatch):
 def test_a_chain_step_that_keeps_the_length_is_refused(monkeypatch):
     import bgmu.superbasic as superbasic
 
-    monkeypatch.setattr(superbasic, "_transposition_delta", lambda *args: 0)
+    monkeypatch.setattr(superbasic, "_transposition_descends", lambda *args: False)
     with pytest.raises(InternalCheckFailed, match=re.escape(
         "chain step final cyc(1, 3) is not a strict Bruhat descent at t[1,1,0]*cyc(1,2,3)"
     )):
@@ -691,7 +788,7 @@ def test_pieces_that_do_not_tile_the_block_are_refused(monkeypatch, cut, message
     import bgmu.superbasic as superbasic
 
     monkeypatch.setattr(superbasic, "Segment", lambda head, values: Segment(*cut(head, values)))
-    monkeypatch.setattr(superbasic, "_transposition_delta", lambda *args: -1)
+    monkeypatch.setattr(superbasic, "_transposition_descends", lambda *args: True)
     with pytest.raises(InternalCheckFailed, match=f"^{message}$"):
         sharp_peel((0, 0, 0), 1, 3)
 
