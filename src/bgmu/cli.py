@@ -236,14 +236,15 @@ def cmd_newton(args) -> int:
 def _replayable(cmd):
     """Run cmd(problem, args) on the parsed problem; after a failed
     internal check (a bug), print the problem on stderr as compact JSON
-    to replay."""
+    to replay: the one the check carries (``reduction._solve`` attaches
+    its problem), or the parsed one when it carries none."""
 
     def run(args) -> int:
         problem = _problem_from_args(args)
         try:
             return cmd(problem, args)
         except InternalCheckFailed as exc:
-            replay = json.dumps(_problem_json(problem), separators=(",", ":"))
+            replay = json.dumps(_problem_json(exc.problem or problem), separators=(",", ":"))
             sys.stderr.write(f"bgmu: {exc}\nbgmu: problem {replay}\n")
             return 1
 

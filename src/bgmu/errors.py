@@ -14,12 +14,14 @@ class ParseError(BgmuError, ValueError):
 
 
 class GuardExceeded(BgmuError, RuntimeError):
-    """A desk-scale enumeration guard was hit.
+    """A desk-scale enumeration guard, or the walk guard of a
+    constructive solve, was hit.
 
     The BGMU_GUARD environment variable replaces the three rank limits
     (enumeration 8, admissible set 5, brute force 6) by its one value:
     a larger value admits a larger computation, a smaller one lowers
-    all three.
+    all three. It does not move the walk guard's budget
+    (``reduction.WALK_BUDGET``), whose cost grows with the entries.
     """
 
 
@@ -32,5 +34,9 @@ class InternalCheckFailed(BgmuError, AssertionError):
     """A self-verification that is guaranteed by theory failed.
 
     This always indicates a bug, never bad user input; the message
-    carries enough state to replay the failure.
+    carries enough state to replay the failure. ``problem`` is the
+    ``reduction.Problem`` of a solve that let the failure through, or
+    None where no solve did.
     """
+
+    problem = None

@@ -132,12 +132,18 @@ from .weyl import (
     RatVec,
     SignedMap,
     _Frozen,
+    _dominant_length,
     _length_zero,
     _subword_split,
     bruhat_leq,
     format_element,
     omega_element,
 )
+
+
+# the most len(t^mu) * n that a walking solve may cost
+# (``_check_walk_cost``); README's Guards section gives its headroom
+WALK_BUDGET = 10**7
 
 
 class Problem(_Frozen):
@@ -701,51 +707,77 @@ def solve(mu: Sequence[int], frob: Frobenius, strategy: str = "auto") -> SolveRe
     maximizes over the Newton points of the admissible set (guarded);
     ``auto`` runs the constructive path and compares the maximal point
     with the brute-force maximum, unless the brute force refuses the
-    problem (``GuardExceeded``, for rank, entry spread or size).
+    problem (``GuardExceeded``, for rank, entry spread or size). Both
+    refuse a problem whose Bruhat walks would cost more than
+    ``WALK_BUDGET`` (``_check_walk_cost``).
     """
     if strategy not in ("auto", "constructive", "bruteforce"):
         raise ParseError(f"unknown strategy {strategy!r}")
     return _solve(Problem(tuple(mu), frob), strategy)
 
 
+def _check_walk_cost(problem: Problem) -> None:
+    """Refuse a constructive solve whose Bruhat walks would take too
+    long (``GuardExceeded``). Every trace but a lone superbasic base
+    walks from t^{x(mu)} down to w at least once, about len(t^mu) steps
+    of O(n) each, and len(t^mu) grows with the entries of mu, not with
+    their digits. A translation's length depends only on its W-orbit, so
+    len(t^{x(mu)}) = len(t^mu), the closed form per block, in O(n)."""
+    step = _stage(problem.frob)
+    if isinstance(step, BaseStep) and step.kind == "base-superbasic":
+        return
+    datum = problem.datum
+    length = sum(_dominant_length(problem.mu[sl]) for sl in datum.block_slices())
+    if length * datum.n > WALK_BUDGET:
+        raise GuardExceeded(
+            f"walk guard: len(t^mu) * n = {length} * {datum.n} > {WALK_BUDGET}"
+        )
+
+
 def _solve(problem: Problem, strategy: str) -> SolveResult:
     """``solve`` on a checked problem and a known strategy, as ``bgmu
-    max`` has them: mu is not checked again."""
-    frob = problem.frob
-    checks: dict = {}
-    if strategy == "bruteforce":
-        # the claimed maximum and a witness; _verify_solution looks up x
-        nu_raw, w = _brute_force(problem.mu, frob, witness=True)
-        sol = Solution(w, None, (BaseStep("bruteforce", 0, problem.datum.n, 0),))
-        checks["bruteforce"] = True
-    else:
-        # the input is checked above, so these errors are reduction bugs
-        try:
-            sol = _solve_orbits(problem)
-        except (ParseError, DimensionMismatch, LookupError) as exc:
-            raise InternalCheckFailed(f"reduction failed: {exc!r}") from exc
-        ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
-        sol = sol._replace(trace=(ad_step,) + sol.trace)
-        # the claimed point; _verify_solution checks that w realizes it
-        nu_raw = _maximal_state(frob, _orbit_bounds(problem.mu, frob)).nu_raw
-        checks["matches_maximal_newton"] = True
-        if strategy == "auto":
+    max`` has them: mu is not checked again. A failed internal check
+    leaves with the problem attached, so a caller can replay it."""
+    try:
+        frob = problem.frob
+        checks: dict = {}
+        if strategy == "bruteforce":
+            # the claimed maximum and a witness; _verify_solution looks up x
+            nu_raw, w = _brute_force(problem.mu, frob, witness=True)
+            sol = Solution(w, None, (BaseStep("bruteforce", 0, problem.datum.n, 0),))
+            checks["bruteforce"] = True
+        else:
+            # the input is checked above, so these errors are reduction bugs
             try:
-                brute, _ = _brute_force(problem.mu, frob, witness=False)
-            except GuardExceeded:
-                pass  # too large to list: no cross-check
-            else:
-                if brute != nu_raw:
-                    raise InternalCheckFailed(
-                        f"constructive {_vec_str(nu_raw)} and brute force"
-                        f" {_vec_str(brute)} disagree"
-                    )
-                checks["matches_bruteforce"] = True
-    point, x = _verify_solution(problem, sol, nu_raw)
-    checks["admissible"] = True
-    certificate = next((step.certificate for step in sol.trace
-                        if isinstance(step, BaseStep) and step.certificate is not None), None)
-    return SolveResult(
-        problem, point, nu_raw, sol.w, x, sol.trace,
-        certificate, strategy, checks,
-    )
+                _check_walk_cost(problem)
+                sol = _solve_orbits(problem)
+            except (ParseError, DimensionMismatch, LookupError) as exc:
+                raise InternalCheckFailed(f"reduction failed: {exc!r}") from exc
+            ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
+            sol = sol._replace(trace=(ad_step,) + sol.trace)
+            # the claimed point; _verify_solution checks that w realizes it
+            nu_raw = _maximal_state(frob, _orbit_bounds(problem.mu, frob)).nu_raw
+            checks["matches_maximal_newton"] = True
+            if strategy == "auto":
+                try:
+                    brute, _ = _brute_force(problem.mu, frob, witness=False)
+                except GuardExceeded:
+                    pass  # too large to list: no cross-check
+                else:
+                    if brute != nu_raw:
+                        raise InternalCheckFailed(
+                            f"constructive {_vec_str(nu_raw)} and brute force"
+                            f" {_vec_str(brute)} disagree"
+                        )
+                    checks["matches_bruteforce"] = True
+        point, x = _verify_solution(problem, sol, nu_raw)
+        checks["admissible"] = True
+        certificate = next((step.certificate for step in sol.trace
+                            if isinstance(step, BaseStep) and step.certificate is not None), None)
+        return SolveResult(
+            problem, point, nu_raw, sol.w, x, sol.trace,
+            certificate, strategy, checks,
+        )
+    except InternalCheckFailed as exc:
+        exc.problem = problem
+        raise

@@ -11,7 +11,9 @@ The ingredients, all for coprime 0 < m < n:
   epsilon(j) = (jm mod n) + 1 in closed form;
 * the division step f(m,n) together with two segment templates per
   step, which rebuild chi_{m,n} from a single 0 or 1 seed and grade
-  every subsegment of chi by a level;
+  every subsegment of chi by a level, kept as the block-end tables
+  ``ends0`` and ``top`` of ``EuclideanChain``, which the peel reads
+  itself, two bisects per step;
 * the peeling of theta = mu + chi into a sharp decomposition, emitting
   a strictly decreasing Bruhat chain from t^{eps(mu)} sigma_{m,n} down
   to eps t^theta x_c eps^{-1}, each step right multiplication by one
@@ -51,12 +53,11 @@ upper convex hull of theta.
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add
+from operator import add, lt
 from typing import NamedTuple, Sequence
 
 from .acceptable import _hull, polygon
@@ -155,7 +156,9 @@ class EuclideanChain(NamedTuple):
     coordinates, so ``ends0[h + 1]``, a subset of ``ends0[h]``, ends the
     level-one blocks of level h. As the tables nest, ``top[p]`` is the
     largest h with p in ``ends0[h]``, for p = 1..n, and ``top[0]`` is the
-    top level: position 0 ends every level.
+    top level: position 0 ends every level. ``sharp_peel`` reads both
+    tables itself: a segment [a, b]'s level is min(top[a - 1], top[b]),
+    and the level-one blocks holding a and b are found in ``ends0``.
     """
 
     m: int
@@ -202,36 +205,6 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
             top[p] = h
     top[0] = len(ends0) - 1  # position 0 ends every level
     return EuclideanChain(m, n, tuple(pairs), tuple(chis), tuple(templates), tuple(ends0), tuple(top))
-
-
-class LevelSplit(NamedTuple):
-    """Result of grading a subsegment of chi by the recursion."""
-
-    level: int
-    iota: Segment
-    inside_elementary: bool
-
-
-def level_decompose(chain: EuclideanChain, gamma: tuple[int, int]) -> LevelSplit:
-    """Maximal level h with the positions gamma = (a, b) the image of a
-    subsegment iota of chi at level h, and whether iota sits inside one
-    elementary block."""
-    a, b = gamma
-    if not (1 <= a <= b <= chain.n):
-        raise ParseError(f"segment [{a},{b}] is not aligned with positions 1..{chain.n}")
-    # a level-h entry starts at a when one ends at a - 1, and the tables
-    # nest, so the largest level at which a starts and b ends an entry is
-    # the lower of their tops; its boundaries ascend: i1 - 1 of them lie
-    # before a and j1 at or before b
-    level = min(chain.top[a - 1], chain.top[b])
-    ends = chain.ends0[level]
-    i1, j1 = bisect_left(ends, a) + 1, bisect_right(ends, b)
-    iota = Segment(i1, chain.chis[level][i1 - 1 : j1])
-    # inside one level-one block: no block of level h + 1 ends in [a, b - 1]
-    inside = level == chain.depth or (
-        bisect_left(chain.ends0[level + 1], a) == bisect_left(chain.ends0[level + 1], b)
-    )
-    return LevelSplit(level, iota, inside)
 
 
 # --- the twist's data --------------------------------------------------------
@@ -388,7 +361,9 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     no element of the chain is built but its end, and no length is
     counted (``PeelCertificate`` derives them). The peel
     runs in level-0 coordinates: each piece is a range of positions of
-    theta, split at the block ends ``ends0`` of the Euclidean chain. The
+    theta, split at the block ends ``ends0`` of the Euclidean chain, at
+    the level that ``top`` gives; a step does two bisects and builds a
+    ``Segment`` only for each piece it peels. The
     Euclidean chain, epsilon and sigma_{m,n} come from ``_twist_data``,
     built once per (m, n); mu is checked before them, so its errors come
     first.
@@ -399,12 +374,12 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     mu = tuple(mu)
     if len(mu) != n:
         raise ParseError(f"mu must have length {n}")
-    if any(a < b for a, b in zip(mu, mu[1:])):
+    if any(map(lt, mu, mu[1:])):
         raise ParseError(f"mu {mu} is not dominant")
     twist = _twist_data(m, n)
     chain_data, eps, sigma = twist.chain, twist.eps, twist.sigma
     chi0 = chain_data.chis[0]
-    theta = tuple(a + b for a, b in zip(mu, chi0))
+    theta = tuple(map(add, mu, chi0))
     breaks = [j for j in range(1, n) if mu[j - 1] != mu[j]]
     bounds = [0] + breaks + [n]
     # t^{eps(mu)} sigma by the product rule with u = 1: the translation
@@ -429,42 +404,49 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
         images[c - 1], images[d - 1] = images[d - 1], images[c - 1]
         steps.append((block_i, kind, (a, b), (c, d)))
 
-    def theta_seg(rng0: tuple[int, int]) -> Segment:
-        return Segment(rng0[0], theta[rng0[0] - 1 : rng0[1]])
+    def theta_seg(a: int, b: int) -> Segment:
+        return Segment(a, theta[a - 1 : b])
 
+    top, ends0, depth = chain_data.top, chain_data.ends0, chain_data.depth
     for i in range(1, len(bounds)):
         lo, hi = bounds[i - 1] + 1, bounds[i]
         zetas: list[Segment] = []
         xis: list[Segment] = []
-        cur = (lo, hi)
+        a, b = lo, hi
         while True:
-            split = level_decompose(chain_data, cur)
-            if split.inside_elementary:  # case II: cur is the last piece
+            if not lo <= a <= b <= hi:
+                raise InternalCheckFailed(f"segment [{a},{b}] is not aligned with block [{lo},{hi}]")
+            # a level-h entry starts at a when one ends at a - 1, and the
+            # tables nest, so the largest level at which a starts and b
+            # ends an entry is the lower of their tops
+            level = min(top[a - 1], top[b])
+            if level == depth:  # case II: [a, b] is the last piece
                 break
-            # case I: a and b lie in the level-one blocks p < q of level h,
-            # which end at outer[p] and outer[q]; zeta is a's block from a
-            # on, unless a starts it, and xi is b's block up to b, unless
-            # b ends it
-            a, b = cur
-            outer = chain_data.ends0[split.level + 1]
+            # [a, b] lies in the level-one blocks p <= q of that level,
+            # which end at outer[p] and outer[q]
+            outer = ends0[level + 1]
             p, q = bisect_left(outer, a), bisect_left(outer, b)
-            a_start, b_start = (outer[p - 1] + 1 if p else 1), outer[q - 1] + 1
-            zeta = theta_seg((a, outer[p])) if a > a_start else None
-            xi = theta_seg((b_start, b)) if b < outer[q] else None
-            cur = (a if zeta is None else outer[p] + 1, b if xi is None else b_start - 1)
-            if cur[0] > cur[1]:
+            if p == q:  # case II, inside one level-one block
+                break
+            # case I: zeta is a's block from a on, unless a starts it, and
+            # xi is b's block up to b, unless b ends it
+            a_end, b_start = outer[p], outer[q - 1] + 1
+            zeta, xi = a > (outer[p - 1] + 1 if p else 1), b < outer[q]
+            next_a, next_b = (a_end + 1 if zeta else a), (b_start - 1 if xi else b)
+            if next_a > next_b:
                 # both partial blocks meet: peel only the head piece and
                 # keep the rest as the next gamma (it is then case II)
-                xi, cur = None, (b_start, b)
-            if zeta is not None:
-                emit(i, "zeta", n, zeta.tail)
-                zetas.append(zeta)
-            if xi is not None:
-                emit(i, "xi", xi.head - 1, xi.tail)
-                xis.append(xi)
-        gamma_final = theta_seg(cur)
-        if gamma_final.tail != n:
-            emit(i, "final", gamma_final.tail, n)
+                xi, next_a, next_b = False, b_start, b
+            if zeta:
+                emit(i, "zeta", n, a_end)
+                zetas.append(theta_seg(a, a_end))
+            if xi:
+                emit(i, "xi", b_start - 1, b)
+                xis.append(theta_seg(b_start, b))
+            a, b = next_a, next_b
+        if b != n:
+            emit(i, "final", b, n)
+        gamma_final = theta_seg(a, b)
         block_pieces = zetas + [gamma_final] + list(reversed(xis))
         pos = lo
         for s in block_pieces:
@@ -477,13 +459,15 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
 
     # equal-slope neighbours of the decomposition merge into one hull run
     runs: list[tuple[int, int]] = []
+    slope_list: list[Fraction] = []
     for s in decomposition:
+        slope_list += [s.average] * s.size
         if runs and runs[-1][1] * s.size == s.total * runs[-1][0]:
             width, rise = runs.pop()
             runs.append((width + s.size, rise + s.total))
         else:
             runs.append((s.size, s.total))
-    slopes = tuple(itertools.chain.from_iterable([s.average] * s.size for s in decomposition))
+    slopes = tuple(slope_list)
     if runs != _hull(theta):
         raise InternalCheckFailed(
             f"peeled decomposition slopes {_vec_str(slopes)} differ from hull"

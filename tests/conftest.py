@@ -33,7 +33,7 @@ nothing in the package calls them:
   greedy longest-prefix search, and ``heights_reference``;
 * the Euclidean recursion: ``reading_sequence``, ``a_sequence_less``
   and ``expand``, and ``level_decompose_reference``, the grading of a
-  segment by a scan of every level;
+  segment by a scan of every level, as a ``LevelSplit``;
 * the peel's chain built eagerly: ``eager_peel_chain``, each step's
   elements by a checked product and its lengths by ``im_length``;
 * the admissible set and its Newton points: ``adm_reference``,
@@ -52,11 +52,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 import pytest
 
 from bgmu.acceptable import PolygonData, _mu_lam_diamond, support_nodes
-from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed
+from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed, ParseError
 from bgmu.newton import (
     Frobenius,
     LinearPart,
@@ -72,7 +73,6 @@ from bgmu.newton import (
 from bgmu.reduction import SolveResult, _stage, step_json
 from bgmu.superbasic import (
     ChainStep,
-    LevelSplit,
     Segment,
     SuperbasicWitness,
     _epsilon,
@@ -460,11 +460,24 @@ def expand(chain, level: int, values) -> tuple:
     return out
 
 
+class LevelSplit(NamedTuple):
+    """The grading of a subsegment [a, b] of chi by the recursion."""
+
+    level: int
+    iota: Segment
+    inside_elementary: bool
+
+
 def level_decompose_reference(chain, gamma) -> LevelSplit:
-    """``superbasic.level_decompose`` by a scan of the levels from the
-    top, two bisects each: the first level at which a starts an entry (a
-    is 1, or a - 1 ends one) and b ends one."""
+    """The maximal level h at which the positions gamma = (a, b) are the
+    image of a subsegment iota of chi at level h, and whether iota sits
+    inside one elementary block, by a scan of the levels from the top,
+    two bisects each: the first level at which a starts an entry (a is 1,
+    or a - 1 ends one) and b ends one. A segment off positions 1..n is a
+    ParseError."""
     a, b = gamma
+    if not (1 <= a <= b <= chain.n):
+        raise ParseError(f"segment [{a},{b}] is not aligned with positions 1..{chain.n}")
     for level in range(chain.depth, -1, -1):
         ends = chain.ends0[level]
         i1, j1 = bisect_left(ends, a) + 1, bisect_right(ends, b)

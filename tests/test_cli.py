@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -565,6 +566,28 @@ def test_a_brute_force_disagreement_prints_the_problem_to_replay(capsys, monkeyp
     )
 
 
+def test_a_failed_check_carries_its_problem_to_library_callers(capsys, monkeypatch):
+    # a self-check that fails inside solve leaves with the solve's problem
+    # attached, and the replay line that max prints is that problem's
+    import bgmu.reduction as reduction
+    from bgmu.errors import InternalCheckFailed
+
+    argv = ["max", "--group", "gl:2*2", "--mu", "1,0,1,0", "--sigma", "sigma0=2,-1"]
+    code, out, _ = run(capsys, *argv)
+    problem = json.loads(out)["problem"]
+    frob = cli._parse_sigma("sigma0=2,-1", cli._parse_group("gl:2*2"), False)
+    monkeypatch.setattr(reduction, "bruhat_leq", lambda u, v: False)
+    with pytest.raises(InternalCheckFailed, match="is not below") as failed:
+        reduction.solve((1, 0, 1, 0), frob, "constructive")
+    assert failed.value.problem == reduction.Problem((1, 0, 1, 0), frob)
+    assert cli._problem_json(failed.value.problem) == problem
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    first, second = err.splitlines()
+    assert first.startswith("bgmu: witness ") and "is not below" in first
+    assert second == f"bgmu: problem {json.dumps(problem, separators=(',', ':'))}"
+
+
 # gl:6 descends to a parabolic, gl:3*4 splits its orbits and the block
 # swaps gl:3*3 and gl:2*2 split a product
 TWISTED = [
@@ -641,3 +664,45 @@ def test_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BGMU_GUARD", "2")
     code, _, err = run(capsys, "adm", "--group", "gl:3", "--mu", "1,0,0")
     assert code == 1 and "guard" in err
+
+
+BIG = 12345678901234567890  # 20 digits
+CYCLE_64 = ("gl:" + "*".join(["2"] * 64),
+            "tau=t[%s]*cyc(1,2);sigma0=%s" % (",".join(["1"] + ["0"] * 127),
+                                               ",".join(map(str, list(range(2, 65)) + [1]))))
+# one walking trace kind per row, with mu = (e, 0, ..., 0) of length
+# (n - 1) e on the one block of rank 4 and e on a block of rank 2: a
+# parabolic descent on gl and on pgl, a block swap, a flipped swap, a
+# 3-cycle and a 64-block cycle of blocks
+WALKING = [
+    ("gl:4", "tau=t[1,1,0,0]*cyc(1,3)*cyc(2,4)", 3),
+    ("pgl:4", "tau=t[1,1,0,0]*cyc(1,3)*cyc(2,4)", 3),
+    ("gl:2*2", "tau=t[1,0,0,0]*cyc(1,2);sigma0=2,1", 1),
+    ("gl:2*2", "sigma0=2,-1", 1),
+    ("gl:2*2*2", "tau=t[1,0,0,0,0,0]*cyc(1,2);sigma0=2,3,1", 1),
+    CYCLE_64 + (1,),
+]
+
+
+@pytest.mark.parametrize("group, sigma, per_entry", WALKING,
+                         ids=["gl", "pgl", "swap", "flip", "3-cycle", "64-cycle"])
+def test_a_walk_that_grows_with_the_entries_is_refused_at_once(capsys, group, sigma, per_entry):
+    # the walks take about len(t^mu) steps, linear in the entries: a
+    # 20-digit entry is refused by the walk guard before any walk, in one
+    # line, while the same trace with small entries answers
+    from bgmu.reduction import WALK_BUDGET, _stage
+
+    n = cli._parse_group(group).n
+    for strategy in ("auto", "constructive"):
+        small = ["max", "--group", group, "--mu", ",".join(["1"] + ["0"] * (n - 1)),
+                 "--sigma", sigma, "--strategy", strategy]
+        assert run(capsys, *small)[0] == 0
+        _stage.cache_clear()
+        start = time.perf_counter()
+        code, out, err = run(capsys, "max", "--group", group,
+                             "--mu", ",".join([str(BIG)] + ["0"] * (n - 1)),
+                             "--sigma", sigma, "--strategy", strategy)
+        assert time.perf_counter() - start < 0.2
+        assert (code, out) == (1, "")
+        assert err == ("bgmu: guard exceeded: walk guard: len(t^mu) * n ="
+                       f" {per_entry * BIG} * {n} > {WALK_BUDGET}\n")

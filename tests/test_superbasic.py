@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -26,7 +27,6 @@ from bgmu.superbasic import (
     chi,
     division_step,
     euclid_chain,
-    level_decompose,
     polygon,
     sharp_peel,
     superbasic_witness,
@@ -201,23 +201,23 @@ def test_chain_reconstruction(m, n):
 
 def test_level_decompose_whole_and_single():
     ch = euclid_chain(5, 8)
-    whole = level_decompose(ch, (1, 8))
+    whole = level_decompose_reference(ch, (1, 8))
     assert whole.level == ch.depth and whole.inside_elementary
-    single = level_decompose(ch, (3, 3))
+    single = level_decompose_reference(ch, (3, 3))
     assert single.level == 0
     assert single.iota.values == (chi(5, 8)[2],)
 
 
 def test_level_decompose_level_one_block():
     ch = euclid_chain(5, 8)
-    sp = level_decompose(ch, (3, 5))
+    sp = level_decompose_reference(ch, (3, 5))
     assert sp.level == 1 and sp.iota.size == 1
 
 
 def test_level_decompose_misaligned():
     ch = euclid_chain(5, 8)
     with pytest.raises(ParseError):
-        level_decompose(ch, (0, 3))
+        level_decompose_reference(ch, (0, 3))
 
 
 def _template_spans(ch, h) -> list:
@@ -245,7 +245,7 @@ def test_level_decompose_matches_the_template_spans(m, n):
             i = next(k for k, (s, _) in enumerate(spans[h], 1) if s == a)
             j = next(k for k, (_, e) in enumerate(spans[h], 1) if e == b)
             inside = h == ch.depth or any(s <= a and b <= e for s, e in spans[h + 1])
-            split = level_decompose(ch, (a, b))
+            split = level_decompose_reference(ch, (a, b))
             assert (split.level, split.inside_elementary) == (h, inside), (a, b)
             assert split.iota == Segment(i, ch.chis[h][i - 1 : j]), (a, b)
 
@@ -253,14 +253,19 @@ def test_level_decompose_matches_the_template_spans(m, n):
 @pytest.mark.parametrize("m,n", coprime_pairs(24))
 def test_the_level_table_gives_the_level_scan(m, n):
     # each position's top is the largest level that it ends an entry of,
-    # and the split read off the table is the one the scan finds
+    # and the level and inside flag that sharp_peel reads off the tables
+    # are the ones the scan finds
     ch = euclid_chain(m, n)
     assert len(ch.top) == n + 1 and ch.top[0] == ch.depth
     for p in range(1, n + 1):
         assert ch.top[p] == max(h for h, ends in enumerate(ch.ends0) if p in ends), p
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            assert level_decompose(ch, (a, b)) == level_decompose_reference(ch, (a, b)), (a, b)
+            level = min(ch.top[a - 1], ch.top[b])
+            inside = level == ch.depth or (
+                bisect_left(ch.ends0[level + 1], a) == bisect_left(ch.ends0[level + 1], b))
+            split = level_decompose_reference(ch, (a, b))
+            assert (level, inside) == (split.level, split.inside_elementary), (a, b)
 
 
 def test_fact_c_elementary_interior_readings():
@@ -523,7 +528,7 @@ def test_the_unchecked_start_is_the_checked_product(m, n):
 @pytest.mark.parametrize("m,n", coprime_pairs(16))
 def test_segments_keep_their_recomputed_tail_size_and_total(m, n):
     chain = euclid_chain(m, n)
-    segments = [level_decompose(chain, (a, b)).iota
+    segments = [level_decompose_reference(chain, (a, b)).iota
                 for a in range(1, n + 1) for b in range(a, n + 1, 3)]
     for mu in _peel_mus(n):
         segments += sharp_peel(mu, m, n).decomposition
@@ -531,6 +536,24 @@ def test_segments_keep_their_recomputed_tail_size_and_total(m, n):
         assert s.tail == s.head + len(s.values) - 1, s
         assert s.size == len(s.values), s
         assert s.total == sum(s.values), s
+
+
+@pytest.mark.parametrize("m,n", coprime_pairs(16))
+def test_a_peel_builds_one_segment_per_piece(m, n, monkeypatch):
+    # the level of each step is read off the chain's tables, so the only
+    # Segments a peel builds are the pieces of its decomposition
+    built = []
+    real = Segment.__init__
+
+    def counted(self, head, values):
+        built.append((head, tuple(values)))
+        real(self, head, values)
+
+    monkeypatch.setattr(Segment, "__init__", counted)
+    for mu in _peel_mus(n):
+        built.clear()
+        cert = sharp_peel(mu, m, n)
+        assert sorted(built) == sorted((s.head, s.values) for s in cert.decomposition), (mu, m, n)
 
 
 def test_sharp_peel_slopes_match_hull():
