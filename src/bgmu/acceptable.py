@@ -115,12 +115,12 @@ def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
 
 def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[int, list[int], list[int]]:
     """mu_diamond and mu_diamond + lam_diamond, for a dominant mu, as
-    numerators over k, the order of sigma0's signed map. mu is not
+    numerators over k, the order of sigma0's signed map; lam_diamond is
+    the twist's own, built once (``Frobenius._lam_diamond``). mu is not
     checked here: the public callers of ``_orbit_bounds`` check it, and
     ``reduction._solve`` has a checked ``Problem``."""
     k, mu_dia = _diamond(mu, frob)
-    _, lam_dia = _diamond(frob.lam, frob)
-    return k, mu_dia, [a + b for a, b in zip(mu_dia, lam_dia)]
+    return k, mu_dia, [a + b for a, b in zip(mu_dia, frob._lam_diamond)]
 
 
 _Bounds = tuple[

@@ -94,7 +94,13 @@ def _parse_sigma0(text: str, datum: GroupDatum) -> Sigma0:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
+    """The twist that ``--sigma`` names on datum, kept per (text, datum,
+    normalize): a twist repeated in one process comes back as the same
+    immutable value, with whatever it has derived (its affine map, its
+    orbits, its hash, the reduction's stage keyed by it). A refused text
+    raises on every call, since no exception is cached."""
     text = text.strip()
     if text.startswith("superbasic:"):
         frac = text[len("superbasic:"):]

@@ -275,6 +275,13 @@ class Frobenius(_Frozen):
         u = SignedMap(self.tau.perm.images, (1,) * self.datum.n)
         return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
 
+    @cached_property
+    def _lam_diamond(self) -> tuple[int, ...]:
+        """The sigma0-orbit average of lam as numerators over the order of
+        sigma0's map (``_diamond``), built once per twist: every bound
+        table on the twist reads it."""
+        return tuple(_diamond(self.lam, self)[1])
+
     def with_shift(self, shift: Sequence) -> "Frobenius":
         return Frobenius(self.tau, self.sigma0, tuple(Fraction(x) for x in shift))
 

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, reference implementations that only the
 tests use, the acceptance report hook, and ``_fresh_stages``, which
-empties the reduction's stage cache around a test that patches it.
+empties the reduction's stage cache and the CLI's parsed twists around
+a test that patches the package.
 
 The oracles here deliberately avoid the library's fast paths: lengths
 come from Cayley-graph breadth-first search, Bruhat order from subword
@@ -57,6 +58,7 @@ from typing import NamedTuple
 import pytest
 
 from bgmu.acceptable import PolygonData, _mu_lam_diamond, support_nodes
+from bgmu.cli import _parse_sigma
 from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed, ParseError
 from bgmu.newton import (
     Frobenius,
@@ -838,18 +840,21 @@ def outcome_line(run, *args) -> str:
 
 @pytest.fixture(autouse=True)
 def _fresh_stages(request):
-    """Empty the reduction's stage cache before and after every test
-    that takes ``monkeypatch``, and so every test that patches a name of
-    ``bgmu.reduction``: a stage built by the real code must not answer
-    a mutated run, nor one built by a mutant outlive its test. Set up
-    before ``monkeypatch``, this fixture is torn down after it, once
-    the patches are undone."""
+    """Empty the reduction's stage cache and the CLI's parsed twists
+    before and after every test that takes ``monkeypatch``, and so every
+    test that patches a name of the package: a stage, or a twist with
+    the attributes it derives on first read, built by the real code must
+    not answer a mutated run, nor one built by a mutant outlive its
+    test. Set up before ``monkeypatch``, this fixture is torn down after
+    it, once the patches are undone."""
     patches = "monkeypatch" in request.fixturenames
     if patches:
         _stage.cache_clear()
+        _parse_sigma.cache_clear()
     yield
     if patches:
         _stage.cache_clear()
+        _parse_sigma.cache_clear()
 
 
 _acceptance_lines: list[str] = []

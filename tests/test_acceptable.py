@@ -348,6 +348,24 @@ def test_enumerate_gl2_long_chain():
 
 # --- the enumeration's candidates and points, against their first form --------
 
+def test_lam_diamond_is_averaged_once_per_twist(monkeypatch):
+    # each bound table averages its mu, and the twist averages its lam
+    # once, on the first table; the tables match a fresh twist's
+    import bgmu.newton as newton
+
+    calls = []
+    real = newton._diamond
+    for module in (acceptable, newton):
+        monkeypatch.setattr(module, "_diamond", lambda vec, frob: calls.append(vec) or real(vec, frob))
+    datum = GroupDatum((3, 3))
+    tau = parse_element("t[1,0,0,0,0,0]*cyc(1,2,3)", datum)
+    frob = Frobenius(tau, Sigma0(datum, (1, 0), (False, True)))
+    mus = [(2, 1, 0, 1, 0, 0), (1, 1, 0, 2, 2, 0), (3, 0, 0, 1, 1, 1)]
+    tables = [acceptable._orbit_bounds(mu, frob) for mu in mus]
+    assert calls == [mus[0], frob.lam, *mus[1:]]
+    assert tables == [acceptable._orbit_bounds(mu, Frobenius(tau, frob.sigma0)) for mu in mus]
+
+
 def _gate_enumerations():
     """The problems of the byte gate's enumerations: the seed-0 twisted
     draw of its ``enumerate`` corpus, then the 180 pinned problems."""

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -706,3 +710,98 @@ def test_a_walk_that_grows_with_the_entries_is_refused_at_once(capsys, group, si
         assert (code, out) == (1, "")
         assert err == ("bgmu: guard exceeded: walk guard: len(t^mu) * n ="
                        f" {per_entry * BIG} * {n} > {WALK_BUDGET}\n")
+
+
+# --- the parsed-twist memo ----------------------------------------------------
+
+def test_an_equal_twist_text_returns_the_same_twist():
+    # equal (text, datum, normalize) give the identical object, though
+    # each call parses its own, equal datum
+    for group, sigma, normalize in [("gl:3", "superbasic:1/3", False),
+                                    ("gl:3*3", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1", True)]:
+        first = cli._parse_sigma(sigma, cli._parse_group(group), normalize)
+        assert cli._parse_sigma(sigma, cli._parse_group(group), normalize) is first
+    datum = cli._parse_group("gl:2*2")
+    assert cli._parse_sigma("sigma0=2,1", datum, True) is not cli._parse_sigma("sigma0=2,1", datum, False)
+
+
+MEMO_COMMANDS = [
+    ["max", "--group", "gl:6", "--mu", "2,1,1,0,0,0",
+     "--sigma", "tau=t[1,1,0,0,0,0]*cyc(1,3,5)*cyc(2,4,6)", "--strategy", "constructive"],
+    ["max", "--group", "gl:3*3", "--mu", "2,1,0,1,0,0",
+     "--sigma", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1", "--normalize"],
+    ["newton", "--group", "gl:3", "--w", "t[2,1,0]*cyc(1,2)",
+     "--sigma", "tau=t[1,0,0]*cyc(1,2,3);sigma0=-1", "--normalize"],
+]
+
+
+@pytest.mark.parametrize("argv", MEMO_COMMANDS, ids=["max-parabolic", "max-swap", "newton-flip"])
+def test_a_repeated_twist_prints_the_same_bytes(capsys, argv):
+    # a repeat reads the kept twist; after the memo is cleared, and in a
+    # fresh process, the twist is parsed again: all print the same bytes
+    cli._parse_sigma.cache_clear()
+    first = run(capsys, *argv)
+    assert first[0] == 0, first[2]
+    assert run(capsys, *argv) == first
+    cli._parse_sigma.cache_clear()
+    assert run(capsys, *argv) == first
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    fresh = subprocess.run([sys.executable, "-m", "bgmu", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == first
+
+
+def test_a_malformed_twist_is_refused_on_every_call(capsys):
+    # no exception is kept: each call parses the text again and refuses it
+    argv = ["max", "--group", "gl:2*2", "--mu", "0,0,0,0", "--sigma", "sigma0=a,1"]
+    for _ in range(2):
+        assert run(capsys, *argv) == (1, "", "bgmu: bad sigma0 spec 'a,1'\n")
+
+
+def test_a_twist_text_on_gl_and_on_pgl_stays_two_twists(capsys):
+    gl = cli._parse_sigma("superbasic:1/3", cli._parse_group("gl:3"), False)
+    pgl = cli._parse_sigma("superbasic:1/3", cli._parse_group("pgl:3"), False)
+    assert gl != pgl
+    assert (gl.datum.adjoint, pgl.datum.adjoint) == ((False,), (True,))
+    groups = []
+    for group in ("gl:3", "pgl:3", "gl:3"):
+        code, out, err = run(capsys, "max", "--group", group, "--mu", "1,0,0",
+                             "--sigma", "superbasic:1/3")
+        assert code == 0, err
+        groups.append(json.loads(out)["problem"]["group"])
+    assert groups == ["gl:3", "pgl:3", "gl:3"]
+
+
+def test_a_bad_group_is_refused_before_a_bad_or_kept_twist(capsys):
+    # --group and --mu are parsed before --sigma, kept or not
+    good = ["--sigma", "superbasic:1/3"]
+    assert run(capsys, "max", "--group", "gl:3", "--mu", "1,0,0", *good)[0] == 0
+    for sigma in (good, ["--sigma", "superbasic:1/2/3"]):
+        for _ in range(2):
+            assert run(capsys, "max", "--group", "sl:3", "--mu", "1,0,0", *sigma) == (
+                1, "", "bgmu: unknown group kind 'sl'\n")
+            assert run(capsys, "max", "--group", "gl:3", "--mu", "1,0", *sigma) == (
+                1, "", "bgmu: mu must have 3 entries\n")
+
+
+def test_a_repeated_twist_builds_no_twist_and_parses_no_element(capsys, monkeypatch):
+    import bgmu.newton as newton
+
+    built, parsed = [], []
+    real_init, real_parse = newton.Frobenius.__init__, cli.parse_element
+    monkeypatch.setattr(newton.Frobenius, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    monkeypatch.setattr(cli, "parse_element",
+                        lambda *args: parsed.append(args) or real_parse(*args))
+    twisted = ["max", "--group", "gl:3*3", "--mu", "2,1,0,1,0,0",
+               "--sigma", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1"]
+    superbasic = ["max", "--group", "gl:5", "--mu", "2,1,1,0,0", "--sigma", "superbasic:2/5"]
+    for argv in (twisted, superbasic):
+        first = run(capsys, *argv)
+        assert first[0] == 0, first[2]
+        assert built
+        built.clear()
+        parsed.clear()
+        assert run(capsys, *argv) == first
+        assert (built, parsed) == ([], [])

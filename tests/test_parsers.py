@@ -157,3 +157,27 @@ def test_parse_sigma_returns_or_refuses(data):
     text = data.draw(twist_texts(datum))
     frob = returns_or_refuses(_parse_sigma, text, datum, data.draw(st.booleans()))
     assert frob is None or frob.datum == datum
+
+
+def _parsed(parse, *args):
+    """parse(*args), or the type and message of the BgmuError it raises."""
+    try:
+        return parse(*args)
+    except BgmuError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_twist_memo_returns_what_a_fresh_parse_returns(data):
+    # the kept twist equals a fresh parse of the same text, a refusal is
+    # the same refusal, and a repeat returns the kept object itself
+    datum = data.draw(data_strategy)
+    args = (data.draw(twist_texts(datum)), datum, data.draw(st.booleans()))
+    kept = _parsed(_parse_sigma, *args)
+    assert kept == _parsed(_parse_sigma.__wrapped__, *args)
+    again = _parsed(_parse_sigma, *args)
+    if type(kept) is tuple:  # refused, and refused again
+        assert again == kept
+    else:
+        assert again is kept

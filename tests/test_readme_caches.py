@@ -10,7 +10,8 @@ state: a name bound to an empty dict at module level, or rebound by a
 
 A memo must also keep a bound: every ``lru_cache`` passes an integer
 ``maxsize``, and ``functools.cache`` only wraps a function of no
-arguments, whose memo holds one value.
+arguments, whose memo holds one value. The section's bullet for an
+``lru_cache`` states that bound as "at most N entries".
 """
 
 import ast
@@ -76,12 +77,20 @@ def caches(module: str, source: str) -> list[str]:
     return sorted(set(found))
 
 
+def _maxsize(wrapper: ast.expr):
+    """The integer maxsize that a call of lru_cache passes, else None."""
+    if not isinstance(wrapper, ast.Call):
+        return None
+    sizes = wrapper.args[:1] + [k.value for k in wrapper.keywords if k.arg == "maxsize"]
+    return next((s.value for s in sizes if isinstance(s, ast.Constant) and type(s.value) is int),
+                None)
+
+
 def _bounded(wrapper: ast.expr, wrapped) -> bool:
     """lru_cache called with an integer maxsize, or cache around a
     function of no arguments."""
     if isinstance(wrapper, ast.Call):
-        sizes = wrapper.args[:1] + [k.value for k in wrapper.keywords if k.arg == "maxsize"]
-        return any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)
+        return _maxsize(wrapper) is not None
     name = wrapper.attr if isinstance(wrapper, ast.Attribute) else wrapper.id
     if name != "cache" or wrapped is None:
         return False
@@ -95,6 +104,12 @@ def unbounded(module: str, source: str) -> list[str]:
                   if not _bounded(wrapper, wrapped))
 
 
+def maxsizes(module: str, source: str) -> dict[str, int]:
+    """The integer maxsize of each lru_cache of one module's source."""
+    sizes = {name: _maxsize(wrapper) for name, wrapper, _ in _memos(module, ast.parse(source))}
+    return {name: size for name, size in sizes.items() if size is not None}
+
+
 def concurrency_section() -> str:
     text = (ROOT / "README.md").read_text()
     start = text.index("## Concurrency\n")
@@ -102,11 +117,23 @@ def concurrency_section() -> str:
     return text[start : end if end >= 0 else len(text)]
 
 
+def bullet(name: str) -> str:
+    """The section's bullet that starts with the cache's name, up to the
+    next bullet or the end of its paragraph."""
+    items = concurrency_section().split("\n* ")[1:]
+    return next(item.split("\n\n")[0] for item in items if item.startswith(f"`{name}`"))
+
+
 PACKAGE_CACHES = sorted(
     name
     for path in PACKAGE.glob("*.py")
     for name in caches(path.stem, path.read_text())
 )
+PACKAGE_MAXSIZES = {
+    name: size
+    for path in PACKAGE.glob("*.py")
+    for name, size in maxsizes(path.stem, path.read_text()).items()
+}
 
 
 def test_caches_are_found():
@@ -162,14 +189,32 @@ def test_unbounded_memos_are_found():
     assert unbounded("m", source) == ["C.g", "m._imported", "m._many", "m.b", "m.c"]
 
 
+def test_maxsizes_are_found():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "def keyed(x):\n"
+        "    return x\n"
+        "_one = functools.cache(keyed)\n"
+        "_sized = lru_cache(8)(keyed)\n"
+        "@lru_cache(maxsize=1024)\n"
+        "def a(x):\n"
+        "    return x\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def b(x):\n"
+        "    return x\n"
+    )
+    assert maxsizes("m", source) == {"m._sized": 8, "m.a": 1024}
+
+
 def test_the_package_caches_are_seen():
-    # the package keeps state across problems in these five only: the
+    # the package keeps state across problems in these six only: the
     # block Adm table, the superbasic twist data, the reduction's
-    # per-twist stages, the brute force's keying plans and the CLI's
-    # parser
+    # per-twist stages, the brute force's keying plans, the CLI's
+    # parsed twists and the CLI's parser
     assert PACKAGE_CACHES == [
-        "acceptable._BLOCK_ADM", "cli._parser", "newton._keying_plan", "reduction._stage",
-        "superbasic._twist_data",
+        "acceptable._BLOCK_ADM", "cli._parse_sigma", "cli._parser", "newton._keying_plan",
+        "reduction._stage", "superbasic._twist_data",
     ]
 
 
@@ -187,3 +232,8 @@ def test_no_module_has_a_global_statement():
 @pytest.mark.parametrize("name", PACKAGE_CACHES)
 def test_readme_names_every_cache(name):
     assert f"`{name}`" in concurrency_section()
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGE_MAXSIZES))
+def test_readme_states_every_memo_bound(name):
+    assert f"at most {PACKAGE_MAXSIZES[name]:,} entries" in bullet(name)
