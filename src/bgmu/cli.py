@@ -28,7 +28,7 @@ import functools
 import itertools
 import json
 import sys
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .acceptable import (
@@ -54,6 +54,10 @@ from .weyl import (
 )
 
 SCHEMA = "bgmu/1"
+
+# the most problems that one ``bgmu verify`` sweep may run
+# (``cmd_verify``); README's Guards section gives its headroom
+VERIFY_BUDGET = 10**4
 
 
 def _parse_group(text: str) -> GroupDatum:
@@ -97,10 +101,11 @@ def _parse_sigma0(text: str, datum: GroupDatum) -> Sigma0:
 @functools.lru_cache(maxsize=256)
 def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
     """The twist that ``--sigma`` names on datum, kept per (text, datum,
-    normalize): a twist repeated in one process comes back as the same
-    immutable value, with whatever it has derived (its affine map, its
-    orbits, its hash, the reduction's stage keyed by it). A refused text
-    raises on every call, since no exception is cached."""
+    normalize). An equal twist is one object however it is built
+    (``Frobenius``), so what this memo saves is the parse of repeated
+    text: the element and the automorphism read and built before the
+    twist's lookup. A refused text raises on every call, since no
+    exception is cached."""
     text = text.strip()
     if text.startswith("superbasic:"):
         frac = text[len("superbasic:"):]
@@ -337,6 +342,14 @@ def cmd_verify(args) -> int:
     limit = guard_limit(DEFAULT_ENUM_GUARD)
     if args.max_n > max(limit, 1):
         raise GuardExceeded(f"enumeration guard: n={max(limit + 1, 2)} > {limit}")
+    # and its size is counted before it runs: rank n has phi(n) twists,
+    # each with C(max_entry + n, n) dominant mu, so the count grows like
+    # max_entry^n; it stops at the first rank that passes the budget
+    count = 0
+    for n in range(2, args.max_n + 1):
+        count += sum(gcd(m, n) == 1 for m in range(1, n)) * comb(args.max_entry + n, n)
+        if count > VERIFY_BUDGET:
+            raise GuardExceeded(f"verify guard: {count} problems up to n={n} > {VERIFY_BUDGET}")
     failures = []
     checked = 0
     # one superbasic twist per coprime pair m < n, built as it is reached

@@ -14,14 +14,15 @@ class ParseError(BgmuError, ValueError):
 
 
 class GuardExceeded(BgmuError, RuntimeError):
-    """A desk-scale enumeration guard, or the walk guard of a
-    constructive solve, was hit.
+    """A desk-scale enumeration guard, the walk guard of a constructive
+    solve, or the size guard of a ``bgmu verify`` sweep, was hit.
 
     The BGMU_GUARD environment variable replaces the three rank limits
     (enumeration 8, admissible set 5, brute force 6) by its one value:
     a larger value admits a larger computation, a smaller one lowers
-    all three. It does not move the walk guard's budget
-    (``reduction.WALK_BUDGET``), whose cost grows with the entries.
+    all three. It moves neither the walk guard's budget
+    (``reduction.WALK_BUDGET``) nor the sweep's (``cli.VERIFY_BUDGET``),
+    whose costs grow with the entries.
     """
 
 

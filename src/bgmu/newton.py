@@ -40,6 +40,7 @@ strings and in check messages.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -217,28 +218,69 @@ def alpha_pairing(datum: GroupDatum, node: Node, vec: Sequence):
     return vec[p - 1] - vec[p]
 
 
+# the most twists that ``Frobenius._interned`` keeps; README's Concurrency
+# section gives the traffic it holds
+_INTERN_BOUND = 1024
+
+
 class Frobenius(_Frozen):
     """Twist descriptor sigma = Ad(tau) o sigma0 with an optional
-    central shift subtracted from reported Newton points only."""
+    central shift subtracted from reported Newton points only.
+
+    The constructor returns the one live twist of its value, kept in
+    ``_interned`` under plain ints and bools: both data's blocks and
+    adjoint flags, tau's translation and images, sigma0's targets and
+    flips, and the shift as (numerator, denominator) pairs, an empty
+    shift read as zero. So an equal twist built anywhere (a caller, a
+    parse, a sub-problem) shares its hash, its derived attributes and
+    the reduction's stage keyed by it, and its checks run once, on the
+    first build. A refused twist raises on every call and is never
+    stored. Past ``_INTERN_BOUND`` values the table is emptied and
+    starts over: a twist built before stays valid and equal to a new
+    one, only no longer the same object. Pickling and copying rebuild
+    through the constructor, so they return the interned twist."""
 
     tau: AffineElement
     sigma0: Sigma0
     shift: RatVec
 
-    def __init__(self, tau: AffineElement, sigma0: Sigma0, shift: RatVec = ()) -> None:
-        datum = tau.datum
+    # not annotated, so not fields
+    _interned = {}
+    _interning = threading.Lock()
+
+    def __new__(cls, tau: AffineElement, sigma0: Sigma0, shift: Sequence = ()) -> "Frobenius":
+        datum, sigma0_datum = tau.datum, sigma0.datum
+        key = (
+            datum.blocks, datum.adjoint, tau.trans, tau.perm.images,
+            sigma0_datum.blocks, sigma0_datum.adjoint, sigma0.block_to, sigma0.flip,
+            tuple([x.as_integer_ratio() for x in shift]) if shift
+            else ((0, 1),) * datum.n,
+        )
+        twist = Frobenius._interned.get(key)
+        if twist is not None:
+            return twist
         if not _length_zero(tau):
             raise ParseError("tau must have length zero")
-        if sigma0.datum != datum:
+        if sigma0_datum != datum:
             raise DimensionMismatch("sigma0 and tau live in different data")
-        shift = shift or (Fraction(0),) * datum.n
+        # Fractions whatever the caller passed, so that equal twists,
+        # which are one object, print alike
+        shift = tuple(map(Fraction, shift)) if shift else (Fraction(0),) * datum.n
         if len(shift) != datum.n:
             raise DimensionMismatch("shift has wrong length")
         for lo, hi in datum.block_ranges():
             part = shift[lo - 1 : hi]
             if part.count(part[0]) != len(part):
                 raise ParseError("shift must be central (constant per block)")
-        self._set(tau=tau, sigma0=sigma0, shift=shift)
+        twist = object.__new__(cls)
+        twist._set(tau=tau, sigma0=sigma0, shift=shift)
+        with Frobenius._interning:
+            if len(Frobenius._interned) >= _INTERN_BOUND:
+                Frobenius._interned.clear()
+            return Frobenius._interned.setdefault(key, twist)
+
+    def __reduce__(self):
+        return Frobenius, (self.tau, self.sigma0, self.shift)
 
     @property
     def datum(self) -> GroupDatum:
@@ -283,7 +325,7 @@ class Frobenius(_Frozen):
         return tuple(_diamond(self.lam, self)[1])
 
     def with_shift(self, shift: Sequence) -> "Frobenius":
-        return Frobenius(self.tau, self.sigma0, tuple(Fraction(x) for x in shift))
+        return Frobenius(self.tau, self.sigma0, tuple(shift))
 
     def canonical_shift(self) -> RatVec:
         """Central shift (kappa_b(tau)/n_b) d per block."""

@@ -79,7 +79,8 @@ Where each check runs:
   ``Problem._unchecked``, as a restriction of mu, mu itself on a Levi
   and a sum of dominant parts are dominant; ``sharp_peel``, a public
   routine, still checks the mu of a superbasic base;
-* length zero, of a parsed tau (``Frobenius``), of a conjugator
+* length zero, of a parsed tau (``Frobenius``, on the first build of
+  each twist value, as equal twists are one object), of a conjugator
   (``omega_element``) and of a sub-twist (``_sub_twist``): the one O(n)
   test ``weyl._length_zero``, whose yes the element keeps, so the
   sub-twist's ``Frobenius`` reads it rather than testing again;

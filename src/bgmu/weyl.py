@@ -52,9 +52,10 @@ RatVec = tuple[Fraction, ...]
 class _Frozen:
     """An immutable value that checks its input. A subclass annotates its
     fields in the class body and sets them, and any attributes derived
-    from them, through ``_set`` in ``__init__``; ``_unchecked`` sets the
-    fields, in order, and skips ``__init__``, for input that is valid by
-    construction. Equality, hash and repr read the fields alone, so
+    from them, through ``_set`` in ``__init__`` (in ``__new__`` for
+    ``newton.Frobenius``, which returns one object per value);
+    ``_unchecked`` sets the fields, in order, and skips those checks,
+    for input that is valid by construction. Equality, hash and repr read the fields alone, so
     derived attributes do not count. The hash is computed on first use
     and kept, as ``_hash``, beside them: a value that keys a cache is
     looked up many times, and hashing a twist reads its element, its

@@ -1,7 +1,7 @@
 """Shared brute-force oracles, reference implementations that only the
 tests use, the acceptance report hook, and ``_fresh_stages``, which
-empties the reduction's stage cache and the CLI's parsed twists around
-a test that patches the package.
+empties the reduction's stage cache, the CLI's parsed twists and the
+interned twists around a test that patches the package.
 
 The oracles here deliberately avoid the library's fast paths: lengths
 come from Cayley-graph breadth-first search, Bruhat order from subword
@@ -840,21 +840,28 @@ def outcome_line(run, *args) -> str:
 
 @pytest.fixture(autouse=True)
 def _fresh_stages(request):
-    """Empty the reduction's stage cache and the CLI's parsed twists
-    before and after every test that takes ``monkeypatch``, and so every
-    test that patches a name of the package: a stage, or a twist with
-    the attributes it derives on first read, built by the real code must
-    not answer a mutated run, nor one built by a mutant outlive its
-    test. Set up before ``monkeypatch``, this fixture is torn down after
-    it, once the patches are undone."""
+    """Empty the reduction's stage cache, the CLI's parsed twists and
+    the interned twists before and after every test that takes
+    ``monkeypatch``, and so every test that patches a name of the
+    package: a stage, or a twist with the attributes it derives on first
+    read, built by the real code must not answer a mutated run, nor one
+    built by a mutant outlive its test. Set up before ``monkeypatch``,
+    this fixture is torn down after it, once the patches are undone."""
     patches = "monkeypatch" in request.fixturenames
     if patches:
-        _stage.cache_clear()
-        _parse_sigma.cache_clear()
+        _forget_twists()
     yield
     if patches:
-        _stage.cache_clear()
-        _parse_sigma.cache_clear()
+        _forget_twists()
+
+
+def _forget_twists() -> None:
+    """Empty every table that keeps a twist or what it derived: the
+    reduction's stages, the CLI's parsed twists and the interned
+    twists themselves."""
+    _stage.cache_clear()
+    _parse_sigma.cache_clear()
+    Frobenius._interned.clear()
 
 
 _acceptance_lines: list[str] = []

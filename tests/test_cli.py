@@ -283,6 +283,39 @@ def test_verify_runs_when_its_guard_admits_every_rank(capsys, monkeypatch):
         main(["verify", "--max-n", "9"])
 
 
+@pytest.mark.parametrize("env", [None, "9", "100"])
+def test_verify_refuses_a_sweep_past_its_budget_before_it_runs(capsys, monkeypatch, env):
+    # C(1000002, 2) problems at rank 2 alone: refused at once, by a
+    # budget that BGMU_GUARD does not move, and no problem runs first
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify solved a problem before its guard")
+
+    if env is not None:
+        monkeypatch.setenv("BGMU_GUARD", env)
+    monkeypatch.setattr(cli, "solve", refuse)
+    start = time.perf_counter()
+    got = run(capsys, "verify", "--max-n", "2", "--max-entry", "1000000")
+    assert time.perf_counter() - start < 0.2
+    assert got == (1, "", "bgmu: guard exceeded: verify guard:"
+                          f" 500001500001 problems up to n=2 > {cli.VERIFY_BUDGET}\n")
+
+
+@pytest.mark.parametrize("max_n, max_entry, count", [
+    (2, 0, 1), (2, 1, 3), (4, 0, 5), (3, 1, 11), (3, 2, 26), (4, 1, 21),
+])
+def test_the_verify_guard_counts_the_sweep(capsys, monkeypatch, max_n, max_entry, count):
+    # the count is the number of problems that the sweep verifies: a
+    # budget of exactly that many admits it, one less refuses it
+    argv = ["verify", "--max-n", str(max_n), "--max-entry", str(max_entry)]
+    monkeypatch.setattr(cli, "VERIFY_BUDGET", count)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["verified"] == count, err
+    monkeypatch.setattr(cli, "VERIFY_BUDGET", count - 1)
+    assert run(capsys, *argv) == (
+        1, "", f"bgmu: guard exceeded: verify guard: {count} problems up to n={max_n} > {count - 1}\n")
+
+
+
 # valid commands at rank <= 6, one per subcommand and twist kind
 VALID_INPUT = [
     ["max", "--group", "gl:6", "--mu", "2,1,1,0,0,0", "--sigma", "superbasic:5/6"],
@@ -627,7 +660,7 @@ def test_twist_and_mu_checks_run_once(capsys, monkeypatch):
     real_length, real_mu = weyl._window_length, acceptable._check_mu
     monkeypatch.setattr(weyl, "_window_length",
                         lambda *args: counted.append(bool(inside)) or real_length(*args))
-    monkeypatch.setattr(newton.Frobenius, "__init__", scoped(newton.Frobenius.__init__))
+    monkeypatch.setattr(newton.Frobenius, "__new__", scoped(newton.Frobenius.__new__))
     monkeypatch.setattr(reduction, "_sub_twist", scoped(reduction._sub_twist))
     for module in (acceptable, reduction):
         monkeypatch.setattr(module, "_check_mu",
@@ -721,8 +754,10 @@ def test_an_equal_twist_text_returns_the_same_twist():
                                     ("gl:3*3", "tau=t[1,0,0,0,0,0]*cyc(1,2,3);sigma0=2,1", True)]:
         first = cli._parse_sigma(sigma, cli._parse_group(group), normalize)
         assert cli._parse_sigma(sigma, cli._parse_group(group), normalize) is first
+    # normalize is part of the key: it changes a twist of nonzero kappa
     datum = cli._parse_group("gl:2*2")
-    assert cli._parse_sigma("sigma0=2,1", datum, True) is not cli._parse_sigma("sigma0=2,1", datum, False)
+    sigma = "tau=t[1,0,0,0]*cyc(1,2);sigma0=2,1"
+    assert cli._parse_sigma(sigma, datum, True) != cli._parse_sigma(sigma, datum, False)
 
 
 MEMO_COMMANDS = [
@@ -789,9 +824,9 @@ def test_a_repeated_twist_builds_no_twist_and_parses_no_element(capsys, monkeypa
     import bgmu.newton as newton
 
     built, parsed = [], []
-    real_init, real_parse = newton.Frobenius.__init__, cli.parse_element
-    monkeypatch.setattr(newton.Frobenius, "__init__",
-                        lambda self, *args: built.append(args) or real_init(self, *args))
+    real_new, real_parse = newton.Frobenius.__new__, cli.parse_element
+    monkeypatch.setattr(newton.Frobenius, "__new__",
+                        lambda cls, *args: built.append(args) or real_new(cls, *args))
     monkeypatch.setattr(cli, "parse_element",
                         lambda *args: parsed.append(args) or real_parse(*args))
     twisted = ["max", "--group", "gl:3*3", "--mu", "2,1,0,1,0,0",

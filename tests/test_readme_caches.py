@@ -3,9 +3,10 @@ process-wide cache of the package.
 
 Each module of ``src/bgmu`` is parsed with ``ast``. A cache is a
 function wrapped by ``lru_cache`` or ``functools.cache`` (as a decorator
-or by a call whose result is bound at module level), or module-level
-state: a name bound to an empty dict at module level, or rebound by a
-``global`` statement. Its name is ``Class.function`` for a method and
+or by a call whose result is bound at module level), or state: a
+name bound to an empty table (``{}``, ``dict()`` or ``set()``) at
+module level or in a class body, or rebound by a ``global`` statement.
+Its name is ``Class.name`` for a method or a class attribute and
 ``module.name`` otherwise, and the section must name it in backticks.
 
 A memo must also keep a bound: every ``lru_cache`` passes an integer
@@ -34,9 +35,19 @@ def _is_cache_wrapper(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id in CACHE_WRAPPERS
 
 
-def _assignments(tree: ast.Module):
-    """(name, value) for each name bound by a module-level assignment."""
-    for node in tree.body:
+def _is_empty_table(node: ast.expr) -> bool:
+    """``{}``, ``dict()`` or ``set()``: a table that starts empty and is
+    filled as the process runs."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "set") and not node.args and not node.keywords)
+
+
+def _assignments(body: list[ast.stmt]):
+    """(name, value) for each name bound by an assignment in body, a
+    module's or a class's."""
+    for node in body:
         targets = []
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
@@ -52,7 +63,7 @@ def _memos(module: str, tree: ast.Module):
     in a cache; wrapped is the function's definition, or None when the
     module does not define it."""
     defs = {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    for name, value in _assignments(tree):
+    for name, value in _assignments(tree.body):
         if isinstance(value, ast.Call) and _is_cache_wrapper(value.func):
             arg = value.args[0] if value.args else None
             yield f"{module}.{name}", value.func, defs.get(arg.id) if isinstance(arg, ast.Name) else None
@@ -69,8 +80,10 @@ def caches(module: str, source: str) -> list[str]:
     """The process-wide caches that one module's source defines."""
     tree = ast.parse(source)
     found = [name for name, _, _ in _memos(module, tree)]
-    found += [f"{module}.{name}" for name, value in _assignments(tree)
-              if isinstance(value, ast.Dict) and not value.keys]
+    for owner in [tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))]:
+        prefix = owner.name if isinstance(owner, ast.ClassDef) else module
+        found += [f"{prefix}.{name}" for name, value in _assignments(owner.body)
+                  if _is_empty_table(value)]
     for node in ast.walk(tree):
         if isinstance(node, ast.Global):
             found += [f"{module}.{name}" for name in node.names]
@@ -142,6 +155,7 @@ def test_caches_are_found():
         "from functools import lru_cache\n"
         "_TABLE: dict[int, int] = {}\n"
         "_FILLED = {1: 2}\n"
+        "_SEEN = set()\n"
         "_LAST = None\n"
         "_parser = functools.cache(build)\n"
         "@lru_cache(maxsize=8)\n"
@@ -149,14 +163,24 @@ def test_caches_are_found():
         "    global _LAST\n"
         "    _LAST = x\n"
         "class C:\n"
+        "    _kept = {}\n"
+        "    _named: set = set()\n"
+        "    _also = dict()\n"
+        "    _fixed = {'a': 1}\n"
+        "    _sized = dict(a=1)\n"
+        "    _none = None\n"
         "    @staticmethod\n"
         "    @functools.cache\n"
         "    def g(n):\n"
+        "        _local = {}\n"
         "        return n\n"
         "    def h(self):\n"
         "        return 0\n"
     )
-    assert caches("m", source) == ["C.g", "m._LAST", "m._TABLE", "m._parser", "m.f"]
+    assert caches("m", source) == [
+        "C._also", "C._kept", "C._named", "C.g",
+        "m._LAST", "m._SEEN", "m._TABLE", "m._parser", "m.f",
+    ]
 
 
 def test_unbounded_memos_are_found():
@@ -208,13 +232,13 @@ def test_maxsizes_are_found():
 
 
 def test_the_package_caches_are_seen():
-    # the package keeps state across problems in these six only: the
-    # block Adm table, the superbasic twist data, the reduction's
-    # per-twist stages, the brute force's keying plans, the CLI's
-    # parsed twists and the CLI's parser
+    # the package keeps state across problems in these seven only: the
+    # interned twists, the block Adm table, the superbasic twist data,
+    # the reduction's per-twist stages, the brute force's keying plans,
+    # the CLI's parsed twists and the CLI's parser
     assert PACKAGE_CACHES == [
-        "acceptable._BLOCK_ADM", "cli._parse_sigma", "cli._parser", "newton._keying_plan",
-        "reduction._stage", "superbasic._twist_data",
+        "Frobenius._interned", "acceptable._BLOCK_ADM", "cli._parse_sigma", "cli._parser",
+        "newton._keying_plan", "reduction._stage", "superbasic._twist_data",
     ]
 
 
@@ -237,3 +261,11 @@ def test_readme_names_every_cache(name):
 @pytest.mark.parametrize("name", sorted(PACKAGE_MAXSIZES))
 def test_readme_states_every_memo_bound(name):
     assert f"at most {PACKAGE_MAXSIZES[name]:,} entries" in bullet(name)
+
+
+def test_readme_states_the_twist_table_bound():
+    # the interned twists are a table, not an lru_cache: their bound is
+    # the constant that ``Frobenius.__new__`` holds the table to
+    from bgmu.newton import _INTERN_BOUND
+
+    assert f"at most {_INTERN_BOUND:,} entries" in bullet("Frobenius._interned")

@@ -758,10 +758,12 @@ def _rotation_33(kappas):
 
 
 def test_equal_twists_share_one_stage():
-    # a stage is keyed by the twist's value: two equal twists built
-    # separately give one miss, then one hit, and the same trace
-    a, b = _rotation_33((1, 0)), _rotation_33((1, 0))
-    assert a is not b and a == b
+    # a stage is keyed by the twist's value: two equal twists give one
+    # miss, then one hit, and the same trace. Built twice, a twist is one
+    # object, so the second is built unchecked, a distinct equal value
+    a = _rotation_33((1, 0))
+    b = Frobenius._unchecked(a.tau, a.sigma0, a.shift)
+    assert _rotation_33((1, 0)) is a and a is not b and a == b
     _stage.cache_clear()
     assert _stage(a) is _stage(b)
     assert _stage.cache_info()[:2] == (1, 1)  # hits, misses
