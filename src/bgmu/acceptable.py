@@ -27,7 +27,8 @@ points cross-multiplies. ``_hull`` finds the upper convex hull with a
 monotone stack in O(n). ``_knot_runs`` places the knots of the
 maximal point and of every candidate, on one node plan per block
 (``_node_plans``). ``Fraction`` is built only for the results:
-``PolygonData``, ``MaximalSolverState`` and ``AcceptableSet``.
+``PolygonData``, ``AcceptableSet`` and, in ``maximal_newton_state``
+alone, ``MaximalSolverState``; ``_maximal_state`` returns (d, nums).
 
 The admissible set Adm(mu) is the other half of the theorem, and this
 module owns its raw (trans, images) tuples: ``adm_enumerate`` lists it,
@@ -51,7 +52,6 @@ from .errors import DimensionMismatch, GuardExceeded, InternalCheckFailed, Parse
 from .newton import (
     Frobenius,
     NewtonPoint,
-    Node,
     RatVec,
     Sigma0,
     _diamond,
@@ -60,9 +60,7 @@ from .newton import (
     _scaled,
     _scaled_heights,
     _vec_str,
-    alpha_pairing,
     dominant_rep,
-    heights,
     kappa,
     simple_nodes,
 )
@@ -94,15 +92,20 @@ def guard_limit(default: int) -> int:
 
 
 def support_nodes(datum: GroupDatum, vec: Sequence) -> frozenset:
-    """I(v): simple roots with <alpha_i, v> != 0; the rest, J(v), fix
-    v, and both are sigma0-stable for invariant v."""
-    return frozenset(
-        nd for nd in simple_nodes(datum) if alpha_pairing(datum, nd, vec) != 0
-    )
+    """I(v): simple roots (b, i) with <alpha_i, v> != 0, entry i of block
+    b unequal to the next; the rest, J(v), fix v, and both are
+    sigma0-stable for invariant v."""
+    off = datum.offsets()
+    return frozenset((b, i) for b, i in simple_nodes(datum) if vec[off[b] + i - 1] != vec[off[b] + i])
 
 
 def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
-    return heights(datum, v) == heights(datum, w)
+    """Whether v and w have equal ``heights``: v - w is constant per block, in integers."""
+    if len(v) != datum.n or len(w) != datum.n:
+        raise DimensionMismatch("vector has wrong length")
+    (dv, nv), (dw, nw) = _scaled(v), _scaled(w)
+    diff = [a * dw - b * dv for a, b in zip(nv, nw)]
+    return all(len(set(diff[sl])) == 1 for sl in datum.block_slices())
 
 
 def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
@@ -113,56 +116,61 @@ def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
         raise ParseError(f"mu {tuple(mu)} is not dominant per block")
 
 
-def _mu_lam_diamond(mu: Sequence[int], frob: Frobenius) -> tuple[int, list[int], list[int]]:
-    """mu_diamond and mu_diamond + lam_diamond, for a dominant mu, as
-    numerators over k, the order of sigma0's signed map; lam_diamond is
-    the twist's own, built once (``Frobenius._lam_diamond``). mu is not
-    checked here: the public callers of ``_orbit_bounds`` check it, and
-    ``reduction._solve`` has a checked ``Problem``."""
-    k, mu_dia = _diamond(mu, frob)
-    return k, mu_dia, [a + b for a, b in zip(mu_dia, frob._lam_diamond)]
-
-
-_Bounds = tuple[
-    int, dict[Node, int], tuple[int, ...], tuple[tuple[tuple[Node, ...], int, range], ...]
-]
+_Bounds = tuple[int, list[int], tuple[int, ...], tuple[tuple[tuple[int, ...], int, range], ...]]
 
 
 def _orbit_bounds(mu: Sequence[int], frob: Frobenius) -> _Bounds:
-    """The bound table of the acceptable set: the heights of mu_diamond,
-    the block sums s_b of mu_diamond + lam_diamond, and per sigma0-orbit
-    c of simple roots (c, rep, offsets) with rep / den = <omega_c,
-    mu_diamond + lam_diamond>: the values rep / den + j, j in offsets,
-    are those of the coset in [0, <omega_c, mu_diamond>]. All are
-    numerators over den = k s o (k the order of sigma0's map, s and o
-    the lcms of the block sizes and orbit lengths), in which n_b
-    divides i s_b and an orbit's length divides its pairings."""
+    """The bound table of the acceptable set: the heights of mu_diamond
+    (``_scaled_heights``), the block sums s_b of mu_diamond +
+    lam_diamond, and per sigma0-orbit c of simple roots (c, rep,
+    offsets) with rep / den = <omega_c, mu_diamond + lam_diamond>: the
+    values rep / den + j, j in offsets, are those of the coset in [0,
+    <omega_c, mu_diamond>]. All are numerators over den = k s o (k the
+    order of sigma0's map, s and o the lcms of the block sizes and orbit
+    lengths), in which n_b divides i s_b and an orbit's length divides
+    its pairings. The orbits and o are sigma0's ``_bound_plan``,
+    lam_diamond's share the twist's ``_lam_diamond``; an invariant
+    vector's heights are equal over an orbit. The callers check mu."""
     datum = frob.datum
-    k, mu_dia, both = _mu_lam_diamond(mu, frob)
-    orbits = frob.sigma0.node_orbits
-    o = lcm(*map(len, orbits))
+    k, mu_dia = _diamond(mu, frob)
+    orbits, o, _ = frob.sigma0._bound_plan
+    lam_reps, lam_sums = frob._lam_diamond
     s, h_mu = _scaled_heights(datum, [x * o for x in mu_dia])
-    _, h_both = _scaled_heights(datum, [x * o for x in both])
     den = k * s * o
     table = []
-    for orbit in orbits:
-        rep = sum(h_both[nd] for nd in orbit)
-        upper = sum(h_mu[nd] for nd in orbit)
-        table.append((orbit, rep, range(-(rep // den), (upper - rep) // den + 1)))
-    return den, h_mu, tuple(t * s * o for t in datum.block_sums(both)), tuple(table)
+    for orbit, lam_rep in zip(orbits, lam_reps):
+        upper = len(orbit) * h_mu[orbit[0]]
+        rep = upper + lam_rep
+        table.append((orbit, rep, range(-(rep // den), -lam_rep // den + 1)))
+    sums = tuple(t * s * o + t_lam for t, t_lam in zip(datum.block_sums(mu_dia), lam_sums))
+    return den, h_mu, sums, tuple(table)
+
+
+def _tops(bounds: _Bounds) -> list[int]:
+    """Per orbit of the table, its tent: the top of its range over the orbit's length."""
+    den, _, _, table = bounds
+    return [(rep + offsets[-1] * den if offsets else 0) // len(orbit)
+            for orbit, rep, offsets in table]
+
+
+def _integral(bounds: _Bounds, h: list[int], f: int) -> bool:
+    """Whether the invariant point of heights h / (den f) has |c| h_i in
+    rep's coset on each orbit c of its support, 2 h_i != h_{i-1} + h_{i+1}."""
+    den, _, _, table = bounds
+    return all((rep * f - len(c) * h[c[0]]) % (den * f) == 0
+               for c, rep, _ in table if 2 * h[c[0]] != h[c[0] - 1] + h[c[0] + 1])
 
 
 _Plan = list[list[tuple[int, Optional[int], int]]]
 
 
-def _node_plans(datum: GroupDatum, table: Sequence, sums: Sequence[int]) -> _Plan:
+def _node_plans(frob: Frobenius, sums: Sequence[int]) -> _Plan:
     """Per block, the knots that ``_knot_runs`` may place, in order: one
     (i, c, (i/n_b) s_b) per node i, c the index in table of the node's
     orbit and s_b the block sum of the bound table, then the block's end
     (n_b, None, s_b), which is always placed."""
-    orbit_of = {nd: c for c, (orbit, _, _) in enumerate(table) for nd in orbit}
-    return [[*((i, orbit_of[b, i], i * total // nb) for i in range(1, nb)), (nb, None, total)]
-            for b, (nb, total) in enumerate(zip(datum.blocks, sums))]
+    return [[*((i, c, i * total // nb) for i, c in nodes), (nb, None, total)]
+            for (nb, nodes), total in zip(frob.sigma0._bound_plan[2], sums)]
 
 
 def _knot_runs(plans: _Plan, heights: Sequence[Optional[int]],
@@ -249,46 +257,43 @@ class MaximalSolverState(NamedTuple):
 
 
 def maximal_newton_state(mu: Sequence[int], frob: Frobenius) -> MaximalSolverState:
+    """``_maximal_state`` with its tents and support, in fractions."""
     _check_mu(mu, frob.datum)
-    return _maximal_state(frob, _orbit_bounds(mu, frob))
+    bounds = _orbit_bounds(mu, frob)
+    d, nums = _maximal_state(frob, bounds)
+    nu_raw = _fractions(nums, d)
+    targets = {nd: Fraction(t, bounds[0])
+               for orbit, t in zip(frob.sigma0.node_orbits, _tops(bounds)) for nd in orbit}
+    return MaximalSolverState(frob.datum, targets, support_nodes(frob.datum, nu_raw), nu_raw)
 
 
-def _maximal_state(frob: Frobenius, bounds: _Bounds) -> MaximalSolverState:
+def _maximal_state(frob: Frobenius, bounds: _Bounds) -> tuple[int, list[int]]:
     """The maximal point and its checks, on the bound table of
     ``_orbit_bounds``: the top of every orbit's range, then the hull.
-    The tents are numerators over den, the point over den w, w the lcm
-    of the hull's widths."""
-    datum = frob.datum
+    The tents are numerators over den, the point is (d, nums) with nums
+    over d = den w, w the lcm of the hull's widths."""
     den, h_mu, sums, table = bounds
-    tops = [(rep + offsets[-1] * den if offsets else 0) // len(orbit)
-            for orbit, rep, offsets in table]
-    targets = {nd: q for (orbit, _, _), q in zip(table, tops) for nd in orbit}
-
+    tops = _tops(bounds)
     # per block, the least concave majorant of the tents: the hull of
     # the knots at every node, which are a unit apart; _hull's slopes
     # decrease by construction, so nu is dominant
-    runs = _knot_runs(_node_plans(datum, table, sums), tops, strict=False)
+    runs = _knot_runs(_node_plans(frob, sums), tops, strict=False)
     hulls = [_hull([rise for _, rise in block]) for block in runs]
     w = lcm(*(width for runs in hulls for width, _ in runs))
-    nu = tuple(rise * (w // width) for runs in hulls for width, rise in runs for _ in range(width))
-    active = support_nodes(datum, nu)
+    nu = [rise * (w // width) for runs in hulls for width, rise in runs for _ in range(width)]
 
     if not frob.sigma0.is_invariant(nu):
         raise InternalCheckFailed("maximal point is not sigma0-invariant")
     # heights of nu are numerators over den f
-    s, h_nu = _scaled_heights(datum, nu)
+    s, h_nu = _scaled_heights(frob.datum, nu)
     f = w * s
-    if any(h > h_mu[nd] * f for nd, h in h_nu.items()):
+    if any(h > u * f for h, u in zip(h_nu, h_mu)):
         raise InternalCheckFailed("maximal point exceeds mu_diamond")
-    if any(h_nu[nd] < t * f for nd, t in targets.items()):
+    if any(h_nu[j] < t * f for (orbit, _, _), t in zip(table, tops) for j in orbit):
         raise InternalCheckFailed("maximal point drops below a tent")
-    if any(
-        orbit[0] in active and (rep * f - sum(h_nu[nd] for nd in orbit)) % (den * f)
-        for orbit, rep, _ in table
-    ):
+    if not _integral(bounds, h_nu, f):
         raise InternalCheckFailed("maximal point fails the integrality criterion")
-    return MaximalSolverState(datum, {nd: Fraction(t, den) for nd, t in targets.items()},
-                              active, tuple(Fraction(x, den * w) for x in nu))
+    return den * w, nu
 
 
 def maximal_newton(mu: Sequence[int], frob: Frobenius) -> NewtonPoint:
@@ -305,14 +310,10 @@ def mu_diamond_acceptable(mu: Sequence[int], frob: Frobenius) -> bool:
     """Whether mu_diamond itself is an acceptable point: the defect
     pairings <omega_c, lam_diamond> = rep - <omega_c, mu_diamond> of
     ``_orbit_bounds`` are integers on the support of mu_diamond, read off
-    the table's heights of mu_diamond."""
+    the table's heights of mu_diamond (``_integral``)."""
     _check_mu(mu, frob.datum)
-    den, h_mu, _, table = _orbit_bounds(mu, frob)
-    # <alpha_i, v> = 2 h_i - h_{i-1} - h_{i+1} in heights, 0 at the block ends
-    support = {(b, i) for (b, i), h in h_mu.items()
-               if 2 * h != h_mu.get((b, i - 1), 0) + h_mu.get((b, i + 1), 0)}
-    return all((rep - sum(h_mu[nd] for nd in orbit)) % den == 0
-               for orbit, rep, _ in table if orbit[0] in support)
+    bounds = _orbit_bounds(mu, frob)
+    return _integral(bounds, bounds[1], 1)
 
 
 # --- enumeration -------------------------------------------------------------
@@ -339,13 +340,13 @@ class AcceptableSet(NamedTuple):
         }
 
 
-def _candidates(datum: GroupDatum, bounds: _Bounds, m: int) -> list[tuple[int, ...]]:
+def _candidates(frob: Frobenius, bounds: _Bounds, m: int) -> list[tuple[int, ...]]:
     """Every acceptable point of ``enumerate_acceptable`` as numerators
     over den m, in the order of ``itertools.product`` over the orbits'
     choices: for each choice, ``_knot_runs`` places the knots and drops
     the choice at the first slope that fails to decrease."""
     den, _, sums, table = bounds
-    plans = _node_plans(datum, table, sums)
+    plans = _node_plans(frob, sums)
     options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
                for orbit, rep, offsets in table]
     found = []
@@ -383,7 +384,7 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     if datum.n > limit:
         raise GuardExceeded(f"enumeration guard: n={datum.n} > {limit}")
     m = lcm(*range(1, max(datum.blocks) + 1))
-    found = _candidates(datum, bounds, m)
+    found = _candidates(frob, bounds, m)
     found.sort(reverse=True)
     dm = bounds[0] * m
     raw = tuple(_fractions(v, dm) for v in found)
@@ -406,11 +407,11 @@ def enumerate_acceptable(mu: Sequence[int], frob: Frobenius) -> AcceptableSet:
     hasse = tuple((i, j) for i, j in itertools.product(range(size), repeat=2)
                   if i != j and up[i] & down[j] == (1 << i | 1 << j))
     result = AcceptableSet(datum, points, raw, hasse, maxima[0])
-    state_nu = _maximal_state(frob, bounds).nu_raw
-    if raw[result.maximum] != state_nu:
+    dn, nums = _maximal_state(frob, bounds)
+    if [x * dn for x in found[result.maximum]] != [y * dm for y in nums]:
         raise InternalCheckFailed(
             f"enumerated maximum {_vec_str(raw[result.maximum])} differs from"
-            f" solver {_vec_str(state_nu)}"
+            f" solver {_vec_str(_fractions(nums, dn))}"
         )
     return result
 
@@ -810,7 +811,7 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
     keyed = _newton_keys(raw, frob.affine_map, datum.block_slices())
     # a key (k, lam) is the point lam / k, with heights h * (m / k) over m
     m = lcm(*(k for k, _ in keyed))
-    hs = {(k, lam): [h * (m // k) for h in _scaled_heights(datum, lam)[1].values()]
+    hs = {(k, lam): [h * (m // k) for h in _scaled_heights(datum, lam)[1]]
           for k, lam in keyed}
     top = [max(col) for col in zip(*hs.values())]
     maxima = [key for key, h in hs.items() if h == top]

@@ -149,6 +149,18 @@ class Sigma0(_Frozen):
         n = self.datum.n
         return _linear_part(range(1, n + 1), AffineMap(self._map, (0,) * n))
 
+    @cached_property
+    def _bound_plan(self) -> tuple:
+        """What every bound table reads: the node orbits at their
+        ``_scaled_heights`` positions, o the lcm of their lengths, and
+        per block n_b and (i, c) per node i of orbit c."""
+        off = self.datum.offsets()
+        orbit_of = {nd: c for c, orbit in enumerate(self.node_orbits) for nd in orbit}
+        orbits = tuple(tuple(off[b] + i - 1 for b, i in orbit) for orbit in self.node_orbits)
+        knots = tuple((nb, tuple((i, orbit_of[b, i]) for i in range(1, nb)))
+                      for b, nb in enumerate(self.datum.blocks))
+        return orbits, lcm(*map(len, orbits)), knots
+
 
 def _block_map(datum: GroupDatum, block_to: Sequence[int], flip: Sequence[bool]) -> SignedMap:
     """The signed map of the diagram automorphism (block_to, flip):
@@ -185,16 +197,17 @@ def _scaled(vec: Sequence) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // x.denominator) for x in vec]
 
 
-def _scaled_heights(datum: GroupDatum, nums: Sequence[int]) -> tuple[int, dict[Node, int]]:
-    """(s, h) with the heights of the integer vector nums equal to
-    h / s at every node, s the lcm of the block sizes."""
+def _scaled_heights(datum: GroupDatum, nums: Sequence[int]) -> tuple[int, list[int]]:
+    """(s, h) with the heights of the integer vector nums equal to h / s,
+    s the lcm of the block sizes: node (b, i) at entry i of block b, 0
+    at a block's end."""
     s = lcm(*datum.blocks)
-    out: dict[Node, int] = {}
-    for b, sl in enumerate(datum.block_slices()):
+    out: list[int] = []
+    for sl in datum.block_slices():
         part = nums[sl]
         nb, total = len(part), sum(part)
-        for i, head in enumerate(accumulate(part[:-1]), start=1):
-            out[(b, i)] = (nb * head - i * total) * (s // nb)
+        f = s // nb
+        out += [(nb * head - i * total) * f for i, head in enumerate(accumulate(part), start=1)]
     return s, out
 
 
@@ -206,16 +219,12 @@ def heights(datum: GroupDatum, vec: Sequence) -> dict[Node, Fraction]:
     >>> heights(GroupDatum.gl(3), (1, 0, 0))
     {(0, 1): Fraction(2, 3), (0, 2): Fraction(1, 3)}
     """
+    if len(vec) != datum.n:
+        raise DimensionMismatch("vector has wrong length")
     d, nums = _scaled(vec)
     s, h = _scaled_heights(datum, nums)
-    return {nd: Fraction(x, d * s) for nd, x in h.items()}
-
-
-def alpha_pairing(datum: GroupDatum, node: Node, vec: Sequence):
-    b, i = node
-    lo, _ = datum.block_ranges()[b]
-    p = lo - 1 + i
-    return vec[p - 1] - vec[p]
+    off = datum.offsets()
+    return {(b, i): Fraction(h[off[b] + i - 1], d * s) for b, i in simple_nodes(datum)}
 
 
 # the most twists that ``Frobenius._interned`` keeps; README's Concurrency
@@ -318,11 +327,14 @@ class Frobenius(_Frozen):
         return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
 
     @cached_property
-    def _lam_diamond(self) -> tuple[int, ...]:
-        """The sigma0-orbit average of lam as numerators over the order of
-        sigma0's map (``_diamond``), built once per twist: every bound
-        table on the twist reads it."""
-        return tuple(_diamond(self.lam, self)[1])
+    def _lam_diamond(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The twist's share of every bound table: lam_diamond's pairings
+        with the omega_c and its block sums, over the table's k s o."""
+        orbits, o, _ = self.sigma0._bound_plan
+        k, lam = _diamond(self.lam, self)
+        s, h = _scaled_heights(self.datum, lam)
+        return (tuple(len(orbit) * h[orbit[0]] * o for orbit in orbits),
+                tuple(t * s * o for t in self.datum.block_sums(lam)))
 
     def with_shift(self, shift: Sequence) -> "Frobenius":
         return Frobenius(self.tau, self.sigma0, tuple(shift))
@@ -643,7 +655,7 @@ def _diamond(vec: Sequence[int], frob: Frobenius) -> tuple[int, list[int]]:
     if len(vec) != datum.n:
         raise DimensionMismatch("vector has wrong length")
     part = frob.sigma0._average
-    return part.order, _newton_kernel(part, vec, datum.block_slices())[0]
+    return part.order, _newton_kernel(part, vec, ())[0]  # no blockwise sort
 
 
 def diamond(mu: Sequence, frob: Frobenius) -> RatVec:

@@ -87,6 +87,8 @@ Where each check runs:
 * the rest of a twist, once per twist per process in ``_stage``: the
   sub-blocks in ``_sub_twist``, the generic direction in
   ``_generic_point`` and the superbasic residue in ``_descend``;
+* the claimed maximal point: its four checks in
+  ``acceptable._maximal_state``, in integers, once per build;
 * a superbasic base's chain and slopes in ``sharp_peel``, and its
   witness's Newton point in ``superbasic_witness``, which then builds
   the point from those slopes unchecked; the base relabels the witness
@@ -130,7 +132,6 @@ from .weyl import (
     GroupDatum,
     IntVec,
     Permutation,
-    RatVec,
     SignedMap,
     _Frozen,
     _dominant_length,
@@ -179,11 +180,11 @@ class Solution(NamedTuple):
     trace: tuple = ()
 
 
-def _verify_solution(problem: Problem, sol: Solution,
-                     nu_raw: RatVec) -> tuple[NewtonPoint, Permutation]:
+def _verify_solution(problem: Problem, sol: Solution, d: int,
+                     nums: Sequence[int]) -> tuple[NewtonPoint, Permutation]:
     """The one check of a final answer: w <= t^{x(mu)} (w in Adm(mu) with
     the reported x, and so in the coset of t^mu, which t^{x(mu)} shares),
-    and the Newton point of w equal to the claimed raw point nu_raw.
+    and the Newton point of w equal to the claimed raw point nums / d.
     On an ``adjoint, base-superbasic`` trace the base's certificate
     proves w <= t^{x(mu)} once it is shown, in O(n), to be this answer's
     (module docstring); w may live on PGL_n, so the elements are
@@ -195,8 +196,8 @@ def _verify_solution(problem: Problem, sol: Solution,
     kernel. A solution without x (the brute force's) gets it from
     ``adm_member``, whose last, successful walk is that same
     w <= t^{x(mu)}. The two points are compared in integers, and the
-    answer's is nu_raw minus the reporting shift, built unchecked: nu_raw
-    is dominant by construction and the shift is constant per block.
+    answer's is nums / d minus the reporting shift, built unchecked: the
+    claim is dominant by construction and the shift is constant per block.
     Returns that point and x: the answer's."""
     x = sol.x
     cert = None
@@ -224,11 +225,10 @@ def _verify_solution(problem: Problem, sol: Solution,
         bar = [y + base.central * k for y in bar]
     else:
         k, _, bar = _element_kernel(sol.w, problem.frob)
-    d, nums = _scaled(nu_raw)
     if [y * d for y in bar] != [y * k for y in nums]:
         raise InternalCheckFailed(
             f"witness Newton point {_vec_str(Fraction(y, k) for y in bar)}"
-            f" differs from claimed {_vec_str(nu_raw)}"
+            f" differs from claimed {_vec_str(_fractions(nums, d))}"
         )
     ds, shift = _scaled(problem.frob.shift)
     point = _fractions([y * ds - s * d for y, s in zip(nums, shift)], d * ds)
@@ -745,6 +745,7 @@ def _solve(problem: Problem, strategy: str) -> SolveResult:
         if strategy == "bruteforce":
             # the claimed maximum and a witness; _verify_solution looks up x
             nu_raw, w = _brute_force(problem.mu, frob, witness=True)
+            d, nums = _scaled(nu_raw)
             sol = Solution(w, None, (BaseStep("bruteforce", 0, problem.datum.n, 0),))
             checks["bruteforce"] = True
         else:
@@ -757,7 +758,8 @@ def _solve(problem: Problem, strategy: str) -> SolveResult:
             ad_step = AdjointStep("adjoint", problem.datum.block_sums(problem.mu))
             sol = sol._replace(trace=(ad_step,) + sol.trace)
             # the claimed point; _verify_solution checks that w realizes it
-            nu_raw = _maximal_state(frob, _orbit_bounds(problem.mu, frob)).nu_raw
+            d, nums = _maximal_state(frob, _orbit_bounds(problem.mu, frob))
+            nu_raw = _fractions(nums, d)
             checks["matches_maximal_newton"] = True
             if strategy == "auto":
                 try:
@@ -771,7 +773,7 @@ def _solve(problem: Problem, strategy: str) -> SolveResult:
                             f" {_vec_str(brute)} disagree"
                         )
                     checks["matches_bruteforce"] = True
-        point, x = _verify_solution(problem, sol, nu_raw)
+        point, x = _verify_solution(problem, sol, d, nums)
         checks["admissible"] = True
         certificate = next((step.certificate for step in sol.trace
                             if isinstance(step, BaseStep) and step.certificate is not None), None)

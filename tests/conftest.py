@@ -27,6 +27,9 @@ nothing in the package calls them:
   ``bruhat_lower_set``, the subword products that define Adm(mu);
 * the candidates of the acceptable set: ``candidates_reference``, the
   enumeration's first formulation, with ``knot_rises_reference``;
+* the maximal point: ``orbit_bounds_reference`` and
+  ``maximal_state_reference``, the bound table and the maximal point
+  with its checks as first built, per node and in fractions;
 * acceptable points: ``adjoint_leq``, ``nu_reference``, and the
   integrality criterion ``newton_criterion`` with its witness
   ``newton_witness`` (``_defect_heights``, ``coroot_vector``);
@@ -57,7 +60,7 @@ from typing import NamedTuple
 
 import pytest
 
-from bgmu.acceptable import PolygonData, _mu_lam_diamond, support_nodes
+from bgmu.acceptable import MaximalSolverState, PolygonData, support_nodes
 from bgmu.cli import _parse_sigma
 from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed, ParseError
 from bgmu.newton import (
@@ -71,6 +74,7 @@ from bgmu.newton import (
     heights,
     kappa,
     newton_point,
+    simple_nodes,
 )
 from bgmu.reduction import SolveResult, _stage, step_json
 from bgmu.superbasic import (
@@ -323,15 +327,70 @@ def candidates_reference(datum: GroupDatum, bounds, m: int) -> list:
     dict of the prescribed nodes, every block's knot runs, then one test
     that the slopes strictly decrease in every block."""
     den, _, sums, table = bounds
+    node_at = {datum.offsets()[b] + i - 1: (b, i) for b, i in simple_nodes(datum)}
     options = [[None, *((rep + j * den) // len(orbit) for j in offsets)]
                for orbit, rep, offsets in table]
     found = []
     for combo in itertools.product(*options):
-        prescribed = {nd: q for (orbit, _, _), q in zip(table, combo) if q is not None for nd in orbit}
+        prescribed = {node_at[p]: q for (orbit, _, _), q in zip(table, combo) if q is not None
+                      for p in orbit}
         blocks = knot_rises_reference(datum, prescribed, sums)
         if all(r0 * w1 > r1 * w0 for runs in blocks for (w0, r0), (w1, r1) in zip(runs, runs[1:])):
             found.append(tuple(r * (m // w) for runs in blocks for w, r in runs for _ in range(w)))
     return found
+
+
+# --- the maximal point in fractions -----------------------------------------------
+
+def orbit_bounds_reference(mu, frob: Frobenius) -> tuple:
+    """The bound table of ``acceptable._orbit_bounds`` as it was first
+    built, in fractions and per node: the heights of mu_diamond as a
+    dict, the block sums of mu_diamond + lam_diamond, and per
+    ``node_orbits`` orbit c (c, rep, offsets), rep = <omega_c,
+    mu_diamond + lam_diamond> summed over the orbit's nodes and rep + j,
+    j in offsets, the coset in [0, <omega_c, mu_diamond>]. The averages
+    come from ``orbit_average``."""
+    datum, sigma0 = frob.datum, frob.sigma0
+    mu_dia = orbit_average(mu, sigma0)
+    both = tuple(map(sum, zip(mu_dia, orbit_average(frob.lam, sigma0))))
+    h_mu, h_both = heights_reference(datum, mu_dia), heights_reference(datum, both)
+    table = []
+    for orbit in sigma0.node_orbits:
+        rep = sum(h_both[nd] for nd in orbit)
+        upper = sum(h_mu[nd] for nd in orbit)
+        table.append((orbit, rep, range(-(rep // 1), (upper - rep) // 1 + 1)))
+    return h_mu, datum.block_sums(both), tuple(table)
+
+
+def maximal_state_reference(frob: Frobenius, bounds) -> MaximalSolverState:
+    """The maximal point on ``orbit_bounds_reference``'s table with the
+    checks ``acceptable._maximal_state`` first ran, in fractions: the
+    tent of every orbit at the top of its range, per block the hull of
+    the knots (0, 0), (i, tent + (i/n_b) s_b) and (n_b, s_b) by
+    ``polygon_reference``, then sigma0-invariance, the bound by
+    mu_diamond, the tents and the integrality criterion on the support
+    (``support_nodes``)."""
+    datum = frob.datum
+    h_mu, sums, table = bounds
+    targets = {nd: Fraction(rep + offsets[-1] if offsets else 0, len(orbit))
+               for orbit, rep, offsets in table for nd in orbit}
+    nu = []
+    for b, (nb, total) in enumerate(zip(datum.blocks, sums)):
+        knots = [0, *(targets[b, i] + Fraction(i, nb) * total for i in range(1, nb)), total]
+        nu += polygon_reference([y1 - y0 for y0, y1 in zip(knots, knots[1:])]).slopes
+    nu = tuple(nu)
+    active = support_nodes(datum, nu)
+    h = heights_reference(datum, nu)
+    if not frob.sigma0.is_invariant(nu):
+        raise InternalCheckFailed("maximal point is not sigma0-invariant")
+    if any(h[nd] > h_mu[nd] for nd in h):
+        raise InternalCheckFailed("maximal point exceeds mu_diamond")
+    if any(h[nd] < t for nd, t in targets.items()):
+        raise InternalCheckFailed("maximal point drops below a tent")
+    if any(orbit[0] in active and (rep - sum(h[nd] for nd in orbit)).denominator != 1
+           for orbit, rep, _ in table):
+        raise InternalCheckFailed("maximal point fails the integrality criterion")
+    return MaximalSolverState(datum, targets, active, nu)
 
 
 # --- acceptable points: the integrality criterion and its witness --------------
@@ -366,8 +425,7 @@ def _defect_heights(v, mu, frob: Frobenius) -> dict:
         raise ValueError("v must be dominant per block")
     if not frob.sigma0.is_invariant(v):
         raise ValueError("v must be sigma0-invariant")
-    k, _, nums = _mu_lam_diamond(mu, frob)
-    both = tuple(Fraction(x, k) for x in nums)
+    both = tuple(map(sum, zip(orbit_average(mu, frob.sigma0), orbit_average(frob.lam, frob.sigma0))))
     if datum.block_sums(v) != datum.block_sums(both):
         raise ValueError(
             f"central coordinates {_vec_str(datum.block_sums(v))} do not match"

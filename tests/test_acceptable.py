@@ -46,7 +46,6 @@ from bgmu.newton import (
     dominant_rep,
     heights,
     newton_point,
-    simple_nodes,
 )
 from bgmu.reduction import solve
 from bgmu.weyl import (
@@ -67,9 +66,11 @@ from conftest import (
     coset_ball,
     dominant_coweights,
     heights_reference,
+    maximal_state_reference,
     newton_criterion,
     newton_witness,
     nu_reference,
+    orbit_bounds_reference,
     orbit_points,
     pinned_twisted_problems,
     polygon_reference,
@@ -269,6 +270,55 @@ def test_central_sums_are_those_of_mu_lam_diamond(problem):
     assert frob.datum.block_sums(nu_reference(mu, frob)) == frob.datum.block_sums(both)
 
 
+def _agrees_with_the_first_form(mu, frob):
+    """The integer bound table and maximal point against the fractions
+    of ``orbit_bounds_reference`` and ``maximal_state_reference``: each
+    height, block sum, orbit, pairing and range, the tents, the support
+    and the point."""
+    bounds = acceptable._orbit_bounds(mu, frob)
+    den, h_mu, sums, table = bounds
+    ref_h, ref_sums, ref_table = orbit_bounds_reference(mu, frob)
+    off = frob.datum.offsets()
+    assert {(b, i): Fraction(h_mu[off[b] + i - 1], den) for b, i in ref_h} == ref_h
+    assert [h_mu[hi - 1] for _, hi in frob.datum.block_ranges()] == [0] * frob.datum.num_blocks
+    assert tuple(Fraction(t, den) for t in sums) == ref_sums
+    assert [(orbit, Fraction(rep, den), offsets) for orbit, rep, offsets in table] == [
+        (tuple(off[b] + i - 1 for b, i in orbit), rep, offsets) for orbit, rep, offsets in ref_table]
+    ref = maximal_state_reference(frob, (ref_h, ref_sums, ref_table))
+    assert maximal_newton_state(mu, frob) == ref
+    d, nums = acceptable._maximal_state(frob, bounds)
+    assert tuple(Fraction(x, d) for x in nums) == ref.nu_raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_problems())
+def test_the_maximal_point_is_its_first_form_on_drawn_twists(problem):
+    _agrees_with_the_first_form(*problem)
+
+
+def test_the_maximal_point_is_its_first_form_on_the_pinned_problems():
+    for mu, frob in pinned_twisted_problems():
+        _agrees_with_the_first_form(mu, frob)
+
+
+def test_solve_and_the_enumeration_build_no_maximal_state_record(monkeypatch):
+    # the hot paths read the maximal point as integers; only the public
+    # maximal_newton_state builds the record with its fractions
+    built = []
+    real = acceptable.MaximalSolverState
+    monkeypatch.setattr(acceptable, "MaximalSolverState", lambda *a: built.append(a) or real(*a))
+    for mu, frob in itertools.islice(pinned_twisted_problems(), 0, 180, 15):
+        try:
+            solve(mu, frob, strategy="auto")
+        except UnsupportedTwist:  # a flip at the superbasic base
+            pass
+        enumerate_acceptable(mu, frob)
+        mu_diamond_acceptable(mu, frob)
+    assert built == []
+    maximal_newton_state((1, 0, 0), Frobenius.superbasic(1, 3))
+    assert len(built) == 1
+
+
 def test_maximal_quasi_split_is_mu():
     fr = Frobenius.trivial(GroupDatum.gl(3))
     assert maximal_newton((2, 1, 0), fr).nu == (2, 1, 0)
@@ -301,10 +351,9 @@ def test_enumeration_builds_one_bound_table(monkeypatch):
 
 def test_an_enumerated_maximum_off_the_solver_point_is_refused(monkeypatch):
     # the enumeration's cross-check against the maximal point raises the
-    # typed error, with both points in its message
-    real = acceptable._maximal_state
-    monkeypatch.setattr(acceptable, "_maximal_state",
-                        lambda *a: real(*a)._replace(nu_raw=(Fraction(1), 0, 0)))
+    # typed error, with both points in its message; the solver's point
+    # is (d, nums), here (1, 0, 0) over 1
+    monkeypatch.setattr(acceptable, "_maximal_state", lambda *a: (1, [1, 0, 0]))
     fr = Frobenius.superbasic(1, 3, normalized=False)
     with pytest.raises(InternalCheckFailed, match=re.escape(
         "enumerated maximum (1, 1/2, 1/2) differs from solver (1, 0, 0)"
@@ -376,7 +425,7 @@ def _gate_enumerations():
 def _candidate_lists(mu, frob):
     bounds = acceptable._orbit_bounds(mu, frob)
     m = lcm(*range(1, max(frob.datum.blocks) + 1))
-    return acceptable._candidates(frob.datum, bounds, m), candidates_reference(frob.datum, bounds, m)
+    return acceptable._candidates(frob, bounds, m), candidates_reference(frob.datum, bounds, m)
 
 
 def test_candidates_are_the_first_formulations_on_the_gate():
@@ -1002,6 +1051,42 @@ def test_heights_are_the_fraction_reference(data):
     assert repr(heights(datum, vec)) == repr(heights_reference(datum, vec))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_adjoint_eq_is_the_equality_of_heights(data):
+    # on integer and fractional vectors, GL and PGL blocks, against a
+    # vector drawn afresh, moved by a central vector, or flipped blockwise
+    # (-reverse, moved by a central vector: equal heights on symmetric v)
+    blocks = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    adjoint = tuple(data.draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks))))
+    datum = GroupDatum(blocks, adjoint)
+    v = tuple(data.draw(st.lists(_entries, min_size=datum.n, max_size=datum.n)))
+    center = [c for nb in blocks for c in [data.draw(_entries)] * nb]
+    kind = data.draw(st.sampled_from(["fresh", "central", "flip"]))
+    if kind == "fresh":
+        w = tuple(data.draw(st.lists(_entries, min_size=datum.n, max_size=datum.n)))
+    elif kind == "central":
+        w = tuple(a + c for a, c in zip(v, center))
+    else:
+        w = tuple(c - x for sl, lo in zip(datum.block_slices(), range(len(blocks)))
+                  for c, x in zip(center[sl], reversed(v[sl])))
+    assert adjoint_eq(datum, v, w) == (heights(datum, v) == heights(datum, w))
+    if kind == "central":
+        assert adjoint_eq(datum, v, w)
+
+
+def test_a_vector_of_the_wrong_length_is_refused():
+    # as diamond refuses it: heights and adjoint_eq read positions by
+    # block, so a short or long vector would be read as another one
+    d = GroupDatum.gl(3)
+    calls = [lambda: heights(d, (1, 0)), lambda: heights(d, (1, 0, 0, 0)),
+             lambda: adjoint_eq(d, (1, 0), (2, 1)), lambda: adjoint_eq(d, (1, 0, 0), (2, 1)),
+             lambda: adjoint_eq(d, (1, 0), (1, 0, 0)), lambda: diamond((1, 0), Frobenius.trivial(d))]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="^vector has wrong length$"):
+            call()
+
+
 # --- the self-checks of the maximal point and of the enumeration --------------
 # Each is forced with a patched input: only a bug could raise them, and each
 # must raise its typed error with a message that formats.
@@ -1018,7 +1103,7 @@ def test_a_maximal_point_above_mu_diamond_is_refused(monkeypatch):
 
     def lowered(mu, frob):
         den, h_mu, sums, table = real(mu, frob)
-        return den, dict.fromkeys(h_mu, -1), sums, table
+        return den, [-1] * len(h_mu), sums, table
 
     monkeypatch.setattr(acceptable, "_orbit_bounds", lowered)
     with pytest.raises(InternalCheckFailed, match="^maximal point exceeds mu_diamond$"):
@@ -1034,14 +1119,15 @@ def test_a_maximal_point_below_a_tent_is_refused(monkeypatch):
 
 
 def test_a_maximal_point_off_the_integrality_criterion_is_refused(monkeypatch):
-    # superbasic 1/2 with mu = 0: the point (1/2, 1/2) has an empty
-    # support, and its pairing 0 is off the coset 1/2 + Z, which only a
-    # support that claims the node puts to the test
-    monkeypatch.setattr(acceptable, "support_nodes",
-                        lambda datum, vec: frozenset(simple_nodes(datum)))
+    # superbasic 1/2 with mu = (2, 0): the tent is 1/2, on the coset
+    # 3/2 + Z of <omega_1, mu_diamond + lam_diamond>, and mu_diamond's
+    # height is 1. A hull through (5/2, 1/2) (numerators over the table's
+    # den 2) has height 1, between the two, and moves the node, so only
+    # its pairing, off the coset, refuses it
+    monkeypatch.setattr(acceptable, "_hull", lambda rises: [(1, 5), (1, 1)])
     with pytest.raises(InternalCheckFailed,
                        match="^maximal point fails the integrality criterion$"):
-        maximal_newton_state((0, 0), Frobenius.superbasic(1, 2, normalized=False))
+        maximal_newton_state((2, 0), Frobenius.superbasic(1, 2, normalized=False))
 
 
 def test_an_acceptable_set_without_one_maximum_is_refused(monkeypatch):

@@ -371,6 +371,28 @@ def test_sigma0_derives_its_orbits_and_average_once(monkeypatch):
         assert diamond((1, 0, 0, 0), frob) == (q, -q, q, -q)
     assert len(walks) == 2 and len(parts) == 1
 
+def test_sigma0_derives_its_bound_plan_once(monkeypatch):
+    # every bound table on a twist reads sigma0's plan: solve, the
+    # enumeration and the mu_diamond criterion of several mu derive it
+    # on the first read only, and the twist's lam share once beside it
+    import bgmu.acceptable as acceptable
+    import bgmu.reduction as reduction
+
+    plans = []
+    prop = Sigma0.__dict__["_bound_plan"]
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda self: plans.append(self) or real(self))
+    d22 = GroupDatum((2, 2))
+    s0 = Sigma0(d22, (1, 0), (True, True))
+    frob = Frobenius(omega_element(d22, (1, 0)), s0)
+    for mu in [(1, 0, 1, 0), (2, 0, 1, 1), (0, 0, 0, 0)]:
+        reduction.solve(mu, frob, strategy="auto")
+        acceptable.enumerate_acceptable(mu, frob)
+        acceptable.mu_diamond_acceptable(mu, frob)
+    assert len(plans) == 1 and plans[0] is s0
+    assert list(vars(frob)).count("_lam_diamond") == 1
+
+
 @st.composite
 def orbit_data(draw):
     """A sigma0 on GL/PGL with 1-3 blocks of size at most 4 (any

@@ -13,6 +13,11 @@ A memo must also keep a bound: every ``lru_cache`` passes an integer
 ``maxsize``, and ``functools.cache`` only wraps a function of no
 arguments, whose memo holds one value. The section's bullet for an
 ``lru_cache`` states that bound as "at most N entries".
+
+A derived attribute, a ``cached_property`` of ``newton.Sigma0`` or
+``newton.Frobenius``, is computed once per value and read by every
+problem on it, so the section's paragraph on derived attributes must
+name each one as ``Class.name`` in backticks.
 """
 
 import ast
@@ -269,3 +274,43 @@ def test_readme_states_the_twist_table_bound():
     from bgmu.newton import _INTERN_BOUND
 
     assert f"at most {_INTERN_BOUND:,} entries" in bullet("Frobenius._interned")
+
+
+def derived_attributes(source: str, classes: set[str]) -> list[str]:
+    """``Class.name`` for every ``cached_property`` (bare or as
+    ``functools.cached_property``) in the bodies of ``classes``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name in classes:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and any(
+                        (d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None))
+                        == "cached_property" for d in item.decorator_list):
+                    found.append(f"{node.name}.{item.name}")
+    return found
+
+
+def test_derived_attributes_are_found():
+    source = ("import functools\n"
+              "class A:\n    @cached_property\n    def x(self): return 1\n"
+              "    @functools.cached_property\n    def _y(self): return 2\n"
+              "    @property\n    def z(self): return 3\n"
+              "class B:\n    @cached_property\n    def w(self): return 4\n")
+    assert derived_attributes(source, {"A"}) == ["A.x", "A._y"]
+
+
+def derived_attributes_paragraph() -> str:
+    """The Concurrency section's paragraph on what a ``Sigma0`` and a
+    ``Frobenius`` derive from their fields."""
+    text = concurrency_section()
+    start = text.index("A `Sigma0` computes")
+    end = text.find("\n\n", start)
+    return text[start : end if end >= 0 else len(text)]
+
+
+@pytest.mark.parametrize("name", derived_attributes(
+    (PACKAGE / "newton.py").read_text(), {"Sigma0", "Frobenius"}))
+def test_readme_names_every_derived_attribute(name):
+    # a derived attribute is computed once per value and shared by every
+    # problem on it, as a cache is, so it is held to the same rule
+    assert f"`{name}`" in derived_attributes_paragraph()

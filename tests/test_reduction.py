@@ -660,8 +660,8 @@ def test_a_claim_off_by_the_central_part_is_refused(monkeypatch, adjoint):
     real = reduction._maximal_state
 
     def uncentered(frob, bounds):
-        state = real(frob, bounds)
-        return state._replace(nu_raw=tuple(x - 1 for x in state.nu_raw))
+        d, nums = real(frob, bounds)
+        return d, [x - d for x in nums]
 
     mu, fr = (2, 1, 1, 0, 0), _kappa_seven(adjoint)
     r = solve(mu, fr, strategy="constructive")
