@@ -770,10 +770,11 @@ def adm_enumerate(mu: Sequence[int], datum: GroupDatum) -> tuple[AffineElement, 
     return tuple(sorted(elements, key=_adm_order))
 
 
-def _brute_force(mu: Sequence[int], frob: Frobenius,
-                 witness: bool) -> tuple[RatVec, Optional[AffineElement]]:
+def _brute_force(mu: Sequence[int], frob: Frobenius, witness: bool
+                 ) -> tuple[tuple[int, tuple[int, ...]], Optional[AffineElement]]:
     """The maximum of the Newton points over Adm(mu), the set that the
-    paper's theorem says attains the maximal acceptable point, and, with
+    paper's theorem says attains the maximal acceptable point, as its key
+    (k, lam), the point being lam / k in lowest terms, and, with
     ``witness``, the first element of Adm(mu) in (length, trans, images)
     order that attains it (else None).
 
@@ -800,10 +801,10 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
     ``itemgetter`` sums per cycle of u o A per translation, and one gcd
     per distinct point. Over the lcm of the orders the heights are
     integers, and the maximal key is the one at the componentwise
-    maximum. Fractions are built only for it, and lengths only for its
-    class, the union of the H-orbits of its keyed tuples, on raw tuples
-    (``_tuple_length``): its least one is the witness, the one element
-    validated."""
+    maximum. No Fraction is built but in a message, and lengths only for
+    its class, the union of the H-orbits of its keyed tuples, on raw
+    tuples (``_tuple_length``): its least one is the witness, the one
+    element validated."""
     datum = frob.datum
     omegas = _omega_blocks(frob.sigma0)
     raw = _adm_raw(mu, datum, BRUTE_GUARD_N, BRUTE_GUARD_SIZE,
@@ -821,10 +822,8 @@ def _brute_force(mu: Sequence[int], frob: Frobenius,
             f"admissible Newton points have {len(maxima)} maxima:"
             f" {', '.join(map(_vec_str, attained))}"
         )
-    k, lam = maxima[0]
-    nu_raw = tuple(Fraction(x, k) for x in lam)
     if not witness:
-        return nu_raw, None
+        return maxima[0], None
     found = _omega_closure(keyed[maxima[0]], omegas, datum.block_ranges())
     trans, images = min(found, key=lambda e: (_tuple_length(datum, *e), *e))
-    return nu_raw, AffineElement(datum, trans, Permutation(images))
+    return maxima[0], AffineElement(datum, trans, Permutation(images))

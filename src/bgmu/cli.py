@@ -150,17 +150,20 @@ def _problem_from_args(args) -> Problem:
     return Problem(mu, _parse_sigma(args.sigma, datum, args.normalize))
 
 
+@functools.lru_cache(maxsize=256)
+def _twist_header(frob: Frobenius) -> tuple[str, str, str, tuple[str, ...]]:
+    """The group, tau, sigma0 and shift texts of a problem on frob, kept
+    per twist: only mu differs between the problems on one twist."""
+    return (_format_group(frob.datum), format_element(frob.tau), _format_sigma0(frob.sigma0),
+            tuple(map(str, frob.shift)))
+
+
 def _problem_json(problem: Problem) -> dict:
     """The problem as ``max``, ``enumerate``, ``verify`` and the replay
     line report it."""
-    frob = problem.frob
-    return {
-        "group": _format_group(problem.datum),
-        "mu": list(problem.mu),
-        "tau": format_element(frob.tau),
-        "sigma0": _format_sigma0(frob.sigma0),
-        "shift": [str(x) for x in frob.shift],
-    }
+    group, tau, sigma0, shift = _twist_header(problem.frob)
+    return {"group": group, "mu": list(problem.mu), "tau": tau, "sigma0": sigma0,
+            "shift": list(shift)}
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper of json.dumps
@@ -456,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-entry", type=_int_option, default=2)
     p.add_argument("--keep-going", action="store_true")
     p.set_defaults(func=cmd_verify)
+    parser.commands = sub.choices  # each command's own parser, by name (``_parse``)
     return parser
 
 
@@ -474,10 +478,22 @@ def _glue_mu(argv: Sequence[str]) -> list[str]:
 _parser = functools.cache(build_parser)  # one parser per process
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once: a command goes straight to its own parser. The
+    top-level parser runs only when the first token is not a command or
+    tokens are left unread, and prints its usage error or help."""
     parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(_glue_mu(sys.argv[1:] if argv is None else argv))
+        args = _parse(_glue_mu(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

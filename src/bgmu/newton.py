@@ -40,7 +40,6 @@ strings and in check messages.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -55,8 +54,11 @@ from .weyl import (
     IntVec,
     Permutation,
     SignedMap,
+    _check_superbasic,
     _Frozen,
+    _Interned,
     _length_zero,
+    _omega_tuples,
     superbasic_element,
 )
 
@@ -71,15 +73,23 @@ class AffineMap(NamedTuple):
     shift: tuple[int, ...]
 
 
-class Sigma0(_Frozen):
+class Sigma0(_Interned, _Frozen):
     """Diagram automorphism: block_to[b] is the image block of block b,
-    flip[b] whether the map b -> block_to[b] composes with the flip."""
+    flip[b] whether the map b -> block_to[b] composes with the flip.
+    One object per value (``weyl._Interned``)."""
 
     datum: GroupDatum
     block_to: tuple[int, ...]
     flip: tuple[bool, ...]
 
-    def __init__(self, datum: GroupDatum, block_to: tuple[int, ...], flip: tuple[bool, ...]) -> None:
+    _interned = {}  # not annotated, so not a field
+
+    @staticmethod
+    def _intern_key(datum: GroupDatum, block_to: tuple[int, ...], flip: tuple[bool, ...]) -> tuple:
+        return datum.blocks, datum.adjoint, tuple(block_to), tuple(flip)
+
+    def _build(self, datum: GroupDatum, block_to: tuple[int, ...], flip: tuple[bool, ...]) -> None:
+        block_to, flip = tuple(block_to), tuple(flip)
         r = datum.num_blocks
         if sorted(block_to) != list(range(r)) or len(flip) != r:
             raise ParseError("block_to must permute blocks, one flip flag each")
@@ -227,50 +237,41 @@ def heights(datum: GroupDatum, vec: Sequence) -> dict[Node, Fraction]:
     return {(b, i): Fraction(h[off[b] + i - 1], d * s) for b, i in simple_nodes(datum)}
 
 
-# the most twists that ``Frobenius._interned`` keeps; README's Concurrency
-# section gives the traffic it holds
-_INTERN_BOUND = 1024
+def _twist_key(datum: GroupDatum, trans: IntVec, images: IntVec, sigma0_datum: GroupDatum,
+               block_to: tuple[int, ...], flip: tuple[bool, ...], shift: Sequence) -> tuple:
+    """A twist's key in ``Frobenius._interned``: both data's blocks and
+    adjoint flags, tau's translation and images, sigma0's targets and
+    flips, and the shift as (numerator, denominator) pairs, zero if empty."""
+    return (datum.blocks, datum.adjoint, trans, images,
+            sigma0_datum.blocks, sigma0_datum.adjoint, block_to, flip,
+            tuple([x.as_integer_ratio() for x in shift]) if shift else ((0, 1),) * datum.n)
 
 
-class Frobenius(_Frozen):
+class Frobenius(_Interned, _Frozen):
     """Twist descriptor sigma = Ad(tau) o sigma0 with an optional
     central shift subtracted from reported Newton points only.
 
-    The constructor returns the one live twist of its value, kept in
-    ``_interned`` under plain ints and bools: both data's blocks and
-    adjoint flags, tau's translation and images, sigma0's targets and
-    flips, and the shift as (numerator, denominator) pairs, an empty
-    shift read as zero. So an equal twist built anywhere (a caller, a
-    parse, a sub-problem) shares its hash, its derived attributes and
-    the reduction's stage keyed by it, and its checks run once, on the
-    first build. A refused twist raises on every call and is never
-    stored. Past ``_INTERN_BOUND`` values the table is emptied and
-    starts over: a twist built before stays valid and equal to a new
-    one, only no longer the same object. Pickling and copying rebuild
-    through the constructor, so they return the interned twist."""
+    One object per value (``weyl._Interned``, keyed by ``_twist_key``),
+    so an equal twist built anywhere shares its hash, its derived
+    attributes and the reduction's stage, and its checks run once. The
+    builders below look their key up before they build tau or sigma0."""
 
     tau: AffineElement
     sigma0: Sigma0
     shift: RatVec
 
-    # not annotated, so not fields
-    _interned = {}
-    _interning = threading.Lock()
+    _interned = {}  # not annotated, so not a field
 
-    def __new__(cls, tau: AffineElement, sigma0: Sigma0, shift: Sequence = ()) -> "Frobenius":
-        datum, sigma0_datum = tau.datum, sigma0.datum
-        key = (
-            datum.blocks, datum.adjoint, tau.trans, tau.perm.images,
-            sigma0_datum.blocks, sigma0_datum.adjoint, sigma0.block_to, sigma0.flip,
-            tuple([x.as_integer_ratio() for x in shift]) if shift
-            else ((0, 1),) * datum.n,
-        )
-        twist = Frobenius._interned.get(key)
-        if twist is not None:
-            return twist
+    @staticmethod
+    def _intern_key(tau: AffineElement, sigma0: Sigma0, shift: Sequence = ()) -> tuple:
+        return _twist_key(tau.datum, tau.trans, tau.perm.images, sigma0.datum,
+                          sigma0.block_to, sigma0.flip, shift)
+
+    def _build(self, tau: AffineElement, sigma0: Sigma0, shift: Sequence = ()) -> None:
+        datum = tau.datum
         if not _length_zero(tau):
             raise ParseError("tau must have length zero")
-        if sigma0_datum != datum:
+        if sigma0.datum != datum:
             raise DimensionMismatch("sigma0 and tau live in different data")
         # Fractions whatever the caller passed, so that equal twists,
         # which are one object, print alike
@@ -281,15 +282,16 @@ class Frobenius(_Frozen):
             part = shift[lo - 1 : hi]
             if part.count(part[0]) != len(part):
                 raise ParseError("shift must be central (constant per block)")
-        twist = object.__new__(cls)
-        twist._set(tau=tau, sigma0=sigma0, shift=shift)
-        with Frobenius._interning:
-            if len(Frobenius._interned) >= _INTERN_BOUND:
-                Frobenius._interned.clear()
-            return Frobenius._interned.setdefault(key, twist)
+        self._set(tau=tau, sigma0=sigma0, shift=shift)
 
-    def __reduce__(self):
-        return Frobenius, (self.tau, self.sigma0, self.shift)
+    @staticmethod
+    def _under_identity(datum: GroupDatum, trans: IntVec, images: IntVec, shift: Sequence,
+                        make_tau) -> "Frobenius":
+        """The twist of tau = t^trans images, sigma0 = 1, looked up before make_tau()."""
+        r = datum.num_blocks
+        key = _twist_key(datum, trans, images, datum, tuple(range(r)), (False,) * r, shift)
+        twist = Frobenius._interned.get(key)
+        return twist if twist is not None else Frobenius(make_tau(), Sigma0.identity(datum), shift)
 
     @property
     def datum(self) -> GroupDatum:
@@ -302,11 +304,13 @@ class Frobenius(_Frozen):
 
     @staticmethod
     def trivial(datum: GroupDatum) -> "Frobenius":
-        return Frobenius(AffineElement.identity(datum), Sigma0.identity(datum))
+        n = datum.n
+        return Frobenius._under_identity(datum, (0,) * n, tuple(range(1, n + 1)), (),
+                                         lambda: AffineElement.identity(datum))
 
     @staticmethod
     def inner(tau: AffineElement) -> "Frobenius":
-        return Frobenius(tau, Sigma0.identity(tau.datum))
+        return Frobenius._under_identity(tau.datum, tau.trans, tau.perm.images, (), lambda: tau)
 
     @staticmethod
     def superbasic(m: int, n: int, normalized: bool = True,
@@ -315,9 +319,10 @@ class Frobenius(_Frozen):
         canonical central shift (m/n) d so reported points are basic
         of slope zero when mu = 0."""
         datum = GroupDatum.pgl(n) if adjoint else GroupDatum.gl(n)
-        tau = superbasic_element(m, n, datum)
+        _check_superbasic(m, n)  # before the lookup: another pair may name another twist
         shift = (Fraction(m, n),) * n if normalized else ()
-        return Frobenius(tau, Sigma0.identity(datum), shift)
+        return Frobenius._under_identity(datum, *_omega_tuples(datum, (m,)), shift,
+                                         lambda: superbasic_element(m, n, datum))
 
     @cached_property
     def affine_map(self) -> AffineMap:
@@ -638,6 +643,8 @@ def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:
     """Blockwise weakly decreasing representative and the minimal
     length permutation z with z(vec) = rep (stable on ties)."""
     vec = tuple(vec)
+    if len(vec) != datum.n:
+        raise DimensionMismatch("vector has wrong length")
     images = [0] * datum.n
     rep = list(vec)
     for lo, hi in datum.block_ranges():

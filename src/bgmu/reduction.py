@@ -46,12 +46,9 @@ over the Newton points of the admissible set for the brute force
 (``acceptable._brute_force``), whose witness comes without x. Each
 fact about the answer is then checked once, in ``_verify_solution``,
 for every strategy: w <= t^{x(mu)} for the reported x, the definition
-of Adm(mu); and the Newton point of w is the claimed one, compared in
-integers. The point is read off the final witness by one run of the
-Newton kernel there, except on a trace of one superbasic base below the
-adjoint step, where it is the certificate's slopes plus the base's
-central part: ``superbasic_witness`` has checked those slopes against
-its witness's kernel, once. The auto strategy also compares the claimed
+of Adm(mu); and the Newton point of w is the claimed one, read off the
+final witness by the one run of the Newton kernel per answer and
+compared in integers. The auto strategy also compares the claimed
 point with the brute-force maximum whenever the brute force's own
 guards let it list Adm(mu). So no step re-checks its own hypotheses: a
 conjugation or a descent that broke one lifts to a witness that
@@ -65,8 +62,9 @@ by one O(1) comparison), and sigma has
 length zero, so w = end sigma^-1 is below t^{eps(mu)}; being reached
 from it by affine reflections, w also lies in its coset, that of t^mu.
 So it suffices that the certificate is this answer's: its mu is mu, x
-is its eps, its start is t^{x(mu)} sigma and its end is w sigma. Every
-other trace walks ``bruhat_leq(w, t^{x(mu)})``, whose first test is
+is its eps, its start is t^{x(mu)} sigma and its end is w sigma; and
+the slopes it prints, plus the base's central part, are the claim.
+Every other trace walks ``bruhat_leq(w, t^{x(mu)})``, whose first test is
 the coset; for the brute force's witness, ``adm_member`` looks up x,
 and its last, successful walk is this test.
 
@@ -89,14 +87,15 @@ Where each check runs:
   ``_generic_point`` and the superbasic residue in ``_descend``;
 * the claimed maximal point: its four checks in
   ``acceptable._maximal_state``, in integers, once per build;
-* a superbasic base's chain and slopes in ``sharp_peel``, and its
-  witness's Newton point in ``superbasic_witness``, which then builds
-  the point from those slopes unchecked; the base relabels the witness
-  to the problem's datum, the same single block, unchecked;
+* a superbasic base's chain and slopes in ``sharp_peel``, whose end
+  times sigma_{m,n}^-1 is the base's witness (``_superbasic_base``),
+  relabelled to the problem's datum unchecked. A base runs no Newton
+  kernel: its certificate is checked by its peel, and the answer by the
+  one kernel run below;
 * the answer: in ``_verify_solution``, once, with w <= t^{x(mu)} read
-  off the certificate on an ``adjoint, base-superbasic`` trace and
-  walked on every other, and its Newton point read off the same
-  certificate's slopes, or off one kernel run on every other trace.
+  off the certificate on an ``adjoint, base-superbasic`` trace, whose
+  slopes plus the central part must be the claim, and walked on every
+  other, and its Newton point read off one kernel run on every trace.
 """
 
 from __future__ import annotations
@@ -126,7 +125,7 @@ from .newton import (
     dominant_rep,
     kappa,
 )
-from .superbasic import PeelCertificate, _twist_data, superbasic_witness
+from .superbasic import PeelCertificate, _twist_data, sharp_peel
 from .weyl import (
     AffineElement,
     GroupDatum,
@@ -172,8 +171,7 @@ class Solution(NamedTuple):
     point is checked once, by ``_verify_solution``, which also looks up
     x when it is None (the brute force's witness). When the trace is
     one superbasic base below the adjoint step, the certificate proves
-    w <= t^{x(mu)}, and its slopes plus the base's central part are the
-    point; otherwise w is walked and its point read off the kernel."""
+    w <= t^{x(mu)}; otherwise w is walked."""
 
     w: AffineElement
     x: Optional[Permutation]
@@ -184,23 +182,20 @@ def _verify_solution(problem: Problem, sol: Solution, d: int,
                      nums: Sequence[int]) -> tuple[NewtonPoint, Permutation]:
     """The one check of a final answer: w <= t^{x(mu)} (w in Adm(mu) with
     the reported x, and so in the coset of t^mu, which t^{x(mu)} shares),
-    and the Newton point of w equal to the claimed raw point nums / d.
-    On an ``adjoint, base-superbasic`` trace the base's certificate
-    proves w <= t^{x(mu)} once it is shown, in O(n), to be this answer's
-    (module docstring); w may live on PGL_n, so the elements are
-    compared by trans and perm. Its point is then the certificate's
-    slopes plus the base's central part, which ``superbasic_witness``
-    has checked against w: the problem's twist is sigma_{m,n} times the
-    central translation by that part, so the kernel does not run again.
-    Every other trace walks, and reads the point off one run of the
-    kernel. A solution without x (the brute force's) gets it from
-    ``adm_member``, whose last, successful walk is that same
-    w <= t^{x(mu)}. The two points are compared in integers, and the
+    and the Newton point of w, read off one run of the kernel, equal to
+    the claimed raw point nums / d. On an ``adjoint, base-superbasic``
+    trace the base's certificate proves w <= t^{x(mu)} once it is shown,
+    in O(n), to be this answer's (module docstring); w may live on
+    PGL_n, so the elements are compared by trans and perm. Its slopes
+    plus the base's central part must then be the claim too, as the
+    twist is sigma_{m,n} times the central translation by that part.
+    Every other trace walks. A solution without x (the brute force's)
+    gets it from ``adm_member``, whose last, successful walk is that same
+    w <= t^{x(mu)}. The points are compared in integers, and the
     answer's is nums / d minus the reporting shift, built unchecked: the
     claim is dominant by construction and the shift is constant per block.
     Returns that point and x: the answer's."""
-    x = sol.x
-    cert = None
+    x, cert = sol.x, None
     if x is None:
         ok, x = adm_member(sol.w, problem.mu)
         if not ok:
@@ -219,17 +214,19 @@ def _verify_solution(problem: Problem, sol: Solution, d: int,
             below = bruhat_leq(sol.w, bound)
         if not below:
             raise InternalCheckFailed(f"witness {sol.w!r} is not below t^{{x(mu)}} = {bound!r}")
-    # the witness's point, bar / k
+    # the witness's point bar / k, and the certificate's slopes plus the
+    # base's central part: each must be the claim
+    k, _, bar = _element_kernel(sol.w, problem.frob)
+    points = [(k, bar)]
     if cert is not None:
         k, bar = _scaled(cert.slopes)
-        bar = [y + base.central * k for y in bar]
-    else:
-        k, _, bar = _element_kernel(sol.w, problem.frob)
-    if [y * d for y in bar] != [y * k for y in nums]:
-        raise InternalCheckFailed(
-            f"witness Newton point {_vec_str(Fraction(y, k) for y in bar)}"
-            f" differs from claimed {_vec_str(_fractions(nums, d))}"
-        )
+        points.append((k, [y + base.central * k for y in bar]))
+    for k, bar in points:
+        if [y * d for y in bar] != [y * k for y in nums]:
+            raise InternalCheckFailed(
+                f"witness Newton point {_vec_str(Fraction(y, k) for y in bar)}"
+                f" differs from claimed {_vec_str(_fractions(nums, d))}"
+            )
     ds, shift = _scaled(problem.frob.shift)
     point = _fractions([y * ds - s * d for y, s in zip(nums, shift)], d * ds)
     return NewtonPoint._unchecked(problem.datum, point, kappa(sol.w)), x
@@ -662,10 +659,17 @@ def _solve_orbits(problem: Problem) -> Solution:
     if step.kind == "base-rank-one":
         w = AffineElement.translation(problem.datum, mu)
         return Solution(w, Permutation.identity(1), (step._replace(central=mu[0]),))
-    sw = superbasic_witness(mu, step.m, step.n)
+    w, x, cert = _superbasic_base(mu, step.m, step.n)
     # the same single block, PGL or GL as the problem's: relabelled unchecked
-    w = AffineElement._unchecked(problem.datum, sw.w.trans, sw.w.perm)
-    return Solution(w, sw.x, (step._replace(certificate=sw.certificate),))
+    w = AffineElement._unchecked(problem.datum, w.trans, w.perm)
+    return Solution(w, x, (step._replace(certificate=cert),))
+
+
+def _superbasic_base(mu: Sequence[int], m: int, n: int) -> tuple:
+    """A superbasic base's witness w = end sigma_{m,n}^-1, its x = epsilon
+    and its certificate, all from ``sharp_peel``."""
+    cert = sharp_peel(mu, m, n)
+    return cert.end * _twist_data(m, n).sigma_inv, cert.epsilon, cert
 
 
 def step_json(step) -> dict:
@@ -744,8 +748,7 @@ def _solve(problem: Problem, strategy: str) -> SolveResult:
         checks: dict = {}
         if strategy == "bruteforce":
             # the claimed maximum and a witness; _verify_solution looks up x
-            nu_raw, w = _brute_force(problem.mu, frob, witness=True)
-            d, nums = _scaled(nu_raw)
+            (d, nums), w = _brute_force(problem.mu, frob, witness=True)
             sol = Solution(w, None, (BaseStep("bruteforce", 0, problem.datum.n, 0),))
             checks["bruteforce"] = True
         else:
@@ -759,21 +762,21 @@ def _solve(problem: Problem, strategy: str) -> SolveResult:
             sol = sol._replace(trace=(ad_step,) + sol.trace)
             # the claimed point; _verify_solution checks that w realizes it
             d, nums = _maximal_state(frob, _orbit_bounds(problem.mu, frob))
-            nu_raw = _fractions(nums, d)
             checks["matches_maximal_newton"] = True
             if strategy == "auto":
                 try:
-                    brute, _ = _brute_force(problem.mu, frob, witness=False)
+                    (k, lam), _ = _brute_force(problem.mu, frob, witness=False)
                 except GuardExceeded:
                     pass  # too large to list: no cross-check
                 else:
-                    if brute != nu_raw:
+                    if [y * d for y in lam] != [y * k for y in nums]:
                         raise InternalCheckFailed(
-                            f"constructive {_vec_str(nu_raw)} and brute force"
-                            f" {_vec_str(brute)} disagree"
+                            f"constructive {_vec_str(_fractions(nums, d))} and brute force"
+                            f" {_vec_str(_fractions(lam, k))} disagree"
                         )
                     checks["matches_bruteforce"] = True
         point, x = _verify_solution(problem, sol, d, nums)
+        nu_raw = _fractions(nums, d)
         checks["admissible"] = True
         certificate = next((step.certificate for step in sol.trace
                             if isinstance(step, BaseStep) and step.certificate is not None), None)

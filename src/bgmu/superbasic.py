@@ -38,13 +38,15 @@ No Bruhat query is made here, and each fact is checked in one place
   O(|a - b|);
 * ``superbasic_witness``: the Newton point of w is that slope sequence,
   compared with one integer list, so the point is built from the
-  slopes unchecked;
+  slopes unchecked. ``solve`` builds its bases from ``sharp_peel``
+  alone and reads its answer's Newton point by one kernel run;
 * ``solve``: the point is the maximal acceptable one and w lies below
   t^{x(mu)}, once for the whole problem. When the problem is this base
   alone (an ``adjoint, base-superbasic`` trace), the certificate is
   that proof: ``solve`` checks in O(n) that its mu, epsilon, start and
-  end are the answer's, and walks nothing. The test suite checks the
-  first of these for the superbasic base directly.
+  end are the answer's and that its slopes are the claimed point, and
+  walks nothing. The test suite checks the first of these for the
+  superbasic base directly.
 
 The final witness is w = eps (t^theta x_c) eps^{-1} sigma_{m,n}^{-1};
 its Newton point under Ad(sigma_{m,n}) is the slope sequence of the

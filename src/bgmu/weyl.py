@@ -37,6 +37,7 @@ its yes as the element's length.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -52,8 +53,8 @@ RatVec = tuple[Fraction, ...]
 class _Frozen:
     """An immutable value that checks its input. A subclass annotates its
     fields in the class body and sets them, and any attributes derived
-    from them, through ``_set`` in ``__init__`` (in ``__new__`` for
-    ``newton.Frobenius``, which returns one object per value);
+    from them, through ``_set`` in ``__init__`` (in ``_build`` for an
+    ``_Interned`` class, which returns one object per value);
     ``_unchecked`` sets the fields, in order, and skips those checks,
     for input that is valid by construction. Equality, hash and repr read the fields alone, so
     derived attributes do not count. The hash is computed on first use
@@ -100,7 +101,39 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
-class GroupDatum(_Frozen):
+# the most values that each ``_Interned`` class keeps; README's
+# Concurrency section gives the traffic the tables hold
+_INTERN_BOUND = 1024
+
+
+class _Interned:
+    """One live object per value, for a ``_Frozen`` class that lists
+    this first among its bases: the constructor returns what the class's
+    own ``_interned`` table keeps under ``_intern_key(*args)``, plain ints
+    and bools, and only on a miss runs ``_build``, which checks and sets
+    the fields, so a refused value is never stored. Misses are stored
+    under one lock with ``setdefault``; a full table is emptied first.
+    Pickling and copying rebuild through the constructor."""
+
+    _interning = threading.Lock()
+
+    def __new__(cls, *args, **kwargs):
+        key = cls._intern_key(*args, **kwargs)
+        value = cls._interned.get(key)
+        if value is None:
+            value = object.__new__(cls)
+            value._build(*args, **kwargs)
+            with _Interned._interning:
+                if len(cls._interned) >= _INTERN_BOUND:
+                    cls._interned.clear()
+                value = cls._interned.setdefault(key, value)
+        return value
+
+    def __reduce__(self):
+        return type(self), self._key
+
+
+class GroupDatum(_Interned, _Frozen):
     """Block structure: an ordered tuple of GL factors.
 
     ``adjoint[b]`` marks the factor as a PGL quotient; arithmetic stays
@@ -111,10 +144,16 @@ class GroupDatum(_Frozen):
     blocks: tuple[int, ...]
     adjoint: tuple[bool, ...]
 
-    def __init__(self, blocks: tuple[int, ...], adjoint: tuple[bool, ...] = ()) -> None:
+    _interned = {}  # not annotated, so not a field
+
+    @staticmethod
+    def _intern_key(blocks: tuple[int, ...], adjoint: tuple[bool, ...] = ()) -> tuple:
+        return tuple(blocks), tuple(adjoint) or (False,) * len(blocks)
+
+    def _build(self, blocks: tuple[int, ...], adjoint: tuple[bool, ...] = ()) -> None:
+        blocks, adjoint = self._intern_key(blocks, adjoint)
         if not blocks or any(n < 1 for n in blocks):
             raise ParseError(f"invalid block sizes {blocks}")
-        adjoint = adjoint or (False,) * len(blocks)
         if len(adjoint) != len(blocks):
             raise ParseError("adjoint flags do not match blocks")
         # the layout is read for every element built, so it is computed
@@ -606,15 +645,32 @@ def superbasic_element(m: int, n: int, datum: Optional[GroupDatum] = None) -> Af
     >>> superbasic_element(1, 2)
     t[1,0]*cyc(1,2)
     """
-    if not (0 < m < n):
-        raise ParseError(f"need 0 < m < n, got ({m}, {n})")
-    if gcd(m, n) != 1:
-        raise ParseError(f"({m}, {n}) are not coprime")
+    _check_superbasic(m, n)
     if datum is None:
         datum = GroupDatum.gl(n)
     if datum.blocks != (n,):
         raise DimensionMismatch("superbasic element lives in a single GL_n block")
     return omega_element(datum, (m,))
+
+
+def _check_superbasic(m: int, n: int) -> None:
+    if not 0 < m < n:
+        raise ParseError(f"need 0 < m < n, got ({m}, {n})")
+    if gcd(m, n) != 1:
+        raise ParseError(f"({m}, {n}) are not coprime")
+
+
+def _omega_tuples(datum: GroupDatum, kappas: Sequence[int]) -> tuple[IntVec, IntVec]:
+    """The translation and the images of ``omega_element(datum, kappas)``."""
+    if len(kappas) != datum.num_blocks:
+        raise DimensionMismatch("one kappa per block required")
+    trans: list[int] = []
+    images: list[int] = []
+    for (lo, _), nb, kap in zip(datum.block_ranges(), datum.blocks, kappas):
+        q, m = divmod(kap, nb)
+        trans += [q + 1] * m + [q] * (nb - m)
+        images += [lo + (k + m) % nb for k in range(nb)]
+    return tuple(trans), tuple(images)
 
 
 def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
@@ -626,14 +682,7 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
     >>> omega_element(GroupDatum((2, 3)), (1, -1))
     t[1,0,0,0,-1]*cyc(1,2)*cyc(3,5,4)
     """
-    if len(kappas) != datum.num_blocks:
-        raise DimensionMismatch("one kappa per block required")
-    trans: list[int] = []
-    images: list[int] = []
-    for (lo, _), nb, kap in zip(datum.block_ranges(), datum.blocks, kappas):
-        q, m = divmod(kap, nb)
-        trans += [q + 1] * m + [q] * (nb - m)
-        images += [lo + (k + m) % nb for k in range(nb)]
+    trans, images = _omega_tuples(datum, kappas)
     w = AffineElement(datum, trans, Permutation(images))
     if not _length_zero(w):
         raise InternalCheckFailed("omega element is not length zero")

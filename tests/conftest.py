@@ -61,7 +61,7 @@ from typing import NamedTuple
 import pytest
 
 from bgmu.acceptable import MaximalSolverState, PolygonData, support_nodes
-from bgmu.cli import _parse_sigma
+from bgmu.cli import _parse_sigma, _twist_header
 from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed, ParseError
 from bgmu.newton import (
     Frobenius,
@@ -915,11 +915,13 @@ def _fresh_stages(request):
 
 def _forget_twists() -> None:
     """Empty every table that keeps a twist or what it derived: the
-    reduction's stages, the CLI's parsed twists and the interned
-    twists themselves."""
+    reduction's stages, the CLI's parsed twists and twist headers, and
+    the interned twists, automorphisms and data themselves."""
     _stage.cache_clear()
     _parse_sigma.cache_clear()
-    Frobenius._interned.clear()
+    _twist_header.cache_clear()
+    for cls in (Frobenius, Sigma0, GroupDatum):
+        cls._interned.clear()
 
 
 _acceptance_lines: list[str] = []

@@ -976,7 +976,8 @@ def test_brute_force_witness_is_the_least_of_the_maximal_class():
     # keyed one element at a time
     for mu, frob in _brute_force_problems():
         datum = frob.datum
-        nu, witness = acceptable._brute_force(mu, frob, witness=True)
+        (d, nums), witness = acceptable._brute_force(mu, frob, witness=True)
+        nu = tuple(Fraction(x, d) for x in nums)
         full = acceptable._adm_raw(mu, datum, acceptable.BRUTE_GUARD_N)
         keyed = brute_keys_reference(full, frob.affine_map, datum.block_slices())
         top = [members for (k, lam), members in keyed.items()

@@ -588,13 +588,13 @@ def test_a_brute_force_disagreement_prints_the_problem_to_replay(capsys, monkeyp
     # forced disagreement is a failed internal check, reported with the
     # problem to replay
     import bgmu.reduction as reduction
-    from fractions import Fraction
 
     argv = ["max", "--group", "gl:3", "--mu", "1,0,0", "--sigma", "superbasic:1/3"]
     code, out, _ = run(capsys, *argv)
     problem = json.loads(out)["problem"]
+    # the brute force's maximum is its key (k, lam), the point lam / k
     monkeypatch.setattr(reduction, "_brute_force",
-                        lambda mu, frob, witness: ((Fraction(0),) * 3, None))
+                        lambda mu, frob, witness: ((1, (0, 0, 0)), None))
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == (
@@ -840,3 +840,39 @@ def test_a_repeated_twist_builds_no_twist_and_parses_no_element(capsys, monkeypa
         parsed.clear()
         assert run(capsys, *argv) == first
         assert (built, parsed) == ([], [])
+
+
+# argv cases with the exit code, stdout and stderr that ``bgmu`` gave
+# them while both argparse layers read every argv, with help and usage
+# wrapped at 80 columns: help, usage errors from either layer, and the
+# spellings that argparse resolves (an abbreviated option, a glued
+# negative --mu, --option=value)
+ARGV_CASES = json.loads((Path(__file__).parent / "cli_argv_cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", ARGV_CASES, ids=[case["id"] for case in ARGV_CASES])
+def test_each_argv_prints_what_two_parses_printed(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("LINES", "24")
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_a_well_formed_command_is_parsed_once(capsys, monkeypatch):
+    # a well-formed command goes straight to its own parser; the
+    # top-level parser runs only for what that parser leaves unread
+    top = cli._parser()
+    parsed = []
+    real = cli._Parser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", counted)
+    argv = ["max", "--group", "gl:3", "--mu", "1,0,0", "--sigma", "superbasic:1/3",
+            "--strategy", "constructive"]
+    assert run(capsys, *argv)[0] == 0
+    assert parsed == ["bgmu max"] and top.prog == "bgmu"
+    parsed.clear()
+    assert run(capsys, *argv, "extra")[0] == 1
+    assert parsed == ["bgmu max", "bgmu", "bgmu max"]

@@ -1,12 +1,15 @@
-"""One ``Frobenius`` per twist value.
+"""One object per value: ``GroupDatum``, ``Sigma0`` and ``Frobenius``.
 
-The constructor returns the one live twist of its value, kept in
-``Frobenius._interned``, so equal twists built anywhere share their
-checks, their derived attributes and the reduction's stage. These tests
-pin that contract: every construction site returns the interned twist,
-a refused twist is never stored, the table keeps its bound without
-changing an answer, pickling and copying go through the constructor,
-and threads that race on one value get one object.
+Each constructor returns the one live object of its value, kept in the
+class's ``_interned`` table by the one idiom of ``weyl._Interned``, so
+equal twists built anywhere share their checks, their derived
+attributes and the reduction's stage. These tests pin that contract
+for each of the three classes: an equal value is one object, a refused
+value is never stored, the table keeps its bound without changing an
+answer, pickling and copying go through the constructor, and threads
+that race on one value get one object. For twists they also pin that
+every construction site returns the interned twist, and that the
+builders look a twist up before they build it.
 """
 
 import copy
@@ -22,7 +25,8 @@ import pytest
 
 from bgmu import cli
 from bgmu.errors import BgmuError, DimensionMismatch, ParseError
-from bgmu.newton import _INTERN_BOUND, Frobenius, Sigma0
+from bgmu.newton import Frobenius, Sigma0
+from bgmu.weyl import _INTERN_BOUND
 from bgmu.reduction import Problem, _stage, solve
 from bgmu.weyl import AffineElement, GroupDatum, omega_element, superbasic_element
 from conftest import twisted_draw
@@ -83,6 +87,27 @@ def test_a_twist_reuses_what_it_derived():
             vars(again.sigma0)["block_orbits"]) == derived
 
 
+def test_answers_stay_equal_past_the_bound():
+    Frobenius._interned.clear()
+    mu = (2, 1, 0, 0)
+    first = Frobenius.superbasic(1, 4)
+    before = solve(mu, first, "constructive")
+    d3 = GroupDatum.gl(3)
+    shifted = [Frobenius.trivial(d3).with_shift((k,) * 3) for k in range(_INTERN_BOUND + 10)]
+    assert len(Frobenius._interned) <= _INTERN_BOUND
+    assert [s.shift for s in shifted] == [(Fraction(k),) * 3 for k in range(_INTERN_BOUND + 10)]
+    # the table started over, so an equal twist is now a new object:
+    # equal, hashed alike, printed alike, and it gives the same answer
+    again = Frobenius.superbasic(1, 4)
+    assert again is not first
+    assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
+    assert Frobenius.superbasic(1, 4) is again
+    after = solve(mu, again, "constructive")
+    assert (after.nu, after.nu_raw, after.w, after.x, after.trace) == (
+        before.nu, before.nu_raw, before.w, before.x, before.trace)
+    assert _stage(again) is _stage(first)
+
+
 def test_a_refused_twist_raises_on_every_call_and_is_never_stored():
     d2 = GroupDatum.gl(2)
     trivial = Frobenius.trivial(d2)
@@ -103,27 +128,6 @@ def test_a_refused_twist_raises_on_every_call_and_is_never_stored():
                 build()
     assert Frobenius._interned == before
     assert all(v is before[k] for k, v in Frobenius._interned.items())
-
-
-def test_answers_stay_equal_past_the_bound():
-    Frobenius._interned.clear()
-    mu = (2, 1, 0, 0)
-    first = Frobenius.superbasic(1, 4)
-    before = solve(mu, first, "constructive")
-    d3 = GroupDatum.gl(3)
-    shifted = [Frobenius.trivial(d3).with_shift((k,) * 3) for k in range(_INTERN_BOUND + 10)]
-    assert len(Frobenius._interned) <= _INTERN_BOUND
-    assert [s.shift for s in shifted] == [(Fraction(k),) * 3 for k in range(_INTERN_BOUND + 10)]
-    # the table started over, so an equal twist is now a new object:
-    # equal, hashed alike, printed alike, and it gives the same answer
-    again = Frobenius.superbasic(1, 4)
-    assert again is not first
-    assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
-    assert Frobenius.superbasic(1, 4) is again
-    after = solve(mu, again, "constructive")
-    assert (after.nu, after.nu_raw, after.w, after.x, after.trace) == (
-        before.nu, before.nu_raw, before.w, before.x, before.trace)
-    assert _stage(again) is _stage(first)
 
 
 D22 = GroupDatum((2, 2))
@@ -158,6 +162,177 @@ def test_a_copied_twist_is_the_interned_twist(make):
     # a distinct equal value, built unchecked, copies to the interned one
     held = Frobenius._unchecked(fr.tau, fr.sigma0, fr.shift)
     assert copy.deepcopy(held) is fr and copy.copy(held) is fr
+
+
+def test_the_builders_look_a_twist_up_before_they_build_it(monkeypatch):
+    # a twist that is stored already costs its builder no element and no
+    # automorphism: superbasic, trivial and inner find it by its key
+    import bgmu.weyl as weyl
+
+    tau = omega_element(D22, (1, 0))
+    builds = [lambda: Frobenius.superbasic(3, 7),
+              lambda: Frobenius.superbasic(2, 5, normalized=False, adjoint=True),
+              lambda: Frobenius.trivial(D22), lambda: Frobenius.inner(tau)]
+    twists = [build() for build in builds]
+    # a pair that is not superbasic is refused before the lookup, though
+    # its omega element names a stored twist
+    stored = Frobenius.inner(omega_element(GroupDatum.gl(4), (2,)))
+    assert stored.tau.trans == (1, 1, 0, 0)
+    with pytest.raises(ParseError, match="not coprime"):
+        Frobenius.superbasic(2, 4, normalized=False)
+    built = []
+    real = weyl.AffineElement.__init__
+    monkeypatch.setattr(weyl.AffineElement, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    monkeypatch.setattr(Sigma0, "_build", lambda self, *args: built.append(args))
+    assert all(build() is twist for build, twist in zip(builds, twists))
+    assert built == []
+
+
+class Spec:
+    """What the tests build of one interned class: a few values, each by
+    a builder run afresh; refused builds, with their error (a twist's
+    are in its own test above); and value i of a run of distinct ones,
+    to pass the bound."""
+
+    def __init__(self, cls, values, refused, nth):
+        self.cls, self.values, self.refused, self.nth = cls, values, refused, nth
+
+
+SPECS = {
+    "GroupDatum": Spec(
+        GroupDatum,
+        {"gl:2*3": lambda: GroupDatum((2, 3)), "pgl:3": lambda: GroupDatum.pgl(3),
+         "mixed": lambda: GroupDatum((1, 1), (True, False))},
+        [(lambda: GroupDatum(()), ParseError, "invalid block sizes"),
+         (lambda: GroupDatum((2, 0)), ParseError, "invalid block sizes"),
+         (lambda: GroupDatum((2,), (True, False)), ParseError, "adjoint flags")],
+        lambda i: GroupDatum((i + 1,))),
+    "Sigma0": Spec(
+        Sigma0,
+        {"swap-flip": lambda: Sigma0(D22, (1, 0), (True, False)),
+         "identity": lambda: Sigma0.identity(GroupDatum.gl(3)),
+         "pgl-flip": lambda: Sigma0(GroupDatum.pgl(3), (0,), (True,))},
+        [(lambda: Sigma0(D22, (0, 0), (False, False)), ParseError, "must permute"),
+         (lambda: Sigma0(D22, (1, 0), (False,)), ParseError, "one flip flag each"),
+         (lambda: Sigma0(GroupDatum((2, 3)), (1, 0), (False, False)), ParseError,
+          "different sizes")],
+        lambda i: Sigma0.identity(GroupDatum((i + 1,)))),
+    "Frobenius": Spec(Frobenius, TWISTS, None,
+                      lambda i: Frobenius.trivial(GroupDatum.gl(3)).with_shift((i,) * 3)),
+}
+VALUES = [(name, spec, make) for name, spec in SPECS.items() for make in spec.values.values()]
+VALUE_IDS = [f"{name}-{label}" for name, spec in SPECS.items() for label in spec.values]
+# a twist's refusals, pickling and copying have their own tests above,
+# on the same three twists; these rows add the datum and the automorphism
+DATA = [row for row in VALUES if row[0] != "Frobenius"]
+DATA_IDS = [i for i in VALUE_IDS if not i.startswith("Frobenius")]
+
+
+@pytest.mark.parametrize("name, spec, make", VALUES, ids=VALUE_IDS)
+def test_an_equal_value_is_one_object(name, spec, make):
+    value = make()
+    assert type(value) is spec.cls and make() is value
+    # a value built from its fields, and from its fields as lists, is
+    # the same object
+    assert spec.cls(*value._key) is value
+    assert spec.cls(*(list(f) if type(f) is tuple else f for f in value._key)) is value
+    assert spec.cls._interned[spec.cls._intern_key(*value._key)] is value
+
+
+def test_other_builders_return_the_interned_value():
+    assert GroupDatum.gl(3) is GroupDatum((3,)) is GroupDatum((3,), adjoint=(False,))
+    assert Frobenius.superbasic(2, 5) is Frobenius(
+        superbasic_element(2, 5), sigma0=Sigma0.identity(GroupDatum.gl(5)),
+        shift=(Fraction(2, 5),) * 5)
+    assert GroupDatum.pgl(3) is GroupDatum((3,), (True,))
+    assert Sigma0.identity(D22) is Sigma0(D22, (0, 1), (False, False))
+    assert Frobenius.trivial(D22).sigma0 is Sigma0.identity(D22)
+    assert Frobenius.superbasic(2, 5).datum is GroupDatum.gl(5)
+
+
+@pytest.mark.parametrize("name", ["GroupDatum", "Sigma0"])
+def test_a_refused_value_raises_on_every_call_and_is_never_stored(name):
+    spec = SPECS[name]
+    before = dict(spec.cls._interned)
+    for build, error, match in spec.refused:
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                build()
+    assert spec.cls._interned == before
+    assert all(v is before[k] for k, v in spec.cls._interned.items())
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_the_table_keeps_its_bound(name):
+    spec = SPECS[name]
+    spec.cls._interned.clear()
+    first = spec.nth(0)
+    values = [spec.nth(i) for i in range(_INTERN_BOUND + 10)]
+    assert len(spec.cls._interned) <= _INTERN_BOUND
+    assert len(set(values)) == len(values)
+    # the table started over, so an equal value is now a new object:
+    # equal, hashed alike and printed alike
+    again = spec.nth(0)
+    assert again is not first
+    assert again == first and hash(again) == hash(first) and repr(again) == repr(first)
+    assert spec.nth(0) is again
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("name, spec, make", DATA, ids=DATA_IDS)
+def test_a_pickled_value_comes_back_as_the_interned_value(name, spec, make, protocol):
+    value = make()
+    assert pickle.loads(pickle.dumps(value, protocol)) is value
+    # in a table that no longer holds it, a new equal value, which is
+    # then the interned one
+    data = pickle.dumps(value, protocol)
+    spec.cls._interned.clear()
+    back = pickle.loads(data)
+    assert back is not value and back == value and hash(back) == hash(value)
+    assert repr(back) == repr(value)
+    assert make() is back
+
+
+@pytest.mark.parametrize("name, spec, make", DATA, ids=DATA_IDS)
+def test_a_copied_value_is_the_interned_value(name, spec, make):
+    value = make()
+    assert copy.copy(value) is value and copy.deepcopy(value) is value
+    assert copy.deepcopy([value, value]) == [value, value]
+    # a distinct equal value, built unchecked, copies to the interned one
+    held = spec.cls._unchecked(*value._key)
+    assert held is not value
+    assert copy.deepcopy(held) is value and copy.copy(held) is value
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_values_built_from_threads_are_one_object(name):
+    # four threads build 300 values, each in its own order, with a short
+    # switch interval, so misses on one value race; each value is still
+    # one object, the one a later build returns
+    spec = SPECS[name]
+    spec.cls._interned.clear()
+    built = [{} for _ in range(4)]
+
+    def run(seed):
+        order = list(range(300))
+        random.Random(seed).shuffle(order)
+        for i in order:
+            built[seed][i] = spec.nth(i % 150)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(300):
+        assert built[0][i] is built[1][i] is built[2][i] is built[3][i] is spec.nth(i % 150)
 
 
 def test_twists_built_from_threads_match_one_thread():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgmu.errors import ParseError
+from bgmu.errors import DimensionMismatch, ParseError
 from bgmu.newton import (
     Frobenius,
     KappaValue,
@@ -484,6 +484,14 @@ def test_dominant_rep_examples():
     rep, z = dominant_rep(GroupDatum.gl(4), (Fraction(1, 3), 1, Fraction(1, 3), 0))
     assert rep == (1, Fraction(1, 3), Fraction(1, 3), 0)
     assert z == Permutation.from_cycles(4, [(1, 2)])
+
+
+@pytest.mark.parametrize("vec", [(1, 0), (1, 0, 0, 0), ()])
+def test_dominant_rep_refuses_a_vector_of_the_wrong_length(vec):
+    # as heights, adjoint_eq and diamond do: a short vector would index
+    # past its end, a long one would come back longer than the datum
+    with pytest.raises(DimensionMismatch, match="vector has wrong length"):
+        dominant_rep(GroupDatum.gl(3), vec)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

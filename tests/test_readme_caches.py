@@ -237,12 +237,14 @@ def test_maxsizes_are_found():
 
 
 def test_the_package_caches_are_seen():
-    # the package keeps state across problems in these seven only: the
-    # interned twists, the block Adm table, the superbasic twist data,
-    # the reduction's per-twist stages, the brute force's keying plans,
-    # the CLI's parsed twists and the CLI's parser
+    # the package keeps state across problems in these ten only: the
+    # interned twists, automorphisms and data, the block Adm table, the
+    # superbasic twist data, the reduction's per-twist stages, the brute
+    # force's keying plans, the CLI's parsed twists, the CLI's twist
+    # headers and the CLI's parser
     assert PACKAGE_CACHES == [
-        "Frobenius._interned", "acceptable._BLOCK_ADM", "cli._parse_sigma", "cli._parser",
+        "Frobenius._interned", "GroupDatum._interned", "Sigma0._interned",
+        "acceptable._BLOCK_ADM", "cli._parse_sigma", "cli._parser", "cli._twist_header",
         "newton._keying_plan", "reduction._stage", "superbasic._twist_data",
     ]
 
@@ -269,11 +271,13 @@ def test_readme_states_every_memo_bound(name):
 
 
 def test_readme_states_the_twist_table_bound():
-    # the interned twists are a table, not an lru_cache: their bound is
-    # the constant that ``Frobenius.__new__`` holds the table to
-    from bgmu.newton import _INTERN_BOUND
+    # the interned twists, automorphisms and data are tables, not
+    # lru_caches: their bound is the constant that ``weyl._Interned``
+    # holds each table to
+    from bgmu.weyl import _INTERN_BOUND
 
-    assert f"at most {_INTERN_BOUND:,} entries" in bullet("Frobenius._interned")
+    for name in ("Frobenius._interned", "GroupDatum._interned", "Sigma0._interned"):
+        assert f"at most {_INTERN_BOUND:,} entries" in bullet(name), name
 
 
 def derived_attributes(source: str, classes: set[str]) -> list[str]:

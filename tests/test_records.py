@@ -62,20 +62,22 @@ def test_element_fields_cannot_be_deleted():
     assert w == superbasic_element(1, 3) and u == Permutation((2, 1, 3))
 
 
-def _distinct(fr: Frobenius) -> Frobenius:
-    """A twist equal to fr but not fr itself, with nothing derived: the
-    constructor would return fr, the one live twist of its value."""
-    return Frobenius._unchecked(fr.tau, fr.sigma0, fr.shift)
+def _distinct(value):
+    """A value equal to an interned one (a datum, an automorphism or a
+    twist) but not that value itself, with nothing derived: the
+    constructor would return the one live object of its value."""
+    return type(value)._unchecked(*value._key)
 
 
 def test_equal_fields_make_equal_values():
     pairs = [
-        (GroupDatum((2,)), GroupDatum((2,), (False,))),
+        # data, automorphisms and twists are interned, so the second of
+        # each pair is built unchecked, a distinct value of the same fields
+        (GroupDatum((2,)), _distinct(GroupDatum((2,), (False,)))),
         (KappaValue(GroupDatum.pgl(3), (4,)), KappaValue(GroupDatum.pgl(3), (1,))),
         (NewtonPoint(GroupDatum.gl(2), (1, 0), KappaValue(GroupDatum.gl(2), (1,))),
          NewtonPoint(GroupDatum.gl(2), (Fraction(1), Fraction(0)), KappaValue(GroupDatum.gl(2), (1,)))),
-        # equal twists are one object (``Frobenius`` interns them), so the
-        # second is built unchecked, a distinct value of the same fields
+        (Sigma0.identity(GroupDatum.gl(2)), _distinct(Sigma0.identity(GroupDatum.gl(2)))),
         (Frobenius.trivial(GroupDatum.gl(2)), _distinct(Frobenius.trivial(GroupDatum.gl(2)))),
         (Problem([1, 0], Frobenius.superbasic(1, 2)), Problem((1, 0), Frobenius.superbasic(1, 2))),
         (Segment(2, [1, 0]), Segment(2, (1, 0))),
@@ -98,7 +100,8 @@ def test_derived_attributes_do_not_count():
     # cached properties filled on one value only, and the layout and
     # signed map computed at construction, leave equality and hash alone
     d = GroupDatum((2, 2))
-    read, fresh = Sigma0(d, (1, 0), (True, True)), Sigma0(d, (1, 0), (True, True))
+    read = Sigma0(d, (1, 0), (True, True))
+    fresh = _distinct(read)
     assert read.block_orbits == ((0, 1),) and read.node_orbits and read._average
     assert "block_orbits" in vars(read) and "block_orbits" not in vars(fresh)
     assert read == fresh and hash(read) == hash(fresh)

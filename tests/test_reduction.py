@@ -527,14 +527,13 @@ def test_solve_rejects_witness_above_bound(monkeypatch):
     # must catch a witness that is not below t^{x(mu)}
     import bgmu.reduction as reduction
 
-    real = reduction.superbasic_witness
+    real = reduction._superbasic_base
 
     def broken(mu, m, n):
-        sw = real(mu, m, n)
-        bad = AffineElement.translation(GroupDatum.gl(n), (2, 0, -1))
-        return sw._replace(w=bad)
+        _, x, cert = real(mu, m, n)
+        return AffineElement.translation(GroupDatum.gl(n), (2, 0, -1)), x, cert
 
-    monkeypatch.setattr(reduction, "superbasic_witness", broken)
+    monkeypatch.setattr(reduction, "_superbasic_base", broken)
     fr = Frobenius.superbasic(1, 3)
     with pytest.raises(InternalCheckFailed, match="not below"):
         solve((1, 0, 0), fr, strategy="constructive")
@@ -624,22 +623,22 @@ def test_a_forged_certificate_is_not_a_proof(monkeypatch, forge, adjoint):
     import bgmu.reduction as reduction
     from bgmu.weyl import superbasic_element
 
-    real = reduction.superbasic_witness
+    real = reduction._superbasic_base
     forged = []
 
     def forging(mu, m, n):
-        sw = real(mu, m, n)
-        forged.append(sw._replace(certificate=forge(sw.certificate, superbasic_element(m, n))))
+        w, x, cert = real(mu, m, n)
+        forged.append((w, x, forge(cert, superbasic_element(m, n))))
         return forged[-1]
 
-    monkeypatch.setattr(reduction, "superbasic_witness", forging)
+    monkeypatch.setattr(reduction, "_superbasic_base", forging)
     mu, fr = (2, 1, 1, 0, 0), Frobenius.superbasic(2, 5, adjoint=adjoint)
     with pytest.raises(InternalCheckFailed, match="not below"):
         solve(mu, fr, strategy="constructive")
-    (sw,) = forged
-    assert sw.certificate != real(mu, 2, 5).certificate
-    assert bruhat_leq(AffineElement(fr.datum, sw.w.trans, sw.w.perm),
-                      AffineElement.translation(fr.datum, sw.x.act(mu)))
+    ((w, x, cert),) = forged
+    assert cert != real(mu, 2, 5)[2]
+    assert bruhat_leq(AffineElement(fr.datum, w.trans, w.perm),
+                      AffineElement.translation(fr.datum, x.act(mu)))
 
 
 def _kappa_seven(adjoint):
@@ -676,24 +675,26 @@ def test_a_claim_off_by_the_central_part_is_refused(monkeypatch, adjoint):
 
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_a_certificate_with_other_slopes_is_refused(monkeypatch, adjoint):
-    # the certificate's slopes are the witness's point on the certificate
-    # route, so slopes moved by one unit between the first and the last
-    # entry (the same total, still decreasing) no longer make the claim
+    # on the certificate route the slopes that the certificate prints,
+    # plus the base's central part, must be the claim, which the kernel
+    # has found to be the witness's point; so slopes moved by one unit
+    # between the first and the last entry (the same total, still
+    # decreasing) are refused, though the witness is unchanged
     import bgmu.reduction as reduction
 
-    real = reduction.superbasic_witness
+    real = reduction._superbasic_base
 
     def tampered(mu, m, n):
-        sw = real(mu, m, n)
-        slopes = list(sw.certificate.slopes)
+        w, x, cert = real(mu, m, n)
+        slopes = list(cert.slopes)
         slopes[0] += 1
         slopes[-1] -= 1
-        return sw._replace(certificate=sw.certificate._replace(slopes=tuple(slopes)))
+        return w, x, cert._replace(slopes=tuple(slopes))
 
     mu, fr = (2, 1, 1, 0, 0), _kappa_seven(adjoint)
     nu_raw = solve(mu, fr, strategy="constructive").nu_raw
     moved = (nu_raw[0] + 1, *nu_raw[1:-1], nu_raw[-1] - 1)
-    monkeypatch.setattr(reduction, "superbasic_witness", tampered)
+    monkeypatch.setattr(reduction, "_superbasic_base", tampered)
     with pytest.raises(InternalCheckFailed, match=re.escape(
             f"witness Newton point {_vec_str(moved)} differs from claimed {_vec_str(nu_raw)}")):
         solve(mu, fr, strategy="constructive")
@@ -898,16 +899,17 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     # under a tau of kappa 3 (central part 1), are one superbasic base
     # below the adjoint step. The lifts and the bases carry only
     # witnesses: solve takes the maximal point as the claim, and
-    # _verify_solution walks w <= t^{x(mu)} once and runs the Newton
-    # kernel (_element_kernel) once, except on a lone superbasic base,
-    # whose certificate is the proof and whose slopes, checked against
-    # the kernel in superbasic_witness, are the point: there it walks
-    # nothing and runs no kernel. A product split of m blocks splits its sub-witness
-    # m - 1 times and walks nothing else. The brute force's witness
-    # comes without x: one adm_member scan looks it up, and its last,
-    # successful walk is the Bruhat check, so reduction walks none
+    # _verify_solution runs the Newton kernel (_element_kernel) once on
+    # every trace and walks w <= t^{x(mu)} once, except on a lone
+    # superbasic base, whose certificate is the proof: there it walks
+    # nothing. A superbasic base peels and runs no kernel of its own
+    # (no superbasic_witness). A product split of m blocks splits its
+    # sub-witness m - 1 times and walks nothing else. The brute force's
+    # witness comes without x: one adm_member scan looks it up, and its
+    # last, successful walk is the Bruhat check, so reduction walks none
     import bgmu.acceptable as acceptable
     import bgmu.reduction as reduction
+    import bgmu.superbasic as superbasic
 
     calls = {}
 
@@ -920,6 +922,10 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
     names = ("_maximal_state", "adm_member", "_element_kernel", "bruhat_leq", "_subword_split")
     for name in names:
         monkeypatch.setattr(reduction, name, counted(name, getattr(reduction, name)))
+    calls["superbasic_witness"] = 0
+    monkeypatch.setattr(superbasic, "superbasic_witness",
+                        counted("superbasic_witness", superbasic.superbasic_witness))
+    assert not hasattr(reduction, "superbasic_witness")
 
     d = GroupDatum((2, 2, 2))
     d3 = GroupDatum((3, 3, 3))
@@ -946,15 +952,16 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
             assert [s.kind for s in r.trace] == ["bruteforce"]
             assert bruhat_leq(r.w, AffineElement.translation(fr.datum, r.x.act(mu)))
             assert calls == {"_maximal_state": 0, "_element_kernel": 1, "adm_member": 1,
-                             "bruhat_leq": 0, "_subword_split": 0}, mu
+                             "bruhat_leq": 0, "_subword_split": 0, "superbasic_witness": 0}, mu
             continue
         r = solve(mu, fr, strategy=strategy)
         assert steps <= {s.kind for s in r.trace}
         assert splits == sum(len(s.orbit) - 1 for s in r.trace if s.kind == "product-split")
         assert ("matches_bruteforce" in r.checks) == (strategy == "auto" and small)
         walks = int([s.kind for s in r.trace] != ["adjoint", "base-superbasic"])
-        assert calls == {"_maximal_state": 1, "_element_kernel": walks, "adm_member": 0,
-                         "bruhat_leq": walks, "_subword_split": splits}, mu
+        assert calls == {"_maximal_state": 1, "_element_kernel": 1, "adm_member": 0,
+                         "bruhat_leq": walks, "_subword_split": splits,
+                         "superbasic_witness": 0}, mu
 
 
 def _cycle_vector_sum(lin, cycle) -> int:
