@@ -108,10 +108,19 @@ def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     return all(len(set(diff[sl])) == 1 for sl in datum.block_slices())
 
 
+def _check_ints(mu: Sequence[int]) -> None:
+    """Every entry of the caller's mu is an int: a bool, a float or a
+    Fraction is refused, not converted."""
+    if any(type(x) is not int for x in mu):
+        raise ParseError(f"mu {tuple(mu)} has an entry that is not an int")
+
+
 def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
-    """The caller's mu: one entry per position, dominant per block."""
+    """The caller's mu: one int per position (``_check_ints``), dominant
+    per block."""
     if len(mu) != datum.n:
         raise DimensionMismatch("mu has wrong length")
+    _check_ints(mu)
     if not datum.is_dominant(mu):
         raise ParseError(f"mu {tuple(mu)} is not dominant per block")
 
@@ -684,6 +693,7 @@ def adm_member(
     same central shift on adjoint blocks that the Bruhat order applies,
     rejects a non-member without a Bruhat walk; the walks only pick x
     for a member."""
+    _check_ints(mu)
     datum = w.datum
     shifted = _same_wa_coset(w, AffineElement.translation(datum, mu))
     if shifted is None or not _permissible(shifted, mu):
@@ -765,6 +775,7 @@ def adm_enumerate(mu: Sequence[int], datum: GroupDatum) -> tuple[AffineElement, 
     once, through ``AffineElement``. The test suite holds it to an independent
     reference: the subword products of reduced words of every t^{x(mu)}
     (``bruhat_lower_set`` in ``tests/conftest.py``)."""
+    _check_ints(mu)
     raw = _adm_raw(mu, datum, DEFAULT_ADM_GUARD_N)
     elements = (AffineElement(datum, t, Permutation(im)) for t, im in raw)
     return tuple(sorted(elements, key=_adm_order))

@@ -49,6 +49,7 @@ from .weyl import (
     AffineElement,
     GroupDatum,
     _read_int,
+    _read_ints,
     format_element,
     parse_element,
 )
@@ -68,8 +69,7 @@ def _parse_group(text: str) -> GroupDatum:
         raise ParseError(f"group must look like gl:8 or pgl:2*2, got {text!r}") from exc
     if kind not in ("gl", "pgl"):
         raise ParseError(f"unknown group kind {kind!r}")
-    error = f"bad block sizes in {text!r}"
-    blocks = tuple(_read_int(b, error) for b in spec.split("*"))
+    blocks = _read_ints(spec, f"bad block sizes in {text!r}", "*")
     return GroupDatum(blocks, (kind == "pgl",) * len(blocks))
 
 
@@ -85,8 +85,7 @@ def _format_sigma0(s: Sigma0) -> str:
 
 
 def _parse_sigma0(text: str, datum: GroupDatum) -> Sigma0:
-    error = f"bad sigma0 spec {text!r}"
-    entries = [_read_int(x, error) for x in text.split(",")]
+    entries = _read_ints(text, f"bad sigma0 spec {text!r}")
     if len(entries) != datum.num_blocks:
         raise ParseError(
             f"sigma0 needs {datum.num_blocks} targets, got {len(entries)}"
@@ -120,8 +119,7 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
         if not (0 < m < n) or gcd(m, n) != 1:
             raise ParseError(f"superbasic twist needs coprime 0 < m < n, got {m}/{n}")
         return Frobenius.superbasic(m, n, adjoint=datum.adjoint[0])
-    tau = AffineElement.identity(datum)
-    sigma0 = Sigma0.identity(datum)
+    tau = sigma0 = None
     for part in filter(None, (p.strip() for p in text.split(";"))):
         if part.startswith("tau="):
             tau = parse_element(part[4:], datum)
@@ -129,6 +127,10 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
             sigma0 = _parse_sigma0(part[7:], datum)
         else:
             raise ParseError(f"unknown twist component {part!r}")
+    if tau is None:
+        tau = AffineElement.identity(datum)
+    if sigma0 is None:
+        sigma0 = Sigma0.identity(datum)
     frob = Frobenius(tau, sigma0)
     if normalize:
         frob = frob.with_shift(frob.canonical_shift())
@@ -136,8 +138,7 @@ def _parse_sigma(text: str, datum: GroupDatum, normalize: bool) -> Frobenius:
 
 
 def _parse_mu(text: str, n: int) -> tuple[int, ...]:
-    error = f"bad mu {text!r}"
-    mu = tuple(_read_int(x, error) for x in text.split(","))
+    mu = _read_ints(text, f"bad mu {text!r}")
     if len(mu) != n:
         raise ParseError(f"mu must have {n} entries")
     return mu

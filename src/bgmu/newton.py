@@ -136,8 +136,8 @@ class Sigma0(_Interned, _Frozen):
     def block_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the block permutation, each listed in cyclic order
         starting from its smallest block index."""
-        to = SignedMap(tuple(b + 1 for b in self.block_to), (1,) * len(self.block_to))
-        return tuple(c for c, _ in to.cycles())
+        to = SignedMap(tuple([b + 1 for b in self.block_to]), (1,) * len(self.block_to))
+        return tuple([c for c, _ in to.cycles()])
 
     @cached_property
     def node_orbits(self) -> tuple[tuple[Node, ...], ...]:
@@ -145,13 +145,13 @@ class Sigma0(_Interned, _Frozen):
         (b, i) goes to (block_to[b], n_b - i) on a flip, else to
         (block_to[b], i)."""
         nodes = simple_nodes(self.datum)
-        index = {nd: k for k, nd in enumerate(nodes, start=1)}
+        # node (b, i) is number before[b] + i, counting from 1
+        before = [o - b for b, o in enumerate(self.datum.offsets())]
         sizes = self.datum.blocks
-        images = tuple(
-            index[self.block_to[b], sizes[b] - i if self.flip[b] else i] for b, i in nodes
-        )
+        images = tuple([before[self.block_to[b]] + (sizes[b] - i if self.flip[b] else i)
+                        for b, i in nodes])
         to = SignedMap(images, (1,) * len(nodes))
-        return tuple(tuple(nodes[k] for k in sorted(c)) for c, _ in to.cycles())
+        return tuple([tuple([nodes[k] for k in sorted(c)]) for c, _ in to.cycles()])
 
     @cached_property
     def _average(self) -> "LinearPart":
@@ -166,9 +166,9 @@ class Sigma0(_Interned, _Frozen):
         per block n_b and (i, c) per node i of orbit c."""
         off = self.datum.offsets()
         orbit_of = {nd: c for c, orbit in enumerate(self.node_orbits) for nd in orbit}
-        orbits = tuple(tuple(off[b] + i - 1 for b, i in orbit) for orbit in self.node_orbits)
-        knots = tuple((nb, tuple((i, orbit_of[b, i]) for i in range(1, nb)))
-                      for b, nb in enumerate(self.datum.blocks))
+        orbits = tuple([tuple([off[b] + i - 1 for b, i in orbit]) for orbit in self.node_orbits])
+        knots = tuple([(nb, tuple([(i, orbit_of[b, i]) for i in range(1, nb)]))
+                       for b, nb in enumerate(self.datum.blocks)])
         return orbits, lcm(*map(len, orbits)), knots
 
 
@@ -275,7 +275,8 @@ class Frobenius(_Interned, _Frozen):
             raise DimensionMismatch("sigma0 and tau live in different data")
         # Fractions whatever the caller passed, so that equal twists,
         # which are one object, print alike
-        shift = tuple(map(Fraction, shift)) if shift else (Fraction(0),) * datum.n
+        shift = (tuple([x if type(x) is Fraction else Fraction(x) for x in shift]) if shift
+                 else (Fraction(0),) * datum.n)
         if len(shift) != datum.n:
             raise DimensionMismatch("shift has wrong length")
         for lo, hi in datum.block_ranges():
@@ -285,12 +286,19 @@ class Frobenius(_Interned, _Frozen):
         self._set(tau=tau, sigma0=sigma0, shift=shift)
 
     @staticmethod
+    def _stored(datum: GroupDatum, trans: IntVec, images: IntVec, block_to: tuple[int, ...],
+                flip: tuple[bool, ...], shift: Sequence = ()) -> Optional["Frobenius"]:
+        """The stored twist of tau = t^trans images and sigma0 = (block_to,
+        flip) on datum, or None: it passed its checks when first built."""
+        return Frobenius._interned.get(
+            _twist_key(datum, trans, images, datum, block_to, flip, shift))
+
+    @staticmethod
     def _under_identity(datum: GroupDatum, trans: IntVec, images: IntVec, shift: Sequence,
                         make_tau) -> "Frobenius":
         """The twist of tau = t^trans images, sigma0 = 1, looked up before make_tau()."""
         r = datum.num_blocks
-        key = _twist_key(datum, trans, images, datum, tuple(range(r)), (False,) * r, shift)
-        twist = Frobenius._interned.get(key)
+        twist = Frobenius._stored(datum, trans, images, tuple(range(r)), (False,) * r, shift)
         return twist if twist is not None else Frobenius(make_tau(), Sigma0.identity(datum), shift)
 
     @property
@@ -328,8 +336,9 @@ class Frobenius(_Interned, _Frozen):
     def affine_map(self) -> AffineMap:
         """Action of tau o sigma0 on the ambient space, built once per
         twist (the instance is frozen, so the value cannot go stale)."""
-        u = SignedMap(self.tau.perm.images, (1,) * self.datum.n)
-        return AffineMap(u.after(self.sigma0.map()), self.tau.trans)
+        # u o A for the signed map A of sigma0: u has no signs, so A's are kept
+        u, (pos, sign) = self.tau.perm.images, self.sigma0.map()
+        return AffineMap(SignedMap(tuple([u[p - 1] for p in pos]), sign), self.tau.trans)
 
     @cached_property
     def _lam_diamond(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -338,8 +347,8 @@ class Frobenius(_Interned, _Frozen):
         orbits, o, _ = self.sigma0._bound_plan
         k, lam = _diamond(self.lam, self)
         s, h = _scaled_heights(self.datum, lam)
-        return (tuple(len(orbit) * h[orbit[0]] * o for orbit in orbits),
-                tuple(t * s * o for t in self.datum.block_sums(lam)))
+        return (tuple([len(orbit) * h[orbit[0]] * o for orbit in orbits]),
+                tuple([t * s * o for t in self.datum.block_sums(lam)]))
 
     def with_shift(self, shift: Sequence) -> "Frobenius":
         return Frobenius(self.tau, self.sigma0, tuple(shift))

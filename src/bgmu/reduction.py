@@ -117,7 +117,6 @@ from .newton import (
     Frobenius,
     NewtonPoint,
     Sigma0,
-    _block_map,
     _element_kernel,
     _fractions,
     _scaled,
@@ -132,10 +131,13 @@ from .weyl import (
     IntVec,
     Permutation,
     SignedMap,
+    _element_text,
     _Frozen,
     _dominant_length,
     _length_zero,
+    _product,
     _subword_split,
+    _translation_text,
     bruhat_leq,
     format_element,
     omega_element,
@@ -338,38 +340,61 @@ def _embed(datum: GroupDatum,
     )
 
 
-def _sub_twist(tau: AffineElement, smap: SignedMap, positions: Sequence[int],
+def _sub_twist(trans: IntVec, images: IntVec, smap: SignedMap, positions: Sequence[int],
                sub_datum: GroupDatum) -> Frobenius:
     """The twist of the sub-problem on ``positions``, built and checked
-    once: tau restricted to those positions, renumbered 1..len(positions)
-    in their order, which must map each sub-block onto itself and have
-    length zero, and the diagram automorphism of sub_datum whose map is
-    smap on those positions. Each sub-block's target block and flip are
-    read off smap at the block's first position; the whole restricted
-    map must be that automorphism's. A failure is a bug in the reduction
-    that built tau or smap; what passes is not checked again."""
-    local = {p: i for i, p in enumerate(positions, start=1)}
-    ranges = sub_datum.block_ranges()
-    block_of = {p: b for b, (lo, hi) in enumerate(ranges) for p in range(lo, hi + 1)}
-    sub_map = SignedMap(
-        tuple(local.get(smap.pos[p - 1]) for p in positions),
-        tuple(smap.sign[p - 1] for p in positions),
-    )
-    block_to = tuple(block_of.get(sub_map.pos[lo - 1]) for lo, _ in ranges)
-    flip = tuple(sub_map.sign[lo - 1] < 0 for lo, _ in ranges)
-    if None in block_to or _block_map(sub_datum, block_to, flip) != sub_map:
+    once: tau = t^trans images restricted to those positions,
+    renumbered 1..len(positions) in their order, which must map each
+    sub-block onto itself and have length zero, and the diagram
+    automorphism of sub_datum whose map is smap on those positions.
+    Each sub-block's target block and flip are read off smap at the
+    block's first position, and the whole restricted map must be that
+    automorphism's. A failure is a bug in the reduction that built tau
+    or smap; what passes, or is a stored twist, is not checked again."""
+    local = [0] * (len(images) + 1)  # 0: not a position of the sub-problem
+    for i, p in enumerate(positions, start=1):
+        local[p] = i
+    spos, ssign = smap
+    sub_map = (tuple([local[spos[p - 1]] for p in positions]),
+               tuple([ssign[p - 1] for p in positions]))
+    block_of, firsts = sub_datum._block_of, sub_datum.offsets()
+    sigma0 = None
+    if 0 not in sub_map[0]:
+        try:
+            sigma0 = Sigma0(sub_datum, tuple([block_of[sub_map[0][o] - 1] for o in firsts]),
+                            tuple([sub_map[1][o] < 0 for o in firsts]))
+        except ParseError:  # the blocks' targets are no automorphism
+            pass
+    if sigma0 is None or sigma0.map() != sub_map:
         raise InternalCheckFailed("twist does not permute the sub-blocks")
-    images = tuple(local.get(tau.perm(p)) for p in positions)
-    if any(block_of.get(j) != block_of[i] for i, j in enumerate(images, start=1)):
+    sub_images = tuple([local[images[p - 1]] for p in positions])
+    if 0 in sub_images or tuple([block_of[j - 1] for j in sub_images]) != block_of:
         raise InternalCheckFailed(
-            f"twist {tau!r} does not map the sub-blocks {sub_datum.blocks} onto themselves"
+            f"twist {_element_text(_translation_text(trans), images)} does not map the"
+            f" sub-blocks {sub_datum.blocks} onto themselves"
         )
-    sub_tau = AffineElement._unchecked(
-        sub_datum, tuple(tau.trans[p - 1] for p in positions), Permutation._unchecked(images)
-    )
+    sub_trans = tuple([trans[p - 1] for p in positions])
+    twist = Frobenius._stored(sub_datum, sub_trans, sub_images, sigma0.block_to, sigma0.flip)
+    if twist is not None:
+        return twist
+    sub_tau = AffineElement._unchecked(sub_datum, sub_trans, Permutation._unchecked(sub_images))
     if not _length_zero(sub_tau):
         raise InternalCheckFailed(f"restricted twist {sub_tau!r} is not length zero")
-    return Frobenius(sub_tau, Sigma0(sub_datum, block_to, flip))
+    return Frobenius(sub_tau, sigma0)
+
+
+def _twisted_conjugate(frob: Frobenius, trans: IntVec, images: IntVec) -> tuple[IntVec, IntVec]:
+    """x tau sigma0(x)^-1 for x = t^trans u (u = images), by
+    ``weyl._product`` on tuples. sigma0(x)^-1, for sigma0's map (pos,
+    sign), takes -sign_j trans_j at pos(i) and maps pos(j) to pos(i),
+    for j = u(i)."""
+    pos, sign = frob.sigma0.map()
+    inv_trans, inv_images = [0] * len(pos), [0] * len(pos)
+    for i, j in enumerate(images):
+        inv_trans[pos[i] - 1] = -sign[j - 1] * trans[j - 1]
+        inv_images[pos[j - 1] - 1] = pos[i]
+    tau = frob.tau
+    return _product(*_product(trans, images, tau.trans, tau.perm.images), inv_trans, inv_images)
 
 
 def _split_product(frob: Frobenius) -> ProductSplitStep:
@@ -399,26 +424,26 @@ def _split_product(frob: Frobenius) -> ProductSplitStep:
     lo, hi = datum.block_ranges()[last]
     embed = tuple(range(lo, hi + 1))
     sub_datum = GroupDatum((datum.blocks[last],), (datum.adjoint[last],))
-    smap = frob.sigma0.map()
+    spos, ssign = frob.sigma0.map()
     # sigma0^{i+1}, i = 0..m-1, followed on the last block's positions
     # only: O(n_L) per power, not O(n). The last power, sigma0^m, maps
     # the last block to itself, and its placement is the identity
     pos, sign = embed, (1,) * len(embed)
     places = []
     for _ in orbit:
-        sign = tuple(s * smap.sign[p - 1] for p, s in zip(pos, sign))
-        pos = tuple(smap.pos[p - 1] for p in pos)
+        sign = tuple([s * ssign[p - 1] for p, s in zip(pos, sign)])
+        pos = tuple([spos[p - 1] for p in pos])
         places.append((pos, sign[0]))
     places[-1] = (embed, 1)
     tau0 = _conjugator_into_last(frob, orbit)
-    tau = tau0 * frob.tau * frob.sigma0.apply_element(tau0).inverse()
     # sigma0^m is a flip when the orbit carries an odd number of flips;
     # _sub_twist reads the map only on embed, so it is the identity
     # elsewhere
-    ident = SignedMap.identity(datum.n)
-    power = SignedMap(ident.pos[:lo - 1] + pos + ident.pos[hi:],
-                      ident.sign[:lo - 1] + sign + ident.sign[hi:])
-    sub_frob = _sub_twist(tau, power, embed, sub_datum)
+    n = datum.n
+    power = SignedMap((*range(1, lo), *pos, *range(hi + 1, n + 1)),
+                      (1,) * (lo - 1) + sign + (1,) * (n - hi))
+    sub_frob = _sub_twist(*_twisted_conjugate(frob, tau0.trans, tau0.perm.images),
+                          power, embed, sub_datum)
     return ProductSplitStep("product-split", orbit, frob, (), sub_frob, tuple(places),
                             OmegaStep("omega-conjugate", tau0))
 
@@ -539,25 +564,26 @@ def _descend(frob: Frobenius) -> ParabolicStep | BaseStep:
     base's m0, n and central part, once the base's twist is checked; a
     superbasic twist with a flip is refused (``UnsupportedTwist``)."""
     datum = frob.datum
-    den, basis = _fixed_direction_space(frob)
-    v0 = _generic_point(frob, den, basis)
-    vbar, z = dominant_rep(datum, v0)
     n = datum.n
-    if vbar != v0 and frob.affine_map.linear.apply(vbar) == vbar:
-        # the generic point is swapped for vbar, which stays inside the
-        # fixed-direction space, and z becomes the identity. vbar stays
-        # generic: a fixed vector of sum zero lies in the span of the
-        # basis, so it is equal wherever every basis vector is, which is
-        # where v0 is; as a rearrangement of v0 within blocks it has
-        # exactly as many equal pairs as v0
-        v0, z = vbar, Permutation.identity(n)
-    cut = [i for i in range(1, n) if vbar[i - 1] != vbar[i]]
-    if cut:
-        z_elt = AffineElement.from_permutation(datum, z)
-        new_tau = z_elt * frob.tau * frob.sigma0.apply_element(z_elt).inverse()
-        sub_datum = GroupDatum(tuple(b - a for a, b in zip([0] + cut, cut + [n])))
-        sub_frob = _sub_twist(new_tau, frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
-        return ParabolicStep("parabolic", frob, tuple(Fraction(x, den) for x in v0), z, sub_frob)
+    den, basis = _fixed_direction_space(frob)
+    # with no fixed direction the generic point is 0, which is central
+    if basis:
+        v0 = _generic_point(frob, den, basis)
+        vbar, z = dominant_rep(datum, v0)
+        if vbar != v0 and frob.affine_map.linear.apply(vbar) == vbar:
+            # the generic point is swapped for vbar, which stays inside
+            # the fixed-direction space, and z becomes the identity.
+            # vbar stays generic: a fixed vector of sum zero lies in the
+            # span of the basis, so it is equal wherever every basis
+            # vector is, which is where v0 is; as a rearrangement of v0
+            # within blocks it has exactly as many equal pairs as v0
+            v0, z = vbar, Permutation.identity(n)
+        cut = [i for i in range(1, n) if vbar[i - 1] != vbar[i]]
+        if cut:
+            sub_datum = GroupDatum(tuple(b - a for a, b in zip([0] + cut, cut + [n])))
+            sub_frob = _sub_twist(*_twisted_conjugate(frob, (0,) * n, z.images),
+                                  frob.sigma0.map(), tuple(range(1, n + 1)), sub_datum)
+            return ParabolicStep("parabolic", frob, _fractions(v0, den), z, sub_frob)
     # superbasic base case
     if not frob.sigma0.is_identity():
         raise UnsupportedTwist(
@@ -607,18 +633,18 @@ class BaseStep(NamedTuple):
 def _split_orbits(frob: Frobenius) -> OrbitSplitStep:
     """One sub-twist per sigma0-orbit of blocks, on the orbit's blocks
     in increasing order."""
-    datum = frob.datum
+    datum, tau, smap = frob.datum, frob.tau, frob.sigma0.map()
     ranges = datum.block_ranges()
     orbits = frob.sigma0.block_orbits
     positions = []
     subs = []
     for orbit in orbits:
         blocks = sorted(orbit)
-        pos = tuple(p for b in blocks for p in range(ranges[b][0], ranges[b][1] + 1))
+        pos = tuple([p for b in blocks for p in range(ranges[b][0], ranges[b][1] + 1)])
         positions.append(pos)
-        sub_datum = GroupDatum(tuple(datum.blocks[b] for b in blocks),
-                               tuple(datum.adjoint[b] for b in blocks))
-        subs.append(_sub_twist(frob.tau, frob.sigma0.map(), pos, sub_datum))
+        sub_datum = GroupDatum(tuple([datum.blocks[b] for b in blocks]),
+                               tuple([datum.adjoint[b] for b in blocks]))
+        subs.append(_sub_twist(tau.trans, tau.perm.images, smap, pos, sub_datum))
     return OrbitSplitStep("orbit-split", frob, orbits, tuple(positions), tuple(subs))
 
 

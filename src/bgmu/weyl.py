@@ -12,7 +12,7 @@ an affine permutation (Bjorner-Brenti, Combinatorics of Coxeter Groups,
 
     g_p = u^-1(p) - n_b lam_p        (lo <= p <= hi),
 
-a left descent compares two of its entries (``_nodes``), and the length
+a left descent compares two of its entries (a datum's ``_nodes``), and the length
 is Shi's formula (J.-Y. Shi, LNM 1179, 1986), summed over blocks:
 
     len(t^lam u) = sum_{lo <= i < j <= hi} |floor((g_j - g_i) / n_b)|,
@@ -57,10 +57,9 @@ class _Frozen:
     ``_Interned`` class, which returns one object per value);
     ``_unchecked`` sets the fields, in order, and skips those checks,
     for input that is valid by construction. Equality, hash and repr read the fields alone, so
-    derived attributes do not count. The hash is computed on first use
-    and kept, as ``_hash``, beside them: a value that keys a cache is
-    looked up many times, and hashing a twist reads its element, its
-    automorphism, its datum and its Fraction shift, while most elements
+    derived attributes do not count. The hash, that of ``_hash_key()``,
+    is computed on first use and kept, as ``_hash``, beside them: a
+    value that keys a cache is looked up many times, while most elements
     are built, read and dropped unhashed."""
 
     def __init_subclass__(cls) -> None:
@@ -93,8 +92,11 @@ class _Frozen:
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            h = self.__dict__["_hash"] = hash(self._key)
+            h = self.__dict__["_hash"] = hash(self._hash_key())
             return h
+
+    def _hash_key(self) -> tuple:
+        return self._key
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -113,7 +115,11 @@ class _Interned:
     and bools, and only on a miss runs ``_build``, which checks and sets
     the fields, so a refused value is never stored. Misses are stored
     under one lock with ``setdefault``; a full table is emptied first.
-    Pickling and copying rebuild through the constructor."""
+    The hash is that of the key, so equal values hash alike however
+    they were built, ``_unchecked`` included, and hashing a twist reads
+    plain tuples (its shift as integer pairs), not its element, its
+    automorphism and its Fractions. Pickling and copying rebuild through
+    the constructor."""
 
     _interning = threading.Lock()
 
@@ -128,6 +134,9 @@ class _Interned:
                     cls._interned.clear()
                 value = cls._interned.setdefault(key, value)
         return value
+
+    def _hash_key(self) -> tuple:
+        return self._intern_key(*self._key)
 
     def __reduce__(self):
         return type(self), self._key
@@ -161,11 +170,15 @@ class GroupDatum(_Interned, _Frozen):
         # are not fields, so eq and hash still compare blocks and adjoint
         # only
         offsets = tuple(accumulate(blocks[:-1], initial=0))
+        ranges = tuple((o + 1, o + n) for o, n in zip(offsets, blocks))
         self._set(
             blocks=blocks, adjoint=adjoint, n=sum(blocks), num_blocks=len(blocks),
-            _offsets=offsets,
-            _ranges=tuple((o + 1, o + n) for o, n in zip(offsets, blocks)),
+            _offsets=offsets, _ranges=ranges,
             _slices=tuple(slice(o, o + n) for o, n in zip(offsets, blocks)),
+            # the block of each 0-based position, and the simple
+            # reflections that ``_length_zero`` and ``_walk`` read
+            _block_of=tuple(b for b, n in enumerate(blocks) for _ in range(n)),
+            _nodes=_simple_reflections(ranges, blocks),
         )
 
     @staticmethod
@@ -187,7 +200,7 @@ class GroupDatum(_Interned, _Frozen):
         return self._slices
 
     def block_sums(self, vec: Sequence) -> tuple:
-        return tuple(sum(vec[s]) for s in self.block_slices())
+        return tuple([sum(vec[s]) for s in self._slices])
 
     def is_dominant(self, vec: Sequence) -> bool:
         """Weakly decreasing inside every block. Neighbours that are one
@@ -223,20 +236,18 @@ class Permutation(_Frozen):
 
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(1, n + 1))
+        return Permutation._unchecked(tuple(range(1, n + 1)))
 
     @staticmethod
     def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """Product of the given cycles, multiplied left to right."""
-        result = Permutation.identity(n)
+        """Product of the given cycles, multiplied left to right. A cycle
+        of two or more indices must hold distinct ones in 1..n; a shorter
+        one is the identity."""
+        cycles = [tuple(c) for c in cycles if len(c) > 1]
         for cyc in cycles:
-            images = list(range(1, n + 1))
-            for a, b in zip(cyc, cyc[1:]):
-                images[a - 1] = b
-            if len(cyc) > 1:
-                images[cyc[-1] - 1] = cyc[0]
-            result = result * Permutation(images)
-        return result
+            if len(set(cyc)) != len(cyc) or min(cyc) < 1 or max(cyc) > n:
+                raise ParseError(f"not a permutation of 1..{n}: cycle {cyc}")
+        return Permutation._unchecked(_cycle_product(n, cycles))
 
     @property
     def n(self) -> int:
@@ -325,6 +336,19 @@ class SignedMap(NamedTuple):
         return tuple(out)
 
 
+def _cycle_product(n: int, cycles: Iterable[Sequence[int]]) -> IntVec:
+    """The images of the product, left to right, of cycles of distinct
+    indices in 1..n, on one list: a cycle (a_1 ... a_m) on the right
+    moves the images at a_2, ..., a_m, a_1 to a_1, ..., a_m."""
+    images = list(range(1, n + 1))
+    for cyc in cycles:
+        first = images[cyc[0] - 1]
+        for a, b in zip(cyc, cyc[1:]):
+            images[a - 1] = images[b - 1]
+        images[cyc[-1] - 1] = first
+    return tuple(images)
+
+
 def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec]:
     """(t^a u)(t^b v) = t^{a + u(b)} uv on plain tuples: translations
     and one-line images, unvalidated. The one product rule; callers
@@ -332,7 +356,7 @@ def _product(a: IntVec, u: IntVec, b: IntVec, v: IntVec) -> tuple[IntVec, IntVec
     acted = [0] * len(u)
     for j, x in zip(u, b):
         acted[j - 1] = x
-    return tuple(map(add, a, acted)), tuple(u[j - 1] for j in v)
+    return tuple(map(add, a, acted)), tuple([u[j - 1] for j in v])
 
 
 def _window(w: AffineElement) -> list[int]:
@@ -390,31 +414,33 @@ def _length_zero(w: AffineElement) -> bool:
     if known is not None:
         return known == 0
     g = _window(w)
-    if any(g[a] - k > g[c] for _, a, c, k in _nodes(w.datum)):
-        return False
+    for _, a, c, k in w.datum._nodes:
+        if g[a] - k > g[c]:
+            return False
     w.__dict__["_len"] = 0
     return True
 
 
-def _nodes(datum: GroupDatum) -> list[tuple[tuple[int, int], int, int, int]]:
-    """The simple reflections in (block, node) order, each as (letter, a,
-    c, k): letter is (block, node), and a, c are 0-based window positions.
-    s is a left descent of w when g_a - k > g_c, and s w swaps the two
-    entries: g_a becomes g_c + k and g_c becomes g_a - k. Node i >= 1
-    of a block [lo, hi] has a = lo + i - 1 and c = lo + i (1-based) and
-    k = 0; node 0 has a = hi, c = lo and k = n_b. A block of size one
-    has no node."""
+def _simple_reflections(ranges: Sequence[tuple[int, int]],
+                        blocks: Sequence[int]) -> tuple[tuple[tuple[int, int], int, int, int], ...]:
+    """A datum's ``_nodes``: the simple reflections in (block, node)
+    order, each as (letter, a, c, k): letter is (block, node), and a, c
+    are 0-based window positions. s is a left descent of w when
+    g_a - k > g_c, and s w swaps the two entries: g_a becomes g_c + k
+    and g_c becomes g_a - k. Node i >= 1 of a block [lo, hi] has
+    a = lo + i - 1 and c = lo + i (1-based) and k = 0; node 0 has a = hi,
+    c = lo and k = n_b. A block of size one has no node."""
     out = []
-    for b, ((lo, hi), nb) in enumerate(zip(datum.block_ranges(), datum.blocks)):
+    for b, ((lo, hi), nb) in enumerate(zip(ranges, blocks)):
         if nb > 1:
             out.append(((b, 0), hi - 1, lo - 1, nb))
             out += [((b, i), lo + i - 2, lo + i - 1, 0) for i in range(1, nb)]
-    return out
+    return tuple(out)
 
 
 def _swap(g: list[int], node: tuple[tuple[int, int], int, int, int]) -> None:
     """g -> the window of s w, in place, for the simple reflection s at
-    ``node`` of ``_nodes``."""
+    ``node`` of a datum's ``_nodes``."""
     _, a, c, k = node
     g[a], g[c] = g[c] + k, g[a] - k
 
@@ -562,13 +588,14 @@ def _walk(datum: GroupDatum, top: list[int], low: Optional[list[int]] = None):
     """The descent walk (Bjorner-Brenti, 8.3) on windows, in place: while
     top has a left descent, take the first s in (block, node) order,
     replace top by s top, and low by s low when s is also a descent of
-    low. Yields (node, whether low moved), node as ``_nodes`` gives it.
+    low. Yields (node, whether low moved), node as the datum's ``_nodes``
+    gives it.
     The order fixes only the letters of the test suite's ``reduced_word``:
     ``bruhat_leq`` returns a bool, and ``_subword_split``'s u1 was the
     same under every order on each pair of GL_2..GL_4 that the test
     ``test_subword_split_does_not_depend_on_the_descent_order`` tries.
     Callers validate only the elements they build from the windows."""
-    nodes = _nodes(datum)
+    nodes = datum._nodes
     while True:
         for node in nodes:
             _, a, c, k = node
@@ -669,7 +696,8 @@ def _omega_tuples(datum: GroupDatum, kappas: Sequence[int]) -> tuple[IntVec, Int
     for (lo, _), nb, kap in zip(datum.block_ranges(), datum.blocks, kappas):
         q, m = divmod(kap, nb)
         trans += [q + 1] * m + [q] * (nb - m)
-        images += [lo + (k + m) % nb for k in range(nb)]
+        images += range(lo + m, lo + nb)
+        images += range(lo, lo + m)
     return tuple(trans), tuple(images)
 
 
@@ -693,7 +721,10 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
 
 _LITERAL_RE = re.compile(r"^t\[([^\]]*)\]((?:\*cyc\([^)]*\))*)$")
 _CYCLE_RE = re.compile(r"\*cyc\(([^)]*)\)")
-_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_INT = r"\s*[+-]?[0-9]+\s*"
+_INT_RE = re.compile(_INT, re.ASCII)
+# a list of such integers between one separator, checked by one match
+_INT_LISTS = {sep: re.compile(rf"{_INT}(?:\{sep}{_INT})*", re.ASCII) for sep in ",*"}
 
 
 def _read_int(text: str, error: str) -> int:
@@ -703,6 +734,17 @@ def _read_int(text: str, error: str) -> int:
     try:
         if _INT_RE.fullmatch(text):
             return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(error)
+
+
+def _read_ints(text: str, error: str, sep: str = ",") -> IntVec:
+    """The integers of ``_read_int`` that text lists between sep ("," or
+    "*"), checked by one match, or ``ParseError(error)``."""
+    try:
+        if _INT_LISTS[sep].fullmatch(text):
+            return tuple(map(int, text.split(sep)))
     except ValueError:  # more digits than int() converts
         pass
     raise ParseError(error)
@@ -759,16 +801,18 @@ def parse_element(text: str, datum: GroupDatum) -> AffineElement:
     if not m:
         raise ParseError(f"malformed element literal: {text!r}")
     body, cycles_part = m.group(1), m.group(2)
-    error = f"bad translation entries in {text!r}"
-    coords = tuple(_read_int(x, error) for x in body.split(",")) if body else ()
-    if len(coords) != datum.n:
-        raise ParseError(f"expected {datum.n} coordinates, got {len(coords)}")
+    coords = _read_ints(body, f"bad translation entries in {text!r}") if body else ()
+    n = datum.n
+    if len(coords) != n:
+        raise ParseError(f"expected {n} coordinates, got {len(coords)}")
     cycles, error = [], f"bad cycle entries in {text!r}"
-    for cm in _CYCLE_RE.finditer(cycles_part):
-        cyc = tuple(_read_int(x, error) for x in cm.group(1).split(","))
+    for spec in _CYCLE_RE.findall(cycles_part):
+        cyc = _read_ints(spec, error)
         if len(set(cyc)) != len(cyc):
             raise ParseError(f"repeated index inside a cycle in {text!r}")
-        if any(not (1 <= i <= datum.n) for i in cyc):
-            raise ParseError(f"cycle index out of range 1..{datum.n} in {text!r}")
+        if min(cyc) < 1 or max(cyc) > n:
+            raise ParseError(f"cycle index out of range 1..{n} in {text!r}")
         cycles.append(cyc)
-    return AffineElement(datum, coords, Permutation.from_cycles(datum.n, cycles))
+    # the cycles are checked above, so their product is a permutation
+    perm = Permutation._unchecked(_cycle_product(n, cycles))
+    return AffineElement(datum, coords, perm)

@@ -16,9 +16,10 @@ nothing in the package calls them:
 * lengths: ``im_length``, the O(n^2) Iwahori-Matsumoto count that
   ``AffineElement.length``'s window formula is tested against;
 * group arithmetic: ``num_inversions``, ``apply_affine`` (the affine
-  action on the ambient space), ``element_power`` and
+  action on the ambient space), ``element_power``,
   ``orbit_spread_reference``, a product split's pieces moved round
-  their orbit by repeated sigma0;
+  their orbit by repeated sigma0, and ``from_cycles_reference``, a
+  product of cycles as one checked permutation per cycle;
 * the text form: ``format_element_reference`` and
   ``permutation_repr_reference``, built on ``Permutation.cycles``;
 * reduced words and the Bruhat order: ``simple_reflections``,
@@ -164,6 +165,23 @@ def orbit_spread_reference(sigma0: Sigma0, pieces) -> AffineElement:
         for _ in range(i + 1 if i < m - 1 else 0):
             moved = sigma0.apply_element(moved)
         result = result * moved
+    return result
+
+
+def from_cycles_reference(n: int, cycles) -> Permutation:
+    """``Permutation.from_cycles`` as first written: per cycle, one
+    n-length permutation that maps each index to the next, checked by
+    ``Permutation``, multiplied onto the product left to right. An index
+    past n raises IndexError, and 0 or a negative index writes from the
+    end of the list."""
+    result = Permutation.identity(n)
+    for cyc in cycles:
+        images = list(range(1, n + 1))
+        for a, b in zip(cyc, cyc[1:]):
+            images[a - 1] = b
+        if len(cyc) > 1:
+            images[cyc[-1] - 1] = cyc[0]
+        result = result * Permutation(images)
     return result
 
 

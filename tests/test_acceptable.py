@@ -207,6 +207,26 @@ def test_mu_is_checked_before_the_enumeration_guard():
         enumerate_acceptable((1, 0, 0, 0, 0, 0, 0, 0, 0), frob)
 
 
+@pytest.mark.parametrize("mu", [(True, False, False), (1.0, 0, 0), (Fraction(1), 0, 0)],
+                         ids=["bools", "float", "Fraction"])
+def test_mu_entries_that_are_not_ints_are_refused(mu):
+    # a bool, a float or a Fraction equal to an int is refused, never
+    # converted: solve once kept the bools in Problem.mu, a float died
+    # with a raw TypeError, and adm_member answered (True, id)
+    frob = Frobenius.superbasic(1, 3)
+    w = parse_element("t[1,0,0]", frob.datum)
+    message = "^" + re.escape(f"mu {mu} has an entry that is not an int") + "$"
+    calls = [lambda: solve(mu, frob), lambda: maximal_newton_state(mu, frob),
+             lambda: enumerate_acceptable(mu, frob), lambda: mu_diamond_acceptable(mu, frob),
+             lambda: adm_member(w, mu), lambda: adm_enumerate(mu, frob.datum)]
+    for call in calls:
+        with pytest.raises(ParseError, match=message):
+            call()
+    # the same values as ints are answered
+    assert solve((1, 0, 0), frob).nu == solve([1, 0, 0], frob).nu
+    assert adm_member(w, (1, 0, 0))[0] and len(adm_enumerate((1, 0, 0), frob.datum)) == 7
+
+
 def test_mu_is_checked_before_it_is_averaged(monkeypatch):
     import bgmu.acceptable as acceptable
 

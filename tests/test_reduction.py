@@ -964,6 +964,82 @@ def test_each_solver_fact_is_checked_once(monkeypatch, strategy):
                          "superbasic_witness": 0}, mu
 
 
+# the first parse and stage tree of each twist, with every table
+# emptied (``_fresh_stages``): (group, --sigma text, step kinds in tree
+# order, counts of each check and checked build)
+FIRST_USE = [
+    # a swap of two GL_4 blocks: the conjugated twist descends on the
+    # last block to two superbasic GL_2 bases
+    ("gl:4*4", "tau=t[1,1,0,0,0,0,0,0]*cyc(1,3)*cyc(2,4);sigma0=2,1",
+     ["product-split", "parabolic", "orbit-split", "base-superbasic", "base-superbasic"],
+     {"_block_map": 4, "_length_zero": 8, "AffineElement": 2, "Permutation": 2,
+      "Sigma0._build": 4, "Frobenius._build": 4}),
+    # one flip on an orbit of two PGL_3 blocks: the last block carries
+    # the flip, which a second product split takes to a rank-one base
+    ("pgl:3*3", "tau=t[0,0,0,1,0,0]*cyc(4,5,6);sigma0=2,-1",
+     ["product-split", "parabolic", "orbit-split", "product-split", "base-rank-one",
+      "base-rank-one"],
+     {"_block_map": 6, "_length_zero": 13, "AffineElement": 3, "Permutation": 3,
+      "Sigma0._build": 6, "Frobenius._build": 6}),
+    # a cycle of three GL_2 blocks
+    ("gl:2*2*2", "tau=t[0,0,1,0,1,0]*cyc(3,4)*cyc(5,6);sigma0=2,3,1",
+     ["product-split", "parabolic", "orbit-split", "base-rank-one", "base-rank-one"],
+     {"_block_map": 4, "_length_zero": 8, "AffineElement": 2, "Permutation": 2,
+      "Sigma0._build": 4, "Frobenius._build": 4}),
+    # an inner twist of GL_9 (no sigma0 part) descends to a Levi of three
+    # GL_3 blocks, one superbasic base each, all three one sub-twist
+    ("gl:9", "tau=t[1,1,1,0,0,0,0,0,0]*cyc(1,4,7)*cyc(2,5,8)*cyc(3,6,9)",
+     ["parabolic", "orbit-split", "base-superbasic", "base-superbasic", "base-superbasic"],
+     {"_block_map": 3, "_length_zero": 5, "AffineElement": 1, "Permutation": 1,
+      "Sigma0._build": 3, "Frobenius._build": 3}),
+]
+
+
+@pytest.mark.parametrize("group,text,kinds,want", FIRST_USE, ids=[c[0] for c in FIRST_USE])
+def test_each_twist_check_runs_once_on_first_use(monkeypatch, group, text, kinds, want):
+    # the first parse and stage tree of a twist checks each fact once per
+    # value and builds each checked object once: a sub-twist that is a
+    # stored twist is that twist, so an equal restriction met again on
+    # the tree adds nothing. The same twist parsed and staged again adds
+    # nothing at all. A change that rebuilds or re-checks changes these
+    # counts
+    import bgmu.cli as cli
+    import bgmu.newton as newton
+    import bgmu.reduction as reduction
+    import bgmu.weyl as weyl
+
+    calls = dict.fromkeys(want, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    checks = {"_block_map": newton._block_map, "_length_zero": weyl._length_zero}
+    for module in (weyl, newton, reduction, cli):
+        for name, fn in checks.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(AffineElement, "__init__", counted("AffineElement", AffineElement.__init__))
+    monkeypatch.setattr(Permutation, "__init__", counted("Permutation", Permutation.__init__))
+    for cls in (Sigma0, Frobenius):
+        monkeypatch.setattr(cls, "_build", counted(f"{cls.__name__}._build", cls._build))
+
+    def tree(frob):
+        step = _stage(frob)
+        subs = {"orbit-split": getattr(step, "subs", ()),
+                "product-split": (getattr(step, "sub_frob", None),),
+                "parabolic": (getattr(step, "sub_frob", None),)}.get(step.kind, ())
+        return [step.kind] + [kind for sub in subs for kind in tree(sub)]
+
+    for first in (True, False):
+        frob = cli._parse_sigma(text, cli._parse_group(group), False)
+        assert tree(frob) == kinds
+        assert calls == (want if first else dict.fromkeys(want, 0)), (group, first)
+        calls.update(dict.fromkeys(want, 0))
+
+
 def _cycle_vector_sum(lin, cycle) -> int:
     total, sign = 0, 1
     for p in cycle:
@@ -1049,7 +1125,7 @@ def test_sub_twists_of_the_orbit_and_product_splits():
                     renum = {b: i for i, b in enumerate(blocks)}
                     want = Sigma0(sub, tuple(renum[block_to[b]] for b in blocks),
                                   tuple(flip[b] for b in blocks))
-                    got = _sub_twist(tau, s0.map(), pos, sub)
+                    got = _sub_twist(tau.trans, tau.perm.images, s0.map(), pos, sub)
                     assert got.sigma0 == want
                     assert got.tau == omega_element(sub, (1,) * len(blocks))
                     lo, hi = ranges[orbit[-1]]
@@ -1058,7 +1134,7 @@ def test_sub_twists_of_the_orbit_and_product_splits():
                     power = SignedMap.identity(d.n)
                     for _ in orbit:
                         power = s0.map().after(power)
-                    got = _sub_twist(tau, power, tuple(range(lo, hi + 1)), last)
+                    got = _sub_twist(tau.trans, tau.perm.images, power, tuple(range(lo, hi + 1)), last)
                     assert got.sigma0 == Sigma0(last, (0,), (parity,))
                     assert got.tau == omega_element(last, (1,))
 
@@ -1143,9 +1219,9 @@ def test_sub_twist_refuses_a_restriction_of_positive_length():
     d22 = GroupDatum((2, 2))
     tau = AffineElement.translation(d22, (1, 0, 0, 0))
     with pytest.raises(InternalCheckFailed, match=re.escape("restricted twist t[1,0] is not length zero")):
-        _sub_twist(tau, Sigma0.identity(d22).map(), (1, 2), GroupDatum.gl(2))
+        _sub_twist(tau.trans, tau.perm.images, Sigma0.identity(d22).map(), (1, 2), GroupDatum.gl(2))
     # the other block restricts to length zero
-    assert _sub_twist(tau, Sigma0.identity(d22).map(), (3, 4), GroupDatum.gl(2)).tau.is_identity()
+    assert _sub_twist(tau.trans, tau.perm.images, Sigma0.identity(d22).map(), (3, 4), GroupDatum.gl(2)).tau.is_identity()
 
 
 def test_sub_twist_refuses_a_twist_that_moves_a_sub_block():
@@ -1155,11 +1231,11 @@ def test_sub_twist_refuses_a_twist_that_moves_a_sub_block():
     tau = omega_element(d4, (2,))
     identity = Sigma0.identity(d4).map()
     with pytest.raises(InternalCheckFailed, match=re.escape("does not map the sub-blocks (2, 2)")):
-        _sub_twist(tau, identity, (1, 2, 3, 4), GroupDatum((2, 2)))
+        _sub_twist(tau.trans, tau.perm.images, identity, (1, 2, 3, 4), GroupDatum((2, 2)))
     with pytest.raises(InternalCheckFailed, match=re.escape("does not map the sub-blocks (2,)")):
-        _sub_twist(tau, identity, (1, 2), GroupDatum.gl(2))
+        _sub_twist(tau.trans, tau.perm.images, identity, (1, 2), GroupDatum.gl(2))
     # it maps GL_4 itself onto itself
-    assert _sub_twist(tau, identity, (1, 2, 3, 4), d4).tau == tau
+    assert _sub_twist(tau.trans, tau.perm.images, identity, (1, 2, 3, 4), d4).tau == tau
 
 
 def test_sub_twist_refuses_a_map_that_does_not_permute_the_sub_blocks():
@@ -1167,9 +1243,9 @@ def test_sub_twist_refuses_a_map_that_does_not_permute_the_sub_blocks():
     d4 = GroupDatum.gl(4)
     flip = Sigma0(d4, (0,), (True,)).map()
     with pytest.raises(InternalCheckFailed, match="does not permute the sub-blocks"):
-        _sub_twist(AffineElement.identity(d4), flip, (1, 2, 3, 4), GroupDatum((1, 3)))
+        _sub_twist((0,) * 4, (1, 2, 3, 4), flip, (1, 2, 3, 4), GroupDatum((1, 3)))
     # a block swap carries the positions of block 1 outside them
     d22 = GroupDatum((2, 2))
     swap = Sigma0(d22, (1, 0), (False, False)).map()
     with pytest.raises(InternalCheckFailed, match="does not permute the sub-blocks"):
-        _sub_twist(AffineElement.identity(d22), swap, (1, 2), GroupDatum((2,)))
+        _sub_twist((0,) * 4, (1, 2, 3, 4), swap, (1, 2), GroupDatum((2,)))

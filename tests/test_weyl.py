@@ -1,6 +1,7 @@
 """Group arithmetic, length, reduced words and the Bruhat order."""
 
 import itertools
+import re
 from functools import lru_cache
 from math import gcd
 
@@ -17,7 +18,6 @@ from bgmu.weyl import (
     Permutation,
     _from_window,
     _length_zero,
-    _nodes,
     _subword_split,
     _swap,
     _window,
@@ -33,6 +33,7 @@ from conftest import (
     bruhat_lt,
     element_power,
     format_element_reference,
+    from_cycles_reference,
     im_length,
     oracle_length,
     permutation_repr_reference,
@@ -300,7 +301,7 @@ def splits_in_every_order(u, v):
     """The u1 that ``_subword_split(u, v)`` would return, for each order
     in which its walk may take v's left descents: a walk on the windows
     that branches on every descent of the top, memoized by state."""
-    nodes = _nodes(v.datum)
+    nodes = v.datum._nodes
 
     @lru_cache(maxsize=None)
     def bottoms(top, low):
@@ -434,6 +435,40 @@ def test_parse_u58():
     d8 = GroupDatum.gl(8)
     w = parse_element("t[0,0,0,0,0,0,0,0]*cyc(6,3,8,5,2,7,4,1)", d8)
     assert w.perm == superbasic_element(5, 8).perm
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-1, n + 1), max_size=n + 1), max_size=4))))
+def test_from_cycles_is_the_product_of_its_cycles(case):
+    # composed on one list and checked once: a cycle of two or more
+    # indices must hold distinct ones in 1..n, and on such cycles the
+    # product is the reference's, one checked permutation per cycle.
+    # Every cycle list that the reference refuses is refused, with
+    # ParseError where the reference could also raise IndexError; the
+    # reference reads a few more (a repeated cycle such as (1,2,1,2), or
+    # 0 and -1 as indices from the end), which are refused too
+    n, cycles = case
+    valid = all(len(c) < 2 or (len(set(c)) == len(c) and min(c) >= 1 and max(c) <= n)
+                for c in cycles)
+    try:
+        want = from_cycles_reference(n, cycles)
+    except (ParseError, IndexError):
+        want = None
+    if valid:
+        assert Permutation.from_cycles(n, cycles) == want
+        assert Permutation.from_cycles(n, map(list, cycles)) == want
+    else:
+        with pytest.raises(ParseError, match=rf"^not a permutation of 1\.\.{n}: cycle \("):
+            Permutation.from_cycles(n, cycles)
+
+
+def test_from_cycles_refuses_a_cycle_that_is_no_permutation():
+    for cyc in [(1, 2, 1), (1, 4), (0, 1), (1, 2, 1, 2), (3, 0)]:
+        with pytest.raises(ParseError, match=re.escape(f"not a permutation of 1..3: cycle {cyc}")):
+            Permutation.from_cycles(3, [(1, 2), cyc])
+    # a cycle of one index, or of none, is the identity, as it always was
+    assert Permutation.from_cycles(3, [(5,), (), (1, 3)]) == Permutation((3, 2, 1))
 
 
 def test_parse_cycles_compose_left_to_right():
