@@ -45,7 +45,7 @@ import os
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm, prod
-from operator import itemgetter, le
+from operator import add, itemgetter, le, mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, GuardExceeded, InternalCheckFailed, ParseError
@@ -69,6 +69,7 @@ from .weyl import (
     GroupDatum,
     IntVec,
     Permutation,
+    _check_ints,
     _read_int,
     _same_wa_coset,
     _tuple_length,
@@ -106,13 +107,6 @@ def adjoint_eq(datum: GroupDatum, v: Sequence, w: Sequence) -> bool:
     (dv, nv), (dw, nw) = _scaled(v), _scaled(w)
     diff = [a * dw - b * dv for a, b in zip(nv, nw)]
     return all(len(set(diff[sl])) == 1 for sl in datum.block_slices())
-
-
-def _check_ints(mu: Sequence[int]) -> None:
-    """Every entry of the caller's mu is an int: a bool, a float or a
-    Fraction is refused, not converted."""
-    if any(type(x) is not int for x in mu):
-        raise ParseError(f"mu {tuple(mu)} has an entry that is not an int")
 
 
 def _check_mu(mu: Sequence[int], datum: GroupDatum) -> None:
@@ -244,6 +238,7 @@ def _hull(nums: Sequence[int]) -> list[tuple[int, int]]:
 def polygon(eta: Sequence) -> PolygonData:
     """Upper convex hull of the running sums of eta: its vertices, and
     the segment slopes repeated per step, a weakly decreasing sequence."""
+    _check_ints(eta, "eta", fractions=True)
     den, nums = _scaled(eta)
     x, y = 0, 0
     vertices: list[tuple[int, Fraction]] = [(x, Fraction(y))]
@@ -460,12 +455,13 @@ def _permissible(w: AffineElement, mu: Sequence[int]) -> bool:
     return True
 
 
-# Adm(mu) of one GL_n block per dominant shape mu - min(mu), built once
-# per process (``_grow_block_adm``). An entry holds the members of Adm(mu)
-# that are least by (images, trans) in their orbit under conjugation by
-# omega_1 (``_conjugate``), grouped by translation as (lam, (images, ...))
-# pairs; and |Adm(mu)|, the sum of their orbit sizes. ``_full_set``
-# expands the whole set from them on each call.
+# Adm(mu) of one GL_n block per dominant shape mu - min(mu), grown by one
+# search over all translations when a problem first meets the shape
+# (``_grow_block_adm``). An entry holds the members of Adm(mu) that are
+# least by (images, trans) in their orbit under conjugation by omega_1
+# (``_conjugate``), grouped by translation as (lam, (images, ...)) pairs;
+# and |Adm(mu)|, the sum of their orbit sizes. ``_full_set`` expands the
+# whole set from them on each call.
 # Adm(mu + c*1) is t^{c*1} Adm(mu), and t^{c*1} commutes with omega_1 and
 # keeps that order, so all of it moves by c. The guards admit entry
 # spreads of at most 2, so a rank has at most C(n + 2, 2) shapes.
@@ -502,14 +498,6 @@ def _flatten(c: int, groups: _Groups) -> list[tuple[IntVec, IntVec]]:
         lam = tuple(x + c for x in lam) if c else lam
         out += [(lam, im) for im in ims]
     return out
-
-
-def _rotate_images(images: IntVec, k: int) -> IntVec:
-    """The images v of the conjugate of t^trans u by omega_1^k in GL_n,
-    n = len(images) (``_conjugate`` on one block), without its
-    translation."""
-    n = len(images)
-    return tuple([(x + k - 1) % n + 1 for x in images[n - k:] + images[:n - k]])
 
 
 def _full_set(reps: list[tuple[IntVec, IntVec]]) -> list[tuple[IntVec, IntVec]]:
@@ -578,79 +566,91 @@ def _omega_closure(elems: Sequence[tuple[IntVec, IntVec]], orbits: Sequence[Sequ
 def _grow_block_adm(mu: Sequence[int], limit: Optional[int] = None) -> tuple[_Groups, int]:
     """The omega_1-orbit representatives of Adm(mu) of GL_n, grouped by
     translation, and |Adm(mu)|, refused (``_block_entry``'s message) as
-    soon as the count passes limit. For each lattice point lam of Conv(W_0
-    mu) with mu's sum (the distinct rearrangements of every dominant
-    vector dominated by mu), u is built one position at a time, and a
-    branch is kept while the vertex it has just reached is one of those
-    points: the test of ``adm_enumerate``, as every vertex has mu's sum.
+    soon as the count passes limit. One search builds u position by
+    position for all lattice points lam of Conv(W_0 mu) with mu's sum,
+    the set P: a branch carries, as the bits of one int, the vertices
+    lam + 1_{u(1..k)} - 1_{1..k} of the points whose vertices so far lie
+    in P (the test of ``adm_enumerate``). A vertex's bit is its first
+    n - 1 entries less min(mu), read in base B = max(mu) - min(mu) + 2:
+    a point's digits lie in 0..B - 2, a vertex's in -1..B - 1, and a -1
+    borrows and leaves a B - 1, so a vertex reads as a point only when
+    it is one. Then u(k) = j is one shift, by B^(j-1) - B^(k-1) with
+    B^(n-1) read as 0, and one AND.
+    A representative has no conjugate by omega_1^k with smaller images
+    v, v(i) = u(i - k) + k mod n, and v(1..i) is known from position
+    n - k + i on: a branch is cut once one such prefix falls below u's,
+    and carries the k that tie. At a leaf, a k whose v is u leaves it
+    to the translations, r^k(lam) + E_k - u(E_k) (``_conjugate``)
+    against lam, once per u; the first k where they are equal gives the
+    orbit size. Found by u in lexicographic order, the representatives
+    are grouped by lam in P's order.
 
-    The conjugate by omega_1^k has first image ((u(j) - j) mod n) + 1,
-    j = n - k + 1, so t^lam u is least in its orbit by (images, trans)
-    only if (u(j) - j) mod n >= u(1) - 1 for every j; a branch is cut
-    at the first position that breaks this. A leaf is compared with
-    each conjugate whose first image ties with its own, by increasing
-    k; the first equal to it gives the orbit size, and the later ones
-    repeat the earlier. The conjugate's images decide the comparison
-    unless they equal u's, so its translation is built only then."""
+    >>> _grow_block_adm((1, 0))
+    ((((1, 0), ((2, 1),)), ((0, 1), ((1, 2),))), 3)
+    >>> _grow_block_adm((2, 0))
+    ((((0, 2), ((1, 2),)), ((1, 1), ((1, 2), (2, 1)))), 5)
+    """
     n = len(mu)
-    whole = ((1, n),)
     sums = _hull_sums(mu)
     lams = [lam for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n)
             if sum(dom) == sums[-1] and _in_hull(dom, sums)
             for lam in _distinct_permutations(dom)]
-    points = set(lams)
-    groups: list[tuple[IntVec, tuple[IntVec, ...]]] = []
-    found: list[IntVec] = []
-    perms: dict[IntVec, IntVec] = {}  # one tuple per distinct u
-    images = [0] * n
-    used = [False] * n
-    size = 0
+    low, base = min(mu), max(mu) - min(mu) + 2
+    place = [base ** i for i in range(n - 1)] + [0]
+    index = {sum(map(mul, lam, place)) - low * sum(place): i for i, lam in enumerate(lams)}
+    points = sum(1 << code for code in index)
+    rotations = [itemgetter(*range(n - k, n), *range(n - k)) for k in range(n)]  # r^k
+    found: list[tuple[int, IntVec]] = []  # (index of lam, u), by u
+    images, used, size = [0] * n, [False] * n, 0
 
-    def leaf(lam: IntVec) -> None:
+    def leaf(mask: int, live: tuple[int, ...]) -> None:
         nonlocal size
-        u, first = tuple(images), images[0] - 1
-        orbit = n
-        for k in range(1, n):
-            if (u[n - k] + k - 1) % n == first:
-                v = _rotate_images(u, k)
-                if v < u:
-                    return
-                if v == u:
-                    t = _conjugate((lam, u), ((0, k),), whole)[0]
-                    if t < lam:
-                        return
-                    if t == lam:
-                        orbit = k
-                        break
-        found.append(perms.setdefault(u, u))
-        size += orbit
+        u = tuple(images)
+        ties = []
+        for k in live:
+            v = tuple([(x + k - 1) % n + 1 for x in rotations[k](u)])
+            if v < u:
+                return
+            if v == u:
+                ties.append((k, _conjugate(((0,) * n, u), ((0, k),), ((1, n),))[0]))
+        while mask:
+            code = mask.bit_length() - 1
+            mask ^= 1 << code
+            lam = lams[i := index[code]]
+            for k, off in ties:
+                t = tuple(map(add, rotations[k](lam), off))
+                if t <= lam:
+                    orbit = k if t == lam else 0
+                    break
+            else:
+                orbit = n
+            if orbit:
+                found.append((i, u))
+                size += orbit
         if limit is not None and size > limit:
             raise GuardExceeded(f"admissible set too large: more than {limit}")
 
-    def grow(lam: IntVec, vec: list[int], k: int) -> None:
-        if k == n:
-            leaf(lam)
-            return
-        first = images[0] - 1
-        vec[k] -= 1
+    def grow(mask: int, p: int, live: tuple[int, ...]) -> None:
+        if p == n:
+            return leaf(mask, live)
+        first = images[0] - 1 if p else -1  # v(1) - 1 for k = n - p must reach it
+        want = [(k, images[p - n + k] - 1) for k in live] if live else live
         for j in range(n):
-            if used[j] or (k and (j - k) % n < first):
+            s = (j - p) % n
+            if used[j] or s < first or live and any((j + k) % n < w for k, w in want):
                 continue
-            vec[j] += 1
-            # at k + 1 == n the vertex is omega_n, i.e. lam itself
-            if k + 1 == n or tuple(vec) in points:
-                used[j], images[k] = True, j + 1
-                grow(lam, vec, k + 1)
+            e = place[j] - place[p]
+            if sub := points & (mask << e if e >= 0 else mask >> -e):
+                ties = tuple([k for k, w in want if (j + k) % n == w]) if live else live
+                used[j], images[p] = True, j + 1
+                grow(sub, p + 1, (n - p, *ties) if s == first else ties)
                 used[j] = False
-            vec[j] -= 1
-        vec[k] += 1
 
-    for lam in lams:
-        grow(lam, list(lam), 0)
-        if found:
-            groups.append((lam, tuple(found)))
-            found.clear()
-    return tuple(groups), size
+    grow(points, 0, ())
+    grow = None  # it refers to itself: free what it holds now, not at the next collection
+    found.sort(key=itemgetter(0))
+    return tuple((lams[i], tuple([u for _, u in group]))
+                 for i, group in itertools.groupby(found, itemgetter(0))), size
 
 
 def _distinct_permutations(part: Sequence[int]) -> list[tuple[int, ...]]:

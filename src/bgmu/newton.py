@@ -54,6 +54,7 @@ from .weyl import (
     IntVec,
     Permutation,
     SignedMap,
+    _check_ints,
     _check_superbasic,
     _Frozen,
     _Interned,
@@ -676,6 +677,8 @@ def _diamond(vec: Sequence[int], frob: Frobenius) -> tuple[int, list[int]]:
 
 def diamond(mu: Sequence, frob: Frobenius) -> RatVec:
     """sigma0-orbit average (1/N) sum sigma0^i(mu): the Newton vector
-    of t^mu under sigma0 alone, read off the same cycles."""
+    of t^mu under sigma0 alone, read off the same cycles, for entries
+    that are ints or Fractions."""
+    _check_ints(mu, fractions=True)
     k, nums = _diamond(mu, frob)
     return tuple(Fraction(x, k) for x in nums)

@@ -68,6 +68,7 @@ from .newton import AffineMap, Frobenius, NewtonPoint, _linear_part, _newton_ker
 from .weyl import (
     AffineElement,
     Permutation,
+    _check_ints,
     _Frozen,
     _dominant_length,
     _element_text,
@@ -112,6 +113,7 @@ def chi(m: int, n: int) -> tuple[int, ...]:
     >>> chi(5, 8)
     (0, 1, 0, 1, 1, 0, 1, 1)
     """
+    _check_ints((m, n), "(m, n) =")
     if not (0 < m < n) or gcd(m, n) != 1:
         raise ParseError(f"need coprime 0 < m < n, got ({m}, {n})")
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
@@ -374,8 +376,10 @@ def sharp_peel(mu: Sequence[int], m: int, n: int) -> PeelCertificate:
     the pieces, with equal-slope neighbours merged, must be the runs of
     the upper convex hull of theta, as ``_hull`` gives them."""
     mu = tuple(mu)
+    _check_ints((m, n), "(m, n) =")  # before _twist_data's cache, where 1.0 finds 1
     if len(mu) != n:
         raise ParseError(f"mu must have length {n}")
+    _check_ints(mu)
     if any(map(lt, mu, mu[1:])):
         raise ParseError(f"mu {mu} is not dominant")
     twist = _twist_data(m, n)

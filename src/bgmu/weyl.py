@@ -681,6 +681,7 @@ def superbasic_element(m: int, n: int, datum: Optional[GroupDatum] = None) -> Af
 
 
 def _check_superbasic(m: int, n: int) -> None:
+    _check_ints((m, n), "(m, n) =")
     if not 0 < m < n:
         raise ParseError(f"need 0 < m < n, got ({m}, {n})")
     if gcd(m, n) != 1:
@@ -725,6 +726,14 @@ _INT = r"\s*[+-]?[0-9]+\s*"
 _INT_RE = re.compile(_INT, re.ASCII)
 # a list of such integers between one separator, checked by one match
 _INT_LISTS = {sep: re.compile(rf"{_INT}(?:\{sep}{_INT})*", re.ASCII) for sep in ",*"}
+
+
+def _check_ints(values: Sequence, name: str = "mu", fractions: bool = False) -> None:
+    """Refuse with ``ParseError``, never convert, an entry of a caller's values
+    that is not an int, or with fractions an int or a Fraction: one C-level pass."""
+    if not set(map(type, values)) <= ({int, Fraction} if fractions else {int}):
+        kinds = "an int or a Fraction" if fractions else "an int"
+        raise ParseError(f"{name} {tuple(values)} has an entry that is not {kinds}")
 
 
 def _read_int(text: str, error: str) -> int:

@@ -42,9 +42,10 @@ nothing in the package calls them:
 * the peel's chain built eagerly: ``eager_peel_chain``, each step's
   elements by a checked product and its lengths by ``im_length``;
 * the admissible set and its Newton points: ``adm_reference``,
-  ``reference_attained`` and ``reference_brute_force``, and
+  ``reference_attained`` and ``reference_brute_force``,
   ``brute_keys_reference``, the brute force's keying one element at a
-  time, with ``same_keys``;
+  time, with ``same_keys``, and ``grow_block_adm_reference``, the
+  table's search for one block shape run once per lattice point;
 * the byte-identity gate: ``twisted_draw``, the fixed-seed problem
   draw, ``pinned_twisted_problems``, a fixed list of twisted problems,
   and ``outcome_line``, the canonical line of one outcome.
@@ -61,9 +62,17 @@ from typing import NamedTuple
 
 import pytest
 
-from bgmu.acceptable import MaximalSolverState, PolygonData, support_nodes
+from bgmu.acceptable import (
+    MaximalSolverState,
+    PolygonData,
+    _conjugate,
+    _distinct_permutations,
+    _hull_sums,
+    _in_hull,
+    support_nodes,
+)
 from bgmu.cli import _parse_sigma, _twist_header
-from bgmu.errors import BgmuError, DimensionMismatch, InternalCheckFailed, ParseError
+from bgmu.errors import BgmuError, DimensionMismatch, GuardExceeded, InternalCheckFailed, ParseError
 from bgmu.newton import (
     Frobenius,
     LinearPart,
@@ -791,6 +800,69 @@ def reference_brute_force(mu, frob: Frobenius):
     w = attained[maxima[0]]
     point = next(p for p, low in zip(points, lower) if w in low)
     return maxima[0], w, dominant_rep(datum, point)[1].inverse()
+
+
+def grow_block_adm_reference(mu, limit=None):
+    """``acceptable._grow_block_adm`` as first built: u is grown one
+    position at a time separately for each lattice point lam, a vertex
+    is looked up in a set of tuples, and each (lam, u) leaf is compared
+    with the conjugates whose first image ties with its own, the
+    conjugate's translation built only when its images equal u's."""
+    n = len(mu)
+    whole = ((1, n),)
+    sums = _hull_sums(mu)
+    lams = [lam for dom in itertools.combinations_with_replacement(range(max(mu), min(mu) - 1, -1), n)
+            if sum(dom) == sums[-1] and _in_hull(dom, sums)
+            for lam in _distinct_permutations(dom)]
+    points = set(lams)
+    groups, found = [], []
+    images, used = [0] * n, [False] * n
+    size = 0
+
+    def leaf(lam):
+        nonlocal size
+        u, first = tuple(images), images[0] - 1
+        orbit = n
+        for k in range(1, n):
+            if (u[n - k] + k - 1) % n == first:
+                v = tuple([(x + k - 1) % n + 1 for x in u[n - k:] + u[:n - k]])
+                if v < u:
+                    return
+                if v == u:
+                    t = _conjugate((lam, u), ((0, k),), whole)[0]
+                    if t < lam:
+                        return
+                    if t == lam:
+                        orbit = k
+                        break
+        found.append(u)
+        size += orbit
+        if limit is not None and size > limit:
+            raise GuardExceeded(f"admissible set too large: more than {limit}")
+
+    def grow(lam, vec, k):
+        if k == n:
+            leaf(lam)
+            return
+        first = images[0] - 1
+        vec[k] -= 1
+        for j in range(n):
+            if used[j] or (k and (j - k) % n < first):
+                continue
+            vec[j] += 1
+            if k + 1 == n or tuple(vec) in points:  # omega_n's vertex is lam itself
+                used[j], images[k] = True, j + 1
+                grow(lam, vec, k + 1)
+                used[j] = False
+            vec[j] -= 1
+        vec[k] += 1
+
+    for lam in lams:
+        grow(lam, list(lam), 0)
+        if found:
+            groups.append((lam, tuple(found)))
+            found.clear()
+    return tuple(groups), size
 
 
 def _linear_part_reference(images, twist) -> LinearPart:

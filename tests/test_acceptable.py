@@ -48,6 +48,7 @@ from bgmu.newton import (
     newton_point,
 )
 from bgmu.reduction import solve
+from bgmu.superbasic import chi, sharp_peel, superbasic_witness
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -65,6 +66,7 @@ from conftest import (
     candidates_reference,
     coset_ball,
     dominant_coweights,
+    grow_block_adm_reference,
     heights_reference,
     maximal_state_reference,
     newton_criterion,
@@ -227,6 +229,31 @@ def test_mu_entries_that_are_not_ints_are_refused(mu):
     assert adm_member(w, (1, 0, 0))[0] and len(adm_enumerate((1, 0, 0), frob.datum)) == 7
 
 
+_NOT_AN_INT = " has an entry that is not an int"
+# each call once answered, once with m = 1.0 in its certificate, or
+# died with a raw TypeError or AttributeError from inside
+_MORE_ENTRIES_THAT_ARE_NOT_INTS = {
+    "witness-Fraction": (lambda: superbasic_witness((Fraction(1), 0, 0), 1, 3),
+                         "mu (Fraction(1, 1), 0, 0)" + _NOT_AN_INT),
+    "witness-bools": (lambda: superbasic_witness((True, False, False), 1, 3),
+                      "mu (True, False, False)" + _NOT_AN_INT),
+    "witness-float": (lambda: superbasic_witness((1.0, 0, 0), 1, 3), "mu (1.0, 0, 0)" + _NOT_AN_INT),
+    "peel-float-m": (lambda: sharp_peel((1, 0, 0), 1.0, 3), "(m, n) = (1.0, 3)" + _NOT_AN_INT),
+    "chi-bool-m": (lambda: chi(True, 3), "(m, n) = (True, 3)" + _NOT_AN_INT),
+    "diamond-float": (lambda: diamond((1.0, 0, 0), Frobenius.superbasic(1, 3)),
+                      "mu (1.0, 0, 0)" + _NOT_AN_INT + " or a Fraction"),
+    "polygon-float": (lambda: polygon((1.0, 0, 0)), "eta (1.0, 0, 0)" + _NOT_AN_INT + " or a Fraction"),
+    "polygon-str": (lambda: polygon(("1", 0, 0)), "eta ('1', 0, 0)" + _NOT_AN_INT + " or a Fraction"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_MORE_ENTRIES_THAT_ARE_NOT_INTS))
+def test_the_superbasic_entries_diamond_and_polygon_refuse_what_is_not_an_int(probe):
+    call, message = _MORE_ENTRIES_THAT_ARE_NOT_INTS[probe]
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 def test_mu_is_checked_before_it_is_averaged(monkeypatch):
     import bgmu.acceptable as acceptable
 
@@ -249,9 +276,10 @@ def test_maximal_pgl2_examples():
 
 
 @st.composite
-def twisted_problems(draw):
+def twisted_problems(draw, entries=(-1, 3)):
     """A rotation of r equal blocks plus one fixed block, with random
-    flips, adjoint flags, twist kappas and dominant mu."""
+    flips, adjoint flags, twist kappas and dominant mu, its entries in
+    the closed range entries."""
     nb, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     blocks = (nb,) * r + (draw(st.integers(1, 4)),)
     k = draw(st.integers(0, r - 1))
@@ -263,7 +291,7 @@ def twisted_problems(draw):
     frob = Frobenius(omega_element(datum, kappas), Sigma0(datum, block_to, flip))
     mu = []
     for size in blocks:
-        part = draw(st.lists(st.integers(-1, 3), min_size=size, max_size=size))
+        part = draw(st.lists(st.integers(*entries), min_size=size, max_size=size))
         mu += sorted(part, reverse=True)
     return tuple(mu), frob
 
@@ -878,6 +906,47 @@ def test_representatives_live_in_the_table_entries(empty_adm_table, monkeypatch)
         assert len(full_set(_flat(reps))) == size
 
 
+# shapes beyond the guards' entry spread of 2, which only a caller of the
+# search itself reaches
+_WIDE_SHAPES = [(3, 0), (3, 1, 0), (3, 2, 0), (3, 0, 0), (3, 3, 0, 0), (3, 2, 1, 0), (3, 1, 1, 0),
+                (4, 2, 0)]
+
+
+def _search_shapes():
+    """Every block shape of rank <= 6 with entries 0..2 (56), and the
+    wide shapes."""
+    return [mu for n in range(1, 7) for mu in dominant_coweights(n, 2) if mu[-1] == 0] + _WIDE_SHAPES
+
+
+def test_the_search_is_the_search_per_lattice_point():
+    # one search carries every lattice point as a bit; the reference
+    # grows u once per point: the same groups, entry for entry and in
+    # order, and the same size
+    shapes = _search_shapes()
+    assert len(shapes) == 64
+    for mu in shapes:
+        assert acceptable._grow_block_adm(mu) == grow_block_adm_reference(mu), mu
+
+
+@pytest.mark.parametrize("limit", [1, 10, 100, 1000])
+def test_the_search_refuses_where_the_search_per_lattice_point_does(limit):
+    # refused exactly when |Adm(mu)| passes limit, with the reference's
+    # message; answered in full otherwise
+    def outcome(grow, mu):
+        try:
+            return grow(mu, limit)
+        except GuardExceeded as exc:
+            return str(exc)
+
+    for mu in _search_shapes():
+        got = outcome(acceptable._grow_block_adm, mu)
+        assert got == outcome(grow_block_adm_reference, mu), mu
+        if acceptable._grow_block_adm(mu)[1] > limit:
+            assert got == f"admissible set too large: more than {limit}", mu
+        else:
+            assert got == acceptable._grow_block_adm(mu), mu
+
+
 def _brute_force_problems():
     """The 283 verify-sweep problems and the problems of the seed-0 and
     seed-7 draws (1,000 each) that the brute force's guards admit."""
@@ -940,6 +1009,42 @@ def _brute_force_keyings(problems, clear=False):
             _keying_plan.cache_clear()
         out.append(_newton_keys(raw, frob.affine_map, datum.block_slices()))
     return out
+
+
+def _judged_beyond_rank_six(mu, frob):
+    """Under a rank guard of 8: auto's answer carries the brute force's
+    agreement, so a problem skipped by the size guard fails; a twist
+    that the reduction does not take (a flip at the superbasic base)
+    has its maximal point judged by the brute force directly."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("BGMU_GUARD", "8")
+        try:
+            result = solve(mu, frob, strategy="auto")
+        except UnsupportedTwist:
+            (k, lam), _ = acceptable._brute_force(mu, frob, witness=False)
+            assert tuple(Fraction(x, k) for x in lam) == maximal_newton_state(mu, frob).nu_raw
+            return False
+    assert result.checks.get("matches_bruteforce"), (mu, frob)
+    return True
+
+
+def test_the_brute_force_judges_superbasic_twists_at_ranks_7_and_8():
+    # every superbasic twist of GL_7, GL_8, PGL_7 and PGL_8, every mu
+    # with entries 0..1: 168 problems, each judged
+    judged = 0
+    for n in (7, 8):
+        for m in (m for m in range(1, n) if gcd(m, n) == 1):
+            for adjoint in (False, True):
+                frob = Frobenius.superbasic(m, n, adjoint=adjoint)
+                for mu in dominant_coweights(n, 1):
+                    judged += _judged_beyond_rank_six(mu, frob)
+    assert judged == 168
+
+
+@settings(max_examples=40, deadline=None)
+@given(twisted_problems(entries=(0, 1)).filter(lambda p: 7 <= p[1].datum.n <= 8))
+def test_the_brute_force_judges_drawn_twists_at_ranks_7_and_8(problem):
+    _judged_beyond_rank_six(*problem)
 
 
 def test_brute_force_keys_alike_from_a_cleared_and_a_warm_plan_cache():
