@@ -154,9 +154,15 @@ def _problem_from_args(args) -> Problem:
 @functools.lru_cache(maxsize=256)
 def _twist_header(frob: Frobenius) -> tuple[str, str, str, tuple[str, ...]]:
     """The group, tau, sigma0 and shift texts of a problem on frob, kept
-    per twist: only mu differs between the problems on one twist."""
-    return (_format_group(frob.datum), format_element(frob.tau), _format_sigma0(frob.sigma0),
-            tuple(map(str, frob.shift)))
+    per twist: only mu differs between the problems on one twist. The
+    shift is central, one value per block, which is formatted once and
+    repeated along the block."""
+    datum, shift = frob.datum, frob.shift
+    texts: list[str] = []
+    for offset, nb in zip(datum.offsets(), datum.blocks):
+        texts += [str(shift[offset])] * nb
+    return (_format_group(datum), format_element(frob.tau), _format_sigma0(frob.sigma0),
+            tuple(texts))
 
 
 def _problem_json(problem: Problem) -> dict:

@@ -651,8 +651,10 @@ def _fractions(nums: Sequence[int], den: int) -> RatVec:
 
 def dominant_rep(datum: GroupDatum, vec: Sequence) -> tuple[tuple, Permutation]:
     """Blockwise weakly decreasing representative and the minimal
-    length permutation z with z(vec) = rep (stable on ties)."""
+    length permutation z with z(vec) = rep (stable on ties). Its entries
+    are ints or Fractions."""
     vec = tuple(vec)
+    _check_ints(vec, "vector", fractions=True)
     if len(vec) != datum.n:
         raise DimensionMismatch("vector has wrong length")
     images = [0] * datum.n

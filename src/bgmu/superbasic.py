@@ -22,7 +22,8 @@ The ingredients, all for coprime 0 < m < n:
 No Bruhat query is made here, and each fact is checked in one place
 (the first two once per (m, n) per process, through ``_twist_data``):
 
-* ``omega_element``: sigma_{m,n} has length zero, by an O(n) test;
+* ``_twist_data``: sigma_{m,n}, built from its closed form, has length
+  zero, by the O(n) test of ``weyl._length_zero``;
 * ``euclid_chain``: each level's templates rebuild the level above it,
   so every level expands to chi_{m,n} by induction;
 * ``sharp_peel``: each chain step is a strict Bruhat descent, by one
@@ -64,18 +65,21 @@ from typing import NamedTuple, Sequence
 
 from .acceptable import _hull, polygon
 from .errors import InternalCheckFailed, ParseError
-from .newton import AffineMap, Frobenius, NewtonPoint, _linear_part, _newton_kernel, _vec_str, kappa
+from .newton import AffineMap, NewtonPoint, _linear_part, _newton_kernel, _vec_str, kappa
 from .weyl import (
     AffineElement,
+    GroupDatum,
     Permutation,
+    SignedMap,
     _check_ints,
     _Frozen,
     _dominant_length,
     _element_text,
+    _length_zero,
+    _omega_tuples,
     _transposition_delta,
     _transposition_descends,
     _translation_text,
-    superbasic_element,
 )
 
 
@@ -108,7 +112,8 @@ class Segment(_Frozen):
 # --- chi, reading sequences, epsilon ----------------------------------------
 
 def chi(m: int, n: int) -> tuple[int, ...]:
-    """chi_{m,n}(i) = floor(im/n) - floor((i-1)m/n), for coprime m < n.
+    """chi_{m,n}(i) = floor(im/n) - floor((i-1)m/n), for coprime m < n:
+    as 0 < m < n, it is 1 exactly when im mod n < m, and 0 otherwise.
 
     >>> chi(5, 8)
     (0, 1, 0, 1, 1, 0, 1, 1)
@@ -116,7 +121,7 @@ def chi(m: int, n: int) -> tuple[int, ...]:
     _check_ints((m, n), "(m, n) =")
     if not (0 < m < n) or gcd(m, n) != 1:
         raise ParseError(f"need coprime 0 < m < n, got ({m}, {n})")
-    return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
+    return tuple([1 if i * m % n < m else 0 for i in range(1, n + 1)])
 
 
 def _epsilon(m: int, n: int) -> Permutation:
@@ -128,7 +133,7 @@ def _epsilon(m: int, n: int) -> Permutation:
     >>> _epsilon(5, 8).images
     (6, 3, 8, 5, 2, 7, 4, 1)
     """
-    return Permutation._unchecked(tuple(j * m % n + 1 for j in range(1, n + 1)))
+    return Permutation._unchecked(tuple([j * m % n + 1 for j in range(1, n + 1)]))
 
 
 # --- the Euclidean recursion -------------------------------------------------
@@ -191,10 +196,11 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
         nxt = (nm,) if nn == 1 else chi(nm, nn)
         expanded: list[int] = []
         ends: list[int] = []
+        prev = ends0[-1]
         for v in nxt:
-            expanded.extend(one if v == 1 else zero)
+            expanded += one if v == 1 else zero
             # the level-0 end of the last level-h entry this one expands to
-            ends.append(ends0[-1][len(expanded) - 1])
+            ends.append(prev[len(expanded) - 1])
         if tuple(expanded) != chis[-1]:
             raise InternalCheckFailed(
                 f"template expansion of chi{(nm, nn)} does not rebuild chi{(cm, cn)}"
@@ -203,9 +209,9 @@ def euclid_chain(m: int, n: int) -> EuclideanChain:
         chis.append(nxt)
         templates.append((one, zero))
         ends0.append(tuple(ends))
-    top = [0] * (n + 1)
-    for h, ends in enumerate(ends0):
-        for p in ends:
+    top = [0] * (n + 1)  # level 0 ends at every position
+    for h in range(1, len(ends0)):
+        for p in ends0[h]:
             top[p] = h
     top[0] = len(ends0) - 1  # position 0 ends every level
     return EuclideanChain(m, n, tuple(pairs), tuple(chis), tuple(templates), tuple(ends0), tuple(top))
@@ -228,19 +234,46 @@ class _TwistData(NamedTuple):
 @lru_cache(maxsize=64)
 def _twist_data(m: int, n: int) -> _TwistData:
     """The (m, n) data of a witness, built and checked once per pair per
-    process: the template check of ``euclid_chain``, the length-zero
-    proof of ``omega_element`` and the checks of ``Frobenius`` run on
-    the first call. The cycle texts of epsilon and of sigma_{m,n}, whose
-    permutation every chain starts from, are kept beside them, as every
-    certificate prints both, and sigma_{m,n} carries the GL_n datum that
-    every element of a peel lives on. An invalid pair raises ParseError,
-    which is not cached."""
-    chain = euclid_chain(m, n)  # its chi(m, n) checks m and n
+    process from closed forms on plain tuples, with no ``Frobenius`` or
+    ``Sigma0`` interned and no element validated:
+
+    * the Euclidean chain, whose chi(m, n) checks m and n, and whose
+      template check runs once per level;
+    * sigma_{m,n} = t^{varpi_{m,n}} u with u(k) = k + m mod n, from
+      ``omega_element``'s tuples, built unchecked and proved length zero
+      by ``weyl._length_zero``; a no raises ``omega_element``'s error;
+    * sigma^-1 = t^{(0^(n-m), (-1)^m)} u^-1 with u^-1(k) = k - m mod n;
+    * the affine map of Ad(sigma_{m,n}): u's images with no signs and
+      sigma's translation, which is ``Frobenius.affine_map`` for sigma0 =
+      1; the length-zero proof is all that ``Frobenius`` would check;
+    * the cycle texts of epsilon and of sigma_{m,n}, whose one cycle is
+      1, 1 + m, 1 + 2m, ... mod n: every certificate prints both, and
+      sigma's permutation starts every chain.
+
+    sigma_{m,n} carries the GL_n datum that every element of a peel
+    lives on. An invalid pair raises ParseError, which is not cached.
+
+    >>> data = _twist_data(3, 8)
+    >>> data.sigma, data.sigma_text
+    (t[1,1,1,0,0,0,0,0]*cyc(1,4,7,2,5,8,3,6), '*cyc(1,4,7,2,5,8,3,6)')
+    >>> data.sigma_inv
+    t[0,0,0,0,0,-1,-1,-1]*cyc(1,6,3,8,5,2,7,4)
+    """
+    chain = euclid_chain(m, n)
     eps = _epsilon(m, n)
-    sigma = superbasic_element(m, n)
+    datum = GroupDatum.gl(n)
+    trans, images = _omega_tuples(datum, (m,))
+    sigma = AffineElement._unchecked(datum, trans, Permutation._unchecked(images))
+    if not _length_zero(sigma):
+        raise InternalCheckFailed("omega element is not length zero")
+    inverse = AffineElement._unchecked(
+        datum, (0,) * (n - m) + (-1,) * m,
+        Permutation._unchecked((*range(n - m + 1, n + 1), *range(1, n - m + 1))),
+    )
+    sigma_text = "*cyc(%s)" % ",".join([str(j * m % n + 1) for j in range(n)])
     return _TwistData(
-        chain, eps, repr(eps), sigma, _element_text("", sigma.perm.images),
-        sigma.inverse(), Frobenius.inner(sigma).affine_map,
+        chain, eps, repr(eps), sigma, sigma_text, inverse,
+        AffineMap(SignedMap(images, (1,) * n), trans),
     )
 
 

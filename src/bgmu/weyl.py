@@ -29,9 +29,9 @@ images are a permutation and that it preserves the blocks, and so do
 by construction (products and inverses, and the twists of
 ``newton.Sigma0``) build it through ``_Frozen._unchecked``, which sets
 the fields and runs no ``__init__``, so they do not repeat those checks.
-Length zero, which ``omega_element``, a twist and a sub-problem's twist
-require, is tested by one O(n) routine, ``_length_zero``, which keeps
-its yes as the element's length.
+Length zero, which ``omega_element``, a twist, a sub-problem's twist and
+the superbasic sigma_{m,n} require, is tested by one O(n) routine,
+``_length_zero``, which keeps its yes as the element's length.
 """
 
 from __future__ import annotations
@@ -157,7 +157,10 @@ class GroupDatum(_Interned, _Frozen):
 
     @staticmethod
     def _intern_key(blocks: tuple[int, ...], adjoint: tuple[bool, ...] = ()) -> tuple:
-        return tuple(blocks), tuple(adjoint) or (False,) * len(blocks)
+        # checked before the lookup: True and 1.0 are equal keys to 1
+        blocks = tuple(blocks)
+        _check_ints(blocks, "blocks")
+        return blocks, tuple(adjoint) or (False,) * len(blocks)
 
     def _build(self, blocks: tuple[int, ...], adjoint: tuple[bool, ...] = ()) -> None:
         blocks, adjoint = self._intern_key(blocks, adjoint)
@@ -229,6 +232,7 @@ class Permutation(_Frozen):
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
+        _check_ints(images, "images")
         n = len(images)
         if sorted(images) != list(range(1, n + 1)):
             raise ParseError(f"not a permutation of 1..{n}: {images}")
@@ -408,8 +412,9 @@ def _length_zero(w: AffineElement) -> bool:
     """Whether w has length zero: the kept ``_len`` if w has one, else
     whether no simple reflection is a left descent of its window, in
     O(n) (Bjorner-Brenti, 8.3), a yes being kept as ``_len = 0``. The
-    one length-zero test: ``omega_element``, ``Frobenius`` and the
-    reduction's ``_sub_twist`` each raise their own error on a no."""
+    one length-zero test: ``omega_element``, ``Frobenius``, the
+    reduction's ``_sub_twist`` and ``superbasic._twist_data`` each raise
+    their own error on a no."""
     known = w.__dict__.get("_len")
     if known is not None:
         return known == 0
@@ -513,6 +518,7 @@ class AffineElement(_Frozen):
 
     def __init__(self, datum: GroupDatum, trans: Iterable[int], perm: Permutation):
         trans = tuple(trans)
+        _check_ints(trans, "translation")
         if len(trans) != datum.n or perm.n != datum.n:
             raise DimensionMismatch(
                 f"rank mismatch: datum n={datum.n}, trans {len(trans)}, perm {perm.n}"
@@ -711,6 +717,7 @@ def omega_element(datum: GroupDatum, kappas: Sequence[int]) -> AffineElement:
     >>> omega_element(GroupDatum((2, 3)), (1, -1))
     t[1,0,0,0,-1]*cyc(1,2)*cyc(3,5,4)
     """
+    _check_ints(kappas, "kappas")
     trans, images = _omega_tuples(datum, kappas)
     w = AffineElement(datum, trans, Permutation(images))
     if not _length_zero(w):

@@ -93,7 +93,6 @@ from bgmu.superbasic import (
     SuperbasicWitness,
     _epsilon,
     euclid_chain,
-    superbasic_element,
 )
 from bgmu.weyl import (
     AffineElement,
@@ -106,6 +105,7 @@ from bgmu.weyl import (
     bruhat_leq,
     format_element,
     omega_element,
+    superbasic_element,
 )
 
 

@@ -75,6 +75,11 @@ def test_chi_entries_and_sum():
         assert set(c) <= {0, 1} and sum(c) == m
 
 
+def test_chi_is_its_floor_definition():
+    for m, n in coprime_pairs(64):
+        assert chi(m, n) == tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
+
+
 def test_chi_rejects_non_coprime():
     with pytest.raises(ValueError):
         chi(2, 4)
@@ -682,7 +687,9 @@ def test_witness_sweep_matches_enumeration(m, n):
 # --- the per-(m, n) twist data ---------------------------------------------------
 
 def test_twist_data_is_a_fresh_build_kept_once():
-    for m, n in coprime_pairs(40):
+    # the closed forms against the generic builders: the validated
+    # sigma_{m,n}, its inverse, Frobenius's affine map and the cycle walk
+    for m, n in coprime_pairs(64):
         data = _twist_data(m, n)
         assert _twist_data(m, n) is data
         sigma = superbasic_element(m, n)
@@ -690,10 +697,53 @@ def test_twist_data_is_a_fresh_build_kept_once():
         assert data.eps == _epsilon(m, n)
         assert data.eps_text == repr(_epsilon(m, n))
         assert data.sigma == sigma
+        assert data.sigma_text == weyl._element_text("", sigma.perm.images)
         assert data.sigma_inv == sigma.inverse()
         assert data.affine_map == Frobenius.inner(sigma).affine_map
     info = _twist_data.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
+
+
+def test_a_twist_data_miss_builds_no_twist_and_proves_length_zero_once(monkeypatch):
+    # sigma_{m,n}, its inverse and the affine map are closed forms built
+    # unchecked: a miss interns no twist, validates no element and runs
+    # the one length-zero proof; a hit runs nothing
+    import bgmu.newton as newton
+    import bgmu.superbasic as superbasic
+
+    calls = dict.fromkeys(["_length_zero", "AffineElement", "Permutation",
+                           "Sigma0._build", "Frobenius._build"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    length_zero = counted("_length_zero", weyl._length_zero)
+    for module in (weyl, superbasic):
+        monkeypatch.setattr(module, "_length_zero", length_zero)
+    monkeypatch.setattr(AffineElement, "__init__", counted("AffineElement", AffineElement.__init__))
+    monkeypatch.setattr(Permutation, "__init__", counted("Permutation", Permutation.__init__))
+    for cls in (newton.Sigma0, Frobenius):
+        monkeypatch.setattr(cls, "_build", counted(f"{cls.__name__}._build", cls._build))
+    _twist_data.cache_clear()
+    for m, n in [(1, 2), (3, 8), (13, 32), (31, 64)]:
+        for first in (True, False):
+            data = _twist_data(m, n)
+            assert calls == {**dict.fromkeys(calls, 0), "_length_zero": first}, (m, n, first)
+            calls.update(dict.fromkeys(calls, 0))
+        assert data.sigma.length() == 0  # the proof's yes is kept
+
+
+def test_a_sigma_that_is_not_length_zero_is_refused_and_not_kept(monkeypatch):
+    import bgmu.superbasic as superbasic
+
+    _twist_data.cache_clear()
+    monkeypatch.setattr(superbasic, "_length_zero", lambda w: False)
+    with pytest.raises(InternalCheckFailed, match="^omega element is not length zero$"):
+        _twist_data(3, 8)
+    assert _twist_data.cache_info().currsize == 0
 
 
 def _witness_text(mu, m, n):

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from bgmu import weyl
 from bgmu.errors import DimensionMismatch, InternalCheckFailed, ParseError
-from bgmu.newton import Sigma0
+from bgmu.newton import Sigma0, dominant_rep
 from bgmu.weyl import (
     AffineElement,
     GroupDatum,
@@ -469,6 +470,37 @@ def test_from_cycles_refuses_a_cycle_that_is_no_permutation():
             Permutation.from_cycles(3, [(1, 2), cyc])
     # a cycle of one index, or of none, is the identity, as it always was
     assert Permutation.from_cycles(3, [(5,), (), (1, 3)]) == Permutation((3, 2, 1))
+
+
+NOT_INTS = [
+    ("translation", lambda: AffineElement.translation(GroupDatum.gl(3), (1.0, 0, 0)),
+     "translation (1.0, 0, 0) has an entry that is not an int"),
+    ("images-float", lambda: Permutation((1.0, 2, 3)), "images (1.0, 2, 3) has an entry that is not an int"),
+    ("images-bool", lambda: Permutation((True, 2, 3)), "images (True, 2, 3) has an entry that is not an int"),
+    ("blocks", lambda: GroupDatum.gl(True), "blocks (True,) has an entry that is not an int"),
+    ("kappas-bool", lambda: omega_element(GroupDatum.gl(3), (True,)),
+     "kappas (True,) has an entry that is not an int"),
+    ("kappas-float", lambda: omega_element(GroupDatum.gl(3), (1.0,)),
+     "kappas (1.0,) has an entry that is not an int"),
+    ("dominant_rep", lambda: dominant_rep(GroupDatum.gl(3), (1.0, 0, 0)),
+     "vector (1.0, 0, 0) has an entry that is not an int or a Fraction"),
+]
+
+
+@pytest.mark.parametrize("build,message", [c[1:] for c in NOT_INTS], ids=[c[0] for c in NOT_INTS])
+def test_validated_constructors_refuse_entries_that_are_not_ints(build, message):
+    # each once answered (t[1.0,0,0], id, blocks=(True,), t[1,0,0]*cyc(1,2,3),
+    # ((1.0, 0, 0), id)) or died with a raw TypeError; a bool or a float
+    # equal to an int is refused, never converted
+    GroupDatum.gl(1)  # an interned gl:1, which True would find as its key
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        build()
+    assert type(GroupDatum.gl(1).blocks[0]) is int
+
+
+def test_dominant_rep_keeps_taking_fractions():
+    rep, z = dominant_rep(GL3, (Fraction(1, 2), 0, 1))
+    assert rep == (1, Fraction(1, 2), 0) and z == Permutation((2, 3, 1))
 
 
 def test_parse_cycles_compose_left_to_right():
